@@ -82,7 +82,7 @@ class ParamVector:
     elementwise multiply) only when their layouts are identical.
     """
 
-    __slots__ = ("values", "segments")
+    __slots__ = ("values", "segments", "_views")
 
     def __init__(self, values: np.ndarray, segments: Sequence[Segment]):
         arr = np.array(values, dtype=np.float64)
@@ -101,6 +101,7 @@ class ParamVector:
         arr.setflags(write=False)
         object.__setattr__(self, "values", arr)
         object.__setattr__(self, "segments", segs)
+        object.__setattr__(self, "_views", None)
 
     def __setattr__(self, name, value):  # immutability guard
         raise AttributeError("ParamVector is immutable")
@@ -110,10 +111,17 @@ class ParamVector:
         return self.values.size
 
     def segment(self, name: str) -> np.ndarray:
-        for s in self.segments:
-            if s.name == name:
-                return self.values[s.offset : s.offset + s.size].reshape(s.shape)
-        raise KeyError(name)
+        """Read-only view of one segment. The views are built on first use
+        and kept, so a lookup costs one dict access (the rollout's forward
+        pass reads every layer on every step)."""
+        views = self._views
+        if views is None:
+            views = {
+                s.name: self.values[s.offset : s.offset + s.size].reshape(s.shape)
+                for s in self.segments
+            }
+            object.__setattr__(self, "_views", views)
+        return views[name]
 
     def layout_equal(self, other: "ParamVector") -> bool:
         return self.segments == other.segments
@@ -158,10 +166,6 @@ class ParamVector:
 
 # A gradient shares the layout of the vector it differentiates.
 Gradient = ParamVector
-
-
-def zeros_like(pv: ParamVector) -> ParamVector:
-    return pv.with_values(np.zeros(pv.size))
 
 
 # ---------------------------------------------------------------------------

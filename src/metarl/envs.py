@@ -148,7 +148,7 @@ def cartpole_euler(states: np.ndarray, forces: np.ndarray, gravity: float) -> np
     per-row applied forces (n,). Pure and elementwise; exposed separately so
     dynamics can be probed with forces outside the action set (e.g. zero
     force for free-fall checks)."""
-    x, x_dot, th, th_dot = states[:, 0], states[:, 1], states[:, 2], states[:, 3]
+    x_dot, th, th_dot = states[:, 1], states[:, 2], states[:, 3]
     cos_th = np.cos(th)
     sin_th = np.sin(th)
     total_mass = CART_MASS + POLE_MASS
@@ -158,11 +158,13 @@ def cartpole_euler(states: np.ndarray, forces: np.ndarray, gravity: float) -> np
         HALF_LENGTH * (4.0 / 3.0 - POLE_MASS * cos_th * cos_th / total_mass)
     )
     x_acc = temp - polemass_length * th_acc * cos_th / total_mass
-    out = np.empty_like(states)
-    out[:, 0] = x + CARTPOLE_DT * x_dot
-    out[:, 1] = x_dot + CARTPOLE_DT * x_acc
-    out[:, 2] = th + CARTPOLE_DT * th_dot
-    out[:, 3] = th_dot + CARTPOLE_DT * th_acc
+    out = np.empty_like(states)  # state + dt * (x_dot, x_acc, th_dot, th_acc)
+    out[:, 0] = x_dot
+    out[:, 1] = x_acc
+    out[:, 2] = th_dot
+    out[:, 3] = th_acc
+    out *= CARTPOLE_DT
+    out += states
     return out
 
 
@@ -212,10 +214,11 @@ class CartPoleEnv(Environment):
 
     def step_batch(self, states, actions):
         actions = np.asarray(actions)
-        if not np.all(np.isin(actions, (0, 1))):
-            bad = actions[~np.isin(actions, (0, 1))][0]
-            raise InvalidAction(f"cartpole action must be 0 or 1, got {bad!r}")
-        forces = np.where(np.asarray(actions, dtype=np.int64) == 1, FORCE_MAG, -FORCE_MAG)
+        right = actions == 1
+        ok = right | (actions == 0)
+        if not ok.all():
+            raise InvalidAction(f"cartpole action must be 0 or 1, got {actions[~ok][0]!r}")
+        forces = np.where(right, FORCE_MAG, -FORCE_MAG)
         nxt = cartpole_euler(np.asarray(states, dtype=np.float64), forces, self.task.phi)
         done = (np.abs(nxt[:, 2]) > ANGLE_LIMIT) | (np.abs(nxt[:, 0]) > X_LIMIT)
         rewards = np.ones(len(nxt))

@@ -12,10 +12,16 @@ exact mode (einsum affine maps, max-shifted log-sum-exp). Sampling in a
 lockstep batch therefore produces the same bits per trajectory as sampling
 each trajectory alone, and `logprob(net, s, raw)` reproduces the logp
 returned by `act` bit-for-bit.
+
+Each action consumes one variate (`draw_variates`): a uniform on [0, 1) for
+the categorical head, a standard normal for the Gaussian head. `act_batch`
+takes them as an array, one per row, so a caller may draw a trajectory's
+variates for the whole horizon in one call.
 """
 
 from __future__ import annotations
 
+import functools
 import struct
 from dataclasses import dataclass
 from typing import NamedTuple
@@ -41,6 +47,7 @@ __all__ = [
     "make_policy",
     "make_critic",
     "forward_inference",
+    "draw_variates",
     "act",
     "act_batch",
     "logprob",
@@ -101,6 +108,11 @@ class Arch:
     @property
     def n_layers(self) -> int:
         return len(self.layer_sizes) - 1
+
+    @functools.cached_property
+    def layer_names(self) -> tuple[tuple[str, str], ...]:
+        """(weight, bias) segment names of each affine layer, in order."""
+        return tuple((f"W{i}", f"b{i}") for i in range(self.n_layers))
 
 
 @dataclass(frozen=True)
@@ -177,11 +189,10 @@ def forward_inference(arch: Arch, params: ParamVector, states: np.ndarray) -> np
     contract rely on. Must mirror `_forward_graph` op for op.
     """
     h = np.asarray(states, dtype=np.float64)
-    for i in range(arch.n_layers):
-        w = params.segment(f"W{i}")
-        b = params.segment(f"b{i}")
-        h = np.einsum("ij,jk->ik", h, w) + b
-        if i < arch.n_layers - 1:
+    last = arch.n_layers - 1
+    for i, (w, b) in enumerate(arch.layer_names):
+        h = np.einsum("ij,jk->ik", h, params.segment(w)) + params.segment(b)
+        if i < last:
             h = np.tanh(h)
     return h
 
@@ -199,26 +210,38 @@ def _forward_graph(arch: Arch, p: Params, states: np.ndarray, exact: bool) -> ad
 # Sampling
 # ---------------------------------------------------------------------------
 
+def draw_variates(arch: Arch, gen: np.random.Generator, n: int) -> np.ndarray:
+    """The variates of n successive actions: uniforms on [0, 1) for a
+    categorical head, standard normals for a Gaussian head. For PCG64 one
+    call of size n gives the same bits as n calls of size one."""
+    if isinstance(arch.head, CategoricalHead):
+        return gen.random(n)
+    if isinstance(arch.head, GaussianHead):
+        return gen.standard_normal(n)
+    raise ValueError("critic networks have no action head")
+
+
 def act_batch(
-    net: PolicyNet, states: np.ndarray, gens: "list[np.random.Generator]"
+    net: PolicyNet, states: np.ndarray, variates: np.ndarray
 ) -> "tuple[np.ndarray, np.ndarray, np.ndarray]":
-    """Sample one action per row, row j drawing exactly one variate from
-    gens[j]. Returns (actions, logps, raws); actions are env-ready (clipped
-    for Gaussian heads), raws are the differentiation targets."""
+    """Sample one action per row, row j consuming variates[j] (see
+    draw_variates). Returns (actions, logps, raws); actions are env-ready
+    (clipped for Gaussian heads), raws are the differentiation targets."""
     states = np.asarray(states, dtype=np.float64)
+    u = np.asarray(variates, dtype=np.float64)
     n = states.shape[0]
+    if u.shape != (n,):
+        raise ValueError(f"need one variate per state row: {n} rows, variates of shape {u.shape}")
     out = forward_inference(net.arch, net.params, states)
     head = net.arch.head
     if isinstance(head, CategoricalHead):
-        m = np.max(out, axis=1, keepdims=True)
-        shift = out - m
-        lse = np.log(np.sum(np.exp(shift), axis=1))
-        probs = np.exp(shift - lse[:, None])
-        cum = np.cumsum(probs, axis=1)
-        acts = np.empty(n, dtype=np.int64)
-        for j in range(n):
-            u = gens[j].random()
-            acts[j] = min(int(np.searchsorted(cum[j], u, side="right")), head.n - 1)
+        shift = out - out.max(axis=1, keepdims=True)
+        lse = np.log(np.exp(shift).sum(axis=1))
+        cum = np.exp(shift - lse[:, None]).cumsum(axis=1)
+        # cum is non-decreasing, so counting its entries <= u is
+        # searchsorted(cum, u, side="right"); the clamp catches a last entry
+        # that rounds to just below 1.
+        acts = np.minimum((cum <= u[:, None]).sum(axis=1, dtype=np.int64), head.n - 1)
         logps = shift[np.arange(n), acts] - lse
         raws = acts
         actions: np.ndarray = acts
@@ -226,25 +249,25 @@ def act_batch(
         mean = out[:, 0]
         logsig = net.params.segment("log_sigma")
         sigma = np.exp(logsig)[0]
-        noise = np.array([gens[j].standard_normal() for j in range(n)])
-        raws = mean + sigma * noise
+        raws = mean + sigma * u
         actions = np.clip(raws, head.low, head.high)
         # mirrors logprob_graph: z = (raw - mean) * exp(-log_sigma)
         z = (raws - mean) * np.exp(-logsig)
         logps = -0.5 * z * z - logsig - HALF_LOG_2PI
     else:
         raise ValueError("critic networks have no action head")
-    if not np.all(np.isfinite(logps)):
+    if not np.isfinite(logps).all():
         raise NonFiniteValue("sampled log-probability is not finite")
     return actions, logps, raws
 
 
 def act(net: PolicyNet, state: np.ndarray, rng: "Stream | np.random.Generator") -> ActionSample:
-    """Sample a single action; a batch of one through act_batch, so logp bits
-    match lockstep sampling and logprob()."""
+    """Sample a single action, drawing its one variate from `rng`; a batch of
+    one through act_batch, so logp bits match lockstep sampling and
+    logprob()."""
     gen = rng.generator() if isinstance(rng, Stream) else rng
     state = np.asarray(state, dtype=np.float64)
-    actions, logps, raws = act_batch(net, state[None, :], [gen])
+    actions, logps, raws = act_batch(net, state[None, :], draw_variates(net.arch, gen, 1))
     a = actions[0]
     r = raws[0]
     if isinstance(net.arch.head, CategoricalHead):

@@ -1,9 +1,13 @@
 """Trajectory collection, discounted returns, and learner objectives.
 
 Rollouts are deterministic by stream derivation, not scheduling: trajectory j
-of a batch draws from the child stream rng.child(j), so serial, parallel, and
-lockstep execution all produce identical bits. The lockstep driver steps every
-still-active episode of a batch together; the policy's einsum forward and the
+of a batch owns the generator of the child stream rng.child(j). Right after
+that generator resets the episode, it draws the trajectory's action variates
+for the whole horizon in one call, so serial, parallel, and lockstep
+execution all produce identical bits. Rollouts therefore take a `Stream`,
+never a generator: a generator reused across episodes would hand each
+episode different variates. The lockstep loop steps every still-active
+episode of a batch together; the policy's einsum forward and the
 environments' elementwise stepping guarantee each row matches a solo rollout
 bit for bit.
 
@@ -27,6 +31,7 @@ from .policy import (
     act_batch,
     actor_arch,
     critic_arch,
+    draw_variates,
     forward_inference,
     logprob_graph,
     values_graph,
@@ -94,46 +99,57 @@ class TrajectoryBatch:
         return len(self.trajectories)
 
 
-def _run_rollouts(env: Environment, policy: PolicyNet, gens: "list[np.random.Generator]") -> "list[Trajectory]":
-    """Lockstep rollouts: reset each episode from its own generator, then step
-    all active episodes together until done or horizon."""
-    k = len(gens)
-    states = np.stack([env.reset(g) for g in gens])
-    rec: list[tuple[list, list, list, list, list]] = [([], [], [], [], []) for _ in range(k)]
-    active = list(range(k))
-    t = 0
-    while active and t < env.horizon:
-        cur = states[np.asarray(active)]
-        acts, logps, raws = act_batch(policy, cur, [gens[j] for j in active])
+def _run_rollouts(env: Environment, policy: PolicyNet, streams: "list[Stream]") -> "list[Trajectory]":
+    """Lockstep rollouts, one per stream: each episode resets from its own
+    generator, which then draws the episode's variates up to the horizon;
+    all active episodes step together until done or horizon. Steps are
+    recorded into (horizon, k, ...) buffers, written whole while no episode
+    has ended."""
+    k, horizon = len(streams), env.horizon
+    variates = np.empty((horizon, k))
+    starts = []
+    for j, stream in enumerate(streams):
+        gen = stream.generator()
+        starts.append(env.reset(gen))
+        variates[:, j] = draw_variates(policy.arch, gen, horizon)
+    cur = np.stack(starts)
+    rows = np.arange(k)  # trajectory of each row of cur
+    lengths = np.full(k, horizon)
+    bufs: "list[np.ndarray]" = []
+    for t in range(horizon):
+        full = len(rows) == k
+        acts, logps, raws = act_batch(policy, cur, variates[t] if full else variates[t, rows])
         nxt, rews, dones = env.step_batch(cur, acts)
-        for m, j in enumerate(active):
-            r = rec[j]
-            r[0].append(cur[m])
-            r[1].append(acts[m])
-            r[2].append(rews[m])
-            r[3].append(logps[m])
-            r[4].append(raws[m])
-        states[np.asarray(active)] = nxt
-        active = [j for m, j in enumerate(active) if not dones[m]]
-        t += 1
+        fields = (cur, acts, rews, logps, raws)  # Trajectory field order
+        if not bufs:
+            bufs = [np.empty((horizon, k) + f.shape[1:], dtype=f.dtype) for f in fields]
+        for buf, f in zip(bufs, fields):
+            if full:
+                buf[t] = f
+            else:
+                buf[t, rows] = f
+        if dones.any():
+            lengths[rows[dones]] = t + 1
+            live = ~dones
+            rows, cur = rows[live], nxt[live]
+            if not len(rows):
+                break
+        else:
+            cur = nxt
     instrument.COUNTERS.rollouts += k
-    return [
-        Trajectory(
-            states=np.array(r[0]),
-            actions=np.array(r[1]),
-            rewards=np.array(r[2]),
-            logps=np.array(r[3]),
-            raws=np.array(r[4]),
-        )
-        for r in rec
-    ]
+    return [Trajectory(*(buf[:n, j].copy() for buf in bufs)) for j, n in enumerate(lengths)]
 
 
-def rollout(env: Environment, policy: PolicyNet, rng: "Stream | np.random.Generator") -> Trajectory:
-    """One episode under the policy; reset and every action draw come from
-    `rng` in step order."""
-    gen = rng.generator() if isinstance(rng, Stream) else rng
-    return _run_rollouts(env, policy, [gen])[0]
+def _require_stream(rng) -> None:
+    if not isinstance(rng, Stream):
+        raise TypeError("rollouts derive per-trajectory generators; pass a Stream")
+
+
+def rollout(env: Environment, policy: PolicyNet, rng: Stream) -> Trajectory:
+    """One episode under the policy; reset and every action variate come
+    from the generator of `rng`."""
+    _require_stream(rng)
+    return _run_rollouts(env, policy, [rng])[0]
 
 
 def sample_batch(env: Environment, policy: PolicyNet, k: int, rng: Stream) -> TrajectoryBatch:
@@ -141,10 +157,9 @@ def sample_batch(env: Environment, policy: PolicyNet, k: int, rng: Stream) -> Tr
     affect the result."""
     if k < 1:
         raise ValueError("need at least one trajectory")
-    if not isinstance(rng, Stream):
-        raise TypeError("sample_batch derives per-trajectory streams; pass a Stream")
-    gens = [rng.child(j).generator() for j in range(k)]
-    return TrajectoryBatch(tuple(_run_rollouts(env, policy, gens)), env.task)
+    _require_stream(rng)
+    streams = [rng.child(j) for j in range(k)]
+    return TrajectoryBatch(tuple(_run_rollouts(env, policy, streams)), env.task)
 
 
 def discounted_returns(traj: "Trajectory | np.ndarray", gamma: float) -> np.ndarray:
@@ -268,34 +283,28 @@ def eval_returns(
     target: "Environment | TaskDistribution",
     policy: PolicyNet,
     n_episodes: int,
-    rng: "Stream | np.random.Generator",
+    rng: Stream,
 ) -> np.ndarray:
     """Undiscounted return of each evaluation episode. On a distribution, a
     fresh task is drawn per episode; no learning happens."""
     if n_episodes < 1:
         raise ValueError("need at least one evaluation episode")
+    _require_stream(rng)
     if isinstance(target, TaskDistribution):
         totals = np.empty(n_episodes)
         for e in range(n_episodes):
-            if isinstance(rng, Stream):
-                task = sample_tasks(target, 1, rng.child(e, 0))[0]
-                traj = rollout(make_env(task), policy, rng.child(e, 1))
-            else:
-                task = sample_tasks(target, 1, rng)[0]
-                traj = rollout(make_env(task), policy, rng)
-            totals[e] = traj.total_return
+            task = sample_tasks(target, 1, rng.child(e, 0))[0]
+            totals[e] = rollout(make_env(task), policy, rng.child(e, 1)).total_return
         return totals
-    if isinstance(rng, Stream):
-        batch = sample_batch(target, policy, n_episodes, rng)
-        return np.array([t.total_return for t in batch.trajectories])
-    return np.array([rollout(target, policy, rng).total_return for _ in range(n_episodes)])
+    batch = sample_batch(target, policy, n_episodes, rng)
+    return np.array([t.total_return for t in batch.trajectories])
 
 
 def eval_return(
     target: "Environment | TaskDistribution",
     policy: PolicyNet,
     n_episodes: int,
-    rng: "Stream | np.random.Generator",
+    rng: Stream,
 ) -> float:
     """Mean undiscounted return over n evaluation episodes."""
     return float(np.mean(eval_returns(target, policy, n_episodes, rng)))

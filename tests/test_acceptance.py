@@ -260,7 +260,7 @@ def max_smoothed(log: RunLog) -> float:
     return float(ema_smooth(evals, EMA_FACTOR).max()) if evals else float("-inf")
 
 
-# --- training jobs, shared with the cache-prewarming script ----------------
+# --- training configs of criteria 4-7 ---------------------------------------
 
 def c4_configs() -> "tuple[list[RunConfig], list[RunConfig]]":
     maml = [bench_config("maml", s, label=f"c4-maml-s{s}") for s in SEEDS5]
@@ -309,17 +309,6 @@ def c7_config() -> RunConfig:
         horizon=100,
         conv_tau=45.0,
     )
-
-
-def training_jobs() -> "list[tuple[RunConfig, bool]]":
-    maml4, directed4 = c4_configs()
-    jobs = [(rc, True) for rc in maml4 + directed4]
-    for arm in c6_configs().values():
-        jobs += [(rc, True) for rc in arm]
-    for arm in c5_configs().values():
-        jobs += [(rc, False) for rc in arm]
-    jobs.append((c7_config(), False))
-    return jobs
 
 
 # --- criterion 1 ------------------------------------------------------------

@@ -145,6 +145,23 @@ class TestCartPole:
         with pytest.raises(InvalidAction):
             env.step(state, 0.5)
 
+    def test_step_batch_validates_like_isin(self):
+        # The batched check must reject and accept exactly what
+        # np.isin(actions, (0, 1)) does, one bad row among good ones included.
+        env = make_env(Task(Family.CARTPOLE, 10.0))
+        states = np.zeros((3, 4))
+        for bad in (2, -1, 0.5, np.nan):
+            actions = np.array([0, bad, 1])
+            assert not np.all(np.isin(actions, (0, 1)))
+            with pytest.raises(InvalidAction):
+                env.step_batch(states, actions)
+        want, _, _ = env.step_batch(states, np.array([0, 1, 1]))
+        for good in ([0, 1, 1], [0.0, 1.0, 1.0], [False, True, True]):
+            actions = np.array(good)
+            assert np.all(np.isin(actions, (0, 1)))
+            nxt, _, _ = env.step_batch(states, actions)
+            assert nxt.tobytes() == want.tobytes()
+
     def test_higher_gravity_topples_sooner_without_control(self):
         def steps_to_topple(g: float) -> int:
             state = np.array([[0.0, 0.0, 0.05, 0.0]])

@@ -6,6 +6,8 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from metarl import autodiff as ad
 from metarl import policy as pol
@@ -80,8 +82,8 @@ class TestAct:
         arch = pol.actor_arch(CARTPOLE)
         net = pol.PolicyNet(arch, zero_params(arch, b2=logits))
         n = 100_000
-        gen = Stream(6).generator()
-        actions, _, _ = pol.act_batch(net, np.zeros((n, 4)), [gen] * n)
+        variates = pol.draw_variates(arch, Stream(6).generator(), n)
+        actions, _, _ = pol.act_batch(net, np.zeros((n, 4)), variates)
         want = np.exp(logits) / np.sum(np.exp(logits))
         freq = np.bincount(actions, minlength=2) / n
         assert np.all(np.abs(freq - want) < 0.01)
@@ -89,8 +91,10 @@ class TestAct:
     def test_lockstep_batch_matches_serial_bits(self):
         net = pol.make_policy(CARTPOLE, Stream(7).child(0))
         states = Stream(7).child(1).generator().uniform(-0.05, 0.05, size=(6, 4))
-        batch_gens = [Stream(7).child(2, j).generator() for j in range(6)]
-        actions, logps, raws = pol.act_batch(net, states, batch_gens)
+        variates = np.concatenate(
+            [pol.draw_variates(net.arch, Stream(7).child(2, j).generator(), 1) for j in range(6)]
+        )
+        actions, logps, raws = pol.act_batch(net, states, variates)
         for j in range(6):
             solo = pol.act(net, states[j], Stream(7).child(2, j).generator())
             assert solo.action == actions[j]
@@ -100,13 +104,85 @@ class TestAct:
     def test_lockstep_gaussian_matches_serial_bits(self):
         net = pol.make_policy(INTERSECTION, Stream(8).child(0))
         states = Stream(8).child(1).generator().uniform(-40, 0, size=(5, 2))
-        batch_gens = [Stream(8).child(2, j).generator() for j in range(5)]
-        actions, logps, raws = pol.act_batch(net, states, batch_gens)
+        variates = np.concatenate(
+            [pol.draw_variates(net.arch, Stream(8).child(2, j).generator(), 1) for j in range(5)]
+        )
+        actions, logps, raws = pol.act_batch(net, states, variates)
         for j in range(5):
             solo = pol.act(net, states[j], Stream(8).child(2, j).generator())
             assert solo.action == actions[j]
             assert solo.raw == raws[j]
             assert np.float64(solo.logp).tobytes() == logps[j].tobytes()
+
+
+def categorical_cum(net: pol.PolicyNet, states: np.ndarray) -> np.ndarray:
+    """The cumulative action probabilities act_batch compares its variates
+    with, computed by the same operations."""
+    out = pol.forward_inference(net.arch, net.params, states)
+    shift = out - out.max(axis=1, keepdims=True)
+    lse = np.log(np.exp(shift).sum(axis=1))
+    return np.exp(shift - lse[:, None]).cumsum(axis=1)
+
+
+def searchsorted_pick(cum: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """Reference pick: per row, searchsorted(side="right") clamped to the
+    last action."""
+    n = cum.shape[1]
+    return np.array([min(int(np.searchsorted(c, x, side="right")), n - 1) for c, x in zip(cum, u)])
+
+
+def categorical_net(n: int, **overrides) -> pol.PolicyNet:
+    arch = pol.Arch(4, pol.HIDDEN, pol.CategoricalHead(n))
+    return pol.PolicyNet(arch, zero_params(arch, **overrides))
+
+
+class TestCategoricalPick:
+    @settings(deadline=None, max_examples=30)
+    @given(st.integers(min_value=0, max_value=2**31 - 1), st.integers(min_value=2, max_value=6))
+    def test_matches_searchsorted_on_and_around_boundaries(self, seed, n):
+        arch = pol.Arch(4, pol.HIDDEN, pol.CategoricalHead(n))
+        net = pol.PolicyNet(arch, pol.init_params(arch, Stream(seed)))
+        gen = Stream(seed).child(1).generator()
+        states = gen.uniform(-2.0, 2.0, size=(4, 4))
+        edges = categorical_cum(net, states).ravel()
+        # every cumulative entry exactly, its two float neighbours, the ends
+        # of [0, 1), and some uniforms, each tried on every state
+        candidates = np.concatenate(
+            [edges, np.nextafter(edges, 0.0), np.nextafter(edges, 2.0),
+             [0.0, np.nextafter(1.0, 0.0)], gen.random(8)]
+        )
+        candidates = candidates[candidates < 1.0]
+        tiled = np.tile(states, (len(candidates), 1))
+        u = np.repeat(candidates, len(states))
+        actions, logps, raws = pol.act_batch(net, tiled, u)
+        want = searchsorted_pick(categorical_cum(net, tiled), u)
+        assert actions.dtype == np.int64 and raws.dtype == np.int64
+        assert np.array_equal(actions, want)
+        assert np.array_equal(raws, want)
+
+    def test_variate_on_a_boundary_takes_the_next_action(self):
+        net = categorical_net(3, b2=(0.3, -0.4, 1.1))
+        cum = categorical_cum(net, np.zeros((1, 4)))[0]
+        u = np.array([cum[0], cum[1], np.nextafter(cum[0], 0.0)])
+        actions, _, _ = pol.act_batch(net, np.zeros((3, 4)), u)
+        assert list(actions) == [1, 2, 0]
+        assert np.array_equal(actions, searchsorted_pick(np.tile(cum, (3, 1)), u))
+
+    def test_last_cumulative_entry_below_one_clamps_to_last_action(self):
+        net = categorical_net(3, b2=(1.0, 2.0, 3.0))
+        cum = categorical_cum(net, np.zeros((1, 4)))[0]
+        assert cum[-1] < 1.0  # the premise: the sum of the probabilities rounds low
+        u = np.array([cum[-1], np.nextafter(1.0, 0.0)])
+        assert np.searchsorted(cum, u[1], side="right") == 3
+        actions, logps, _ = pol.act_batch(net, np.zeros((2, 4)), u)
+        assert list(actions) == [2, 2]
+        assert np.all(np.isfinite(logps))
+
+    def test_one_variate_per_row(self):
+        net = categorical_net(2)
+        for bad in (np.zeros(2), np.zeros(4), np.zeros((3, 1))):
+            with pytest.raises(ValueError):
+                pol.act_batch(net, np.zeros((3, 4)), bad)
 
 
 class TestLogprob:

@@ -1,6 +1,7 @@
 """Rollout, return, and objective checks: lockstep/serial bit agreement,
-closed-form returns vs a brute-force oracle, surrogate gradients vs finite
-differences, and the score-function zero-mean identity."""
+the rollout engine against a step-by-step reference loop, closed-form returns
+vs a brute-force oracle, surrogate gradients vs finite differences, and the
+score-function zero-mean identity."""
 
 from __future__ import annotations
 
@@ -98,6 +99,158 @@ class TestSampleBatch:
             rl.sample_batch(CARTPOLE, net, 0, Stream(1))
         with pytest.raises(TypeError):
             rl.sample_batch(CARTPOLE, net, 2, np.random.default_rng(0))
+
+    def test_rollout_and_eval_take_only_a_stream(self):
+        # Variates are drawn a horizon at a time, so a generator shared by
+        # several episodes would give each of them different bits.
+        net = pol.make_policy(CARTPOLE, Stream(14))
+        dist = TaskDistribution(Family.CARTPOLE, 5.0, 15.0)
+        with pytest.raises(TypeError):
+            rl.rollout(CARTPOLE, net, np.random.default_rng(0))
+        for target in (CARTPOLE, dist):
+            with pytest.raises(TypeError):
+                rl.eval_returns(target, net, 2, np.random.default_rng(0))
+            with pytest.raises(TypeError):
+                rl.eval_return(target, net, 2, np.random.default_rng(0))
+
+
+FIELDS = ("states", "actions", "rewards", "logps", "raws")
+
+
+def stepwise_act(net, states, gens):
+    """Reference sampler: row j draws one variate from gens[j] and picks its
+    categorical action with searchsorted."""
+    out = pol.forward_inference(net.arch, net.params, states)
+    n = len(states)
+    if isinstance(net.arch.head, pol.CategoricalHead):
+        shift = out - np.max(out, axis=1, keepdims=True)
+        lse = np.log(np.sum(np.exp(shift), axis=1))
+        cum = np.cumsum(np.exp(shift - lse[:, None]), axis=1)
+        acts = np.empty(n, dtype=np.int64)
+        for j in range(n):
+            acts[j] = min(int(np.searchsorted(cum[j], gens[j].random(), side="right")), net.arch.head.n - 1)
+        return acts, shift[np.arange(n), acts] - lse, acts
+    head = net.arch.head
+    logsig = net.params.segment("log_sigma")
+    raws = out[:, 0] + np.exp(logsig)[0] * np.array([g.standard_normal() for g in gens])
+    z = (raws - out[:, 0]) * np.exp(-logsig)
+    return np.clip(raws, head.low, head.high), -0.5 * z * z - logsig - pol.HALF_LOG_2PI, raws
+
+
+def stepwise_rollouts(env, net, k, rng):
+    """Reference engine: each step draws one variate per active row from
+    that row's generator, and appends every field row by row."""
+    gens = [rng.child(j).generator() for j in range(k)]
+    states = np.stack([env.reset(g) for g in gens])
+    rec = [tuple([] for _ in FIELDS) for _ in range(k)]
+    active = list(range(k))
+    t = 0
+    while active and t < env.horizon:
+        cur = states[np.asarray(active)]
+        acts, logps, raws = stepwise_act(net, cur, [gens[j] for j in active])
+        nxt, rews, dones = env.step_batch(cur, acts)
+        for m, j in enumerate(active):
+            for field, val in zip(rec[j], (cur[m], acts[m], rews[m], logps[m], raws[m])):
+                field.append(val)
+        states[np.asarray(active)] = nxt
+        active = [j for m, j in enumerate(active) if not dones[m]]
+        t += 1
+    return [Trajectory(*(np.array(f) for f in r)) for r in rec]
+
+
+def mixed_cartpole():
+    env = make_env(Task(Family.CARTPOLE, 14.0))
+    return env, balancer_policy(env, sharpness=300.0)
+
+
+def crash_or_cross():
+    env = make_env(Task(Family.INTERSECTION, 10.0))
+    arch = pol.actor_arch(env)
+    return env, pol.PolicyNet(arch, zero_params(arch, b2=(7.5,), log_sigma=(np.log(5.0),)))
+
+
+def cross_or_stall():
+    env = make_env(Task(Family.INTERSECTION, 10.0))
+    arch = pol.actor_arch(env)
+    return env, pol.PolicyNet(arch, zero_params(arch, b2=(4.5,), log_sigma=(np.log(4.0),)))
+
+
+class TestEngineMatchesStepwiseLoop:
+    """sample_batch against the reference loop, field by field and dtype by
+    dtype, on batches whose episodes end in every way their family allows.
+    Each case asserts the endings it is meant to cover."""
+
+    @staticmethod
+    def assert_same(env, net, k, rng):
+        got = rl.sample_batch(env, net, k, rng).trajectories
+        want = stepwise_rollouts(env, net, k, rng)
+        assert len(got) == len(want) == k
+        for g, w in zip(got, want):
+            for field in FIELDS:
+                a, b = getattr(g, field), getattr(w, field)
+                assert a.dtype == b.dtype, field
+                assert a.shape == b.shape, field
+                assert a.tobytes() == b.tobytes(), field
+        return got
+
+    def test_cartpole_early_terminations_and_truncations(self):
+        env, net = mixed_cartpole()
+        lengths = [t.length for t in self.assert_same(env, net, 8, Stream(41))]
+        assert 200 in lengths and min(lengths) < 200
+
+    def test_cartpole_all_terminate_early(self):
+        net = pol.make_policy(CARTPOLE, Stream(3))
+        lengths = [t.length for t in self.assert_same(CARTPOLE, net, 8, Stream(42))]
+        assert max(lengths) < 200
+
+    def test_cartpole_all_truncated(self):
+        lengths = [t.length for t in self.assert_same(CARTPOLE, balancer_policy(CARTPOLE), 4, Stream(43))]
+        assert lengths == [200] * 4
+
+    def test_intersection_collisions_and_crossings(self):
+        env, net = crash_or_cross()
+        last = [t.rewards[-1] for t in self.assert_same(env, net, 8, Stream(40))]
+        assert -100.0 in last and 50.0 in last
+
+    def test_intersection_crossings_and_truncations(self):
+        env, net = cross_or_stall()
+        trajs = self.assert_same(env, net, 12, Stream(40))
+        assert any(t.length == env.horizon and t.rewards[-1] != 50.0 for t in trajs)
+        assert any(t.rewards[-1] == 50.0 for t in trajs)
+
+    @settings(deadline=None, max_examples=10)
+    @given(st.integers(min_value=0, max_value=2**31 - 1), st.integers(min_value=1, max_value=7))
+    def test_random_policies(self, seed, k):
+        for env in (CARTPOLE, INTERSECTION):
+            self.assert_same(env, pol.make_policy(env, Stream(seed)), k, Stream(seed).child(1))
+
+
+class TestPredrawnVariates:
+    """A trajectory draws its variates for the whole horizon in one call;
+    for PCG64 that yields the same bits as one draw per step."""
+
+    @settings(deadline=None, max_examples=40)
+    @given(st.integers(min_value=0, max_value=2**63 - 1), st.integers(min_value=1, max_value=300))
+    def test_pcg64_block_draws_equal_single_draws(self, seed, h):
+        def gen():
+            return np.random.Generator(np.random.PCG64(seed))
+
+        single = gen()
+        assert gen().random(h).tobytes() == np.array([single.random() for _ in range(h)]).tobytes()
+        single = gen()
+        assert (
+            gen().standard_normal(h).tobytes()
+            == np.array([single.standard_normal() for _ in range(h)]).tobytes()
+        )
+
+    def test_each_head_draws_its_own_distribution(self):
+        g = Stream(44).generator
+        cat = pol.draw_variates(pol.actor_arch(CARTPOLE), g(), 5)
+        gauss = pol.draw_variates(pol.actor_arch(INTERSECTION), g(), 5)
+        assert cat.tobytes() == g().random(5).tobytes()
+        assert gauss.tobytes() == g().standard_normal(5).tobytes()
+        with pytest.raises(ValueError):
+            pol.draw_variates(pol.critic_arch(CARTPOLE), g(), 5)
 
 
 class TestDiscountedReturns:
