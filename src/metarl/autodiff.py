@@ -9,9 +9,19 @@ state to manage and graphs can safely cross threads.
 Hessian-vector products use forward-over-reverse: every node carries an
 optional tangent alongside its value, and the backward pass propagates
 adjoint/adjoint-tangent pairs with the product rule. The tangent of the
-gradient is exactly H @ v, up to floating point. Finite differences exist only
-as test oracles (`fd_grad`, `fd_hvp`) and in the `audit` CLI; they are never a
-production gradient path.
+gradient is exactly H @ v, up to floating point.
+
+The forward pass of every op records only its value and, when a tangent is
+present, its tangent. Whatever only the backward pass needs (operand shapes
+for unbroadcasting, tanh's sech^2 and its tangent, the dual pairs a product
+rule multiplies by, scatter lengths) is computed inside the op's vjp, from
+the values the graph already holds. So `value`, the finite-difference oracles
+and the forward half of `grad`/`hvp` pay for the forward graph alone, through
+the same op code; recomputing a quantity in the vjp gives the bits the
+forward would have captured.
+
+Finite differences exist only as test oracles (`fd_grad`, `fd_hvp`) and in
+the `audit` CLI; they are never a production gradient path.
 """
 
 from __future__ import annotations
@@ -75,6 +85,16 @@ class Segment:
         return n
 
 
+def _checked_values(values) -> np.ndarray:
+    """A fresh float64 copy of a 1-D, all-finite parameter vector."""
+    arr = np.array(values, dtype=np.float64)
+    if arr.ndim != 1:
+        raise ValueError("parameter values must be a 1-D vector")
+    if not np.all(np.isfinite(arr)):
+        raise NonFiniteValue("parameter vector contains NaN/Inf")
+    return arr
+
+
 class ParamVector:
     """Flat float64 parameter vector with a named-segment layout.
 
@@ -85,11 +105,7 @@ class ParamVector:
     __slots__ = ("values", "segments", "_views")
 
     def __init__(self, values: np.ndarray, segments: Sequence[Segment]):
-        arr = np.array(values, dtype=np.float64)
-        if arr.ndim != 1:
-            raise ValueError("parameter values must be a 1-D vector")
-        if not np.all(np.isfinite(arr)):
-            raise NonFiniteValue("parameter vector contains NaN/Inf")
+        arr = _checked_values(values)
         segs = tuple(segments)
         offset = 0
         for s in segs:
@@ -98,6 +114,9 @@ class ParamVector:
             offset += s.size
         if offset != arr.size:
             raise ValueError(f"segments cover {offset} values, vector has {arr.size}")
+        self._init(arr, segs)
+
+    def _init(self, arr: np.ndarray, segs: "tuple[Segment, ...]") -> None:
         arr.setflags(write=False)
         object.__setattr__(self, "values", arr)
         object.__setattr__(self, "segments", segs)
@@ -127,7 +146,14 @@ class ParamVector:
         return self.segments == other.segments
 
     def with_values(self, values: np.ndarray) -> "ParamVector":
-        return ParamVector(values, self.segments)
+        """A vector of new values in this layout. The layout was validated
+        when this vector was built, so only the values are checked."""
+        arr = _checked_values(values)
+        if arr.size != self.size:
+            raise ValueError(f"segments cover {self.size} values, vector has {arr.size}")
+        out = object.__new__(ParamVector)
+        out._init(arr, self.segments)
+        return out
 
     def _check_combinable(self, other: "ParamVector") -> None:
         if not isinstance(other, ParamVector):
@@ -180,10 +206,27 @@ def _dadd(a, b):
     return a + b
 
 
+def _dsub(a, b):
+    if b is None:
+        return a
+    return -b if a is None else a + -b
+
+
+def _dmul(xv, xd, yv, yd):
+    """Tangent of a product x*y by the product rule."""
+    d = None
+    if xd is not None:
+        d = xd * yv
+    if yd is not None:
+        d = _dadd(d, xv * yd)
+    return d
+
+
 class _D:
-    """Internal dual pair. All op forward rules and all adjoint arithmetic are
-    written in terms of _D, so tangents propagate through the backward pass by
-    construction (yielding exact Hessian-vector products)."""
+    """Internal dual pair. All adjoint arithmetic is written in terms of _D, so
+    tangents propagate through the backward pass by construction (yielding
+    exact Hessian-vector products). Forward rules share its tangent helpers
+    (_dadd, _dsub, _dmul) but read node values and tangents directly."""
 
     __slots__ = ("v", "d")
 
@@ -203,20 +246,14 @@ class _D:
 
     def __sub__(self, o):
         o = _D.wrap(o)
-        d = self.d if o.d is None else (_dadd(self.d, -o.d) if self.d is not None else -o.d)
-        return _D(self.v - o.v, d)
+        return _D(self.v - o.v, _dsub(self.d, o.d))
 
     def __neg__(self):
         return _D(-self.v, None if self.d is None else -self.d)
 
     def __mul__(self, o):
         o = _D.wrap(o)
-        d = None
-        if self.d is not None:
-            d = self.d * o.v
-        if o.d is not None:
-            d = _dadd(d, self.v * o.d)
-        return _D(self.v * o.v, d)
+        return _D(self.v * o.v, _dmul(self.v, self.d, o.v, o.d))
 
     def __truediv__(self, o):
         o = _D.wrap(o)
@@ -249,16 +286,17 @@ def _unbroadcast(arr: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
     return arr.reshape(shape)
 
 
+def _matmul_exact(x, y):
+    if getattr(x, "ndim", 0) == 2 and getattr(y, "ndim", 0) == 2:
+        return np.einsum("ij,jk->ik", x, y)
+    return np.matmul(x, y)
+
+
 def _mm(a: _D, b: _D, exact: bool) -> _D:
     """Dual matmul. `exact` routes through einsum, whose per-row results do not
     depend on batch size (needed where single-row and batched evaluations must
     agree bit-for-bit)."""
-
-    def mmv(x, y):
-        if exact and getattr(x, "ndim", 0) == 2 and getattr(y, "ndim", 0) == 2:
-            return np.einsum("ij,jk->ik", x, y)
-        return np.matmul(x, y)
-
+    mmv = _matmul_exact if exact else np.matmul
     d = None
     if a.d is not None:
         d = mmv(a.d, b.v)
@@ -288,10 +326,6 @@ class Node:
         self.vjp = vjp
         self.adj: _D | None = None
         self.idx = next(_NODE_IDS)
-
-    @property
-    def shape(self):
-        return np.shape(self.val)
 
     def _dual(self) -> _D:
         return _D(self.val, self.dot)
@@ -334,42 +368,34 @@ def const(x) -> Node:
     return Node(np.asarray(x, dtype=np.float64) if not np.isscalar(x) else np.float64(x))
 
 
-def _out(pair: _D, parents, vjp) -> Node:
-    return Node(pair.v, pair.d, parents, vjp)
-
-
 def add(a, b) -> Node:
     a, b = _as_node(a), _as_node(b)
-    sa, sb = a.shape, b.shape
 
     def vjp(g: _D, acc):
-        acc(a, g.unbroadcast(sa))
-        acc(b, g.unbroadcast(sb))
+        acc(a, g.unbroadcast(np.shape(a.val)))
+        acc(b, g.unbroadcast(np.shape(b.val)))
 
-    return _out(a._dual() + b._dual(), (a, b), vjp)
+    return Node(a.val + b.val, _dadd(a.dot, b.dot), (a, b), vjp)
 
 
 def sub(a, b) -> Node:
     a, b = _as_node(a), _as_node(b)
-    sa, sb = a.shape, b.shape
 
     def vjp(g: _D, acc):
-        acc(a, g.unbroadcast(sa))
-        acc(b, (-g).unbroadcast(sb))
+        acc(a, g.unbroadcast(np.shape(a.val)))
+        acc(b, (-g).unbroadcast(np.shape(b.val)))
 
-    return _out(a._dual() - b._dual(), (a, b), vjp)
+    return Node(a.val - b.val, _dsub(a.dot, b.dot), (a, b), vjp)
 
 
 def mul(a, b) -> Node:
     a, b = _as_node(a), _as_node(b)
-    da, db = a._dual(), b._dual()
-    sa, sb = a.shape, b.shape
 
     def vjp(g: _D, acc):
-        acc(a, (g * db).unbroadcast(sa))
-        acc(b, (g * da).unbroadcast(sb))
+        acc(a, (g * b._dual()).unbroadcast(np.shape(a.val)))
+        acc(b, (g * a._dual()).unbroadcast(np.shape(b.val)))
 
-    return _out(da * db, (a, b), vjp)
+    return Node(a.val * b.val, _dmul(a.val, a.dot, b.val, b.dot), (a, b), vjp)
 
 
 def matmul(a, b, exact: bool = False) -> Node:
@@ -402,83 +428,76 @@ def matmul(a, b, exact: bool = False) -> Node:
         acc(a, ga)
         acc(b, gb)
 
-    return _out(out, (a, b), vjp)
+    return Node(out.v, out.d, (a, b), vjp)
 
 
 def tanh(a) -> Node:
     a = _as_node(a)
-    da = a._dual()
-    yv = np.tanh(da.v)
-    yd = None if da.d is None else (1.0 - yv * yv) * da.d
-    sech2 = _D(1.0 - yv * yv, None if yd is None else -2.0 * yv * yd)
+    yv = np.tanh(a.val)
+    yd = None if a.dot is None else (1.0 - yv * yv) * a.dot
 
     def vjp(g: _D, acc):
-        acc(a, g * sech2)
+        # sech^2 = 1 - tanh^2 and its tangent -2 tanh * d(tanh)
+        acc(a, g * _D(1.0 - yv * yv, None if yd is None else -2.0 * yv * yd))
 
-    return _out(_D(yv, yd), (a,), vjp)
+    return Node(yv, yd, (a,), vjp)
 
 
 def exp(a) -> Node:
     a = _as_node(a)
-    da = a._dual()
-    yv = np.exp(da.v)
-    yd = None if da.d is None else yv * da.d
-    y = _D(yv, yd)
+    yv = np.exp(a.val)
+    yd = None if a.dot is None else yv * a.dot
 
     def vjp(g: _D, acc):
-        acc(a, g * y)
+        acc(a, g * _D(yv, yd))
 
-    return _out(y, (a,), vjp)
+    return Node(yv, yd, (a,), vjp)
 
 
 def log(a) -> Node:
     a = _as_node(a)
-    da = a._dual()
-    yd = None if da.d is None else da.d / da.v
 
     def vjp(g: _D, acc):
-        acc(a, g / da)
+        acc(a, g / a._dual())
 
-    return _out(_D(np.log(da.v), yd), (a,), vjp)
+    return Node(np.log(a.val), None if a.dot is None else a.dot / a.val, (a,), vjp)
 
 
 def powc(a, p) -> Node:
     """a ** p for a constant exponent p."""
     a = _as_node(a)
     p = float(p)
-    da = a._dual()
-    yv = da.v ** p
-    deriv = _D(
-        p * da.v ** (p - 1.0),
-        None if da.d is None else p * (p - 1.0) * da.v ** (p - 2.0) * da.d,
-    )
+    yd = None if a.dot is None else p * a.val ** (p - 1.0) * a.dot
 
     def vjp(g: _D, acc):
-        acc(a, g * deriv)
+        deriv = p * a.val ** (p - 1.0)
+        deriv_d = None if a.dot is None else p * (p - 1.0) * a.val ** (p - 2.0) * a.dot
+        acc(a, g * _D(deriv, deriv_d))
 
-    return _out(_D(yv, None if da.d is None else deriv.v * da.d), (a,), vjp)
+    return Node(a.val ** p, yd, (a,), vjp)
 
 
 def nsum(a, axis: int | None = None) -> Node:
     a = _as_node(a)
-    shape = a.shape
-    out = a._dual().apply_linear(lambda x: np.sum(x, axis=axis))
-
-    def expand(x):
-        x = np.asarray(x)
-        if axis is None:
-            return np.broadcast_to(x, shape)
-        return np.broadcast_to(np.expand_dims(x, axis), shape)
 
     def vjp(g: _D, acc):
+        shape = np.shape(a.val)
+
+        def expand(x):
+            x = np.asarray(x)
+            if axis is None:
+                return np.broadcast_to(x, shape)
+            return np.broadcast_to(np.expand_dims(x, axis), shape)
+
         acc(a, g.apply_linear(expand))
 
-    return _out(out, (a,), vjp)
+    dot = None if a.dot is None else np.sum(a.dot, axis=axis)
+    return Node(np.sum(a.val, axis=axis), dot, (a,), vjp)
 
 
 def nmean(a, axis: int | None = None) -> Node:
     a = _as_node(a)
-    n = np.prod(a.shape) if axis is None else a.shape[axis]
+    n = np.size(a.val) if axis is None else np.shape(a.val)[axis]
     return mul(nsum(a, axis=axis), 1.0 / float(n))
 
 
@@ -487,18 +506,19 @@ def gather_rows(a, idx) -> Node:
     a = _as_node(a)
     idx = np.asarray(idx, dtype=np.int64)
     rows = np.arange(idx.size)
-    n_cols = a.shape[1]
-    out = a._dual().apply_linear(lambda x: x[rows, idx])
-
-    def scatter(x):
-        z = np.zeros((idx.size, n_cols))
-        z[rows, idx] = x
-        return z
 
     def vjp(g: _D, acc):
+        n_cols = np.shape(a.val)[1]
+
+        def scatter(x):
+            z = np.zeros((idx.size, n_cols))
+            z[rows, idx] = x
+            return z
+
         acc(a, g.apply_linear(scatter))
 
-    return _out(out, (a,), vjp)
+    dot = None if a.dot is None else a.dot[rows, idx]
+    return Node(a.val[rows, idx], dot, (a,), vjp)
 
 
 def row_max_const(a) -> Node:
@@ -510,29 +530,30 @@ def row_max_const(a) -> Node:
 
 def reshape(a, shape) -> Node:
     a = _as_node(a)
-    old = a.shape
-    out = a._dual().apply_linear(lambda x: np.reshape(x, shape))
 
     def vjp(g: _D, acc):
+        old = np.shape(a.val)
         acc(a, g.apply_linear(lambda x: np.reshape(x, old)))
 
-    return _out(out, (a,), vjp)
+    dot = None if a.dot is None else np.reshape(a.dot, shape)
+    return Node(np.reshape(a.val, shape), dot, (a,), vjp)
 
 
 def _segment_node(leaf: Node, seg: Segment) -> Node:
-    total = np.shape(leaf.val)[0]
     sl = slice(seg.offset, seg.offset + seg.size)
-    out = leaf._dual().apply_linear(lambda x: x[sl].reshape(seg.shape))
-
-    def place(x):
-        z = np.zeros(total)
-        z[sl] = np.reshape(x, -1)
-        return z
 
     def vjp(g: _D, acc):
+        total = np.shape(leaf.val)[0]
+
+        def place(x):
+            z = np.zeros(total)
+            z[sl] = np.reshape(x, -1)
+            return z
+
         acc(leaf, g.apply_linear(place))
 
-    return _out(out, (leaf,), vjp)
+    dot = None if leaf.dot is None else leaf.dot[sl].reshape(seg.shape)
+    return Node(leaf.val[sl].reshape(seg.shape), dot, (leaf,), vjp)
 
 
 # ---------------------------------------------------------------------------

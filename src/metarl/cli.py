@@ -9,6 +9,7 @@ and serial sweeps write identical run logs).
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import replace
@@ -130,6 +131,14 @@ def _cmd_sweep(args) -> int:
         raise MetaRLError(f"--seeds expects a comma-separated integer list, got {args.seeds!r}")
     if not seeds:
         raise MetaRLError("--seeds expects at least one seed")
+    # Checked before any pool exists: one worker per seed at most, and no
+    # more workers than the machine has CPUs.
+    max_workers = min(len(seeds), os.cpu_count() or 1)
+    if not 1 <= args.parallel <= max_workers:
+        raise MetaRLError(
+            f"--parallel must lie in 1..{max_workers} ({len(seeds)} seeds, "
+            f"{os.cpu_count() or 1} CPUs), got {args.parallel}"
+        )
     configs = [
         replace(base, meta=replace(base.meta, seed=s), label=f"{base.label}-s{s}") for s in seeds
     ]
@@ -191,7 +200,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_sweep = sub.add_parser("sweep", help="run one config across several seeds")
     _add_config_flags(p_sweep)
     p_sweep.add_argument("--seeds", required=True, help="comma-separated seed list, e.g. 1,2,3,4,5")
-    p_sweep.add_argument("--parallel", type=int, default=1, help="worker processes")
+    p_sweep.add_argument("--parallel", type=int, default=1,
+                         help="worker processes, at most one per seed and per CPU")
     p_sweep.set_defaults(fn=_cmd_sweep)
     return parser
 

@@ -621,12 +621,26 @@ def _save_state(run_cfg: RunConfig, state: MetaState) -> Path:
 def load_state(path, cfg: MetaConfig) -> MetaState:
     """Rebuild a MetaState from a checkpoint; the stream tree is re-derived
     from the seed, so resumed runs replay exactly the draws the uninterrupted
-    run would have made."""
+    run would have made. A checkpoint without its epoch, or without a vector
+    the config needs (policy; alpha_vec for the Meta-SGD family; critic for
+    the actor-critic learner), raises a ValidationError naming the field."""
     vectors, meta = load_checkpoint(path)
     if meta.get("seed") != cfg.seed:
         raise ValidationError(
             f"seed: checkpoint was written by seed {meta.get('seed')}, config says {cfg.seed}"
         )
+    if "epoch" not in meta:
+        raise ValidationError(f"epoch: checkpoint {path} has no epoch metadata")
+    needed = {"policy": "every run"}
+    if cfg.algorithm.base is Algorithm.METASGD:
+        needed["alpha_vec"] = f"algorithm {cfg.algorithm.value}"
+    if cfg.learner is Learner.AC:
+        needed["critic"] = f"learner {cfg.learner.value}"
+    for name, who in needed.items():
+        if name not in vectors:
+            raise ValidationError(
+                f"{name}: checkpoint {path} has no {name} vector, which {who} needs"
+            )
     return MetaState(
         theta=vectors["policy"],
         critic=vectors.get("critic"),

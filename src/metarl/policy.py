@@ -199,9 +199,10 @@ def forward_inference(arch: Arch, params: ParamVector, states: np.ndarray) -> np
 
 def _forward_graph(arch: Arch, p: Params, states: np.ndarray, exact: bool) -> ad.Node:
     h: ad.Node = ad.const(np.asarray(states, dtype=np.float64))
-    for i in range(arch.n_layers):
-        h = ad.matmul(h, p.seg(f"W{i}"), exact=exact) + p.seg(f"b{i}")
-        if i < arch.n_layers - 1:
+    last = arch.n_layers - 1
+    for i, (w, b) in enumerate(arch.layer_names):
+        h = ad.matmul(h, p.seg(w), exact=exact) + p.seg(b)
+        if i < last:
             h = ad.tanh(h)
     return h
 

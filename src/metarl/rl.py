@@ -193,6 +193,37 @@ def _pooled(batch: TrajectoryBatch, gamma: float):
     return states, targets, returns
 
 
+def _standardized(returns: np.ndarray) -> np.ndarray:
+    """Mean removed, divided by std + ADV_STD_EPS. A batch with (numerically)
+    identical returns would divide by ~0, so it keeps the raw returns."""
+    std = float(np.std(returns))
+    if std < ADV_STD_FLOOR:
+        return returns  # degenerate batch: no spread to normalize by
+    return (returns - np.mean(returns)) / (std + ADV_STD_EPS)
+
+
+def _surrogate(
+    arch, states: np.ndarray, targets: np.ndarray, adv: np.ndarray, k: int
+) -> "Callable[[Params], ad.Node]":
+    """(1/k) sum_t log pi(a_t|s_t) * adv_t over pooled rows; each call builds
+    only the log-prob graph and the weighted sum."""
+    scale = 1.0 / k
+
+    def obj(p: Params) -> ad.Node:
+        lp = logprob_graph(arch, p, states, targets)
+        return ad.nsum(lp * ad.const(adv)) * scale
+
+    return obj
+
+
+def _reinforce(
+    batch: TrajectoryBatch, gamma: float, standardize: bool
+) -> "Callable[[Params], ad.Node]":
+    states, targets, returns = _pooled(batch, gamma)
+    adv = _standardized(returns) if standardize else returns
+    return _surrogate(actor_arch(make_env(batch.task)), states, targets, adv, batch.k)
+
+
 def reinforce_objective(
     policy_params: Params, batch: TrajectoryBatch, gamma: float, standardize: bool = True
 ) -> ad.Node:
@@ -202,18 +233,7 @@ def reinforce_objective(
     std + 1e-8). A batch with (numerically) identical returns would divide by
     ~0, so it falls back to the unstandardized returns instead.
     """
-    arch = actor_arch(make_env(batch.task))
-    states, targets, returns = _pooled(batch, gamma)
-    if standardize:
-        std = float(np.std(returns))
-        if std < ADV_STD_FLOOR:
-            adv = returns  # degenerate batch: no spread to normalize by
-        else:
-            adv = (returns - np.mean(returns)) / (std + ADV_STD_EPS)
-    else:
-        adv = returns
-    lp = logprob_graph(arch, policy_params, states, targets)
-    return ad.nsum(lp * ad.const(adv)) * (1.0 / batch.k)
+    return _reinforce(batch, gamma, standardize)(policy_params)
 
 
 def actor_critic_objective(
@@ -223,18 +243,9 @@ def actor_critic_objective(
     entering as constants), plus the critic's mean-squared-error node.
     Maximize the first, minimize the second.
     """
-    env = make_env(batch.task)
-    a_arch = actor_arch(env)
-    c_arch = critic_arch(env)
-    states, targets, returns = _pooled(batch, gamma)
     critic_pv = ad.ParamVector(critic_params.vec.val, critic_params.layout)
-    v = forward_inference(c_arch, critic_pv, states)[:, 0]
-    adv = returns - v
-    lp = logprob_graph(a_arch, policy_params, states, targets)
-    policy_node = ad.nsum(lp * ad.const(adv)) * (1.0 / batch.k)
-    diff = values_graph(c_arch, critic_params, states) - ad.const(returns)
-    critic_node = ad.nmean(diff * diff)
-    return policy_node, critic_node
+    policy_node = policy_objective(batch, gamma, "ac", critic_pv)(policy_params)
+    return policy_node, critic_objective(batch, gamma)(critic_params)
 
 
 def policy_objective(
@@ -245,26 +256,24 @@ def policy_objective(
 ) -> "Callable[[Params], ad.Node]":
     """Callable policy surrogate for a frozen batch: the standardized
     score-function objective for the "pg" learner, or the advantage
-    (G - V(s)) form for "ac" with the given critic held constant. Values
-    and gradients match reinforce_objective / actor_critic_objective bit
-    for bit."""
+    (G - V(s)) form for "ac" with the given critic held constant.
+
+    Everything that depends only on the batch (pooling, returns, advantages,
+    the actor architecture) is computed here, once; each call of the returned
+    objective builds only the log-prob graph over its Params, so value, grad
+    and hvp on the same batch share that work. The callable keeps no state
+    between calls. Values and gradients match reinforce_objective /
+    actor_critic_objective bit for bit."""
     if learner == "pg":
-        return lambda p: reinforce_objective(p, batch, gamma)
+        return _reinforce(batch, gamma, standardize=True)
     if learner != "ac":
         raise ValueError(f"unknown learner {learner!r}")
     if critic_pv is None:
         raise ValueError("actor-critic objective needs critic parameters")
     env = make_env(batch.task)
-    a_arch = actor_arch(env)
     states, targets, returns = _pooled(batch, gamma)
     v = forward_inference(critic_arch(env), critic_pv, states)[:, 0]
-    adv = returns - v
-
-    def obj(p: Params) -> ad.Node:
-        lp = logprob_graph(a_arch, p, states, targets)
-        return ad.nsum(lp * ad.const(adv)) * (1.0 / batch.k)
-
-    return obj
+    return _surrogate(actor_arch(env), states, targets, returns - v, batch.k)
 
 
 def critic_objective(batch: TrajectoryBatch, gamma: float) -> "Callable[[Params], ad.Node]":

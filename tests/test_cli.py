@@ -12,6 +12,7 @@ sweep does.
 import pytest
 
 from metarl import cli
+from metarl.policy import load_checkpoint, save_checkpoint
 
 TINY = [
     "--env", "cartpole",
@@ -126,6 +127,59 @@ class TestEval:
         assert "error:" in capsys.readouterr().err
 
 
+class TestResumeErrors:
+    """A checkpoint that lacks what the config needs fails as a library error
+    naming the field: exit status 1, one `error:` line, no traceback."""
+
+    def resume(self, tmp_path, ckpt, extra=()):
+        argv = ["train", *TINY, *extra, "--out_dir", str(tmp_path / "resumed"), "--label", "r"]
+        return cli.main([*argv, "--resume", str(ckpt)])
+
+    def rewritten(self, tmp_path, drop_vector=None, drop_meta=None):
+        train_tiny(tmp_path, "t")
+        vectors, meta = load_checkpoint(tmp_path / "t.ckpt")
+        vectors.pop(drop_vector, None)
+        meta.pop(drop_meta, None)
+        path = tmp_path / "edited.ckpt"
+        save_checkpoint(path, vectors, meta)
+        return path
+
+    def assert_clean_error(self, capsys, field):
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {field}: checkpoint ")
+        assert "Traceback" not in err
+
+    def test_missing_policy_vector(self, tmp_path, capsys):
+        ckpt = self.rewritten(tmp_path, drop_vector="policy")
+        capsys.readouterr()
+        assert self.resume(tmp_path, ckpt) == 1
+        self.assert_clean_error(capsys, "policy")
+
+    def test_missing_epoch_metadata(self, tmp_path, capsys):
+        ckpt = self.rewritten(tmp_path, drop_meta="epoch")
+        capsys.readouterr()
+        assert self.resume(tmp_path, ckpt) == 1
+        self.assert_clean_error(capsys, "epoch")
+
+    @pytest.mark.parametrize("algorithm", ["metasgd", "directed-metasgd"])
+    def test_metasgd_family_needs_alpha_vec(self, tmp_path, capsys, algorithm):
+        train_tiny(tmp_path, "t")  # maml: no alpha_vec in its checkpoint
+        capsys.readouterr()
+        assert self.resume(tmp_path, tmp_path / "t.ckpt", ["--algorithm", algorithm]) == 1
+        self.assert_clean_error(capsys, "alpha_vec")
+
+    def test_actor_critic_needs_critic(self, tmp_path, capsys):
+        train_tiny(tmp_path, "t")  # pg learner: no critic in its checkpoint
+        capsys.readouterr()
+        assert self.resume(tmp_path, tmp_path / "t.ckpt", ["--learner", "ac"]) == 1
+        self.assert_clean_error(capsys, "critic")
+
+    def test_complete_checkpoint_resumes(self, tmp_path, capsys):
+        ckpt = self.rewritten(tmp_path)
+        assert self.resume(tmp_path, ckpt, ["--epochs", "4"]) == 0
+        assert "r: 1 epochs" in capsys.readouterr().out
+
+
 class TestCompareAndPlot:
     @pytest.fixture()
     def two_logs(self, tmp_path):
@@ -192,9 +246,9 @@ class TestSweep:
     def test_parallel_sweep_matches_serial_bytes(self, tmp_path):
         out = tmp_path / "runs"
         argv = ["sweep", *TINY, "--out_dir", str(out), "--label", "a", "--seeds", "1,2"]
-        cli.main(argv)
+        assert cli.main(argv) == 0
         serial = {name: (out / name).read_bytes() for name in ("a-s1.runlog", "a-s2.runlog")}
-        cli.main([*argv, "--parallel", "2"])
+        assert cli.main([*argv, "--parallel", "2"]) == 0
         for name, data in serial.items():
             assert (out / name).read_bytes() == data
 
@@ -207,6 +261,32 @@ class TestSweep:
         rc = cli.main(["sweep", *TINY, "--seeds", ","])
         assert rc == 1
         assert "at least one seed" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "cpus, parallel, limit",
+        [
+            (64, "0", 2),
+            (64, "-1", 2),
+            (64, "3", 2),  # more workers than seeds
+            (64, str(10**9), 2),
+            (1, "2", 1),  # more workers than CPUs
+            (None, "2", 1),  # CPU count unknown: one worker
+            (None, str(10**9), 1),
+        ],
+    )
+    def test_parallel_out_of_bounds_rejected_before_any_pool(
+        self, cpus, parallel, limit, monkeypatch, capsys
+    ):
+        def no_pool(*args, **kwargs):
+            pytest.fail("a process pool was built for an out-of-bounds --parallel")
+
+        monkeypatch.setattr(cli, "ProcessPoolExecutor", no_pool)
+        monkeypatch.setattr(cli.os, "cpu_count", lambda: cpus)
+        rc = cli.main(["sweep", *TINY, "--seeds", "1,2", "--parallel", parallel])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: --parallel must lie in 1..{limit} ")
+        assert f"got {parallel}" in err
 
 
 class TestParser:

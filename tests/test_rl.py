@@ -355,6 +355,81 @@ class TestReinforceObjective:
         assert abs(np.mean(proj)) <= 3.0 * sem
 
 
+def per_call_pg_objective(batch: TrajectoryBatch, gamma: float):
+    """Reference "pg" surrogate that redoes all frozen-batch work on every
+    call: pooling, standardization and the actor architecture."""
+
+    def obj(p: Params) -> ad.Node:
+        arch = pol.actor_arch(make_env(batch.task))
+        states, targets, returns = rl._pooled(batch, gamma)
+        std = float(np.std(returns))
+        if std < rl.ADV_STD_FLOOR:
+            adv = returns
+        else:
+            adv = (returns - np.mean(returns)) / (std + rl.ADV_STD_EPS)
+        lp = pol.logprob_graph(arch, p, states, targets)
+        return ad.nsum(lp * ad.const(adv)) * (1.0 / batch.k)
+
+    return obj
+
+
+def objective_bytes(obj, theta: ad.ParamVector, v: ad.ParamVector):
+    """Value, gradient and HVP bytes; `value` must agree with grad's value."""
+    g, val = ad.grad_and_value(obj, theta)
+    assert ad.value(obj, theta) == val
+    return np.float64(val).tobytes(), g.values.tobytes(), ad.hvp(obj, theta, v).values.tobytes()
+
+
+class TestHoistedObjective:
+    """policy_objective(batch, gamma, "pg") does the frozen-batch work once;
+    its value, gradient and HVP must keep the per-call recipe's bits."""
+
+    GAMMA = 0.99
+
+    @pytest.fixture(scope="class")
+    def net(self):
+        return pol.make_policy(CARTPOLE, Stream(40))
+
+    @pytest.fixture(scope="class")
+    def direction(self, net):
+        return net.params.with_values(Stream(41).generator().standard_normal(net.params.size))
+
+    def assert_matches_recipe(self, batch, gamma, net, direction):
+        hoisted = rl.policy_objective(batch, gamma, "pg")
+        first = objective_bytes(hoisted, net.params, direction)
+        assert first == objective_bytes(per_call_pg_objective(batch, gamma), net.params, direction)
+        # The closure keeps no state: a second round gives the same bits.
+        assert objective_bytes(hoisted, net.params, direction) == first
+        return first
+
+    def test_sampled_batch(self, net, direction):
+        batch = rl.sample_batch(CARTPOLE, net, 3, Stream(42))
+        _, grad, _ = self.assert_matches_recipe(batch, self.GAMMA, net, direction)
+        assert np.frombuffer(grad, dtype=np.float64).any()
+
+    def test_constant_return_batch(self, net, direction):
+        # Reward only on the last step and gamma = 1: every G_t equals 3.0, so
+        # the returns have no spread and stay unstandardized.
+        sampled = rl.sample_batch(CARTPOLE, net, 3, Stream(43))
+        trajs = []
+        for t in sampled.trajectories:
+            rewards = np.zeros(t.length)
+            rewards[-1] = 3.0
+            trajs.append(Trajectory(t.states, t.actions, rewards, t.logps, t.raws))
+        batch = TrajectoryBatch(tuple(trajs), sampled.task)
+        returns = rl._pooled(batch, 1.0)[2]
+        assert float(np.std(returns)) < rl.ADV_STD_FLOOR and np.all(returns == 3.0)
+        _, grad, _ = self.assert_matches_recipe(batch, 1.0, net, direction)
+        assert np.frombuffer(grad, dtype=np.float64).any()
+
+    def test_reversed_batch(self, net, direction):
+        batch = rl.sample_batch(CARTPOLE, net, 4, Stream(44))
+        reversed_batch = TrajectoryBatch(batch.trajectories[::-1], batch.task)
+        assert self.assert_matches_recipe(reversed_batch, self.GAMMA, net, direction) == (
+            objective_bytes(rl.policy_objective(batch, self.GAMMA), net.params, direction)
+        )
+
+
 class TestActorCriticObjective:
     def test_perfect_critic_zeroes_policy_gradient(self):
         batch = bandit_batch([0, 1, 1, 0], [5.0, 5.0, 5.0, 5.0])
