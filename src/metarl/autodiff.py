@@ -22,11 +22,20 @@ forward would have captured.
 
 Finite differences exist only as test oracles (`fd_grad`, `fd_hvp`) and in
 the `audit` CLI; they are never a production gradient path.
+
+Importing this module (so importing metarl) sets glibc's malloc mmap and
+trim thresholds for the whole process; see `_keep_graph_memory_mapped`. A
+graph over a 2,000-row batch frees about 10 MB when it dies, and under
+glibc's defaults that memory went back to the OS only for the next graph to
+fault the same pages in again. Values are unchanged; the process keeps its
+heap at its high-water mark instead.
 """
 
 from __future__ import annotations
 
+import ctypes
 import itertools
+import os
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
@@ -63,6 +72,47 @@ __all__ = [
     "reshape",
     "const",
 ]
+
+
+# ---------------------------------------------------------------------------
+# Allocator policy
+# ---------------------------------------------------------------------------
+
+# mallopt(3) parameter numbers, from glibc's <malloc.h>.
+_M_TRIM_THRESHOLD = -1
+_M_MMAP_THRESHOLD = -3
+# glibc's largest mmap threshold on 64-bit hosts: blocks below it come from
+# the heap, so a graph's 1-MB activations are reused rather than mapped anew.
+_MMAP_THRESHOLD = 32 * 1024 * 1024
+# Free memory at the top of the heap is returned to the OS only past this.
+_TRIM_THRESHOLD = 512 * 1024 * 1024
+
+
+def _keep_graph_memory_mapped() -> None:
+    """Keep freed graph memory in the heap between gradients (glibc only).
+
+    Under glibc's dynamic thresholds, the ~10 MB a 2,000-row graph frees is
+    trimmed back to the OS, and the next graph faults the same pages in
+    again (about 2,900 minor faults per `grad` and 5,300 per `hvp` on such a
+    batch). Setting either threshold turns the dynamic rule off, so both are
+    set; the trim threshold only if the mmap threshold was accepted, since
+    alone it would leave the mmap threshold at 128 KiB. A C library other
+    than glibc, or a value mallopt rejects, leaves the allocator as it was.
+    """
+    try:
+        libc_name = os.confstr("CS_GNU_LIBC_VERSION")
+    except (AttributeError, ValueError, OSError):  # no confstr, or no such name
+        libc_name = None
+    if not libc_name or not libc_name.startswith("glibc"):
+        return
+    mallopt = ctypes.CDLL(None).mallopt
+    mallopt.argtypes = (ctypes.c_int, ctypes.c_int)
+    mallopt.restype = ctypes.c_int
+    if mallopt(_M_MMAP_THRESHOLD, _MMAP_THRESHOLD):
+        mallopt(_M_TRIM_THRESHOLD, _TRIM_THRESHOLD)
+
+
+_keep_graph_memory_mapped()
 
 
 # ---------------------------------------------------------------------------

@@ -18,10 +18,11 @@ from pathlib import Path
 import numpy as np
 
 from . import harness, meta
-from .errors import MetaRLError
+from .envs import CARTPOLE_HORIZON
+from .errors import MetaRLError, ValidationError
 from .meta import CONFIG_KEYS
 from .rng import Stream
-from .runlog import load_runlog
+from .runlog import load_runlog, write_atomic
 
 
 def _add_config_flags(p: argparse.ArgumentParser, with_config_file: bool = True) -> None:
@@ -39,6 +40,18 @@ def _config_from(args: argparse.Namespace) -> meta.RunConfig:
     if args.config is not None:
         return harness.load_config(args.config, _overrides(args))
     return harness.build_run_config(_overrides(args))
+
+
+def _check_range(flag: str, value: int, lo: int, hi: "int | None" = None) -> None:
+    """Reject an integer flag outside lo..hi before any work starts."""
+    if value < lo or (hi is not None and value > hi):
+        bound = f">= {lo}" if hi is None else f"lie in {lo}..{hi}"
+        raise ValidationError(f"{flag}: must {bound}, got {value}")
+
+
+def _check_factor(flag: str, value: float) -> None:
+    if not 0.0 <= value < 1.0:
+        raise ValidationError(f"{flag}: smoothing factor must lie in [0, 1), got {value}")
 
 
 def _parse_tau(value: str) -> "float | None":
@@ -76,6 +89,7 @@ def _cmd_train(args) -> int:
 
 
 def _cmd_eval(args) -> int:
+    _check_range("--episodes", args.episodes, 1)
     rc = _config_from(args)
     cfg = rc.meta
     state = meta.load_state(args.ckpt, cfg)
@@ -94,18 +108,21 @@ def _load_logs(paths) -> list:
 
 
 def _cmd_compare(args) -> int:
+    _check_range("--window", args.window, 1)
+    _check_factor("--factor", args.factor)
     runs = _load_logs(args.logs)
     tau = args.tau if args.tau is not None else _auto_tau(runs, args.factor)
     report = harness.summarize(runs, tau, args.window, args.factor)
     text = report.render()
     out = Path(args.out) / "compare.txt"
     out.parent.mkdir(parents=True, exist_ok=True)
-    out.write_text(text)
+    write_atomic(out, text)
     print(text, end="")
     print(f"wrote {out}")
     return 0
 
 def _cmd_plot(args) -> int:
+    _check_factor("--factor", args.factor)
     runs = _load_logs(args.logs)
     svg, dat = harness.emit_plot(runs, args.factor, args.out)
     print(f"wrote {svg} and {dat}")
@@ -113,6 +130,10 @@ def _cmd_plot(args) -> int:
 
 
 def _cmd_audit(args) -> int:
+    _check_range("--seeds", args.seeds, 1)
+    _check_range("--k_trajs", args.k_trajs, 1)
+    # The audit runs on cartpole; the horizon also sizes the rollout buffers.
+    _check_range("--horizon", args.horizon, 1, CARTPOLE_HORIZON)
     result = harness.audit_oracles(n_seeds=args.seeds, k=args.k_trajs, horizon=args.horizon)
     print(result.render(), end="")
     return 0 if result.passed else 1
@@ -194,7 +215,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_audit = sub.add_parser("audit", help="check gradients against finite differences")
     p_audit.add_argument("--seeds", type=int, default=5, help="number of independent policies")
     p_audit.add_argument("--k_trajs", type=int, default=2, help="trajectories per frozen batch")
-    p_audit.add_argument("--horizon", type=int, default=15, help="rollout horizon")
+    p_audit.add_argument("--horizon", type=int, default=15,
+                         help=f"rollout horizon, 1..{CARTPOLE_HORIZON}")
     p_audit.set_defaults(fn=_cmd_audit)
 
     p_sweep = sub.add_parser("sweep", help="run one config across several seeds")

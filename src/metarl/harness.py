@@ -32,7 +32,7 @@ from .meta import (
 )
 from .policy import PolicyNet, actor_arch, init_params
 from .rng import Stream
-from .runlog import RunLog, detect_convergence, ema_smooth, fmt_float
+from .runlog import RunLog, detect_convergence, ema_smooth, fmt_float, write_atomic
 
 __all__ = [
     "DEFAULTS",
@@ -499,7 +499,7 @@ def emit_plot(runs: "list[RunLog]", factor: float, out_path) -> "tuple[Path, Pat
 
     out_path = Path(out_path)
     out_path.parent.mkdir(parents=True, exist_ok=True)
-    out_path.write_text("\n".join(parts) + "\n")
+    write_atomic(out_path, "\n".join(parts) + "\n")
 
     dat_path = out_path.with_suffix(".dat")
     dat_lines = ["# label epoch eval_return smoothed"]
@@ -508,5 +508,5 @@ def emit_plot(runs: "list[RunLog]", factor: float, out_path) -> "tuple[Path, Pat
         raw = [r.eval_return for r in log.rows if r.eval_return is not None]
         for e, r0, sm in zip(xs, raw, ys):
             dat_lines.append(f"{label} {e} {fmt_float(r0)} {fmt_float(sm)}")
-    dat_path.write_text("\n".join(dat_lines) + "\n")
+    write_atomic(dat_path, "\n".join(dat_lines) + "\n")
     return out_path, dat_path

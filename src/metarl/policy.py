@@ -33,6 +33,7 @@ from .autodiff import ParamVector, Params, Segment
 from .envs import Environment
 from .errors import NonFiniteValue, ParseError
 from .rng import Stream
+from .runlog import write_atomic
 
 __all__ = [
     "CategoricalHead",
@@ -368,9 +369,9 @@ class _Reader:
 def save_checkpoint(
     path, vectors: "dict[str, ParamVector]", meta: "dict[str, int] | None" = None
 ) -> None:
-    """Write named parameter vectors plus integer metadata. Self-describing:
-    magic, version, metadata pairs, then per vector its segment table and a
-    flat little-endian f64 array."""
+    """Write named parameter vectors plus integer metadata, atomically.
+    Self-describing: magic, version, metadata pairs, then per vector its
+    segment table and a flat little-endian f64 array."""
     meta = meta or {}
     parts = [_MAGIC, struct.pack("<I", _VERSION), struct.pack("<I", len(meta))]
     for key, val in meta.items():
@@ -386,8 +387,7 @@ def save_checkpoint(
             parts.append(struct.pack(f"<{len(seg.shape)}Q", *seg.shape))
         parts.append(struct.pack("<Q", pv.size))
         parts.append(np.ascontiguousarray(pv.values, dtype="<f8").tobytes())
-    with open(path, "wb") as fh:
-        fh.write(b"".join(parts))
+    write_atomic(path, b"".join(parts))
 
 
 def load_checkpoint(path) -> "tuple[dict[str, ParamVector], dict[str, int]]":

@@ -104,8 +104,10 @@ def _run_rollouts(env: Environment, policy: PolicyNet, streams: "list[Stream]") 
     generator, which then draws the episode's variates up to the horizon;
     all active episodes step together until done or horizon. Steps are
     recorded into (horizon, k, ...) buffers, written whole while no episode
-    has ended."""
+    has ended. A horizon below 1 raises ValueError."""
     k, horizon = len(streams), env.horizon
+    if horizon < 1:
+        raise ValueError(f"env.horizon must be >= 1, got {horizon}")
     variates = np.empty((horizon, k))
     starts = []
     for j, stream in enumerate(streams):

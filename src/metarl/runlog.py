@@ -6,11 +6,23 @@ config and seed can be diffed byte for byte. Wall-clock numbers go to the
 `<label>.timing` sidecar. Floats are rendered with 17 significant digits,
 enough to round-trip IEEE-754 doubles exactly; records are JSON objects, one
 per line.
+
+The sidecar's first record names the numeric platform the run was written
+on (Python, numpy, BLAS and its thread variables, CPU architecture, SIMD
+extensions), since the `.runlog` bytes hold only for one platform. It goes
+in the sidecar, not the `.runlog` header, so the `.runlog` stays a function
+of config and seed alone; loaders skip it, and sidecars written before it
+existed still load.
+
+Every file the library writes goes through `write_atomic`, so an
+interrupted write leaves the previous file, never a partial one.
 """
 
 from __future__ import annotations
 
 import json
+import os
+import platform
 from dataclasses import dataclass, replace
 from pathlib import Path
 
@@ -24,6 +36,7 @@ __all__ = [
     "fmt_float",
     "save_runlog",
     "load_runlog",
+    "write_atomic",
     "ema_smooth",
     "detect_convergence",
 ]
@@ -138,14 +151,57 @@ def serialize_runlog(log: RunLog) -> "tuple[str, str]":
     return "\n".join(lines) + "\n", "\n".join(timing_lines) + "\n"
 
 
+def write_atomic(path, data: "str | bytes") -> None:
+    """Replace `path` with `data` (text is written as UTF-8): write a
+    temporary file beside it, then `os.replace` it into place. A reader sees
+    the old file or the new one, never a partial write; on failure the
+    temporary file is removed and `path` is left as it was. This guards
+    against an interrupted or failing process, not against power loss (no
+    fsync). One writer per path per process at a time."""
+    path = Path(path)
+    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    try:
+        with open(tmp, "wb") as fh:
+            fh.write(data.encode("utf-8") if isinstance(data, str) else data)
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
+
+
+def _platform_record() -> "dict[str, object]":
+    """The numeric platform of this process: what `.runlog` bytes depend on
+    besides the code, the config and the seed."""
+    try:
+        deps = np.show_config(mode="dicts")
+        blas_dep = deps["Build Dependencies"]["blas"]
+        blas, simd = f"{blas_dep['name']} {blas_dep['version']}", deps["SIMD Extensions"]["found"]
+    except (TypeError, KeyError):  # numpy before 1.26 has no dict form
+        blas, simd = None, None
+    return {
+        "record": "platform",
+        "python": platform.python_version(),
+        "numpy": np.__version__,
+        "blas": blas,
+        "blas_threads": {
+            var: os.environ.get(var)
+            for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+        },
+        "cpu": platform.machine(),
+        "simd": simd,
+    }
+
+
 def save_runlog(out_dir, log: RunLog) -> Path:
-    """Write <label>.runlog and <label>.timing; returns the runlog path."""
+    """Write <label>.runlog and <label>.timing, the sidecar led by this
+    process's `_platform_record`; returns the runlog path. The sidecar is
+    written first, so a `.runlog` is never newer than its sidecar."""
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     run_text, timing_text = serialize_runlog(log)
+    write_atomic(out / f"{log.label}.timing", json.dumps(_platform_record()) + "\n" + timing_text)
     run_path = out / f"{log.label}.runlog"
-    run_path.write_text(run_text)
-    (out / f"{log.label}.timing").write_text(timing_text)
+    write_atomic(run_path, run_text)
     return run_path
 
 

@@ -11,7 +11,9 @@ sweep does.
 
 import pytest
 
-from metarl import cli
+from metarl import cli, rl
+from metarl.envs import CARTPOLE_HORIZON
+from metarl.errors import MetaRLError
 from metarl.policy import load_checkpoint, save_checkpoint
 
 TINY = [
@@ -229,6 +231,51 @@ class TestAudit:
         out = capsys.readouterr().out
         assert "seed 0" in out
         assert out.strip().endswith("OK")
+
+
+class TestInputErrors:
+    """Bad flag values end as one `error: <flag>: ...` line and exit 1,
+    before any rollout, file read or allocation they would size."""
+
+    @pytest.mark.parametrize(
+        "argv, flag",
+        [
+            (["audit", "--k_trajs", "0"], "--k_trajs"),
+            (["audit", "--seeds", "0"], "--seeds"),
+            (["audit", "--horizon", "0"], "--horizon"),
+            (["audit", "--horizon", "-3"], "--horizon"),
+            (["audit", "--horizon", "201"], "--horizon"),
+            (["audit", "--horizon", str(10**9)], "--horizon"),
+            (["compare", "absent.runlog", "--window", "0"], "--window"),
+            (["compare", "absent.runlog", "--factor", "1.5"], "--factor"),
+            (["compare", "absent.runlog", "--factor", "nan"], "--factor"),
+            (["plot", "absent.runlog", "--factor", "-1"], "--factor"),
+            (["plot", "absent.runlog", "--factor", "1"], "--factor"),
+            (["eval", "--ckpt", "absent.ckpt", "--episodes", "0"], "--episodes"),
+        ],
+    )
+    def test_rejected_with_the_flag_named(self, argv, flag, monkeypatch, capsys):
+        def no_rollouts(*args, **kwargs):
+            pytest.fail("a rollout started for an out-of-bounds flag")
+
+        monkeypatch.setattr(rl, "sample_batch", no_rollouts)
+        assert cli.main(argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {flag}: ")
+        assert err.count("\n") == 1
+        assert "Traceback" not in err
+
+    def test_audit_accepts_the_full_cartpole_horizon(self, monkeypatch, capsys):
+        reached = []
+
+        def stop(env, *args, **kwargs):
+            reached.append(env.horizon)
+            raise MetaRLError("stopped before rolling out")
+
+        monkeypatch.setattr(rl, "sample_batch", stop)
+        assert cli.main(["audit", "--seeds", "1", "--horizon", str(CARTPOLE_HORIZON)]) == 1
+        assert reached == [CARTPOLE_HORIZON]
+        assert capsys.readouterr().err == "error: stopped before rolling out\n"
 
 
 class TestSweep:

@@ -113,6 +113,16 @@ class TestSampleBatch:
             with pytest.raises(TypeError):
                 rl.eval_return(target, net, 2, np.random.default_rng(0))
 
+    @pytest.mark.parametrize("horizon", [0, -1])
+    def test_horizon_below_one_rejected(self, horizon):
+        env = make_env(Task(Family.CARTPOLE, 10.0))
+        env.horizon = horizon
+        net = pol.make_policy(env, Stream(15))
+        with pytest.raises(ValueError, match="horizon"):
+            rl.sample_batch(env, net, 2, Stream(16))
+        with pytest.raises(ValueError, match="horizon"):
+            rl.rollout(env, net, Stream(17))
+
 
 FIELDS = ("states", "actions", "rewards", "logps", "raws")
 

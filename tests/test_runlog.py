@@ -7,12 +7,19 @@ exactly. Smoothing and convergence detection are checked against small
 hand-computed series plus order/bound invariants.
 """
 
+import json
+import os
+import platform
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from metarl import cli, harness, runlog
+from metarl.autodiff import ParamVector, Segment
 from metarl.errors import ParseError
+from metarl.policy import load_checkpoint, save_checkpoint
 from metarl.runlog import (
     EpochMetrics,
     RunLog,
@@ -23,6 +30,7 @@ from metarl.runlog import (
     save_runlog,
     serialize_runlog,
     with_convergence,
+    write_atomic,
 )
 
 
@@ -149,9 +157,35 @@ class TestRoundTrip:
         path = save_runlog(tmp_path, log)
         timing = tmp_path / "demo.timing"
         lines = timing.read_text().splitlines()
-        timing.write_text("\n".join(lines[1:]) + "\n")  # drop epoch 0's wall
+        kept = [line for line in lines if '"epoch": 0,' not in line]  # drop epoch 0's wall
+        assert len(kept) == len(lines) - 1
+        timing.write_text("\n".join(kept) + "\n")
         with pytest.raises(ParseError):
             load_runlog(path)
+
+    def test_sidecar_leads_with_the_platform_and_round_trips(self, tmp_path):
+        log = sample_log()
+        path = save_runlog(tmp_path, log)
+        first = json.loads((tmp_path / "demo.timing").read_text().splitlines()[0])
+        assert first["record"] == "platform"
+        assert first["python"] == platform.python_version()
+        assert first["numpy"] == np.__version__
+        assert first["cpu"] == platform.machine()
+        assert first["blas_threads"] == {
+            var: os.environ.get(var)
+            for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+        }
+        assert first["blas"] and isinstance(first["simd"], list)
+        loaded = load_runlog(path)
+        assert serialize_runlog(loaded) == serialize_runlog(log)
+        assert path.read_text() == serialize_runlog(log)[0]
+
+    def test_sidecar_without_platform_record_still_loads(self, tmp_path):
+        log = sample_log()
+        path = save_runlog(tmp_path, log)
+        (tmp_path / "demo.timing").write_text(serialize_runlog(log)[1])
+        loaded = load_runlog(path)
+        assert serialize_runlog(loaded) == serialize_runlog(log)
 
     def test_load_rejects_garbage(self, tmp_path):
         p = tmp_path / "g.runlog"
@@ -230,3 +264,75 @@ class TestConvergence:
         e_hi = detect_convergence(xs, hi, w)
         if e_hi is not None:
             assert e_lo is not None and e_lo <= e_hi
+
+
+# ---------------------------------------------------------------------------
+# Atomic writes
+# ---------------------------------------------------------------------------
+
+class _DiskFull:
+    """A file whose write stores half the bytes and then fails."""
+
+    def __init__(self, fh):
+        self.fh = fh
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        self.fh.close()
+
+    def write(self, data):
+        self.fh.write(data[: len(data) // 2])
+        raise OSError(28, "No space left on device")
+
+
+def _save_all(out):
+    """Every writer that goes through write_atomic, into `out`."""
+    log = sample_log(label="run")
+    save_runlog(out, log)
+    save_checkpoint(out / "run.ckpt", {"policy": ParamVector(np.arange(3.0), [Segment("w", 0, (3,))])})
+    harness.emit_plot([log], 0.5, out / "curves.svg")
+    argv = ["compare", str(out / "run.runlog"), "--tau", "1", "--window", "1", "--out", str(out)]
+    assert cli.main(argv) == 0
+
+
+class TestAtomicWrites:
+    def test_replaces_the_file(self, tmp_path):
+        target = tmp_path / "f.txt"
+        write_atomic(target, "old\n")
+        write_atomic(target, "new\n")
+        assert target.read_bytes() == b"new\n"
+        write_atomic(target, b"\x00\x01")
+        assert target.read_bytes() == b"\x00\x01"
+        assert [p.name for p in tmp_path.iterdir()] == ["f.txt"]
+
+    def test_failure_midway_keeps_the_previous_bytes(self, tmp_path, monkeypatch):
+        target = tmp_path / "f.txt"
+        target.write_bytes(b"previous contents\n")
+        monkeypatch.setattr(runlog, "open", lambda p, mode: _DiskFull(open(p, mode)), raising=False)
+        with pytest.raises(OSError, match="No space"):
+            write_atomic(target, "replacement that never lands\n")
+        assert target.read_bytes() == b"previous contents\n"
+        assert [p.name for p in tmp_path.iterdir()] == ["f.txt"]
+
+    def test_every_output_file_survives_a_failed_rewrite(self, tmp_path, monkeypatch, capsys):
+        _save_all(tmp_path)
+        names = ("run.runlog", "run.timing", "run.ckpt", "curves.svg", "curves.dat", "compare.txt")
+        before = {name: (tmp_path / name).read_bytes() for name in names}
+        assert sorted(p.name for p in tmp_path.iterdir()) == sorted(names)
+        monkeypatch.setattr(runlog, "open", lambda p, mode: _DiskFull(open(p, mode)), raising=False)
+        log = sample_log(label="run", rows=(row(0, ret=5.0),), total_wall_seconds=0.25)
+        with pytest.raises(OSError):
+            save_runlog(tmp_path, log)
+        with pytest.raises(OSError):
+            save_checkpoint(tmp_path / "run.ckpt", {})
+        with pytest.raises(OSError):
+            harness.emit_plot([log], 0.5, tmp_path / "curves.svg")
+        argv = ["compare", str(tmp_path / "run.runlog"), "--tau", "1", "--window", "1"]
+        assert cli.main([*argv, "--out", str(tmp_path)]) == 1
+        assert "No space left on device" in capsys.readouterr().err
+        assert {name: (tmp_path / name).read_bytes() for name in names} == before
+        assert sorted(p.name for p in tmp_path.iterdir()) == sorted(names)
+        load_runlog(tmp_path / "run.runlog")
+        load_checkpoint(tmp_path / "run.ckpt")
