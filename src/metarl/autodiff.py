@@ -1,10 +1,15 @@
 """Reverse-mode autodiff over flat parameter vectors, with exact Hessian-vector products.
 
 Scope is deliberately small: dense float64 parameter vectors, a dozen primitive
-operations (affine maps, tanh, exp/log, sums/means, row gathers for
+operations (matrix products, tanh, exp/log, sums/means, row gathers for
 log-probabilities), and scalar objectives. The computation graph is rebuilt on
 every evaluation; nothing persists between calls, so there is no stale-tape
 state to manage and graphs can safely cross threads.
+
+`affine(h, w, b)` records a network layer's h @ w + b as one node: the same
+two numpy operations as `matmul` followed by `add`, and the same bits, with
+no node, tangent or adjoint kept for the product in between. Both share the
+product rule (`_mm`, `_mm_vjp`).
 
 Hessian-vector products use forward-over-reverse: every node carries an
 optional tangent alongside its value, and the backward pass propagates
@@ -19,6 +24,11 @@ the values the graph already holds. So `value`, the finite-difference oracles
 and the forward half of `grad`/`hvp` pay for the forward graph alone, through
 the same op code; recomputing a quantity in the vjp gives the bits the
 forward would have captured.
+
+The backward pass frees each node's adjoint once its vjp has run: every node
+that adds to it has a higher id and so ran first, and nothing reads it again.
+A leaf has no vjp and keeps its adjoint, which is what `grad` and `hvp` read.
+So at any point only the adjoints of nodes still waiting for their vjp are alive.
 
 Finite differences exist only as test oracles (`fd_grad`, `fd_hvp`) and in
 the `audit` CLI; they are never a production gradient path.
@@ -61,6 +71,7 @@ __all__ = [
     "sub",
     "mul",
     "matmul",
+    "affine",
     "tanh",
     "exp",
     "log",
@@ -355,6 +366,14 @@ def _mm(a: _D, b: _D, exact: bool) -> _D:
     return _D(mmv(a.v, b.v), d)
 
 
+def _mm_vjp(g: _D, a: _D, b: _D, exact: bool) -> "tuple[_D, _D]":
+    """Adjoints of both operands of the 2-D product a @ b, given the
+    product's adjoint g: (g @ b.T, a.T @ g)."""
+    ga = _mm(g, b.apply_linear(np.transpose), exact)
+    gb = _mm(a.apply_linear(np.transpose), g, exact)
+    return ga, gb
+
+
 # ---------------------------------------------------------------------------
 # Graph nodes
 # ---------------------------------------------------------------------------
@@ -469,8 +488,7 @@ def matmul(a, b, exact: bool = False) -> Node:
             g2 = g2.apply_linear(lambda x: np.reshape(x, (1, -1)))
         elif b_vec:
             g2 = g2.apply_linear(lambda x: np.reshape(x, (-1, 1)))
-        ga = _mm(g2, b2.apply_linear(lambda x: x.T), exact)
-        gb = _mm(a2.apply_linear(lambda x: x.T), g2, exact)
+        ga, gb = _mm_vjp(g2, a2, b2, exact)
         if a_vec:
             ga = ga.apply_linear(lambda x: x[0])
         if b_vec:
@@ -479,6 +497,33 @@ def matmul(a, b, exact: bool = False) -> Node:
         acc(b, gb)
 
     return Node(out.v, out.d, (a, b), vjp)
+
+
+def affine(h, w, b, exact: bool = False) -> Node:
+    """One node for the affine map h @ w + b: h (n, i), w (i, o), and b
+    broadcasting to (n, o). The same two numpy operations as `matmul`
+    followed by `add`, so the same bits, without a node (and an adjoint)
+    for the product in between."""
+    h, w, b = _as_node(h), _as_node(w), _as_node(b)
+    if np.ndim(h.val) != 2 or np.ndim(w.val) != 2:
+        raise ValueError("affine needs a 2-D input and a 2-D weight")
+    out = _mm(h._dual(), w._dual(), exact)
+    # The product is a fresh array, so the bias is added in place.
+    val = out.v
+    val += b.val
+    dot = out.d
+    if dot is None:
+        dot = b.dot
+    elif b.dot is not None:
+        dot += b.dot
+
+    def vjp(g: _D, acc):
+        gh, gw = _mm_vjp(g, h._dual(), w._dual(), exact)
+        acc(h, gh)
+        acc(w, gw)
+        acc(b, g.unbroadcast(np.shape(b.val)))
+
+    return Node(val, dot, (h, w, b), vjp)
 
 
 def tanh(a) -> Node:
@@ -624,7 +669,9 @@ class Params:
     def __init__(self, pv: ParamVector, tangent: np.ndarray | None = None):
         self.layout = pv.segments
         dot = None if tangent is None else np.array(tangent, dtype=np.float64)
-        self._leaf = Node(np.array(pv.values, dtype=np.float64), dot)
+        # A ParamVector's values are already read-only float64: the leaf
+        # shares them rather than copying.
+        self._leaf = Node(pv.values, dot)
         self._seg_nodes: dict[str, Node] = {}
 
     @property
@@ -682,6 +729,9 @@ def _backward(root: Node, dual: bool) -> None:
         if n.adj is None or n.vjp is None:
             continue
         n.vjp(n.adj, acc)
+        # Every node that adds to this adjoint has a higher id, so all of
+        # them ran before it. Leaves (no vjp) keep theirs for the caller.
+        n.adj = None
 
 
 def value(objective: Objective, at: ParamVector) -> float:
@@ -733,16 +783,18 @@ def fd_grad(objective: Objective, at: ParamVector, epsilon: float = 1e-5) -> Gra
     """Central-difference gradient, one coordinate at a time."""
     if epsilon <= 0:
         raise ValueError("epsilon must be > 0")
-    base = at.values
+    # One scratch copy, perturbed one coordinate at a time and restored;
+    # `with_values` copies it again for each evaluation.
+    x = at.values.copy()
     g = np.zeros(at.size)
     for i in range(at.size):
-        hi = base.copy()
-        hi[i] += epsilon
-        lo = base.copy()
-        lo[i] -= epsilon
-        g[i] = (value(objective, at.with_values(hi)) - value(objective, at.with_values(lo))) / (
-            2.0 * epsilon
-        )
+        xi = x[i]
+        x[i] = xi + epsilon
+        hi = value(objective, at.with_values(x))
+        x[i] = xi - epsilon
+        lo = value(objective, at.with_values(x))
+        x[i] = xi
+        g[i] = (hi - lo) / (2.0 * epsilon)
     if not np.all(np.isfinite(g)):
         raise NonFiniteValue("finite-difference gradient contains NaN/Inf")
     return at.with_values(g)

@@ -42,6 +42,11 @@ def _config_from(args: argparse.Namespace) -> meta.RunConfig:
     return harness.build_run_config(_overrides(args))
 
 
+# Upper bound on `eval --episodes` and `audit --k_trajs`: each sizes a
+# (horizon, trajectories) rollout buffer and one random stream per trajectory.
+MAX_TRAJECTORIES = 10_000
+
+
 def _check_range(flag: str, value: int, lo: int, hi: "int | None" = None) -> None:
     """Reject an integer flag outside lo..hi before any work starts."""
     if value < lo or (hi is not None and value > hi):
@@ -89,7 +94,7 @@ def _cmd_train(args) -> int:
 
 
 def _cmd_eval(args) -> int:
-    _check_range("--episodes", args.episodes, 1)
+    _check_range("--episodes", args.episodes, 1, MAX_TRAJECTORIES)
     rc = _config_from(args)
     cfg = rc.meta
     state = meta.load_state(args.ckpt, cfg)
@@ -131,7 +136,7 @@ def _cmd_plot(args) -> int:
 
 def _cmd_audit(args) -> int:
     _check_range("--seeds", args.seeds, 1)
-    _check_range("--k_trajs", args.k_trajs, 1)
+    _check_range("--k_trajs", args.k_trajs, 1, MAX_TRAJECTORIES)
     # The audit runs on cartpole; the horizon also sizes the rollout buffers.
     _check_range("--horizon", args.horizon, 1, CARTPOLE_HORIZON)
     result = harness.audit_oracles(n_seeds=args.seeds, k=args.k_trajs, horizon=args.horizon)
@@ -193,7 +198,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_eval = sub.add_parser("eval", help="evaluate a checkpoint (adapt, then measure)")
     p_eval.add_argument("--ckpt", required=True, help="checkpoint file")
-    p_eval.add_argument("--episodes", type=int, default=4, help="episodes per task")
+    p_eval.add_argument("--episodes", type=int, default=4,
+                        help=f"episodes per task, 1..{MAX_TRAJECTORIES}")
     _add_config_flags(p_eval)
     p_eval.set_defaults(fn=_cmd_eval)
 
@@ -214,7 +220,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_audit = sub.add_parser("audit", help="check gradients against finite differences")
     p_audit.add_argument("--seeds", type=int, default=5, help="number of independent policies")
-    p_audit.add_argument("--k_trajs", type=int, default=2, help="trajectories per frozen batch")
+    p_audit.add_argument("--k_trajs", type=int, default=2,
+                         help=f"trajectories per frozen batch, 1..{MAX_TRAJECTORIES}")
     p_audit.add_argument("--horizon", type=int, default=15,
                          help=f"rollout horizon, 1..{CARTPOLE_HORIZON}")
     p_audit.set_defaults(fn=_cmd_audit)

@@ -106,14 +106,10 @@ class Arch:
             segs.append(Segment("log_sigma", off, (1,)))
         return tuple(segs)
 
-    @property
-    def n_layers(self) -> int:
-        return len(self.layer_sizes) - 1
-
     @functools.cached_property
     def layer_names(self) -> tuple[tuple[str, str], ...]:
         """(weight, bias) segment names of each affine layer, in order."""
-        return tuple((f"W{i}", f"b{i}") for i in range(self.n_layers))
+        return tuple((f"W{i}", f"b{i}") for i in range(len(self.layer_sizes) - 1))
 
 
 @dataclass(frozen=True)
@@ -121,17 +117,11 @@ class PolicyNet:
     arch: Arch
     params: ParamVector
 
-    def with_params(self, params: ParamVector) -> "PolicyNet":
-        return PolicyNet(self.arch, params)
-
 
 @dataclass(frozen=True)
 class CriticNet:
     arch: Arch
     params: ParamVector
-
-    def with_params(self, params: ParamVector) -> "CriticNet":
-        return CriticNet(self.arch, params)
 
 
 class ActionSample(NamedTuple):
@@ -190,7 +180,7 @@ def forward_inference(arch: Arch, params: ParamVector, states: np.ndarray) -> np
     contract rely on. Must mirror `_forward_graph` op for op.
     """
     h = np.asarray(states, dtype=np.float64)
-    last = arch.n_layers - 1
+    last = len(arch.layer_names) - 1
     for i, (w, b) in enumerate(arch.layer_names):
         h = np.einsum("ij,jk->ik", h, params.segment(w)) + params.segment(b)
         if i < last:
@@ -200,9 +190,9 @@ def forward_inference(arch: Arch, params: ParamVector, states: np.ndarray) -> np
 
 def _forward_graph(arch: Arch, p: Params, states: np.ndarray, exact: bool) -> ad.Node:
     h: ad.Node = ad.const(np.asarray(states, dtype=np.float64))
-    last = arch.n_layers - 1
+    last = len(arch.layer_names) - 1
     for i, (w, b) in enumerate(arch.layer_names):
-        h = ad.matmul(h, p.seg(w), exact=exact) + p.seg(b)
+        h = ad.affine(h, p.seg(w), p.seg(b), exact=exact)
         if i < last:
             h = ad.tanh(h)
     return h

@@ -252,6 +252,9 @@ class TestInputErrors:
             (["plot", "absent.runlog", "--factor", "-1"], "--factor"),
             (["plot", "absent.runlog", "--factor", "1"], "--factor"),
             (["eval", "--ckpt", "absent.ckpt", "--episodes", "0"], "--episodes"),
+            (["eval", "--ckpt", "absent.ckpt", "--episodes", str(10**9)], "--episodes"),
+            (["audit", "--k_trajs", str(10**9)], "--k_trajs"),
+            (["audit", "--k_trajs", str(cli.MAX_TRAJECTORIES + 1)], "--k_trajs"),
         ],
     )
     def test_rejected_with_the_flag_named(self, argv, flag, monkeypatch, capsys):
@@ -275,6 +278,38 @@ class TestInputErrors:
         monkeypatch.setattr(rl, "sample_batch", stop)
         assert cli.main(["audit", "--seeds", "1", "--horizon", str(CARTPOLE_HORIZON)]) == 1
         assert reached == [CARTPOLE_HORIZON]
+        assert capsys.readouterr().err == "error: stopped before rolling out\n"
+
+    def test_audit_accepts_the_trajectory_bound(self, monkeypatch, capsys):
+        reached = []
+
+        def stop(env, policy, k, *args, **kwargs):
+            reached.append(k)
+            raise MetaRLError("stopped before rolling out")
+
+        monkeypatch.setattr(rl, "sample_batch", stop)
+        argv = ["audit", "--seeds", "1", "--k_trajs", str(cli.MAX_TRAJECTORIES)]
+        assert cli.main(argv) == 1
+        assert reached == [cli.MAX_TRAJECTORIES]
+        assert capsys.readouterr().err == "error: stopped before rolling out\n"
+
+    def test_eval_accepts_the_trajectory_bound(self, tmp_path, monkeypatch, capsys):
+        assert train_tiny(tmp_path, "t") == 0
+        reached = []
+
+        def stop(*args, **kwargs):
+            reached.append(True)
+            raise MetaRLError("stopped before rolling out")
+
+        monkeypatch.setattr(rl, "sample_batch", stop)
+        argv = [
+            "eval", "--ckpt", str(tmp_path / "t.ckpt"),
+            *TINY, "--out_dir", str(tmp_path), "--label", "t",
+            "--episodes", str(cli.MAX_TRAJECTORIES),
+        ]
+        capsys.readouterr()
+        assert cli.main(argv) == 1
+        assert reached == [True]
         assert capsys.readouterr().err == "error: stopped before rolling out\n"
 
 
