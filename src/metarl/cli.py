@@ -22,7 +22,7 @@ from .envs import CARTPOLE_HORIZON
 from .errors import MetaRLError, ValidationError
 from .meta import CONFIG_KEYS
 from .rng import Stream
-from .runlog import load_runlog, write_atomic
+from .runlog import EMA_FACTOR, load_runlog, smoothed_returns, write_atomic
 
 
 def _add_config_flags(p: argparse.ArgumentParser, with_config_file: bool = True) -> None:
@@ -67,11 +67,8 @@ def _parse_tau(value: str) -> "float | None":
 
 
 def _auto_tau(runs, factor: float) -> float:
-    best = -np.inf
-    for log in runs:
-        evals = [r.eval_return for r in log.rows if r.eval_return is not None]
-        if evals:
-            best = max(best, float(harness.ema_smooth(evals, factor).max()))
+    curves = [smoothed_returns(log.rows, factor)[2] for log in runs]
+    best = max((float(c.max()) for c in curves if c.size), default=-np.inf)
     if not np.isfinite(best):
         raise MetaRLError("cannot derive a threshold: no evaluated epochs in any run")
     return 0.8 * best
@@ -157,6 +154,11 @@ def _cmd_sweep(args) -> int:
         raise MetaRLError(f"--seeds expects a comma-separated integer list, got {args.seeds!r}")
     if not seeds:
         raise MetaRLError("--seeds expects at least one seed")
+    repeated = sorted({s for s in seeds if seeds.count(s) > 1})
+    if repeated:
+        # Each seed names one run label and its files; a repeat would train
+        # the run twice, or write the same files from two workers at once.
+        raise MetaRLError(f"--seeds repeats seed {', '.join(map(str, repeated))}: give each seed once")
     # Checked before any pool exists: one worker per seed at most, and no
     # more workers than the machine has CPUs.
     max_workers = min(len(seeds), os.cpu_count() or 1)
@@ -198,23 +200,24 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_eval = sub.add_parser("eval", help="evaluate a checkpoint (adapt, then measure)")
     p_eval.add_argument("--ckpt", required=True, help="checkpoint file")
-    p_eval.add_argument("--episodes", type=int, default=4,
+    p_eval.add_argument("--episodes", type=int, default=meta.RunConfig.eval_episodes,
                         help=f"episodes per task, 1..{MAX_TRAJECTORIES}")
     _add_config_flags(p_eval)
     p_eval.set_defaults(fn=_cmd_eval)
 
     p_cmp = sub.add_parser("compare", help="summarize run logs into a comparison table")
     p_cmp.add_argument("logs", nargs="+", help="run log files")
-    p_cmp.add_argument("--tau", type=_parse_tau, default=175.0,
+    p_cmp.add_argument("--tau", type=_parse_tau, default=meta.RunConfig.conv_tau,
                        help="convergence threshold, or 'auto' for 80%% of the best smoothed return")
-    p_cmp.add_argument("--window", type=int, default=20, help="consecutive epochs above threshold")
-    p_cmp.add_argument("--factor", type=float, default=meta.EMA_FACTOR, help="smoothing factor")
+    p_cmp.add_argument("--window", type=int, default=meta.RunConfig.conv_window,
+                       help="consecutive epochs above threshold")
+    p_cmp.add_argument("--factor", type=float, default=EMA_FACTOR, help="smoothing factor")
     p_cmp.add_argument("--out", default=".", help="directory for compare.txt")
     p_cmp.set_defaults(fn=_cmd_compare)
 
     p_plot = sub.add_parser("plot", help="plot smoothed curves from run logs")
     p_plot.add_argument("logs", nargs="+", help="run log files")
-    p_plot.add_argument("--factor", type=float, default=meta.EMA_FACTOR, help="smoothing factor")
+    p_plot.add_argument("--factor", type=float, default=EMA_FACTOR, help="smoothing factor")
     p_plot.add_argument("--out", default="curves.svg", help="output SVG path (.dat written beside)")
     p_plot.set_defaults(fn=_cmd_plot)
 

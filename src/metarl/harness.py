@@ -2,17 +2,20 @@
 
 Config files are flat `key=value` text with `#` comments; the accepted keys
 are exactly the canonical config vocabulary (meta.CONFIG_KEYS). Command-line
-overrides win over file values. Comparison reports aggregate per-algorithm
-timing and convergence over seeds and print a plain-text table plus pairwise
-speedup ratios; curves are emitted as a standalone SVG next to a columnar
-data file. Every output is a pure function of its inputs, so identical runs
-produce byte-identical files.
+overrides win over file values, and keys set nowhere take the MetaConfig /
+RunConfig field defaults; each value is converted by the type of its
+field's default. Comparison reports aggregate per-algorithm timing and
+convergence (runlog.convergence_epoch) over seeds and print a plain-text
+table plus pairwise speedup ratios; curves are emitted as a standalone SVG
+next to a columnar data file. Every output is a pure function of its inputs,
+so identical runs produce byte-identical files.
 """
 
 from __future__ import annotations
 
+import enum
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from pathlib import Path
 
 import numpy as np
@@ -20,22 +23,13 @@ import numpy as np
 from . import autodiff as ad
 from . import rl
 from .envs import Family, Task, make_env
-from .errors import ParseError, ValidationError
-from .meta import (
-    CONFIG_KEYS,
-    EMA_FACTOR,
-    Algorithm,
-    Learner,
-    MetaConfig,
-    RunConfig,
-    fingerprint,
-)
+from .errors import ParseError, UnknownFamily, ValidationError
+from .meta import CONFIG_KEYS, MetaConfig, RunConfig
 from .policy import PolicyNet, actor_arch, init_params
 from .rng import Stream
-from .runlog import RunLog, detect_convergence, ema_smooth, fmt_float, write_atomic
+from .runlog import EMA_FACTOR, RunLog, convergence_epoch, fmt_float, smoothed_returns, write_atomic
 
 __all__ = [
-    "DEFAULTS",
     "load_config",
     "parse_config_text",
     "build_run_config",
@@ -44,7 +38,6 @@ __all__ = [
     "summarize",
     "emit_plot",
     "group_key",
-    "run_convergence_epoch",
     "AuditResult",
     "audit_oracles",
     "GRAD_TOL",
@@ -53,35 +46,6 @@ __all__ = [
 
 GRAD_TOL = 1e-4
 HVP_TOL = 1e-3
-
-# Fallbacks for keys a config file omits. Step sizes follow the benchmark
-# defaults; the prestep size stays a factor below beta so directed algorithms
-# validate out of the box.
-DEFAULTS: "dict[str, str]" = {
-    "algorithm": "maml",
-    "learner": "pg",
-    "env": "cartpole",
-    "phi_lo": "5.0",
-    "phi_hi": "15.0",
-    "alpha": "0.001",
-    "beta": "0.001",
-    "delta": "0.0005",
-    "gamma": "0.99",
-    "m_tasks": "5",
-    "k_trajs": "10",
-    "horizon": "200",
-    "epochs": "150",
-    "seed": "0",
-    "eval_every": "1",
-    "eval_episodes": "4",
-    "conv_tau": "175.0",
-    "conv_window": "20",
-    "out_dir": "runs",
-    "label": "run",
-}
-
-_INT_KEYS = {"m_tasks", "k_trajs", "horizon", "epochs", "seed", "eval_every", "eval_episodes", "conv_window"}
-_FLOAT_KEYS = {"phi_lo", "phi_hi", "alpha", "beta", "delta", "gamma", "conv_tau"}
 
 
 def parse_config_text(text: str, source: str = "<config>") -> "dict[str, str]":
@@ -103,60 +67,34 @@ def parse_config_text(text: str, source: str = "<config>") -> "dict[str, str]":
     return values
 
 
-def _convert(key: str, val: str):
-    try:
-        if key in _INT_KEYS:
-            return int(val)
-        if key in _FLOAT_KEYS:
-            return float(val)
-    except ValueError:
-        kind = "an integer" if key in _INT_KEYS else "a real number"
-        raise ValidationError(f"{key}: expected {kind}, got {val!r}") from None
-    if key == "algorithm":
-        return Algorithm.parse(val)
-    if key == "learner":
-        return Learner.parse(val)
-    if key == "env":
+def _convert(key: str, kind: type, val: str):
+    """`val` as a value of `kind`, the type of the key's field default."""
+    if issubclass(kind, enum.Enum):
         try:
-            return Family.parse(val)
-        except Exception:
-            raise ValidationError(f"env: unknown environment family {val!r}") from None
-    return val
+            return kind.parse(val)
+        except UnknownFamily as e:
+            raise ValidationError(f"{key}: {e}") from None
+    if kind is str:
+        return val
+    try:
+        return kind(val)
+    except ValueError:
+        expected = "an integer" if kind is int else "a real number"
+        raise ValidationError(f"{key}: expected {expected}, got {val!r}") from None
 
 
 def build_run_config(values: "dict[str, str]") -> RunConfig:
-    """Merge the given string values over the defaults and validate."""
-    merged = dict(DEFAULTS)
-    for key, val in values.items():
+    """The given values (strings, or anything str() turns into one) over the
+    MetaConfig/RunConfig field defaults, converted and validated."""
+    for key in values:
         if key not in CONFIG_KEYS:
             raise ValidationError(f"{key}: unknown configuration key")
-        merged[key] = str(val)
-    typed = {k: _convert(k, v) for k, v in merged.items()}
-    meta_cfg = MetaConfig(
-        algorithm=typed["algorithm"],
-        learner=typed["learner"],
-        env=typed["env"],
-        phi_lo=typed["phi_lo"],
-        phi_hi=typed["phi_hi"],
-        alpha=typed["alpha"],
-        beta=typed["beta"],
-        delta=typed["delta"],
-        gamma=typed["gamma"],
-        m_tasks=typed["m_tasks"],
-        k_trajs=typed["k_trajs"],
-        horizon=typed["horizon"],
-        epochs=typed["epochs"],
-        seed=typed["seed"],
-    )
-    return RunConfig(
-        meta=meta_cfg,
-        eval_every=typed["eval_every"],
-        eval_episodes=typed["eval_episodes"],
-        conv_tau=typed["conv_tau"],
-        conv_window=typed["conv_window"],
-        out_dir=typed["out_dir"],
-        label=typed["label"],
-    )
+    meta_kw, run_kw = {}, {}
+    for kw, cls in ((meta_kw, MetaConfig), (run_kw, RunConfig)):
+        for f in fields(cls):
+            if f.name in values:
+                kw[f.name] = _convert(f.name, type(f.default), str(values[f.name]))
+    return RunConfig(meta=MetaConfig(**meta_kw), **run_kw)
 
 
 def load_config(path, overrides: "dict[str, str] | None" = None) -> RunConfig:
@@ -167,10 +105,7 @@ def load_config(path, overrides: "dict[str, str] | None" = None) -> RunConfig:
     except OSError as e:
         raise ParseError(f"cannot read config {path}: {e}") from None
     values = parse_config_text(text, source=str(path))
-    for key, val in (overrides or {}).items():
-        if key not in CONFIG_KEYS:
-            raise ValidationError(f"{key}: unknown configuration key")
-        values[key] = str(val)
+    values.update(overrides or {})
     return build_run_config(values)
 
 
@@ -252,17 +187,6 @@ def _mean_std(xs: "list[float]") -> "tuple[float, float]":
     return float(arr.mean()), float(arr.std())
 
 
-def run_convergence_epoch(log: RunLog, tau: float, w: int, factor: float = EMA_FACTOR) -> "int | None":
-    """Convergence epoch under the smoothing rule, recomputed from the rows
-    (evaluated epochs only; the window is counted in evaluated epochs)."""
-    evaled = [r for r in log.rows if r.eval_return is not None]
-    if not evaled:
-        return None
-    smoothed = ema_smooth([r.eval_return for r in evaled], factor)
-    idx = detect_convergence(smoothed, tau, w)
-    return None if idx is None else evaled[idx].epoch
-
-
 def summarize(runs: "list[RunLog]", tau: float, w: int, factor: float = EMA_FACTOR) -> ComparisonReport:
     """Aggregate runs per algorithm label (seed suffixes stripped): per-epoch
     training seconds, per-evaluation seconds, convergence epoch, and training
@@ -284,7 +208,7 @@ def summarize(runs: "list[RunLog]", tau: float, w: int, factor: float = EMA_FACT
         conv_secs: "list[float]" = []
         missing = 0
         for log in members:
-            conv = run_convergence_epoch(log, tau, w, factor)
+            conv = convergence_epoch(log.rows, tau, w, factor)
             if conv is None:
                 missing += 1
                 continue
@@ -423,18 +347,16 @@ def emit_plot(runs: "list[RunLog]", factor: float, out_path) -> "tuple[Path, Pat
     bytes depend only on the run contents."""
     if not runs:
         raise ValidationError("runs: need at least one run log to plot")
-    series: "list[tuple[str, list[int], np.ndarray]]" = []
+    series: "list[tuple[str, list[int], list[float], np.ndarray]]" = []
     for log in runs:
-        evaled = [r for r in log.rows if r.eval_return is not None]
-        if not evaled:
+        xs, raw, ys = smoothed_returns(log.rows, factor)
+        if not xs:
             raise ValidationError(f"runs: {log.label} has no evaluated epochs to plot")
-        xs = [r.epoch for r in evaled]
-        ys = ema_smooth([r.eval_return for r in evaled], factor)
-        series.append((log.label, xs, ys))
+        series.append((log.label, xs, raw, ys))
 
-    x_hi = max(max(xs) for _, xs, _ in series)
-    x_lo = min(min(xs) for _, xs, _ in series)
-    y_all = np.concatenate([ys for _, _, ys in series])
+    x_hi = max(max(xs) for _, xs, _, _ in series)
+    x_lo = min(min(xs) for _, xs, _, _ in series)
+    y_all = np.concatenate([ys for _, _, _, ys in series])
     y_lo = min(0.0, float(y_all.min()))
     y_hi = float(y_all.max())
     y_hi = y_hi + 0.05 * max(y_hi - y_lo, 1.0)
@@ -480,7 +402,7 @@ def emit_plot(runs: "list[RunLog]", factor: float, out_path) -> "tuple[Path, Pat
         f'font-family="monospace" transform="rotate(-90 16 {_svg_coord(_MT + plot_h / 2)})">'
         "smoothed return</text>"
     )
-    for idx, (label, xs, ys) in enumerate(series):
+    for idx, (label, xs, _, ys) in enumerate(series):
         color = _PALETTE[idx % len(_PALETTE)]
         pts = " ".join(f"{_svg_coord(px(e))},{_svg_coord(py(v))}" for e, v in zip(xs, ys))
         parts.append(
@@ -503,9 +425,7 @@ def emit_plot(runs: "list[RunLog]", factor: float, out_path) -> "tuple[Path, Pat
 
     dat_path = out_path.with_suffix(".dat")
     dat_lines = ["# label epoch eval_return smoothed"]
-    for label, xs, ys in series:
-        log = next(l for l in runs if l.label == label)
-        raw = [r.eval_return for r in log.rows if r.eval_return is not None]
+    for label, xs, raw, ys in series:
         for e, r0, sm in zip(xs, raw, ys):
             dat_lines.append(f"{label} {e} {fmt_float(r0)} {fmt_float(sm)}")
     write_atomic(dat_path, "\n".join(dat_lines) + "\n")

@@ -5,7 +5,8 @@ Implements four base algorithms and their task-directed variants:
 * maml — exact bilevel meta-gradient: per task, one inner ascent step on a
   pre-adaptation batch, then the outer gradient on a post-adaptation batch
   corrected by a Hessian-vector product through the inner surrogate.
-* fomaml — the same with the Hessian term dropped.
+* fomaml — the same with the Hessian term dropped; both are `meta_gradient`,
+  which takes `second_order`.
 * reptile — per task, several plain adaptation steps; the meta-update moves
   the initialization toward the average adapted parameters.
 * metasgd — maml plus a learned per-parameter inner step-size vector,
@@ -20,6 +21,12 @@ The outer update adds the plain sum of per-task terms (no 1/M averaging), so
 beta effectively scales with M; reptile is the exception, averaging by
 construction.
 
+The field defaults of MetaConfig and RunConfig are the one table of
+defaults; CONFIG_KEYS and the canonical fingerprint text are derived from
+those fields. `iter_epochs` is the one training loop: `train` iterates it
+to write checkpoints and the run log, and any caller may leave it early.
+Convergence is judged by runlog.convergence_epoch.
+
 Randomness is organized as a key-derived stream tree rooted at the config
 seed: policy init, critic init, then per epoch a subtree covering the
 prestep, task sampling, per-task inner/outer batches, and evaluation.
@@ -33,7 +40,7 @@ from __future__ import annotations
 import enum
 import hashlib
 import time
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 from pathlib import Path
 from typing import Callable, Protocol
 
@@ -62,7 +69,7 @@ from .policy import (
     save_checkpoint,
 )
 from .rng import Stream
-from .runlog import EpochMetrics, RunLog, detect_convergence, ema_smooth, fmt_float, save_runlog
+from .runlog import EpochMetrics, RunLog, convergence_epoch, fmt_float, save_runlog
 
 __all__ = [
     "Algorithm",
@@ -74,28 +81,24 @@ __all__ = [
     "RLProblem",
     "init_state",
     "inner_adapt",
-    "maml_meta_gradient",
-    "fomaml_meta_gradient",
+    "meta_gradient",
     "reptile_step",
     "metasgd_step",
-    "directed_prestep",
     "evaluate_policy",
     "load_state",
     "train_epoch",
+    "iter_epochs",
     "train",
     "canonical_text",
     "fingerprint",
     "CONFIG_KEYS",
-    "EMA_FACTOR",
     "ALPHA_VEC_FLOOR",
     "CHECKPOINT_INTERVAL",
 ]
 
-EMA_FACTOR = 0.9  # smoothing used by the convergence rule and plots
 ALPHA_VEC_FLOOR = 1e-6
 CHECKPOINT_INTERVAL = 50
 REPTILE_INNER_STEPS = 3
-DEFAULT_EVAL_EPISODES = 4
 
 
 class Algorithm(enum.Enum):
@@ -145,20 +148,26 @@ class Learner(enum.Enum):
 
 @dataclass(frozen=True)
 class MetaConfig:
-    algorithm: Algorithm
-    learner: Learner
-    env: Family
-    phi_lo: float
-    phi_hi: float
-    alpha: float
-    beta: float
-    delta: float
-    gamma: float
-    m_tasks: int
-    k_trajs: int
-    horizon: int
-    epochs: int
-    seed: int
+    """The algorithm's hyperparameters. The field defaults of MetaConfig and
+    RunConfig are the library's one table of defaults: config files and
+    command-line flags only override them. Step sizes follow the benchmark
+    defaults; the prestep size stays a factor below beta so directed
+    algorithms validate out of the box."""
+
+    algorithm: Algorithm = Algorithm.MAML
+    learner: Learner = Learner.PG
+    env: Family = Family.CARTPOLE
+    phi_lo: float = 5.0
+    phi_hi: float = 15.0
+    alpha: float = 0.001
+    beta: float = 0.001
+    delta: float = 0.0005
+    gamma: float = 0.99
+    m_tasks: int = 5
+    k_trajs: int = 10
+    horizon: int = 200
+    epochs: int = 150
+    seed: int = 0
 
     def __post_init__(self):
         if not self.alpha > 0:
@@ -193,7 +202,7 @@ class RunConfig:
 
     meta: MetaConfig
     eval_every: int = 1
-    eval_episodes: int = DEFAULT_EVAL_EPISODES
+    eval_episodes: int = 4
     conv_tau: float = 175.0
     conv_window: int = 20
     out_dir: str = "runs"
@@ -228,56 +237,29 @@ class MetaState:
                 raise ValueError("alpha_vec must be strictly positive")
 
 
-# Config keys in canonical order; also the accepted config-file vocabulary.
-CONFIG_KEYS = (
-    "algorithm",
-    "learner",
-    "env",
-    "phi_lo",
-    "phi_hi",
-    "alpha",
-    "beta",
-    "delta",
-    "gamma",
-    "m_tasks",
-    "k_trajs",
-    "horizon",
-    "epochs",
-    "seed",
-    "eval_every",
-    "eval_episodes",
-    "conv_tau",
-    "conv_window",
-    "out_dir",
-    "label",
-)
+# Config keys in canonical order, also the accepted config-file vocabulary:
+# the MetaConfig fields, then the RunConfig fields around them.
+CONFIG_KEYS = tuple(f.name for cls in (MetaConfig, RunConfig) for f in fields(cls) if f.name != "meta")
 
 
 def canonical_text(cfg: RunConfig) -> str:
-    m = cfg.meta
-    values = {
-        "algorithm": m.algorithm.value,
-        "learner": m.learner.value,
-        "env": m.env.value,
-        "phi_lo": fmt_float(m.phi_lo),
-        "phi_hi": fmt_float(m.phi_hi),
-        "alpha": fmt_float(m.alpha),
-        "beta": fmt_float(m.beta),
-        "delta": fmt_float(m.delta),
-        "gamma": fmt_float(m.gamma),
-        "m_tasks": str(m.m_tasks),
-        "k_trajs": str(m.k_trajs),
-        "horizon": str(m.horizon),
-        "epochs": str(m.epochs),
-        "seed": str(m.seed),
-        "eval_every": str(cfg.eval_every),
-        "eval_episodes": str(cfg.eval_episodes),
-        "conv_tau": fmt_float(cfg.conv_tau),
-        "conv_window": str(cfg.conv_window),
-        "out_dir": cfg.out_dir,
-        "label": cfg.label,
-    }
-    return "\n".join(f"{k}={values[k]}" for k in CONFIG_KEYS) + "\n"
+    """One `key=value` line per config key, each value formatted by the type
+    of its field's default: an enum by its value, a float to 17 significant
+    digits, anything else by str()."""
+    lines = []
+    for obj in (cfg.meta, cfg):
+        for f in fields(obj):
+            if f.name == "meta":
+                continue
+            kind, value = type(f.default), getattr(obj, f.name)
+            if issubclass(kind, enum.Enum):
+                text = value.value
+            elif kind is float:
+                text = fmt_float(value)
+            else:
+                text = str(value)
+            lines.append(f"{f.name}={text}")
+    return "\n".join(lines) + "\n"
 
 
 def fingerprint(cfg: RunConfig) -> str:
@@ -364,25 +346,17 @@ def init_state(cfg: MetaConfig) -> MetaState:
     return MetaState(theta=theta, critic=critic, alpha_vec=alpha_vec, epoch=0, rng=root)
 
 
+def _scaled(alpha: "float | ParamVector", g: ParamVector) -> ParamVector:
+    """alpha * g, elementwise when alpha is a per-parameter vector."""
+    return alpha.hadamard(g) if isinstance(alpha, ParamVector) else float(alpha) * g
+
+
 def inner_adapt(
-    theta: ParamVector,
-    objective: "Callable[[Params], ad.Node] | rl.TrajectoryBatch",
-    alpha: "float | ParamVector",
-    gamma: float | None = None,
-    learner: Learner = Learner.PG,
-    critic: ParamVector | None = None,
+    theta: ParamVector, objective: Callable[[Params], ad.Node], alpha: "float | ParamVector"
 ) -> ParamVector:
     """One ascent step: theta + alpha * grad (elementwise when alpha is a
-    per-parameter vector). Accepts a ready objective callable or a raw
-    trajectory batch plus learner context."""
-    if isinstance(objective, rl.TrajectoryBatch):
-        if gamma is None:
-            raise ValueError("gamma required when adapting from a raw batch")
-        objective = rl.policy_objective(objective, gamma, learner.value, critic)
-    g = ad.grad(objective, theta)
-    if isinstance(alpha, ParamVector):
-        return theta + alpha.hadamard(g)
-    return theta + float(alpha) * g
+    per-parameter vector)."""
+    return theta + _scaled(alpha, ad.grad(objective, theta))
 
 
 def _check_tasks(tasks) -> list:
@@ -405,35 +379,30 @@ def _per_task_terms(
     for i, task in enumerate(_check_tasks(tasks)):
         inner = problem.inner_objective(task, theta, rng.child(i, 0))
         g_in = ad.grad(inner, theta)
-        theta_i = theta + (alpha.hadamard(g_in) if isinstance(alpha, ParamVector) else float(alpha) * g_in)
+        theta_i = theta + _scaled(alpha, g_in)
         outer = problem.outer_objective(task, theta_i, rng.child(i, 1))
         g_out = ad.grad(outer, theta_i)
         term = g_out
         if second_order:
-            v = alpha.hadamard(g_out) if isinstance(alpha, ParamVector) else float(alpha) * g_out
-            term = term + ad.hvp(inner, theta, v)
+            term = term + ad.hvp(inner, theta, _scaled(alpha, g_out))
         yield g_in, g_out, term
 
 
-def maml_meta_gradient(
-    theta: ParamVector, tasks, cfg: MetaConfig, rng: Stream, problem: MetaProblem | None = None
+def meta_gradient(
+    theta: ParamVector,
+    tasks,
+    cfg: MetaConfig,
+    rng: Stream,
+    problem: MetaProblem | None = None,
+    second_order: bool = True,
 ) -> Gradient:
     """Sum over tasks of (I + alpha*H_inner) @ g_outer, the exact bilevel
-    meta-gradient with one inner step; one Hessian-vector product per task."""
+    meta-gradient with one inner step (MAML; one Hessian-vector product per
+    task). With second_order off, the Hessian term is dropped (FOMAML): the
+    sum of post-adaptation gradients."""
     problem = problem if problem is not None else RLProblem(cfg)
     total = np.zeros(theta.size)
-    for _, _, term in _per_task_terms(theta, tasks, cfg.alpha, rng, problem, second_order=True):
-        total = total + term.values
-    return theta.with_values(total)
-
-
-def fomaml_meta_gradient(
-    theta: ParamVector, tasks, cfg: MetaConfig, rng: Stream, problem: MetaProblem | None = None
-) -> Gradient:
-    """MAML with the Hessian term dropped: sum of post-adaptation gradients."""
-    problem = problem if problem is not None else RLProblem(cfg)
-    total = np.zeros(theta.size)
-    for _, _, term in _per_task_terms(theta, tasks, cfg.alpha, rng, problem, second_order=False):
+    for _, _, term in _per_task_terms(theta, tasks, cfg.alpha, rng, problem, second_order):
         total = total + term.values
     return theta.with_values(total)
 
@@ -486,28 +455,14 @@ def metasgd_step(
 def _prestep(
     theta: ParamVector, cfg: MetaConfig, rng: Stream, problem: MetaProblem
 ) -> "tuple[ParamVector, float]":
-    """One first-order ascent step of size delta on the medium task; returns
-    the new parameters and the prestep gradient norm."""
+    """Task-directed pre-adaptation: one first-order ascent step of size
+    delta on the medium task of cfg's distribution (K trajectories under
+    the current policy on the rollout problem). Adds exactly one gradient
+    evaluation; returns the new parameters and the prestep gradient norm."""
     med = medium_task(cfg.dist)
     obj = problem.inner_objective(med, theta, rng)
     g = ad.grad(obj, theta)
     return theta + cfg.delta * g, g.norm()
-
-
-def directed_prestep(
-    theta: ParamVector,
-    dist: TaskDistribution,
-    cfg: MetaConfig,
-    rng: Stream,
-    problem: MetaProblem | None = None,
-) -> ParamVector:
-    """Task-directed pre-adaptation: K trajectories on the medium task of
-    `dist` under the current policy, then theta + delta * grad. First-order
-    only; adds exactly one gradient evaluation."""
-    if dist != cfg.dist:
-        cfg = replace(cfg, phi_lo=dist.phi_lo, phi_hi=dist.phi_hi, env=dist.family)
-    problem = problem if problem is not None else RLProblem(cfg)
-    return _prestep(theta, cfg, rng, problem)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -541,7 +496,7 @@ def evaluate_policy(
 def train_epoch(
     state: MetaState,
     cfg: MetaConfig,
-    eval_episodes: int = DEFAULT_EVAL_EPISODES,
+    eval_episodes: int = RunConfig.eval_episodes,
     evaluate: bool = True,
 ) -> "tuple[MetaState, EpochMetrics]":
     """One epoch: optional directed prestep, sample M tasks, run the base
@@ -558,12 +513,10 @@ def train_epoch(
             theta, prestep_norm = _prestep(theta, cfg, ep.child(0), problem)
         tasks = sample_tasks(cfg.dist, cfg.m_tasks, ep.child(1))
         base = cfg.algorithm.base
-        if base is Algorithm.MAML:
-            mg = maml_meta_gradient(theta, tasks, cfg, ep.child(2), problem)
-            new_theta = theta + cfg.beta * mg
-            outer_norm = mg.norm()
-        elif base is Algorithm.FOMAML:
-            mg = fomaml_meta_gradient(theta, tasks, cfg, ep.child(2), problem)
+        if base in (Algorithm.MAML, Algorithm.FOMAML):
+            mg = meta_gradient(
+                theta, tasks, cfg, ep.child(2), problem, second_order=base is Algorithm.MAML
+            )
             new_theta = theta + cfg.beta * mg
             outer_norm = mg.norm()
         elif base is Algorithm.REPTILE:
@@ -650,6 +603,18 @@ def load_state(path, cfg: MetaConfig) -> MetaState:
     )
 
 
+def iter_epochs(run_cfg: RunConfig, state: MetaState):
+    """The training loop from `state` to the configured epoch count: yields
+    (state, metrics) after each epoch. Epoch 0, every `eval_every`-th epoch
+    and the last epoch are evaluated. EpochDiverged propagates to the
+    caller; a caller that stops early simply leaves the loop."""
+    cfg = run_cfg.meta
+    for e in range(state.epoch, cfg.epochs):
+        evaluate = (e % run_cfg.eval_every == 0) or (e == cfg.epochs - 1)
+        state, metrics = train_epoch(state, cfg, eval_episodes=run_cfg.eval_episodes, evaluate=evaluate)
+        yield state, metrics
+
+
 def train(
     run_cfg: RunConfig,
     resume_from=None,
@@ -663,36 +628,24 @@ def train(
     rows: list[EpochMetrics] = []
     diverged: str | None = None
     t_start = time.perf_counter()
-    for e in range(state.epoch, cfg.epochs):
-        evaluate = (e % run_cfg.eval_every == 0) or (e == cfg.epochs - 1)
-        try:
-            state, metrics = train_epoch(
-                state, cfg, eval_episodes=run_cfg.eval_episodes, evaluate=evaluate
-            )
-        except EpochDiverged as err:
-            diverged = f"epoch {err.epoch}: {err.cause}"
-            break
-        rows.append(metrics)
-        if progress is not None:
-            progress(metrics)
-        if (e + 1) % CHECKPOINT_INTERVAL == 0 or e == cfg.epochs - 1:
-            _save_state(run_cfg, state)
+    try:
+        for state, metrics in iter_epochs(run_cfg, state):
+            rows.append(metrics)
+            if progress is not None:
+                progress(metrics)
+            e = metrics.epoch
+            if (e + 1) % CHECKPOINT_INTERVAL == 0 or e == cfg.epochs - 1:
+                _save_state(run_cfg, state)
+    except EpochDiverged as err:
+        diverged = f"epoch {err.epoch}: {err.cause}"
     total_wall = max(time.perf_counter() - t_start, 1e-9)
-
-    evaled = [r for r in rows if r.eval_return is not None]
-    conv: int | None = None
-    if evaled:
-        smoothed = ema_smooth([r.eval_return for r in evaled], EMA_FACTOR)
-        idx = detect_convergence(smoothed, run_cfg.conv_tau, run_cfg.conv_window)
-        if idx is not None:
-            conv = evaled[idx].epoch
     log = RunLog(
         fingerprint=fingerprint(run_cfg),
         version=__version__,
         label=run_cfg.label,
         rows=tuple(rows),
         total_wall_seconds=total_wall,
-        convergence_epoch=conv,
+        convergence_epoch=convergence_epoch(rows, run_cfg.conv_tau, run_cfg.conv_window),
         diverged=diverged,
     )
     save_runlog(run_cfg.out_dir, log)

@@ -46,7 +46,6 @@ __all__ = [
     "critic_arch",
     "init_params",
     "make_policy",
-    "make_critic",
     "forward_inference",
     "draw_variates",
     "act",
@@ -161,11 +160,6 @@ def init_params(arch: Arch, rng: "Stream | np.random.Generator") -> ParamVector:
 def make_policy(env: Environment, rng: "Stream | np.random.Generator") -> PolicyNet:
     arch = actor_arch(env)
     return PolicyNet(arch, init_params(arch, rng))
-
-
-def make_critic(env: Environment, rng: "Stream | np.random.Generator") -> CriticNet:
-    arch = critic_arch(env)
-    return CriticNet(arch, init_params(arch, rng))
 
 
 # ---------------------------------------------------------------------------

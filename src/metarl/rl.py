@@ -25,7 +25,7 @@ import numpy as np
 from . import autodiff as ad
 from . import instrument
 from .autodiff import Params
-from .envs import Environment, Task, TaskDistribution, make_env, sample_tasks
+from .envs import Environment, Task, make_env
 from .policy import (
     PolicyNet,
     act_batch,
@@ -44,11 +44,8 @@ __all__ = [
     "rollout",
     "sample_batch",
     "discounted_returns",
-    "reinforce_objective",
-    "actor_critic_objective",
     "policy_objective",
     "critic_objective",
-    "eval_return",
     "eval_returns",
 ]
 
@@ -218,64 +215,33 @@ def _surrogate(
     return obj
 
 
-def _reinforce(
-    batch: TrajectoryBatch, gamma: float, standardize: bool
-) -> "Callable[[Params], ad.Node]":
-    states, targets, returns = _pooled(batch, gamma)
-    adv = _standardized(returns) if standardize else returns
-    return _surrogate(actor_arch(make_env(batch.task)), states, targets, adv, batch.k)
-
-
-def reinforce_objective(
-    policy_params: Params, batch: TrajectoryBatch, gamma: float, standardize: bool = True
-) -> ad.Node:
-    """Score-function surrogate (1/K) sum_traj sum_t log pi(a_t|s_t) * A_t.
-
-    A_t is the batch-standardized discounted return (mean removed, divided by
-    std + 1e-8). A batch with (numerically) identical returns would divide by
-    ~0, so it falls back to the unstandardized returns instead.
-    """
-    return _reinforce(batch, gamma, standardize)(policy_params)
-
-
-def actor_critic_objective(
-    policy_params: Params, critic_params: Params, batch: TrajectoryBatch, gamma: float
-) -> "tuple[ad.Node, ad.Node]":
-    """Policy surrogate with advantages A_t = G_t - V(s_t) (critic values
-    entering as constants), plus the critic's mean-squared-error node.
-    Maximize the first, minimize the second.
-    """
-    critic_pv = ad.ParamVector(critic_params.vec.val, critic_params.layout)
-    policy_node = policy_objective(batch, gamma, "ac", critic_pv)(policy_params)
-    return policy_node, critic_objective(batch, gamma)(critic_params)
-
-
 def policy_objective(
     batch: TrajectoryBatch,
     gamma: float,
     learner: str = "pg",
     critic_pv: "ad.ParamVector | None" = None,
 ) -> "Callable[[Params], ad.Node]":
-    """Callable policy surrogate for a frozen batch: the standardized
-    score-function objective for the "pg" learner, or the advantage
-    (G - V(s)) form for "ac" with the given critic held constant.
+    """Callable score-function surrogate for a frozen batch,
+    (1/K) sum_traj sum_t log pi(a_t|s_t) * A_t. For the "pg" learner A_t is
+    the batch-standardized discounted return (see `_standardized`); for "ac"
+    it is the advantage G_t - V(s_t), with the given critic held constant.
 
     Everything that depends only on the batch (pooling, returns, advantages,
     the actor architecture) is computed here, once; each call of the returned
     objective builds only the log-prob graph over its Params, so value, grad
     and hvp on the same batch share that work. The callable keeps no state
-    between calls. Values and gradients match reinforce_objective /
-    actor_critic_objective bit for bit."""
-    if learner == "pg":
-        return _reinforce(batch, gamma, standardize=True)
-    if learner != "ac":
+    between calls."""
+    if learner not in ("pg", "ac"):
         raise ValueError(f"unknown learner {learner!r}")
-    if critic_pv is None:
+    if learner == "ac" and critic_pv is None:
         raise ValueError("actor-critic objective needs critic parameters")
     env = make_env(batch.task)
     states, targets, returns = _pooled(batch, gamma)
-    v = forward_inference(critic_arch(env), critic_pv, states)[:, 0]
-    return _surrogate(actor_arch(env), states, targets, returns - v, batch.k)
+    if learner == "pg":
+        adv = _standardized(returns)
+    else:
+        adv = returns - forward_inference(critic_arch(env), critic_pv, states)[:, 0]
+    return _surrogate(actor_arch(env), states, targets, adv, batch.k)
 
 
 def critic_objective(batch: TrajectoryBatch, gamma: float) -> "Callable[[Params], ad.Node]":
@@ -290,32 +256,10 @@ def critic_objective(batch: TrajectoryBatch, gamma: float) -> "Callable[[Params]
     return obj
 
 
-def eval_returns(
-    target: "Environment | TaskDistribution",
-    policy: PolicyNet,
-    n_episodes: int,
-    rng: Stream,
-) -> np.ndarray:
-    """Undiscounted return of each evaluation episode. On a distribution, a
-    fresh task is drawn per episode; no learning happens."""
+def eval_returns(env: Environment, policy: PolicyNet, n_episodes: int, rng: Stream) -> np.ndarray:
+    """Undiscounted return of each of n evaluation episodes on child streams
+    rng.child(0..n-1); no learning happens."""
     if n_episodes < 1:
         raise ValueError("need at least one evaluation episode")
-    _require_stream(rng)
-    if isinstance(target, TaskDistribution):
-        totals = np.empty(n_episodes)
-        for e in range(n_episodes):
-            task = sample_tasks(target, 1, rng.child(e, 0))[0]
-            totals[e] = rollout(make_env(task), policy, rng.child(e, 1)).total_return
-        return totals
-    batch = sample_batch(target, policy, n_episodes, rng)
+    batch = sample_batch(env, policy, n_episodes, rng)
     return np.array([t.total_return for t in batch.trajectories])
-
-
-def eval_return(
-    target: "Environment | TaskDistribution",
-    policy: PolicyNet,
-    n_episodes: int,
-    rng: Stream,
-) -> float:
-    """Mean undiscounted return over n evaluation episodes."""
-    return float(np.mean(eval_returns(target, policy, n_episodes, rng)))

@@ -16,6 +16,11 @@ existed still load.
 
 Every file the library writes goes through `write_atomic`, so an
 interrupted write leaves the previous file, never a partial one.
+
+The convergence rule lives here, once: `convergence_epoch` over a run's
+epoch rows, smoothing with `EMA_FACTOR`. Training, the comparison report and
+the acceptance tests all call it; plots and the `compare --tau auto`
+threshold read the same smoothed curve through `smoothed_returns`.
 """
 
 from __future__ import annotations
@@ -23,7 +28,7 @@ from __future__ import annotations
 import json
 import os
 import platform
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -39,7 +44,12 @@ __all__ = [
     "write_atomic",
     "ema_smooth",
     "detect_convergence",
+    "smoothed_returns",
+    "convergence_epoch",
+    "EMA_FACTOR",
 ]
+
+EMA_FACTOR = 0.9  # smoothing of the convergence rule and of plotted curves
 
 
 def fmt_float(x: float | None) -> str:
@@ -259,10 +269,6 @@ def load_runlog(path) -> RunLog:
     )
 
 
-def with_convergence(log: RunLog, epoch: int | None) -> RunLog:
-    return replace(log, convergence_epoch=epoch)
-
-
 # ---------------------------------------------------------------------------
 # Curve analysis
 # ---------------------------------------------------------------------------
@@ -292,3 +298,22 @@ def detect_convergence(smoothed, tau: float, w: int) -> int | None:
         if np.all(ok[e : e + w]):
             return e
     return None
+
+
+def smoothed_returns(rows, factor: float = EMA_FACTOR) -> "tuple[list[int], list[float], np.ndarray]":
+    """The evaluated epochs among `rows` (epochs whose eval_return is set),
+    their raw eval returns, and those returns EMA-smoothed."""
+    evaled = [r for r in rows if r.eval_return is not None]
+    raw = [r.eval_return for r in evaled]
+    return [r.epoch for r in evaled], raw, ema_smooth(raw, factor)
+
+
+def convergence_epoch(rows, tau: float, w: int, factor: float = EMA_FACTOR) -> int | None:
+    """The convergence rule: the smoothed eval return is >= tau for w
+    consecutive evaluated epochs (the window is counted in evaluated epochs,
+    skipped ones do not break it). Returns the epoch that opens the first
+    such window, or None. The verdict depends only on the rows up to that
+    window, so a run may stop as soon as it is not None."""
+    epochs, _, smoothed = smoothed_returns(rows, factor)
+    idx = detect_convergence(smoothed, tau, w)
+    return None if idx is None else epochs[idx]

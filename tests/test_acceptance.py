@@ -50,23 +50,17 @@ from metarl.envs import (
 from metarl.errors import EpochDiverged, ValidationError
 from metarl.harness import GRAD_TOL, HVP_TOL, audit_oracles, summarize
 from metarl.instrument import Counters
-from metarl.meta import (
-    EMA_FACTOR,
-    Algorithm,
-    Learner,
-    MetaConfig,
-    RunConfig,
-    fingerprint,
-)
+from metarl.meta import Algorithm, Learner, MetaConfig, RunConfig, fingerprint
 from metarl.policy import PolicyNet, load_checkpoint, save_checkpoint
 from metarl.rng import Stream
 from metarl.runlog import (
     RunLog,
-    detect_convergence,
+    convergence_epoch,
     ema_smooth,
     fmt_float,
     load_runlog,
     save_runlog,
+    smoothed_returns,
 )
 
 CACHE_DIR = Path(os.environ.get("METARL_ACCEPT_CACHE", str(Path(__file__).resolve().parent / ".accept_cache")))
@@ -132,16 +126,6 @@ REPLAY_FIELDS = ("eval_return", "grad_norm_outer", "prestep_grad_norm")
 _replayed: "set[str]" = set()  # labels whose entry replayed, or was trained, this session
 
 
-def _epochs(rc: RunConfig, state: meta.MetaState):
-    """rc's training loop from state: yields (state, metrics) after each
-    epoch. EpochDiverged propagates to the caller."""
-    cfg = rc.meta
-    for e in range(state.epoch, cfg.epochs):
-        do_eval = (e % rc.eval_every == 0) or (e == cfg.epochs - 1)
-        state, m = meta.train_epoch(state, cfg, eval_episodes=rc.eval_episodes, evaluate=do_eval)
-        yield state, m
-
-
 def _cache_entry(rc: RunConfig, stop_early: bool, checkpoint: bool) -> "tuple[RunLog, Counters] | None":
     """The cached log and counters for rc, or None when an artefact the
     caller reads is missing or the entry was recorded for another config."""
@@ -164,26 +148,28 @@ def replay_mismatch(rc: RunConfig, log: RunLog) -> "str | None":
     """Retrain rc's first REPLAY_EPOCHS epochs and compare their
     deterministic fields with log's rows bit for bit. Returns the first
     difference, naming label, epoch, field and both values, or None."""
-    epochs = _epochs(rc, meta.init_state(rc.meta))
-    for cached in log.rows[:REPLAY_EPOCHS]:
-        try:
-            _, m = next(epochs)
-        except EpochDiverged as err:
-            return f"{rc.label}: epoch {err.epoch} diverged on replay ({err.cause}); the cached run did not"
-        for field in REPLAY_FIELDS:
-            want, got = fmt_float(getattr(cached, field)), fmt_float(getattr(m, field))
-            if got != want:
-                return f"{rc.label}: epoch {m.epoch} {field} replays as {got}, the cache holds {want}"
+    epochs = meta.iter_epochs(rc, meta.init_state(rc.meta))
+    try:
+        # zip reads the cached row first, so no epoch past the last one
+        # compared is trained.
+        for cached, (_, m) in zip(log.rows[:REPLAY_EPOCHS], epochs):
+            for field in REPLAY_FIELDS:
+                want, got = fmt_float(getattr(cached, field)), fmt_float(getattr(m, field))
+                if got != want:
+                    return f"{rc.label}: epoch {m.epoch} {field} replays as {got}, the cache holds {want}"
+    except EpochDiverged as err:
+        return f"{rc.label}: epoch {err.epoch} diverged on replay ({err.cause}); the cached run did not"
     return None
 
 
 def cached_run(
     rc: RunConfig, stop_early: bool = True, checkpoint: bool = False
 ) -> "tuple[RunLog, Counters]":
-    """Train rc, stopping once the convergence rule fires when stop_early is
-    set (the rule's verdict is prefix-determined, so later epochs cannot
-    change it). Results (log, timing sidecar, final checkpoint, call-counter
-    deltas) are cached by label. A hit needs the log, its sidecar and the
+    """Train rc through the production loop (meta.iter_epochs), leaving it
+    once the convergence rule fires when stop_early is set (the rule's
+    verdict is prefix-determined, so later epochs cannot change it).
+    Results (log, timing sidecar, final checkpoint, call-counter deltas)
+    are cached by label. A hit needs the log, its sidecar and the
     counters, plus the final checkpoint when checkpoint is set, all recorded
     for rc's fingerprint, and a bit-exact replay of the first REPLAY_EPOCHS
     epochs; a miss retrains rc and rewrites its entry."""
@@ -203,35 +189,24 @@ def cached_run(
     before = instrument.COUNTERS.snapshot()
     t0 = time.perf_counter()
     rows = []
-    returns: "list[float]" = []
-    eval_epochs: "list[int]" = []
-    conv = None
     diverged = None
     try:
-        for state, m in _epochs(rc, state):
+        for state, m in meta.iter_epochs(rc, state):
             rows.append(m)
-            if m.eval_return is not None:
-                returns.append(m.eval_return)
-                eval_epochs.append(m.epoch)
-                if stop_early:
-                    idx = detect_convergence(ema_smooth(returns, EMA_FACTOR), rc.conv_tau, rc.conv_window)
-                    if idx is not None:
-                        conv = eval_epochs[idx]
-                        break
+            if stop_early and m.eval_return is not None:
+                if convergence_epoch(rows, rc.conv_tau, rc.conv_window) is not None:
+                    break
     except EpochDiverged as err:
         diverged = f"epoch {err.epoch}: {err.cause}"
     total = max(time.perf_counter() - t0, 1e-9)
     counts = instrument.COUNTERS.snapshot().delta(before)
-    if conv is None and returns:
-        idx = detect_convergence(ema_smooth(returns, EMA_FACTOR), rc.conv_tau, rc.conv_window)
-        conv = None if idx is None else eval_epochs[idx]
     log = RunLog(
         fingerprint=fingerprint(rc),
         version=metarl.__version__,
         label=rc.label,
         rows=tuple(rows),
         total_wall_seconds=total,
-        convergence_epoch=conv,
+        convergence_epoch=convergence_epoch(rows, rc.conv_tau, rc.conv_window),
         diverged=diverged,
     )
     save_runlog(CACHE_DIR, log)
@@ -256,8 +231,8 @@ def conv_le(directed: "int | None", base: "int | None") -> bool:
 
 
 def max_smoothed(log: RunLog) -> float:
-    evals = [r.eval_return for r in log.rows if r.eval_return is not None]
-    return float(ema_smooth(evals, EMA_FACTOR).max()) if evals else float("-inf")
+    smoothed = smoothed_returns(log.rows)[2]
+    return float(smoothed.max()) if smoothed.size else float("-inf")
 
 
 # --- training configs of criteria 4-7 ---------------------------------------
@@ -362,8 +337,8 @@ def test_criterion_02_bilevel_quadratic_closed_form():
     cfg = replace(bench_config("maml", 0, label="quad").meta, alpha=alpha, m_tasks=3)
     problem = _QuadraticProblem()
 
-    g_maml = meta.maml_meta_gradient(theta, tasks, cfg, Stream(0), problem=problem)
-    g_fo = meta.fomaml_meta_gradient(theta, tasks, cfg, Stream(0), problem=problem)
+    g_maml = meta.meta_gradient(theta, tasks, cfg, Stream(0), problem=problem)
+    g_fo = meta.meta_gradient(theta, tasks, cfg, Stream(0), problem=problem, second_order=False)
 
     closed = np.zeros(dim)
     hvp_terms = np.zeros(dim)

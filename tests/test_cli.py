@@ -11,7 +11,7 @@ sweep does.
 
 import pytest
 
-from metarl import cli, rl
+from metarl import cli, meta, rl
 from metarl.envs import CARTPOLE_HORIZON
 from metarl.errors import MetaRLError
 from metarl.policy import load_checkpoint, save_checkpoint
@@ -343,6 +343,24 @@ class TestSweep:
         rc = cli.main(["sweep", *TINY, "--seeds", ","])
         assert rc == 1
         assert "at least one seed" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("seeds, repeated", [("1,1", "1"), ("3,1,2,3,1", "1, 3")])
+    def test_repeated_seeds_rejected_before_any_training(self, seeds, repeated, monkeypatch, capsys):
+        # A repeated seed trains one label twice; in parallel, two workers
+        # would write the same files.
+        def no_training(*args, **kwargs):
+            pytest.fail("a run was trained for a seed list with repeats")
+
+        def no_pool(*args, **kwargs):
+            pytest.fail("a process pool was built for a seed list with repeats")
+
+        monkeypatch.setattr(meta, "train", no_training)
+        monkeypatch.setattr(cli, "ProcessPoolExecutor", no_pool)
+        monkeypatch.setattr(cli.os, "cpu_count", lambda: 64)
+        for extra in ([], ["--parallel", "2"]):
+            rc = cli.main(["sweep", *TINY, "--seeds", seeds, *extra])
+            assert rc == 1
+            assert capsys.readouterr().err.startswith(f"error: --seeds repeats seed {repeated}:")
 
     @pytest.mark.parametrize(
         "cpus, parallel, limit",

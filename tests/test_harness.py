@@ -15,7 +15,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from metarl import harness
 from metarl.envs import Family
 from metarl.errors import ParseError, ValidationError
 from metarl.harness import (
@@ -26,11 +25,10 @@ from metarl.harness import (
     group_key,
     load_config,
     parse_config_text,
-    run_convergence_epoch,
     summarize,
 )
-from metarl.meta import CONFIG_KEYS, Algorithm, Learner, fingerprint
-from metarl.runlog import EpochMetrics, RunLog
+from metarl.meta import Algorithm, Learner, fingerprint
+from metarl.runlog import EpochMetrics, RunLog, convergence_epoch
 
 
 def row(epoch, ret=100.0, wall=0.25, eval_s=0.0625):
@@ -90,7 +88,7 @@ class TestParseConfigText:
 
 class TestBuildRunConfig:
     def test_defaults_cover_every_key(self):
-        assert set(harness.DEFAULTS) == set(CONFIG_KEYS)
+        # test_config_pins.py checks that these are the dataclass defaults.
         cfg = build_run_config({})
         assert cfg.meta.algorithm is Algorithm.MAML
         assert cfg.meta.learner is Learner.PG
@@ -202,6 +200,8 @@ class TestGroupKey:
 
 
 class TestRunConvergenceEpoch:
+    """runlog.convergence_epoch over a run's rows, the rule summarize uses."""
+
     def test_maps_to_evaluated_epoch_numbers(self):
         # Evaluated every 3 epochs; returns ramp so the rule fires at the
         # second evaluated row, whose epoch number is 3 (not index 1).
@@ -210,15 +210,15 @@ class TestRunConvergenceEpoch:
             ret = 200.0 if e >= 3 else 0.0
             rows.append(row(e, ret=ret if e % 3 == 0 else None))
         log = make_log("r", rows)
-        assert run_convergence_epoch(log, tau=100.0, w=2, factor=0.0) == 3
+        assert convergence_epoch(log.rows, tau=100.0, w=2, factor=0.0) == 3
 
     def test_no_evaluations_is_none(self):
         log = make_log("r", [row(0, ret=None), row(1, ret=None)])
-        assert run_convergence_epoch(log, tau=1.0, w=1) is None
+        assert convergence_epoch(log.rows, tau=1.0, w=1) is None
 
     def test_never_reaches_tau_is_none(self):
         log = flat_log("r", 30, ret=10.0)
-        assert run_convergence_epoch(log, tau=175.0, w=5) is None
+        assert convergence_epoch(log.rows, tau=175.0, w=5) is None
 
 
 class TestSummarize:
@@ -355,6 +355,23 @@ class TestEmitPlot:
             assert f">{log.label}</text>" in svg
         dat = dat_path.read_text().splitlines()
         assert len(dat) == 1 + 3 * 5
+
+    def test_same_label_runs_keep_their_own_raw_returns(self, tmp_path):
+        # Two runs of one label (say a/run.runlog and b/run.runlog): each
+        # .dat row pairs a run's smoothed value with that run's raw return.
+        first = make_log("run", [row(e, ret=10.0 * (e + 1)) for e in range(4)])
+        second = make_log("run", [row(e, ret=-3.0 * (e + 1)) for e in range(0, 8, 2)])
+        _, dat_path = emit_plot([first, second], 0.5, tmp_path / "c.svg")
+        dat = [ln.split() for ln in dat_path.read_text().splitlines()[1:]]
+        assert len(dat) == 8
+        for log, part in ((first, dat[:4]), (second, dat[4:])):
+            raw = [r.eval_return for r in log.rows]
+            smoothed = [raw[0]]
+            for x in raw[1:]:
+                smoothed.append(0.5 * smoothed[-1] + 0.5 * x)
+            assert [int(p[1]) for p in part] == [r.epoch for r in log.rows]
+            np.testing.assert_array_equal([float(p[2]) for p in part], raw)
+            np.testing.assert_array_equal([float(p[3]) for p in part], smoothed)
 
     def test_skipped_epochs_are_dropped_from_points(self, tmp_path):
         rows = [row(e, ret=100.0 if e % 2 == 0 else None) for e in range(10)]

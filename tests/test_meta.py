@@ -19,7 +19,7 @@ import pytest
 from metarl import autodiff as ad
 from metarl import instrument, meta, rl
 from metarl.autodiff import ParamVector, Segment
-from metarl.envs import Family, TaskDistribution, medium_task
+from metarl.envs import Family, medium_task
 from metarl.errors import EmptyTaskSet, EpochDiverged, NonFiniteValue, ValidationError
 from metarl.policy import load_checkpoint
 from metarl.rng import Stream
@@ -198,19 +198,13 @@ class TestInnerAdapt:
         g = quad_grad(TASKS[1], THETA0.values)
         np.testing.assert_allclose(out.values, THETA0.values + avec.values * g, atol=1e-12)
 
-    def test_raw_batch_requires_gamma(self):
-        cfg = rl_cfg()
-        prob = meta.RLProblem(cfg)
-        batch = prob.sample(medium_task(cfg.dist), meta.init_state(cfg).theta, S.child(9))
-        with pytest.raises(ValueError):
-            meta.inner_adapt(meta.init_state(cfg).theta, batch, cfg.alpha)
-
     def test_raw_batch_matches_explicit_objective(self):
+        # A sampled batch reaches inner_adapt through RLProblem.objective.
         cfg = rl_cfg()
         theta = meta.init_state(cfg).theta
         prob = meta.RLProblem(cfg)
         batch = prob.sample(medium_task(cfg.dist), theta, S.child(9))
-        out = meta.inner_adapt(theta, batch, cfg.alpha, gamma=cfg.gamma)
+        out = meta.inner_adapt(theta, prob.objective(batch), cfg.alpha)
         g = ad.grad(rl.policy_objective(batch, cfg.gamma), theta)
         np.testing.assert_array_equal(out.values, (theta + cfg.alpha * g).values)
 
@@ -222,14 +216,14 @@ class TestInnerAdapt:
 class TestMetaGradients:
     def test_matches_closed_form(self):
         cfg = quad_cfg(alpha=0.1)
-        mg = meta.maml_meta_gradient(THETA0, TASKS, cfg, S, QuadraticProblem())
+        mg = meta.meta_gradient(THETA0, TASKS, cfg, S, QuadraticProblem())
         np.testing.assert_allclose(mg.values, maml_closed_form(THETA0, TASKS, 0.1), atol=1e-10)
 
     def test_first_order_variant_drops_exactly_the_curvature_term(self):
         cfg = quad_cfg(alpha=0.1)
         prob = QuadraticProblem()
-        full = meta.maml_meta_gradient(THETA0, TASKS, cfg, S, prob)
-        first = meta.fomaml_meta_gradient(THETA0, TASKS, cfg, S, prob)
+        full = meta.meta_gradient(THETA0, TASKS, cfg, S, prob)
+        first = meta.meta_gradient(THETA0, TASKS, cfg, S, prob, second_order=False)
         correction = np.zeros(THETA0.size)
         for t in TASKS:
             inner = prob.inner_objective(t, THETA0, S)
@@ -241,19 +235,19 @@ class TestMetaGradients:
     def test_variants_agree_bitwise_when_curvature_vanishes(self):
         linear = [QuadTask(np.zeros((2, 2)), np.array([0.5, 1.5]))]
         cfg = quad_cfg()
-        full = meta.maml_meta_gradient(THETA0, linear, cfg, S, QuadraticProblem())
-        first = meta.fomaml_meta_gradient(THETA0, linear, cfg, S, QuadraticProblem())
+        full = meta.meta_gradient(THETA0, linear, cfg, S, QuadraticProblem())
+        first = meta.meta_gradient(THETA0, linear, cfg, S, QuadraticProblem(), second_order=False)
         np.testing.assert_array_equal(full.values, first.values)
 
     def test_call_counts(self):
         cfg = quad_cfg()
         prob = QuadraticProblem()
         instrument.reset()
-        meta.maml_meta_gradient(THETA0, TASKS, cfg, S, prob)
+        meta.meta_gradient(THETA0, TASKS, cfg, S, prob)
         assert instrument.COUNTERS.hvp_calls == len(TASKS)
         assert instrument.COUNTERS.grad_calls == 2 * len(TASKS)
         instrument.reset()
-        meta.fomaml_meta_gradient(THETA0, TASKS, cfg, S, prob)
+        meta.meta_gradient(THETA0, TASKS, cfg, S, prob, second_order=False)
         assert instrument.COUNTERS.hvp_calls == 0
         assert instrument.COUNTERS.grad_calls == 2 * len(TASKS)
 
@@ -261,10 +255,9 @@ class TestMetaGradients:
         cfg = quad_cfg()
         prob = QuadraticProblem()
         state = meta.MetaState(THETA0, None, theta_vec([0.1, 0.1]), 0, S)
-        with pytest.raises(EmptyTaskSet):
-            meta.maml_meta_gradient(THETA0, [], cfg, S, prob)
-        with pytest.raises(EmptyTaskSet):
-            meta.fomaml_meta_gradient(THETA0, [], cfg, S, prob)
+        for second_order in (True, False):
+            with pytest.raises(EmptyTaskSet):
+                meta.meta_gradient(THETA0, [], cfg, S, prob, second_order=second_order)
         with pytest.raises(EmptyTaskSet):
             meta.reptile_step(THETA0, [], cfg, S, prob)
         with pytest.raises(EmptyTaskSet):
@@ -320,7 +313,7 @@ class TestMetaSGD:
         cfg = quad_cfg(alpha=0.1, beta=0.05)
         prob = QuadraticProblem()
         stepped = meta.metasgd_step(self._state(cfg), TASKS, cfg, S, prob)
-        mg = meta.maml_meta_gradient(THETA0, TASKS, cfg, S, prob)
+        mg = meta.meta_gradient(THETA0, TASKS, cfg, S, prob)
         np.testing.assert_array_equal(stepped.theta.values, (THETA0 + cfg.beta * mg).values)
 
     def test_constant_rate_vector_replicates_scalar_update_on_rollouts(self):
@@ -328,7 +321,7 @@ class TestMetaSGD:
         state = meta.init_state(cfg)
         tasks = [medium_task(cfg.dist)] * 2
         stepped = meta.metasgd_step(state, tasks, cfg, S.child(3), meta.RLProblem(cfg))
-        mg = meta.maml_meta_gradient(state.theta, tasks, cfg, S.child(3), meta.RLProblem(cfg))
+        mg = meta.meta_gradient(state.theta, tasks, cfg, S.child(3), meta.RLProblem(cfg))
         np.testing.assert_array_equal(stepped.theta.values, (state.theta + cfg.beta * mg).values)
 
     def test_rate_gradient_matches_fd_of_adapted_objective(self):
@@ -390,33 +383,39 @@ class _FixedQuadratic(QuadraticProblem):
 
 
 class TestDirectedPrestep:
+    """meta._prestep, the step train_epoch takes first for directed
+    algorithms (test_zero_prestep_matches_base_algorithm_bitwise and the
+    cost-structure tests run it through train_epoch)."""
+
     def test_closed_form_step_toward_medium_task(self):
         cfg = quad_cfg(algorithm=meta.Algorithm.DIRECTED_MAML, delta=0.03, beta=0.05)
         prob = _SpyProblem(_FixedQuadratic(TASKS[0]))
-        out = meta.directed_prestep(THETA0, cfg.dist, cfg, S, prob)
+        out, norm = meta._prestep(THETA0, cfg, S, prob)
         assert prob.inner_tasks == [medium_task(cfg.dist)]
         obj = prob.inner.inner_objective(medium_task(cfg.dist), THETA0, S)
-        expected = THETA0.values + cfg.delta * ad.grad(obj, THETA0).values
-        np.testing.assert_array_equal(out.values, expected)
+        g = ad.grad(obj, THETA0)
+        np.testing.assert_array_equal(out.values, THETA0.values + cfg.delta * g.values)
+        assert norm == g.norm()
 
     def test_uses_medium_task_of_the_given_distribution(self):
-        cfg = quad_cfg(algorithm=meta.Algorithm.DIRECTED_MAML, delta=0.01, beta=0.05)
-        other = TaskDistribution(Family.CARTPOLE, 8.0, 12.0)
+        cfg = quad_cfg(
+            algorithm=meta.Algorithm.DIRECTED_MAML, delta=0.01, beta=0.05, phi_lo=8.0, phi_hi=12.0
+        )
         prob = _SpyProblem(_FixedQuadratic(TASKS[0]))
-        meta.directed_prestep(THETA0, other, cfg, S, prob)
+        meta._prestep(THETA0, cfg, S, prob)
         assert prob.inner_tasks[0].phi == pytest.approx(10.0)
 
     def test_zero_step_is_identity_bitwise(self):
         cfg = rl_cfg(algorithm=meta.Algorithm.DIRECTED_MAML, delta=0.0)
         theta = meta.init_state(cfg).theta
-        out = meta.directed_prestep(theta, cfg.dist, cfg, S.child(4))
+        out, _ = meta._prestep(theta, cfg, S.child(4), meta.RLProblem(cfg))
         np.testing.assert_array_equal(out.values, theta.values)
 
     def test_cost_is_one_gradient_and_k_rollouts(self):
         cfg = rl_cfg(algorithm=meta.Algorithm.DIRECTED_MAML, delta=0.001, k_trajs=3)
         theta = meta.init_state(cfg).theta
         instrument.reset()
-        meta.directed_prestep(theta, cfg.dist, cfg, S.child(4))
+        meta._prestep(theta, cfg, S.child(4), meta.RLProblem(cfg))
         assert instrument.COUNTERS.grad_calls == 1
         assert instrument.COUNTERS.hvp_calls == 0
         assert instrument.COUNTERS.rollouts == cfg.k_trajs
@@ -667,6 +666,20 @@ class TestTrain:
         v_tail, _ = load_checkpoint(tmp_path / "tail" / "tail.ckpt")
         np.testing.assert_array_equal(v_full["policy"].values, v_tail["policy"].values)
 
+    def test_early_exit_from_the_epoch_loop_keeps_trains_rows(self, tmp_path):
+        # train iterates iter_epochs; a caller may leave the loop early.
+        rc = self._run_cfg(tmp_path, "loop", epochs=3)
+        log = meta.train(rc)
+        seen = []
+        for state, metrics in meta.iter_epochs(rc, meta.init_state(rc.meta)):
+            seen.append(metrics)
+            if metrics.epoch == 1:
+                break
+        assert state.epoch == 2 and [m.epoch for m in seen] == [0, 1]
+        for got, want in zip(seen, log.rows):
+            assert got.eval_return == want.eval_return
+            assert got.grad_norm_outer == want.grad_norm_outer
+
     def test_resume_rejects_wrong_seed(self, tmp_path):
         rc = self._run_cfg(tmp_path, "seeded")
         meta.train(rc)
@@ -716,7 +729,7 @@ class TestPrestepAlignment:
             theta = meta.init_state(rl_cfg(seed=1000 + rep)).theta
             med = medium_task(cfg.dist)
             g_med = ad.grad(prob.inner_objective(med, theta, root.child(0)), theta)
-            mg = meta.fomaml_meta_gradient(theta, [med], cfg, root.child(1), prob)
+            mg = meta.meta_gradient(theta, [med], cfg, root.child(1), prob, second_order=False)
             dots.append(float(np.dot(g_med.values, mg.values)))
         dots = np.asarray(dots)
         sem = dots.std(ddof=1) / np.sqrt(len(dots))

@@ -21,6 +21,11 @@ CARTPOLE = make_env(Task(Family.CARTPOLE, 10.0))
 INTERSECTION = make_env(Task(Family.INTERSECTION, 10.0))
 
 
+def make_critic(env, rng) -> pol.CriticNet:
+    arch = pol.critic_arch(env)
+    return pol.CriticNet(arch, pol.init_params(arch, rng))
+
+
 class TestInit:
     def test_same_seed_bit_identical(self):
         arch = pol.actor_arch(CARTPOLE)
@@ -277,7 +282,7 @@ class TestValue:
         assert pol.value(critic, np.array([0.1, -0.2, 0.03, 0.0])).val == 0.0
 
     def test_deterministic(self):
-        critic = pol.make_critic(CARTPOLE, Stream(20))
+        critic = make_critic(CARTPOLE, Stream(20))
         s = np.array([0.1, -0.2, 0.03, 0.0])
         assert pol.value(critic, s).val == pol.value(critic, s).val
 
@@ -289,7 +294,7 @@ class TestValue:
         v_b = gamma * v_a
         states = np.array([[0.0, 0.0], [1.0, 1.0]])
         targets = np.array([v_a, v_b])
-        critic = pol.make_critic(INTERSECTION, Stream(21))
+        critic = make_critic(INTERSECTION, Stream(21))
         params = critic.params
 
         def mse(p):
@@ -308,7 +313,7 @@ class TestValue:
 class TestCheckpoint:
     def test_roundtrip_bits_and_meta(self, tmp_path):
         net = pol.make_policy(CARTPOLE, Stream(22))
-        critic = pol.make_critic(CARTPOLE, Stream(23))
+        critic = make_critic(CARTPOLE, Stream(23))
         path = tmp_path / "state.ckpt"
         pol.save_checkpoint(path, {"policy": net.params, "critic": critic.params}, {"epoch": 42})
         vecs, meta = pol.load_checkpoint(path)

@@ -14,7 +14,7 @@ from metarl import autodiff as ad
 from metarl import policy as pol
 from metarl import rl
 from metarl.autodiff import Params
-from metarl.envs import Family, Task, TaskDistribution, make_env
+from metarl.envs import Family, Task, make_env
 from metarl.rl import Trajectory, TrajectoryBatch, discounted_returns
 from metarl.rng import Stream
 
@@ -104,14 +104,10 @@ class TestSampleBatch:
         # Variates are drawn a horizon at a time, so a generator shared by
         # several episodes would give each of them different bits.
         net = pol.make_policy(CARTPOLE, Stream(14))
-        dist = TaskDistribution(Family.CARTPOLE, 5.0, 15.0)
         with pytest.raises(TypeError):
             rl.rollout(CARTPOLE, net, np.random.default_rng(0))
-        for target in (CARTPOLE, dist):
-            with pytest.raises(TypeError):
-                rl.eval_returns(target, net, 2, np.random.default_rng(0))
-            with pytest.raises(TypeError):
-                rl.eval_return(target, net, 2, np.random.default_rng(0))
+        with pytest.raises(TypeError):
+            rl.eval_returns(CARTPOLE, net, 2, np.random.default_rng(0))
 
     @pytest.mark.parametrize("horizon", [0, -1])
     def test_horizon_below_one_rejected(self, horizon):
@@ -301,11 +297,33 @@ class TestDiscountedReturns:
             discounted_returns(np.ones(3), 1.5)
 
 
+def zero_critic() -> ad.ParamVector:
+    """Cart-pole critic with V(s) = 0 everywhere: the "ac" surrogate's
+    advantages are then the raw discounted returns."""
+    return zero_params(pol.critic_arch(CARTPOLE))
+
+
+def raw_return_objective(batch: TrajectoryBatch, gamma: float):
+    """Reference surrogate (1/K) sum_t log pi(a_t|s_t) * G_t with the raw,
+    unstandardized discounted returns."""
+    states, targets, returns = rl._pooled(batch, gamma)
+    arch = pol.actor_arch(make_env(batch.task))
+
+    def obj(p: Params) -> ad.Node:
+        lp = pol.logprob_graph(arch, p, states, targets)
+        return ad.nsum(lp * ad.const(returns)) * (1.0 / batch.k)
+
+    return obj
+
+
 class TestReinforceObjective:
+    """policy_objective's "pg" learner: the standardized score-function
+    surrogate."""
+
     def test_zero_rewards_zero_everything(self):
         batch = bandit_batch([0, 1, 0, 1], [0.0, 0.0, 0.0, 0.0])
         net = pol.make_policy(CARTPOLE, Stream(16))
-        obj = lambda p: rl.reinforce_objective(p, batch, 0.99)
+        obj = rl.policy_objective(batch, 0.99)
         g, val = ad.grad_and_value(obj, net.params)
         assert val == 0.0
         assert np.array_equal(g.values, np.zeros(g.size))
@@ -313,7 +331,7 @@ class TestReinforceObjective:
     def test_ascent_increases_rewarded_action_probability(self):
         batch = bandit_batch([0, 1, 0, 1, 0, 1], [1.0, 0.0, 1.0, 0.0, 1.0, 0.0])
         net = pol.make_policy(CARTPOLE, Stream(17))
-        g = ad.grad(lambda p: rl.reinforce_objective(p, batch, 0.99), net.params)
+        g = ad.grad(rl.policy_objective(batch, 0.99), net.params)
 
         def prob_of_action0(pv):
             logits = pol.forward_inference(net.arch, pv, np.zeros((1, 4)))[0]
@@ -327,7 +345,7 @@ class TestReinforceObjective:
     def test_grad_matches_fd_on_frozen_batch(self):
         net = pol.make_policy(CARTPOLE, Stream(18))
         batch = rl.sample_batch(CARTPOLE, net, 2, Stream(19))
-        obj = lambda p: rl.reinforce_objective(p, batch, 0.99)
+        obj = rl.policy_objective(batch, 0.99)
         g = ad.grad(obj, net.params)
         g_fd = ad.fd_grad(obj, net.params, epsilon=1e-5)
         assert ad.rel_err(g, g_fd) <= 1e-4
@@ -336,17 +354,18 @@ class TestReinforceObjective:
         net = pol.make_policy(CARTPOLE, Stream(20))
         batch = rl.sample_batch(CARTPOLE, net, 5, Stream(21))
         shuffled = TrajectoryBatch(tuple(reversed(batch.trajectories)), batch.task)
-        obj_a = lambda p: rl.reinforce_objective(p, batch, 0.99)
-        obj_b = lambda p: rl.reinforce_objective(p, shuffled, 0.99)
+        obj_a = rl.policy_objective(batch, 0.99)
+        obj_b = rl.policy_objective(shuffled, 0.99)
         ga, va = ad.grad_and_value(obj_a, net.params)
         gb, vb = ad.grad_and_value(obj_b, net.params)
         assert np.float64(va).tobytes() == np.float64(vb).tobytes()
         assert ga.values.tobytes() == gb.values.tobytes()
 
     def test_score_function_identity_zero_mean(self):
-        # With constant advantage and no standardization, the expected
-        # gradient is zero. Check a random projection over 30 batch gradients
-        # of 100 policy-sampled labels each, within 3 standard errors.
+        # With constant advantage and no standardization (the "ac" form
+        # under a zero critic), the expected gradient is zero. Check a random
+        # projection over 30 batch gradients of 100 policy-sampled labels
+        # each, within 3 standard errors.
         net = pol.make_policy(CARTPOLE, Stream(22))
         u = Stream(23).generator().normal(size=net.params.size)
         u /= np.linalg.norm(u)
@@ -355,10 +374,7 @@ class TestReinforceObjective:
             gen = Stream(24).child(b).generator()
             actions = [pol.act(net, np.zeros(4), gen).action for _ in range(100)]
             batch = bandit_batch(actions, np.ones(100))
-            g = ad.grad(
-                lambda p: rl.reinforce_objective(p, batch, 0.99, standardize=False),
-                net.params,
-            )
+            g = ad.grad(rl.policy_objective(batch, 0.99, "ac", zero_critic()), net.params)
             proj.append(float(g.values @ u))
         proj = np.array(proj)
         sem = np.std(proj, ddof=1) / np.sqrt(len(proj))
@@ -446,10 +462,7 @@ class TestActorCriticObjective:
         net = pol.make_policy(CARTPOLE, Stream(25))
         c_arch = pol.critic_arch(CARTPOLE)
         critic_pv = zero_params(c_arch, b2=(5.0,))  # V == G == 5 everywhere
-
-        def pol_obj(p):
-            return rl.actor_critic_objective(p, Params(critic_pv), batch, 0.99)[0]
-
+        pol_obj = rl.policy_objective(batch, 0.99, "ac", critic_pv)
         g, val = ad.grad_and_value(pol_obj, net.params)
         assert val == 0.0
         assert np.array_equal(g.values, np.zeros(g.size))
@@ -457,48 +470,32 @@ class TestActorCriticObjective:
     def test_zero_critic_reduces_to_unstandardized_reinforce(self):
         net = pol.make_policy(CARTPOLE, Stream(26))
         batch = rl.sample_batch(CARTPOLE, net, 3, Stream(27))
-        critic_pv = zero_params(pol.critic_arch(CARTPOLE))
-
-        def ac_obj(p):
-            return rl.actor_critic_objective(p, Params(critic_pv), batch, 0.99)[0]
-
-        def pg_obj(p):
-            return rl.reinforce_objective(p, batch, 0.99, standardize=False)
-
+        ac_obj = rl.policy_objective(batch, 0.99, "ac", zero_critic())
         g_ac, v_ac = ad.grad_and_value(ac_obj, net.params)
-        g_pg, v_pg = ad.grad_and_value(pg_obj, net.params)
+        g_pg, v_pg = ad.grad_and_value(raw_return_objective(batch, 0.99), net.params)
         assert np.float64(v_ac).tobytes() == np.float64(v_pg).tobytes()
         assert g_ac.values.tobytes() == g_pg.values.tobytes()
 
     def test_critic_grad_matches_fd(self):
         net = pol.make_policy(CARTPOLE, Stream(28))
-        critic = pol.make_critic(CARTPOLE, Stream(29))
+        critic = pol.init_params(pol.critic_arch(CARTPOLE), Stream(29))
         batch = rl.sample_batch(CARTPOLE, net, 2, Stream(30))
-
-        def critic_obj(pc):
-            return rl.actor_critic_objective(Params(net.params), pc, batch, 0.99)[1]
-
-        g = ad.grad(critic_obj, critic.params)
-        g_fd = ad.fd_grad(critic_obj, critic.params, epsilon=1e-5)
+        critic_obj = rl.critic_objective(batch, 0.99)
+        g = ad.grad(critic_obj, critic)
+        g_fd = ad.fd_grad(critic_obj, critic, epsilon=1e-5)
         assert ad.rel_err(g, g_fd) <= 1e-4
 
 
 class TestEvalReturn:
     def test_balancer_reaches_max(self):
-        assert rl.eval_return(CARTPOLE, balancer_policy(CARTPOLE), 8, Stream(31)) == 200.0
+        totals = rl.eval_returns(CARTPOLE, balancer_policy(CARTPOLE), 8, Stream(31))
+        np.testing.assert_array_equal(totals, np.full(8, 200.0))
 
     def test_deterministic(self):
         net = pol.make_policy(CARTPOLE, Stream(32))
-        a = rl.eval_return(CARTPOLE, net, 16, Stream(33))
-        b = rl.eval_return(CARTPOLE, net, 16, Stream(33))
-        assert a == b
-
-    def test_distribution_draws_fresh_tasks(self):
-        net = pol.make_policy(CARTPOLE, Stream(34))
-        dist = TaskDistribution(Family.CARTPOLE, 5.0, 15.0)
-        a = rl.eval_return(dist, net, 6, Stream(35))
-        b = rl.eval_return(dist, net, 6, Stream(35))
-        assert a == b
+        a = rl.eval_returns(CARTPOLE, net, 16, Stream(33))
+        b = rl.eval_returns(CARTPOLE, net, 16, Stream(33))
+        assert a.tobytes() == b.tobytes()
 
     def test_standard_error_small_at_1000_episodes(self):
         noisy = balancer_policy(CARTPOLE, sharpness=2e5)
@@ -510,4 +507,4 @@ class TestEvalReturn:
     def test_needs_positive_episodes(self):
         net = pol.make_policy(CARTPOLE, Stream(37))
         with pytest.raises(ValueError):
-            rl.eval_return(CARTPOLE, net, 0, Stream(38))
+            rl.eval_returns(CARTPOLE, net, 0, Stream(38))

@@ -10,6 +10,7 @@ hand-computed series plus order/bound invariants.
 import json
 import os
 import platform
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -23,13 +24,14 @@ from metarl.policy import load_checkpoint, save_checkpoint
 from metarl.runlog import (
     EpochMetrics,
     RunLog,
+    convergence_epoch,
     detect_convergence,
     ema_smooth,
     fmt_float,
     load_runlog,
     save_runlog,
     serialize_runlog,
-    with_convergence,
+    smoothed_returns,
     write_atomic,
 )
 
@@ -132,10 +134,11 @@ class TestRoundTrip:
         assert timing_a != timing_b
         assert "wall" not in run_a
 
-    def test_with_convergence(self):
-        log = sample_log()
-        assert with_convergence(log, 2).convergence_epoch == 2
-        assert with_convergence(log, None).convergence_epoch is None
+    def test_unconverged_log_roundtrips(self, tmp_path):
+        log = replace(sample_log(), convergence_epoch=None)
+        path = save_runlog(tmp_path, log)
+        assert '"convergence_epoch": null' in path.read_text()
+        assert load_runlog(path).convergence_epoch is None
 
     def test_load_rejects_missing_header(self, tmp_path):
         p = tmp_path / "x.runlog"
@@ -264,6 +267,35 @@ class TestConvergence:
         e_hi = detect_convergence(xs, hi, w)
         if e_hi is not None:
             assert e_lo is not None and e_lo <= e_hi
+
+
+class TestConvergenceEpoch:
+    """The rule over epoch rows that training, compare and the acceptance
+    tests share."""
+
+    def test_smoothed_returns_skips_unevaluated_epochs(self):
+        rows = [row(0, ret=0.0), row(1, ret=None), row(2, ret=10.0)]
+        epochs, raw, smoothed = smoothed_returns(rows, 0.9)
+        assert epochs == [0, 2]
+        assert raw == [0.0, 10.0]
+        np.testing.assert_allclose(smoothed, [0.0, 1.0], atol=1e-15)
+
+    @given(
+        rets=st.lists(st.one_of(st.none(), st.floats(0, 300)), min_size=1, max_size=30),
+        tau=st.floats(0, 300),
+        w=st.integers(1, 4),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_verdict_is_fixed_by_the_first_prefix_that_converges(self, rets, tau, w):
+        # A loop may stop at the first epoch whose prefix converges: later
+        # rows cannot change the verdict.
+        rows = [row(e, ret=r) for e, r in enumerate(rets)]
+        full = convergence_epoch(rows, tau, w)
+        stop = next((n for n in range(1, len(rows) + 1) if convergence_epoch(rows[:n], tau, w) is not None), None)
+        if stop is None:
+            assert full is None
+        else:
+            assert convergence_epoch(rows[:stop], tau, w) == full
 
 
 # ---------------------------------------------------------------------------
