@@ -51,7 +51,6 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from . import instrument
 from .errors import NonFiniteValue
 
 __all__ = [
@@ -741,7 +740,6 @@ def value(objective: Objective, at: ParamVector) -> float:
 
 def grad_and_value(objective: Objective, at: ParamVector) -> tuple[Gradient, float]:
     """Reverse-mode gradient and the objective's value at `at`."""
-    instrument.COUNTERS.grad_calls += 1
     p = Params(at)
     root = objective(p)
     val = _scalar_value(root)
@@ -760,7 +758,6 @@ def grad(objective: Objective, at: ParamVector) -> Gradient:
 def hvp(objective: Objective, at: ParamVector, v: Gradient) -> Gradient:
     """Hessian-vector product H(at) @ v via forward-over-reverse."""
     at._check_combinable(v)
-    instrument.COUNTERS.hvp_calls += 1
     p = Params(at, tangent=v.values)
     root = objective(p)
     _scalar_value(root)

@@ -130,17 +130,13 @@ def empirical_medium(tasks: "list[Task]") -> Task:
     return Task(fam, float(np.mean([t.phi for t in tasks])))
 
 
-def sample_tasks(dist: TaskDistribution, m: int, rng: "Stream | np.random.Generator") -> "list[Task]":
-    """m independent uniform draws from the distribution."""
+def sample_tasks(dist: TaskDistribution, m: int, rng: Stream) -> "list[Task]":
+    """m independent uniform draws from the distribution, taken from the
+    generator of `rng`."""
     if m < 1:
         raise ValueError("need at least one task")
-    gen = rng.generator() if isinstance(rng, Stream) else rng
-    phis = gen.uniform(dist.phi_lo, dist.phi_hi, size=m)
+    phis = rng.generator().uniform(dist.phi_lo, dist.phi_hi, size=m)
     return [Task(dist.family, float(p)) for p in phis]
-
-
-def _as_generator(rng: "Stream | np.random.Generator") -> np.random.Generator:
-    return rng.generator() if isinstance(rng, Stream) else rng
 
 
 def cartpole_euler(states: np.ndarray, forces: np.ndarray, gravity: float) -> np.ndarray:
@@ -184,7 +180,8 @@ class Environment:
     def family(self) -> Family:
         return self.task.family
 
-    def reset(self, rng: "Stream | np.random.Generator") -> np.ndarray:
+    def reset(self, rng: np.random.Generator) -> np.ndarray:
+        """A start state drawn from `rng`, the episode's own generator."""
         raise NotImplementedError
 
     def step_batch(self, states: np.ndarray, actions: np.ndarray):
@@ -209,8 +206,8 @@ class CartPoleEnv(Environment):
             action_spec=ActionSpec("discrete", n=2),
         )
 
-    def reset(self, rng) -> np.ndarray:
-        return _as_generator(rng).uniform(-0.05, 0.05, size=4)
+    def reset(self, rng: np.random.Generator) -> np.ndarray:
+        return rng.uniform(-0.05, 0.05, size=4)
 
     def step_batch(self, states, actions):
         actions = np.asarray(actions)
@@ -236,8 +233,8 @@ class IntersectionEnv(Environment):
             action_spec=ActionSpec("box", low=0.0, high=SPEED_MAX),
         )
 
-    def reset(self, rng) -> np.ndarray:
-        jitter = _as_generator(rng).uniform(0.0, 10.0)
+    def reset(self, rng: np.random.Generator) -> np.ndarray:
+        jitter = rng.uniform(0.0, 10.0)
         return np.array([-40.0, -(40.0 + jitter)])
 
     def step_batch(self, states, actions):

@@ -19,7 +19,14 @@ Implements four base algorithms and their task-directed variants:
 
 The outer update adds the plain sum of per-task terms (no 1/M averaging), so
 beta effectively scales with M; reptile is the exception, averaging by
-construction.
+construction. With the actor-critic learner, every training batch (prestep,
+inner, outer) also takes one critic descent step, through RLProblem's
+training objectives; evaluation only reads the critic.
+
+Nothing here counts calls. Gradients, Hessian-vector products and rollouts
+are reached through their modules (`ad.grad`, `ad.hvp`, `rl.sample_batch`),
+so a caller counts them by wrapping those module globals, as the tests and
+the benchmark do.
 
 The field defaults of MetaConfig and RunConfig are the one table of
 defaults; CONFIG_KEYS and the canonical fingerprint text are derived from
@@ -170,6 +177,9 @@ class MetaConfig:
     seed: int = 0
 
     def __post_init__(self):
+        for field in ("alpha", "beta", "delta", "phi_lo", "phi_hi"):
+            if not np.isfinite(getattr(self, field)):
+                raise ValidationError(f"{field}: must be finite")
         if not self.alpha > 0:
             raise ValidationError("alpha: inner step size must be > 0")
         if not self.beta > 0:
@@ -288,16 +298,16 @@ class RLProblem:
     """Rollout-backed objectives: sampling K trajectories under the given
     parameters, then the learner's surrogate over the frozen batch.
 
-    For the actor-critic learner this object owns the critic: every training
-    batch use applies one critic descent step, taken after the policy
-    surrogate has captured the pre-update critic values. Evaluation code
-    turns `train_critic` off so measuring performance never mutates state.
+    `objective(batch)` only reads the critic. For the actor-critic learner
+    the training objectives, `inner_objective` and `outer_objective`, then
+    fit the critic: one descent step on the batch they sampled, taken after
+    the surrogate has captured the pre-update critic values. Evaluation
+    calls `objective(sample(...))` and so leaves the critic as it was.
     """
 
-    def __init__(self, cfg: MetaConfig, critic: ParamVector | None = None, train_critic: bool = True):
+    def __init__(self, cfg: MetaConfig, critic: ParamVector | None = None):
         self.cfg = cfg
         self.critic = critic
-        self.train_critic = train_critic
         if cfg.learner is Learner.AC and critic is None:
             raise ValueError("actor-critic learner needs a critic parameter vector")
         self._arch_env = self.env_for(medium_task(cfg.dist))
@@ -316,19 +326,17 @@ class RLProblem:
         return rl.sample_batch(self.env_for(task), policy, self.cfg.k_trajs, rng)
 
     def objective(self, batch: rl.TrajectoryBatch) -> Callable[[Params], ad.Node]:
-        if self.cfg.learner is Learner.PG:
-            return rl.policy_objective(batch, self.cfg.gamma, "pg")
-        obj = rl.policy_objective(batch, self.cfg.gamma, "ac", self.critic)
-        if self.train_critic:
+        return rl.policy_objective(batch, self.cfg.gamma, self.cfg.learner.value, self.critic)
+
+    def inner_objective(self, task, theta, rng):
+        batch = self.sample(task, theta, rng)
+        obj = self.objective(batch)
+        if self.cfg.learner is Learner.AC:
             g = ad.grad(rl.critic_objective(batch, self.cfg.gamma), self.critic)
             self.critic = self.critic - self.cfg.alpha * g
         return obj
 
-    def inner_objective(self, task, theta, rng):
-        return self.objective(self.sample(task, theta, rng))
-
-    def outer_objective(self, task, theta_adapted, rng):
-        return self.objective(self.sample(task, theta_adapted, rng))
+    outer_objective = inner_objective
 
 
 # ---------------------------------------------------------------------------
@@ -480,11 +488,11 @@ def evaluate_policy(
     """Post-adaptation performance: M fresh tasks; per task, one inner step
     from a K-trajectory batch, then eval_episodes rollouts of the adapted
     policy. Critic is read, never written."""
-    problem = RLProblem(cfg, critic=critic, train_critic=False)
+    problem = RLProblem(cfg, critic=critic)
     tasks = sample_tasks(cfg.dist, cfg.m_tasks, rng.child(0))
     totals: list[float] = []
     for i, task in enumerate(tasks):
-        obj = problem.inner_objective(task, theta, rng.child(1, i, 0))
+        obj = problem.objective(problem.sample(task, theta, rng.child(1, i, 0)))
         adapted = inner_adapt(theta, obj, alpha)
         env = problem.env_for(task)
         policy = PolicyNet(problem.actor_arch, adapted)

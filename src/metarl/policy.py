@@ -142,10 +142,10 @@ def critic_arch(env: Environment) -> Arch:
     return Arch(env.state_dim, HIDDEN, None)
 
 
-def init_params(arch: Arch, rng: "Stream | np.random.Generator") -> ParamVector:
+def init_params(arch: Arch, rng: Stream) -> ParamVector:
     """Uniform(+-sqrt(3/fan_in)) weights (variance 1/fan_in), zero biases,
-    log-sigma = log(2.0)."""
-    gen = rng.generator() if isinstance(rng, Stream) else rng
+    log-sigma = log(2.0); the weights come from the generator of `rng`."""
+    gen = rng.generator()
     sizes = arch.layer_sizes
     chunks: list[np.ndarray] = []
     for a, b in zip(sizes[:-1], sizes[1:]):
@@ -157,7 +157,7 @@ def init_params(arch: Arch, rng: "Stream | np.random.Generator") -> ParamVector:
     return ParamVector(np.concatenate(chunks), arch.segments())
 
 
-def make_policy(env: Environment, rng: "Stream | np.random.Generator") -> PolicyNet:
+def make_policy(env: Environment, rng: Stream) -> PolicyNet:
     arch = actor_arch(env)
     return PolicyNet(arch, init_params(arch, rng))
 

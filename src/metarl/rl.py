@@ -23,7 +23,6 @@ from typing import Callable
 import numpy as np
 
 from . import autodiff as ad
-from . import instrument
 from .autodiff import Params
 from .envs import Environment, Task, make_env
 from .policy import (
@@ -135,7 +134,6 @@ def _run_rollouts(env: Environment, policy: PolicyNet, streams: "list[Stream]") 
                 break
         else:
             cur = nxt
-    instrument.COUNTERS.rollouts += k
     return [Trajectory(*(buf[:n, j].copy() for buf in bufs)) for j, n in enumerate(lengths)]
 
 

@@ -1,11 +1,17 @@
-"""Shared test fixtures: hand-built parameter vectors and reference policies."""
+"""Shared test fixtures: hand-built parameter vectors, reference policies,
+and a call counter."""
 
 from __future__ import annotations
+
+from contextlib import contextmanager
+from dataclasses import dataclass
+from typing import Iterator
 
 import numpy as np
 
 from metarl import autodiff as ad
 from metarl import policy as pol
+from metarl import rl
 from metarl.envs import Environment
 
 
@@ -34,3 +40,43 @@ def balancer_policy(env: Environment, sharpness: float = 1e7) -> pol.PolicyNet:
     w2[0, 0] = -sharpness
     w2[0, 1] = sharpness
     return pol.PolicyNet(arch, zero_params(arch, W0=w0, W1=w1, W2=w2))
+
+
+@dataclass
+class Counts:
+    """Work done inside one `count_calls` block."""
+
+    grad_calls: int = 0
+    hvp_calls: int = 0
+    rollouts: int = 0
+
+
+@contextmanager
+def count_calls() -> Iterator[Counts]:
+    """Count the gradients, Hessian-vector products and rollouts made inside
+    the block by wrapping the module globals the library calls through:
+    `autodiff.grad_and_value` (which `grad` and `fd_hvp` reach),
+    `autodiff.hvp`, and `rl.sample_batch` (each batch adds its trajectory
+    count). The originals are back in place on exit, also when the block
+    raises."""
+    counts = Counts()
+    grad_and_value, hvp, sample_batch = ad.grad_and_value, ad.hvp, rl.sample_batch
+
+    def counted_grad_and_value(*args, **kwargs):
+        counts.grad_calls += 1
+        return grad_and_value(*args, **kwargs)
+
+    def counted_hvp(*args, **kwargs):
+        counts.hvp_calls += 1
+        return hvp(*args, **kwargs)
+
+    def counted_sample_batch(*args, **kwargs):
+        batch = sample_batch(*args, **kwargs)
+        counts.rollouts += batch.k
+        return batch
+
+    ad.grad_and_value, ad.hvp, rl.sample_batch = counted_grad_and_value, counted_hvp, counted_sample_batch
+    try:
+        yield counts
+    finally:
+        ad.grad_and_value, ad.hvp, rl.sample_batch = grad_and_value, hvp, sample_batch

@@ -34,8 +34,9 @@ import numpy as np
 import pytest
 
 import metarl
+from _helpers import Counts, count_calls
 from metarl import autodiff as ad
-from metarl import cli, instrument, meta, rl
+from metarl import cli, meta, rl
 from metarl import policy as pol
 from metarl.autodiff import ParamVector, Segment
 from metarl.envs import (
@@ -49,7 +50,6 @@ from metarl.envs import (
 )
 from metarl.errors import EpochDiverged, ValidationError
 from metarl.harness import GRAD_TOL, HVP_TOL, audit_oracles, summarize
-from metarl.instrument import Counters
 from metarl.meta import Algorithm, Learner, MetaConfig, RunConfig, fingerprint
 from metarl.policy import PolicyNet, load_checkpoint, save_checkpoint
 from metarl.rng import Stream
@@ -126,7 +126,7 @@ REPLAY_FIELDS = ("eval_return", "grad_norm_outer", "prestep_grad_norm")
 _replayed: "set[str]" = set()  # labels whose entry replayed, or was trained, this session
 
 
-def _cache_entry(rc: RunConfig, stop_early: bool, checkpoint: bool) -> "tuple[RunLog, Counters] | None":
+def _cache_entry(rc: RunConfig, stop_early: bool, checkpoint: bool) -> "tuple[RunLog, Counts] | None":
     """The cached log and counters for rc, or None when an artefact the
     caller reads is missing or the entry was recorded for another config."""
     fp = fingerprint(rc)
@@ -141,7 +141,7 @@ def _cache_entry(rc: RunConfig, stop_early: bool, checkpoint: bool) -> "tuple[Ru
     log = load_runlog(CACHE_DIR / f"{rc.label}.runlog")
     if log.fingerprint != fp:
         return None
-    return log, Counters(**rec["counters"])
+    return log, Counts(**rec["counters"])
 
 
 def replay_mismatch(rc: RunConfig, log: RunLog) -> "str | None":
@@ -164,15 +164,16 @@ def replay_mismatch(rc: RunConfig, log: RunLog) -> "str | None":
 
 def cached_run(
     rc: RunConfig, stop_early: bool = True, checkpoint: bool = False
-) -> "tuple[RunLog, Counters]":
+) -> "tuple[RunLog, Counts]":
     """Train rc through the production loop (meta.iter_epochs), leaving it
     once the convergence rule fires when stop_early is set (the rule's
     verdict is prefix-determined, so later epochs cannot change it).
-    Results (log, timing sidecar, final checkpoint, call-counter deltas)
-    are cached by label. A hit needs the log, its sidecar and the
-    counters, plus the final checkpoint when checkpoint is set, all recorded
-    for rc's fingerprint, and a bit-exact replay of the first REPLAY_EPOCHS
-    epochs; a miss retrains rc and rewrites its entry."""
+    Results (log, timing sidecar, final checkpoint, and the gradients,
+    Hessian-vector products and rollouts counted by count_calls) are cached
+    by label. A hit needs the log, its sidecar and the counts, plus the
+    final checkpoint when checkpoint is set, all recorded for rc's
+    fingerprint, and a bit-exact replay of the first REPLAY_EPOCHS epochs;
+    a miss retrains rc and rewrites its entry."""
     CACHE_DIR.mkdir(parents=True, exist_ok=True)
     hit = _cache_entry(rc, stop_early, checkpoint)
     if hit is not None:
@@ -184,22 +185,20 @@ def cached_run(
             return hit
         warnings.warn(f"cache miss, retraining: {mismatch}", stacklevel=2)
 
-    cfg = rc.meta
-    state = meta.init_state(cfg)
-    before = instrument.COUNTERS.snapshot()
+    state = meta.init_state(rc.meta)
     t0 = time.perf_counter()
     rows = []
     diverged = None
-    try:
-        for state, m in meta.iter_epochs(rc, state):
-            rows.append(m)
-            if stop_early and m.eval_return is not None:
-                if convergence_epoch(rows, rc.conv_tau, rc.conv_window) is not None:
-                    break
-    except EpochDiverged as err:
-        diverged = f"epoch {err.epoch}: {err.cause}"
+    with count_calls() as counts:
+        try:
+            for state, m in meta.iter_epochs(rc, state):
+                rows.append(m)
+                if stop_early and m.eval_return is not None:
+                    if convergence_epoch(rows, rc.conv_tau, rc.conv_window) is not None:
+                        break
+        except EpochDiverged as err:
+            diverged = f"epoch {err.epoch}: {err.cause}"
     total = max(time.perf_counter() - t0, 1e-9)
-    counts = instrument.COUNTERS.snapshot().delta(before)
     log = RunLog(
         fingerprint=fingerprint(rc),
         version=metarl.__version__,
@@ -210,12 +209,7 @@ def cached_run(
         diverged=diverged,
     )
     save_runlog(CACHE_DIR, log)
-    vectors = {"policy": state.theta}
-    if state.critic is not None:
-        vectors["critic"] = state.critic
-    if state.alpha_vec is not None:
-        vectors["alpha_vec"] = state.alpha_vec
-    save_checkpoint(CACHE_DIR / f"{rc.label}.ckpt", vectors, {"epoch": state.epoch, "seed": cfg.seed})
+    meta._save_state(replace(rc, out_dir=str(CACHE_DIR)), state)
     (CACHE_DIR / f"{rc.label}.counts.json").write_text(
         json.dumps({"fingerprint": log.fingerprint, "stop_early": stop_early, "counters": asdict(counts)})
         + "\n"
@@ -458,10 +452,10 @@ def adapted_collision_counts(rc: RunConfig, theta, phi: float, episodes: int = 1
     """One inner-adaptation step on task phi, then collision count and mean
     return over fresh evaluation episodes."""
     cfg = rc.meta
-    problem = meta.RLProblem(cfg, train_critic=False)
+    problem = meta.RLProblem(cfg)
     task = Task(Family.INTERSECTION, float(phi))
     root = Stream(cfg.seed)
-    objective = problem.inner_objective(task, theta, root.child(9, int(phi), 0))
+    objective = problem.objective(problem.sample(task, theta, root.child(9, int(phi), 0)))
     adapted = meta.inner_adapt(theta, objective, cfg.alpha)
     env = make_env(task)
     env.horizon = cfg.horizon

@@ -7,6 +7,7 @@ and finite-difference paths share no code beyond objective evaluation.
 
 from __future__ import annotations
 
+import contextlib
 import os
 import sys
 import tracemalloc
@@ -16,8 +17,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from _helpers import count_calls
 from metarl import autodiff as ad
-from metarl import instrument, rl
+from metarl import rl
 from metarl.envs import Family, Task, make_env
 from metarl.errors import NonFiniteValue
 from metarl.policy import PolicyNet, actor_arch, init_params
@@ -273,13 +275,12 @@ class TestGrad:
         assert np.array_equal(g.values, c.ravel())
 
     def test_counts_gradient_calls(self, surrogate, net_theta):
-        instrument.reset()
-        before = instrument.COUNTERS.snapshot()
-        ad.grad(surrogate, net_theta)
-        ad.grad_and_value(surrogate, net_theta)
-        delta = instrument.COUNTERS.delta(before)
-        assert delta.grad_calls == 2
-        assert delta.hvp_calls == 0
+        # `grad` reaches `grad_and_value` through the module, so the test
+        # counter sees both under grad_calls.
+        with count_calls() as c:
+            ad.grad(surrogate, net_theta)
+            ad.grad_and_value(surrogate, net_theta)
+        assert (c.grad_calls, c.hvp_calls, c.rollouts) == (2, 0, 0)
 
 
 # ---------------------------------------------------------------------------
@@ -333,13 +334,10 @@ class TestHvp:
         assert h1.values.tobytes() == h2.values.tobytes()
 
     def test_counts_hvp_calls(self, surrogate, net_theta):
-        instrument.reset()
-        before = instrument.COUNTERS.snapshot()
         v = net_theta.with_values(np.ones(net_theta.size))
-        ad.hvp(surrogate, net_theta, v)
-        delta = instrument.COUNTERS.delta(before)
-        assert delta.hvp_calls == 1
-        assert delta.grad_calls == 0
+        with count_calls() as c:
+            ad.hvp(surrogate, net_theta, v)
+        assert (c.grad_calls, c.hvp_calls, c.rollouts) == (0, 1, 0)
 
     @settings(deadline=None, max_examples=25)
     @given(st.integers(min_value=0, max_value=2**31 - 1))
@@ -354,6 +352,20 @@ class TestHvp:
         hv = ad.hvp(obj, theta, v)
         want = A @ v.values
         assert ad.rel_err(hv.values, want) <= 1e-9
+
+
+@pytest.mark.parametrize("raises", [False, True])
+def test_count_calls_restores_the_wrapped_functions(raises):
+    def wrapped():
+        return ad.grad_and_value, ad.hvp, rl.sample_batch
+
+    originals = wrapped()
+    with contextlib.suppress(RuntimeError):
+        with count_calls():
+            assert all(now is not was for now, was in zip(wrapped(), originals))
+            if raises:
+                raise RuntimeError("body failed")
+    assert all(now is was for now, was in zip(wrapped(), originals))
 
 
 # ---------------------------------------------------------------------------

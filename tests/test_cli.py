@@ -255,6 +255,8 @@ class TestInputErrors:
             (["eval", "--ckpt", "absent.ckpt", "--episodes", str(10**9)], "--episodes"),
             (["audit", "--k_trajs", str(10**9)], "--k_trajs"),
             (["audit", "--k_trajs", str(cli.MAX_TRAJECTORIES + 1)], "--k_trajs"),
+            # Config values are checked by the config, which names the key.
+            (["train", "--phi_hi", "inf", "--epochs", "1"], "phi_hi"),
         ],
     )
     def test_rejected_with_the_flag_named(self, argv, flag, monkeypatch, capsys):

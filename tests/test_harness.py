@@ -117,6 +117,12 @@ class TestBuildRunConfig:
             ("algorithm", "sgd", "algorithm: unknown"),
             ("learner", "q", "learner: unknown"),
             ("env", "mujoco", "env: unknown environment family"),
+            ("alpha", "inf", "^alpha: must be finite$"),
+            ("beta", "inf", "^beta: must be finite$"),
+            ("beta", "nan", "^beta: must be finite$"),
+            ("delta", "nan", "^delta: must be finite$"),
+            ("phi_lo", "-inf", "^phi_lo: must be finite$"),
+            ("phi_hi", "inf", "^phi_hi: must be finite$"),
         ],
     )
     def test_conversion_errors_name_the_key(self, key, val, msg):

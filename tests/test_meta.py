@@ -16,8 +16,9 @@ from collections import namedtuple
 import numpy as np
 import pytest
 
+from _helpers import count_calls
 from metarl import autodiff as ad
-from metarl import instrument, meta, rl
+from metarl import meta, rl
 from metarl.autodiff import ParamVector, Segment
 from metarl.envs import Family, medium_task
 from metarl.errors import EmptyTaskSet, EpochDiverged, NonFiniteValue, ValidationError
@@ -242,14 +243,14 @@ class TestMetaGradients:
     def test_call_counts(self):
         cfg = quad_cfg()
         prob = QuadraticProblem()
-        instrument.reset()
-        meta.meta_gradient(THETA0, TASKS, cfg, S, prob)
-        assert instrument.COUNTERS.hvp_calls == len(TASKS)
-        assert instrument.COUNTERS.grad_calls == 2 * len(TASKS)
-        instrument.reset()
-        meta.meta_gradient(THETA0, TASKS, cfg, S, prob, second_order=False)
-        assert instrument.COUNTERS.hvp_calls == 0
-        assert instrument.COUNTERS.grad_calls == 2 * len(TASKS)
+        with count_calls() as c:
+            meta.meta_gradient(THETA0, TASKS, cfg, S, prob)
+        assert c.hvp_calls == len(TASKS)
+        assert c.grad_calls == 2 * len(TASKS)
+        with count_calls() as c:
+            meta.meta_gradient(THETA0, TASKS, cfg, S, prob, second_order=False)
+        assert c.hvp_calls == 0
+        assert c.grad_calls == 2 * len(TASKS)
 
     def test_empty_task_set_raises(self):
         cfg = quad_cfg()
@@ -294,10 +295,10 @@ class TestReptile:
 
     def test_makes_no_curvature_calls(self):
         cfg = quad_cfg()
-        instrument.reset()
-        meta.reptile_step(THETA0, TASKS, cfg, S, QuadraticProblem(), n_inner=2)
-        assert instrument.COUNTERS.hvp_calls == 0
-        assert instrument.COUNTERS.grad_calls == 2 * len(TASKS)
+        with count_calls() as c:
+            meta.reptile_step(THETA0, TASKS, cfg, S, QuadraticProblem(), n_inner=2)
+        assert c.hvp_calls == 0
+        assert c.grad_calls == 2 * len(TASKS)
 
 
 # ---------------------------------------------------------------------------
@@ -414,11 +415,11 @@ class TestDirectedPrestep:
     def test_cost_is_one_gradient_and_k_rollouts(self):
         cfg = rl_cfg(algorithm=meta.Algorithm.DIRECTED_MAML, delta=0.001, k_trajs=3)
         theta = meta.init_state(cfg).theta
-        instrument.reset()
-        meta._prestep(theta, cfg, S.child(4), meta.RLProblem(cfg))
-        assert instrument.COUNTERS.grad_calls == 1
-        assert instrument.COUNTERS.hvp_calls == 0
-        assert instrument.COUNTERS.rollouts == cfg.k_trajs
+        with count_calls() as c:
+            meta._prestep(theta, cfg, S.child(4), meta.RLProblem(cfg))
+        assert c.grad_calls == 1
+        assert c.hvp_calls == 0
+        assert c.rollouts == cfg.k_trajs
 
 
 # ---------------------------------------------------------------------------
@@ -532,7 +533,7 @@ class TestInitAndFingerprint:
 # ---------------------------------------------------------------------------
 
 class _ExplodingProblem:
-    def __init__(self, cfg, critic=None, train_critic=True):
+    def __init__(self, cfg, critic=None):
         self.cfg = cfg
         self.critic = critic
 
@@ -580,22 +581,38 @@ class TestTrainEpoch:
     def test_cost_structure(self, algorithm, delta, hvps, extra_grads, extra_rollouts):
         cfg = rl_cfg(algorithm=algorithm, delta=delta, m_tasks=3, k_trajs=2)
         state = meta.init_state(cfg)
-        instrument.reset()
-        meta.train_epoch(state, cfg, evaluate=False)
-        c = instrument.COUNTERS
+        with count_calls() as c:
+            meta.train_epoch(state, cfg, evaluate=False)
         assert c.hvp_calls == hvps
         assert c.grad_calls == 2 * cfg.m_tasks + extra_grads
         assert c.rollouts == 2 * cfg.m_tasks * cfg.k_trajs + extra_rollouts
 
+    @pytest.mark.parametrize(
+        "algorithm,delta,evaluate,counts",
+        [
+            (meta.Algorithm.MAML, 0.0, False, (12, 3, 12)),
+            (meta.Algorithm.MAML, 0.0, True, (15, 3, 24)),
+            (meta.Algorithm.DIRECTED_MAML, 0.001, False, (14, 3, 14)),
+            (meta.Algorithm.DIRECTED_MAML, 0.001, True, (17, 3, 26)),
+        ],
+    )
+    def test_actor_critic_cost_structure(self, algorithm, delta, evaluate, counts):
+        # (grad, hvp, rollouts) at M=3, K=2, 2 eval episodes. Every training
+        # batch adds one critic gradient, 2 * (2M + prestep) gradients in all;
+        # evaluation adapts the actor and fits no critic.
+        cfg = rl_cfg(algorithm=algorithm, learner=meta.Learner.AC, delta=delta, m_tasks=3, k_trajs=2)
+        state = meta.init_state(cfg)
+        with count_calls() as c:
+            meta.train_epoch(state, cfg, eval_episodes=2, evaluate=evaluate)
+        assert (c.grad_calls, c.hvp_calls, c.rollouts) == counts
+
     def test_directed_metasgd_cost_matches_plain_metasgd_plus_prestep(self):
         plain = rl_cfg(algorithm=meta.Algorithm.METASGD, m_tasks=2)
         directed = rl_cfg(algorithm=meta.Algorithm.DIRECTED_METASGD, delta=0.001, m_tasks=2)
-        instrument.reset()
-        meta.train_epoch(meta.init_state(plain), plain, evaluate=False)
-        base_counts = instrument.COUNTERS.snapshot()
-        instrument.reset()
-        meta.train_epoch(meta.init_state(directed), directed, evaluate=False)
-        c = instrument.COUNTERS
+        with count_calls() as base_counts:
+            meta.train_epoch(meta.init_state(plain), plain, evaluate=False)
+        with count_calls() as c:
+            meta.train_epoch(meta.init_state(directed), directed, evaluate=False)
         assert c.hvp_calls == base_counts.hvp_calls == plain.m_tasks
         assert c.grad_calls == base_counts.grad_calls + 1
         assert c.rollouts == base_counts.rollouts + directed.k_trajs
