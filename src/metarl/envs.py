@@ -176,10 +176,6 @@ class Environment:
         self.state_dim = state_dim
         self.action_spec = action_spec
 
-    @property
-    def family(self) -> Family:
-        return self.task.family
-
     def reset(self, rng: np.random.Generator) -> np.ndarray:
         """A start state drawn from `rng`, the episode's own generator."""
         raise NotImplementedError
@@ -188,11 +184,6 @@ class Environment:
         """Step n episodes at once: (n, d), (n,) -> (n, d), (n,), (n,) bool.
         Row i depends only on row i."""
         raise NotImplementedError
-
-    def step(self, state: np.ndarray, action) -> "tuple[np.ndarray, float, bool]":
-        states = np.asarray(state, dtype=np.float64)[None, :]
-        nxt, rew, done = self.step_batch(states, np.asarray([action]))
-        return nxt[0], float(rew[0]), bool(done[0])
 
 
 class CartPoleEnv(Environment):
@@ -257,10 +248,9 @@ class IntersectionEnv(Environment):
         return nxt, rewards, done
 
 
+_ENV_CLASSES = {Family.CARTPOLE: CartPoleEnv, Family.INTERSECTION: IntersectionEnv}
+
+
 def make_env(task: Task) -> Environment:
-    fam = Family.parse(task.family)
-    if fam is Family.CARTPOLE:
-        return CartPoleEnv(task)
-    if fam is Family.INTERSECTION:
-        return IntersectionEnv(task)
-    raise UnknownFamily(f"unknown environment family {task.family!r}")
+    """The environment of the task's family (UnknownFamily for an unknown name)."""
+    return _ENV_CLASSES[Family.parse(task.family)](task)

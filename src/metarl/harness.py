@@ -343,16 +343,20 @@ def _svg_coord(x: float) -> str:
 
 def emit_plot(runs: "list[RunLog]", factor: float, out_path) -> "tuple[Path, Path]":
     """One EMA-smoothed eval-return polyline per run, legend by label, to a
-    standalone SVG plus a columnar .dat file of the plotted points. Output
-    bytes depend only on the run contents."""
+    standalone SVG plus a columnar .dat file of the plotted points. A label
+    shared by several runs names them `label`, `label#2`, ... in input order,
+    in the legend and the .dat label column alike. Output bytes depend only
+    on the run contents."""
     if not runs:
         raise ValidationError("runs: need at least one run log to plot")
     series: "list[tuple[str, list[int], list[float], np.ndarray]]" = []
+    seen: "dict[str, int]" = {}
     for log in runs:
         xs, raw, ys = smoothed_returns(log.rows, factor)
         if not xs:
             raise ValidationError(f"runs: {log.label} has no evaluated epochs to plot")
-        series.append((log.label, xs, raw, ys))
+        seen[log.label] = n = seen.get(log.label, 0) + 1
+        series.append((log.label if n == 1 else f"{log.label}#{n}", xs, raw, ys))
 
     x_hi = max(max(xs) for _, xs, _, _ in series)
     x_lo = min(min(xs) for _, xs, _, _ in series)

@@ -47,7 +47,7 @@ from __future__ import annotations
 import enum
 import hashlib
 import time
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, fields
 from pathlib import Path
 from typing import Callable, Protocol
 
@@ -237,7 +237,6 @@ class MetaState:
     critic: ParamVector | None
     alpha_vec: ParamVector | None
     epoch: int
-    rng: Stream
 
     def __post_init__(self):
         if self.alpha_vec is not None:
@@ -351,7 +350,7 @@ def init_state(cfg: MetaConfig) -> MetaState:
     alpha_vec = None
     if cfg.algorithm.base is Algorithm.METASGD:
         alpha_vec = theta.with_values(np.full(theta.size, cfg.alpha))
-    return MetaState(theta=theta, critic=critic, alpha_vec=alpha_vec, epoch=0, rng=root)
+    return MetaState(theta=theta, critic=critic, alpha_vec=alpha_vec, epoch=0)
 
 
 def _scaled(alpha: "float | ParamVector", g: ParamVector) -> ParamVector:
@@ -401,14 +400,13 @@ def meta_gradient(
     tasks,
     cfg: MetaConfig,
     rng: Stream,
-    problem: MetaProblem | None = None,
+    problem: MetaProblem,
     second_order: bool = True,
 ) -> Gradient:
     """Sum over tasks of (I + alpha*H_inner) @ g_outer, the exact bilevel
     meta-gradient with one inner step (MAML; one Hessian-vector product per
     task). With second_order off, the Hessian term is dropped (FOMAML): the
     sum of post-adaptation gradients."""
-    problem = problem if problem is not None else RLProblem(cfg)
     total = np.zeros(theta.size)
     for _, _, term in _per_task_terms(theta, tasks, cfg.alpha, rng, problem, second_order):
         total = total + term.values
@@ -420,12 +418,11 @@ def reptile_step(
     tasks,
     cfg: MetaConfig,
     rng: Stream,
-    problem: MetaProblem | None = None,
+    problem: MetaProblem,
     n_inner: int = REPTILE_INNER_STEPS,
 ) -> ParamVector:
     """theta + beta * mean_i(theta'_i - theta) after n_inner plain adaptation
     steps per task, each on a freshly sampled batch."""
-    problem = problem if problem is not None else RLProblem(cfg)
     tasks = _check_tasks(tasks)
     delta_sum = np.zeros(theta.size)
     for i, task in enumerate(tasks):
@@ -438,16 +435,12 @@ def reptile_step(
 
 
 def metasgd_step(
-    state: MetaState, tasks, cfg: MetaConfig, rng: Stream, problem: MetaProblem | None = None
-) -> MetaState:
-    """MAML-style update with a learned per-parameter inner rate vector:
-    theta gets the exact second-order term through alpha_vec, alpha_vec moves
-    along the outer objective's elementwise gradient g_inner * g_outer and is
-    clamped positive."""
-    if state.alpha_vec is None:
-        raise ValueError("metasgd_step needs alpha_vec in the state")
-    problem = problem if problem is not None else RLProblem(cfg)
-    theta, avec = state.theta, state.alpha_vec
+    theta: ParamVector, avec: ParamVector, tasks, cfg: MetaConfig, rng: Stream, problem: MetaProblem
+) -> "tuple[ParamVector, ParamVector]":
+    """MAML-style update with a learned per-parameter inner rate vector;
+    returns the new (theta, alpha_vec). theta gets the exact second-order
+    term through alpha_vec, alpha_vec moves along the outer objective's
+    elementwise gradient g_inner * g_outer and is clamped positive."""
     total_theta = np.zeros(theta.size)
     total_alpha = np.zeros(theta.size)
     for g_in, g_out, term in _per_task_terms(theta, tasks, avec, rng, problem, second_order=True):
@@ -457,7 +450,7 @@ def metasgd_step(
     new_avec = avec.with_values(
         np.maximum(avec.values + cfg.beta * total_alpha, ALPHA_VEC_FLOOR)
     )
-    return replace(state, theta=new_theta, alpha_vec=new_avec)
+    return new_theta, new_avec
 
 
 def _prestep(
@@ -494,10 +487,9 @@ def evaluate_policy(
     for i, task in enumerate(tasks):
         obj = problem.objective(problem.sample(task, theta, rng.child(1, i, 0)))
         adapted = inner_adapt(theta, obj, alpha)
-        env = problem.env_for(task)
         policy = PolicyNet(problem.actor_arch, adapted)
-        returns = rl.eval_returns(env, policy, eval_episodes, rng.child(1, i, 1))
-        totals.extend(returns.tolist())
+        batch = rl.sample_batch(problem.env_for(task), policy, eval_episodes, rng.child(1, i, 1))
+        totals.extend(t.total_return for t in batch.trajectories)
     return float(np.mean(totals))
 
 
@@ -510,7 +502,7 @@ def train_epoch(
     """One epoch: optional directed prestep, sample M tasks, run the base
     algorithm's inner/outer updates, then evaluate the new parameters.
     Non-finite values anywhere surface as EpochDiverged with epoch context."""
-    ep = state.rng.child(2, state.epoch)
+    ep = Stream(cfg.seed).child(2, state.epoch)
     t0 = time.perf_counter()
     try:
         problem = RLProblem(cfg, critic=state.critic)
@@ -531,9 +523,7 @@ def train_epoch(
             new_theta = reptile_step(theta, tasks, cfg, ep.child(2), problem)
             outer_norm = float(np.linalg.norm(new_theta.values - theta.values)) / cfg.beta
         elif base is Algorithm.METASGD:
-            stepped = metasgd_step(replace(state, theta=theta), tasks, cfg, ep.child(2), problem)
-            new_theta = stepped.theta
-            avec = stepped.alpha_vec
+            new_theta, avec = metasgd_step(theta, avec, tasks, cfg, ep.child(2), problem)
             outer_norm = float(np.linalg.norm(new_theta.values - theta.values)) / cfg.beta
         else:  # pragma: no cover - enum is exhaustive
             raise ValueError(f"unhandled algorithm {cfg.algorithm}")
@@ -560,9 +550,7 @@ def train_epoch(
         prestep_grad_norm=prestep_norm,
         eval_seconds=eval_sec,
     )
-    new_state = MetaState(
-        theta=new_theta, critic=problem.critic, alpha_vec=avec, epoch=state.epoch + 1, rng=state.rng
-    )
+    new_state = MetaState(theta=new_theta, critic=problem.critic, alpha_vec=avec, epoch=state.epoch + 1)
     return new_state, metrics
 
 
@@ -575,7 +563,7 @@ def _save_state(run_cfg: RunConfig, state: MetaState) -> Path:
     if state.alpha_vec is not None:
         vectors["alpha_vec"] = state.alpha_vec
     path = out / f"{run_cfg.label}.ckpt"
-    save_checkpoint(path, vectors, {"epoch": state.epoch, "seed": state.rng.root})
+    save_checkpoint(path, vectors, {"epoch": state.epoch, "seed": run_cfg.meta.seed})
     return path
 
 
@@ -607,7 +595,6 @@ def load_state(path, cfg: MetaConfig) -> MetaState:
         critic=vectors.get("critic"),
         alpha_vec=vectors.get("alpha_vec"),
         epoch=int(meta["epoch"]),
-        rng=Stream(cfg.seed),
     )
 
 

@@ -6,12 +6,12 @@ actions use a Gaussian head with a state-independent learnable log-sigma
 segment, sampled then clipped into the action interval (log-density is of the
 pre-clip sample).
 
-Bit-equality contract: `act` computes log-probabilities with exactly the same
-operations, in the same order, as the `logprob`/`logprob_graph` recipe in
-exact mode (einsum affine maps, max-shifted log-sum-exp). Sampling in a
-lockstep batch therefore produces the same bits per trajectory as sampling
-each trajectory alone, and `logprob(net, s, raw)` reproduces the logp
-returned by `act` bit-for-bit.
+Bit-equality contract: `act_batch` computes log-probabilities with exactly
+the same operations, in the same order, as `logprob_graph(..., exact=True)`
+(einsum affine maps, max-shifted log-sum-exp). Sampling in a lockstep batch
+therefore produces the same bits per row as sampling each row alone, and
+`logprob_graph(arch, Params(params), states, raws, exact=True)` reproduces
+the logps returned by `act_batch` bit for bit.
 
 Each action consumes one variate (`draw_variates`): a uniform on [0, 1) for
 the categorical head, a standard normal for the Gaussian head. `act_batch`
@@ -24,7 +24,6 @@ from __future__ import annotations
 import functools
 import struct
 from dataclasses import dataclass
-from typing import NamedTuple
 
 import numpy as np
 
@@ -40,19 +39,13 @@ __all__ = [
     "GaussianHead",
     "Arch",
     "PolicyNet",
-    "CriticNet",
-    "ActionSample",
     "actor_arch",
     "critic_arch",
     "init_params",
-    "make_policy",
     "forward_inference",
     "draw_variates",
-    "act",
     "act_batch",
-    "logprob",
     "logprob_graph",
-    "value",
     "values_graph",
     "save_checkpoint",
     "load_checkpoint",
@@ -117,18 +110,6 @@ class PolicyNet:
     params: ParamVector
 
 
-@dataclass(frozen=True)
-class CriticNet:
-    arch: Arch
-    params: ParamVector
-
-
-class ActionSample(NamedTuple):
-    action: float | int
-    logp: float
-    raw: float | int  # pre-clip sample; the differentiation target
-
-
 def actor_arch(env: Environment) -> Arch:
     spec = env.action_spec
     if spec.kind == "discrete":
@@ -157,11 +138,6 @@ def init_params(arch: Arch, rng: Stream) -> ParamVector:
     return ParamVector(np.concatenate(chunks), arch.segments())
 
 
-def make_policy(env: Environment, rng: Stream) -> PolicyNet:
-    arch = actor_arch(env)
-    return PolicyNet(arch, init_params(arch, rng))
-
-
 # ---------------------------------------------------------------------------
 # Forward passes
 # ---------------------------------------------------------------------------
@@ -170,8 +146,8 @@ def forward_inference(arch: Arch, params: ParamVector, states: np.ndarray) -> np
     """Head outputs (n, out_dim) for a batch of states, plain numpy.
 
     Uses einsum for the affine maps: per-row results are independent of batch
-    size, which the lockstep rollout and the act/logprob bit-equality
-    contract rely on. Must mirror `_forward_graph` op for op.
+    size, which the lockstep rollout and the act_batch/logprob_graph
+    bit-equality contract rely on. Must mirror `_forward_graph` op for op.
     """
     h = np.asarray(states, dtype=np.float64)
     last = len(arch.layer_names) - 1
@@ -247,20 +223,6 @@ def act_batch(
     return actions, logps, raws
 
 
-def act(net: PolicyNet, state: np.ndarray, rng: "Stream | np.random.Generator") -> ActionSample:
-    """Sample a single action, drawing its one variate from `rng`; a batch of
-    one through act_batch, so logp bits match lockstep sampling and
-    logprob()."""
-    gen = rng.generator() if isinstance(rng, Stream) else rng
-    state = np.asarray(state, dtype=np.float64)
-    actions, logps, raws = act_batch(net, state[None, :], draw_variates(net.arch, gen, 1))
-    a = actions[0]
-    r = raws[0]
-    if isinstance(net.arch.head, CategoricalHead):
-        return ActionSample(int(a), float(logps[0]), int(r))
-    return ActionSample(float(a), float(logps[0]), float(r))
-
-
 # ---------------------------------------------------------------------------
 # Differentiable log-probabilities and values
 # ---------------------------------------------------------------------------
@@ -285,26 +247,10 @@ def logprob_graph(
     raise ValueError("critic networks have no action head")
 
 
-def logprob(net: PolicyNet, state: np.ndarray, action) -> ad.Node:
-    """Scalar log-probability node for one (state, action) pair; value is
-    bit-equal to the logp produced by act() for the same raw sample."""
-    p = Params(net.params)
-    state = np.asarray(state, dtype=np.float64)
-    lp = logprob_graph(net.arch, p, state[None, :], np.asarray([action]), exact=True)
-    return ad.nsum(lp)
-
-
 def values_graph(arch: Arch, p: Params, states: np.ndarray, exact: bool = False) -> ad.Node:
     """(n,) state values as a graph over critic params."""
     out = _forward_graph(arch, p, states, exact)
     return ad.reshape(out, (np.asarray(states).shape[0],))
-
-
-def value(critic: CriticNet, state: np.ndarray) -> ad.Node:
-    """Scalar value node for one state."""
-    p = Params(critic.params)
-    state = np.asarray(state, dtype=np.float64)
-    return ad.nsum(values_graph(critic.arch, p, state[None, :], exact=True))
 
 
 # ---------------------------------------------------------------------------

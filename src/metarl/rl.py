@@ -45,7 +45,6 @@ __all__ = [
     "discounted_returns",
     "policy_objective",
     "critic_objective",
-    "eval_returns",
 ]
 
 ADV_STD_FLOOR = 1e-12
@@ -252,12 +251,3 @@ def critic_objective(batch: TrajectoryBatch, gamma: float) -> "Callable[[Params]
         return ad.nmean(diff * diff)
 
     return obj
-
-
-def eval_returns(env: Environment, policy: PolicyNet, n_episodes: int, rng: Stream) -> np.ndarray:
-    """Undiscounted return of each of n evaluation episodes on child streams
-    rng.child(0..n-1); no learning happens."""
-    if n_episodes < 1:
-        raise ValueError("need at least one evaluation episode")
-    batch = sample_batch(env, policy, n_episodes, rng)
-    return np.array([t.total_return for t in batch.trajectories])

@@ -13,6 +13,7 @@ from metarl import autodiff as ad
 from metarl import policy as pol
 from metarl import rl
 from metarl.envs import Environment
+from metarl.rng import Stream
 
 
 def zero_params(arch: pol.Arch, **overrides) -> ad.ParamVector:
@@ -23,6 +24,12 @@ def zero_params(arch: pol.Arch, **overrides) -> ad.ParamVector:
         seg = next(s for s in segs if s.name == name)
         vals[seg.offset : seg.offset + seg.size] = np.reshape(arr, -1)
     return ad.ParamVector(vals, segs)
+
+
+def make_policy(env: Environment, rng: Stream) -> pol.PolicyNet:
+    """A freshly initialized policy for the environment's action spec."""
+    arch = pol.actor_arch(env)
+    return pol.PolicyNet(arch, pol.init_params(arch, rng))
 
 
 def balancer_policy(env: Environment, sharpness: float = 1e7) -> pol.PolicyNet:

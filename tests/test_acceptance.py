@@ -34,7 +34,7 @@ import numpy as np
 import pytest
 
 import metarl
-from _helpers import Counts, count_calls
+from _helpers import Counts, count_calls, make_policy
 from metarl import autodiff as ad
 from metarl import cli, meta, rl
 from metarl import policy as pol
@@ -548,7 +548,7 @@ def test_criterion_09_module_invariants(tmp_path):
     # after shuffling trajectories in a batch.
     env = make_env(Task(Family.CARTPOLE, 10.0))
     env.horizon = 15
-    net = pol.make_policy(env, Stream(99))
+    net = make_policy(env, Stream(99))
     batch = rl.sample_batch(env, net, 5, Stream(98))
     shuffled = rl.TrajectoryBatch(tuple(reversed(batch.trajectories)), batch.task)
     ga, va = ad.grad_and_value(rl.policy_objective(batch, 0.99), net.params)

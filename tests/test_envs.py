@@ -1,5 +1,5 @@
 """Environment family checks: task distribution math, dynamics constants,
-reward/termination rules, determinism, and batch/scalar step agreement."""
+reward/termination rules, determinism, and batch/one-row step agreement."""
 
 from __future__ import annotations
 
@@ -23,6 +23,13 @@ from metarl.rng import Stream
 
 
 DIST = TaskDistribution(Family.CARTPOLE, 5.0, 15.0)
+
+
+def step_one(env: envs.Environment, state, action) -> "tuple[np.ndarray, float, bool]":
+    """One transition through step_batch on a one-row batch."""
+    states = np.asarray(state, dtype=np.float64)[None, :]
+    nxt, rewards, dones = env.step_batch(states, np.asarray([action]))
+    return nxt[0], float(rewards[0]), bool(dones[0])
 
 
 class TestTaskDistribution:
@@ -82,6 +89,12 @@ class TestTaskDistribution:
         with pytest.raises(UnknownFamily):
             Family.parse("lunarlander")
 
+    def test_make_env_dispatches_on_family(self):
+        assert isinstance(make_env(Task(Family.CARTPOLE, 9.0)), envs.CartPoleEnv)
+        assert isinstance(make_env(Task("Intersection", 9.0)), envs.IntersectionEnv)
+        with pytest.raises(UnknownFamily):
+            make_env(Task("lunarlander", 9.0))
+
 
 class TestCartPole:
     def test_gravity_plumbed_into_pole_acceleration(self):
@@ -100,7 +113,7 @@ class TestCartPole:
     def test_reward_is_one_while_alive(self):
         env = make_env(Task(Family.CARTPOLE, 10.0))
         state = env.reset(Stream(1).generator())
-        _, reward, _ = env.step(state, 1)
+        _, reward, _ = step_one(env, state, 1)
         assert reward == 1.0
 
     def test_simple_controller_reaches_max_return(self):
@@ -111,7 +124,7 @@ class TestCartPole:
         total = 0.0
         for _ in range(env.horizon):
             action = 1 if state[2] + 0.5 * state[3] > 0 else 0
-            state, reward, done = env.step(state, action)
+            state, reward, done = step_one(env, state, action)
             total += reward
             assert not done
         assert total == 200.0
@@ -123,7 +136,7 @@ class TestCartPole:
             state = env.reset(gen)
             total, done, steps = 0.0, False, 0
             while not done and steps < env.horizon:
-                state, reward, done = env.step(state, int(gen.integers(0, 2)))
+                state, reward, done = step_one(env, state, int(gen.integers(0, 2)))
                 total += reward
                 steps += 1
             assert 1.0 <= total <= 200.0
@@ -141,9 +154,9 @@ class TestCartPole:
         env = make_env(Task(Family.CARTPOLE, 10.0))
         state = np.zeros(4)
         with pytest.raises(InvalidAction):
-            env.step(state, 2)
+            step_one(env, state, 2)
         with pytest.raises(InvalidAction):
-            env.step(state, 0.5)
+            step_one(env, state, 0.5)
 
     def test_step_batch_validates_like_isin(self):
         # The batched check must reject and accept exactly what
@@ -180,34 +193,34 @@ class TestIntersection:
         env = make_env(Task(Family.INTERSECTION, 10.0))
         state = np.array([-40.0, -45.0])
         for action in (0.0, 7.5, 15.0):
-            nxt, _, _ = env.step(state, action)
+            nxt, _, _ = step_one(env, state, action)
             assert nxt[1] - state[1] == 10.0 * envs.INTERSECTION_DT
 
     def test_transition_deterministic(self):
         env = make_env(Task(Family.INTERSECTION, 8.0))
         state = np.array([-12.25, -9.5])
-        a = env.step(state, 11.3)
-        b = env.step(state, 11.3)
+        a = step_one(env, state, 11.3)
+        b = step_one(env, state, 11.3)
         assert a[0].tobytes() == b[0].tobytes()
         assert a[1] == b[1] and a[2] == b[2]
 
     def test_progress_shaping(self):
         env = make_env(Task(Family.INTERSECTION, 10.0))
-        _, reward, done = env.step(np.array([-40.0, -45.0]), 7.5)
+        _, reward, done = step_one(env, np.array([-40.0, -45.0]), 7.5)
         assert reward == 7.5 / 15.0
         assert not done
 
     def test_collision_constructed(self):
         env = make_env(Task(Family.INTERSECTION, 10.0))
         # After the step: dx = 1.5, dy = -1.5 -> both inside the 2 m zone.
-        nxt, reward, done = env.step(np.array([1.0, -2.5]), 5.0)
+        nxt, reward, done = step_one(env, np.array([1.0, -2.5]), 5.0)
         assert abs(nxt[0]) < envs.CONFLICT_RADIUS and abs(nxt[1]) < envs.CONFLICT_RADIUS
         assert reward == -100.0
         assert done
 
     def test_crossing_constructed(self):
         env = make_env(Task(Family.INTERSECTION, 10.0))
-        nxt, reward, done = env.step(np.array([4.6, -30.0]), 15.0)
+        nxt, reward, done = step_one(env, np.array([4.6, -30.0]), 15.0)
         assert nxt[0] >= envs.CROSS_LINE
         assert reward == 50.0
         assert done
@@ -225,7 +238,7 @@ class TestIntersection:
         state = np.array([-40.0, -45.0])
         for bad in (-0.1, 15.1, np.nan):
             with pytest.raises(InvalidAction):
-                env.step(state, bad)
+                step_one(env, state, bad)
 
     @settings(deadline=None, max_examples=20)
     @given(st.integers(min_value=0, max_value=2**31 - 1))
@@ -238,7 +251,7 @@ class TestIntersection:
         def run():
             s, out = start, []
             for a in actions:
-                s, r, d = env.step(s, a)
+                s, r, d = step_one(env, s, a)
                 out.append((s.tobytes(), r, d))
                 if d:
                     break
@@ -255,7 +268,7 @@ class TestBatchScalarAgreement:
         actions = gen.integers(0, 2, size=8)
         nxt, rew, done = env.step_batch(states, actions)
         for i in range(8):
-            s_i, r_i, d_i = env.step(states[i], int(actions[i]))
+            s_i, r_i, d_i = step_one(env, states[i], int(actions[i]))
             assert s_i.tobytes() == nxt[i].tobytes()
             assert r_i == rew[i] and d_i == done[i]
 
@@ -268,7 +281,7 @@ class TestBatchScalarAgreement:
         actions = gen.uniform(0, 15, size=6)
         nxt, rew, done = env.step_batch(states, actions)
         for i in range(6):
-            s_i, r_i, d_i = env.step(states[i], float(actions[i]))
+            s_i, r_i, d_i = step_one(env, states[i], float(actions[i]))
             assert s_i.tobytes() == nxt[i].tobytes()
             assert r_i == rew[i] and d_i == done[i]
 

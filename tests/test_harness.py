@@ -379,6 +379,17 @@ class TestEmitPlot:
             np.testing.assert_array_equal([float(p[2]) for p in part], raw)
             np.testing.assert_array_equal([float(p[3]) for p in part], smoothed)
 
+    def test_same_label_runs_get_distinct_series_names(self, tmp_path):
+        labels = ["run", "other", "run", "run"]
+        logs = [flat_log(label, 3, ret=10.0 * (i + 1)) for i, label in enumerate(labels)]
+        svg_path, dat_path = emit_plot(logs, 0.9, tmp_path / "c.svg")
+        svg = svg_path.read_text()
+        names = ["run", "other", "run#2", "run#3"]
+        legend = [part.split("</text>")[0] for part in svg.split('font-family="monospace">')[1:]]
+        assert legend[-4:] == names
+        dat = [ln.split()[0] for ln in dat_path.read_text().splitlines()[1:]]
+        assert dat == [name for name in names for _ in range(3)]
+
     def test_skipped_epochs_are_dropped_from_points(self, tmp_path):
         rows = [row(e, ret=100.0 if e % 2 == 0 else None) for e in range(10)]
         log = make_log("sparse", rows)

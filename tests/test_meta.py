@@ -12,6 +12,7 @@ counts, stream determinism, divergence wrapping, checkpoint resume.
 """
 
 from collections import namedtuple
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -255,14 +256,13 @@ class TestMetaGradients:
     def test_empty_task_set_raises(self):
         cfg = quad_cfg()
         prob = QuadraticProblem()
-        state = meta.MetaState(THETA0, None, theta_vec([0.1, 0.1]), 0, S)
         for second_order in (True, False):
             with pytest.raises(EmptyTaskSet):
                 meta.meta_gradient(THETA0, [], cfg, S, prob, second_order=second_order)
         with pytest.raises(EmptyTaskSet):
             meta.reptile_step(THETA0, [], cfg, S, prob)
         with pytest.raises(EmptyTaskSet):
-            meta.metasgd_step(state, [], cfg, S, prob)
+            meta.metasgd_step(THETA0, theta_vec([0.1, 0.1]), [], cfg, S, prob)
 
 
 # ---------------------------------------------------------------------------
@@ -305,33 +305,35 @@ class TestReptile:
 # Learned per-parameter inner rates
 # ---------------------------------------------------------------------------
 
-class TestMetaSGD:
-    def _state(self, cfg, theta=THETA0, avec=None):
-        avec = theta.with_values(np.full(theta.size, cfg.alpha)) if avec is None else avec
-        return meta.MetaState(theta=theta, critic=None, alpha_vec=avec, epoch=0, rng=S)
+def constant_rates(cfg, theta=THETA0) -> ParamVector:
+    return theta.with_values(np.full(theta.size, cfg.alpha))
 
+
+class TestMetaSGD:
     def test_constant_rate_vector_replicates_scalar_update_bitwise(self):
         cfg = quad_cfg(alpha=0.1, beta=0.05)
         prob = QuadraticProblem()
-        stepped = meta.metasgd_step(self._state(cfg), TASKS, cfg, S, prob)
+        theta, _ = meta.metasgd_step(THETA0, constant_rates(cfg), TASKS, cfg, S, prob)
         mg = meta.meta_gradient(THETA0, TASKS, cfg, S, prob)
-        np.testing.assert_array_equal(stepped.theta.values, (THETA0 + cfg.beta * mg).values)
+        np.testing.assert_array_equal(theta.values, (THETA0 + cfg.beta * mg).values)
 
     def test_constant_rate_vector_replicates_scalar_update_on_rollouts(self):
         cfg = rl_cfg(algorithm=meta.Algorithm.METASGD)
         state = meta.init_state(cfg)
         tasks = [medium_task(cfg.dist)] * 2
-        stepped = meta.metasgd_step(state, tasks, cfg, S.child(3), meta.RLProblem(cfg))
+        theta, _ = meta.metasgd_step(
+            state.theta, state.alpha_vec, tasks, cfg, S.child(3), meta.RLProblem(cfg)
+        )
         mg = meta.meta_gradient(state.theta, tasks, cfg, S.child(3), meta.RLProblem(cfg))
-        np.testing.assert_array_equal(stepped.theta.values, (state.theta + cfg.beta * mg).values)
+        np.testing.assert_array_equal(theta.values, (state.theta + cfg.beta * mg).values)
 
     def test_rate_gradient_matches_fd_of_adapted_objective(self):
         # d/da_j of sum_i J_i(theta + a (.) g_i) equals the g_in*g_out update
         cfg = quad_cfg(alpha=0.1, beta=0.5)
         prob = QuadraticProblem()
         avec = theta_vec([0.1, 0.1])
-        stepped = meta.metasgd_step(self._state(cfg, avec=avec), TASKS, cfg, S, prob)
-        update = (stepped.alpha_vec.values - avec.values) / cfg.beta
+        _, stepped = meta.metasgd_step(THETA0, avec, TASKS, cfg, S, prob)
+        update = (stepped.values - avec.values) / cfg.beta
 
         def adapted_value(a: np.ndarray) -> float:
             total = 0.0
@@ -357,15 +359,9 @@ class TestMetaSGD:
         theta = theta_vec([1.0, 1.0])
         avec = theta.with_values(np.array([1.5, 1.5]))
         task = QuadTask(np.eye(2), np.zeros(2))
-        stepped = meta.metasgd_step(self._state(cfg, theta=theta, avec=avec), [task], cfg, S, QuadraticProblem())
-        np.testing.assert_array_equal(stepped.alpha_vec.values, [meta.ALPHA_VEC_FLOOR] * 2)
-        assert np.all(stepped.alpha_vec.values > 0)
-
-    def test_requires_rate_vector(self):
-        cfg = quad_cfg()
-        state = meta.MetaState(THETA0, None, None, 0, S)
-        with pytest.raises(ValueError):
-            meta.metasgd_step(state, TASKS, cfg, S, QuadraticProblem())
+        _, stepped = meta.metasgd_step(theta, avec, [task], cfg, S, QuadraticProblem())
+        np.testing.assert_array_equal(stepped.values, [meta.ALPHA_VEC_FLOOR] * 2)
+        assert np.all(stepped.values > 0)
 
 
 # ---------------------------------------------------------------------------
@@ -469,10 +465,14 @@ class TestValidation:
 
     def test_state_rejects_nonpositive_or_mismatched_rates(self):
         with pytest.raises(ValueError):
-            meta.MetaState(THETA0, None, theta_vec([0.1, -0.1]), 0, S)
+            meta.MetaState(THETA0, None, theta_vec([0.1, -0.1]), 0)
         bad_layout = ParamVector(np.zeros(2), [Segment("other", 0, (2,))])
         with pytest.raises(ValueError):
-            meta.MetaState(THETA0, None, bad_layout, 0, S)
+            meta.MetaState(THETA0, None, bad_layout, 0)
+
+    def test_state_leaves_the_seed_to_the_config(self):
+        # Epochs derive their streams from cfg.seed; the state holds no copy.
+        assert [f.name for f in fields(meta.MetaState)] == ["theta", "critic", "alpha_vec", "epoch"]
 
     def test_algorithm_parse(self):
         assert meta.Algorithm.parse("directed_maml") is meta.Algorithm.DIRECTED_MAML
@@ -627,9 +627,7 @@ class TestTrainEpoch:
     def test_divergence_is_wrapped_with_epoch(self, monkeypatch):
         monkeypatch.setattr(meta, "RLProblem", _ExplodingProblem)
         cfg = rl_cfg()
-        state = meta.MetaState(
-            theta=THETA0, critic=None, alpha_vec=None, epoch=7, rng=Stream(cfg.seed)
-        )
+        state = meta.MetaState(theta=THETA0, critic=None, alpha_vec=None, epoch=7)
         with pytest.raises(EpochDiverged) as err:
             meta.train_epoch(state, cfg)
         assert err.value.epoch == 7

@@ -1,6 +1,6 @@
 """Policy/critic checks: initialization statistics, sampling behavior,
-log-probability graphs vs finite differences, act/logprob bit-equality, and
-the checkpoint container."""
+log-probability graphs vs finite differences, the bit-equality of act_batch
+and exact-mode logprob_graph, and the checkpoint container."""
 
 from __future__ import annotations
 
@@ -11,19 +11,41 @@ from hypothesis import strategies as st
 
 from metarl import autodiff as ad
 from metarl import policy as pol
+from metarl.autodiff import Params
 from metarl.envs import Family, Task, make_env
 from metarl.errors import ParseError
 from metarl.rng import Stream
 
-from _helpers import zero_params
+from _helpers import make_policy, zero_params
 
 CARTPOLE = make_env(Task(Family.CARTPOLE, 10.0))
 INTERSECTION = make_env(Task(Family.INTERSECTION, 10.0))
 
 
-def make_critic(env, rng) -> pol.CriticNet:
+def make_critic(env, rng) -> "tuple[pol.Arch, ad.ParamVector]":
     arch = pol.critic_arch(env)
-    return pol.CriticNet(arch, pol.init_params(arch, rng))
+    return arch, pol.init_params(arch, rng)
+
+
+def act_one(net: pol.PolicyNet, state, gen: np.random.Generator):
+    """(action, logp, raw) of one state: act_batch on a one-row batch, its
+    one variate drawn from `gen`."""
+    states = np.asarray(state, dtype=np.float64)[None, :]
+    actions, logps, raws = pol.act_batch(net, states, pol.draw_variates(net.arch, gen, 1))
+    return actions[0], logps[0], raws[0]
+
+
+def logprob_one(net: pol.PolicyNet, state, action) -> np.float64:
+    """log pi(action | state) from exact-mode logprob_graph on one row."""
+    states = np.asarray(state, dtype=np.float64)[None, :]
+    lp = pol.logprob_graph(net.arch, Params(net.params), states, np.asarray([action]), exact=True)
+    return lp.val[0]
+
+
+def value_one(arch: pol.Arch, params: ad.ParamVector, state) -> np.float64:
+    """V(state) from exact-mode values_graph on one row."""
+    states = np.asarray(state, dtype=np.float64)[None, :]
+    return pol.values_graph(arch, Params(params), states, exact=True).val[0]
 
 
 class TestInit:
@@ -59,15 +81,15 @@ class TestAct:
     def test_dominant_logit_wins(self):
         arch = pol.actor_arch(CARTPOLE)
         net = pol.PolicyNet(arch, zero_params(arch, b2=(50.0, 0.0)))
-        sample = pol.act(net, np.zeros(4), Stream(3))
-        assert sample.action == 0
-        assert abs(sample.logp) < 1e-12
+        action, logp, _ = act_one(net, np.zeros(4), Stream(3).generator())
+        assert action == 0
+        assert abs(logp) < 1e-12
 
     def test_small_sigma_concentrates_at_mean(self):
         arch = pol.actor_arch(INTERSECTION)
         net = pol.PolicyNet(arch, zero_params(arch, b2=(7.5,), log_sigma=(np.log(1e-8),)))
-        sample = pol.act(net, np.zeros(2), Stream(4))
-        assert sample.action == pytest.approx(7.5, abs=1e-6)
+        action, _, _ = act_one(net, np.zeros(2), Stream(4).generator())
+        assert action == pytest.approx(7.5, abs=1e-6)
 
     def test_gaussian_action_clipped_raw_kept(self):
         arch = pol.actor_arch(INTERSECTION)
@@ -75,11 +97,11 @@ class TestAct:
         gen = Stream(5).generator()
         saw_clip = False
         for _ in range(50):
-            sample = pol.act(net, np.zeros(2), gen)
-            assert 0.0 <= sample.action <= 15.0
-            if sample.raw != sample.action:
+            action, _, raw = act_one(net, np.zeros(2), gen)
+            assert 0.0 <= action <= 15.0
+            if raw != action:
                 saw_clip = True
-                assert sample.raw < 0.0 or sample.raw > 15.0
+                assert raw < 0.0 or raw > 15.0
         assert saw_clip
 
     def test_sampling_frequencies_match_softmax(self):
@@ -94,30 +116,30 @@ class TestAct:
         assert np.all(np.abs(freq - want) < 0.01)
 
     def test_lockstep_batch_matches_serial_bits(self):
-        net = pol.make_policy(CARTPOLE, Stream(7).child(0))
+        net = make_policy(CARTPOLE, Stream(7).child(0))
         states = Stream(7).child(1).generator().uniform(-0.05, 0.05, size=(6, 4))
         variates = np.concatenate(
             [pol.draw_variates(net.arch, Stream(7).child(2, j).generator(), 1) for j in range(6)]
         )
         actions, logps, raws = pol.act_batch(net, states, variates)
         for j in range(6):
-            solo = pol.act(net, states[j], Stream(7).child(2, j).generator())
-            assert solo.action == actions[j]
-            assert solo.raw == raws[j]
-            assert np.float64(solo.logp).tobytes() == logps[j].tobytes()
+            action, logp, raw = act_one(net, states[j], Stream(7).child(2, j).generator())
+            assert action == actions[j]
+            assert raw == raws[j]
+            assert logp.tobytes() == logps[j].tobytes()
 
     def test_lockstep_gaussian_matches_serial_bits(self):
-        net = pol.make_policy(INTERSECTION, Stream(8).child(0))
+        net = make_policy(INTERSECTION, Stream(8).child(0))
         states = Stream(8).child(1).generator().uniform(-40, 0, size=(5, 2))
         variates = np.concatenate(
             [pol.draw_variates(net.arch, Stream(8).child(2, j).generator(), 1) for j in range(5)]
         )
         actions, logps, raws = pol.act_batch(net, states, variates)
         for j in range(5):
-            solo = pol.act(net, states[j], Stream(8).child(2, j).generator())
-            assert solo.action == actions[j]
-            assert solo.raw == raws[j]
-            assert np.float64(solo.logp).tobytes() == logps[j].tobytes()
+            action, logp, raw = act_one(net, states[j], Stream(8).child(2, j).generator())
+            assert action == actions[j]
+            assert raw == raws[j]
+            assert logp.tobytes() == logps[j].tobytes()
 
 
 def categorical_cum(net: pol.PolicyNet, states: np.ndarray) -> np.ndarray:
@@ -194,32 +216,37 @@ class TestLogprob:
     def test_uniform_categorical(self):
         arch = pol.actor_arch(CARTPOLE)
         net = pol.PolicyNet(arch, zero_params(arch))
-        lp = pol.logprob(net, np.zeros(4), 1)
-        assert lp.val == pytest.approx(np.log(0.5), abs=1e-15)
+        assert logprob_one(net, np.zeros(4), 1) == pytest.approx(np.log(0.5), abs=1e-15)
 
     def test_gaussian_at_mean_unit_sigma(self):
         arch = pol.actor_arch(INTERSECTION)
         net = pol.PolicyNet(arch, zero_params(arch, log_sigma=(0.0,)))
-        lp = pol.logprob(net, np.zeros(2), 0.0)
-        assert lp.val == pytest.approx(-0.5 * np.log(2 * np.pi), abs=1e-15)
+        want = -0.5 * np.log(2 * np.pi)
+        assert logprob_one(net, np.zeros(2), 0.0) == pytest.approx(want, abs=1e-15)
 
     def test_matches_act_bits_categorical(self):
-        net = pol.make_policy(CARTPOLE, Stream(11))
+        net = make_policy(CARTPOLE, Stream(11))
         gen = Stream(12).generator()
         for _ in range(10):
             state = gen.uniform(-0.05, 0.05, size=4)
-            sample = pol.act(net, state, gen)
-            lp = pol.logprob(net, state, sample.raw)
-            assert np.float64(lp.val).tobytes() == np.float64(sample.logp).tobytes()
+            _, logp, raw = act_one(net, state, gen)
+            assert logprob_one(net, state, raw).tobytes() == logp.tobytes()
+        states = gen.uniform(-0.05, 0.05, size=(10, 4))
+        _, logps, raws = pol.act_batch(net, states, pol.draw_variates(net.arch, gen, 10))
+        lp = pol.logprob_graph(net.arch, Params(net.params), states, raws, exact=True)
+        assert lp.val.tobytes() == logps.tobytes()
 
     def test_matches_act_bits_gaussian(self):
-        net = pol.make_policy(INTERSECTION, Stream(13))
+        net = make_policy(INTERSECTION, Stream(13))
         gen = Stream(14).generator()
         for _ in range(10):
             state = gen.uniform(-40, 0, size=2)
-            sample = pol.act(net, state, gen)
-            lp = pol.logprob(net, state, sample.raw)
-            assert np.float64(lp.val).tobytes() == np.float64(sample.logp).tobytes()
+            _, logp, raw = act_one(net, state, gen)
+            assert logprob_one(net, state, raw).tobytes() == logp.tobytes()
+        states = gen.uniform(-40, 0, size=(10, 2))
+        _, logps, raws = pol.act_batch(net, states, pol.draw_variates(net.arch, gen, 10))
+        lp = pol.logprob_graph(net.arch, Params(net.params), states, raws, exact=True)
+        assert lp.val.tobytes() == logps.tobytes()
 
     def test_logit_shift_invariance(self):
         arch = pol.actor_arch(CARTPOLE)
@@ -227,11 +254,11 @@ class TestLogprob:
         shifted = pol.PolicyNet(arch, zero_params(arch, b2=(0.8 + 3.3, -0.2 + 3.3)))
         s = np.array([0.01, 0.0, -0.02, 0.0])
         for a in (0, 1):
-            d = abs(pol.logprob(base, s, a).val - pol.logprob(shifted, s, a).val)
+            d = abs(logprob_one(base, s, a) - logprob_one(shifted, s, a))
             assert d <= 1e-12
 
     def test_grad_matches_fd_categorical(self):
-        net = pol.make_policy(CARTPOLE, Stream(15))
+        net = make_policy(CARTPOLE, Stream(15))
         gen = Stream(16).generator()
         states = gen.uniform(-0.05, 0.05, size=(5, 4))
         actions = gen.integers(0, 2, size=5)
@@ -244,7 +271,7 @@ class TestLogprob:
         assert ad.rel_err(g, g_fd) <= 1e-4
 
     def test_grad_matches_fd_gaussian(self):
-        net = pol.make_policy(INTERSECTION, Stream(17))
+        net = make_policy(INTERSECTION, Stream(17))
         gen = Stream(18).generator()
         states = gen.uniform(-40, 0, size=(5, 2))
         raws = gen.uniform(-2, 17, size=5)
@@ -257,7 +284,7 @@ class TestLogprob:
         assert ad.rel_err(g, g_fd) <= 1e-4
 
     def test_gaussian_mean_gradient_zero_at_sample(self):
-        net = pol.make_policy(INTERSECTION, Stream(19))
+        net = make_policy(INTERSECTION, Stream(19))
         state = np.array([-10.0, -20.0])
         mean = pol.forward_inference(net.arch, net.params, state[None, :])[0, 0]
 
@@ -278,13 +305,17 @@ class TestLogprob:
 class TestValue:
     def test_zero_critic_outputs_zero(self):
         arch = pol.critic_arch(CARTPOLE)
-        critic = pol.CriticNet(arch, zero_params(arch))
-        assert pol.value(critic, np.array([0.1, -0.2, 0.03, 0.0])).val == 0.0
+        assert value_one(arch, zero_params(arch), np.array([0.1, -0.2, 0.03, 0.0])) == 0.0
 
     def test_deterministic(self):
-        critic = make_critic(CARTPOLE, Stream(20))
+        arch, params = make_critic(CARTPOLE, Stream(20))
         s = np.array([0.1, -0.2, 0.03, 0.0])
-        assert pol.value(critic, s).val == pol.value(critic, s).val
+        assert value_one(arch, params, s) == value_one(arch, params, s)
+        # exact mode gives each row the bits of the einsum forward pass
+        states = Stream(20).child(1).generator().uniform(-0.1, 0.1, size=(5, 4))
+        batch = pol.forward_inference(arch, params, states)[:, 0]
+        for j in range(5):
+            assert value_one(arch, params, states[j]).tobytes() == batch[j].tobytes()
 
     def test_regresses_to_two_state_fixed_point(self):
         # Two-state loop: A ->(r=2) B ->(r=0) A, discount 0.9.
@@ -294,11 +325,10 @@ class TestValue:
         v_b = gamma * v_a
         states = np.array([[0.0, 0.0], [1.0, 1.0]])
         targets = np.array([v_a, v_b])
-        critic = make_critic(INTERSECTION, Stream(21))
-        params = critic.params
+        arch, params = make_critic(INTERSECTION, Stream(21))
 
         def mse(p):
-            diff = pol.values_graph(critic.arch, p, states) - ad.const(targets)
+            diff = pol.values_graph(arch, p, states) - ad.const(targets)
             return ad.nmean(diff * diff)
 
         for _ in range(6000):
@@ -306,21 +336,21 @@ class TestValue:
             params = params - 0.01 * g
             if loss < 0.05**2 / 4:
                 break
-        preds = pol.forward_inference(critic.arch, params, states)[:, 0]
+        preds = pol.forward_inference(arch, params, states)[:, 0]
         assert np.all(np.abs(preds - targets) < 0.05)
 
 
 class TestCheckpoint:
     def test_roundtrip_bits_and_meta(self, tmp_path):
-        net = pol.make_policy(CARTPOLE, Stream(22))
-        critic = make_critic(CARTPOLE, Stream(23))
+        net = make_policy(CARTPOLE, Stream(22))
+        _, critic = make_critic(CARTPOLE, Stream(23))
         path = tmp_path / "state.ckpt"
-        pol.save_checkpoint(path, {"policy": net.params, "critic": critic.params}, {"epoch": 42})
+        pol.save_checkpoint(path, {"policy": net.params, "critic": critic}, {"epoch": 42})
         vecs, meta = pol.load_checkpoint(path)
         assert meta == {"epoch": 42}
         assert vecs["policy"].values.tobytes() == net.params.values.tobytes()
         assert vecs["policy"].segments == net.params.segments
-        assert vecs["critic"].values.tobytes() == critic.params.values.tobytes()
+        assert vecs["critic"].values.tobytes() == critic.values.tobytes()
 
     def test_bad_magic_rejected(self, tmp_path):
         path = tmp_path / "bad.ckpt"
@@ -329,7 +359,7 @@ class TestCheckpoint:
             pol.load_checkpoint(path)
 
     def test_truncation_rejected(self, tmp_path):
-        net = pol.make_policy(CARTPOLE, Stream(24))
+        net = make_policy(CARTPOLE, Stream(24))
         path = tmp_path / "t.ckpt"
         pol.save_checkpoint(path, {"policy": net.params})
         data = path.read_bytes()

@@ -11,6 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from metarl import autodiff as ad
+from metarl import meta
 from metarl import policy as pol
 from metarl import rl
 from metarl.autodiff import Params
@@ -18,7 +19,7 @@ from metarl.envs import Family, Task, make_env
 from metarl.rl import Trajectory, TrajectoryBatch, discounted_returns
 from metarl.rng import Stream
 
-from _helpers import balancer_policy, zero_params
+from _helpers import balancer_policy, make_policy, zero_params
 
 CARTPOLE = make_env(Task(Family.CARTPOLE, 10.0))
 INTERSECTION = make_env(Task(Family.INTERSECTION, 10.0))
@@ -41,14 +42,14 @@ def bandit_batch(actions, rewards) -> TrajectoryBatch:
 
 class TestRollout:
     def test_bit_identical_given_same_stream(self):
-        net = pol.make_policy(INTERSECTION, Stream(1))
+        net = make_policy(INTERSECTION, Stream(1))
         a = rl.rollout(INTERSECTION, net, Stream(2))
         b = rl.rollout(INTERSECTION, net, Stream(2))
         for field in ("states", "actions", "rewards", "logps", "raws"):
             assert getattr(a, field).tobytes() == getattr(b, field).tobytes()
 
     def test_cartpole_reward_equals_length(self):
-        net = pol.make_policy(CARTPOLE, Stream(3))
+        net = make_policy(CARTPOLE, Stream(3))
         for seed in range(5):
             traj = rl.rollout(CARTPOLE, net, Stream(10 + seed))
             assert traj.length <= 200
@@ -61,12 +62,12 @@ class TestRollout:
 
 class TestSampleBatch:
     def test_batch_size(self):
-        net = pol.make_policy(CARTPOLE, Stream(5))
+        net = make_policy(CARTPOLE, Stream(5))
         batch = rl.sample_batch(CARTPOLE, net, 10, Stream(6))
         assert batch.k == 10
 
     def test_lockstep_matches_serial_rollouts_cartpole(self):
-        net = pol.make_policy(CARTPOLE, Stream(7))
+        net = make_policy(CARTPOLE, Stream(7))
         batch = rl.sample_batch(CARTPOLE, net, 6, Stream(8))
         for j, traj in enumerate(batch.trajectories):
             solo = rl.rollout(CARTPOLE, net, Stream(8).child(j))
@@ -74,7 +75,7 @@ class TestSampleBatch:
                 assert getattr(traj, field).tobytes() == getattr(solo, field).tobytes()
 
     def test_lockstep_matches_serial_rollouts_intersection(self):
-        net = pol.make_policy(INTERSECTION, Stream(9))
+        net = make_policy(INTERSECTION, Stream(9))
         batch = rl.sample_batch(INTERSECTION, net, 5, Stream(10))
         for j, traj in enumerate(batch.trajectories):
             solo = rl.rollout(INTERSECTION, net, Stream(10).child(j))
@@ -82,7 +83,7 @@ class TestSampleBatch:
                 assert getattr(traj, field).tobytes() == getattr(solo, field).tobytes()
 
     def test_deterministic_across_runs(self):
-        net = pol.make_policy(CARTPOLE, Stream(11))
+        net = make_policy(CARTPOLE, Stream(11))
         a = rl.sample_batch(CARTPOLE, net, 4, Stream(12))
         b = rl.sample_batch(CARTPOLE, net, 4, Stream(12))
         for ta, tb in zip(a.trajectories, b.trajectories):
@@ -94,7 +95,7 @@ class TestSampleBatch:
         assert np.sum(a == b) < 5
 
     def test_validation(self):
-        net = pol.make_policy(CARTPOLE, Stream(14))
+        net = make_policy(CARTPOLE, Stream(14))
         with pytest.raises(ValueError):
             rl.sample_batch(CARTPOLE, net, 0, Stream(1))
         with pytest.raises(TypeError):
@@ -102,18 +103,19 @@ class TestSampleBatch:
 
     def test_rollout_and_eval_take_only_a_stream(self):
         # Variates are drawn a horizon at a time, so a generator shared by
-        # several episodes would give each of them different bits.
-        net = pol.make_policy(CARTPOLE, Stream(14))
+        # several episodes would give each of them different bits. Evaluation
+        # rolls out through sample_batch.
+        net = make_policy(CARTPOLE, Stream(14))
         with pytest.raises(TypeError):
             rl.rollout(CARTPOLE, net, np.random.default_rng(0))
         with pytest.raises(TypeError):
-            rl.eval_returns(CARTPOLE, net, 2, np.random.default_rng(0))
+            rl.sample_batch(CARTPOLE, net, 2, np.random.default_rng(0))
 
     @pytest.mark.parametrize("horizon", [0, -1])
     def test_horizon_below_one_rejected(self, horizon):
         env = make_env(Task(Family.CARTPOLE, 10.0))
         env.horizon = horizon
-        net = pol.make_policy(env, Stream(15))
+        net = make_policy(env, Stream(15))
         with pytest.raises(ValueError, match="horizon"):
             rl.sample_batch(env, net, 2, Stream(16))
         with pytest.raises(ValueError, match="horizon"):
@@ -205,7 +207,7 @@ class TestEngineMatchesStepwiseLoop:
         assert 200 in lengths and min(lengths) < 200
 
     def test_cartpole_all_terminate_early(self):
-        net = pol.make_policy(CARTPOLE, Stream(3))
+        net = make_policy(CARTPOLE, Stream(3))
         lengths = [t.length for t in self.assert_same(CARTPOLE, net, 8, Stream(42))]
         assert max(lengths) < 200
 
@@ -228,7 +230,7 @@ class TestEngineMatchesStepwiseLoop:
     @given(st.integers(min_value=0, max_value=2**31 - 1), st.integers(min_value=1, max_value=7))
     def test_random_policies(self, seed, k):
         for env in (CARTPOLE, INTERSECTION):
-            self.assert_same(env, pol.make_policy(env, Stream(seed)), k, Stream(seed).child(1))
+            self.assert_same(env, make_policy(env, Stream(seed)), k, Stream(seed).child(1))
 
 
 class TestPredrawnVariates:
@@ -322,7 +324,7 @@ class TestReinforceObjective:
 
     def test_zero_rewards_zero_everything(self):
         batch = bandit_batch([0, 1, 0, 1], [0.0, 0.0, 0.0, 0.0])
-        net = pol.make_policy(CARTPOLE, Stream(16))
+        net = make_policy(CARTPOLE, Stream(16))
         obj = rl.policy_objective(batch, 0.99)
         g, val = ad.grad_and_value(obj, net.params)
         assert val == 0.0
@@ -330,7 +332,7 @@ class TestReinforceObjective:
 
     def test_ascent_increases_rewarded_action_probability(self):
         batch = bandit_batch([0, 1, 0, 1, 0, 1], [1.0, 0.0, 1.0, 0.0, 1.0, 0.0])
-        net = pol.make_policy(CARTPOLE, Stream(17))
+        net = make_policy(CARTPOLE, Stream(17))
         g = ad.grad(rl.policy_objective(batch, 0.99), net.params)
 
         def prob_of_action0(pv):
@@ -343,7 +345,7 @@ class TestReinforceObjective:
         assert after > before
 
     def test_grad_matches_fd_on_frozen_batch(self):
-        net = pol.make_policy(CARTPOLE, Stream(18))
+        net = make_policy(CARTPOLE, Stream(18))
         batch = rl.sample_batch(CARTPOLE, net, 2, Stream(19))
         obj = rl.policy_objective(batch, 0.99)
         g = ad.grad(obj, net.params)
@@ -351,7 +353,7 @@ class TestReinforceObjective:
         assert ad.rel_err(g, g_fd) <= 1e-4
 
     def test_bit_invariant_to_trajectory_order(self):
-        net = pol.make_policy(CARTPOLE, Stream(20))
+        net = make_policy(CARTPOLE, Stream(20))
         batch = rl.sample_batch(CARTPOLE, net, 5, Stream(21))
         shuffled = TrajectoryBatch(tuple(reversed(batch.trajectories)), batch.task)
         obj_a = rl.policy_objective(batch, 0.99)
@@ -366,13 +368,13 @@ class TestReinforceObjective:
         # under a zero critic), the expected gradient is zero. Check a random
         # projection over 30 batch gradients of 100 policy-sampled labels
         # each, within 3 standard errors.
-        net = pol.make_policy(CARTPOLE, Stream(22))
+        net = make_policy(CARTPOLE, Stream(22))
         u = Stream(23).generator().normal(size=net.params.size)
         u /= np.linalg.norm(u)
         proj = []
         for b in range(30):
-            gen = Stream(24).child(b).generator()
-            actions = [pol.act(net, np.zeros(4), gen).action for _ in range(100)]
+            variates = pol.draw_variates(net.arch, Stream(24).child(b).generator(), 100)
+            actions, _, _ = pol.act_batch(net, np.zeros((100, 4)), variates)
             batch = bandit_batch(actions, np.ones(100))
             g = ad.grad(rl.policy_objective(batch, 0.99, "ac", zero_critic()), net.params)
             proj.append(float(g.values @ u))
@@ -414,7 +416,7 @@ class TestHoistedObjective:
 
     @pytest.fixture(scope="class")
     def net(self):
-        return pol.make_policy(CARTPOLE, Stream(40))
+        return make_policy(CARTPOLE, Stream(40))
 
     @pytest.fixture(scope="class")
     def direction(self, net):
@@ -459,7 +461,7 @@ class TestHoistedObjective:
 class TestActorCriticObjective:
     def test_perfect_critic_zeroes_policy_gradient(self):
         batch = bandit_batch([0, 1, 1, 0], [5.0, 5.0, 5.0, 5.0])
-        net = pol.make_policy(CARTPOLE, Stream(25))
+        net = make_policy(CARTPOLE, Stream(25))
         c_arch = pol.critic_arch(CARTPOLE)
         critic_pv = zero_params(c_arch, b2=(5.0,))  # V == G == 5 everywhere
         pol_obj = rl.policy_objective(batch, 0.99, "ac", critic_pv)
@@ -468,7 +470,7 @@ class TestActorCriticObjective:
         assert np.array_equal(g.values, np.zeros(g.size))
 
     def test_zero_critic_reduces_to_unstandardized_reinforce(self):
-        net = pol.make_policy(CARTPOLE, Stream(26))
+        net = make_policy(CARTPOLE, Stream(26))
         batch = rl.sample_batch(CARTPOLE, net, 3, Stream(27))
         ac_obj = rl.policy_objective(batch, 0.99, "ac", zero_critic())
         g_ac, v_ac = ad.grad_and_value(ac_obj, net.params)
@@ -477,7 +479,7 @@ class TestActorCriticObjective:
         assert g_ac.values.tobytes() == g_pg.values.tobytes()
 
     def test_critic_grad_matches_fd(self):
-        net = pol.make_policy(CARTPOLE, Stream(28))
+        net = make_policy(CARTPOLE, Stream(28))
         critic = pol.init_params(pol.critic_arch(CARTPOLE), Stream(29))
         batch = rl.sample_batch(CARTPOLE, net, 2, Stream(30))
         critic_obj = rl.critic_objective(batch, 0.99)
@@ -486,25 +488,32 @@ class TestActorCriticObjective:
         assert ad.rel_err(g, g_fd) <= 1e-4
 
 
+def episode_returns(env, policy, n: int, rng: Stream) -> np.ndarray:
+    """Undiscounted return of each of n episodes, totalled as evaluation
+    totals them."""
+    return np.array([t.total_return for t in rl.sample_batch(env, policy, n, rng).trajectories])
+
+
 class TestEvalReturn:
     def test_balancer_reaches_max(self):
-        totals = rl.eval_returns(CARTPOLE, balancer_policy(CARTPOLE), 8, Stream(31))
+        totals = episode_returns(CARTPOLE, balancer_policy(CARTPOLE), 8, Stream(31))
         np.testing.assert_array_equal(totals, np.full(8, 200.0))
 
     def test_deterministic(self):
-        net = pol.make_policy(CARTPOLE, Stream(32))
-        a = rl.eval_returns(CARTPOLE, net, 16, Stream(33))
-        b = rl.eval_returns(CARTPOLE, net, 16, Stream(33))
+        net = make_policy(CARTPOLE, Stream(32))
+        a = episode_returns(CARTPOLE, net, 16, Stream(33))
+        b = episode_returns(CARTPOLE, net, 16, Stream(33))
         assert a.tobytes() == b.tobytes()
 
     def test_standard_error_small_at_1000_episodes(self):
         noisy = balancer_policy(CARTPOLE, sharpness=2e5)
-        totals = rl.eval_returns(CARTPOLE, noisy, 1000, Stream(36))
+        totals = episode_returns(CARTPOLE, noisy, 1000, Stream(36))
         mean = float(np.mean(totals))
         sem = float(np.std(totals, ddof=1) / np.sqrt(len(totals)))
         assert sem < 0.02 * mean
 
     def test_needs_positive_episodes(self):
-        net = pol.make_policy(CARTPOLE, Stream(37))
+        cfg = meta.MetaConfig(m_tasks=1, k_trajs=1, horizon=5)
+        theta = meta.init_state(cfg).theta
         with pytest.raises(ValueError):
-            rl.eval_returns(CARTPOLE, net, 0, Stream(38))
+            meta.evaluate_policy(theta, None, cfg.alpha, cfg, Stream(38), 0)
