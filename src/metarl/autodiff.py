@@ -9,7 +9,7 @@ state to manage and graphs can safely cross threads.
 `affine(h, w, b)` records a network layer's h @ w + b as one node: the same
 two numpy operations as `matmul` followed by `add`, and the same bits, with
 no node, tangent or adjoint kept for the product in between. Both share the
-product rule (`_mm`, `_mm_vjp`).
+product rule (`_mm`).
 
 Hessian-vector products use forward-over-reverse: every node carries an
 optional tangent alongside its value, and the backward pass propagates
@@ -24,6 +24,14 @@ the values the graph already holds. So `value`, the finite-difference oracles
 and the forward half of `grad`/`hvp` pay for the forward graph alone, through
 the same op code; recomputing a quantity in the vjp gives the bits the
 forward would have captured.
+
+Forward cost rule: a node costs its numpy operations plus a few attribute
+reads. Reductions call the ufunc (`np.add.reduce`, `np.maximum.reduce`), not
+the `np.sum`/`np.max` wrappers; shapes come from array attributes; a segment
+node takes its (slice, shape) from the layout index its ParamVector carries;
+a float64 array becomes a constant as it is. A node that no parameter leaf
+reaches (`needs` false) is a constant: no vjp gives it an adjoint, so the
+backward pass computes no product only a constant would read.
 
 The backward pass frees each node's adjoint once its vjp has run: every node
 that adds to it has a higher id and so ran first, and nothing reads it again.
@@ -45,6 +53,7 @@ from __future__ import annotations
 
 import ctypes
 import itertools
+import math
 import os
 from dataclasses import dataclass
 from typing import Callable, Sequence
@@ -150,7 +159,7 @@ def _checked_values(values) -> np.ndarray:
     arr = np.array(values, dtype=np.float64)
     if arr.ndim != 1:
         raise ValueError("parameter values must be a 1-D vector")
-    if not np.all(np.isfinite(arr)):
+    if not np.logical_and.reduce(np.isfinite(arr)):
         raise NonFiniteValue("parameter vector contains NaN/Inf")
     return arr
 
@@ -159,10 +168,12 @@ class ParamVector:
     """Flat float64 parameter vector with a named-segment layout.
 
     Values are immutable after construction. Two vectors combine (add, scale,
-    elementwise multiply) only when their layouts are identical.
+    elementwise multiply) only when their layouts are identical. The layout's
+    index, segment name -> (slice, shape), is built once and shared by every
+    vector `with_values` derives.
     """
 
-    __slots__ = ("values", "segments", "_views")
+    __slots__ = ("values", "segments", "_index", "_views")
 
     def __init__(self, values: np.ndarray, segments: Sequence[Segment]):
         arr = _checked_values(values)
@@ -174,12 +185,14 @@ class ParamVector:
             offset += s.size
         if offset != arr.size:
             raise ValueError(f"segments cover {offset} values, vector has {arr.size}")
-        self._init(arr, segs)
+        index = {s.name: (slice(s.offset, s.offset + s.size), s.shape) for s in segs}
+        self._init(arr, segs, index)
 
-    def _init(self, arr: np.ndarray, segs: "tuple[Segment, ...]") -> None:
+    def _init(self, arr: np.ndarray, segs: "tuple[Segment, ...]", index: dict) -> None:
         arr.setflags(write=False)
         object.__setattr__(self, "values", arr)
         object.__setattr__(self, "segments", segs)
+        object.__setattr__(self, "_index", index)
         object.__setattr__(self, "_views", None)
 
     def __setattr__(self, name, value):  # immutability guard
@@ -195,10 +208,7 @@ class ParamVector:
         pass reads every layer on every step)."""
         views = self._views
         if views is None:
-            views = {
-                s.name: self.values[s.offset : s.offset + s.size].reshape(s.shape)
-                for s in self.segments
-            }
+            views = {name: self.values[sl].reshape(shape) for name, (sl, shape) in self._index.items()}
             object.__setattr__(self, "_views", views)
         return views[name]
 
@@ -212,7 +222,7 @@ class ParamVector:
         if arr.size != self.size:
             raise ValueError(f"segments cover {self.size} values, vector has {arr.size}")
         out = object.__new__(ParamVector)
-        out._init(arr, self.segments)
+        out._init(arr, self.segments, self._index)
         return out
 
     def _check_combinable(self, other: "ParamVector") -> None:
@@ -365,33 +375,28 @@ def _mm(a: _D, b: _D, exact: bool) -> _D:
     return _D(mmv(a.v, b.v), d)
 
 
-def _mm_vjp(g: _D, a: _D, b: _D, exact: bool) -> "tuple[_D, _D]":
-    """Adjoints of both operands of the 2-D product a @ b, given the
-    product's adjoint g: (g @ b.T, a.T @ g)."""
-    ga = _mm(g, b.apply_linear(np.transpose), exact)
-    gb = _mm(a.apply_linear(np.transpose), g, exact)
-    return ga, gb
-
-
 # ---------------------------------------------------------------------------
 # Graph nodes
 # ---------------------------------------------------------------------------
 
 _NODE_IDS = itertools.count()
+_F64 = np.dtype(np.float64)
 
 
 class Node:
     """One recorded operation result. Graphs are acyclic by construction:
     node ids increase in evaluation order, and the backward pass visits
-    reachable nodes in decreasing id order."""
+    reachable nodes in decreasing id order. `needs` is true when a parameter
+    leaf reaches the node; only such nodes are given an adjoint."""
 
-    __slots__ = ("val", "dot", "parents", "vjp", "adj", "idx")
+    __slots__ = ("val", "dot", "parents", "vjp", "needs", "adj", "idx")
 
-    def __init__(self, val, dot=None, parents=(), vjp=None):
+    def __init__(self, val, dot=None, parents=(), vjp=None, needs=False):
         self.val = val
         self.dot = dot
         self.parents = parents
         self.vjp = vjp
+        self.needs = needs
         self.adj: _D | None = None
         self.idx = next(_NODE_IDS)
 
@@ -432,38 +437,47 @@ def _as_node(x) -> Node:
 
 
 def const(x) -> Node:
-    """Constant graph input; carries no gradient and no tangent."""
-    return Node(np.asarray(x, dtype=np.float64) if not np.isscalar(x) else np.float64(x))
+    """Constant graph input; carries no gradient and no tangent. A float64
+    array is taken as it is, as `np.asarray` would."""
+    if type(x) is not np.ndarray or x.dtype is not _F64:
+        x = np.asarray(x, dtype=np.float64) if not np.isscalar(x) else np.float64(x)
+    return Node(x)
 
 
 def add(a, b) -> Node:
     a, b = _as_node(a), _as_node(b)
 
     def vjp(g: _D, acc):
-        acc(a, g.unbroadcast(np.shape(a.val)))
-        acc(b, g.unbroadcast(np.shape(b.val)))
+        if a.needs:
+            acc(a, g.unbroadcast(a.val.shape))
+        if b.needs:
+            acc(b, g.unbroadcast(b.val.shape))
 
-    return Node(a.val + b.val, _dadd(a.dot, b.dot), (a, b), vjp)
+    return Node(a.val + b.val, _dadd(a.dot, b.dot), (a, b), vjp, a.needs or b.needs)
 
 
 def sub(a, b) -> Node:
     a, b = _as_node(a), _as_node(b)
 
     def vjp(g: _D, acc):
-        acc(a, g.unbroadcast(np.shape(a.val)))
-        acc(b, (-g).unbroadcast(np.shape(b.val)))
+        if a.needs:
+            acc(a, g.unbroadcast(a.val.shape))
+        if b.needs:
+            acc(b, (-g).unbroadcast(b.val.shape))
 
-    return Node(a.val - b.val, _dsub(a.dot, b.dot), (a, b), vjp)
+    return Node(a.val - b.val, _dsub(a.dot, b.dot), (a, b), vjp, a.needs or b.needs)
 
 
 def mul(a, b) -> Node:
     a, b = _as_node(a), _as_node(b)
 
     def vjp(g: _D, acc):
-        acc(a, (g * b._dual()).unbroadcast(np.shape(a.val)))
-        acc(b, (g * a._dual()).unbroadcast(np.shape(b.val)))
+        if a.needs:
+            acc(a, (g * b._dual()).unbroadcast(a.val.shape))
+        if b.needs:
+            acc(b, (g * a._dual()).unbroadcast(b.val.shape))
 
-    return Node(a.val * b.val, _dmul(a.val, a.dot, b.val, b.dot), (a, b), vjp)
+    return Node(a.val * b.val, _dmul(a.val, a.dot, b.val, b.dot), (a, b), vjp, a.needs or b.needs)
 
 
 def matmul(a, b, exact: bool = False) -> Node:
@@ -487,15 +501,15 @@ def matmul(a, b, exact: bool = False) -> Node:
             g2 = g2.apply_linear(lambda x: np.reshape(x, (1, -1)))
         elif b_vec:
             g2 = g2.apply_linear(lambda x: np.reshape(x, (-1, 1)))
-        ga, gb = _mm_vjp(g2, a2, b2, exact)
-        if a_vec:
-            ga = ga.apply_linear(lambda x: x[0])
-        if b_vec:
-            gb = gb.apply_linear(lambda x: x[:, 0])
-        acc(a, ga)
-        acc(b, gb)
+        # The product's adjoint g2 gives g2 @ b2.T and a2.T @ g2.
+        if a.needs:
+            ga = _mm(g2, b2.apply_linear(np.transpose), exact)
+            acc(a, ga.apply_linear(lambda x: x[0]) if a_vec else ga)
+        if b.needs:
+            gb = _mm(a2.apply_linear(np.transpose), g2, exact)
+            acc(b, gb.apply_linear(lambda x: x[:, 0]) if b_vec else gb)
 
-    return Node(out.v, out.d, (a, b), vjp)
+    return Node(out.v, out.d, (a, b), vjp, a.needs or b.needs)
 
 
 def affine(h, w, b, exact: bool = False) -> Node:
@@ -504,25 +518,32 @@ def affine(h, w, b, exact: bool = False) -> Node:
     followed by `add`, so the same bits, without a node (and an adjoint)
     for the product in between."""
     h, w, b = _as_node(h), _as_node(w), _as_node(b)
-    if np.ndim(h.val) != 2 or np.ndim(w.val) != 2:
+    if h.val.ndim != 2 or w.val.ndim != 2:
         raise ValueError("affine needs a 2-D input and a 2-D weight")
-    out = _mm(h._dual(), w._dual(), exact)
-    # The product is a fresh array, so the bias is added in place.
-    val = out.v
+    # `_mm`'s products, taken directly; each is a fresh array, so the bias
+    # is added in place.
+    mm = _matmul_exact if exact else np.matmul
+    dot = None
+    if h.dot is not None:
+        dot = mm(h.dot, w.val)
+    if w.dot is not None:
+        dot = _dadd(dot, mm(h.val, w.dot))
+    val = mm(h.val, w.val)
     val += b.val
-    dot = out.d
     if dot is None:
         dot = b.dot
     elif b.dot is not None:
         dot += b.dot
 
     def vjp(g: _D, acc):
-        gh, gw = _mm_vjp(g, h._dual(), w._dual(), exact)
-        acc(h, gh)
-        acc(w, gw)
-        acc(b, g.unbroadcast(np.shape(b.val)))
+        if h.needs:
+            acc(h, _mm(g, w._dual().apply_linear(np.transpose), exact))
+        if w.needs:
+            acc(w, _mm(h._dual().apply_linear(np.transpose), g, exact))
+        if b.needs:
+            acc(b, g.unbroadcast(b.val.shape))
 
-    return Node(val, dot, (h, w, b), vjp)
+    return Node(val, dot, (h, w, b), vjp, h.needs or w.needs or b.needs)
 
 
 def tanh(a) -> Node:
@@ -534,7 +555,7 @@ def tanh(a) -> Node:
         # sech^2 = 1 - tanh^2 and its tangent -2 tanh * d(tanh)
         acc(a, g * _D(1.0 - yv * yv, None if yd is None else -2.0 * yv * yd))
 
-    return Node(yv, yd, (a,), vjp)
+    return Node(yv, yd, (a,), vjp, a.needs)
 
 
 def exp(a) -> Node:
@@ -545,7 +566,7 @@ def exp(a) -> Node:
     def vjp(g: _D, acc):
         acc(a, g * _D(yv, yd))
 
-    return Node(yv, yd, (a,), vjp)
+    return Node(yv, yd, (a,), vjp, a.needs)
 
 
 def log(a) -> Node:
@@ -554,7 +575,7 @@ def log(a) -> Node:
     def vjp(g: _D, acc):
         acc(a, g / a._dual())
 
-    return Node(np.log(a.val), None if a.dot is None else a.dot / a.val, (a,), vjp)
+    return Node(np.log(a.val), None if a.dot is None else a.dot / a.val, (a,), vjp, a.needs)
 
 
 def powc(a, p) -> Node:
@@ -568,14 +589,14 @@ def powc(a, p) -> Node:
         deriv_d = None if a.dot is None else p * (p - 1.0) * a.val ** (p - 2.0) * a.dot
         acc(a, g * _D(deriv, deriv_d))
 
-    return Node(a.val ** p, yd, (a,), vjp)
+    return Node(a.val ** p, yd, (a,), vjp, a.needs)
 
 
 def nsum(a, axis: int | None = None) -> Node:
     a = _as_node(a)
 
     def vjp(g: _D, acc):
-        shape = np.shape(a.val)
+        shape = a.val.shape
 
         def expand(x):
             x = np.asarray(x)
@@ -585,13 +606,13 @@ def nsum(a, axis: int | None = None) -> Node:
 
         acc(a, g.apply_linear(expand))
 
-    dot = None if a.dot is None else np.sum(a.dot, axis=axis)
-    return Node(np.sum(a.val, axis=axis), dot, (a,), vjp)
+    dot = None if a.dot is None else np.add.reduce(a.dot, axis=axis)
+    return Node(np.add.reduce(a.val, axis=axis), dot, (a,), vjp, a.needs)
 
 
 def nmean(a, axis: int | None = None) -> Node:
     a = _as_node(a)
-    n = np.size(a.val) if axis is None else np.shape(a.val)[axis]
+    n = a.val.size if axis is None else a.val.shape[axis]
     return mul(nsum(a, axis=axis), 1.0 / float(n))
 
 
@@ -602,7 +623,7 @@ def gather_rows(a, idx) -> Node:
     rows = np.arange(idx.size)
 
     def vjp(g: _D, acc):
-        n_cols = np.shape(a.val)[1]
+        n_cols = a.val.shape[1]
 
         def scatter(x):
             z = np.zeros((idx.size, n_cols))
@@ -612,32 +633,30 @@ def gather_rows(a, idx) -> Node:
         acc(a, g.apply_linear(scatter))
 
     dot = None if a.dot is None else a.dot[rows, idx]
-    return Node(a.val[rows, idx], dot, (a,), vjp)
+    return Node(a.val[rows, idx], dot, (a,), vjp, a.needs)
 
 
 def row_max_const(a) -> Node:
     """Row maxima, detached from the graph (constant shift for stable
     log-softmax; value and all derivatives of the composition stay exact)."""
     a = _as_node(a)
-    return Node(np.max(a.val, axis=1, keepdims=True))
+    return Node(np.maximum.reduce(a.val, axis=1, keepdims=True))
 
 
 def reshape(a, shape) -> Node:
     a = _as_node(a)
 
     def vjp(g: _D, acc):
-        old = np.shape(a.val)
+        old = a.val.shape
         acc(a, g.apply_linear(lambda x: np.reshape(x, old)))
 
     dot = None if a.dot is None else np.reshape(a.dot, shape)
-    return Node(np.reshape(a.val, shape), dot, (a,), vjp)
+    return Node(np.reshape(a.val, shape), dot, (a,), vjp, a.needs)
 
 
-def _segment_node(leaf: Node, seg: Segment) -> Node:
-    sl = slice(seg.offset, seg.offset + seg.size)
-
+def _segment_node(leaf: Node, sl: slice, shape: "tuple[int, ...]") -> Node:
     def vjp(g: _D, acc):
-        total = np.shape(leaf.val)[0]
+        total = leaf.val.shape[0]
 
         def place(x):
             z = np.zeros(total)
@@ -646,8 +665,8 @@ def _segment_node(leaf: Node, seg: Segment) -> Node:
 
         acc(leaf, g.apply_linear(place))
 
-    dot = None if leaf.dot is None else leaf.dot[sl].reshape(seg.shape)
-    return Node(leaf.val[sl].reshape(seg.shape), dot, (leaf,), vjp)
+    dot = None if leaf.dot is None else leaf.dot[sl].reshape(shape)
+    return Node(leaf.val[sl].reshape(shape), dot, (leaf,), vjp, leaf.needs)
 
 
 # ---------------------------------------------------------------------------
@@ -666,11 +685,11 @@ class Params:
     """
 
     def __init__(self, pv: ParamVector, tangent: np.ndarray | None = None):
-        self.layout = pv.segments
+        self._index = pv._index
         dot = None if tangent is None else np.array(tangent, dtype=np.float64)
         # A ParamVector's values are already read-only float64: the leaf
         # shares them rather than copying.
-        self._leaf = Node(pv.values, dot)
+        self._leaf = Node(pv.values, dot, needs=True)
         self._seg_nodes: dict[str, Node] = {}
 
     @property
@@ -680,21 +699,15 @@ class Params:
     def seg(self, name: str) -> Node:
         node = self._seg_nodes.get(name)
         if node is None:
-            for s in self.layout:
-                if s.name == name:
-                    node = _segment_node(self._leaf, s)
-                    break
-            else:
-                raise KeyError(name)
-            self._seg_nodes[name] = node
+            node = self._seg_nodes[name] = _segment_node(self._leaf, *self._index[name])
         return node
 
 
 def _scalar_value(root: Node) -> float:
-    if np.size(root.val) != 1:
+    if root.val.size != 1:
         raise ValueError("objective must evaluate to a scalar")
-    v = float(np.reshape(root.val, ()))
-    if not np.isfinite(v):
+    v = float(root.val.reshape(()))
+    if not math.isfinite(v):
         raise NonFiniteValue(f"objective evaluated to {v}")
     return v
 
@@ -715,6 +728,8 @@ def _reachable(root: Node) -> list[Node]:
 
 
 def _backward(root: Node, dual: bool) -> None:
+    if not root.needs:  # no parameter reaches the root: every adjoint is 0
+        return
     nodes = _reachable(root)
     root.adj = _D(np.float64(1.0), np.float64(0.0) if dual else None)
 

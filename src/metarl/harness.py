@@ -14,6 +14,7 @@ so identical runs produce byte-identical files.
 from __future__ import annotations
 
 import enum
+import json
 import re
 from dataclasses import dataclass, fields
 from pathlib import Path
@@ -407,6 +408,8 @@ def emit_plot(runs: "list[RunLog]", factor: float, out_path) -> "tuple[Path, Pat
         "smoothed return</text>"
     )
     for idx, (label, xs, _, ys) in enumerate(series):
+        # XML-escaped by hand: xml.sax.saxutils would import urllib and ssl.
+        text = label.replace("&", "&amp;").replace("<", "&lt;").replace(">", "&gt;")
         color = _PALETTE[idx % len(_PALETTE)]
         pts = " ".join(f"{_svg_coord(px(e))},{_svg_coord(py(v))}" for e, v in zip(xs, ys))
         parts.append(
@@ -419,7 +422,7 @@ def emit_plot(runs: "list[RunLog]", factor: float, out_path) -> "tuple[Path, Pat
         )
         parts.append(
             f'<text x="{_svg_coord(_ML + 40)}" y="{_svg_coord(ly)}" font-size="12" '
-            f'font-family="monospace">{label}</text>'
+            f'font-family="monospace">{text}</text>'
         )
     parts.append("</svg>")
 
@@ -430,6 +433,10 @@ def emit_plot(runs: "list[RunLog]", factor: float, out_path) -> "tuple[Path, Pat
     dat_path = out_path.with_suffix(".dat")
     dat_lines = ["# label epoch eval_return smoothed"]
     for label, xs, raw, ys in series:
+        # A label with whitespace or quotes is written as a JSON string, so a
+        # row keeps four fields; any other label keeps its bytes.
+        if any(c.isspace() or c in "\"'" for c in label):
+            label = json.dumps(label)
         for e, r0, sm in zip(xs, raw, ys):
             dat_lines.append(f"{label} {e} {fmt_float(r0)} {fmt_float(sm)}")
     write_atomic(dat_path, "\n".join(dat_lines) + "\n")

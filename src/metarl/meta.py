@@ -227,8 +227,10 @@ class RunConfig:
             raise ValidationError("conv_window: must be >= 1")
         if not np.isfinite(self.conv_tau):
             raise ValidationError("conv_tau: must be finite")
-        if not self.label:
-            raise ValidationError("label: must be nonempty")
+        # The label names the run's files in out_dir: a plain file name, so
+        # not "", "." or "..", and no path separator or NUL.
+        if self.label in ("", ".", "..") or any(c in self.label for c in "/\\\0"):
+            raise ValidationError(f"label: must be a plain file name, got {self.label!r}")
 
 
 @dataclass(frozen=True)

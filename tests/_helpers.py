@@ -56,18 +56,20 @@ class Counts:
     grad_calls: int = 0
     hvp_calls: int = 0
     rollouts: int = 0
+    value_calls: int = 0
+    batches: int = 0
 
 
 @contextmanager
 def count_calls() -> Iterator[Counts]:
-    """Count the gradients, Hessian-vector products and rollouts made inside
-    the block by wrapping the module globals the library calls through:
-    `autodiff.grad_and_value` (which `grad` and `fd_hvp` reach),
-    `autodiff.hvp`, and `rl.sample_batch` (each batch adds its trajectory
-    count). The originals are back in place on exit, also when the block
-    raises."""
+    """Count the gradients, Hessian-vector products, objective values and
+    rollouts made inside the block by wrapping the module globals the library
+    calls through: `autodiff.grad_and_value` (which `grad` and `fd_hvp`
+    reach), `autodiff.hvp`, `autodiff.value` (which `fd_grad` reaches), and
+    `rl.sample_batch` (each call adds one batch and its trajectory count).
+    The originals are back in place on exit, also when the block raises."""
     counts = Counts()
-    grad_and_value, hvp, sample_batch = ad.grad_and_value, ad.hvp, rl.sample_batch
+    grad_and_value, hvp, value, sample_batch = ad.grad_and_value, ad.hvp, ad.value, rl.sample_batch
 
     def counted_grad_and_value(*args, **kwargs):
         counts.grad_calls += 1
@@ -77,13 +79,20 @@ def count_calls() -> Iterator[Counts]:
         counts.hvp_calls += 1
         return hvp(*args, **kwargs)
 
+    def counted_value(*args, **kwargs):
+        counts.value_calls += 1
+        return value(*args, **kwargs)
+
     def counted_sample_batch(*args, **kwargs):
         batch = sample_batch(*args, **kwargs)
+        counts.batches += 1
         counts.rollouts += batch.k
         return batch
 
-    ad.grad_and_value, ad.hvp, rl.sample_batch = counted_grad_and_value, counted_hvp, counted_sample_batch
+    ad.grad_and_value, ad.hvp, ad.value, rl.sample_batch = (
+        counted_grad_and_value, counted_hvp, counted_value, counted_sample_batch
+    )
     try:
         yield counts
     finally:
-        ad.grad_and_value, ad.hvp, rl.sample_batch = grad_and_value, hvp, sample_batch
+        ad.grad_and_value, ad.hvp, ad.value, rl.sample_batch = grad_and_value, hvp, value, sample_batch

@@ -274,6 +274,39 @@ class TestGrad:
         g = ad.grad(obj, pv)
         assert np.array_equal(g.values, c.ravel())
 
+    def test_constants_get_no_adjoint(self):
+        """Only nodes a parameter reaches take part in the backward pass: on
+        a policy objective, the states, the advantages and the row-max shift
+        are constants, and after `grad` and `hvp` none of them holds an
+        adjoint, while the parameter leaf holds the gradient."""
+        env = make_env(Task(Family.CARTPOLE, 9.0))
+        env.horizon = 15
+        theta = init_params(actor_arch(env), Stream(3).child(0))
+        batch = rl.sample_batch(env, PolicyNet(actor_arch(env), theta), 2, Stream(3).child(1))
+        obj = rl.policy_objective(batch, 0.99)
+        roots = []
+
+        def recorded(p):
+            roots.append(obj(p))
+            return roots[-1]
+
+        g = ad.grad(recorded, theta)
+        hv = ad.hvp(recorded, theta, theta.with_values(np.ones(theta.size)))
+        for root, want in ((roots[0], g.values), (roots[1], hv.values)):
+            nodes, stack = {}, [root]
+            while stack:
+                n = stack.pop()
+                if id(n) not in nodes:
+                    nodes[id(n)] = n
+                    stack.extend(n.parents)
+            constants = [n for n in nodes.values() if not n.needs]
+            (leaf,) = [n for n in nodes.values() if n.needs and not n.parents]
+            assert len(constants) >= 4  # states, row max, advantages, 1/K
+            assert all(n.adj is None for n in constants)
+            assert all(n.adj is None for n in nodes.values() if n is not leaf)
+            got = leaf.adj.v if root is roots[0] else leaf.adj.d
+            assert np.array_equal(got, want)
+
     def test_counts_gradient_calls(self, surrogate, net_theta):
         # `grad` reaches `grad_and_value` through the module, so the test
         # counter sees both under grad_calls.
@@ -357,7 +390,7 @@ class TestHvp:
 @pytest.mark.parametrize("raises", [False, True])
 def test_count_calls_restores_the_wrapped_functions(raises):
     def wrapped():
-        return ad.grad_and_value, ad.hvp, rl.sample_batch
+        return ad.grad_and_value, ad.hvp, ad.value, rl.sample_batch
 
     originals = wrapped()
     with contextlib.suppress(RuntimeError):

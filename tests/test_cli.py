@@ -257,6 +257,8 @@ class TestInputErrors:
             (["audit", "--k_trajs", str(cli.MAX_TRAJECTORIES + 1)], "--k_trajs"),
             # Config values are checked by the config, which names the key.
             (["train", "--phi_hi", "inf", "--epochs", "1"], "phi_hi"),
+            (["train", "--label", "../x", "--epochs", "1"], "label"),
+            (["train", "--label", "..", "--epochs", "1"], "label"),
         ],
     )
     def test_rejected_with_the_flag_named(self, argv, flag, monkeypatch, capsys):

@@ -8,13 +8,17 @@ hand-computed means and the speedup-ratio identity speedup(A,B) =
 determinism; the autodiff audit is run at a reduced size.
 """
 
+import json
+import shlex
 from pathlib import Path
+from xml.dom import minidom
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from _helpers import count_calls
 from metarl.envs import Family
 from metarl.errors import ParseError, ValidationError
 from metarl.harness import (
@@ -123,6 +127,13 @@ class TestBuildRunConfig:
             ("delta", "nan", "^delta: must be finite$"),
             ("phi_lo", "-inf", "^phi_lo: must be finite$"),
             ("phi_hi", "inf", "^phi_hi: must be finite$"),
+            # The label names the run's files: a plain file name only.
+            ("label", "../../escape", "^label: must be a plain file name"),
+            ("label", "runs/x", "^label: must be a plain file name"),
+            ("label", "a\\b", "^label: must be a plain file name"),
+            ("label", ".", "^label: must be a plain file name"),
+            ("label", "..", "^label: must be a plain file name"),
+            ("label", "nul\0byte", "^label: must be a plain file name"),
         ],
     )
     def test_conversion_errors_name_the_key(self, key, val, msg):
@@ -390,6 +401,29 @@ class TestEmitPlot:
         dat = [ln.split()[0] for ln in dat_path.read_text().splitlines()[1:]]
         assert dat == [name for name in names for _ in range(3)]
 
+    @pytest.mark.parametrize("label", ["a<b & c", "two words", 'say "hi"', "it's", "tab\tand\nnewline"])
+    def test_any_label_gives_well_formed_svg_and_four_field_rows(self, tmp_path, label):
+        svg_path, dat_path = emit_plot([flat_log(label, 3, ret=10.0)], 0.9, tmp_path / "c.svg")
+        legend = minidom.parse(str(svg_path)).getElementsByTagName("text")[-1]
+        assert legend.firstChild.data == label
+        lines = dat_path.read_text().splitlines()[1:]
+        assert len(lines) == 3
+        for line in lines:
+            assert len(shlex.split(line)) == 4
+            # A quoted label is a JSON string; the three numbers follow it.
+            if line.startswith('"'):
+                name, end = json.JSONDecoder().raw_decode(line)
+                numbers = line[end:].split()
+            else:
+                name, *numbers = line.split()
+            assert name == label and len(numbers) == 3
+
+    def test_plain_labels_keep_their_bytes(self, tmp_path):
+        label = "c6-directed-fomaml_s1.v2+x"
+        svg_path, dat_path = emit_plot([flat_log(label, 2, ret=10.0)], 0.9, tmp_path / "c.svg")
+        assert f">{label}</text>" in svg_path.read_text()
+        assert [ln.split()[0] for ln in dat_path.read_text().splitlines()[1:]] == [label, label]
+
     def test_skipped_epochs_are_dropped_from_points(self, tmp_path):
         rows = [row(e, ret=100.0 if e % 2 == 0 else None) for e in range(10)]
         log = make_log("sparse", rows)
@@ -407,6 +441,14 @@ class TestEmitPlot:
 
 
 class TestAuditOracles:
+    def test_one_policy_does_the_full_work(self):
+        # The benchmark's `audit` operation: fd_grad evaluates the objective
+        # twice per parameter (2 x 4,610), fd_hvp takes two gradients beside
+        # the exact one. A faster audit must still do all of it.
+        with count_calls() as c:
+            audit_oracles(n_seeds=1, k=2, horizon=15)
+        assert (c.value_calls, c.grad_calls, c.hvp_calls, c.batches) == (9220, 3, 1, 1)
+
     def test_small_audit_passes(self):
         res = audit_oracles(n_seeds=2, k=1, horizon=6)
         assert len(res.grad_errors) == 2
