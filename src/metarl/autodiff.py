@@ -33,10 +33,12 @@ a float64 array becomes a constant as it is. A node that no parameter leaf
 reaches (`needs` false) is a constant: no vjp gives it an adjoint, so the
 backward pass computes no product only a constant would read.
 
-The backward pass frees each node's adjoint once its vjp has run: every node
-that adds to it has a higher id and so ran first, and nothing reads it again.
-A leaf has no vjp and keeps its adjoint, which is what `grad` and `hvp` read.
-So at any point only the adjoints of nodes still waiting for their vjp are alive.
+The backward pass frees each node's adjoint, value, tangent and vjp once its
+vjp has run: all that add to that adjoint or read those arrays have higher
+ids and ran first. A leaf keeps its adjoint, which `grad` and `hvp` read; a
+constant is left whole. So one graph serves one backward pass. Rules build
+their (rows x width) temporaries in buffers of their own (`out=`, `+=`),
+never in an adjoint or value another node may hold, with the same bits.
 
 Finite differences exist only as test oracles (`fd_grad`, `fd_hvp`) and in
 the `audit` CLI; they are never a production gradient path.
@@ -179,13 +181,16 @@ class ParamVector:
         arr = _checked_values(values)
         segs = tuple(segments)
         offset = 0
+        index = {}
         for s in segs:
             if s.offset != offset:
                 raise ValueError(f"segment {s.name!r} not contiguous at offset {offset}")
+            if s.name in index:
+                raise ValueError(f"segment {s.name!r} appears twice")
+            index[s.name] = (slice(s.offset, s.offset + s.size), s.shape)
             offset += s.size
         if offset != arr.size:
             raise ValueError(f"segments cover {offset} values, vector has {arr.size}")
-        index = {s.name: (slice(s.offset, s.offset + s.size), s.shape) for s in segs}
         self._init(arr, segs, index)
 
     def _init(self, arr: np.ndarray, segs: "tuple[Segment, ...]", index: dict) -> None:
@@ -282,13 +287,21 @@ def _dsub(a, b):
     return -b if a is None else a + -b
 
 
+def _dsum(a, b):
+    """`_dadd` for an `a` the caller has just made: formed in `a` when it has the sum's shape."""
+    if a is None or b is None or a.shape != b.shape:
+        return _dadd(a, b)
+    a += b
+    return a
+
+
 def _dmul(xv, xd, yv, yd):
     """Tangent of a product x*y by the product rule."""
     d = None
     if xd is not None:
         d = xd * yv
     if yd is not None:
-        d = _dadd(d, xv * yd)
+        d = _dsum(d, xv * yd)
     return d
 
 
@@ -309,14 +322,6 @@ class _D:
         if isinstance(x, _D):
             return x
         return _D(x, None)
-
-    def __add__(self, o):
-        o = _D.wrap(o)
-        return _D(self.v + o.v, _dadd(self.d, o.d))
-
-    def __sub__(self, o):
-        o = _D.wrap(o)
-        return _D(self.v - o.v, _dsub(self.d, o.d))
 
     def __neg__(self):
         return _D(-self.v, None if self.d is None else -self.d)
@@ -371,7 +376,7 @@ def _mm(a: _D, b: _D, exact: bool) -> _D:
     if a.d is not None:
         d = mmv(a.d, b.v)
     if b.d is not None:
-        d = _dadd(d, mmv(a.v, b.d))
+        d = _dsum(d, mmv(a.v, b.d))
     return _D(mmv(a.v, b.v), d)
 
 
@@ -422,9 +427,6 @@ class Node:
 
     def __neg__(self):
         return mul(self, -1.0)
-
-    def __matmul__(self, o):
-        return matmul(self, o)
 
     def __pow__(self, p):
         return powc(self, p)
@@ -527,7 +529,7 @@ def affine(h, w, b, exact: bool = False) -> Node:
     if h.dot is not None:
         dot = mm(h.dot, w.val)
     if w.dot is not None:
-        dot = _dadd(dot, mm(h.val, w.dot))
+        dot = _dsum(dot, mm(h.val, w.dot))
     val = mm(h.val, w.val)
     val += b.val
     if dot is None:
@@ -546,14 +548,32 @@ def affine(h, w, b, exact: bool = False) -> Node:
     return Node(val, dot, (h, w, b), vjp, h.needs or w.needs or b.needs)
 
 
+def _sech2(y):
+    """1 - y * y for y = tanh(x), in one buffer (a 0-d numpy scalar takes no `out=`)."""
+    s = y * y
+    return np.subtract(1.0, s, out=s if s.ndim else None)
+
+
 def tanh(a) -> Node:
     a = _as_node(a)
     yv = np.tanh(a.val)
-    yd = None if a.dot is None else (1.0 - yv * yv) * a.dot
+    yd = None
+    if a.dot is not None:
+        yd = _sech2(yv)
+        yd *= a.dot
 
     def vjp(g: _D, acc):
-        # sech^2 = 1 - tanh^2 and its tangent -2 tanh * d(tanh)
-        acc(a, g * _D(1.0 - yv * yv, None if yd is None else -2.0 * yv * yd))
+        # g * (sech^2, its tangent -2 tanh * d(tanh)) as `_D.__mul__` forms
+        # it, in three buffers (g has its node's shape; products commute).
+        s = _sech2(yv)
+        d = None if g.d is None else g.d * s
+        s *= g.v
+        if yd is not None:
+            sd = -2.0 * yv
+            sd *= yd
+            sd *= g.v
+            d = _dsum(d, sd)
+        acc(a, _D(s, d))
 
     return Node(yv, yd, (a,), vjp, a.needs)
 
@@ -743,9 +763,10 @@ def _backward(root: Node, dual: bool) -> None:
         if n.adj is None or n.vjp is None:
             continue
         n.vjp(n.adj, acc)
-        # Every node that adds to this adjoint has a higher id, so all of
-        # them ran before it. Leaves (no vjp) keep theirs for the caller.
-        n.adj = None
+        # Whatever adds to this adjoint or reads these arrays (the vjp holds
+        # tanh's and exp's outputs) has run. Leaves keep their adjoint for the
+        # caller; constants, which objectives may share, are never visited.
+        n.adj = n.val = n.dot = n.vjp = None
 
 
 def value(objective: Objective, at: ParamVector) -> float:

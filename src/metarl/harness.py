@@ -333,6 +333,7 @@ _PALETTE = (
     "#17becf",
     "#7f7f7f",
 )
+_XML_INVALID = re.compile("[\x00-\x08\x0b\x0c\x0e-\x1f]")
 
 _W, _H = 880.0, 560.0
 _ML, _MR, _MT, _MB = 70.0, 30.0, 40.0, 55.0
@@ -409,7 +410,9 @@ def emit_plot(runs: "list[RunLog]", factor: float, out_path) -> "tuple[Path, Pat
     )
     for idx, (label, xs, _, ys) in enumerate(series):
         # XML-escaped by hand: xml.sax.saxutils would import urllib and ssl.
-        text = label.replace("&", "&amp;").replace("<", "&lt;").replace(">", "&gt;")
+        # XML 1.0 holds no C0 control but tab, LF and CR: the rest become U+FFFD.
+        text = _XML_INVALID.sub("\ufffd", label)
+        text = text.replace("&", "&amp;").replace("<", "&lt;").replace(">", "&gt;")
         color = _PALETTE[idx % len(_PALETTE)]
         pts = " ".join(f"{_svg_coord(px(e))},{_svg_coord(py(v))}" for e, v in zip(xs, ys))
         parts.append(

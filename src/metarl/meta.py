@@ -228,8 +228,8 @@ class RunConfig:
         if not np.isfinite(self.conv_tau):
             raise ValidationError("conv_tau: must be finite")
         # The label names the run's files in out_dir: a plain file name, so
-        # not "", "." or "..", and no path separator or NUL.
-        if self.label in ("", ".", "..") or any(c in self.label for c in "/\\\0"):
+        # not "", "." or "..", and no path separator or C0 control or DEL.
+        if self.label in ("", ".", "..") or any(c in "/\\\x7f" or c < " " for c in self.label):
             raise ValidationError(f"label: must be a plain file name, got {self.label!r}")
 
 

@@ -151,6 +151,11 @@ class TestParamVector:
         with pytest.raises(ValueError):
             ad.ParamVector(np.zeros(4), [ad.Segment("a", 0, (3,)), ad.Segment("b", 2, (2,))])
 
+    def test_rejects_a_repeated_segment_name(self):
+        # Otherwise `segment("a")` would silently give the second slice.
+        with pytest.raises(ValueError, match="segment 'a' appears twice"):
+            ad.ParamVector(np.arange(2.0), [ad.Segment("a", 0, (1,)), ad.Segment("a", 1, (1,))])
+
     def test_rejects_partial_cover(self):
         with pytest.raises(ValueError):
             ad.ParamVector(np.zeros(5), [ad.Segment("a", 0, (2, 2))])
@@ -523,9 +528,11 @@ def _long_cartpole_objective():
 
 def test_large_graphs_stay_within_their_memory_budget():
     """Traced numpy peak of one call on the long batch. With one node per
-    affine layer and adjoints freed as the backward pass goes, an `hvp`
-    peaks near 16 MiB and a `grad` near 7 MiB; with a node for each
-    product and every adjoint kept to the end, 24.3 and 11.2 MiB."""
+    affine layer, each node's adjoint, value, tangent and vjp freed once its
+    vjp has run, and the (rows x 64) temporaries built in buffers of their
+    own, an `hvp` peaks at 12.8 MiB and a `grad` at 5.9 MiB; with adjoints
+    alone freed, 16.1 and 7.1 MiB; with a node for each product and every
+    adjoint kept to the end, 24.3 and 11.2 MiB."""
     obj, theta, v = _long_cartpole_objective()
     started = not tracemalloc.is_tracing()
     if started:
@@ -543,8 +550,8 @@ def test_large_graphs_stay_within_their_memory_budget():
     finally:
         if started:
             tracemalloc.stop()
-    assert hvp_peak < 19.0, f"one hvp peaked at {hvp_peak:.1f} MiB"
-    assert grad_peak < 9.0, f"one grad peaked at {grad_peak:.1f} MiB"
+    assert hvp_peak < 13.0, f"one hvp peaked at {hvp_peak:.2f} MiB"
+    assert grad_peak < 6.1, f"one grad peaked at {grad_peak:.2f} MiB"
 
 
 def _glibc() -> bool:

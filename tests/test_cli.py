@@ -9,8 +9,14 @@ are checked at the byte level: identical config and seed give identical
 sweep does.
 """
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
+import metarl
 from metarl import cli, meta, rl
 from metarl.envs import CARTPOLE_HORIZON
 from metarl.errors import MetaRLError
@@ -72,6 +78,22 @@ class TestTrain:
         assert rc == 0
         text = (tmp_path / "runs" / "filed.runlog").read_text()
         assert text.count('"record": "epoch"') == 4
+
+    def test_blas_threads_pinned_when_unset(self, tmp_path):
+        """The library pins BLAS to one thread unless the caller chose. On a
+        2-core machine with the variables unset, OpenBLAS took both cores and
+        the third cartpole epoch's record differed from a one-thread run's."""
+        repo = Path(__file__).resolve().parents[1]
+        cmd = [sys.executable, "-m", "metarl.cli", "train", "--config", str(repo / "configs" / "cartpole.cfg"),
+               "--epochs", "3", "--out_dir", "runs", "--label", "t"]
+        logs = []
+        for name, threads in (("unset", {}), ("one", dict.fromkeys(metarl._BLAS_THREAD_VARS, "1"))):
+            env = {k: v for k, v in os.environ.items() if k not in metarl._BLAS_THREAD_VARS} | threads
+            env["PYTHONPATH"] = os.pathsep.join([str(repo / "src"), env.get("PYTHONPATH", "")])
+            (tmp_path / name).mkdir()
+            subprocess.run(cmd, cwd=tmp_path / name, env=env, check=True, capture_output=True)
+            logs.append((tmp_path / name / "runs" / "t.runlog").read_bytes())
+        assert logs[0] == logs[1]
 
     def test_delta_at_least_beta_for_directed_fails(self, capsys):
         rc = cli.main(
@@ -259,6 +281,8 @@ class TestInputErrors:
             (["train", "--phi_hi", "inf", "--epochs", "1"], "phi_hi"),
             (["train", "--label", "../x", "--epochs", "1"], "label"),
             (["train", "--label", "..", "--epochs", "1"], "label"),
+            (["train", "--label", "a\x01b", "--epochs", "1"], "label"),
+            (["train", "--label", "del\x7f", "--epochs", "1"], "label"),
         ],
     )
     def test_rejected_with_the_flag_named(self, argv, flag, monkeypatch, capsys):

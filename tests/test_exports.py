@@ -27,6 +27,8 @@ SCANNED = sorted(PACKAGE.glob("*.py")) + sorted((REPO / "perfbench").glob("*.py"
 NO_LIBRARY_CALLER = {
     ("rl", "rollout"): "the solo-episode reference the lockstep rollout tests compare against",
     ("envs", "empirical_medium"): "acceptance criterion 3's reference for the medium task",
+    ("autodiff", "matmul"): "the 1-D/2-D product node that criterion 2, the quadratic oracles "
+    "and the golden composite build their objectives with",
 }
 
 

@@ -134,6 +134,10 @@ class TestBuildRunConfig:
             ("label", ".", "^label: must be a plain file name"),
             ("label", "..", "^label: must be a plain file name"),
             ("label", "nul\0byte", "^label: must be a plain file name"),
+            ("label", "a\x01b", "^label: must be a plain file name"),
+            ("label", "tab\tand\nnewline", "^label: must be a plain file name"),
+            ("label", "esc\x1b", "^label: must be a plain file name"),
+            ("label", "del\x7f", "^label: must be a plain file name"),
         ],
     )
     def test_conversion_errors_name_the_key(self, key, val, msg):
@@ -417,6 +421,16 @@ class TestEmitPlot:
             else:
                 name, *numbers = line.split()
             assert name == label and len(numbers) == 3
+
+    @pytest.mark.parametrize(
+        "label, shown",
+        [("a\x01b", "a\ufffdb"), ("nul\0byte", "nul\ufffdbyte"), ("esc\x1b[0m\x0c", "esc\ufffd[0m\ufffd")],
+    )
+    def test_control_characters_of_a_logged_label_give_well_formed_svg(self, tmp_path, label, shown):
+        # A run log written elsewhere may hold a label the config now rejects.
+        svg_path, _ = emit_plot([flat_log(label, 3, ret=10.0)], 0.9, tmp_path / "c.svg")
+        legend = minidom.parse(str(svg_path)).getElementsByTagName("text")[-1]
+        assert legend.firstChild.data == shown
 
     def test_plain_labels_keep_their_bytes(self, tmp_path):
         label = "c6-directed-fomaml_s1.v2+x"
