@@ -89,7 +89,7 @@ class TestTrain:
         logs = []
         for name, threads in (("unset", {}), ("one", dict.fromkeys(metarl._BLAS_THREAD_VARS, "1"))):
             env = {k: v for k, v in os.environ.items() if k not in metarl._BLAS_THREAD_VARS} | threads
-            env["PYTHONPATH"] = os.pathsep.join([str(repo / "src"), env.get("PYTHONPATH", "")])
+            env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(repo / "src"), env.get("PYTHONPATH")]))
             (tmp_path / name).mkdir()
             subprocess.run(cmd, cwd=tmp_path / name, env=env, check=True, capture_output=True)
             logs.append((tmp_path / name / "runs" / "t.runlog").read_bytes())
