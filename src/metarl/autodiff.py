@@ -33,12 +33,18 @@ a float64 array becomes a constant as it is. A node that no parameter leaf
 reaches (`needs` false) is a constant: no vjp gives it an adjoint, so the
 backward pass computes no product only a constant would read.
 
-The backward pass frees each node's adjoint, value, tangent and vjp once its
-vjp has run: all that add to that adjoint or read those arrays have higher
-ids and ran first. A leaf keeps its adjoint, which `grad` and `hvp` read; a
-constant is left whole. So one graph serves one backward pass. Rules build
-their (rows x width) temporaries in buffers of their own (`out=`, `+=`),
-never in an adjoint or value another node may hold, with the same bits.
+Release rule: the backward pass frees each node's adjoint, value, tangent
+and vjp once its vjp has run: all that add to that adjoint or read those
+arrays have higher ids and ran first. Before the first vjp runs it frees the
+value and tangent of every node that only `tanh` and `exp` consume: their
+vjps read no operand array, only their own output, which the closure holds
+(they are `_OwnOutputNode`s, marked by class, so the forward pays nothing).
+This drops the hidden layers' pre-activations before the backward pass
+starts. A leaf keeps its adjoint, which `grad` and `hvp` read; a constant is
+left whole. So one graph serves one backward pass. Rules build their
+(rows x width) temporaries in buffers of their own (`out=`, `+=`), never in
+an adjoint or value another node may hold, with the same bits; `tanh`'s vjp
+uses two such buffers.
 
 Finite differences exist only as test oracles (`fd_grad`, `fd_hvp`) and in
 the `audit` CLI; they are never a production gradient path.
@@ -396,6 +402,10 @@ class Node:
 
     __slots__ = ("val", "dot", "parents", "vjp", "needs", "adj", "idx")
 
+    # Whether this node's vjp reads its operands' values or tangents (or
+    # their shapes). `_OwnOutputNode` overrides it.
+    reads_operands = True
+
     def __init__(self, val, dot=None, parents=(), vjp=None, needs=False):
         self.val = val
         self.dot = dot
@@ -428,8 +438,13 @@ class Node:
     def __neg__(self):
         return mul(self, -1.0)
 
-    def __pow__(self, p):
-        return powc(self, p)
+
+class _OwnOutputNode(Node):
+    """A node whose vjp reads only its own output, which its closure holds
+    (`tanh`, `exp`): it reads no operand array."""
+
+    __slots__ = ()
+    reads_operands = False
 
 
 def _as_node(x) -> Node:
@@ -548,9 +563,10 @@ def affine(h, w, b, exact: bool = False) -> Node:
     return Node(val, dot, (h, w, b), vjp, h.needs or w.needs or b.needs)
 
 
-def _sech2(y):
-    """1 - y * y for y = tanh(x), in one buffer (a 0-d numpy scalar takes no `out=`)."""
-    s = y * y
+def _sech2(y, buf=None):
+    """1 - y * y for y = tanh(x), formed in `buf` when one is given and in one
+    fresh buffer otherwise (a 0-d numpy scalar takes no `out=`)."""
+    s = y * y if buf is None or not buf.ndim else np.multiply(y, y, out=buf)
     return np.subtract(1.0, s, out=s if s.ndim else None)
 
 
@@ -564,18 +580,26 @@ def tanh(a) -> Node:
 
     def vjp(g: _D, acc):
         # g * (sech^2, its tangent -2 tanh * d(tanh)) as `_D.__mul__` forms
-        # it, in three buffers (g has its node's shape; products commute).
-        s = _sech2(yv)
-        d = None if g.d is None else g.d * s
-        s *= g.v
+        # it, in two buffers (g has its node's shape; products and the
+        # tangent's sum commute): the tangent's terms first, then sech^2
+        # again, in the buffer its tangent term was formed in, times g.v.
+        d = None
         if yd is not None:
-            sd = -2.0 * yv
-            sd *= yd
-            sd *= g.v
-            d = _dsum(d, sd)
+            d = -2.0 * yv
+            d *= yd
+            d *= g.v
+        s = _sech2(yv)
+        if g.d is not None:
+            s *= g.d
+            if d is None:
+                d, s = s, _sech2(yv)
+            else:
+                d += s
+                s = _sech2(yv, s)
+        s *= g.v
         acc(a, _D(s, d))
 
-    return Node(yv, yd, (a,), vjp, a.needs)
+    return _OwnOutputNode(yv, yd, (a,), vjp, a.needs)
 
 
 def exp(a) -> Node:
@@ -586,7 +610,7 @@ def exp(a) -> Node:
     def vjp(g: _D, acc):
         acc(a, g * _D(yv, yd))
 
-    return Node(yv, yd, (a,), vjp, a.needs)
+    return _OwnOutputNode(yv, yd, (a,), vjp, a.needs)
 
 
 def log(a) -> Node:
@@ -751,6 +775,18 @@ def _backward(root: Node, dual: bool) -> None:
     if not root.needs:  # no parameter reaches the root: every adjoint is 0
         return
     nodes = _reachable(root)
+    # Release, before any vjp runs, the arrays of every node that only
+    # `_OwnOutputNode`s consume: no vjp reads them. Consumers have higher ids,
+    # so each node's are marked before it is reached. Leaves and constants
+    # have no vjp and stay whole.
+    read: set[int] = set()
+    for n in nodes:
+        if n.vjp is None:
+            continue
+        if n.needs and n.idx not in read:
+            n.val = n.dot = None
+        if n.reads_operands:
+            read.update([p.idx for p in n.parents])
     root.adj = _D(np.float64(1.0), np.float64(0.0) if dual else None)
 
     def acc(node: Node, contrib: _D) -> None:

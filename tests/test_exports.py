@@ -29,6 +29,7 @@ NO_LIBRARY_CALLER = {
     ("envs", "empirical_medium"): "acceptance criterion 3's reference for the medium task",
     ("autodiff", "matmul"): "the 1-D/2-D product node that criterion 2, the quadratic oracles "
     "and the golden composite build their objectives with",
+    ("autodiff", "powc"): "the constant-power node the golden composite builds its objective with",
 }
 
 

@@ -123,7 +123,7 @@ def composite_objective(states, actions, adv):
             - ad.nmean(soft)
             + ad.nmean(ad.nmean(h * he, axis=0))
             + ad.nsum(1.0 - ad.log(2.0 + mv * mv))
-            + ad.nsum(-(p.vec ** 2)) * 1e-3
+            + ad.nsum(-ad.powc(p.vec, 2)) * 1e-3
         )
         return terms
 
