@@ -1,8 +1,9 @@
 """Shared test fixtures: hand-built parameter vectors, reference policies,
-and a call counter."""
+a call counter and a traced-memory probe."""
 
 from __future__ import annotations
 
+import tracemalloc
 from contextlib import contextmanager
 from dataclasses import dataclass
 from typing import Iterator
@@ -96,3 +97,21 @@ def count_calls() -> Iterator[Counts]:
         yield counts
     finally:
         ad.grad_and_value, ad.hvp, ad.value, rl.sample_batch = grad_and_value, hvp, value, sample_batch
+
+
+def traced_peak_mib(call) -> float:
+    """Peak of the memory traced while `call()` runs (numpy reports its
+    array buffers to tracemalloc), above what was traced when it began, in
+    MiB. Tracing is started for the call and stopped after it, unless it was
+    already on."""
+    started = not tracemalloc.is_tracing()
+    if started:
+        tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        call()
+        return (tracemalloc.get_traced_memory()[1] - base) / 2**20
+    finally:
+        if started:
+            tracemalloc.stop()

@@ -10,14 +10,14 @@ from __future__ import annotations
 import contextlib
 import os
 import sys
-import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from _helpers import count_calls
+from _helpers import count_calls, traced_peak_mib
 from metarl import autodiff as ad
 from metarl import rl
 from metarl.envs import Family, Task, make_env
@@ -529,29 +529,86 @@ def _long_cartpole_objective():
 def test_large_graphs_stay_within_their_memory_budget():
     """Traced numpy peak of one call on the long batch. With one node per
     affine layer, each node's adjoint, value, tangent and vjp freed once its
-    vjp has run, and the (rows x 64) temporaries built in buffers of their
-    own, an `hvp` peaks at 12.8 MiB and a `grad` at 5.9 MiB; with adjoints
-    alone freed, 16.1 and 7.1 MiB; with a node for each product and every
-    adjoint kept to the end, 24.3 and 11.2 MiB."""
+    vjp has run, the arrays only `tanh` reads (the hidden pre-activations)
+    freed before the backward pass starts, and `tanh`'s vjp in two
+    (rows x 64) buffers, an `hvp` peaks at 8.2 MiB, at the end of its
+    forward pass, and a `grad` at 4.1 MiB. With the pre-activations kept
+    until their own vjps and three buffers in `tanh`'s vjp, 12.8 and
+    5.9 MiB; with adjoints alone freed, 16.1 and 7.1 MiB; with a node for
+    each product and every adjoint kept to the end, 24.3 and 11.2 MiB."""
     obj, theta, v = _long_cartpole_objective()
-    started = not tracemalloc.is_tracing()
-    if started:
-        tracemalloc.start()
+    hvp_peak = traced_peak_mib(lambda: ad.hvp(obj, theta, v))
+    grad_peak = traced_peak_mib(lambda: ad.grad(obj, theta))
+    assert hvp_peak < 8.5, f"one hvp peaked at {hvp_peak:.2f} MiB"
+    assert grad_peak < 4.4, f"one grad peaked at {grad_peak:.2f} MiB"
+
+
+@pytest.mark.parametrize("dual", [True, False], ids=["hvp", "grad"])
+def test_hidden_pre_activations_are_freed_before_the_backward_pass(dual):
+    """No vjp reads the hidden `affine` outputs (`tanh`'s vjp reads only its
+    own output), so the backward pass drops them before its first vjp: none
+    is alive when the second hidden `tanh`'s vjp, where the backward pass
+    once peaked, starts. A profile hook sees that call; the vjp itself is
+    not replaced, since the backward pass knows `tanh`'s vjp by its code."""
+    obj, theta, v = _long_cartpole_objective()
+    tanh_vjp = ad._vjp_code(ad.tanh)
+    refs: list[weakref.ref] = []
+    alive: list[bool] = []
+
+    def recorded(p: ad.Params) -> ad.Node:
+        root = obj(p)
+        hidden = [n for n in ad._reachable(root) if n.vjp is not None and n.vjp.__code__ is tanh_vjp]
+        assert len(hidden) == 2
+        refs.extend(weakref.ref(a) for t in hidden for a in (t.parents[0].val, t.parents[0].dot) if a is not None)
+        return root
+
+    def profile(frame, event, arg):
+        # The backward pass visits nodes by decreasing id: the first tanh
+        # vjp to start is the second hidden layer's.
+        if event == "call" and frame.f_code is tanh_vjp and not alive:
+            alive.extend(r() is not None for r in refs)
+
+    previous = sys.getprofile()
+    sys.setprofile(profile)
     try:
-
-        def traced_peak_mib(call):
-            base = tracemalloc.get_traced_memory()[0]
-            tracemalloc.reset_peak()
-            call()
-            return (tracemalloc.get_traced_memory()[1] - base) / 2**20
-
-        hvp_peak = traced_peak_mib(lambda: ad.hvp(obj, theta, v))
-        grad_peak = traced_peak_mib(lambda: ad.grad(obj, theta))
+        if dual:
+            ad.hvp(recorded, theta, v)
+        else:
+            ad.grad(recorded, theta)
     finally:
-        if started:
-            tracemalloc.stop()
-    assert hvp_peak < 13.0, f"one hvp peaked at {hvp_peak:.2f} MiB"
-    assert grad_peak < 6.1, f"one grad peaked at {grad_peak:.2f} MiB"
+        sys.setprofile(previous)
+    assert len(refs) == (4 if dual else 2)
+    assert alive and not any(alive), f"hidden affine arrays alive in the vjp: {alive}"
+
+
+@pytest.mark.parametrize("shape", [(), (7, 3)], ids=["0-d", "2-d"])
+@pytest.mark.parametrize("adj_tangent", [True, False], ids=["g.d", "no-g.d"])
+@pytest.mark.parametrize("node_tangent", [True, False], ids=["y.d", "no-y.d"])
+def test_tanh_vjp_gives_the_bytes_of_the_product_rule(shape, adj_tangent, node_tangent):
+    """`tanh`'s vjp builds g * (sech^2, -2 tanh * d(tanh)) in two buffers of
+    its own; its bytes are those of `_D.__mul__`, and it leaves the adjoint
+    it reads as it was. A 0-d operand gives numpy scalars, which take no
+    `out=`."""
+    gen = np.random.default_rng(7)
+
+    def draw():
+        return gen.normal(size=shape)
+
+    x = ad.Node(draw(), draw() if node_tangent else None, needs=True)
+    y = ad.tanh(x)
+    g = ad._D(draw() * 3.0, draw() if adj_tangent else None)
+    g_bytes = (np.asarray(g.v).tobytes(), None if g.d is None else np.asarray(g.d).tobytes())
+    got: list[ad._D] = []
+    y.vjp(g, lambda node, contrib: got.append(contrib))
+    ref = g * ad._D(1.0 - y.val * y.val, None if y.dot is None else -2.0 * y.val * y.dot)
+
+    assert len(got) == 1
+    assert (got[0].d is None) == (ref.d is None) == (not (adj_tangent or node_tangent))
+    for a, b in ((got[0].v, ref.v), (got[0].d, ref.d)):
+        if b is not None:
+            assert np.shape(a) == np.shape(b)
+            assert np.asarray(a).tobytes() == np.asarray(b).tobytes()
+    assert (np.asarray(g.v).tobytes(), None if g.d is None else np.asarray(g.d).tobytes()) == g_bytes
 
 
 def _glibc() -> bool:
