@@ -610,9 +610,10 @@ def _vjp_code(op) -> types.CodeType:
 
 # The vjps that read no operand array, only their own output, which their
 # closure holds. Told apart by code, not by a node class or attribute, so a
-# forward node costs what it did: a call site that sees two node types loses
-# its specialised attribute reads (measured 1.7% slower `value` on a 25-row
-# graph).
+# forward node costs what it did: with a `Node` subclass for them, `value` on
+# a 25-row graph ran 1.7% slower (14 of 16 interleaved blocks; CPython 3.11,
+# 2-core x86-64 VM), as call sites that see two node types lose their
+# specialised attribute reads.
 _OWN_OUTPUT_VJPS = frozenset(map(_vjp_code, (tanh, exp)))
 
 
