@@ -8,7 +8,8 @@ Two kinds of record are pinned:
   (Gaussian head plus critic);
 - the value, gradient and Hessian-vector-product bytes of one composite
   objective that reaches every graph primitive, including the broadcast
-  forms of add/sub/mul and the 1-D forms of matmul.
+  forms of add/sub/mul; its vector products are broadcast products summed
+  along an axis, and its fractional power is exp(p * log(x)).
 
 The digests were recorded with BLAS pinned to one thread (tests/conftest.py).
 They hold on one numeric platform; a platform change regenerates them in a
@@ -55,9 +56,9 @@ RUNLOG_SHA256 = {
 }
 
 COMPOSITE_SHA256 = {
-    "value": "c86d084033f1e5ab87625c5425b2267debb28c35a0810ed40667110aa7ec40f5",
-    "grad": "1d0776c6baeb254435e145ba65f814fc1a6267670a2ec356a2764c55ba0ba64e",
-    "hvp": "965fb93906d05d5774ca20086191cd7b7ddf373e3e4c6dad6739f7dc18b6b7b3",
+    "value": "641c8959721205c24c132ef302cdbc75847d0766480d55559d5a80bfa82b750b",
+    "grad": "a8ee49334b36634d2dbe5ee690f482d59c25c3be2eb190e1d27d06ff77b89880",
+    "hvp": "aa9c5e385ac300223257dffcd6b280c387b24b09b8678805153c9c9499ba3f6f",
 }
 
 
@@ -105,17 +106,18 @@ def composite_inputs():
 def composite_objective(states, actions, adv):
     def objective(p: ad.Params) -> ad.Node:
         W, b, u, c, s = (p.seg(n) for n in ("W", "b", "u", "c", "s"))
-        h = ad.tanh(ad.matmul(ad.const(states), W) + b)  # (5,4) + (4,)
-        he = ad.tanh(ad.matmul(ad.const(states), W, exact=True) - b)  # einsum path
+        x = ad.const(states)
+        h = ad.tanh(ad.affine(x, W, b))  # (5,3) @ (3,4) + (4,)
+        he = ad.tanh(ad.affine(x, W, -b))  # the bias negated
         logits = ad.exp(h * s) - he  # (5,4) * (1,)
         shift = logits - ad.row_max_const(logits)  # (5,4) - (5,1)
         lse = ad.log(ad.nsum(ad.exp(shift), axis=1))
         lp = ad.gather_rows(shift, actions) - lse
-        mv = ad.matmul(h, u)  # 2-D @ 1-D
-        vm = ad.matmul(c, W)  # 1-D @ 2-D
-        vv = ad.matmul(u, vm)  # 1-D @ 1-D
+        mv = ad.nsum(h * u, axis=1)  # h @ u: (5,4) * (4,)
+        vm = ad.nsum(ad.reshape(c, (3, 1)) * W, axis=0)  # c @ W: (3,1) * (3,4)
+        vv = ad.nsum(u * vm, axis=0)  # u @ vm
         flat = ad.reshape(h, (20,))
-        soft = ad.powc(flat * flat + 1.0, 1.5)
+        soft = ad.exp(1.5 * ad.log(flat * flat + 1.0))  # (flat^2 + 1) ** 1.5
         terms = (
             ad.nmean(lp * ad.const(adv))
             + 0.1 * ad.nsum(mv * lp)
@@ -123,7 +125,7 @@ def composite_objective(states, actions, adv):
             - ad.nmean(soft)
             + ad.nmean(ad.nmean(h * he, axis=0))
             + ad.nsum(1.0 - ad.log(2.0 + mv * mv))
-            + ad.nsum(-ad.powc(p.vec, 2)) * 1e-3
+            + ad.nsum(-(p.vec * p.vec)) * 1e-3
         )
         return terms
 
