@@ -1,15 +1,15 @@
 """Reverse-mode autodiff over flat parameter vectors, with exact Hessian-vector products.
 
 Scope is deliberately small: dense float64 parameter vectors, a dozen primitive
-operations (matrix products, tanh, exp/log, sums/means, row gathers for
+operations (affine maps, tanh, exp/log, sums/means, row gathers for
 log-probabilities), and scalar objectives. The computation graph is rebuilt on
 every evaluation; nothing persists between calls, so there is no stale-tape
 state to manage and graphs can safely cross threads.
 
-`affine(h, w, b)` records a network layer's h @ w + b as one node: the same
-two numpy operations as `matmul` followed by `add`, and the same bits, with
-no node, tangent or adjoint kept for the product in between. Both share the
-product rule (`_mm`).
+`affine(h, w, b)` records a network layer's h @ w + b as one node: np.matmul
+then the bias add, with no node, tangent or adjoint kept for the product in
+between. Its vjp takes the product rule from `_mm`. Other products are
+spelled with broadcast `mul` and `nsum`.
 
 Hessian-vector products use forward-over-reverse: every node carries an
 optional tangent alongside its value, and the backward pass propagates
@@ -87,12 +87,10 @@ __all__ = [
     "add",
     "sub",
     "mul",
-    "matmul",
     "affine",
     "tanh",
     "exp",
     "log",
-    "powc",
     "nsum",
     "nmean",
     "gather_rows",
@@ -368,23 +366,14 @@ def _unbroadcast(arr: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
     return arr.reshape(shape)
 
 
-def _matmul_exact(x, y):
-    if getattr(x, "ndim", 0) == 2 and getattr(y, "ndim", 0) == 2:
-        return np.einsum("ij,jk->ik", x, y)
-    return np.matmul(x, y)
-
-
-def _mm(a: _D, b: _D, exact: bool) -> _D:
-    """Dual matmul. `exact` routes through einsum, whose per-row results do not
-    depend on batch size (needed where single-row and batched evaluations must
-    agree bit-for-bit)."""
-    mmv = _matmul_exact if exact else np.matmul
+def _mm(a: _D, b: _D) -> _D:
+    """Dual matrix product."""
     d = None
     if a.d is not None:
-        d = mmv(a.d, b.v)
+        d = np.matmul(a.d, b.v)
     if b.d is not None:
-        d = _dsum(d, mmv(a.v, b.d))
-    return _D(mmv(a.v, b.v), d)
+        d = _dsum(d, np.matmul(a.v, b.d))
+    return _D(np.matmul(a.v, b.v), d)
 
 
 # ---------------------------------------------------------------------------
@@ -486,55 +475,21 @@ def mul(a, b) -> Node:
     return Node(a.val * b.val, _dmul(a.val, a.dot, b.val, b.dot), (a, b), vjp, a.needs or b.needs)
 
 
-def matmul(a, b, exact: bool = False) -> Node:
-    """Matrix product for the 1-D/2-D combinations np.matmul accepts."""
-    a, b = _as_node(a), _as_node(b)
-    da, db = a._dual(), b._dual()
-    a_vec = np.ndim(a.val) == 1
-    b_vec = np.ndim(b.val) == 1
-    a2 = da if not a_vec else da.apply_linear(lambda x: x[None, :])
-    b2 = db if not b_vec else db.apply_linear(lambda x: x[:, None])
-    out2 = _mm(a2, b2, exact)
-    out = out2
-    if a_vec:
-        out = out.apply_linear(lambda x: x[0])
-    if b_vec:
-        out = out.apply_linear(lambda x: x[..., 0])
-
-    def vjp(g: _D, acc):
-        g2 = g
-        if a_vec:
-            g2 = g2.apply_linear(lambda x: np.reshape(x, (1, -1)))
-        elif b_vec:
-            g2 = g2.apply_linear(lambda x: np.reshape(x, (-1, 1)))
-        # The product's adjoint g2 gives g2 @ b2.T and a2.T @ g2.
-        if a.needs:
-            ga = _mm(g2, b2.apply_linear(np.transpose), exact)
-            acc(a, ga.apply_linear(lambda x: x[0]) if a_vec else ga)
-        if b.needs:
-            gb = _mm(a2.apply_linear(np.transpose), g2, exact)
-            acc(b, gb.apply_linear(lambda x: x[:, 0]) if b_vec else gb)
-
-    return Node(out.v, out.d, (a, b), vjp, a.needs or b.needs)
-
-
-def affine(h, w, b, exact: bool = False) -> Node:
+def affine(h, w, b) -> Node:
     """One node for the affine map h @ w + b: h (n, i), w (i, o), and b
-    broadcasting to (n, o). The same two numpy operations as `matmul`
-    followed by `add`, so the same bits, without a node (and an adjoint)
-    for the product in between."""
+    broadcasting to (n, o). The bits of np.matmul followed by the add,
+    without a node (and an adjoint) for the product in between."""
     h, w, b = _as_node(h), _as_node(w), _as_node(b)
     if h.val.ndim != 2 or w.val.ndim != 2:
         raise ValueError("affine needs a 2-D input and a 2-D weight")
     # `_mm`'s products, taken directly; each is a fresh array, so the bias
     # is added in place.
-    mm = _matmul_exact if exact else np.matmul
     dot = None
     if h.dot is not None:
-        dot = mm(h.dot, w.val)
+        dot = np.matmul(h.dot, w.val)
     if w.dot is not None:
-        dot = _dsum(dot, mm(h.val, w.dot))
-    val = mm(h.val, w.val)
+        dot = _dsum(dot, np.matmul(h.val, w.dot))
+    val = np.matmul(h.val, w.val)
     val += b.val
     if dot is None:
         dot = b.dot
@@ -543,9 +498,9 @@ def affine(h, w, b, exact: bool = False) -> Node:
 
     def vjp(g: _D, acc):
         if h.needs:
-            acc(h, _mm(g, w._dual().apply_linear(np.transpose), exact))
+            acc(h, _mm(g, w._dual().apply_linear(np.transpose)))
         if w.needs:
-            acc(w, _mm(h._dual().apply_linear(np.transpose), g, exact))
+            acc(w, _mm(h._dual().apply_linear(np.transpose), g))
         if b.needs:
             acc(b, g.unbroadcast(b.val.shape))
 
@@ -624,20 +579,6 @@ def log(a) -> Node:
         acc(a, g / a._dual())
 
     return Node(np.log(a.val), None if a.dot is None else a.dot / a.val, (a,), vjp, a.needs)
-
-
-def powc(a, p) -> Node:
-    """a ** p for a constant exponent p."""
-    a = _as_node(a)
-    p = float(p)
-    yd = None if a.dot is None else p * a.val ** (p - 1.0) * a.dot
-
-    def vjp(g: _D, acc):
-        deriv = p * a.val ** (p - 1.0)
-        deriv_d = None if a.dot is None else p * (p - 1.0) * a.val ** (p - 2.0) * a.dot
-        acc(a, g * _D(deriv, deriv_d))
-
-    return Node(a.val ** p, yd, (a,), vjp, a.needs)
 
 
 def nsum(a, axis: int | None = None) -> Node:

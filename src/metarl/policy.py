@@ -6,12 +6,14 @@ actions use a Gaussian head with a state-independent learnable log-sigma
 segment, sampled then clipped into the action interval (log-density is of the
 pre-clip sample).
 
-Bit-equality contract: `act_batch` computes log-probabilities with exactly
-the same operations, in the same order, as `logprob_graph(..., exact=True)`
-(einsum affine maps, max-shifted log-sum-exp). Sampling in a lockstep batch
-therefore produces the same bits per row as sampling each row alone, and
-`logprob_graph(arch, Params(params), states, raws, exact=True)` reproduces
-the logps returned by `act_batch` bit for bit.
+Lockstep guarantee: `forward_inference` takes its affine maps with einsum,
+whose result for a row does not depend on the other rows of the batch. A row
+sampled in a lockstep batch therefore gets the same head outputs, action and
+raw sample as that row sampled alone or in any subset of the batch. The
+graphs (`logprob_graph`, `values_graph`) use np.matmul, which is faster on
+large batches but whose rows may differ from einsum's in the last bits.
+Learners recompute log pi(a|s) through the graph on the frozen batch, so
+sampling keeps no log-probability.
 
 Each action consumes one variate (`draw_variates`): a uniform on [0, 1) for
 the categorical head, a standard normal for the Gaussian head. `act_batch`
@@ -145,9 +147,9 @@ def init_params(arch: Arch, rng: Stream) -> ParamVector:
 def forward_inference(arch: Arch, params: ParamVector, states: np.ndarray) -> np.ndarray:
     """Head outputs (n, out_dim) for a batch of states, plain numpy.
 
-    Uses einsum for the affine maps: per-row results are independent of batch
-    size, which the lockstep rollout and the act_batch/logprob_graph
-    bit-equality contract rely on. Must mirror `_forward_graph` op for op.
+    Uses einsum for the affine maps: per-row results are independent of the
+    batch, which the lockstep rollout relies on. Mirrors `_forward_graph` op
+    for op, with einsum where the graph takes np.matmul.
     """
     h = np.asarray(states, dtype=np.float64)
     last = len(arch.layer_names) - 1
@@ -158,11 +160,11 @@ def forward_inference(arch: Arch, params: ParamVector, states: np.ndarray) -> np
     return h
 
 
-def _forward_graph(arch: Arch, p: Params, states: np.ndarray, exact: bool) -> ad.Node:
+def _forward_graph(arch: Arch, p: Params, states: np.ndarray) -> ad.Node:
     h: ad.Node = ad.const(np.asarray(states, dtype=np.float64))
     last = len(arch.layer_names) - 1
     for i, (w, b) in enumerate(arch.layer_names):
-        h = ad.affine(h, p.seg(w), p.seg(b), exact=exact)
+        h = ad.affine(h, p.seg(w), p.seg(b))
         if i < last:
             h = ad.tanh(h)
     return h
@@ -185,10 +187,13 @@ def draw_variates(arch: Arch, gen: np.random.Generator, n: int) -> np.ndarray:
 
 def act_batch(
     net: PolicyNet, states: np.ndarray, variates: np.ndarray
-) -> "tuple[np.ndarray, np.ndarray, np.ndarray]":
+) -> "tuple[np.ndarray, np.ndarray]":
     """Sample one action per row, row j consuming variates[j] (see
-    draw_variates). Returns (actions, logps, raws); actions are env-ready
-    (clipped for Gaussian heads), raws are the differentiation targets."""
+    draw_variates). Returns (actions, raws); actions are env-ready (clipped
+    for Gaussian heads), raws are the differentiation targets. Raises
+    NonFiniteValue when the sampled distribution is not finite: a logit
+    shift, a raw sample, or the inverse scale exp(-log_sigma) that the
+    log-density takes."""
     states = np.asarray(states, dtype=np.float64)
     u = np.asarray(variates, dtype=np.float64)
     n = states.shape[0]
@@ -204,7 +209,7 @@ def act_batch(
         # searchsorted(cum, u, side="right"); the clamp catches a last entry
         # that rounds to just below 1.
         acts = np.minimum((cum <= u[:, None]).sum(axis=1, dtype=np.int64), head.n - 1)
-        logps = shift[np.arange(n), acts] - lse
+        finite = np.isfinite(shift).all()
         raws = acts
         actions: np.ndarray = acts
     elif isinstance(head, GaussianHead):
@@ -213,26 +218,24 @@ def act_batch(
         sigma = np.exp(logsig)[0]
         raws = mean + sigma * u
         actions = np.clip(raws, head.low, head.high)
-        # mirrors logprob_graph: z = (raw - mean) * exp(-log_sigma)
-        z = (raws - mean) * np.exp(-logsig)
-        logps = -0.5 * z * z - logsig - HALF_LOG_2PI
+        # logprob_graph scales by exp(-log_sigma), which overflows where
+        # sigma underflows
+        finite = np.isfinite(raws).all() and np.isfinite(np.exp(-logsig)).all()
     else:
         raise ValueError("critic networks have no action head")
-    if not np.isfinite(logps).all():
-        raise NonFiniteValue("sampled log-probability is not finite")
-    return actions, logps, raws
+    if not finite:
+        raise NonFiniteValue("sampled action distribution is not finite")
+    return actions, raws
 
 
 # ---------------------------------------------------------------------------
 # Differentiable log-probabilities and values
 # ---------------------------------------------------------------------------
 
-def logprob_graph(
-    arch: Arch, p: Params, states: np.ndarray, actions: np.ndarray, exact: bool = False
-) -> ad.Node:
+def logprob_graph(arch: Arch, p: Params, states: np.ndarray, actions: np.ndarray) -> ad.Node:
     """(n,) log pi(a_j | s_j) as a graph over p. For Gaussian heads `actions`
     must be the raw pre-clip samples."""
-    out = _forward_graph(arch, p, states, exact)
+    out = _forward_graph(arch, p, states)
     head = arch.head
     if isinstance(head, CategoricalHead):
         shift = out - ad.row_max_const(out)
@@ -247,9 +250,9 @@ def logprob_graph(
     raise ValueError("critic networks have no action head")
 
 
-def values_graph(arch: Arch, p: Params, states: np.ndarray, exact: bool = False) -> ad.Node:
+def values_graph(arch: Arch, p: Params, states: np.ndarray) -> ad.Node:
     """(n,) state values as a graph over critic params."""
-    out = _forward_graph(arch, p, states, exact)
+    out = _forward_graph(arch, p, states)
     return ad.reshape(out, (np.asarray(states).shape[0],))
 
 

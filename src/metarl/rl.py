@@ -54,17 +54,18 @@ ADV_STD_EPS = 1e-8
 @dataclass(frozen=True)
 class Trajectory:
     """One episode. `raws` are the differentiation targets: pre-clip samples
-    for Gaussian heads, the action indices themselves for categorical."""
+    for Gaussian heads, the action indices themselves for categorical. No
+    behaviour log-probability is kept: the objectives recompute log pi(a|s)
+    from states and raws."""
 
     states: np.ndarray  # (T, d)
     actions: np.ndarray  # (T,)
     rewards: np.ndarray  # (T,)
-    logps: np.ndarray  # (T,)
     raws: np.ndarray  # (T,)
 
     def __post_init__(self):
         n = len(self.states)
-        if not (len(self.actions) == len(self.rewards) == len(self.logps) == len(self.raws) == n):
+        if not (len(self.actions) == len(self.rewards) == len(self.raws) == n):
             raise ValueError("trajectory fields have mismatched lengths")
         if n == 0:
             raise ValueError("empty trajectory")
@@ -115,9 +116,9 @@ def _run_rollouts(env: Environment, policy: PolicyNet, streams: "list[Stream]") 
     bufs: "list[np.ndarray]" = []
     for t in range(horizon):
         full = len(rows) == k
-        acts, logps, raws = act_batch(policy, cur, variates[t] if full else variates[t, rows])
+        acts, raws = act_batch(policy, cur, variates[t] if full else variates[t, rows])
         nxt, rews, dones = env.step_batch(cur, acts)
-        fields = (cur, acts, rews, logps, raws)  # Trajectory field order
+        fields = (cur, acts, rews, raws)  # Trajectory field order
         if not bufs:
             bufs = [np.empty((horizon, k) + f.shape[1:], dtype=f.dtype) for f in fields]
         for buf, f in zip(bufs, fields):

@@ -308,7 +308,8 @@ class _QuadraticProblem:
 
         def obj(p):
             x = p.vec
-            return ad.const(-0.5) * ad.nsum(x * ad.matmul(ad.const(A), x))
+            ax = ad.nsum(ad.const(A) * ad.reshape(x, (1, A.shape[0])), axis=1)
+            return ad.const(-0.5) * ad.nsum(x * ax)
 
         return obj
 

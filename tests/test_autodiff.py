@@ -64,8 +64,8 @@ def surrogate(recorded_batch):
     states, actions, adv = recorded_batch
 
     def objective(p: ad.Params) -> ad.Node:
-        h = ad.tanh(ad.matmul(ad.const(states), p.seg("W0")) + p.seg("b0"))
-        logits = ad.matmul(h, p.seg("W1")) + p.seg("b1")
+        h = ad.tanh(ad.affine(ad.const(states), p.seg("W0"), p.seg("b0")))
+        logits = ad.affine(h, p.seg("W1"), p.seg("b1"))
         shift = logits - ad.row_max_const(logits)
         lse = ad.log(ad.nsum(ad.exp(shift), axis=1))
         lp = ad.gather_rows(shift, actions) - lse
@@ -128,7 +128,7 @@ class TestFdOracle:
     def test_fd_hvp_on_quadratic(self):
         A = np.array([[2.0, 1.0], [1.0, 3.0]])
         theta = single_segment([0.5, -1.0])
-        obj = lambda p: 0.5 * ad.matmul(p.vec, ad.matmul(ad.const(A), p.vec))
+        obj = lambda p: 0.5 * ad.nsum(p.vec * ad.nsum(ad.const(A) * ad.reshape(p.vec, (1, 2)), axis=1))
         v = theta.with_values(np.array([1.0, 0.0]))
         hv = ad.fd_hvp(obj, theta, v)
         assert np.allclose(hv.values, [2.0, 1.0], atol=1e-7)
@@ -329,7 +329,7 @@ class TestHvp:
     def test_quadratic_hv_is_av(self):
         A = np.array([[2.0, 1.0], [1.0, 3.0]])
         theta = single_segment([0.5, -1.0])
-        obj = lambda p: 0.5 * ad.matmul(p.vec, ad.matmul(ad.const(A), p.vec))
+        obj = lambda p: 0.5 * ad.nsum(p.vec * ad.nsum(ad.const(A) * ad.reshape(p.vec, (1, 2)), axis=1))
         v = theta.with_values(np.array([1.0, 0.0]))
         hv = ad.hvp(obj, theta, v)
         assert np.allclose(hv.values, [2.0, 1.0], atol=1e-12)
@@ -386,7 +386,7 @@ class TestHvp:
         A = 0.5 * (raw + raw.T)
         theta = single_segment(gen.normal(size=n))
         v = theta.with_values(gen.normal(size=n))
-        obj = lambda p: 0.5 * ad.matmul(p.vec, ad.matmul(ad.const(A), p.vec))
+        obj = lambda p: 0.5 * ad.nsum(p.vec * ad.nsum(ad.const(A) * ad.reshape(p.vec, (1, n)), axis=1))
         hv = ad.hvp(obj, theta, v)
         want = A @ v.values
         assert ad.rel_err(hv.values, want) <= 1e-9
@@ -407,46 +407,7 @@ def test_count_calls_restores_the_wrapped_functions(raises):
 
 
 # ---------------------------------------------------------------------------
-# Exact (batch-size-independent) matmul mode
-# ---------------------------------------------------------------------------
-
-class TestExactMatmul:
-    def test_rows_match_batched_bitwise(self):
-        gen = Stream(7).generator()
-        X = gen.normal(size=(9, 5))
-        W = gen.normal(size=(5, 4))
-        full = ad.matmul(ad.const(X), ad.const(W), exact=True).val
-        for i in range(X.shape[0]):
-            row = ad.matmul(ad.const(X[i : i + 1]), ad.const(W), exact=True).val
-            assert row.tobytes() == full[i : i + 1].tobytes()
-
-    def test_masked_subset_matches_bitwise(self):
-        gen = Stream(8).generator()
-        X = gen.normal(size=(10, 6))
-        W = gen.normal(size=(6, 3))
-        full = ad.matmul(ad.const(X), ad.const(W), exact=True).val
-        keep = np.array([0, 2, 3, 7, 9])
-        sub = ad.matmul(ad.const(X[keep]), ad.const(W), exact=True).val
-        assert sub.tobytes() == full[keep].tobytes()
-
-    def test_exact_grad_matches_default_mode(self, net_theta):
-        states = Stream(9).generator().normal(size=(6, 2))
-
-        def make(exact):
-            def obj(p):
-                h = ad.tanh(ad.matmul(ad.const(states), p.seg("W0"), exact=exact) + p.seg("b0"))
-                out = ad.matmul(h, p.seg("W1"), exact=exact) + p.seg("b1")
-                return ad.nmean(out)
-
-            return obj
-
-        g_fast = ad.grad(make(False), net_theta)
-        g_exact = ad.grad(make(True), net_theta)
-        assert ad.rel_err(g_fast, g_exact) <= 1e-12
-
-
-# ---------------------------------------------------------------------------
-# Affine layers: one node with the bits of matmul followed by add
+# Affine layers: one node with the bits of np.matmul followed by the add
 # ---------------------------------------------------------------------------
 
 class TestAffine:
@@ -455,13 +416,13 @@ class TestAffine:
         rows=st.sampled_from([1, 2000]),
         n_in=st.integers(1, 64),
         n_out=st.integers(1, 64),
-        exact=st.booleans(),
         varied=st.sets(st.sampled_from(["h", "w", "b"]), min_size=1),
         seed=st.integers(0, 2**16),
     )
-    def test_matches_matmul_then_add_bitwise(self, rows, n_in, n_out, exact, varied, seed):
-        """Value, gradient and Hessian-vector product, with a tangent on
-        each subset of the operands that are parameters."""
+    def test_matches_matmul_then_add_bitwise(self, rows, n_in, n_out, varied, seed):
+        """With each subset of the operands as parameters: the value, and the
+        gradient of a linear objective, bitwise against numpy; the
+        Hessian-vector product through a tanh against finite differences."""
         gen = Stream(seed).generator()
         shapes = {"h": (rows, n_in), "w": (n_in, n_out), "b": (n_out,)}
         values = {k: gen.normal(size=shape) for k, shape in shapes.items()}
@@ -474,25 +435,17 @@ class TestAffine:
         theta = ad.ParamVector(np.concatenate([values[k].ravel() for k in names]), segs)
         v = theta.with_values(gen.normal(size=theta.size))
 
-        def make(fused):
-            def obj(p):
-                h, w, b = (p.seg(k) if k in varied else ad.const(values[k]) for k in "hwb")
-                if fused:
-                    out = ad.affine(h, w, b, exact=exact)
-                else:
-                    out = ad.matmul(h, w, exact=exact) + b
-                return ad.nsum(ad.tanh(out) * ad.const(weights))
+        def layer(p):
+            return ad.affine(*(p.seg(k) if k in varied else ad.const(values[k]) for k in "hwb"))
 
-            return obj
-
-        fused, split = make(True), make(False)
-        assert np.float64(ad.value(fused, theta)).tobytes() == np.float64(
-            ad.value(split, theta)
-        ).tobytes()
-        assert ad.grad(fused, theta).values.tobytes() == ad.grad(split, theta).values.tobytes()
-        assert (
-            ad.hvp(fused, theta, v).values.tobytes() == ad.hvp(split, theta, v).values.tobytes()
-        )
+        h, w, b = values["h"], values["w"], values["b"]
+        assert layer(ad.Params(theta)).val.tobytes() == (np.matmul(h, w) + b).tobytes()
+        g = ad.grad(lambda p: ad.nsum(layer(p) * ad.const(weights)), theta)
+        want = {"h": weights @ w.T, "w": h.T @ weights, "b": weights.sum(0)}
+        for k in names:
+            assert g.segment(k).tobytes() == want[k].tobytes()
+        curved = lambda p: ad.nsum(ad.tanh(layer(p)) * ad.const(weights))
+        assert ad.rel_err(ad.hvp(curved, theta, v), ad.fd_hvp(curved, theta, v)) <= 1e-4
 
     def test_rejects_one_dimensional_operands(self):
         with pytest.raises(ValueError):
@@ -516,7 +469,6 @@ def _long_cartpole_objective():
             gen.normal(size=(horizon, 4)),
             gen.integers(0, 2, size=horizon),
             np.ones(horizon),
-            np.full(horizon, np.log(0.5)),
             gen.integers(0, 2, size=horizon),
         )
         for _ in range(10)

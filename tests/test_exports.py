@@ -5,6 +5,8 @@ A deletion that leaves its name in `__all__` breaks
 `from metarl.<module> import *`; the first test catches it for every module.
 A public name that only tests reach is code kept alive for its tests; the
 second test catches it with an AST scan of `src/metarl` and `perfbench/`.
+Inside its own module a name is used only from module-level code or from a
+def or class that has a caller itself, so a helper of dead code is dead too.
 """
 
 import ast
@@ -22,14 +24,16 @@ REPO = Path(__file__).resolve().parents[1]
 PACKAGE = REPO / "src" / "metarl"
 SUBMODULES = {p.stem for p in PACKAGE.glob("*.py")} - {"__init__"}
 SCANNED = sorted(PACKAGE.glob("*.py")) + sorted((REPO / "perfbench").glob("*.py"))
+# (source, the metarl module it defines or None) of every scanned file
+LIBRARY = [
+    (path.read_text(encoding="utf-8"), path.stem if path.parent == PACKAGE else None)
+    for path in SCANNED
+]
 
 # (module, name) -> why it stays public without a library caller
 NO_LIBRARY_CALLER = {
     ("rl", "rollout"): "the solo-episode reference the lockstep rollout tests compare against",
     ("envs", "empirical_medium"): "acceptance criterion 3's reference for the medium task",
-    ("autodiff", "matmul"): "the 1-D/2-D product node that criterion 2, the quadratic oracles "
-    "and the golden composite build their objectives with",
-    ("autodiff", "powc"): "the constant-power node the golden composite builds its objective with",
 }
 
 
@@ -55,26 +59,26 @@ def _metarl_module(node: ast.ImportFrom, own: "str | None") -> "str | None":
     return None
 
 
-def references(path: Path) -> "set[tuple[str, str]]":
-    """(module, name) pairs the file refers to: `from .mod import name`,
-    `mod.name` through any alias of a metarl module, and, inside a metarl
-    module, the bare names it uses outside their own definition. The
-    package's own re-exports and string constants (`__all__`, docstrings)
-    are not references."""
-    own = path.stem if path.parent == PACKAGE else None
-    tree = ast.parse(path.read_text(encoding="utf-8"))
+def references(source: str, own: "str | None", called=frozenset()) -> "set[tuple[str, str]]":
+    """(module, name) pairs a file refers to: `from .mod import name`,
+    `mod.name` through any alias of a metarl module, and, inside metarl
+    module `own`, the bare names used by module-level code or by a top-level
+    def or class whose (own, name) is in `called`. The package's own
+    re-exports and string constants (`__all__`, docstrings) are not
+    references."""
+    tree = ast.parse(source)
     aliases: "dict[str, str]" = {}
     refs: "set[tuple[str, str]]" = set()
     for node in ast.walk(tree):
         if isinstance(node, ast.ImportFrom):
-            source = _metarl_module(node, own)
-            if source is None or own == "__init__":
+            source_module = _metarl_module(node, own)
+            if source_module is None or own == "__init__":
                 continue
             for alias in node.names:
-                if source == "" and alias.name in SUBMODULES:
+                if source_module == "" and alias.name in SUBMODULES:
                     aliases[alias.asname or alias.name] = alias.name
-                elif source:
-                    refs.add((source, alias.name))
+                elif source_module:
+                    refs.add((source_module, alias.name))
         elif isinstance(node, ast.Import):
             for alias in node.names:
                 package, _, module = alias.name.partition(".")
@@ -86,29 +90,74 @@ def references(path: Path) -> "set[tuple[str, str]]":
                 refs.add((aliases[node.value.id], node.attr))
     if own is not None:
         for top in tree.body:
-            defined = getattr(top, "name", None)  # a def or class naming itself is no use
-            names = (n.id for n in ast.walk(top) if isinstance(n, ast.Name))
-            refs.update((own, n) for n in names if n != defined)
+            defined = getattr(top, "name", None)  # a def or class; None for module-level code
+            if defined is None or (own, defined) in called:
+                refs.update((own, n.id) for n in ast.walk(top) if isinstance(n, ast.Name))
     return refs
 
 
-def exported(module: str) -> "list[str]":
-    tree = ast.parse((PACKAGE / f"{module}.py").read_text(encoding="utf-8"))
-    for top in tree.body:
+def all_references(files) -> "set[tuple[str, str]]":
+    """The references of every (source, own) file, grown until no def gains
+    a caller (a def's uses count only once the def is used)."""
+    refs: "set[tuple[str, str]]" = set()
+    while True:
+        found = set().union(*(references(source, own, refs) for source, own in files))
+        if found == refs:
+            return refs
+        refs = found
+
+
+def exported(source: str) -> "list[str]":
+    for top in ast.parse(source).body:
         targets = top.targets if isinstance(top, ast.Assign) else ()
         if any(getattr(t, "id", None) == "__all__" for t in targets):
             return [ast.literal_eval(elt) for elt in top.value.elts]
     return []
 
 
-def test_every_public_name_has_a_library_caller():
-    refs = set().union(*(references(path) for path in SCANNED))
-    uncalled = [
-        f"{module}.{name}"
-        for module in sorted(SUBMODULES)
-        for name in exported(module)
-        if (module, name) not in refs and (module, name) not in NO_LIBRARY_CALLER
+def unused_public_names(files) -> "list[tuple[str, str]]":
+    """(module, name) for each name a submodule's `__all__` lists that no
+    file refers to."""
+    refs = all_references(files)
+    return [
+        (own, name)
+        for source, own in files
+        if own not in (None, "__init__")
+        for name in exported(source)
+        if (own, name) not in refs
     ]
+
+
+SYNTHETIC = """
+__all__ = ["entry", "helper", "orphan_helper"]
+
+def helper():
+    return 1
+
+def orphan_helper():
+    return 2
+
+def entry():
+    return helper()
+
+def uncalled():
+    return orphan_helper()
+
+VALUE = entry()
+"""
+
+
+def test_a_name_used_only_by_an_uncalled_def_is_reported():
+    refs = all_references([(SYNTHETIC, "synthetic")])
+    assert {("synthetic", "entry"), ("synthetic", "helper")} <= refs
+    assert ("synthetic", "orphan_helper") not in refs
+    assert unused_public_names([(SYNTHETIC, "synthetic")]) == [("synthetic", "orphan_helper")]
+
+
+def test_every_public_name_has_a_library_caller():
+    unused = unused_public_names(LIBRARY)
+    uncalled = [f"{m}.{n}" for m, n in unused if (m, n) not in NO_LIBRARY_CALLER]
     assert not uncalled, f"public names no library or benchmark code uses: {uncalled}"
-    stale = [f"{m}.{n}" for m, n in NO_LIBRARY_CALLER if n not in exported(m) or (m, n) in refs]
+    public = {(own, name) for source, own in LIBRARY for name in exported(source)}
+    stale = [f"{m}.{n}" for m, n in NO_LIBRARY_CALLER if (m, n) not in public or (m, n) not in unused]
     assert not stale, f"allowlisted names that are gone or now have a caller: {stale}"

@@ -44,7 +44,7 @@ class QuadraticProblem:
 
         def obj(p):
             x = p.vec
-            ax = ad.matmul(ad.const(A), x)
+            ax = ad.nsum(ad.const(A) * ad.reshape(x, (1, A.shape[0])), axis=1)
             return ad.const(-0.5) * ad.nsum(x * ax) + ad.nsum(ad.const(b) * x)
 
         return obj

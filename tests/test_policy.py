@@ -1,6 +1,7 @@
-"""Policy/critic checks: initialization statistics, sampling behavior,
-log-probability graphs vs finite differences, the bit-equality of act_batch
-and exact-mode logprob_graph, and the checkpoint container."""
+"""Policy/critic checks: initialization statistics, sampling behavior and
+its divergence guard, the batch-independent rows of forward_inference that
+lockstep rollouts rely on, log-probability graphs against numpy densities
+and finite differences, and the checkpoint container."""
 
 from __future__ import annotations
 
@@ -13,7 +14,7 @@ from metarl import autodiff as ad
 from metarl import policy as pol
 from metarl.autodiff import Params
 from metarl.envs import Family, Task, make_env
-from metarl.errors import ParseError
+from metarl.errors import NonFiniteValue, ParseError
 from metarl.rng import Stream
 
 from _helpers import make_policy, zero_params
@@ -28,24 +29,37 @@ def make_critic(env, rng) -> "tuple[pol.Arch, ad.ParamVector]":
 
 
 def act_one(net: pol.PolicyNet, state, gen: np.random.Generator):
-    """(action, logp, raw) of one state: act_batch on a one-row batch, its
-    one variate drawn from `gen`."""
+    """(action, raw) of one state: act_batch on a one-row batch, its one
+    variate drawn from `gen`."""
     states = np.asarray(state, dtype=np.float64)[None, :]
-    actions, logps, raws = pol.act_batch(net, states, pol.draw_variates(net.arch, gen, 1))
-    return actions[0], logps[0], raws[0]
+    actions, raws = pol.act_batch(net, states, pol.draw_variates(net.arch, gen, 1))
+    return actions[0], raws[0]
 
 
 def logprob_one(net: pol.PolicyNet, state, action) -> np.float64:
-    """log pi(action | state) from exact-mode logprob_graph on one row."""
+    """log pi(action | state) from logprob_graph on one row."""
     states = np.asarray(state, dtype=np.float64)[None, :]
-    lp = pol.logprob_graph(net.arch, Params(net.params), states, np.asarray([action]), exact=True)
+    lp = pol.logprob_graph(net.arch, Params(net.params), states, np.asarray([action]))
     return lp.val[0]
 
 
 def value_one(arch: pol.Arch, params: ad.ParamVector, state) -> np.float64:
-    """V(state) from exact-mode values_graph on one row."""
+    """V(state) from values_graph on one row."""
     states = np.asarray(state, dtype=np.float64)[None, :]
-    return pol.values_graph(arch, Params(params), states, exact=True).val[0]
+    return pol.values_graph(arch, Params(params), states).val[0]
+
+
+def numpy_logprob(net: pol.PolicyNet, states: np.ndarray, raws: np.ndarray) -> np.ndarray:
+    """log pi(raw | state) per row from forward_inference: a log-softmax for
+    a categorical head, a Gaussian log-density for a Gaussian head."""
+    out = pol.forward_inference(net.arch, net.params, states)
+    if isinstance(net.arch.head, pol.CategoricalHead):
+        logits = out - out.max(axis=1, keepdims=True)
+        log_softmax = logits - np.log(np.exp(logits).sum(axis=1, keepdims=True))
+        return log_softmax[np.arange(len(raws)), raws]
+    log_sigma = net.params.segment("log_sigma")[0]
+    z = (raws - out[:, 0]) / np.exp(log_sigma)
+    return -0.5 * z**2 - log_sigma - 0.5 * np.log(2.0 * np.pi)
 
 
 class TestInit:
@@ -81,14 +95,14 @@ class TestAct:
     def test_dominant_logit_wins(self):
         arch = pol.actor_arch(CARTPOLE)
         net = pol.PolicyNet(arch, zero_params(arch, b2=(50.0, 0.0)))
-        action, logp, _ = act_one(net, np.zeros(4), Stream(3).generator())
+        action, _ = act_one(net, np.zeros(4), Stream(3).generator())
         assert action == 0
-        assert abs(logp) < 1e-12
+        assert abs(logprob_one(net, np.zeros(4), action)) < 1e-12
 
     def test_small_sigma_concentrates_at_mean(self):
         arch = pol.actor_arch(INTERSECTION)
         net = pol.PolicyNet(arch, zero_params(arch, b2=(7.5,), log_sigma=(np.log(1e-8),)))
-        action, _, _ = act_one(net, np.zeros(2), Stream(4).generator())
+        action, _ = act_one(net, np.zeros(2), Stream(4).generator())
         assert action == pytest.approx(7.5, abs=1e-6)
 
     def test_gaussian_action_clipped_raw_kept(self):
@@ -97,7 +111,7 @@ class TestAct:
         gen = Stream(5).generator()
         saw_clip = False
         for _ in range(50):
-            action, _, raw = act_one(net, np.zeros(2), gen)
+            action, raw = act_one(net, np.zeros(2), gen)
             assert 0.0 <= action <= 15.0
             if raw != action:
                 saw_clip = True
@@ -110,7 +124,7 @@ class TestAct:
         net = pol.PolicyNet(arch, zero_params(arch, b2=logits))
         n = 100_000
         variates = pol.draw_variates(arch, Stream(6).generator(), n)
-        actions, _, _ = pol.act_batch(net, np.zeros((n, 4)), variates)
+        actions, _ = pol.act_batch(net, np.zeros((n, 4)), variates)
         want = np.exp(logits) / np.sum(np.exp(logits))
         freq = np.bincount(actions, minlength=2) / n
         assert np.all(np.abs(freq - want) < 0.01)
@@ -121,12 +135,11 @@ class TestAct:
         variates = np.concatenate(
             [pol.draw_variates(net.arch, Stream(7).child(2, j).generator(), 1) for j in range(6)]
         )
-        actions, logps, raws = pol.act_batch(net, states, variates)
+        actions, raws = pol.act_batch(net, states, variates)
         for j in range(6):
-            action, logp, raw = act_one(net, states[j], Stream(7).child(2, j).generator())
+            action, raw = act_one(net, states[j], Stream(7).child(2, j).generator())
             assert action == actions[j]
             assert raw == raws[j]
-            assert logp.tobytes() == logps[j].tobytes()
 
     def test_lockstep_gaussian_matches_serial_bits(self):
         net = make_policy(INTERSECTION, Stream(8).child(0))
@@ -134,12 +147,64 @@ class TestAct:
         variates = np.concatenate(
             [pol.draw_variates(net.arch, Stream(8).child(2, j).generator(), 1) for j in range(5)]
         )
-        actions, logps, raws = pol.act_batch(net, states, variates)
+        actions, raws = pol.act_batch(net, states, variates)
         for j in range(5):
-            action, logp, raw = act_one(net, states[j], Stream(8).child(2, j).generator())
-            assert action == actions[j]
-            assert raw == raws[j]
-            assert logp.tobytes() == logps[j].tobytes()
+            action, raw = act_one(net, states[j], Stream(8).child(2, j).generator())
+            assert action.tobytes() == actions[j].tobytes()
+            assert raw.tobytes() == raws[j].tobytes()
+
+    @pytest.mark.parametrize(
+        "head, overrides, states",
+        [
+            ("categorical", {}, np.full((3, 4), np.nan)),  # non-finite logits
+            ("gaussian", {"log_sigma": (800.0,)}, np.zeros((3, 2))),  # sigma overflows
+            ("gaussian", {"log_sigma": (-800.0,)}, np.zeros((3, 2))),  # sigma underflows
+        ],
+        ids=["nan-logits", "log-sigma-plus-800", "log-sigma-minus-800"],
+    )
+    def test_nonfinite_distribution_raises(self, head, overrides, states):
+        env = CARTPOLE if head == "categorical" else INTERSECTION
+        arch = pol.actor_arch(env)
+        net = pol.PolicyNet(arch, zero_params(arch, **overrides))
+        variates = pol.draw_variates(arch, Stream(9).generator(), len(states))
+        with pytest.raises(NonFiniteValue):
+            pol.act_batch(net, states, variates)
+
+
+FORWARD_ARCHS = {
+    "categorical": pol.actor_arch(CARTPOLE),
+    "gaussian": pol.actor_arch(INTERSECTION),
+    "critic": pol.critic_arch(CARTPOLE),
+}
+
+
+class TestForwardInference:
+    """A row's head outputs do not depend on the other rows of the batch:
+    the lockstep rollout relies on it as its episodes end. With OpenBLAS,
+    np.matmul gives some of these 9 rows other bits alone, or in the subset,
+    than in the full batch, so a forward pass through it fails here."""
+
+    KEEP = np.array([0, 2, 3, 8])
+
+    @staticmethod
+    def batch(name):
+        arch = FORWARD_ARCHS[name]
+        params = pol.init_params(arch, Stream(31))
+        states = Stream(32).generator().normal(size=(9, arch.input_dim))
+        return arch, params, states, pol.forward_inference(arch, params, states)
+
+    @pytest.mark.parametrize("name", sorted(FORWARD_ARCHS))
+    def test_rows_match_batched_bitwise(self, name):
+        arch, params, states, full = self.batch(name)
+        for i in range(len(states)):
+            row = pol.forward_inference(arch, params, states[i : i + 1])
+            assert row.tobytes() == full[i : i + 1].tobytes()
+
+    @pytest.mark.parametrize("name", sorted(FORWARD_ARCHS))
+    def test_masked_subset_matches_bitwise(self, name):
+        arch, params, states, full = self.batch(name)
+        sub = pol.forward_inference(arch, params, states[self.KEEP])
+        assert sub.tobytes() == full[self.KEEP].tobytes()
 
 
 def categorical_cum(net: pol.PolicyNet, states: np.ndarray) -> np.ndarray:
@@ -181,7 +246,7 @@ class TestCategoricalPick:
         candidates = candidates[candidates < 1.0]
         tiled = np.tile(states, (len(candidates), 1))
         u = np.repeat(candidates, len(states))
-        actions, logps, raws = pol.act_batch(net, tiled, u)
+        actions, raws = pol.act_batch(net, tiled, u)
         want = searchsorted_pick(categorical_cum(net, tiled), u)
         assert actions.dtype == np.int64 and raws.dtype == np.int64
         assert np.array_equal(actions, want)
@@ -191,7 +256,7 @@ class TestCategoricalPick:
         net = categorical_net(3, b2=(0.3, -0.4, 1.1))
         cum = categorical_cum(net, np.zeros((1, 4)))[0]
         u = np.array([cum[0], cum[1], np.nextafter(cum[0], 0.0)])
-        actions, _, _ = pol.act_batch(net, np.zeros((3, 4)), u)
+        actions, _ = pol.act_batch(net, np.zeros((3, 4)), u)
         assert list(actions) == [1, 2, 0]
         assert np.array_equal(actions, searchsorted_pick(np.tile(cum, (3, 1)), u))
 
@@ -201,9 +266,10 @@ class TestCategoricalPick:
         assert cum[-1] < 1.0  # the premise: the sum of the probabilities rounds low
         u = np.array([cum[-1], np.nextafter(1.0, 0.0)])
         assert np.searchsorted(cum, u[1], side="right") == 3
-        actions, logps, _ = pol.act_batch(net, np.zeros((2, 4)), u)
+        actions, _ = pol.act_batch(net, np.zeros((2, 4)), u)
         assert list(actions) == [2, 2]
-        assert np.all(np.isfinite(logps))
+        lp = pol.logprob_graph(net.arch, Params(net.params), np.zeros((2, 4)), actions)
+        assert np.all(np.isfinite(lp.val))
 
     def test_one_variate_per_row(self):
         net = categorical_net(2)
@@ -224,29 +290,33 @@ class TestLogprob:
         want = -0.5 * np.log(2 * np.pi)
         assert logprob_one(net, np.zeros(2), 0.0) == pytest.approx(want, abs=1e-15)
 
+    # logprob_graph on the raws act_batch samples, against numpy densities
+    # of the forward_inference outputs (one row at a time, then a batch)
     def test_matches_act_bits_categorical(self):
         net = make_policy(CARTPOLE, Stream(11))
         gen = Stream(12).generator()
         for _ in range(10):
             state = gen.uniform(-0.05, 0.05, size=4)
-            _, logp, raw = act_one(net, state, gen)
-            assert logprob_one(net, state, raw).tobytes() == logp.tobytes()
+            _, raw = act_one(net, state, gen)
+            want = numpy_logprob(net, state[None, :], np.array([raw]))[0]
+            assert logprob_one(net, state, raw) == pytest.approx(want, abs=1e-12)
         states = gen.uniform(-0.05, 0.05, size=(10, 4))
-        _, logps, raws = pol.act_batch(net, states, pol.draw_variates(net.arch, gen, 10))
-        lp = pol.logprob_graph(net.arch, Params(net.params), states, raws, exact=True)
-        assert lp.val.tobytes() == logps.tobytes()
+        _, raws = pol.act_batch(net, states, pol.draw_variates(net.arch, gen, 10))
+        lp = pol.logprob_graph(net.arch, Params(net.params), states, raws)
+        assert np.max(np.abs(lp.val - numpy_logprob(net, states, raws))) <= 1e-12
 
     def test_matches_act_bits_gaussian(self):
         net = make_policy(INTERSECTION, Stream(13))
         gen = Stream(14).generator()
         for _ in range(10):
             state = gen.uniform(-40, 0, size=2)
-            _, logp, raw = act_one(net, state, gen)
-            assert logprob_one(net, state, raw).tobytes() == logp.tobytes()
+            _, raw = act_one(net, state, gen)
+            want = numpy_logprob(net, state[None, :], np.array([raw]))[0]
+            assert logprob_one(net, state, raw) == pytest.approx(want, abs=1e-12)
         states = gen.uniform(-40, 0, size=(10, 2))
-        _, logps, raws = pol.act_batch(net, states, pol.draw_variates(net.arch, gen, 10))
-        lp = pol.logprob_graph(net.arch, Params(net.params), states, raws, exact=True)
-        assert lp.val.tobytes() == logps.tobytes()
+        _, raws = pol.act_batch(net, states, pol.draw_variates(net.arch, gen, 10))
+        lp = pol.logprob_graph(net.arch, Params(net.params), states, raws)
+        assert np.max(np.abs(lp.val - numpy_logprob(net, states, raws))) <= 1e-12
 
     def test_logit_shift_invariance(self):
         arch = pol.actor_arch(CARTPOLE)
@@ -286,12 +356,11 @@ class TestLogprob:
     def test_gaussian_mean_gradient_zero_at_sample(self):
         net = make_policy(INTERSECTION, Stream(19))
         state = np.array([-10.0, -20.0])
-        mean = pol.forward_inference(net.arch, net.params, state[None, :])[0, 0]
+        # the graph's own mean, so z is exactly zero
+        mean = pol.values_graph(net.arch, Params(net.params), state[None, :]).val[0]
 
         def obj(p):
-            # exact mode so the graph's mean carries the same bits as
-            # forward_inference, making z exactly zero
-            return ad.nsum(pol.logprob_graph(net.arch, p, state[None, :], [mean], exact=True))
+            return ad.nsum(pol.logprob_graph(net.arch, p, state[None, :], [mean]))
 
         g = ad.grad(obj, net.params)
         for seg in net.arch.segments():
@@ -310,12 +379,12 @@ class TestValue:
     def test_deterministic(self):
         arch, params = make_critic(CARTPOLE, Stream(20))
         s = np.array([0.1, -0.2, 0.03, 0.0])
-        assert value_one(arch, params, s) == value_one(arch, params, s)
-        # exact mode gives each row the bits of the einsum forward pass
+        assert value_one(arch, params, s).tobytes() == value_one(arch, params, s).tobytes()
+        # the graph agrees with the einsum forward pass row by row
         states = Stream(20).child(1).generator().uniform(-0.1, 0.1, size=(5, 4))
         batch = pol.forward_inference(arch, params, states)[:, 0]
         for j in range(5):
-            assert value_one(arch, params, states[j]).tobytes() == batch[j].tobytes()
+            assert value_one(arch, params, states[j]) == pytest.approx(batch[j], abs=1e-12)
 
     def test_regresses_to_two_state_fixed_point(self):
         # Two-state loop: A ->(r=2) B ->(r=0) A, discount 0.9.

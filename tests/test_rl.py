@@ -23,6 +23,7 @@ from _helpers import balancer_policy, make_policy, zero_params
 
 CARTPOLE = make_env(Task(Family.CARTPOLE, 10.0))
 INTERSECTION = make_env(Task(Family.INTERSECTION, 10.0))
+FIELDS = ("states", "actions", "rewards", "raws")  # Trajectory field order
 
 
 def bandit_batch(actions, rewards) -> TrajectoryBatch:
@@ -32,7 +33,6 @@ def bandit_batch(actions, rewards) -> TrajectoryBatch:
             states=np.zeros((1, 4)),
             actions=np.array([a], dtype=np.int64),
             rewards=np.array([float(r)]),
-            logps=np.zeros(1),
             raws=np.array([a], dtype=np.int64),
         )
         for a, r in zip(actions, rewards)
@@ -45,7 +45,7 @@ class TestRollout:
         net = make_policy(INTERSECTION, Stream(1))
         a = rl.rollout(INTERSECTION, net, Stream(2))
         b = rl.rollout(INTERSECTION, net, Stream(2))
-        for field in ("states", "actions", "rewards", "logps", "raws"):
+        for field in FIELDS:
             assert getattr(a, field).tobytes() == getattr(b, field).tobytes()
 
     def test_cartpole_reward_equals_length(self):
@@ -71,7 +71,7 @@ class TestSampleBatch:
         batch = rl.sample_batch(CARTPOLE, net, 6, Stream(8))
         for j, traj in enumerate(batch.trajectories):
             solo = rl.rollout(CARTPOLE, net, Stream(8).child(j))
-            for field in ("states", "actions", "rewards", "logps", "raws"):
+            for field in FIELDS:
                 assert getattr(traj, field).tobytes() == getattr(solo, field).tobytes()
 
     def test_lockstep_matches_serial_rollouts_intersection(self):
@@ -79,7 +79,7 @@ class TestSampleBatch:
         batch = rl.sample_batch(INTERSECTION, net, 5, Stream(10))
         for j, traj in enumerate(batch.trajectories):
             solo = rl.rollout(INTERSECTION, net, Stream(10).child(j))
-            for field in ("states", "actions", "rewards", "logps", "raws"):
+            for field in FIELDS:
                 assert getattr(traj, field).tobytes() == getattr(solo, field).tobytes()
 
     def test_deterministic_across_runs(self):
@@ -122,8 +122,6 @@ class TestSampleBatch:
             rl.rollout(env, net, Stream(17))
 
 
-FIELDS = ("states", "actions", "rewards", "logps", "raws")
-
 
 def stepwise_act(net, states, gens):
     """Reference sampler: row j draws one variate from gens[j] and picks its
@@ -137,12 +135,11 @@ def stepwise_act(net, states, gens):
         acts = np.empty(n, dtype=np.int64)
         for j in range(n):
             acts[j] = min(int(np.searchsorted(cum[j], gens[j].random(), side="right")), net.arch.head.n - 1)
-        return acts, shift[np.arange(n), acts] - lse, acts
+        return acts, acts
     head = net.arch.head
     logsig = net.params.segment("log_sigma")
     raws = out[:, 0] + np.exp(logsig)[0] * np.array([g.standard_normal() for g in gens])
-    z = (raws - out[:, 0]) * np.exp(-logsig)
-    return np.clip(raws, head.low, head.high), -0.5 * z * z - logsig - pol.HALF_LOG_2PI, raws
+    return np.clip(raws, head.low, head.high), raws
 
 
 def stepwise_rollouts(env, net, k, rng):
@@ -155,10 +152,10 @@ def stepwise_rollouts(env, net, k, rng):
     t = 0
     while active and t < env.horizon:
         cur = states[np.asarray(active)]
-        acts, logps, raws = stepwise_act(net, cur, [gens[j] for j in active])
+        acts, raws = stepwise_act(net, cur, [gens[j] for j in active])
         nxt, rews, dones = env.step_batch(cur, acts)
         for m, j in enumerate(active):
-            for field, val in zip(rec[j], (cur[m], acts[m], rews[m], logps[m], raws[m])):
+            for field, val in zip(rec[j], (cur[m], acts[m], rews[m], raws[m])):
                 field.append(val)
         states[np.asarray(active)] = nxt
         active = [j for m, j in enumerate(active) if not dones[m]]
@@ -374,7 +371,7 @@ class TestReinforceObjective:
         proj = []
         for b in range(30):
             variates = pol.draw_variates(net.arch, Stream(24).child(b).generator(), 100)
-            actions, _, _ = pol.act_batch(net, np.zeros((100, 4)), variates)
+            actions, _ = pol.act_batch(net, np.zeros((100, 4)), variates)
             batch = bandit_batch(actions, np.ones(100))
             g = ad.grad(rl.policy_objective(batch, 0.99, "ac", zero_critic()), net.params)
             proj.append(float(g.values @ u))
@@ -443,7 +440,7 @@ class TestHoistedObjective:
         for t in sampled.trajectories:
             rewards = np.zeros(t.length)
             rewards[-1] = 3.0
-            trajs.append(Trajectory(t.states, t.actions, rewards, t.logps, t.raws))
+            trajs.append(Trajectory(t.states, t.actions, rewards, t.raws))
         batch = TrajectoryBatch(tuple(trajs), sampled.task)
         returns = rl._pooled(batch, 1.0)[2]
         assert float(np.std(returns)) < rl.ADV_STD_FLOOR and np.all(returns == 3.0)
