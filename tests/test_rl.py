@@ -122,7 +122,6 @@ class TestSampleBatch:
             rl.rollout(env, net, Stream(17))
 
 
-
 def stepwise_act(net, states, gens):
     """Reference sampler: row j draws one variate from gens[j] and picks its
     categorical action with searchsorted."""
