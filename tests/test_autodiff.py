@@ -426,6 +426,9 @@ class TestAffine:
         gen = Stream(seed).generator()
         shapes = {"h": (rows, n_in), "w": (n_in, n_out), "b": (n_out,)}
         values = {k: gen.normal(size=shape) for k, shape in shapes.items()}
+        # variance 1/fan_in, as the policy's init: a saturated tanh would
+        # leave finite differences without their relative accuracy
+        values["w"] /= np.sqrt(n_in)
         weights = gen.normal(size=(rows, n_out))
         names = [k for k in ("h", "w", "b") if k in varied]
         segs, off = [], 0

@@ -24,9 +24,9 @@ REPO = Path(__file__).resolve().parents[1]
 PACKAGE = REPO / "src" / "metarl"
 SUBMODULES = {p.stem for p in PACKAGE.glob("*.py")} - {"__init__"}
 SCANNED = sorted(PACKAGE.glob("*.py")) + sorted((REPO / "perfbench").glob("*.py"))
-# (source, the metarl module it defines or None) of every scanned file
+# (syntax tree, the metarl module it defines or None) of every scanned file
 LIBRARY = [
-    (path.read_text(encoding="utf-8"), path.stem if path.parent == PACKAGE else None)
+    (ast.parse(path.read_text(encoding="utf-8")), path.stem if path.parent == PACKAGE else None)
     for path in SCANNED
 ]
 
@@ -59,26 +59,25 @@ def _metarl_module(node: ast.ImportFrom, own: "str | None") -> "str | None":
     return None
 
 
-def references(source: str, own: "str | None", called=frozenset()) -> "set[tuple[str, str]]":
-    """(module, name) pairs a file refers to: `from .mod import name`,
+def references(tree: ast.Module, own: "str | None", called=frozenset()) -> "set[tuple[str, str]]":
+    """(module, name) pairs a file's tree refers to: `from .mod import name`,
     `mod.name` through any alias of a metarl module, and, inside metarl
     module `own`, the bare names used by module-level code or by a top-level
     def or class whose (own, name) is in `called`. The package's own
     re-exports and string constants (`__all__`, docstrings) are not
     references."""
-    tree = ast.parse(source)
     aliases: "dict[str, str]" = {}
     refs: "set[tuple[str, str]]" = set()
     for node in ast.walk(tree):
         if isinstance(node, ast.ImportFrom):
-            source_module = _metarl_module(node, own)
-            if source_module is None or own == "__init__":
+            source = _metarl_module(node, own)
+            if source is None or own == "__init__":
                 continue
             for alias in node.names:
-                if source_module == "" and alias.name in SUBMODULES:
+                if source == "" and alias.name in SUBMODULES:
                     aliases[alias.asname or alias.name] = alias.name
-                elif source_module:
-                    refs.add((source_module, alias.name))
+                elif source:
+                    refs.add((source, alias.name))
         elif isinstance(node, ast.Import):
             for alias in node.names:
                 package, _, module = alias.name.partition(".")
@@ -97,18 +96,18 @@ def references(source: str, own: "str | None", called=frozenset()) -> "set[tuple
 
 
 def all_references(files) -> "set[tuple[str, str]]":
-    """The references of every (source, own) file, grown until no def gains
+    """The references of every (tree, own) file, grown until no def gains
     a caller (a def's uses count only once the def is used)."""
     refs: "set[tuple[str, str]]" = set()
     while True:
-        found = set().union(*(references(source, own, refs) for source, own in files))
+        found = set().union(*(references(tree, own, refs) for tree, own in files))
         if found == refs:
             return refs
         refs = found
 
 
-def exported(source: str) -> "list[str]":
-    for top in ast.parse(source).body:
+def exported(tree: ast.Module) -> "list[str]":
+    for top in tree.body:
         targets = top.targets if isinstance(top, ast.Assign) else ()
         if any(getattr(t, "id", None) == "__all__" for t in targets):
             return [ast.literal_eval(elt) for elt in top.value.elts]
@@ -121,14 +120,14 @@ def unused_public_names(files) -> "list[tuple[str, str]]":
     refs = all_references(files)
     return [
         (own, name)
-        for source, own in files
+        for tree, own in files
         if own not in (None, "__init__")
-        for name in exported(source)
+        for name in exported(tree)
         if (own, name) not in refs
     ]
 
 
-SYNTHETIC = """
+SYNTHETIC = ast.parse("""
 __all__ = ["entry", "helper", "orphan_helper"]
 
 def helper():
@@ -144,7 +143,7 @@ def uncalled():
     return orphan_helper()
 
 VALUE = entry()
-"""
+""")
 
 
 def test_a_name_used_only_by_an_uncalled_def_is_reported():
@@ -158,6 +157,6 @@ def test_every_public_name_has_a_library_caller():
     unused = unused_public_names(LIBRARY)
     uncalled = [f"{m}.{n}" for m, n in unused if (m, n) not in NO_LIBRARY_CALLER]
     assert not uncalled, f"public names no library or benchmark code uses: {uncalled}"
-    public = {(own, name) for source, own in LIBRARY for name in exported(source)}
+    public = {(own, name) for tree, own in LIBRARY for name in exported(tree)}
     stale = [f"{m}.{n}" for m, n in NO_LIBRARY_CALLER if (m, n) not in public or (m, n) not in unused]
     assert not stale, f"allowlisted names that are gone or now have a caller: {stale}"
