@@ -204,11 +204,12 @@ class CartPoleEnv(Environment):
         actions = np.asarray(actions)
         right = actions == 1
         ok = right | (actions == 0)
-        if not ok.all():
+        if not np.logical_and.reduce(ok):
             raise InvalidAction(f"cartpole action must be 0 or 1, got {actions[~ok][0]!r}")
         forces = np.where(right, FORCE_MAG, -FORCE_MAG)
         nxt = cartpole_euler(np.asarray(states, dtype=np.float64), forces, self.task.phi)
-        done = (np.abs(nxt[:, 2]) > ANGLE_LIMIT) | (np.abs(nxt[:, 0]) > X_LIMIT)
+        done = np.abs(nxt[:, 2]) > ANGLE_LIMIT
+        done |= np.abs(nxt[:, 0]) > X_LIMIT
         rewards = np.ones(len(nxt))
         return nxt, rewards, done
 

@@ -154,9 +154,11 @@ def forward_inference(arch: Arch, params: ParamVector, states: np.ndarray) -> np
     h = np.asarray(states, dtype=np.float64)
     last = len(arch.layer_names) - 1
     for i, (w, b) in enumerate(arch.layer_names):
-        h = np.einsum("ij,jk->ik", h, params.segment(w)) + params.segment(b)
+        # einsum returns a fresh array, so the bias and tanh go in place
+        h = np.einsum("ij,jk->ik", h, params.segment(w))
+        h += params.segment(b)
         if i < last:
-            h = np.tanh(h)
+            np.tanh(h, out=h)
     return h
 
 
@@ -202,14 +204,17 @@ def act_batch(
     out = forward_inference(net.arch, net.params, states)
     head = net.arch.head
     if isinstance(head, CategoricalHead):
-        shift = out - out.max(axis=1, keepdims=True)
-        lse = np.log(np.exp(shift).sum(axis=1))
-        cum = np.exp(shift - lse[:, None]).cumsum(axis=1)
+        # out is this call's own array: the logit shift, the probabilities
+        # and their running sum cum are each formed in its buffer
+        out -= np.maximum.reduce(out, axis=1, keepdims=True)
+        finite = np.logical_and.reduce(np.isfinite(out), axis=None)
+        out -= np.log(np.add.reduce(np.exp(out), axis=1, keepdims=True))
+        cum = np.add.accumulate(np.exp(out, out=out), axis=1, out=out)
         # cum is non-decreasing, so counting its entries <= u is
         # searchsorted(cum, u, side="right"); the clamp catches a last entry
         # that rounds to just below 1.
-        acts = np.minimum((cum <= u[:, None]).sum(axis=1, dtype=np.int64), head.n - 1)
-        finite = np.isfinite(shift).all()
+        acts = np.add.reduce(cum <= u[:, None], axis=1, dtype=np.int64)
+        np.minimum(acts, head.n - 1, out=acts)
         raws = acts
         actions: np.ndarray = acts
     elif isinstance(head, GaussianHead):

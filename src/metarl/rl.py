@@ -115,18 +115,15 @@ def _run_rollouts(env: Environment, policy: PolicyNet, streams: "list[Stream]") 
     lengths = np.full(k, horizon)
     bufs: "list[np.ndarray]" = []
     for t in range(horizon):
-        full = len(rows) == k
-        acts, raws = act_batch(policy, cur, variates[t] if full else variates[t, rows])
+        at = t if len(rows) == k else (t, rows)  # step t of each live row
+        acts, raws = act_batch(policy, cur, variates[at])
         nxt, rews, dones = env.step_batch(cur, acts)
         fields = (cur, acts, rews, raws)  # Trajectory field order
         if not bufs:
             bufs = [np.empty((horizon, k) + f.shape[1:], dtype=f.dtype) for f in fields]
         for buf, f in zip(bufs, fields):
-            if full:
-                buf[t] = f
-            else:
-                buf[t, rows] = f
-        if dones.any():
+            buf[at] = f
+        if np.logical_or.reduce(dones):
             lengths[rows[dones]] = t + 1
             live = ~dones
             rows, cur = rows[live], nxt[live]
@@ -160,16 +157,20 @@ def sample_batch(env: Environment, policy: PolicyNet, k: int, rng: Stream) -> Tr
 
 
 def discounted_returns(traj: "Trajectory | np.ndarray", gamma: float) -> np.ndarray:
-    """G_t = sum_{k>=t} gamma^(k-t) r_k by backward recursion."""
+    """G_t = sum_{k>=t} gamma^(k-t) r_k by backward recursion, in float64.
+    The recursion runs on Python floats, which make the same IEEE-754 double
+    operations in the same order as numpy float64 scalars, for less
+    interpreter work."""
     if not 0.0 < gamma <= 1.0:
         raise ValueError("gamma must lie in (0, 1]")
-    rewards = traj.rewards if isinstance(traj, Trajectory) else np.asarray(traj, dtype=np.float64)
-    out = np.empty(len(rewards))
+    rewards = traj.rewards if isinstance(traj, Trajectory) else traj
+    vals = np.asarray(rewards, dtype=np.float64).tolist()
+    gamma = float(gamma)
     acc = 0.0
-    for t in range(len(rewards) - 1, -1, -1):
-        acc = rewards[t] + gamma * acc
-        out[t] = acc
-    return out
+    for t in range(len(vals) - 1, -1, -1):
+        acc = vals[t] + gamma * acc
+        vals[t] = acc
+    return np.array(vals, dtype=np.float64)
 
 
 def _traj_sort_key(t: Trajectory):

@@ -207,6 +207,32 @@ class TestForwardInference:
         assert sub.tobytes() == full[self.KEEP].tobytes()
 
 
+class TestOwnBuffers:
+    """forward_inference and act_batch work in place only on arrays they
+    made: the caller's states and variates keep their bytes, and the arrays
+    of two calls share no memory."""
+
+    @pytest.mark.parametrize("env", [CARTPOLE, INTERSECTION], ids=["categorical", "gaussian"])
+    def test_inputs_kept_and_calls_share_no_memory(self, env):
+        arch = pol.actor_arch(env)
+        net = pol.PolicyNet(arch, pol.init_params(arch, Stream(51)))
+        gen = Stream(52).generator()
+        states = gen.normal(size=(6, arch.input_dim))
+        variates = pol.draw_variates(arch, gen, 6)
+        kept = (states.tobytes(), variates.tobytes(), net.params.values.tobytes())
+        calls = [pol.act_batch(net, states, variates) for _ in range(2)]
+        outs = [pol.forward_inference(arch, net.params, states) for _ in range(2)]
+        assert (states.tobytes(), variates.tobytes(), net.params.values.tobytes()) == kept
+        for a, b in zip(calls[0], calls[1]):
+            assert a.tobytes() == b.tobytes()
+            assert not np.shares_memory(a, b)
+        assert outs[0].tobytes() == outs[1].tobytes()
+        assert not np.shares_memory(outs[0], outs[1])
+        for arr in (*calls[0], *outs):
+            for given_in in (states, variates, net.params.values):
+                assert not np.shares_memory(arr, given_in)
+
+
 def categorical_cum(net: pol.PolicyNet, states: np.ndarray) -> np.ndarray:
     """The cumulative action probabilities act_batch compares its variates
     with, computed by the same operations."""

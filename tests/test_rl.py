@@ -257,7 +257,29 @@ class TestPredrawnVariates:
             pol.draw_variates(pol.critic_arch(CARTPOLE), g(), 5)
 
 
+def numpy_scalar_returns(rewards: np.ndarray, gamma: float) -> np.ndarray:
+    """Reference recursion on numpy float64 scalars, one array element at a
+    time, written into a preallocated array."""
+    out = np.empty(len(rewards))
+    acc = 0.0
+    for t in range(len(rewards) - 1, -1, -1):
+        acc = rewards[t] + gamma * acc
+        out[t] = acc
+    return out
+
+
 class TestDiscountedReturns:
+    @pytest.mark.parametrize("gamma", [0.99, 1.0])
+    def test_matches_numpy_scalar_recursion_bitwise(self, gamma):
+        gen = Stream(16).generator()
+        for n in (1, 2, 37, 200):
+            # rewards spanning six decades, so the sums round in many places
+            rewards = gen.normal(size=n) * 10.0 ** gen.uniform(-3.0, 3.0, size=n)
+            want = numpy_scalar_returns(rewards, gamma).tobytes()
+            traj = Trajectory(np.zeros((n, 4)), np.zeros(n, np.int64), rewards, np.zeros(n, np.int64))
+            assert discounted_returns(traj, gamma).tobytes() == want
+            assert discounted_returns(rewards, gamma).tobytes() == want
+
     def test_closed_form_gamma_099(self):
         g = discounted_returns(np.array([1.0, 1.0, 1.0]), 0.99)
         assert g == pytest.approx([2.9701, 1.99, 1.0], abs=1e-12)
