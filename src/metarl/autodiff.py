@@ -2,14 +2,26 @@
 
 Scope is deliberately small: dense float64 parameter vectors, a dozen primitive
 operations (affine maps, tanh, exp/log, sums/means, row gathers for
-log-probabilities), and scalar objectives. The computation graph is rebuilt on
-every evaluation; nothing persists between calls, so there is no stale-tape
-state to manage and graphs can safely cross threads.
+log-probabilities), two fused nodes for a policy's layers and head, and
+scalar objectives. The computation graph is rebuilt on every evaluation;
+nothing persists between calls, so there is no stale-tape state to manage
+and graphs can safely cross threads.
 
 `affine(h, w, b)` records a network layer's h @ w + b as one node: np.matmul
 then the bias add, with no node, tangent or adjoint kept for the product in
 between. Its vjp takes the product rule from `_mm`. Other products are
 spelled with broadcast `mul` and `nsum`.
+
+Fused nodes record a policy's log-probability graph with fewer nodes and the
+same numpy operations in the same order, so every value, gradient and HVP
+keeps its bits. `tanh_affine(h, w, b)` is a hidden layer, tanh(h @ w + b),
+with the tanh taken in place on the fresh product. `log_softmax_pick(logits,
+idx)` is the categorical head, log softmax(logits)[i, idx[i]], which
+`row_max_const`, `sub`, `exp`, `nsum`, `log` and `gather_rows` spell out.
+Each fused vjp runs the composed rules' `_D` operations in the backward
+pass's order, sharing the rules (`_tanh_adjoint`, `_affine_adjoints`,
+`_spread`, `_scatter_rows`) with the primitives, which stay as the bitwise
+reference the tests compare against.
 
 Hessian-vector products use forward-over-reverse: every node carries an
 optional tangent alongside its value, and the backward pass propagates
@@ -23,28 +35,32 @@ rule multiplies by, scatter lengths) is computed inside the op's vjp, from
 the values the graph already holds. So `value`, the finite-difference oracles
 and the forward half of `grad`/`hvp` pay for the forward graph alone, through
 the same op code; recomputing a quantity in the vjp gives the bits the
-forward would have captured.
+forward would have captured. The categorical head's node keeps the
+(rows x columns) arrays its forward made anyway, which its rules read.
 
 Forward cost rule: a node costs its numpy operations plus a few attribute
-reads. Reductions call the ufunc (`np.add.reduce`, `np.maximum.reduce`), not
-the `np.sum`/`np.max` wrappers; shapes come from array attributes; a segment
+reads, so the fewer nodes a graph has, the less it pays beyond numpy.
+Reductions call the ufunc (`np.add.reduce`, `np.maximum.reduce`), not the
+`np.sum`/`np.max` wrappers; shapes come from array attributes; a segment
 node takes its (slice, shape) from the layout index its ParamVector carries;
-a float64 array becomes a constant as it is. A node that no parameter leaf
-reaches (`needs` false) is a constant: no vjp gives it an adjoint, so the
-backward pass computes no product only a constant would read.
+a float64 array becomes a constant as it is, and an objective evaluated many
+times builds its constants once. A node that no parameter leaf reaches
+(`needs` false) is a constant: no vjp gives it an adjoint, so the backward
+pass computes no product only a constant would read.
 
 Release rule: the backward pass frees each node's adjoint, value, tangent
 and vjp once its vjp has run: all that add to that adjoint or read those
-arrays have higher ids and ran first. Before the first vjp runs it frees the
-value and tangent of every node that only `tanh` and `exp` consume: their
-vjps read no operand array, only their own output, which the closure holds
-(`_OWN_OUTPUT_VJPS` knows them by their code, so the forward pays nothing).
-This drops the hidden layers' pre-activations before the backward pass
-starts. A leaf keeps its adjoint, which `grad` and `hvp` read; a constant is
-left whole. So one graph serves one backward pass. Rules build their
-(rows x width) temporaries in buffers of their own (`out=`, `+=`), never in
-an adjoint or value another node may hold, with the same bits; `tanh`'s vjp
-uses two such buffers.
+arrays have higher ids and ran first. A leaf keeps its adjoint, which `grad`
+and `hvp` read; a constant is left whole. So one graph serves one backward
+pass. Rules build their (rows x width) temporaries in buffers of their own
+(`out=`, `+=`), never in an adjoint or value another node may hold, with the
+same bits. The one exception is a node's own arrays: when `tanh_affine`'s
+vjp runs, every reader of its value and tangent has run, so the tanh rule
+forms its adjoint pair in them, through one temporary, and the vjp releases
+its adjoint (a pair `acc` stored for this node alone) once the rule has read
+it. No pre-activation is ever held: on a policy with two 64-wide hidden
+layers, an `hvp`'s forward graph ends holding four (rows x 64) arrays, the
+hidden outputs and their tangents, and its backward pass at most seven.
 
 Finite differences exist only as test oracles (`fd_grad`, `fd_hvp`) and in
 the `audit` CLI; they are never a production gradient path.
@@ -63,7 +79,6 @@ import ctypes
 import itertools
 import math
 import os
-import types
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
@@ -88,6 +103,7 @@ __all__ = [
     "sub",
     "mul",
     "affine",
+    "tanh_affine",
     "tanh",
     "exp",
     "log",
@@ -95,6 +111,7 @@ __all__ = [
     "nmean",
     "gather_rows",
     "row_max_const",
+    "log_softmax_pick",
     "reshape",
     "const",
 ]
@@ -328,6 +345,9 @@ class _D:
             return x
         return _D(x, None)
 
+    def __add__(self, o: "_D") -> "_D":
+        return _D(self.v + o.v, _dadd(self.d, o.d))
+
     def __neg__(self):
         return _D(-self.v, None if self.d is None else -self.d)
 
@@ -475,15 +495,12 @@ def mul(a, b) -> Node:
     return Node(a.val * b.val, _dmul(a.val, a.dot, b.val, b.dot), (a, b), vjp, a.needs or b.needs)
 
 
-def affine(h, w, b) -> Node:
-    """One node for the affine map h @ w + b: h (n, i), w (i, o), and b
-    broadcasting to (n, o). The bits of np.matmul followed by the add,
-    without a node (and an adjoint) for the product in between."""
-    h, w, b = _as_node(h), _as_node(w), _as_node(b)
+def _affine_pair(h: Node, w: Node, b: Node):
+    """Value and tangent of h @ w + b: `_mm`'s products taken directly, the
+    bias added in place on the fresh product. The tangent is b's own when
+    only b carries one."""
     if h.val.ndim != 2 or w.val.ndim != 2:
         raise ValueError("affine needs a 2-D input and a 2-D weight")
-    # `_mm`'s products, taken directly; each is a fresh array, so the bias
-    # is added in place.
     dot = None
     if h.dot is not None:
         dot = np.matmul(h.dot, w.val)
@@ -495,14 +512,29 @@ def affine(h, w, b) -> Node:
         dot = b.dot
     elif b.dot is not None:
         dot += b.dot
+    return val, dot
+
+
+def _affine_adjoints(h: Node, w: Node, b: Node, g: _D, acc) -> None:
+    """The product rule of h @ w + b under adjoint g, for the operands a
+    parameter reaches: g @ w.T, h.T @ g, and g summed down to b's shape."""
+    if h.needs:
+        acc(h, _mm(g, w._dual().apply_linear(np.transpose)))
+    if w.needs:
+        acc(w, _mm(h._dual().apply_linear(np.transpose), g))
+    if b.needs:
+        acc(b, g.unbroadcast(b.val.shape))
+
+
+def affine(h, w, b) -> Node:
+    """One node for the affine map h @ w + b: h (n, i), w (i, o), and b
+    broadcasting to (n, o). The bits of np.matmul followed by the add,
+    without a node (and an adjoint) for the product in between."""
+    h, w, b = _as_node(h), _as_node(w), _as_node(b)
+    val, dot = _affine_pair(h, w, b)
 
     def vjp(g: _D, acc):
-        if h.needs:
-            acc(h, _mm(g, w._dual().apply_linear(np.transpose)))
-        if w.needs:
-            acc(w, _mm(h._dual().apply_linear(np.transpose), g))
-        if b.needs:
-            acc(b, g.unbroadcast(b.val.shape))
+        _affine_adjoints(h, w, b, g, acc)
 
     return Node(val, dot, (h, w, b), vjp, h.needs or w.needs or b.needs)
 
@@ -514,6 +546,29 @@ def _sech2(y, buf=None):
     return np.subtract(1.0, s, out=s if s.ndim else None)
 
 
+def _tanh_adjoint(yv, yd, g: _D, own: bool) -> _D:
+    """g * (sech^2, -2 tanh * d(tanh)) for y = tanh(x) with value yv and
+    tangent yd: the bits of `_D.__mul__` (IEEE products and sums commute).
+    With `own`, yv and yd are arrays no reader needs any more, and the pair
+    is formed in them, through one temporary (sech^2) when yd is present;
+    otherwise yv and yd are left as they are."""
+    if yd is None:
+        s = _sech2(yv, yv if own else None)
+        d = None if g.d is None else s * g.d
+        s *= g.v
+        return _D(s, d)
+    sech2 = _sech2(yv)
+    d = np.multiply(yv, -2.0, out=yv if own else None)
+    d *= yd
+    d *= g.v
+    if g.d is not None:
+        d += np.multiply(sech2, g.d, out=yd if own else None)
+    if own:
+        return _D(np.multiply(sech2, g.v, out=yd), d)
+    sech2 *= g.v
+    return _D(sech2, d)
+
+
 def tanh(a) -> Node:
     a = _as_node(a)
     yv = np.tanh(a.val)
@@ -523,27 +578,34 @@ def tanh(a) -> Node:
         yd *= a.dot
 
     def vjp(g: _D, acc):
-        # g * (sech^2, its tangent -2 tanh * d(tanh)) as `_D.__mul__` forms
-        # it, in two buffers (g has its node's shape; IEEE products and sums
-        # commute): the tangent g.v * (-2 y y') + g.d * sech^2 first, then
-        # sech^2 again in the second buffer, times g.v.
-        d = None
-        if yd is not None:
-            d = -2.0 * yv
-            d *= yd
-            d *= g.v
-        s = _sech2(yv)
-        if g.d is not None:
-            s *= g.d
-            if d is None:
-                d, s = s, _sech2(yv)
-            else:
-                d += s
-                s = _sech2(yv, s)
-        s *= g.v
-        acc(a, _D(s, d))
+        acc(a, _tanh_adjoint(yv, yd, g, own=False))
 
     return Node(yv, yd, (a,), vjp, a.needs)
+
+
+def tanh_affine(h, w, b) -> Node:
+    """One node for the hidden layer tanh(h @ w + b): the bits of `affine`
+    then `tanh`, with the tanh taken in place on the fresh product, so no
+    pre-activation value, tangent or adjoint is kept.
+
+    The vjp runs `tanh`'s rule, then `affine`'s. Every consumer of this
+    node has a higher id and has run, so the tanh rule forms its pair in the
+    node's own value and tangent; the adjoint g, which is this node's alone
+    and which the backward pass drops after the vjp, is released once read."""
+    h, w, b = _as_node(h), _as_node(w), _as_node(b)
+    yv, pre_dot = _affine_pair(h, w, b)
+    np.tanh(yv, out=yv)
+    yd = None
+    if pre_dot is not None:
+        yd = _sech2(yv)
+        yd *= pre_dot
+
+    def vjp(g: _D, acc):
+        pair = _tanh_adjoint(yv, yd, g, own=True)
+        g.v = g.d = None
+        _affine_adjoints(h, w, b, pair, acc)
+
+    return Node(yv, yd, (h, w, b), vjp, h.needs or w.needs or b.needs)
 
 
 def exp(a) -> Node:
@@ -557,21 +619,6 @@ def exp(a) -> Node:
     return Node(yv, yd, (a,), vjp, a.needs)
 
 
-def _vjp_code(op) -> types.CodeType:
-    """The code of the vjp an op defines, which every vjp it makes shares."""
-    (code,) = [c for c in op.__code__.co_consts if isinstance(c, types.CodeType)]
-    return code
-
-
-# The vjps that read no operand array, only their own output, which their
-# closure holds. Told apart by code, not by a node class or attribute, so a
-# forward node costs what it did: with a `Node` subclass for them, `value` on
-# a 25-row graph ran 1.7% slower (14 of 16 interleaved blocks; CPython 3.11,
-# 2-core x86-64 VM), as call sites that see two node types lose their
-# specialised attribute reads.
-_OWN_OUTPUT_VJPS = frozenset(map(_vjp_code, (tanh, exp)))
-
-
 def log(a) -> Node:
     a = _as_node(a)
 
@@ -581,19 +628,23 @@ def log(a) -> Node:
     return Node(np.log(a.val), None if a.dot is None else a.dot / a.val, (a,), vjp, a.needs)
 
 
+def _spread(g: _D, axis: "int | None", shape: "tuple[int, ...]") -> _D:
+    """`nsum`'s rule: the adjoint of a sum, broadcast back over `shape`."""
+
+    def expand(x):
+        x = np.asarray(x)
+        if axis is None:
+            return np.broadcast_to(x, shape)
+        return np.broadcast_to(np.expand_dims(x, axis), shape)
+
+    return g.apply_linear(expand)
+
+
 def nsum(a, axis: int | None = None) -> Node:
     a = _as_node(a)
 
     def vjp(g: _D, acc):
-        shape = a.val.shape
-
-        def expand(x):
-            x = np.asarray(x)
-            if axis is None:
-                return np.broadcast_to(x, shape)
-            return np.broadcast_to(np.expand_dims(x, axis), shape)
-
-        acc(a, g.apply_linear(expand))
+        acc(a, _spread(g, axis, a.val.shape))
 
     dot = None if a.dot is None else np.add.reduce(a.dot, axis=axis)
     return Node(np.add.reduce(a.val, axis=axis), dot, (a,), vjp, a.needs)
@@ -605,6 +656,18 @@ def nmean(a, axis: int | None = None) -> Node:
     return mul(nsum(a, axis=axis), 1.0 / float(n))
 
 
+def _scatter_rows(g: _D, rows: np.ndarray, idx: np.ndarray, n_cols: int) -> _D:
+    """`gather_rows`' rule: row i's adjoint placed in column idx[i] of
+    zeros."""
+
+    def scatter(x):
+        z = np.zeros((idx.size, n_cols))
+        z[rows, idx] = x
+        return z
+
+    return g.apply_linear(scatter)
+
+
 def gather_rows(a, idx) -> Node:
     """Pick one column per row: out[i] = a[i, idx[i]]."""
     a = _as_node(a)
@@ -612,14 +675,7 @@ def gather_rows(a, idx) -> Node:
     rows = np.arange(idx.size)
 
     def vjp(g: _D, acc):
-        n_cols = a.val.shape[1]
-
-        def scatter(x):
-            z = np.zeros((idx.size, n_cols))
-            z[rows, idx] = x
-            return z
-
-        acc(a, g.apply_linear(scatter))
+        acc(a, _scatter_rows(g, rows, idx, a.val.shape[1]))
 
     dot = None if a.dot is None else a.dot[rows, idx]
     return Node(a.val[rows, idx], dot, (a,), vjp, a.needs)
@@ -630,6 +686,41 @@ def row_max_const(a) -> Node:
     log-softmax; value and all derivatives of the composition stay exact)."""
     a = _as_node(a)
     return Node(np.maximum.reduce(a.val, axis=1, keepdims=True))
+
+
+def log_softmax_pick(logits, idx) -> Node:
+    """One node for the categorical log-probability
+    out[i] = log softmax(logits[i])[idx[i]]: the bits of
+    shift = logits - row_max_const(logits), then
+    gather_rows(shift, idx) - log(nsum(exp(shift), axis=1)), without a node
+    for any step between. The row max is a constant shift, as there.
+
+    The vjp runs the composed rules in the backward pass's order: the final
+    subtraction's, `gather_rows`', `log`'s, `nsum`'s and `exp`'s, then sums
+    the two paths into the shift as the backward pass sums contributions;
+    the shift's own rule passes that sum to the logits unchanged. The
+    (rows x columns) arrays the rules read are kept from the forward."""
+    a = _as_node(logits)
+    idx = np.asarray(idx, dtype=np.int64)
+    rows = np.arange(idx.size)
+    sv = a.val - np.maximum.reduce(a.val, axis=1, keepdims=True)
+    sd = a.dot
+    ev = np.exp(sv)
+    ed = None if sd is None else ev * sd
+    zv = np.add.reduce(ev, axis=1)
+    zd = None if ed is None else np.add.reduce(ed, axis=1)
+    lv = np.log(zv)
+    ld = None if zd is None else zd / zv
+    val = sv[rows, idx] - lv
+    dot = _dsub(None if sd is None else sd[rows, idx], ld)
+
+    def vjp(g: _D, acc):
+        log_adj = -g
+        picked = _scatter_rows(g, rows, idx, ev.shape[1])
+        through_exp = _spread(log_adj / _D(zv, zd), 1, ev.shape) * _D(ev, ed)
+        acc(a, picked + through_exp)
+
+    return Node(val, dot, (a,), vjp, a.needs)
 
 
 def reshape(a, shape) -> Node:
@@ -720,34 +811,18 @@ def _backward(root: Node, dual: bool) -> None:
     if not root.needs:  # no parameter reaches the root: every adjoint is 0
         return
     nodes = _reachable(root)
-    # Before any vjp runs, release the arrays of every node that only
-    # `tanh` and `exp` consume (`_OWN_OUTPUT_VJPS`): no vjp reads them.
-    # Consumers have higher ids and come first, so a node's readers are all
-    # marked when it is reached. Leaves and constants have no vjp and stay
-    # whole.
-    read: set[int] = set()
-    for n in nodes:
-        if n.vjp is None:
-            continue
-        if n.needs and n.idx not in read:
-            n.val = n.dot = None
-        if n.vjp.__code__ not in _OWN_OUTPUT_VJPS:
-            read.update([p.idx for p in n.parents])
     root.adj = _D(np.float64(1.0), np.float64(0.0) if dual else None)
 
     def acc(node: Node, contrib: _D) -> None:
-        if node.adj is None:
-            node.adj = contrib
-        else:
-            node.adj = _D(node.adj.v + contrib.v, _dadd(node.adj.d, contrib.d))
+        node.adj = contrib if node.adj is None else node.adj + contrib
 
     for n in nodes:
         if n.adj is None or n.vjp is None:
             continue
         n.vjp(n.adj, acc)
-        # Whatever adds to this adjoint or reads these arrays (the vjp holds
-        # tanh's and exp's outputs) has run. Leaves keep their adjoint for the
-        # caller; constants, which objectives may share, are never visited.
+        # Whatever adds to this adjoint or reads these arrays has a higher
+        # id and has run. Leaves keep their adjoint for the caller;
+        # constants, which objectives may share, are never visited.
         n.adj = n.val = n.dot = n.vjp = None
 
 

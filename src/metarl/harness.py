@@ -145,26 +145,36 @@ class ComparisonReport:
     speedups: "tuple[tuple[str, str, float], ...]"  # (numerator, denominator, ratio)
 
     def render(self) -> str:
-        header = (
-            f"{'algorithm':<22s} {'runs':>4s} {'epoch s':>16s} {'eval s':>16s} "
-            f"{'conv epoch':>16s} {'to-conv s':>18s} {'missing':>7s}"
-        )
+        header = ("algorithm", "runs", "epoch s", "eval s", "conv epoch", "to-conv s", "missing")
+        rows = [
+            (
+                g.label,
+                str(g.n_runs),
+                _pm(g.epoch_seconds_mean, g.epoch_seconds_std),
+                _pm(g.eval_seconds_mean, g.eval_seconds_std),
+                _pm(g.convergence_epoch_mean, g.convergence_epoch_std),
+                _pm(g.seconds_to_convergence_mean, g.seconds_to_convergence_std),
+                str(g.missing_convergence),
+            )
+            for g in self.groups
+        ]
+        # Each column is as wide as its widest cell: the label left-aligned,
+        # the numbers right-aligned.
+        widths = [max(map(len, column)) for column in zip(header, *rows)]
+
+        def line(cells) -> str:
+            label, *numbers = cells
+            return " ".join([label.ljust(widths[0])] + [c.rjust(w) for c, w in zip(numbers, widths[1:])])
+
+        head = line(header)
         lines = [
             f"convergence rule: smoothed return >= {_fmt(self.tau)} "
             f"for {self.window} consecutive evaluated epochs",
             "",
-            header,
-            "-" * len(header),
+            head,
+            "-" * len(head),
+            *map(line, rows),
         ]
-        for g in self.groups:
-            lines.append(
-                f"{g.label:<22s} {g.n_runs:>4d} "
-                f"{_pm(g.epoch_seconds_mean, g.epoch_seconds_std):>16s} "
-                f"{_pm(g.eval_seconds_mean, g.eval_seconds_std):>16s} "
-                f"{_pm(g.convergence_epoch_mean, g.convergence_epoch_std):>16s} "
-                f"{_pm(g.seconds_to_convergence_mean, g.seconds_to_convergence_std):>18s} "
-                f"{g.missing_convergence:>7d}"
-            )
         if self.speedups:
             lines.append("")
             lines.append("speedup (ratio of mean seconds to convergence):")

@@ -162,14 +162,15 @@ def forward_inference(arch: Arch, params: ParamVector, states: np.ndarray) -> np
     return h
 
 
-def _forward_graph(arch: Arch, p: Params, states: np.ndarray) -> ad.Node:
-    h: ad.Node = ad.const(np.asarray(states, dtype=np.float64))
-    last = len(arch.layer_names) - 1
-    for i, (w, b) in enumerate(arch.layer_names):
-        h = ad.affine(h, p.seg(w), p.seg(b))
-        if i < last:
-            h = ad.tanh(h)
-    return h
+def _forward_graph(arch: Arch, p: Params, states: "np.ndarray | ad.Node") -> ad.Node:
+    """Head outputs as a graph: one `tanh_affine` node per hidden layer, one
+    `affine` node for the output layer. `states` is an array or a constant
+    node holding one."""
+    h = states if isinstance(states, ad.Node) else ad.const(np.asarray(states, dtype=np.float64))
+    *hidden, (w_out, b_out) = arch.layer_names
+    for w, b in hidden:
+        h = ad.tanh_affine(h, p.seg(w), p.seg(b))
+    return ad.affine(h, p.seg(w_out), p.seg(b_out))
 
 
 # ---------------------------------------------------------------------------
@@ -237,17 +238,19 @@ def act_batch(
 # Differentiable log-probabilities and values
 # ---------------------------------------------------------------------------
 
-def logprob_graph(arch: Arch, p: Params, states: np.ndarray, actions: np.ndarray) -> ad.Node:
-    """(n,) log pi(a_j | s_j) as a graph over p. For Gaussian heads `actions`
-    must be the raw pre-clip samples."""
+def logprob_graph(
+    arch: Arch, p: Params, states: "np.ndarray | ad.Node", actions: np.ndarray
+) -> ad.Node:
+    """(n,) log pi(a_j | s_j) as a graph over p. `states` is an array or a
+    constant node holding one, which an objective evaluated many times
+    builds once. For Gaussian heads `actions` must be the raw pre-clip
+    samples."""
     out = _forward_graph(arch, p, states)
     head = arch.head
     if isinstance(head, CategoricalHead):
-        shift = out - ad.row_max_const(out)
-        lse = ad.log(ad.nsum(ad.exp(shift), axis=1))
-        return ad.gather_rows(shift, np.asarray(actions, dtype=np.int64)) - lse
+        return ad.log_softmax_pick(out, actions)
     if isinstance(head, GaussianHead):
-        n = np.asarray(states).shape[0]
+        n = out.val.shape[0]
         mean = ad.reshape(out, (n,))
         raw = np.asarray(actions, dtype=np.float64)
         z = (ad.const(raw) - mean) * ad.exp(-p.seg("log_sigma"))

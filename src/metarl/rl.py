@@ -203,13 +203,14 @@ def _standardized(returns: np.ndarray) -> np.ndarray:
 def _surrogate(
     arch, states: np.ndarray, targets: np.ndarray, adv: np.ndarray, k: int
 ) -> "Callable[[Params], ad.Node]":
-    """(1/k) sum_t log pi(a_t|s_t) * adv_t over pooled rows; each call builds
-    only the log-prob graph and the weighted sum."""
-    scale = 1.0 / k
+    """(1/k) sum_t log pi(a_t|s_t) * adv_t over pooled rows. The constants
+    (states, advantages, 1/k) are built here, once; each call builds only
+    the log-prob graph and the weighted sum."""
+    states_c, adv_c, scale = ad.const(states), ad.const(adv), ad.const(1.0 / k)
 
     def obj(p: Params) -> ad.Node:
-        lp = logprob_graph(arch, p, states, targets)
-        return ad.nsum(lp * ad.const(adv)) * scale
+        lp = logprob_graph(arch, p, states_c, targets)
+        return ad.nsum(lp * adv_c) * scale
 
     return obj
 

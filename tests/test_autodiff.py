@@ -10,7 +10,6 @@ from __future__ import annotations
 import contextlib
 import os
 import sys
-import weakref
 
 import numpy as np
 import pytest
@@ -41,6 +40,27 @@ def mlp_params(sizes: list[int], stream: Stream) -> ad.ParamVector:
         off += b
         chunks.append(np.zeros(b))
     return ad.ParamVector(np.concatenate(chunks), segs)
+
+
+def params_of(arrays: "dict[str, np.ndarray]") -> ad.ParamVector:
+    """One segment per named array, in the dict's order."""
+    segs, off = [], 0
+    for name, arr in arrays.items():
+        segs.append(ad.Segment(name, off, arr.shape))
+        off += arr.size
+    return ad.ParamVector(np.concatenate([arr.ravel() for arr in arrays.values()]), segs)
+
+
+def assert_same_bits(fused, composed, theta: ad.ParamVector, v: ad.ParamVector) -> None:
+    """Two objectives agree byte for byte in value, gradient and
+    Hessian-vector product."""
+    assert ad.value(fused, theta).hex() == ad.value(composed, theta).hex()
+    assert ad.grad(fused, theta).values.tobytes() == ad.grad(composed, theta).values.tobytes()
+    assert ad.hvp(fused, theta, v).values.tobytes() == ad.hvp(composed, theta, v).values.tobytes()
+
+
+def raw_bytes(*arrays) -> tuple:
+    return tuple(None if a is None else (np.shape(a), np.asarray(a).tobytes()) for a in arrays)
 
 
 def single_segment(values) -> ad.ParamVector:
@@ -281,9 +301,11 @@ class TestGrad:
 
     def test_constants_get_no_adjoint(self):
         """Only nodes a parameter reaches take part in the backward pass: on
-        a policy objective, the states, the advantages and the row-max shift
-        are constants, and after `grad` and `hvp` none of them holds an
-        adjoint, while the parameter leaf holds the gradient."""
+        a policy objective, the states, the advantages and 1/K are
+        constants (the row-max shift lives inside the categorical head's
+        node), built once per objective and shared by its graphs; after
+        `grad` and `hvp` none of them holds an adjoint, while the parameter
+        leaf holds the gradient."""
         env = make_env(Task(Family.CARTPOLE, 9.0))
         env.horizon = 15
         theta = init_params(actor_arch(env), Stream(3).child(0))
@@ -297,6 +319,7 @@ class TestGrad:
 
         g = ad.grad(recorded, theta)
         hv = ad.hvp(recorded, theta, theta.with_values(np.ones(theta.size)))
+        shared = []
         for root, want in ((roots[0], g.values), (roots[1], hv.values)):
             nodes, stack = {}, [root]
             while stack:
@@ -306,11 +329,13 @@ class TestGrad:
                     stack.extend(n.parents)
             constants = [n for n in nodes.values() if not n.needs]
             (leaf,) = [n for n in nodes.values() if n.needs and not n.parents]
-            assert len(constants) >= 4  # states, row max, advantages, 1/K
+            assert len(constants) >= 3  # states, advantages, 1/K
             # Constants never get an adjoint; every other node's was freed.
             assert all(n.adj is None for n in nodes.values() if n is not leaf)
             got = leaf.adj.v if root is roots[0] else leaf.adj.d
             assert np.array_equal(got, want)
+            shared.append({id(n) for n in constants})
+        assert shared[0] == shared[1]
 
     def test_counts_gradient_calls(self, surrogate, net_theta):
         # `grad` reaches `grad_and_value` through the module, so the test
@@ -431,11 +456,7 @@ class TestAffine:
         values["w"] /= np.sqrt(n_in)
         weights = gen.normal(size=(rows, n_out))
         names = [k for k in ("h", "w", "b") if k in varied]
-        segs, off = [], 0
-        for k in names:
-            segs.append(ad.Segment(k, off, shapes[k]))
-            off += values[k].size
-        theta = ad.ParamVector(np.concatenate([values[k].ravel() for k in names]), segs)
+        theta = params_of({k: values[k] for k in names})
         v = theta.with_values(gen.normal(size=theta.size))
 
         def layer(p):
@@ -453,6 +474,132 @@ class TestAffine:
     def test_rejects_one_dimensional_operands(self):
         with pytest.raises(ValueError):
             ad.affine(ad.const(np.ones(3)), ad.const(np.ones((3, 2))), ad.const(np.zeros(2)))
+        with pytest.raises(ValueError):
+            ad.tanh_affine(ad.const(np.ones(3)), ad.const(np.ones((3, 2))), ad.const(np.zeros(2)))
+
+
+# ---------------------------------------------------------------------------
+# Fused nodes: the bits of the primitives they replace
+# ---------------------------------------------------------------------------
+
+class TestTanhAffine:
+    @settings(max_examples=30, deadline=None)
+    @given(
+        rows=st.integers(1, 2000),
+        n_in=st.integers(1, 64),
+        n_out=st.integers(1, 64),
+        varied=st.sets(st.sampled_from(["h", "w", "b"]), min_size=1),
+        seed=st.integers(0, 2**16),
+    )
+    def test_matches_tanh_of_affine_bitwise(self, rows, n_in, n_out, varied, seed):
+        """With each subset of the operands as parameters (so each carries a
+        tangent in an `hvp`): the node's value and tangent, and the value,
+        gradient and Hessian-vector product of a readout that is curved in
+        the layer's output, equal those of `tanh(affine(h, w, b))` byte for
+        byte."""
+        gen = Stream(seed).generator()
+        values = {
+            "h": gen.normal(size=(rows, n_in)),
+            "w": gen.normal(size=(n_in, n_out)) / np.sqrt(n_in),
+            "b": gen.normal(size=(n_out,)),
+        }
+        weights = ad.const(gen.normal(size=(rows, n_out)))
+        theta = params_of({k: values[k] for k in "hwb" if k in varied})
+        v = theta.with_values(gen.normal(size=theta.size))
+
+        def operands(p):
+            return [p.seg(k) if k in varied else ad.const(values[k]) for k in "hwb"]
+
+        def readout(y):
+            return ad.nsum(y * weights) + ad.nsum(y * y)
+
+        for tangent in (None, v.values):
+            fused = ad.tanh_affine(*operands(ad.Params(theta, tangent)))
+            composed = ad.tanh(ad.affine(*operands(ad.Params(theta, tangent))))
+            assert raw_bytes(fused.val, fused.dot) == raw_bytes(composed.val, composed.dot)
+        assert_same_bits(
+            lambda p: readout(ad.tanh_affine(*operands(p))),
+            lambda p: readout(ad.tanh(ad.affine(*operands(p)))),
+            theta,
+            v,
+        )
+
+    @pytest.mark.parametrize("adj_tangent", [True, False], ids=["g.d", "no-g.d"])
+    @pytest.mark.parametrize("node_tangent", [True, False], ids=["y.d", "no-y.d"])
+    def test_vjp_gives_the_bytes_of_tanh_then_affine(self, adj_tangent, node_tangent):
+        """The fused vjp, which forms the tanh rule in its node's own arrays,
+        hands each operand the bytes `tanh`'s vjp and then `affine`'s give,
+        in the same order, and leaves the adjoint's arrays as they were. A
+        `grad` reaches only the no-tangent case and an `hvp` only the
+        all-tangent one; the mixed cases are driven here."""
+        gen = np.random.default_rng(5)
+
+        def operand(*shape):
+            return ad.Node(gen.normal(size=shape), gen.normal(size=shape) if node_tangent else None, needs=True)
+
+        h, w, b = operand(7, 3), operand(3, 5), operand(5)
+        g = ad._D(gen.normal(size=(7, 5)), gen.normal(size=(7, 5)) if adj_tangent else None)
+        g_before = raw_bytes(g.v, g.d)
+
+        fused = ad.tanh_affine(h, w, b)
+        got: list = []
+        fused.vjp(ad._D(g.v, g.d), lambda node, contrib: got.append((node, raw_bytes(contrib.v, contrib.d))))
+
+        pre = ad.affine(h, w, b)
+        pre_adj: list = []
+        ad.tanh(pre).vjp(g, lambda node, contrib: pre_adj.append(contrib))
+        want: list = []
+        pre.vjp(pre_adj[0], lambda node, contrib: want.append((node, raw_bytes(contrib.v, contrib.d))))
+
+        assert [node for node, _ in got] == [h, w, b]
+        assert got == want
+        assert raw_bytes(g.v, g.d) == g_before
+
+
+class TestLogSoftmaxPick:
+    @settings(max_examples=40, deadline=None)
+    @given(
+        rows=st.integers(1, 40),
+        cols=st.integers(2, 5),
+        logits=st.sampled_from(["drawn", "tied", "700 apart"]),
+        seed=st.integers(0, 2**16),
+    )
+    def test_matches_the_log_softmax_composition_bitwise(self, rows, cols, logits, seed):
+        """The node's value and tangent, and the value, gradient and
+        Hessian-vector product of a readout curved in the log-probabilities,
+        equal those of the primitives it replaces byte for byte: on drawn
+        logits, on rows whose logits are all tied, and on rows with one
+        logit 700 above the others (whose exponentials are then about
+        1e-304)."""
+        gen = Stream(seed).generator()
+        z = gen.normal(size=(rows, cols))
+        if logits == "tied":
+            z[:] = z[:, :1]
+        elif logits == "700 apart":
+            z[np.arange(rows), gen.integers(0, cols, size=rows)] += 700.0
+        idx = gen.integers(0, cols, size=rows)
+        weights = ad.const(gen.normal(size=rows))
+        theta = params_of({"z": z})
+        v = theta.with_values(gen.normal(size=theta.size))
+
+        def composed_lp(out):
+            shift = out - ad.row_max_const(out)
+            lse = ad.log(ad.nsum(ad.exp(shift), axis=1))
+            return ad.gather_rows(shift, idx) - lse
+
+        def readout(lp):
+            return ad.nsum(lp * weights) + ad.nsum(lp * lp)
+
+        for tangent in (None, v.values):
+            fused = ad.log_softmax_pick(ad.Params(theta, tangent).seg("z"), idx)
+            composed = composed_lp(ad.Params(theta, tangent).seg("z"))
+            assert raw_bytes(fused.val, fused.dot) == raw_bytes(composed.val, composed.dot)
+        assert_same_bits(
+            lambda p: readout(ad.log_softmax_pick(p.seg("z"), idx)),
+            lambda p: readout(composed_lp(p.seg("z"))),
+            theta,
+            v,
+        )
 
 
 # ---------------------------------------------------------------------------
@@ -482,58 +629,40 @@ def _long_cartpole_objective():
 
 
 def test_large_graphs_stay_within_their_memory_budget():
-    """Traced numpy peak of one call on the long batch. With one node per
-    affine layer, each node's adjoint, value, tangent and vjp freed once its
-    vjp has run, the arrays only `tanh` reads (the hidden pre-activations)
-    freed before the backward pass starts, and `tanh`'s vjp in two
-    (rows x 64) buffers, an `hvp` peaks at 8.2 MiB, at the end of its
-    forward pass, and a `grad` at 4.1 MiB. With the pre-activations kept
-    until their own vjps and three buffers in `tanh`'s vjp, 12.8 and
-    5.9 MiB; with adjoints alone freed, 16.1 and 7.1 MiB; with a node for
-    each product and every adjoint kept to the end, 24.3 and 11.2 MiB."""
+    """Traced numpy peak of one call on the long batch. With one
+    `tanh_affine` node per hidden layer, no pre-activation is held, and the
+    forward graph at its end is the two hidden outputs (with their
+    tangents in an `hvp`): a `value` peaks at 2.2 MiB. Each node's adjoint,
+    value, tangent and vjp are freed once its vjp has run, and the fused
+    vjp forms the tanh rule in its node's own arrays, so the backward pass
+    stays below the 8.2 MiB an `hvp` took with a node per affine map and per
+    tanh (the end of that forward pass), and a `grad` below its 4.1 MiB;
+    those graphs took 4.1 MiB for a `value`. With a node for each product
+    and every adjoint kept to the end: 24.3, 11.2 and 6.1 MiB."""
     obj, theta, v = _long_cartpole_objective()
     hvp_peak = traced_peak_mib(lambda: ad.hvp(obj, theta, v))
     grad_peak = traced_peak_mib(lambda: ad.grad(obj, theta))
+    value_peak = traced_peak_mib(lambda: ad.value(obj, theta))
     assert hvp_peak < 8.5, f"one hvp peaked at {hvp_peak:.2f} MiB"
     assert grad_peak < 4.4, f"one grad peaked at {grad_peak:.2f} MiB"
+    assert value_peak < 2.5, f"one value peaked at {value_peak:.2f} MiB"
 
 
 @pytest.mark.parametrize("dual", [True, False], ids=["hvp", "grad"])
-def test_hidden_pre_activations_are_freed_before_the_backward_pass(dual):
-    """No vjp reads the hidden `affine` outputs (`tanh`'s vjp reads only its
-    own output), so the backward pass drops them before its first vjp: none
-    is alive when the second hidden `tanh`'s vjp, where the backward pass
-    once peaked, starts. A profile hook sees that call; the vjp itself is
-    not replaced, since the backward pass knows `tanh`'s vjp by its code."""
+def test_forward_graph_holds_only_the_hidden_outputs(dual):
+    """At the end of the forward pass the graph's (rows x 64) arrays are
+    the two hidden layers' outputs, and in an `hvp` their tangents: no
+    pre-activation, no copy of the states' width and no intermediate of
+    the head is held at that size."""
     obj, theta, v = _long_cartpole_objective()
-    tanh_vjp = ad._vjp_code(ad.tanh)
-    refs: list[weakref.ref] = []
-    alive: list[bool] = []
-
-    def recorded(p: ad.Params) -> ad.Node:
-        root = obj(p)
-        hidden = [n for n in ad._reachable(root) if n.vjp is not None and n.vjp.__code__ is tanh_vjp]
-        assert len(hidden) == 2
-        refs.extend(weakref.ref(a) for t in hidden for a in (t.parents[0].val, t.parents[0].dot) if a is not None)
-        return root
-
-    def profile(frame, event, arg):
-        # The backward pass visits nodes by decreasing id: the first tanh
-        # vjp to start is the second hidden layer's.
-        if event == "call" and frame.f_code is tanh_vjp and not alive:
-            alive.extend(r() is not None for r in refs)
-
-    previous = sys.getprofile()
-    sys.setprofile(profile)
-    try:
-        if dual:
-            ad.hvp(recorded, theta, v)
-        else:
-            ad.grad(recorded, theta)
-    finally:
-        sys.setprofile(previous)
-    assert len(refs) == (4 if dual else 2)
-    assert alive and not any(alive), f"hidden affine arrays alive in the vjp: {alive}"
+    root = obj(ad.Params(theta, v.values if dual else None))
+    nodes = ad._reachable(root)
+    rows = 10 * 200
+    big = [a for n in nodes for a in (n.val, n.dot) if isinstance(a, np.ndarray) and a.shape == (rows, 64)]
+    assert len(big) == (4 if dual else 2)
+    hidden = [n for n in nodes if n.val.shape == (rows, 64)]
+    assert len(hidden) == 2
+    assert {id(a) for a in big} == {id(a) for n in hidden for a in (n.val, n.dot) if a is not None}
 
 
 @pytest.mark.parametrize("shape", [(), (7, 3)], ids=["0-d", "2-d"])

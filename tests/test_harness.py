@@ -331,6 +331,31 @@ class TestSummarize:
         assert "directed-maml / maml = 0.5x" in text
         assert "maml / directed-maml = 2x" in text
 
+    def test_render_columns_start_at_the_header_offsets(self):
+        """Every column is as wide as its widest cell, so a long cell (an
+        18-character `mean +- std`, a label over 22 characters) no longer
+        shifts the rest of its row: each right-aligned cell ends where its
+        header label ends, and a space follows it."""
+        spread = [
+            flat_log("alg-s1", 4, ret=200.0, wall=0.06781),
+            flat_log("alg-s2", 4, ret=200.0, wall=0.00263),
+        ]
+        long_label = flat_log("an-algorithm-label-of-31-chars-s1", 4, ret=200.0, wall=1.0)
+        lines = summarize([*spread, long_label], tau=100.0, w=2).render().splitlines()
+        at = next(i for i, text in enumerate(lines) if text.startswith("algorithm "))
+        header, rule, rows = lines[at], lines[at + 1], lines[at + 2 : at + 4]
+        assert rule == "-" * len(header)
+        assert any("0.03522 +- 0.03259" in r for r in rows)
+        assert any(r.startswith("an-algorithm-label-of-31-chars ") for r in rows)
+        ends, pos = [], header.index("runs")
+        for label in ("runs", "epoch s", "eval s", "conv epoch", "to-conv s", "missing"):
+            pos = header.index(label, pos) + len(label)
+            ends.append(pos)
+        for r in rows:
+            assert len(r) == len(header), r
+            for end in ends:
+                assert r[end - 1] != " " and r[end : end + 1] in ("", " "), (r, end)
+
     def test_empty_input_rejected(self):
         with pytest.raises(ValidationError, match="runs"):
             summarize([], tau=1.0, w=1)
