@@ -652,8 +652,7 @@ def test_large_graphs_stay_within_their_memory_budget():
 def test_forward_graph_holds_only_the_hidden_outputs(dual):
     """At the end of the forward pass the graph's (rows x 64) arrays are
     the two hidden layers' outputs, and in an `hvp` their tangents: no
-    pre-activation, no copy of the states' width and no intermediate of
-    the head is held at that size."""
+    pre-activation is held."""
     obj, theta, v = _long_cartpole_objective()
     root = obj(ad.Params(theta, v.values if dual else None))
     nodes = ad._reachable(root)
@@ -669,10 +668,11 @@ def test_forward_graph_holds_only_the_hidden_outputs(dual):
 @pytest.mark.parametrize("adj_tangent", [True, False], ids=["g.d", "no-g.d"])
 @pytest.mark.parametrize("node_tangent", [True, False], ids=["y.d", "no-y.d"])
 def test_tanh_vjp_gives_the_bytes_of_the_product_rule(shape, adj_tangent, node_tangent):
-    """`tanh`'s vjp builds g * (sech^2, -2 tanh * d(tanh)) in two buffers of
-    its own; its bytes are those of `_D.__mul__`, and it leaves the adjoint
-    it reads as it was. A 0-d operand gives numpy scalars, which take no
-    `out=`."""
+    """`tanh`'s vjp builds g * (sech^2, -2 tanh * d(tanh)) in buffers of its
+    own; its bytes are those of `_D.__mul__` (taken from the node's value
+    and tangent after the vjp, which must leave them as they were), and it
+    leaves the adjoint it reads as it was. A 0-d operand gives numpy
+    scalars, which take no `out=`."""
     gen = np.random.default_rng(7)
 
     def draw():
