@@ -1,27 +1,33 @@
 """Reverse-mode autodiff over flat parameter vectors, with exact Hessian-vector products.
 
-Scope is deliberately small: dense float64 parameter vectors, a dozen primitive
-operations (affine maps, tanh, exp/log, sums/means, row gathers for
-log-probabilities), two fused nodes for a policy's layers and head, and
-scalar objectives. The computation graph is rebuilt on every evaluation;
-nothing persists between calls, so there is no stale-tape state to manage
-and graphs can safely cross threads.
+Scope is deliberately small: dense float64 parameter vectors, a few
+primitive operations (affine maps, products, exp, sums/means, reshapes), two
+fused nodes for a policy's layers and head, and scalar objectives. The
+computation graph is rebuilt on every evaluation; nothing persists between
+calls, so there is no stale-tape state to manage and graphs can safely cross
+threads.
+
+Parameters enter a graph as leaves: `Params.vec` is the whole flat vector,
+and `Params.seg(name)` one named segment, a leaf of its own whose value (and
+tangent) is the ParamVector's cached read-only view (`ParamVector.segment`),
+the one rollouts read. `grad` and `hvp` lay the leaves' adjoints out as one
+flat vector: the flat leaf's adjoint, then each segment leaf's added into
+its slice.
 
 `affine(h, w, b)` records a network layer's h @ w + b as one node: np.matmul
 then the bias add, with no node, tangent or adjoint kept for the product in
 between. Its vjp takes the product rule from `_mm`. Other products are
 spelled with broadcast `mul` and `nsum`.
 
-Fused nodes record a policy's log-probability graph with fewer nodes and the
-same numpy operations in the same order, so every value, gradient and HVP
-keeps its bits. `tanh_affine(h, w, b)` is a hidden layer, tanh(h @ w + b),
-with the tanh taken in place on the fresh product. `log_softmax_pick(logits,
-idx)` is the categorical head, log softmax(logits)[i, idx[i]], which
-`row_max_const`, `sub`, `exp`, `nsum`, `log` and `gather_rows` spell out.
-Each fused vjp runs the composed rules' `_D` operations in the backward
-pass's order, sharing the rules (`_tanh_adjoint`, `_affine_adjoints`,
-`_spread`, `_scatter_rows`) with the primitives, which stay as the bitwise
-reference the tests compare against.
+Fused nodes record a policy's log-probability graph with few nodes.
+`tanh_affine(h, w, b)` is a hidden layer, tanh(h @ w + b), with the tanh
+taken in place on the fresh product. `log_softmax_pick(logits, idx)` is the
+categorical head, log softmax(logits)[i, idx[i]]. Each fused vjp runs the
+`_D` operations of the primitives it stands for in the backward pass's
+order, through the private rules (`_tanh_adjoint`, `_affine_adjoints`,
+`_spread`, `_scatter_rows`). Those primitives (`tanh`, `log`, `gather_rows`,
+`row_max_const`) live in `tests/_helpers.py`, built on the same rules, as
+the bitwise reference the tests compare the fused nodes against.
 
 Hessian-vector products use forward-over-reverse: every node carries an
 optional tangent alongside its value, and the backward pass propagates
@@ -42,11 +48,11 @@ Forward cost rule: a node costs its numpy operations plus a few attribute
 reads, so the fewer nodes a graph has, the less it pays beyond numpy.
 Reductions call the ufunc (`np.add.reduce`, `np.maximum.reduce`), not the
 `np.sum`/`np.max` wrappers; shapes come from array attributes; a segment
-node takes its (slice, shape) from the layout index its ParamVector carries;
-a float64 array becomes a constant as it is, and an objective evaluated many
-times builds its constants once. A node that no parameter leaf reaches
-(`needs` false) is a constant: no vjp gives it an adjoint, so the backward
-pass computes no product only a constant would read.
+leaf is the view its ParamVector already keeps; a float64 array becomes a
+constant as it is, and an objective evaluated many times builds its
+constants once. A node that no parameter leaf reaches (`needs` false) is a
+constant: no vjp gives it an adjoint, so the backward pass computes no
+product only a constant would read.
 
 Release rule: the backward pass frees each node's adjoint, value, tangent
 and vjp once its vjp has run: all that add to that adjoint or read those
@@ -104,13 +110,9 @@ __all__ = [
     "mul",
     "affine",
     "tanh_affine",
-    "tanh",
     "exp",
-    "log",
     "nsum",
     "nmean",
-    "gather_rows",
-    "row_max_const",
     "log_softmax_pick",
     "reshape",
     "const",
@@ -539,56 +541,38 @@ def affine(h, w, b) -> Node:
     return Node(val, dot, (h, w, b), vjp, h.needs or w.needs or b.needs)
 
 
-def _sech2(y, buf=None):
-    """1 - y * y for y = tanh(x), formed in `buf` when one is given and in one
-    fresh buffer otherwise (a 0-d numpy scalar takes no `out=`)."""
-    s = y * y if buf is None or not buf.ndim else np.multiply(y, y, out=buf)
-    return np.subtract(1.0, s, out=s if s.ndim else None)
+def _sech2(y: np.ndarray, out=None) -> np.ndarray:
+    """1 - y * y for an array y = tanh(x), formed in `out` when one is given
+    and in one fresh buffer otherwise."""
+    s = np.multiply(y, y, out=out)
+    return np.subtract(1.0, s, out=s)
 
 
-def _tanh_adjoint(yv, yd, g: _D, own: bool) -> _D:
+def _tanh_adjoint(yv: np.ndarray, yd: "np.ndarray | None", g: _D) -> _D:
     """g * (sech^2, -2 tanh * d(tanh)) for y = tanh(x) with value yv and
     tangent yd: the bits of `_D.__mul__` (IEEE products and sums commute).
-    With `own`, yv and yd are arrays no reader needs any more, and the pair
-    is formed in them, through one temporary (sech^2) when yd is present;
-    otherwise yv and yd are left as they are."""
+    yv and yd are arrays no reader needs any more, and the pair is formed in
+    them, through one temporary (sech^2) when yd is present."""
     if yd is None:
-        s = _sech2(yv, yv if own else None)
+        s = _sech2(yv, yv)
         d = None if g.d is None else s * g.d
         s *= g.v
         return _D(s, d)
     sech2 = _sech2(yv)
-    d = np.multiply(yv, -2.0, out=yv if own else None)
+    d = np.multiply(yv, -2.0, out=yv)
     d *= yd
     d *= g.v
     if g.d is not None:
-        d += np.multiply(sech2, g.d, out=yd if own else None)
-    if own:
-        return _D(np.multiply(sech2, g.v, out=yd), d)
-    sech2 *= g.v
-    return _D(sech2, d)
-
-
-def tanh(a) -> Node:
-    a = _as_node(a)
-    yv = np.tanh(a.val)
-    yd = None
-    if a.dot is not None:
-        yd = _sech2(yv)
-        yd *= a.dot
-
-    def vjp(g: _D, acc):
-        acc(a, _tanh_adjoint(yv, yd, g, own=False))
-
-    return Node(yv, yd, (a,), vjp, a.needs)
+        d += np.multiply(sech2, g.d, out=yd)
+    return _D(np.multiply(sech2, g.v, out=yd), d)
 
 
 def tanh_affine(h, w, b) -> Node:
     """One node for the hidden layer tanh(h @ w + b): the bits of `affine`
-    then `tanh`, with the tanh taken in place on the fresh product, so no
+    followed by a tanh, taken in place on the fresh product, so no
     pre-activation value, tangent or adjoint is kept.
 
-    The vjp runs `tanh`'s rule, then `affine`'s. Every consumer of this
+    The vjp runs the tanh rule, then `affine`'s. Every consumer of this
     node has a higher id and has run, so the tanh rule forms its pair in the
     node's own value and tangent; the adjoint g, which is this node's alone
     and which the backward pass drops after the vjp, is released once read."""
@@ -601,7 +585,7 @@ def tanh_affine(h, w, b) -> Node:
         yd *= pre_dot
 
     def vjp(g: _D, acc):
-        pair = _tanh_adjoint(yv, yd, g, own=True)
+        pair = _tanh_adjoint(yv, yd, g)
         g.v = g.d = None
         _affine_adjoints(h, w, b, pair, acc)
 
@@ -617,15 +601,6 @@ def exp(a) -> Node:
         acc(a, g * _D(yv, yd))
 
     return Node(yv, yd, (a,), vjp, a.needs)
-
-
-def log(a) -> Node:
-    a = _as_node(a)
-
-    def vjp(g: _D, acc):
-        acc(a, g / a._dual())
-
-    return Node(np.log(a.val), None if a.dot is None else a.dot / a.val, (a,), vjp, a.needs)
 
 
 def _spread(g: _D, axis: "int | None", shape: "tuple[int, ...]") -> _D:
@@ -657,8 +632,8 @@ def nmean(a, axis: int | None = None) -> Node:
 
 
 def _scatter_rows(g: _D, rows: np.ndarray, idx: np.ndarray, n_cols: int) -> _D:
-    """`gather_rows`' rule: row i's adjoint placed in column idx[i] of
-    zeros."""
+    """The rule of a row gather out[i] = a[i, idx[i]]: row i's adjoint
+    placed in column idx[i] of zeros."""
 
     def scatter(x):
         z = np.zeros((idx.size, n_cols))
@@ -668,35 +643,16 @@ def _scatter_rows(g: _D, rows: np.ndarray, idx: np.ndarray, n_cols: int) -> _D:
     return g.apply_linear(scatter)
 
 
-def gather_rows(a, idx) -> Node:
-    """Pick one column per row: out[i] = a[i, idx[i]]."""
-    a = _as_node(a)
-    idx = np.asarray(idx, dtype=np.int64)
-    rows = np.arange(idx.size)
-
-    def vjp(g: _D, acc):
-        acc(a, _scatter_rows(g, rows, idx, a.val.shape[1]))
-
-    dot = None if a.dot is None else a.dot[rows, idx]
-    return Node(a.val[rows, idx], dot, (a,), vjp, a.needs)
-
-
-def row_max_const(a) -> Node:
-    """Row maxima, detached from the graph (constant shift for stable
-    log-softmax; value and all derivatives of the composition stay exact)."""
-    a = _as_node(a)
-    return Node(np.maximum.reduce(a.val, axis=1, keepdims=True))
-
-
 def log_softmax_pick(logits, idx) -> Node:
     """One node for the categorical log-probability
     out[i] = log softmax(logits[i])[idx[i]]: the bits of
     shift = logits - row_max_const(logits), then
     gather_rows(shift, idx) - log(nsum(exp(shift), axis=1)), without a node
-    for any step between. The row max is a constant shift, as there.
+    for any step between. The row max is a constant shift (value and all
+    derivatives stay exact).
 
     The vjp runs the composed rules in the backward pass's order: the final
-    subtraction's, `gather_rows`', `log`'s, `nsum`'s and `exp`'s, then sums
+    subtraction's, the gather's, `log`'s, `nsum`'s and `exp`'s, then sums
     the two paths into the shift as the backward pass sums contributions;
     the shift's own rule passes that sum to the logits unchanged. The
     (rows x columns) arrays the rules read are kept from the forward."""
@@ -734,21 +690,6 @@ def reshape(a, shape) -> Node:
     return Node(np.reshape(a.val, shape), dot, (a,), vjp, a.needs)
 
 
-def _segment_node(leaf: Node, sl: slice, shape: "tuple[int, ...]") -> Node:
-    def vjp(g: _D, acc):
-        total = leaf.val.shape[0]
-
-        def place(x):
-            z = np.zeros(total)
-            z[sl] = np.reshape(x, -1)
-            return z
-
-        acc(leaf, g.apply_linear(place))
-
-    dot = None if leaf.dot is None else leaf.dot[sl].reshape(shape)
-    return Node(leaf.val[sl].reshape(shape), dot, (leaf,), vjp, leaf.needs)
-
-
 # ---------------------------------------------------------------------------
 # Objectives over parameter vectors
 # ---------------------------------------------------------------------------
@@ -757,30 +698,44 @@ Objective = Callable[["Params"], Node]
 
 
 class Params:
-    """Graph-side view of a ParamVector.
+    """Graph-side view of a ParamVector, with an optional tangent vector of
+    the same layout.
 
     An objective receives one of these; `vec` is the whole flat vector as a
-    leaf node, `seg(name)` a named segment. Both views share one leaf, so
-    gradients assemble into a single flat vector regardless of access style.
-    """
+    leaf node, `seg(name)` a named segment as a leaf of its own. The leaves
+    share the vectors' read-only values (a segment's are its cached view), and
+    `_flat` lays their adjoints out as one flat vector, whatever the access
+    style."""
 
-    def __init__(self, pv: ParamVector, tangent: np.ndarray | None = None):
-        self._index = pv._index
-        dot = None if tangent is None else np.array(tangent, dtype=np.float64)
-        # A ParamVector's values are already read-only float64: the leaf
-        # shares them rather than copying.
-        self._leaf = Node(pv.values, dot, needs=True)
-        self._seg_nodes: dict[str, Node] = {}
+    def __init__(self, pv: ParamVector, tangent: "ParamVector | None" = None):
+        self._pv, self._tangent = pv, tangent
+        self._leaf = Node(pv.values, None if tangent is None else tangent.values, needs=True)
+        self._segs: dict[str, Node] = {}
 
     @property
     def vec(self) -> Node:
         return self._leaf
 
     def seg(self, name: str) -> Node:
-        node = self._seg_nodes.get(name)
+        node = self._segs.get(name)
         if node is None:
-            node = self._seg_nodes[name] = _segment_node(self._leaf, *self._index[name])
+            dot = None if self._tangent is None else self._tangent.segment(name)
+            node = self._segs[name] = Node(self._pv.segment(name), dot, needs=True)
         return node
+
+    def _flat(self, part: str) -> np.ndarray:
+        """The leaves' adjoints (`part` "v") or adjoint tangents ("d") as one
+        flat vector: a copy of the flat leaf's, or zeros, then each segment
+        leaf's added into its slice. These are the bits of summing the
+        segments' adjoints zero-padded to full length, so a -0.0 becomes
+        +0.0."""
+        x = None if self._leaf.adj is None else getattr(self._leaf.adj, part)
+        out = np.zeros(self._pv.size) if x is None else np.array(x, dtype=np.float64)
+        for name, node in self._segs.items():
+            x = None if node.adj is None else getattr(node.adj, part)
+            if x is not None:
+                out[self._pv._index[name][0]] += np.reshape(x, -1)
+        return out
 
 
 def _scalar_value(root: Node) -> float:
@@ -837,8 +792,7 @@ def grad_and_value(objective: Objective, at: ParamVector) -> tuple[Gradient, flo
     root = objective(p)
     val = _scalar_value(root)
     _backward(root, dual=False)
-    adj = p._leaf.adj
-    g = np.zeros(at.size) if adj is None else np.asarray(adj.v, dtype=np.float64)
+    g = p._flat("v")
     if not np.all(np.isfinite(g)):
         raise NonFiniteValue("gradient contains NaN/Inf")
     return at.with_values(g), val
@@ -851,15 +805,11 @@ def grad(objective: Objective, at: ParamVector) -> Gradient:
 def hvp(objective: Objective, at: ParamVector, v: Gradient) -> Gradient:
     """Hessian-vector product H(at) @ v via forward-over-reverse."""
     at._check_combinable(v)
-    p = Params(at, tangent=v.values)
+    p = Params(at, tangent=v)
     root = objective(p)
     _scalar_value(root)
     _backward(root, dual=True)
-    adj = p._leaf.adj
-    if adj is None or adj.d is None:
-        hv = np.zeros(at.size)
-    else:
-        hv = np.asarray(adj.d, dtype=np.float64)
+    hv = p._flat("d")
     if not np.all(np.isfinite(hv)):
         raise NonFiniteValue("Hessian-vector product contains NaN/Inf")
     return at.with_values(hv)

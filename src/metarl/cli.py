@@ -20,7 +20,7 @@ import numpy as np
 from . import harness, meta
 from .envs import CARTPOLE_HORIZON
 from .errors import MetaRLError, ValidationError
-from .meta import CONFIG_KEYS
+from .meta import CONFIG_KEYS, MAX_TRAJECTORIES, check_range
 from .rng import Stream
 from .runlog import EMA_FACTOR, load_runlog, smoothed_returns, write_atomic
 
@@ -40,18 +40,6 @@ def _config_from(args: argparse.Namespace) -> meta.RunConfig:
     if args.config is not None:
         return harness.load_config(args.config, _overrides(args))
     return harness.build_run_config(_overrides(args))
-
-
-# Upper bound on `eval --episodes` and `audit --k_trajs`: each sizes a
-# (horizon, trajectories) rollout buffer and one random stream per trajectory.
-MAX_TRAJECTORIES = 10_000
-
-
-def _check_range(flag: str, value: int, lo: int, hi: "int | None" = None) -> None:
-    """Reject an integer flag outside lo..hi before any work starts."""
-    if value < lo or (hi is not None and value > hi):
-        bound = f">= {lo}" if hi is None else f"lie in {lo}..{hi}"
-        raise ValidationError(f"{flag}: must {bound}, got {value}")
 
 
 def _check_factor(flag: str, value: float) -> None:
@@ -91,7 +79,7 @@ def _cmd_train(args) -> int:
 
 
 def _cmd_eval(args) -> int:
-    _check_range("--episodes", args.episodes, 1, MAX_TRAJECTORIES)
+    check_range("--episodes", args.episodes, 1, MAX_TRAJECTORIES)
     rc = _config_from(args)
     cfg = rc.meta
     state = meta.load_state(args.ckpt, cfg)
@@ -110,7 +98,7 @@ def _load_logs(paths) -> list:
 
 
 def _cmd_compare(args) -> int:
-    _check_range("--window", args.window, 1)
+    check_range("--window", args.window, 1)
     _check_factor("--factor", args.factor)
     runs = _load_logs(args.logs)
     tau = args.tau if args.tau is not None else _auto_tau(runs, args.factor)
@@ -132,10 +120,10 @@ def _cmd_plot(args) -> int:
 
 
 def _cmd_audit(args) -> int:
-    _check_range("--seeds", args.seeds, 1)
-    _check_range("--k_trajs", args.k_trajs, 1, MAX_TRAJECTORIES)
+    check_range("--seeds", args.seeds, 1)
+    check_range("--k_trajs", args.k_trajs, 1, MAX_TRAJECTORIES)
     # The audit runs on cartpole; the horizon also sizes the rollout buffers.
-    _check_range("--horizon", args.horizon, 1, CARTPOLE_HORIZON)
+    check_range("--horizon", args.horizon, 1, CARTPOLE_HORIZON)
     result = harness.audit_oracles(n_seeds=args.seeds, k=args.k_trajs, horizon=args.horizon)
     print(result.render(), end="")
     return 0 if result.passed else 1

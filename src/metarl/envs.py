@@ -26,7 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import EmptyTaskSet, InvalidAction, UnknownFamily
+from .errors import InvalidAction, UnknownFamily
 from .rng import Stream
 
 __all__ = [
@@ -38,7 +38,6 @@ __all__ = [
     "CartPoleEnv",
     "IntersectionEnv",
     "medium_task",
-    "empirical_medium",
     "sample_tasks",
     "make_env",
     "cartpole_euler",
@@ -118,16 +117,6 @@ class ActionSpec:
 def medium_task(dist: TaskDistribution) -> Task:
     """Task at the exact mean of the uniform parameter distribution."""
     return Task(dist.family, 0.5 * (dist.phi_lo + dist.phi_hi))
-
-
-def empirical_medium(tasks: "list[Task]") -> Task:
-    """Task at the arithmetic mean of the sampled parameters."""
-    if not tasks:
-        raise EmptyTaskSet("cannot average an empty task list")
-    fam = tasks[0].family
-    if any(t.family is not fam for t in tasks):
-        raise ValueError("tasks span more than one family")
-    return Task(fam, float(np.mean([t.phi for t in tasks])))
 
 
 def sample_tasks(dist: TaskDistribution, m: int, rng: Stream) -> "list[Task]":

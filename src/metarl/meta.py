@@ -98,6 +98,7 @@ __all__ = [
     "train",
     "canonical_text",
     "fingerprint",
+    "check_range",
     "CONFIG_KEYS",
     "ALPHA_VEC_FLOOR",
     "CHECKPOINT_INTERVAL",
@@ -106,6 +107,22 @@ __all__ = [
 ALPHA_VEC_FLOOR = 1e-6
 CHECKPOINT_INTERVAL = 50
 REPTILE_INNER_STEPS = 3
+# Upper bounds on the config keys that size memory. Trajectories per batch
+# (`k_trajs`, `eval_episodes`, and the CLI's `eval --episodes` and `audit
+# --k_trajs`) each size a (horizon, trajectories) rollout buffer and one
+# random stream per trajectory; `m_tasks` multiplies the batches of an
+# epoch; the horizon bound admits the 500-step episodes of CartPole-v1.
+MAX_TRAJECTORIES = 10_000
+MAX_TASKS = 1_000
+MAX_HORIZON = 1_000
+
+
+def check_range(field: str, value: int, lo: int, hi: "int | None" = None) -> None:
+    """Reject an integer outside lo..hi with a ValidationError naming the
+    field (a config key or a command-line flag)."""
+    if value < lo or (hi is not None and value > hi):
+        bound = f"be >= {lo}" if hi is None else f"lie in {lo}..{hi}"
+        raise ValidationError(f"{field}: must {bound}, got {value}")
 
 
 class Algorithm(enum.Enum):
@@ -188,9 +205,10 @@ class MetaConfig:
             raise ValidationError("delta: prestep size must be >= 0")
         if not 0.0 < self.gamma <= 1.0:
             raise ValidationError("gamma: discount must lie in (0, 1]")
-        for field in ("m_tasks", "k_trajs", "horizon", "epochs"):
-            if getattr(self, field) < 1:
-                raise ValidationError(f"{field}: must be >= 1")
+        check_range("m_tasks", self.m_tasks, 1, MAX_TASKS)
+        check_range("k_trajs", self.k_trajs, 1, MAX_TRAJECTORIES)
+        check_range("horizon", self.horizon, 1, MAX_HORIZON)
+        check_range("epochs", self.epochs, 1)
         if self.seed < 0:
             raise ValidationError("seed: must be >= 0")
         if not self.phi_lo < self.phi_hi:
@@ -219,12 +237,9 @@ class RunConfig:
     label: str = "run"
 
     def __post_init__(self):
-        if self.eval_every < 1:
-            raise ValidationError("eval_every: must be >= 1")
-        if self.eval_episodes < 1:
-            raise ValidationError("eval_episodes: must be >= 1")
-        if self.conv_window < 1:
-            raise ValidationError("conv_window: must be >= 1")
+        check_range("eval_every", self.eval_every, 1)
+        check_range("eval_episodes", self.eval_episodes, 1, MAX_TRAJECTORIES)
+        check_range("conv_window", self.conv_window, 1)
         if not np.isfinite(self.conv_tau):
             raise ValidationError("conv_tau: must be finite")
         # The label names the run's files in out_dir: a plain file name, so
@@ -574,7 +589,9 @@ def load_state(path, cfg: MetaConfig) -> MetaState:
     from the seed, so resumed runs replay exactly the draws the uninterrupted
     run would have made. A checkpoint without its epoch, or without a vector
     the config needs (policy; alpha_vec for the Meta-SGD family; critic for
-    the actor-critic learner), raises a ValidationError naming the field."""
+    the actor-critic learner), or whose vectors are laid out for another
+    architecture than the config's environment family, raises a
+    ValidationError naming the field."""
     vectors, meta = load_checkpoint(path)
     if meta.get("seed") != cfg.seed:
         raise ValidationError(
@@ -591,6 +608,16 @@ def load_state(path, cfg: MetaConfig) -> MetaState:
         if name not in vectors:
             raise ValidationError(
                 f"{name}: checkpoint {path} has no {name} vector, which {who} needs"
+            )
+    env = make_env(medium_task(cfg.dist))
+    actor = actor_arch(env).segments()
+    layouts = {"policy": actor, "alpha_vec": actor, "critic": critic_arch(env).segments()}
+    for name, pv in vectors.items():
+        want = layouts.get(name, pv.segments)
+        if pv.segments != want:
+            raise ValidationError(
+                f"{name}: checkpoint {path} is laid out for another architecture than env "
+                f"{cfg.env.value} needs ({pv.size} parameters, expected {sum(s.size for s in want)})"
             )
     return MetaState(
         theta=vectors["policy"],

@@ -346,6 +346,8 @@ def load_checkpoint(path) -> "tuple[dict[str, ParamVector], dict[str, int]]":
     for _ in range(n_meta):
         key = rd.take_str()
         (val,) = rd.take("<q")
+        if key in meta:
+            raise ParseError(f"checkpoint repeats metadata key {key!r}")
         meta[key] = val
     (n_vecs,) = rd.take("<I")
     vectors: dict[str, ParamVector] = {}
@@ -360,5 +362,9 @@ def load_checkpoint(path) -> "tuple[dict[str, ParamVector], dict[str, int]]":
             segs.append(Segment(seg_name, int(offset), tuple(int(d) for d in shape)))
         (size,) = rd.take("<Q")
         values = rd.take_f64(int(size))
+        if name in vectors:
+            raise ParseError(f"checkpoint repeats vector {name!r}")
         vectors[name] = ParamVector(values, segs)
+    if rd.pos != len(rd.buf):
+        raise ParseError(f"checkpoint has {len(rd.buf) - rd.pos} bytes after its last vector")
     return vectors, meta

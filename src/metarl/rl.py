@@ -40,7 +40,6 @@ from .rng import Stream
 __all__ = [
     "Trajectory",
     "TrajectoryBatch",
-    "rollout",
     "sample_batch",
     "discounted_returns",
     "policy_objective",
@@ -134,24 +133,13 @@ def _run_rollouts(env: Environment, policy: PolicyNet, streams: "list[Stream]") 
     return [Trajectory(*(buf[:n, j].copy() for buf in bufs)) for j, n in enumerate(lengths)]
 
 
-def _require_stream(rng) -> None:
-    if not isinstance(rng, Stream):
-        raise TypeError("rollouts derive per-trajectory generators; pass a Stream")
-
-
-def rollout(env: Environment, policy: PolicyNet, rng: Stream) -> Trajectory:
-    """One episode under the policy; reset and every action variate come
-    from the generator of `rng`."""
-    _require_stream(rng)
-    return _run_rollouts(env, policy, [rng])[0]
-
-
 def sample_batch(env: Environment, policy: PolicyNet, k: int, rng: Stream) -> TrajectoryBatch:
     """k rollouts on child streams rng.child(0..k-1); execution order cannot
     affect the result."""
     if k < 1:
         raise ValueError("need at least one trajectory")
-    _require_stream(rng)
+    if not isinstance(rng, Stream):
+        raise TypeError("rollouts derive per-trajectory generators; pass a Stream")
     streams = [rng.child(j) for j in range(k)]
     return TrajectoryBatch(tuple(_run_rollouts(env, policy, streams)), env.task)
 

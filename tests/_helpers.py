@@ -1,5 +1,7 @@
 """Shared test fixtures: hand-built parameter vectors, reference policies,
-a call counter and a traced-memory probe."""
+a call counter, a traced-memory probe, and the references the library's
+fast paths are checked against: a solo-episode rollout, the empirical
+medium task, and the graph primitives the fused nodes replace."""
 
 from __future__ import annotations
 
@@ -13,7 +15,8 @@ import numpy as np
 from metarl import autodiff as ad
 from metarl import policy as pol
 from metarl import rl
-from metarl.envs import Environment
+from metarl.envs import Environment, Task
+from metarl.errors import EmptyTaskSet
 from metarl.rng import Stream
 
 
@@ -115,3 +118,76 @@ def traced_peak_mib(call) -> float:
     finally:
         if started:
             tracemalloc.stop()
+
+
+def rollout(env: Environment, policy: pol.PolicyNet, stream: Stream) -> rl.Trajectory:
+    """One episode alone through the lockstep engine, on the generator of
+    `stream`: the solo reference a batch's rows are compared against."""
+    return rl._run_rollouts(env, policy, [stream])[0]
+
+
+def empirical_medium(tasks: "list[Task]") -> Task:
+    """Task at the arithmetic mean of the sampled parameters: the law
+    `envs.medium_task` (the exact mean) is checked against."""
+    if not tasks:
+        raise EmptyTaskSet("cannot average an empty task list")
+    fam = tasks[0].family
+    if any(t.family is not fam for t in tasks):
+        raise ValueError("tasks span more than one family")
+    return Task(fam, float(np.mean([t.phi for t in tasks])))
+
+
+# ---------------------------------------------------------------------------
+# Graph primitives the fused nodes replace: the bitwise references for
+# `ad.tanh_affine` and `ad.log_softmax_pick`, built on autodiff's own rules.
+# ---------------------------------------------------------------------------
+
+def tanh(a) -> ad.Node:
+    """tanh as a node of its own. The forward is `ad.tanh_affine`'s tanh;
+    the vjp runs its in-place rule on fresh (at least 1-d) copies of the
+    value and tangent, so the node's arrays are left as they were."""
+    a = ad._as_node(a)
+    yv = np.tanh(a.val)
+    shape = np.shape(yv)
+
+    def copy(x):
+        return None if x is None else np.array(x, ndmin=1)
+
+    yd = None
+    if a.dot is not None:
+        yd = ad._sech2(copy(yv)).reshape(shape)
+        yd *= a.dot
+
+    def vjp(g: ad._D, acc):
+        pair = ad._tanh_adjoint(copy(yv), copy(yd), g)
+        acc(a, pair.apply_linear(lambda x: np.reshape(x, shape)))
+
+    return ad.Node(yv, yd, (a,), vjp, a.needs)
+
+
+def log(a) -> ad.Node:
+    a = ad._as_node(a)
+
+    def vjp(g: ad._D, acc):
+        acc(a, g / a._dual())
+
+    return ad.Node(np.log(a.val), None if a.dot is None else a.dot / a.val, (a,), vjp, a.needs)
+
+
+def gather_rows(a, idx) -> ad.Node:
+    """Pick one column per row: out[i] = a[i, idx[i]]."""
+    a = ad._as_node(a)
+    idx = np.asarray(idx, dtype=np.int64)
+    rows = np.arange(idx.size)
+
+    def vjp(g: ad._D, acc):
+        acc(a, ad._scatter_rows(g, rows, idx, a.val.shape[1]))
+
+    dot = None if a.dot is None else a.dot[rows, idx]
+    return ad.Node(a.val[rows, idx], dot, (a,), vjp, a.needs)
+
+
+def row_max_const(a) -> ad.Node:
+    """Row maxima, detached from the graph (constant shift for stable
+    log-softmax; value and all derivatives of the composition stay exact)."""
+    return ad.Node(np.maximum.reduce(ad._as_node(a).val, axis=1, keepdims=True))

@@ -34,7 +34,7 @@ import numpy as np
 import pytest
 
 import metarl
-from _helpers import Counts, count_calls, make_policy
+from _helpers import Counts, count_calls, empirical_medium, make_policy
 from metarl import autodiff as ad
 from metarl import cli, meta, rl
 from metarl import policy as pol
@@ -44,7 +44,6 @@ from metarl.envs import (
     Family,
     Task,
     TaskDistribution,
-    empirical_medium,
     make_env,
     sample_tasks,
 )

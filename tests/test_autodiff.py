@@ -16,7 +16,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from _helpers import count_calls, traced_peak_mib
+from _helpers import count_calls, gather_rows, log, row_max_const, tanh, traced_peak_mib
 from metarl import autodiff as ad
 from metarl import rl
 from metarl.envs import Family, Task, make_env
@@ -84,11 +84,11 @@ def surrogate(recorded_batch):
     states, actions, adv = recorded_batch
 
     def objective(p: ad.Params) -> ad.Node:
-        h = ad.tanh(ad.affine(ad.const(states), p.seg("W0"), p.seg("b0")))
+        h = tanh(ad.affine(ad.const(states), p.seg("W0"), p.seg("b0")))
         logits = ad.affine(h, p.seg("W1"), p.seg("b1"))
-        shift = logits - ad.row_max_const(logits)
-        lse = ad.log(ad.nsum(ad.exp(shift), axis=1))
-        lp = ad.gather_rows(shift, actions) - lse
+        shift = logits - row_max_const(logits)
+        lse = log(ad.nsum(ad.exp(shift), axis=1))
+        lp = gather_rows(shift, actions) - lse
         return ad.nmean(lp * ad.const(adv))
 
     return objective
@@ -247,7 +247,7 @@ class TestGrad:
 
     def test_linearity_exact_composition(self, surrogate, net_theta):
         def other(p):
-            return ad.nmean(ad.tanh(p.vec) * p.vec)
+            return ad.nmean(tanh(p.vec) * p.vec)
 
         a, b = 1.7, -0.3
         combo = lambda p: a * surrogate(p) + b * other(p)
@@ -285,12 +285,25 @@ class TestGrad:
         assert np.allclose(g1.values, g2.values, atol=1e-15)
 
     def test_leaf_shares_the_read_only_values(self):
-        pv = single_segment([3.0, 4.0])
-        leaf = ad.Params(pv).vec.val
-        assert np.shares_memory(leaf, pv.values)
-        with pytest.raises(ValueError):
-            leaf[0] = 5.0
-        assert pv.values.tolist() == [3.0, 4.0]
+        """The flat leaf and each segment leaf take the vectors' read-only
+        values as they are: a segment's value and tangent are the very views
+        `ParamVector.segment` keeps, the ones rollouts read."""
+        segments = [ad.Segment("a", 0, (2,)), ad.Segment("b", 2, (1,))]
+        pv = ad.ParamVector(np.array([3.0, 4.0, 5.0]), segments)
+        tangent = pv.with_values(np.array([0.5, -1.0, 2.0]))
+        p = ad.Params(pv, tangent)
+        leaves = [(p.vec.val, pv.values), (p.vec.dot, tangent.values)]
+        for name in ("a", "b"):
+            assert p.seg(name).val is pv.segment(name)
+            assert p.seg(name).dot is tangent.segment(name)
+            leaves += [(p.seg(name).val, pv.values), (p.seg(name).dot, tangent.values)]
+        assert p.seg("a") is p.seg("a")
+        for arr, owner in leaves:
+            assert np.shares_memory(arr, owner)
+            with pytest.raises(ValueError):
+                arr[0] = 5.0
+        assert pv.values.tolist() == [3.0, 4.0, 5.0]
+        assert tangent.values.tolist() == [0.5, -1.0, 2.0]
 
     def test_reshape_op(self):
         pv = single_segment([1.0, 2.0, 3.0, 4.0])
@@ -304,8 +317,9 @@ class TestGrad:
         a policy objective, the states, the advantages and 1/K are
         constants (the row-max shift lives inside the categorical head's
         node), built once per objective and shared by its graphs; after
-        `grad` and `hvp` none of them holds an adjoint, while the parameter
-        leaf holds the gradient."""
+        `grad` and `hvp` no node but a parameter leaf holds an adjoint, and
+        the segment leaves' adjoints, laid out by segment, are the gradient
+        and the Hessian-vector product."""
         env = make_env(Task(Family.CARTPOLE, 9.0))
         env.horizon = 15
         theta = init_params(actor_arch(env), Stream(3).child(0))
@@ -328,11 +342,18 @@ class TestGrad:
                     nodes[id(n)] = n
                     stack.extend(n.parents)
             constants = [n for n in nodes.values() if not n.needs]
-            (leaf,) = [n for n in nodes.values() if n.needs and not n.parents]
+            leaves = [n for n in nodes.values() if n.needs and not n.parents]
             assert len(constants) >= 3  # states, advantages, 1/K
             # Constants never get an adjoint; every other node's was freed.
-            assert all(n.adj is None for n in nodes.values() if n is not leaf)
-            got = leaf.adj.v if root is roots[0] else leaf.adj.d
+            assert all(n.adj is None for n in nodes.values() if n not in leaves)
+            # Each leaf is one segment's view; together they cover theta.
+            segment_of = {id(theta.segment(s.name)): s for s in theta.segments}
+            assert sorted(id(n.val) for n in leaves) == sorted(segment_of)
+            got = np.zeros(theta.size)
+            for n in leaves:
+                seg = segment_of[id(n.val)]
+                adj = n.adj.v if root is roots[0] else n.adj.d
+                got[seg.offset : seg.offset + seg.size] = np.reshape(adj, -1)
             assert np.array_equal(got, want)
             shared.append({id(n) for n in constants})
         assert shared[0] == shared[1]
@@ -468,7 +489,7 @@ class TestAffine:
         want = {"h": weights @ w.T, "w": h.T @ weights, "b": weights.sum(0)}
         for k in names:
             assert g.segment(k).tobytes() == want[k].tobytes()
-        curved = lambda p: ad.nsum(ad.tanh(layer(p)) * ad.const(weights))
+        curved = lambda p: ad.nsum(tanh(layer(p)) * ad.const(weights))
         assert ad.rel_err(ad.hvp(curved, theta, v), ad.fd_hvp(curved, theta, v)) <= 1e-4
 
     def test_rejects_one_dimensional_operands(self):
@@ -513,13 +534,13 @@ class TestTanhAffine:
         def readout(y):
             return ad.nsum(y * weights) + ad.nsum(y * y)
 
-        for tangent in (None, v.values):
+        for tangent in (None, v):
             fused = ad.tanh_affine(*operands(ad.Params(theta, tangent)))
-            composed = ad.tanh(ad.affine(*operands(ad.Params(theta, tangent))))
+            composed = tanh(ad.affine(*operands(ad.Params(theta, tangent))))
             assert raw_bytes(fused.val, fused.dot) == raw_bytes(composed.val, composed.dot)
         assert_same_bits(
             lambda p: readout(ad.tanh_affine(*operands(p))),
-            lambda p: readout(ad.tanh(ad.affine(*operands(p)))),
+            lambda p: readout(tanh(ad.affine(*operands(p)))),
             theta,
             v,
         )
@@ -547,7 +568,7 @@ class TestTanhAffine:
 
         pre = ad.affine(h, w, b)
         pre_adj: list = []
-        ad.tanh(pre).vjp(g, lambda node, contrib: pre_adj.append(contrib))
+        tanh(pre).vjp(g, lambda node, contrib: pre_adj.append(contrib))
         want: list = []
         pre.vjp(pre_adj[0], lambda node, contrib: want.append((node, raw_bytes(contrib.v, contrib.d))))
 
@@ -583,14 +604,14 @@ class TestLogSoftmaxPick:
         v = theta.with_values(gen.normal(size=theta.size))
 
         def composed_lp(out):
-            shift = out - ad.row_max_const(out)
-            lse = ad.log(ad.nsum(ad.exp(shift), axis=1))
-            return ad.gather_rows(shift, idx) - lse
+            shift = out - row_max_const(out)
+            lse = log(ad.nsum(ad.exp(shift), axis=1))
+            return gather_rows(shift, idx) - lse
 
         def readout(lp):
             return ad.nsum(lp * weights) + ad.nsum(lp * lp)
 
-        for tangent in (None, v.values):
+        for tangent in (None, v):
             fused = ad.log_softmax_pick(ad.Params(theta, tangent).seg("z"), idx)
             composed = composed_lp(ad.Params(theta, tangent).seg("z"))
             assert raw_bytes(fused.val, fused.dot) == raw_bytes(composed.val, composed.dot)
@@ -654,7 +675,7 @@ def test_forward_graph_holds_only_the_hidden_outputs(dual):
     the two hidden layers' outputs, and in an `hvp` their tangents: no
     pre-activation is held."""
     obj, theta, v = _long_cartpole_objective()
-    root = obj(ad.Params(theta, v.values if dual else None))
+    root = obj(ad.Params(theta, v if dual else None))
     nodes = ad._reachable(root)
     rows = 10 * 200
     big = [a for n in nodes for a in (n.val, n.dot) if isinstance(a, np.ndarray) and a.shape == (rows, 64)]
@@ -668,11 +689,12 @@ def test_forward_graph_holds_only_the_hidden_outputs(dual):
 @pytest.mark.parametrize("adj_tangent", [True, False], ids=["g.d", "no-g.d"])
 @pytest.mark.parametrize("node_tangent", [True, False], ids=["y.d", "no-y.d"])
 def test_tanh_vjp_gives_the_bytes_of_the_product_rule(shape, adj_tangent, node_tangent):
-    """`tanh`'s vjp builds g * (sech^2, -2 tanh * d(tanh)) in buffers of its
-    own; its bytes are those of `_D.__mul__` (taken from the node's value
-    and tangent after the vjp, which must leave them as they were), and it
-    leaves the adjoint it reads as it was. A 0-d operand gives numpy
-    scalars, which take no `out=`."""
+    """The in-place tanh rule, which the reference `tanh` runs on copies of
+    its node's arrays, builds g * (sech^2, -2 tanh * d(tanh)) with the bytes
+    of `_D.__mul__` (taken from the node's value and tangent after the vjp,
+    which must leave them as they were), and leaves the adjoint it reads as
+    it was. A 0-d operand gives numpy scalars, which take no `out=`: the
+    reference copies them to one-element arrays."""
     gen = np.random.default_rng(7)
 
     def draw():
@@ -682,7 +704,7 @@ def test_tanh_vjp_gives_the_bytes_of_the_product_rule(shape, adj_tangent, node_t
         return tuple(None if a is None else (np.shape(a), np.asarray(a).tobytes()) for a in (pair.v, pair.d))
 
     x = ad.Node(draw(), draw() if node_tangent else None, needs=True)
-    y = ad.tanh(x)
+    y = tanh(x)
     g = ad._D(draw() * 3.0, draw() if adj_tangent else None)
     g_before = raw(g)
     got: list[ad._D] = []

@@ -169,7 +169,10 @@ class TestResumeErrors:
         return path
 
     def assert_clean_error(self, capsys, field):
-        err = capsys.readouterr().err
+        self.assert_clean_error_text(capsys.readouterr().err, field)
+
+    @staticmethod
+    def assert_clean_error_text(err, field):
         assert err.startswith(f"error: {field}: checkpoint ")
         assert "Traceback" not in err
 
@@ -197,6 +200,22 @@ class TestResumeErrors:
         capsys.readouterr()
         assert self.resume(tmp_path, tmp_path / "t.ckpt", ["--learner", "ac"]) == 1
         self.assert_clean_error(capsys, "critic")
+
+    @pytest.mark.parametrize("command", ["eval", "resume"])
+    def test_checkpoint_of_another_env_family(self, tmp_path, capsys, command):
+        """An intersection checkpoint under a cartpole config (same seed) is
+        refused before any rollout, naming the policy vector."""
+        argv = ["train", *TINY, "--env", "intersection", "--epochs", "1"]
+        assert cli.main([*argv, "--out_dir", str(tmp_path), "--label", "x"]) == 0
+        ckpt = tmp_path / "x.ckpt"
+        capsys.readouterr()
+        if command == "eval":
+            assert cli.main(["eval", "--ckpt", str(ckpt), *TINY]) == 1
+        else:
+            assert self.resume(tmp_path, ckpt) == 1
+        err = capsys.readouterr().err
+        self.assert_clean_error_text(err, "policy")
+        assert err.count("\n") == 1
 
     def test_complete_checkpoint_resumes(self, tmp_path, capsys):
         ckpt = self.rewritten(tmp_path)
@@ -283,6 +302,12 @@ class TestInputErrors:
             (["train", "--label", "..", "--epochs", "1"], "label"),
             (["train", "--label", "a\x01b", "--epochs", "1"], "label"),
             (["train", "--label", "del\x7f", "--epochs", "1"], "label"),
+            # One above each bound on a config key that sizes memory.
+            (["train", "--horizon", str(meta.MAX_HORIZON + 1), "--epochs", "1"], "horizon"),
+            (["train", "--k_trajs", str(meta.MAX_TRAJECTORIES + 1), "--epochs", "1"], "k_trajs"),
+            (["train", "--m_tasks", str(meta.MAX_TASKS + 1), "--epochs", "1"], "m_tasks"),
+            (["train", "--eval_episodes", str(meta.MAX_TRAJECTORIES + 1), "--epochs", "1"], "eval_episodes"),
+            (["eval", "--ckpt", "absent.ckpt", "--horizon", str(meta.MAX_HORIZON + 1)], "horizon"),
         ],
     )
     def test_rejected_with_the_flag_named(self, argv, flag, monkeypatch, capsys):

@@ -8,12 +8,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from _helpers import empirical_medium
 from metarl import envs
 from metarl.envs import (
     Family,
     Task,
     TaskDistribution,
-    empirical_medium,
     make_env,
     medium_task,
     sample_tasks,

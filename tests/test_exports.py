@@ -31,14 +31,7 @@ LIBRARY = [
 ]
 
 # (module, name) -> why it stays public without a library caller
-NO_LIBRARY_CALLER = {
-    ("rl", "rollout"): "the solo-episode reference the lockstep rollout tests compare against",
-    ("envs", "empirical_medium"): "acceptance criterion 3's reference for the medium task",
-    ("autodiff", "tanh"): "bitwise reference for the fused ops",
-    ("autodiff", "log"): "bitwise reference for the fused ops",
-    ("autodiff", "gather_rows"): "bitwise reference for the fused ops",
-    ("autodiff", "row_max_const"): "bitwise reference for the fused ops",
-}
+NO_LIBRARY_CALLER: "dict[tuple[str, str], str]" = {}
 
 
 @pytest.mark.parametrize("name", MODULES)

@@ -23,6 +23,7 @@ import hashlib
 import numpy as np
 import pytest
 
+from _helpers import gather_rows, log, row_max_const, tanh
 from metarl import autodiff as ad
 from metarl import cli
 from metarl.rng import Stream
@@ -107,24 +108,24 @@ def composite_objective(states, actions, adv):
     def objective(p: ad.Params) -> ad.Node:
         W, b, u, c, s = (p.seg(n) for n in ("W", "b", "u", "c", "s"))
         x = ad.const(states)
-        h = ad.tanh(ad.affine(x, W, b))  # (5,3) @ (3,4) + (4,)
-        he = ad.tanh(ad.affine(x, W, -b))  # the bias negated
+        h = tanh(ad.affine(x, W, b))  # (5,3) @ (3,4) + (4,)
+        he = tanh(ad.affine(x, W, -b))  # the bias negated
         logits = ad.exp(h * s) - he  # (5,4) * (1,)
-        shift = logits - ad.row_max_const(logits)  # (5,4) - (5,1)
-        lse = ad.log(ad.nsum(ad.exp(shift), axis=1))
-        lp = ad.gather_rows(shift, actions) - lse
+        shift = logits - row_max_const(logits)  # (5,4) - (5,1)
+        lse = log(ad.nsum(ad.exp(shift), axis=1))
+        lp = gather_rows(shift, actions) - lse
         mv = ad.nsum(h * u, axis=1)  # h @ u: (5,4) * (4,)
         vm = ad.nsum(ad.reshape(c, (3, 1)) * W, axis=0)  # c @ W: (3,1) * (3,4)
         vv = ad.nsum(u * vm, axis=0)  # u @ vm
         flat = ad.reshape(h, (20,))
-        soft = ad.exp(1.5 * ad.log(flat * flat + 1.0))  # (flat^2 + 1) ** 1.5
+        soft = ad.exp(1.5 * log(flat * flat + 1.0))  # (flat^2 + 1) ** 1.5
         terms = (
             ad.nmean(lp * ad.const(adv))
             + 0.1 * ad.nsum(mv * lp)
             + vv * 0.01
             - ad.nmean(soft)
             + ad.nmean(ad.nmean(h * he, axis=0))
-            + ad.nsum(1.0 - ad.log(2.0 + mv * mv))
+            + ad.nsum(1.0 - log(2.0 + mv * mv))
             + ad.nsum(-(p.vec * p.vec)) * 1e-3
         )
         return terms

@@ -440,11 +440,23 @@ class TestValidation:
             (dict(phi_lo=15.0, phi_hi=5.0), "phi_lo"),
             (dict(algorithm=meta.Algorithm.DIRECTED_MAML, delta=0.05, beta=0.05), "delta"),
             (dict(algorithm=meta.Algorithm.DIRECTED_FOMAML, delta=0.1, beta=0.05), "delta"),
+            (dict(m_tasks=meta.MAX_TASKS + 1), "m_tasks"),
+            (dict(k_trajs=meta.MAX_TRAJECTORIES + 1), "k_trajs"),
+            (dict(horizon=meta.MAX_HORIZON + 1), "horizon"),
         ],
     )
     def test_config_errors_name_the_field(self, overrides, field):
         with pytest.raises(ValidationError, match=field):
             quad_cfg(**overrides)
+
+    def test_memory_bounds_admit_their_limits(self):
+        # The horizon bound admits the 500-step episodes of CartPole-v1.
+        assert meta.MAX_HORIZON >= 500
+        most = meta.MAX_TRAJECTORIES
+        cfg = quad_cfg(m_tasks=meta.MAX_TASKS, k_trajs=most, horizon=meta.MAX_HORIZON)
+        assert meta.RunConfig(meta=cfg, eval_episodes=most).eval_episodes == most
+        with pytest.raises(ValidationError, match=f"eval_episodes: must lie in 1..{most}, got {most + 1}"):
+            meta.RunConfig(meta=cfg, eval_episodes=most + 1)
 
     def test_directed_allows_delta_below_beta(self):
         cfg = quad_cfg(algorithm=meta.Algorithm.DIRECTED_MAML, delta=0.049, beta=0.05)

@@ -453,6 +453,32 @@ class TestCheckpoint:
         with pytest.raises(ParseError):
             pol.load_checkpoint(path)
 
+    def test_trailing_bytes_rejected(self, tmp_path):
+        net = make_policy(CARTPOLE, Stream(24))
+        path = tmp_path / "t.ckpt"
+        pol.save_checkpoint(path, {"policy": net.params}, {"epoch": 1})
+        path.write_bytes(path.read_bytes() + bytes(120))
+        with pytest.raises(ParseError, match="120 bytes after its last vector"):
+            pol.load_checkpoint(path)
+
+    @pytest.mark.parametrize(
+        "written, repeated",
+        [("polica", "policy"), ("epocx", "epoch")],
+        ids=["vector", "metadata key"],
+    )
+    def test_repeated_name_rejected(self, tmp_path, written, repeated):
+        """A checkpoint naming one vector or metadata key twice is refused,
+        not read as its last copy. The repeat is made by renaming a second
+        entry of the same length in the written bytes."""
+        net = make_policy(CARTPOLE, Stream(24))
+        path = tmp_path / "t.ckpt"
+        pol.save_checkpoint(path, {"policy": net.params, "polica": net.params}, {"epoch": 1, "epocx": 2})
+        data = path.read_bytes()
+        assert data.count(written.encode()) == 1
+        path.write_bytes(data.replace(written.encode(), repeated.encode()))
+        with pytest.raises(ParseError, match=f"repeats .*'{repeated}'"):
+            pol.load_checkpoint(path)
+
     def test_truncation_rejected(self, tmp_path):
         net = make_policy(CARTPOLE, Stream(24))
         path = tmp_path / "t.ckpt"

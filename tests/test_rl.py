@@ -19,7 +19,7 @@ from metarl.envs import Family, Task, make_env
 from metarl.rl import Trajectory, TrajectoryBatch, discounted_returns
 from metarl.rng import Stream
 
-from _helpers import balancer_policy, make_policy, zero_params
+from _helpers import balancer_policy, make_policy, rollout, zero_params
 
 CARTPOLE = make_env(Task(Family.CARTPOLE, 10.0))
 INTERSECTION = make_env(Task(Family.INTERSECTION, 10.0))
@@ -43,20 +43,20 @@ def bandit_batch(actions, rewards) -> TrajectoryBatch:
 class TestRollout:
     def test_bit_identical_given_same_stream(self):
         net = make_policy(INTERSECTION, Stream(1))
-        a = rl.rollout(INTERSECTION, net, Stream(2))
-        b = rl.rollout(INTERSECTION, net, Stream(2))
+        a = rollout(INTERSECTION, net, Stream(2))
+        b = rollout(INTERSECTION, net, Stream(2))
         for field in FIELDS:
             assert getattr(a, field).tobytes() == getattr(b, field).tobytes()
 
     def test_cartpole_reward_equals_length(self):
         net = make_policy(CARTPOLE, Stream(3))
         for seed in range(5):
-            traj = rl.rollout(CARTPOLE, net, Stream(10 + seed))
+            traj = rollout(CARTPOLE, net, Stream(10 + seed))
             assert traj.length <= 200
             assert traj.total_return == traj.length
 
     def test_horizon_truncation(self):
-        traj = rl.rollout(CARTPOLE, balancer_policy(CARTPOLE), Stream(4))
+        traj = rollout(CARTPOLE, balancer_policy(CARTPOLE), Stream(4))
         assert traj.length == 200
 
 
@@ -70,7 +70,7 @@ class TestSampleBatch:
         net = make_policy(CARTPOLE, Stream(7))
         batch = rl.sample_batch(CARTPOLE, net, 6, Stream(8))
         for j, traj in enumerate(batch.trajectories):
-            solo = rl.rollout(CARTPOLE, net, Stream(8).child(j))
+            solo = rollout(CARTPOLE, net, Stream(8).child(j))
             for field in FIELDS:
                 assert getattr(traj, field).tobytes() == getattr(solo, field).tobytes()
 
@@ -78,7 +78,7 @@ class TestSampleBatch:
         net = make_policy(INTERSECTION, Stream(9))
         batch = rl.sample_batch(INTERSECTION, net, 5, Stream(10))
         for j, traj in enumerate(batch.trajectories):
-            solo = rl.rollout(INTERSECTION, net, Stream(10).child(j))
+            solo = rollout(INTERSECTION, net, Stream(10).child(j))
             for field in FIELDS:
                 assert getattr(traj, field).tobytes() == getattr(solo, field).tobytes()
 
@@ -103,11 +103,9 @@ class TestSampleBatch:
 
     def test_rollout_and_eval_take_only_a_stream(self):
         # Variates are drawn a horizon at a time, so a generator shared by
-        # several episodes would give each of them different bits. Evaluation
-        # rolls out through sample_batch.
+        # several episodes would give each of them different bits. Training
+        # and evaluation roll out through sample_batch, the one public entry.
         net = make_policy(CARTPOLE, Stream(14))
-        with pytest.raises(TypeError):
-            rl.rollout(CARTPOLE, net, np.random.default_rng(0))
         with pytest.raises(TypeError):
             rl.sample_batch(CARTPOLE, net, 2, np.random.default_rng(0))
 
@@ -119,7 +117,7 @@ class TestSampleBatch:
         with pytest.raises(ValueError, match="horizon"):
             rl.sample_batch(env, net, 2, Stream(16))
         with pytest.raises(ValueError, match="horizon"):
-            rl.rollout(env, net, Stream(17))
+            rollout(env, net, Stream(17))
 
 
 def stepwise_act(net, states, gens):
