@@ -142,6 +142,20 @@ def empirical_medium(tasks: "list[Task]") -> Task:
 # `ad.tanh_affine` and `ad.log_softmax_pick`, built on autodiff's own rules.
 # ---------------------------------------------------------------------------
 
+def add(a, b) -> ad.Node:
+    """a + b, broadcasting; each operand's adjoint is the sum's, summed down
+    to the operand's shape."""
+    a, b = ad._as_node(a), ad._as_node(b)
+
+    def vjp(g: ad._D, acc):
+        if a.needs:
+            acc(a, g.unbroadcast(a.val.shape))
+        if b.needs:
+            acc(b, g.unbroadcast(b.val.shape))
+
+    return ad.Node(a.val + b.val, ad._dadd(a.dot, b.dot), (a, b), vjp, a.needs or b.needs)
+
+
 def tanh(a) -> ad.Node:
     """tanh as a node of its own. The forward is `ad.tanh_affine`'s tanh;
     the vjp runs its in-place rule on fresh (at least 1-d) copies of the
