@@ -7,12 +7,11 @@ computation graph is rebuilt on every evaluation; nothing persists between
 calls, so there is no stale-tape state to manage and graphs can safely cross
 threads.
 
-Parameters enter a graph as leaves: `Params.vec` is the whole flat vector,
-and `Params.seg(name)` one named segment, a leaf of its own whose value (and
-tangent) is the ParamVector's cached read-only view (`ParamVector.segment`),
-the one rollouts read. `grad` and `hvp` lay the leaves' adjoints out as one
-flat vector: the flat leaf's adjoint, then each segment leaf's added into
-its slice.
+Parameters enter a graph one segment at a time: `Params.seg(name)` is a
+leaf whose value (and tangent) is the ParamVector's cached read-only view
+(`ParamVector.segment`), the one rollouts read. `grad` and `hvp` lay the
+leaves' adjoints out as one flat vector: zeros, with each leaf's adjoint
+added into its segment's slice.
 
 `affine(h, w, b)` records a network layer's h @ w + b as one node: np.matmul
 then the bias add, with no node, tangent or adjoint kept for the product in
@@ -27,7 +26,9 @@ categorical head, log softmax(logits)[i, idx[i]]. Each fused vjp runs the
 order, through the private rules (`_tanh_adjoint`, `_affine_adjoints`,
 `_spread`, `_scatter_rows`). Those primitives (`tanh`, `log`, `gather_rows`,
 `row_max_const`) live in `tests/_helpers.py`, built on the same rules, as
-the bitwise reference the tests compare the fused nodes against.
+the bitwise reference the tests compare the fused nodes against. So does
+`add`: no library objective sums two nodes, and a node's operators are
+`-`, `*` and negation, with the node on the left.
 
 Hessian-vector products use forward-over-reverse: every node carries an
 optional tangent alongside its value, and the backward pass propagates
@@ -105,7 +106,6 @@ __all__ = [
     "fd_grad",
     "fd_hvp",
     "rel_err",
-    "add",
     "sub",
     "mul",
     "affine",
@@ -341,24 +341,16 @@ class _D:
         self.v = v
         self.d = d
 
-    @staticmethod
-    def wrap(x) -> "_D":
-        if isinstance(x, _D):
-            return x
-        return _D(x, None)
-
     def __add__(self, o: "_D") -> "_D":
         return _D(self.v + o.v, _dadd(self.d, o.d))
 
     def __neg__(self):
         return _D(-self.v, None if self.d is None else -self.d)
 
-    def __mul__(self, o):
-        o = _D.wrap(o)
+    def __mul__(self, o: "_D") -> "_D":
         return _D(self.v * o.v, _dmul(self.v, self.d, o.v, o.d))
 
-    def __truediv__(self, o):
-        o = _D.wrap(o)
+    def __truediv__(self, o: "_D") -> "_D":
         inv = 1.0 / o.v
         d = None
         if self.d is not None:
@@ -426,22 +418,12 @@ class Node:
     def _dual(self) -> _D:
         return _D(self.val, self.dot)
 
-    # Operator sugar; scalars and arrays coerce to constants.
-    def __add__(self, o):
-        return add(self, o)
-
-    __radd__ = __add__
-
+    # Operator sugar; a scalar or array on the right coerces to a constant.
     def __sub__(self, o):
         return sub(self, o)
 
-    def __rsub__(self, o):
-        return sub(const(o), self)
-
     def __mul__(self, o):
         return mul(self, o)
-
-    __rmul__ = __mul__
 
     def __neg__(self):
         return mul(self, -1.0)
@@ -459,18 +441,6 @@ def const(x) -> Node:
     if type(x) is not np.ndarray or x.dtype is not _F64:
         x = np.asarray(x, dtype=np.float64) if not np.isscalar(x) else np.float64(x)
     return Node(x)
-
-
-def add(a, b) -> Node:
-    a, b = _as_node(a), _as_node(b)
-
-    def vjp(g: _D, acc):
-        if a.needs:
-            acc(a, g.unbroadcast(a.val.shape))
-        if b.needs:
-            acc(b, g.unbroadcast(b.val.shape))
-
-    return Node(a.val + b.val, _dadd(a.dot, b.dot), (a, b), vjp, a.needs or b.needs)
 
 
 def sub(a, b) -> Node:
@@ -701,20 +671,14 @@ class Params:
     """Graph-side view of a ParamVector, with an optional tangent vector of
     the same layout.
 
-    An objective receives one of these; `vec` is the whole flat vector as a
-    leaf node, `seg(name)` a named segment as a leaf of its own. The leaves
-    share the vectors' read-only values (a segment's are its cached view), and
-    `_flat` lays their adjoints out as one flat vector, whatever the access
-    style."""
+    An objective receives one of these and reads its parameters segment by
+    segment: `seg(name)` is a leaf node whose value (and tangent) is the
+    vector's cached read-only view of that segment. `_flat` lays the leaves'
+    adjoints out as one flat vector."""
 
     def __init__(self, pv: ParamVector, tangent: "ParamVector | None" = None):
         self._pv, self._tangent = pv, tangent
-        self._leaf = Node(pv.values, None if tangent is None else tangent.values, needs=True)
         self._segs: dict[str, Node] = {}
-
-    @property
-    def vec(self) -> Node:
-        return self._leaf
 
     def seg(self, name: str) -> Node:
         node = self._segs.get(name)
@@ -725,12 +689,10 @@ class Params:
 
     def _flat(self, part: str) -> np.ndarray:
         """The leaves' adjoints (`part` "v") or adjoint tangents ("d") as one
-        flat vector: a copy of the flat leaf's, or zeros, then each segment
-        leaf's added into its slice. These are the bits of summing the
-        segments' adjoints zero-padded to full length, so a -0.0 becomes
-        +0.0."""
-        x = None if self._leaf.adj is None else getattr(self._leaf.adj, part)
-        out = np.zeros(self._pv.size) if x is None else np.array(x, dtype=np.float64)
+        flat vector: zeros, then each leaf's added into its segment's slice.
+        These are the bits of summing the segments' adjoints zero-padded to
+        full length, so a -0.0 becomes +0.0."""
+        out = np.zeros(self._pv.size)
         for name, node in self._segs.items():
             x = None if node.adj is None else getattr(node.adj, part)
             if x is not None:

@@ -20,7 +20,7 @@ import numpy as np
 from . import harness, meta
 from .envs import CARTPOLE_HORIZON
 from .errors import MetaRLError, ValidationError
-from .meta import CONFIG_KEYS, MAX_TRAJECTORIES, check_range
+from .meta import CONFIG_KEYS, MAX_ROLLOUT_ROWS, MAX_TRAJECTORIES, check_range
 from .rng import Stream
 from .runlog import EMA_FACTOR, load_runlog, smoothed_returns, write_atomic
 
@@ -82,6 +82,7 @@ def _cmd_eval(args) -> int:
     check_range("--episodes", args.episodes, 1, MAX_TRAJECTORIES)
     rc = _config_from(args)
     cfg = rc.meta
+    check_range("--episodes x horizon", args.episodes * cfg.horizon, 1, MAX_ROLLOUT_ROWS)
     state = meta.load_state(args.ckpt, cfg)
     alpha = state.alpha_vec if state.alpha_vec is not None else cfg.alpha
     ret = meta.evaluate_policy(
@@ -124,6 +125,7 @@ def _cmd_audit(args) -> int:
     check_range("--k_trajs", args.k_trajs, 1, MAX_TRAJECTORIES)
     # The audit runs on cartpole; the horizon also sizes the rollout buffers.
     check_range("--horizon", args.horizon, 1, CARTPOLE_HORIZON)
+    check_range("--k_trajs x --horizon", args.k_trajs * args.horizon, 1, MAX_ROLLOUT_ROWS)
     result = harness.audit_oracles(n_seeds=args.seeds, k=args.k_trajs, horizon=args.horizon)
     print(result.render(), end="")
     return 0 if result.passed else 1
@@ -189,7 +191,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_eval = sub.add_parser("eval", help="evaluate a checkpoint (adapt, then measure)")
     p_eval.add_argument("--ckpt", required=True, help="checkpoint file")
     p_eval.add_argument("--episodes", type=int, default=meta.RunConfig.eval_episodes,
-                        help=f"episodes per task, 1..{MAX_TRAJECTORIES}")
+                        help=f"episodes per task, 1..{MAX_TRAJECTORIES}, "
+                             f"at most {MAX_ROLLOUT_ROWS} rows with the horizon")
     _add_config_flags(p_eval)
     p_eval.set_defaults(fn=_cmd_eval)
 
@@ -212,7 +215,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_audit = sub.add_parser("audit", help="check gradients against finite differences")
     p_audit.add_argument("--seeds", type=int, default=5, help="number of independent policies")
     p_audit.add_argument("--k_trajs", type=int, default=2,
-                         help=f"trajectories per frozen batch, 1..{MAX_TRAJECTORIES}")
+                         help=f"trajectories per frozen batch, 1..{MAX_TRAJECTORIES}, "
+                              f"at most {MAX_ROLLOUT_ROWS} rows with --horizon")
     p_audit.add_argument("--horizon", type=int, default=15,
                          help=f"rollout horizon, 1..{CARTPOLE_HORIZON}")
     p_audit.set_defaults(fn=_cmd_audit)

@@ -19,9 +19,10 @@ Implements four base algorithms and their task-directed variants:
 
 The outer update adds the plain sum of per-task terms (no 1/M averaging), so
 beta effectively scales with M; reptile is the exception, averaging by
-construction. With the actor-critic learner, every training batch (prestep,
-inner, outer) also takes one critic descent step, through RLProblem's
-training objectives; evaluation only reads the critic.
+construction. Every step asks its domain for one thing, a task's objective
+at given parameters (`MetaProblem.task_objective`). With the actor-critic
+learner, every training batch (prestep, inner, outer) also takes one critic
+descent step there; evaluation only reads the critic.
 
 Nothing here counts calls. Gradients, Hessian-vector products and rollouts
 are reached through their modules (`ad.grad`, `ad.hvp`, `rl.sample_batch`),
@@ -112,9 +113,13 @@ REPTILE_INNER_STEPS = 3
 # --k_trajs`) each size a (horizon, trajectories) rollout buffer and one
 # random stream per trajectory; `m_tasks` multiplies the batches of an
 # epoch; the horizon bound admits the 500-step episodes of CartPole-v1.
+# Their product, trajectories x horizon, is bounded too: it is the row count
+# of one batch, which sizes the rollout buffer and the graphs of the batch's
+# objective (one `hvp` on 2,000 rows peaks at 7.0 MiB of numpy memory).
 MAX_TRAJECTORIES = 10_000
 MAX_TASKS = 1_000
 MAX_HORIZON = 1_000
+MAX_ROLLOUT_ROWS = 100_000
 
 
 def check_range(field: str, value: int, lo: int, hi: "int | None" = None) -> None:
@@ -208,6 +213,7 @@ class MetaConfig:
         check_range("m_tasks", self.m_tasks, 1, MAX_TASKS)
         check_range("k_trajs", self.k_trajs, 1, MAX_TRAJECTORIES)
         check_range("horizon", self.horizon, 1, MAX_HORIZON)
+        check_range("k_trajs x horizon", self.k_trajs * self.horizon, 1, MAX_ROLLOUT_ROWS)
         check_range("epochs", self.epochs, 1)
         if self.seed < 0:
             raise ValidationError("seed: must be >= 0")
@@ -239,6 +245,8 @@ class RunConfig:
     def __post_init__(self):
         check_range("eval_every", self.eval_every, 1)
         check_range("eval_episodes", self.eval_episodes, 1, MAX_TRAJECTORIES)
+        rows = self.eval_episodes * self.meta.horizon
+        check_range("eval_episodes x horizon", rows, 1, MAX_ROLLOUT_ROWS)
         check_range("conv_window", self.conv_window, 1)
         if not np.isfinite(self.conv_tau):
             raise ValidationError("conv_tau: must be finite")
@@ -297,16 +305,14 @@ def fingerprint(cfg: RunConfig) -> str:
 # ---------------------------------------------------------------------------
 
 class MetaProblem(Protocol):
-    """What an algorithm needs from its domain: a per-task pre-adaptation
-    objective (built at theta) and a post-adaptation objective (built at the
-    adapted parameters). Both return graph-building callables over Params."""
+    """What an algorithm needs from its domain: the objective of a task at
+    the given parameters, a graph-building callable over Params. The same
+    hook serves the inner step (at theta), the outer step (at the adapted
+    parameters), Reptile's steps and the directed prestep (on the medium
+    task); `rng` is the stream any sampling behind the objective draws from."""
 
-    def inner_objective(
+    def task_objective(
         self, task, theta: ParamVector, rng: Stream
-    ) -> Callable[[Params], ad.Node]: ...
-
-    def outer_objective(
-        self, task, theta_adapted: ParamVector, rng: Stream
     ) -> Callable[[Params], ad.Node]: ...
 
 
@@ -314,9 +320,10 @@ class RLProblem:
     """Rollout-backed objectives: sampling K trajectories under the given
     parameters, then the learner's surrogate over the frozen batch.
 
-    `objective(batch)` only reads the critic. For the actor-critic learner
-    the training objectives, `inner_objective` and `outer_objective`, then
-    fit the critic: one descent step on the batch they sampled, taken after
+    `objective(batch)` reads the critic under the actor-critic learner only:
+    a policy-gradient config may carry one (from an actor-critic checkpoint,
+    say) and ignores it. For the actor-critic learner `task_objective` then
+    fits the critic: one descent step on the batch it sampled, taken after
     the surrogate has captured the pre-update critic values. Evaluation
     calls `objective(sample(...))` and so leaves the critic as it was.
     """
@@ -342,17 +349,16 @@ class RLProblem:
         return rl.sample_batch(self.env_for(task), policy, self.cfg.k_trajs, rng)
 
     def objective(self, batch: rl.TrajectoryBatch) -> Callable[[Params], ad.Node]:
-        return rl.policy_objective(batch, self.cfg.gamma, self.cfg.learner.value, self.critic)
+        critic = self.critic if self.cfg.learner is Learner.AC else None
+        return rl.policy_objective(batch, self.cfg.gamma, critic)
 
-    def inner_objective(self, task, theta, rng):
+    def task_objective(self, task, theta, rng):
         batch = self.sample(task, theta, rng)
         obj = self.objective(batch)
         if self.cfg.learner is Learner.AC:
             g = ad.grad(rl.critic_objective(batch, self.cfg.gamma), self.critic)
             self.critic = self.critic - self.cfg.alpha * g
         return obj
-
-    outer_objective = inner_objective
 
 
 # ---------------------------------------------------------------------------
@@ -401,10 +407,10 @@ def _per_task_terms(
     """Shared maml/fomaml/metasgd loop. Yields (g_inner, g_outer, term) per
     task, where term = g_outer [+ hvp(inner, theta, alpha*g_outer)]."""
     for i, task in enumerate(_check_tasks(tasks)):
-        inner = problem.inner_objective(task, theta, rng.child(i, 0))
+        inner = problem.task_objective(task, theta, rng.child(i, 0))
         g_in = ad.grad(inner, theta)
         theta_i = theta + _scaled(alpha, g_in)
-        outer = problem.outer_objective(task, theta_i, rng.child(i, 1))
+        outer = problem.task_objective(task, theta_i, rng.child(i, 1))
         g_out = ad.grad(outer, theta_i)
         term = g_out
         if second_order:
@@ -445,7 +451,7 @@ def reptile_step(
     for i, task in enumerate(tasks):
         cur = theta
         for s in range(n_inner):
-            obj = problem.inner_objective(task, cur, rng.child(i, s))
+            obj = problem.task_objective(task, cur, rng.child(i, s))
             cur = cur + cfg.alpha * ad.grad(obj, cur)
         delta_sum = delta_sum + (cur.values - theta.values)
     return theta.with_values(theta.values + cfg.beta * (delta_sum / len(tasks)))
@@ -478,7 +484,7 @@ def _prestep(
     the current policy on the rollout problem). Adds exactly one gradient
     evaluation; returns the new parameters and the prestep gradient norm."""
     med = medium_task(cfg.dist)
-    obj = problem.inner_objective(med, theta, rng)
+    obj = problem.task_objective(med, theta, rng)
     g = ad.grad(obj, theta)
     return theta + cfg.delta * g, g.norm()
 

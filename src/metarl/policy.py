@@ -221,12 +221,13 @@ def act_batch(
     elif isinstance(head, GaussianHead):
         mean = out[:, 0]
         logsig = net.params.segment("log_sigma")
-        sigma = np.exp(logsig)[0]
-        raws = mean + sigma * u
-        actions = np.clip(raws, head.low, head.high)
         # logprob_graph scales by exp(-log_sigma), which overflows where
-        # sigma underflows
-        finite = np.isfinite(raws).all() and np.isfinite(np.exp(-logsig)).all()
+        # sigma underflows; an overflow is reported as NonFiniteValue below
+        with np.errstate(over="ignore"):
+            sigma = np.exp(logsig)[0]
+            raws = mean + sigma * u
+            finite = np.isfinite(raws).all() and np.isfinite(np.exp(-logsig)).all()
+        actions = np.clip(raws, head.low, head.high)
     else:
         raise ValueError("critic networks have no action head")
     if not finite:

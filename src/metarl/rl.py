@@ -204,31 +204,24 @@ def _surrogate(
 
 
 def policy_objective(
-    batch: TrajectoryBatch,
-    gamma: float,
-    learner: str = "pg",
-    critic_pv: "ad.ParamVector | None" = None,
+    batch: TrajectoryBatch, gamma: float, critic: "ad.ParamVector | None" = None
 ) -> "Callable[[Params], ad.Node]":
     """Callable score-function surrogate for a frozen batch,
-    (1/K) sum_traj sum_t log pi(a_t|s_t) * A_t. For the "pg" learner A_t is
-    the batch-standardized discounted return (see `_standardized`); for "ac"
-    it is the advantage G_t - V(s_t), with the given critic held constant.
+    (1/K) sum_traj sum_t log pi(a_t|s_t) * A_t. With a critic, A_t is the
+    advantage G_t - V(s_t), the critic held constant; without one, it is the
+    batch-standardized discounted return (see `_standardized`).
 
     Everything that depends only on the batch (pooling, returns, advantages,
     the actor architecture) is computed here, once; each call of the returned
     objective builds only the log-prob graph over its Params, so value, grad
     and hvp on the same batch share that work. The callable keeps no state
     between calls."""
-    if learner not in ("pg", "ac"):
-        raise ValueError(f"unknown learner {learner!r}")
-    if learner == "ac" and critic_pv is None:
-        raise ValueError("actor-critic objective needs critic parameters")
     env = make_env(batch.task)
     states, targets, returns = _pooled(batch, gamma)
-    if learner == "pg":
+    if critic is None:
         adv = _standardized(returns)
     else:
-        adv = returns - forward_inference(critic_arch(env), critic_pv, states)[:, 0]
+        adv = returns - forward_inference(critic_arch(env), critic, states)[:, 0]
     return _surrogate(actor_arch(env), states, targets, adv, batch.k)
 
 

@@ -1,7 +1,8 @@
 """Shared test fixtures: hand-built parameter vectors, reference policies,
 a call counter, a traced-memory probe, and the references the library's
 fast paths are checked against: a solo-episode rollout, the empirical
-medium task, and the graph primitives the fused nodes replace."""
+medium task, and the graph primitives the fused nodes replace. Also `add`,
+the sum of two nodes, which only tests' objectives need."""
 
 from __future__ import annotations
 
@@ -137,14 +138,10 @@ def empirical_medium(tasks: "list[Task]") -> Task:
     return Task(fam, float(np.mean([t.phi for t in tasks])))
 
 
-# ---------------------------------------------------------------------------
-# Graph primitives the fused nodes replace: the bitwise references for
-# `ad.tanh_affine` and `ad.log_softmax_pick`, built on autodiff's own rules.
-# ---------------------------------------------------------------------------
-
 def add(a, b) -> ad.Node:
-    """a + b, broadcasting; each operand's adjoint is the sum's, summed down
-    to the operand's shape."""
+    """a + b, broadcasting, built on autodiff's rules: each operand's
+    adjoint is the sum's, summed down to the operand's shape. No library
+    objective sums two nodes, so the sum lives here."""
     a, b = ad._as_node(a), ad._as_node(b)
 
     def vjp(g: ad._D, acc):
@@ -155,6 +152,11 @@ def add(a, b) -> ad.Node:
 
     return ad.Node(a.val + b.val, ad._dadd(a.dot, b.dot), (a, b), vjp, a.needs or b.needs)
 
+
+# ---------------------------------------------------------------------------
+# Graph primitives the fused nodes replace: the bitwise references for
+# `ad.tanh_affine` and `ad.log_softmax_pick`, built on autodiff's own rules.
+# ---------------------------------------------------------------------------
 
 def tanh(a) -> ad.Node:
     """tanh as a node of its own. The forward is `ad.tanh_affine`'s tanh;

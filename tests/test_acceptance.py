@@ -302,21 +302,15 @@ def test_criterion_01_autodiff_audit_20_seeds_under_2_minutes():
 class _QuadraticProblem:
     """Deterministic task objectives J(x) = -1/2 x^T A x; rng unused."""
 
-    def _objective(self, task):
+    def task_objective(self, task, theta, rng):
         A = np.asarray(task, dtype=np.float64)
 
         def obj(p):
-            x = p.vec
+            x = p.seg("theta")
             ax = ad.nsum(ad.const(A) * ad.reshape(x, (1, A.shape[0])), axis=1)
             return ad.const(-0.5) * ad.nsum(x * ax)
 
         return obj
-
-    def inner_objective(self, task, theta, rng):
-        return self._objective(task)
-
-    def outer_objective(self, task, theta_adapted, rng):
-        return self._objective(task)
 
 
 def test_criterion_02_bilevel_quadratic_closed_form():

@@ -16,7 +16,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from _helpers import count_calls, gather_rows, log, row_max_const, tanh, traced_peak_mib
+from _helpers import add, count_calls, gather_rows, log, row_max_const, tanh, traced_peak_mib
 from metarl import autodiff as ad
 from metarl import rl
 from metarl.envs import Family, Task, make_env
@@ -68,6 +68,12 @@ def single_segment(values) -> ad.ParamVector:
     return ad.ParamVector(arr, [ad.Segment("w", 0, arr.shape)])
 
 
+def quadratic_form(A: np.ndarray, x: ad.Node) -> ad.Node:
+    """1/2 x^T A x for a vector leaf x, as broadcast products summed."""
+    ax = ad.nsum(ad.const(A) * ad.reshape(x, (1, A.shape[0])), axis=1)
+    return ad.nsum(x * ax) * 0.5
+
+
 @pytest.fixture(scope="module")
 def recorded_batch():
     gen = Stream(123).child(0).generator()
@@ -106,7 +112,7 @@ def net_theta():
 class TestFdOracle:
     def test_square_scalar(self):
         theta = single_segment([1.0])
-        obj = lambda p: ad.nsum(p.vec * p.vec)
+        obj = lambda p: ad.nsum(p.seg("w") * p.seg("w"))
         g = ad.fd_grad(obj, theta, epsilon=1e-5)
         assert abs(g.values[0] - 2.0) <= 1e-8
 
@@ -118,7 +124,7 @@ class TestFdOracle:
 
     def test_epsilon_must_be_positive(self):
         theta = single_segment([1.0])
-        obj = lambda p: ad.nsum(p.vec)
+        obj = lambda p: ad.nsum(p.seg("w"))
         with pytest.raises(ValueError):
             ad.fd_grad(obj, theta, epsilon=0.0)
         with pytest.raises(ValueError):
@@ -148,7 +154,7 @@ class TestFdOracle:
     def test_fd_hvp_on_quadratic(self):
         A = np.array([[2.0, 1.0], [1.0, 3.0]])
         theta = single_segment([0.5, -1.0])
-        obj = lambda p: 0.5 * ad.nsum(p.vec * ad.nsum(ad.const(A) * ad.reshape(p.vec, (1, 2)), axis=1))
+        obj = lambda p: quadratic_form(A, p.seg("w"))
         v = theta.with_values(np.array([1.0, 0.0]))
         hv = ad.fd_hvp(obj, theta, v)
         assert np.allclose(hv.values, [2.0, 1.0], atol=1e-7)
@@ -224,7 +230,7 @@ class TestParamVector:
 class TestGrad:
     def test_quadratic_identity(self):
         theta = single_segment([3.0, 4.0])
-        obj = lambda p: 0.5 * ad.nsum(p.vec * p.vec)
+        obj = lambda p: ad.nsum(p.seg("w") * p.seg("w")) * 0.5
         g, val = ad.grad_and_value(obj, theta)
         assert np.array_equal(g.values, [3.0, 4.0])
         assert val == pytest.approx(12.5)
@@ -237,7 +243,7 @@ class TestGrad:
     def test_input_unmodified(self):
         theta = single_segment([3.0, 4.0])
         before = theta.values.copy()
-        ad.grad(lambda p: ad.nsum(p.vec * p.vec), theta)
+        ad.grad(lambda p: ad.nsum(p.seg("w") * p.seg("w")), theta)
         assert np.array_equal(theta.values, before)
 
     def test_surrogate_matches_fd(self, surrogate, net_theta):
@@ -246,11 +252,14 @@ class TestGrad:
         assert ad.rel_err(g, g_fd) <= 1e-4
 
     def test_linearity_exact_composition(self, surrogate, net_theta):
-        def other(p):
-            return ad.nmean(tanh(p.vec) * p.vec)
+        def other(p):  # the mean of tanh(x) * x over every parameter
+            total = ad.const(0.0)
+            for s in net_theta.segments:
+                total = add(total, ad.nsum(tanh(p.seg(s.name)) * p.seg(s.name)))
+            return total * (1.0 / net_theta.size)
 
         a, b = 1.7, -0.3
-        combo = lambda p: a * surrogate(p) + b * other(p)
+        combo = lambda p: add(surrogate(p) * a, other(p) * b)
         g_combo = ad.grad(combo, net_theta)
         g_lin = a * ad.grad(surrogate, net_theta) + b * ad.grad(other, net_theta)
         assert ad.rel_err(g_combo, g_lin) <= 1e-10
@@ -262,37 +271,24 @@ class TestGrad:
 
     def test_nonfinite_forward_raises(self):
         theta = single_segment([1.0])
-        obj = lambda p: ad.nsum(p.vec * ad.const(np.nan))
+        obj = lambda p: ad.nsum(p.seg("w") * ad.const(np.nan))
         with pytest.raises(NonFiniteValue):
             ad.grad(obj, theta)
 
     def test_scalar_root_required(self):
         theta = single_segment([1.0, 2.0])
         with pytest.raises(ValueError):
-            ad.grad(lambda p: p.vec * p.vec, theta)
-
-    def test_segment_and_flat_views_share_leaf(self):
-        pv = ad.ParamVector(
-            np.array([1.0, -2.0, 0.5]),
-            [ad.Segment("a", 0, (2,)), ad.Segment("b", 2, (1,))],
-        )
-        via_vec = lambda p: ad.nsum(p.vec * p.vec)
-        via_seg = lambda p: ad.nsum(p.seg("a") * p.seg("a")) + ad.nsum(
-            p.seg("b") * p.seg("b")
-        )
-        g1 = ad.grad(via_vec, pv)
-        g2 = ad.grad(via_seg, pv)
-        assert np.allclose(g1.values, g2.values, atol=1e-15)
+            ad.grad(lambda p: p.seg("w") * p.seg("w"), theta)
 
     def test_leaf_shares_the_read_only_values(self):
-        """The flat leaf and each segment leaf take the vectors' read-only
-        values as they are: a segment's value and tangent are the very views
-        `ParamVector.segment` keeps, the ones rollouts read."""
+        """Each segment leaf takes the vectors' read-only values as they are:
+        its value and tangent are the very views `ParamVector.segment`
+        keeps, the ones rollouts read."""
         segments = [ad.Segment("a", 0, (2,)), ad.Segment("b", 2, (1,))]
         pv = ad.ParamVector(np.array([3.0, 4.0, 5.0]), segments)
         tangent = pv.with_values(np.array([0.5, -1.0, 2.0]))
         p = ad.Params(pv, tangent)
-        leaves = [(p.vec.val, pv.values), (p.vec.dot, tangent.values)]
+        leaves = []
         for name in ("a", "b"):
             assert p.seg(name).val is pv.segment(name)
             assert p.seg(name).dot is tangent.segment(name)
@@ -308,7 +304,7 @@ class TestGrad:
     def test_reshape_op(self):
         pv = single_segment([1.0, 2.0, 3.0, 4.0])
         c = np.array([[1.0, 10.0], [100.0, 1000.0]])
-        obj = lambda p: ad.nsum(ad.reshape(p.vec, (2, 2)) * ad.const(c))
+        obj = lambda p: ad.nsum(ad.reshape(p.seg("w"), (2, 2)) * ad.const(c))
         g = ad.grad(obj, pv)
         assert np.array_equal(g.values, c.ravel())
 
@@ -375,7 +371,7 @@ class TestHvp:
     def test_quadratic_hv_is_av(self):
         A = np.array([[2.0, 1.0], [1.0, 3.0]])
         theta = single_segment([0.5, -1.0])
-        obj = lambda p: 0.5 * ad.nsum(p.vec * ad.nsum(ad.const(A) * ad.reshape(p.vec, (1, 2)), axis=1))
+        obj = lambda p: quadratic_form(A, p.seg("w"))
         v = theta.with_values(np.array([1.0, 0.0]))
         hv = ad.hvp(obj, theta, v)
         assert np.allclose(hv.values, [2.0, 1.0], atol=1e-12)
@@ -383,7 +379,7 @@ class TestHvp:
     def test_linear_objective_zero_hessian(self):
         theta = single_segment([1.0, 2.0, 3.0])
         c = np.array([4.0, -1.0, 0.5])
-        obj = lambda p: ad.nsum(p.vec * ad.const(c))
+        obj = lambda p: ad.nsum(p.seg("w") * ad.const(c))
         v = theta.with_values(np.array([1.0, 1.0, -2.0]))
         hv = ad.hvp(obj, theta, v)
         assert np.array_equal(hv.values, np.zeros(3))
@@ -406,7 +402,7 @@ class TestHvp:
     def test_layout_mismatch_rejected(self):
         theta = single_segment([1.0, 2.0])
         v = ad.ParamVector(np.ones(2), [ad.Segment("x", 0, (1,)), ad.Segment("y", 1, (1,))])
-        obj = lambda p: ad.nsum(p.vec * p.vec)
+        obj = lambda p: ad.nsum(p.seg("w") * p.seg("w"))
         with pytest.raises(ValueError):
             ad.hvp(obj, theta, v)
 
@@ -432,7 +428,7 @@ class TestHvp:
         A = 0.5 * (raw + raw.T)
         theta = single_segment(gen.normal(size=n))
         v = theta.with_values(gen.normal(size=n))
-        obj = lambda p: 0.5 * ad.nsum(p.vec * ad.nsum(ad.const(A) * ad.reshape(p.vec, (1, n)), axis=1))
+        obj = lambda p: quadratic_form(A, p.seg("w"))
         hv = ad.hvp(obj, theta, v)
         want = A @ v.values
         assert ad.rel_err(hv.values, want) <= 1e-9
@@ -532,7 +528,7 @@ class TestTanhAffine:
             return [p.seg(k) if k in varied else ad.const(values[k]) for k in "hwb"]
 
         def readout(y):
-            return ad.nsum(y * weights) + ad.nsum(y * y)
+            return add(ad.nsum(y * weights), ad.nsum(y * y))
 
         for tangent in (None, v):
             fused = ad.tanh_affine(*operands(ad.Params(theta, tangent)))
@@ -609,7 +605,7 @@ class TestLogSoftmaxPick:
             return gather_rows(shift, idx) - lse
 
         def readout(lp):
-            return ad.nsum(lp * weights) + ad.nsum(lp * lp)
+            return add(ad.nsum(lp * weights), ad.nsum(lp * lp))
 
         for tangent in (None, v):
             fused = ad.log_softmax_pick(ad.Params(theta, tangent).seg("z"), idx)

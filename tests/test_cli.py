@@ -36,6 +36,8 @@ TINY = [
     "--conv_window", "2",
     "--seed", "7",
 ]
+# One trajectory more than a batch at the default horizon may hold.
+OVER_ROWS = meta.MAX_ROLLOUT_ROWS // meta.MetaConfig.horizon + 1
 
 
 def train_tiny(out_dir, label, extra=()):
@@ -308,6 +310,12 @@ class TestInputErrors:
             (["train", "--m_tasks", str(meta.MAX_TASKS + 1), "--epochs", "1"], "m_tasks"),
             (["train", "--eval_episodes", str(meta.MAX_TRAJECTORIES + 1), "--epochs", "1"], "eval_episodes"),
             (["eval", "--ckpt", "absent.ckpt", "--horizon", str(meta.MAX_HORIZON + 1)], "horizon"),
+            # One trajectory above the bound on a batch's rows, trajectories
+            # x horizon, at the default horizons (audit's is 15).
+            (["train", "--k_trajs", str(OVER_ROWS), "--epochs", "1"], "k_trajs x horizon"),
+            (["train", "--eval_episodes", str(OVER_ROWS), "--epochs", "1"], "eval_episodes x horizon"),
+            (["eval", "--ckpt", "absent.ckpt", "--episodes", str(OVER_ROWS)], "--episodes x horizon"),
+            (["audit", "--k_trajs", str(meta.MAX_ROLLOUT_ROWS // 15 + 1)], "--k_trajs x --horizon"),
         ],
     )
     def test_rejected_with_the_flag_named(self, argv, flag, monkeypatch, capsys):
@@ -341,7 +349,9 @@ class TestInputErrors:
             raise MetaRLError("stopped before rolling out")
 
         monkeypatch.setattr(rl, "sample_batch", stop)
-        argv = ["audit", "--seeds", "1", "--k_trajs", str(cli.MAX_TRAJECTORIES)]
+        # The trajectory bound, at the horizon that fills the row bound.
+        horizon = meta.MAX_ROLLOUT_ROWS // cli.MAX_TRAJECTORIES
+        argv = ["audit", "--seeds", "1", "--k_trajs", str(cli.MAX_TRAJECTORIES), "--horizon", str(horizon)]
         assert cli.main(argv) == 1
         assert reached == [cli.MAX_TRAJECTORIES]
         assert capsys.readouterr().err == "error: stopped before rolling out\n"
@@ -358,7 +368,9 @@ class TestInputErrors:
         argv = [
             "eval", "--ckpt", str(tmp_path / "t.ckpt"),
             *TINY, "--out_dir", str(tmp_path), "--label", "t",
+            # The trajectory bound, at the horizon that fills the row bound.
             "--episodes", str(cli.MAX_TRAJECTORIES),
+            "--horizon", str(meta.MAX_ROLLOUT_ROWS // cli.MAX_TRAJECTORIES),
         ]
         capsys.readouterr()
         assert cli.main(argv) == 1

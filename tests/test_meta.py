@@ -17,7 +17,7 @@ from dataclasses import fields
 import numpy as np
 import pytest
 
-from _helpers import count_calls
+from _helpers import add, count_calls
 from metarl import autodiff as ad
 from metarl import meta, rl
 from metarl.autodiff import ParamVector, Segment
@@ -43,16 +43,13 @@ class QuadraticProblem:
         b = np.asarray(task.b, dtype=np.float64)
 
         def obj(p):
-            x = p.vec
+            x = p.seg("theta")
             ax = ad.nsum(ad.const(A) * ad.reshape(x, (1, A.shape[0])), axis=1)
-            return ad.const(-0.5) * ad.nsum(x * ax) + ad.nsum(ad.const(b) * x)
+            return add(ad.const(-0.5) * ad.nsum(x * ax), ad.nsum(ad.const(b) * x))
 
         return obj
 
-    def inner_objective(self, task, theta, rng):
-        return self._objective(task)
-
-    def outer_objective(self, task, theta_adapted, rng):
+    def task_objective(self, task, theta, rng):
         return self._objective(task)
 
 
@@ -61,14 +58,11 @@ class _SpyProblem:
 
     def __init__(self, inner):
         self.inner = inner
-        self.inner_tasks = []
+        self.tasks = []
 
-    def inner_objective(self, task, theta, rng):
-        self.inner_tasks.append(task)
-        return self.inner.inner_objective(task, theta, rng)
-
-    def outer_objective(self, task, theta_adapted, rng):
-        return self.inner.outer_objective(task, theta_adapted, rng)
+    def task_objective(self, task, theta, rng):
+        self.tasks.append(task)
+        return self.inner.task_objective(task, theta, rng)
 
 
 def quad_grad(task: QuadTask, x: np.ndarray) -> np.ndarray:
@@ -143,7 +137,7 @@ def maml_closed_form(theta: ParamVector, tasks, alpha: float) -> np.ndarray:
 class TestQuadraticOracle:
     def test_gradient_matches_closed_form_and_fd(self):
         prob = QuadraticProblem()
-        obj = prob.inner_objective(TASKS[0], THETA0, S)
+        obj = prob.task_objective(TASKS[0], THETA0, S)
         g = ad.grad(obj, THETA0)
         np.testing.assert_allclose(g.values, quad_grad(TASKS[0], THETA0.values), atol=1e-12)
         fd = ad.fd_grad(obj, THETA0)
@@ -151,7 +145,7 @@ class TestQuadraticOracle:
 
     def test_hvp_is_negated_matrix_product(self):
         prob = QuadraticProblem()
-        obj = prob.inner_objective(TASKS[0], THETA0, S)
+        obj = prob.task_objective(TASKS[0], THETA0, S)
         v = theta_vec([0.4, -1.2])
         hv = ad.hvp(obj, THETA0, v)
         np.testing.assert_allclose(hv.values, -(np.asarray(TASKS[0].A) @ v.values), atol=1e-12)
@@ -165,7 +159,7 @@ class TestQuadraticOracle:
             total = 0.0
             for t in TASKS:
                 adapted = theta_vec(x + alpha * quad_grad(t, x))
-                total += ad.value(prob.outer_objective(t, adapted, S), adapted)
+                total += ad.value(prob.task_objective(t, adapted, S), adapted)
             return total
 
         eps = 1e-5
@@ -186,7 +180,7 @@ class TestQuadraticOracle:
 class TestInnerAdapt:
     def test_scalar_step_closed_form(self):
         prob = QuadraticProblem()
-        obj = prob.inner_objective(TASKS[1], THETA0, S)
+        obj = prob.task_objective(TASKS[1], THETA0, S)
         out = meta.inner_adapt(THETA0, obj, 0.1)
         np.testing.assert_allclose(
             out.values, THETA0.values + 0.1 * quad_grad(TASKS[1], THETA0.values), atol=1e-12
@@ -194,7 +188,7 @@ class TestInnerAdapt:
 
     def test_vector_step_is_elementwise(self):
         prob = QuadraticProblem()
-        obj = prob.inner_objective(TASKS[1], THETA0, S)
+        obj = prob.task_objective(TASKS[1], THETA0, S)
         avec = theta_vec([0.2, 0.01])
         out = meta.inner_adapt(THETA0, obj, avec)
         g = quad_grad(TASKS[1], THETA0.values)
@@ -209,6 +203,23 @@ class TestInnerAdapt:
         out = meta.inner_adapt(theta, prob.objective(batch), cfg.alpha)
         g = ad.grad(rl.policy_objective(batch, cfg.gamma), theta)
         np.testing.assert_array_equal(out.values, (theta + cfg.alpha * g).values)
+
+    def test_policy_gradient_ignores_a_critic_it_carries(self):
+        # An actor-critic checkpoint resumed or evaluated under the
+        # policy-gradient learner brings its critic along; the surrogate
+        # must still standardize returns, not subtract the critic's values.
+        pg = rl_cfg()
+        state = meta.init_state(rl_cfg(learner=meta.Learner.AC))
+        batch = meta.RLProblem(pg).sample(medium_task(pg.dist), state.theta, S.child(9))
+
+        def bytes_of(cfg, critic):
+            g, v = ad.grad_and_value(meta.RLProblem(cfg, critic).objective(batch), state.theta)
+            return np.float64(v).tobytes(), g.values.tobytes()
+
+        assert bytes_of(pg, state.critic) == bytes_of(pg, None)
+        # The same critic does change the actor-critic learner's surrogate.
+        ac = rl_cfg(learner=meta.Learner.AC)
+        assert bytes_of(ac, state.critic) != bytes_of(pg, None)
 
 
 # ---------------------------------------------------------------------------
@@ -228,9 +239,9 @@ class TestMetaGradients:
         first = meta.meta_gradient(THETA0, TASKS, cfg, S, prob, second_order=False)
         correction = np.zeros(THETA0.size)
         for t in TASKS:
-            inner = prob.inner_objective(t, THETA0, S)
+            inner = prob.task_objective(t, THETA0, S)
             adapted = THETA0 + cfg.alpha * ad.grad(inner, THETA0)
-            g_out = ad.grad(prob.outer_objective(t, adapted, S), adapted)
+            g_out = ad.grad(prob.task_objective(t, adapted, S), adapted)
             correction += ad.hvp(inner, THETA0, cfg.alpha * g_out).values
         np.testing.assert_allclose(full.values - first.values, correction, atol=1e-10)
 
@@ -279,7 +290,7 @@ class TestReptile:
         for t in TASKS:
             cur = THETA0
             for _ in range(3):
-                cur = cur + cfg.alpha * ad.grad(prob.inner_objective(t, cur, S), cur)
+                cur = cur + cfg.alpha * ad.grad(prob.task_objective(t, cur, S), cur)
             delta_sum = delta_sum + (cur.values - THETA0.values)
         expected = THETA0.values + cfg.beta * (delta_sum / len(TASKS))
         np.testing.assert_array_equal(out.values, expected)
@@ -288,7 +299,7 @@ class TestReptile:
         cfg = quad_cfg(alpha=0.05, beta=0.3)
         prob = QuadraticProblem()
         out = meta.reptile_step(THETA0, TASKS[:1], cfg, S, prob, n_inner=1)
-        g = ad.grad(prob.inner_objective(TASKS[0], THETA0, S), THETA0)
+        g = ad.grad(prob.task_objective(TASKS[0], THETA0, S), THETA0)
         adapted = THETA0 + cfg.alpha * g
         expected = THETA0.values + cfg.beta * ((adapted.values - THETA0.values) / 1.0)
         np.testing.assert_array_equal(out.values, expected)
@@ -339,7 +350,7 @@ class TestMetaSGD:
             total = 0.0
             for t in TASKS:
                 adapted = theta_vec(THETA0.values + a * quad_grad(t, THETA0.values))
-                total += ad.value(prob.outer_objective(t, adapted, S), adapted)
+                total += ad.value(prob.task_objective(t, adapted, S), adapted)
             return total
 
         eps = 1e-6
@@ -388,8 +399,8 @@ class TestDirectedPrestep:
         cfg = quad_cfg(algorithm=meta.Algorithm.DIRECTED_MAML, delta=0.03, beta=0.05)
         prob = _SpyProblem(_FixedQuadratic(TASKS[0]))
         out, norm = meta._prestep(THETA0, cfg, S, prob)
-        assert prob.inner_tasks == [medium_task(cfg.dist)]
-        obj = prob.inner.inner_objective(medium_task(cfg.dist), THETA0, S)
+        assert prob.tasks == [medium_task(cfg.dist)]
+        obj = prob.inner.task_objective(medium_task(cfg.dist), THETA0, S)
         g = ad.grad(obj, THETA0)
         np.testing.assert_array_equal(out.values, THETA0.values + cfg.delta * g.values)
         assert norm == g.norm()
@@ -400,7 +411,7 @@ class TestDirectedPrestep:
         )
         prob = _SpyProblem(_FixedQuadratic(TASKS[0]))
         meta._prestep(THETA0, cfg, S, prob)
-        assert prob.inner_tasks[0].phi == pytest.approx(10.0)
+        assert prob.tasks[0].phi == pytest.approx(10.0)
 
     def test_zero_step_is_identity_bitwise(self):
         cfg = rl_cfg(algorithm=meta.Algorithm.DIRECTED_MAML, delta=0.0)
@@ -443,6 +454,7 @@ class TestValidation:
             (dict(m_tasks=meta.MAX_TASKS + 1), "m_tasks"),
             (dict(k_trajs=meta.MAX_TRAJECTORIES + 1), "k_trajs"),
             (dict(horizon=meta.MAX_HORIZON + 1), "horizon"),
+            (dict(k_trajs=meta.MAX_ROLLOUT_ROWS // 200 + 1, horizon=200), "k_trajs x horizon"),
         ],
     )
     def test_config_errors_name_the_field(self, overrides, field):
@@ -452,11 +464,22 @@ class TestValidation:
     def test_memory_bounds_admit_their_limits(self):
         # The horizon bound admits the 500-step episodes of CartPole-v1.
         assert meta.MAX_HORIZON >= 500
-        most = meta.MAX_TRAJECTORIES
-        cfg = quad_cfg(m_tasks=meta.MAX_TASKS, k_trajs=most, horizon=meta.MAX_HORIZON)
-        assert meta.RunConfig(meta=cfg, eval_episodes=most).eval_episodes == most
+        most, rows = meta.MAX_TRAJECTORIES, meta.MAX_ROLLOUT_ROWS
+        # Every per-key maximum, at a horizon where the batch fits the row bound.
+        short = quad_cfg(m_tasks=meta.MAX_TASKS, k_trajs=most, horizon=rows // most)
+        assert meta.RunConfig(meta=short, eval_episodes=most).eval_episodes == most
         with pytest.raises(ValidationError, match=f"eval_episodes: must lie in 1..{most}, got {most + 1}"):
-            meta.RunConfig(meta=cfg, eval_episodes=most + 1)
+            meta.RunConfig(meta=short, eval_episodes=most + 1)
+        # At the longest horizon, batches up to the row bound and not one
+        # trajectory more.
+        k = rows // meta.MAX_HORIZON
+        long = quad_cfg(m_tasks=meta.MAX_TASKS, k_trajs=k, horizon=meta.MAX_HORIZON)
+        assert meta.RunConfig(meta=long, eval_episodes=k).eval_episodes == k
+        over = (k + 1) * meta.MAX_HORIZON
+        with pytest.raises(ValidationError, match=f"eval_episodes x horizon: must lie in 1..{rows}, got {over}"):
+            meta.RunConfig(meta=long, eval_episodes=k + 1)
+        with pytest.raises(ValidationError, match=f"k_trajs x horizon: must lie in 1..{rows}, got {over}"):
+            quad_cfg(k_trajs=k + 1, horizon=meta.MAX_HORIZON)
 
     def test_directed_allows_delta_below_beta(self):
         cfg = quad_cfg(algorithm=meta.Algorithm.DIRECTED_MAML, delta=0.049, beta=0.05)
@@ -549,10 +572,7 @@ class _ExplodingProblem:
         self.cfg = cfg
         self.critic = critic
 
-    def inner_objective(self, task, theta, rng):
-        raise NonFiniteValue("synthetic non-finite objective")
-
-    def outer_objective(self, task, theta_adapted, rng):
+    def task_objective(self, task, theta, rng):
         raise NonFiniteValue("synthetic non-finite objective")
 
 
@@ -755,7 +775,7 @@ class TestPrestepAlignment:
             prob = meta.RLProblem(cfg)
             theta = meta.init_state(rl_cfg(seed=1000 + rep)).theta
             med = medium_task(cfg.dist)
-            g_med = ad.grad(prob.inner_objective(med, theta, root.child(0)), theta)
+            g_med = ad.grad(prob.task_objective(med, theta, root.child(0)), theta)
             mg = meta.meta_gradient(theta, [med], cfg, root.child(1), prob, second_order=False)
             dots.append(float(np.dot(g_med.values, mg.values)))
         dots = np.asarray(dots)

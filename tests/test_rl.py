@@ -316,8 +316,8 @@ class TestDiscountedReturns:
 
 
 def zero_critic() -> ad.ParamVector:
-    """Cart-pole critic with V(s) = 0 everywhere: the "ac" surrogate's
-    advantages are then the raw discounted returns."""
+    """Cart-pole critic with V(s) = 0 everywhere: the surrogate's advantages
+    under it are then the raw discounted returns."""
     return zero_params(pol.critic_arch(CARTPOLE))
 
 
@@ -335,7 +335,7 @@ def raw_return_objective(batch: TrajectoryBatch, gamma: float):
 
 
 class TestReinforceObjective:
-    """policy_objective's "pg" learner: the standardized score-function
+    """policy_objective without a critic: the standardized score-function
     surrogate."""
 
     def test_zero_rewards_zero_everything(self):
@@ -380,7 +380,7 @@ class TestReinforceObjective:
         assert ga.values.tobytes() == gb.values.tobytes()
 
     def test_score_function_identity_zero_mean(self):
-        # With constant advantage and no standardization (the "ac" form
+        # With constant advantage and no standardization (the critic form
         # under a zero critic), the expected gradient is zero. Check a random
         # projection over 30 batch gradients of 100 policy-sampled labels
         # each, within 3 standard errors.
@@ -392,7 +392,7 @@ class TestReinforceObjective:
             variates = pol.draw_variates(net.arch, Stream(24).child(b).generator(), 100)
             actions, _ = pol.act_batch(net, np.zeros((100, 4)), variates)
             batch = bandit_batch(actions, np.ones(100))
-            g = ad.grad(rl.policy_objective(batch, 0.99, "ac", zero_critic()), net.params)
+            g = ad.grad(rl.policy_objective(batch, 0.99, zero_critic()), net.params)
             proj.append(float(g.values @ u))
         proj = np.array(proj)
         sem = np.std(proj, ddof=1) / np.sqrt(len(proj))
@@ -400,8 +400,8 @@ class TestReinforceObjective:
 
 
 def per_call_pg_objective(batch: TrajectoryBatch, gamma: float):
-    """Reference "pg" surrogate that redoes all frozen-batch work on every
-    call: pooling, standardization and the actor architecture."""
+    """Reference critic-free surrogate that redoes all frozen-batch work on
+    every call: pooling, standardization and the actor architecture."""
 
     def obj(p: Params) -> ad.Node:
         arch = pol.actor_arch(make_env(batch.task))
@@ -425,7 +425,7 @@ def objective_bytes(obj, theta: ad.ParamVector, v: ad.ParamVector):
 
 
 class TestHoistedObjective:
-    """policy_objective(batch, gamma, "pg") does the frozen-batch work once;
+    """policy_objective(batch, gamma) does the frozen-batch work once;
     its value, gradient and HVP must keep the per-call recipe's bits."""
 
     GAMMA = 0.99
@@ -439,7 +439,7 @@ class TestHoistedObjective:
         return net.params.with_values(Stream(41).generator().standard_normal(net.params.size))
 
     def assert_matches_recipe(self, batch, gamma, net, direction):
-        hoisted = rl.policy_objective(batch, gamma, "pg")
+        hoisted = rl.policy_objective(batch, gamma)
         first = objective_bytes(hoisted, net.params, direction)
         assert first == objective_bytes(per_call_pg_objective(batch, gamma), net.params, direction)
         # The closure keeps no state: a second round gives the same bits.
@@ -480,7 +480,7 @@ class TestActorCriticObjective:
         net = make_policy(CARTPOLE, Stream(25))
         c_arch = pol.critic_arch(CARTPOLE)
         critic_pv = zero_params(c_arch, b2=(5.0,))  # V == G == 5 everywhere
-        pol_obj = rl.policy_objective(batch, 0.99, "ac", critic_pv)
+        pol_obj = rl.policy_objective(batch, 0.99, critic_pv)
         g, val = ad.grad_and_value(pol_obj, net.params)
         assert val == 0.0
         assert np.array_equal(g.values, np.zeros(g.size))
@@ -488,7 +488,7 @@ class TestActorCriticObjective:
     def test_zero_critic_reduces_to_unstandardized_reinforce(self):
         net = make_policy(CARTPOLE, Stream(26))
         batch = rl.sample_batch(CARTPOLE, net, 3, Stream(27))
-        ac_obj = rl.policy_objective(batch, 0.99, "ac", zero_critic())
+        ac_obj = rl.policy_objective(batch, 0.99, zero_critic())
         g_ac, v_ac = ad.grad_and_value(ac_obj, net.params)
         g_pg, v_pg = ad.grad_and_value(raw_return_objective(batch, 0.99), net.params)
         assert np.float64(v_ac).tobytes() == np.float64(v_pg).tobytes()
