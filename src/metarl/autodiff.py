@@ -7,11 +7,13 @@ computation graph is rebuilt on every evaluation; nothing persists between
 calls, so there is no stale-tape state to manage and graphs can safely cross
 threads.
 
-Parameters enter a graph one segment at a time: `Params.seg(name)` is a
-leaf whose value (and tangent) is the ParamVector's cached read-only view
-(`ParamVector.segment`), the one rollouts read. `grad` and `hvp` lay the
-leaves' adjoints out as one flat vector: zeros, with each leaf's adjoint
-added into its segment's slice.
+Parameters enter a graph one segment at a time: `Params` builds one leaf
+per segment, whose value (and tangent) is the ParamVector's cached read-only
+view (`ParamVector.segment`), the one rollouts read, and `Params.seg(name)`
+looks it up. `grad` and `hvp` lay the leaves' adjoints out as one flat
+vector: zeros, with each leaf's adjoint added into its segment's slice. A
+leaf has no vjp and its slice is its own, so neither its id nor the order
+the leaves were made in moves a bit, and a leaf no node reads leaves +0.0.
 
 `affine(h, w, b)` records a network layer's h @ w + b as one node: np.matmul
 then the bias add, with no node, tangent or adjoint kept for the product in
@@ -49,11 +51,15 @@ Forward cost rule: a node costs its numpy operations plus a few attribute
 reads, so the fewer nodes a graph has, the less it pays beyond numpy.
 Reductions call the ufunc (`np.add.reduce`, `np.maximum.reduce`), not the
 `np.sum`/`np.max` wrappers; shapes come from array attributes; a segment
-leaf is the view its ParamVector already keeps; a float64 array becomes a
-constant as it is, and an objective evaluated many times builds its
-constants once. A node that no parameter leaf reaches (`needs` false) is a
-constant: no vjp gives it an adjoint, so the backward pass computes no
-product only a constant would read.
+leaf is the view its ParamVector already keeps, and `seg` is a dict lookup;
+a float64 array becomes a constant as it is, and an objective evaluated many
+times builds its constants once. A node that no parameter leaf reaches
+(`needs` false) is a constant: no vjp gives it an adjoint, so the backward
+pass computes no product only a constant would read. What a `value` call
+pays beyond numpy is then the `Params` and its leaves, one `Node` and one
+vjp closure per operation, and the scalar check: on the audit's 25-row
+cartpole graph about 45 µs a call against about 31 µs for the same numpy
+operations alone, with the same bits (see the README's performance notes).
 
 Release rule: the backward pass frees each node's adjoint, value, tangent
 and vjp once its vjp has run: all that add to that adjoint or read those
@@ -70,7 +76,12 @@ layers, an `hvp`'s forward graph ends holding four (rows x 64) arrays, the
 hidden outputs and their tangents, and its backward pass at most seven.
 
 Finite differences exist only as test oracles (`fd_grad`, `fd_hvp`) and in
-the `audit` CLI; they are never a production gradient path.
+the `audit` CLI; they are never a production gradient path. `fd_grad` makes
+one `value` call per perturbation, all of them on one private scratch
+vector: a copy of the point, read through read-only views built once and
+written one coordinate at a time in place. So an evaluation copies, scans
+and slices no parameter vector; only the two perturbed entries are checked
+finite, since every other entry is the validated point's.
 
 Importing this module (so importing metarl) sets glibc's malloc mmap and
 trim thresholds for the whole process; see `_keep_graph_memory_mapped`. A
@@ -193,10 +204,12 @@ def _checked_values(values) -> np.ndarray:
 class ParamVector:
     """Flat float64 parameter vector with a named-segment layout.
 
-    Values are immutable after construction. Two vectors combine (add, scale,
-    elementwise multiply) only when their layouts are identical. The layout's
-    index, segment name -> (slice, shape), is built once and shared by every
-    vector `with_values` derives.
+    Values are immutable after construction: `values` and the segment views
+    are read-only. Two vectors combine (add, scale, elementwise multiply)
+    only when their layouts are identical. The layout's index, segment name
+    -> (slice, shape), is built once and shared by every vector `with_values`
+    derives. The one vector whose values change is `fd_grad`'s private
+    scratch (`_reading`), which it writes through a buffer it alone holds.
     """
 
     __slots__ = ("values", "segments", "_index", "_views")
@@ -235,11 +248,15 @@ class ParamVector:
         """Read-only view of one segment. The views are built on first use
         and kept, so a lookup costs one dict access (the rollout's forward
         pass reads every layer on every step)."""
+        return self._segment_views()[name]
+
+    def _segment_views(self) -> "dict[str, np.ndarray]":
+        """Every segment's view, by name in layout order, built once."""
         views = self._views
         if views is None:
             views = {name: self.values[sl].reshape(shape) for name, (sl, shape) in self._index.items()}
             object.__setattr__(self, "_views", views)
-        return views[name]
+        return views
 
     def layout_equal(self, other: "ParamVector") -> bool:
         return self.segments == other.segments
@@ -252,6 +269,15 @@ class ParamVector:
             raise ValueError(f"segments cover {self.size} values, vector has {arr.size}")
         out = object.__new__(ParamVector)
         out._init(arr, self.segments, self._index)
+        return out
+
+    def _reading(self, buf: np.ndarray) -> "ParamVector":
+        """A vector in this layout whose values are a read-only view of
+        `buf`, a writable float64 array of this size, not a copy of it. The
+        caller owns `buf` and answers for its entries being finite; no check
+        runs. `fd_grad` builds its scratch this way."""
+        out = object.__new__(ParamVector)
+        out._init(buf.view(), self.segments, self._index)
         return out
 
     def _check_combinable(self, other: "ParamVector") -> None:
@@ -673,27 +699,29 @@ class Params:
 
     An objective receives one of these and reads its parameters segment by
     segment: `seg(name)` is a leaf node whose value (and tangent) is the
-    vector's cached read-only view of that segment. `_flat` lays the leaves'
-    adjoints out as one flat vector."""
+    vector's cached read-only view of that segment. The leaves, one per
+    segment, are built here; an objective that reads a segment twice gets
+    the same leaf. `_flat` lays the leaves' adjoints out as one flat vector."""
 
     def __init__(self, pv: ParamVector, tangent: "ParamVector | None" = None):
-        self._pv, self._tangent = pv, tangent
-        self._segs: dict[str, Node] = {}
+        self._pv = pv
+        dots = None if tangent is None else tangent._segment_views()
+        self._leaves = {
+            name: Node(view, None if dots is None else dots[name], needs=True)
+            for name, view in pv._segment_views().items()
+        }
 
     def seg(self, name: str) -> Node:
-        node = self._segs.get(name)
-        if node is None:
-            dot = None if self._tangent is None else self._tangent.segment(name)
-            node = self._segs[name] = Node(self._pv.segment(name), dot, needs=True)
-        return node
+        return self._leaves[name]
 
     def _flat(self, part: str) -> np.ndarray:
         """The leaves' adjoints (`part` "v") or adjoint tangents ("d") as one
         flat vector: zeros, then each leaf's added into its segment's slice.
         These are the bits of summing the segments' adjoints zero-padded to
-        full length, so a -0.0 becomes +0.0."""
+        full length, so a -0.0 becomes +0.0; a leaf the objective never read
+        has no adjoint and leaves its slice +0.0."""
         out = np.zeros(self._pv.size)
-        for name, node in self._segs.items():
+        for name, node in self._leaves.items():
             x = None if node.adj is None else getattr(node.adj, part)
             if x is not None:
                 out[self._pv._index[name][0]] += np.reshape(x, -1)
@@ -782,19 +810,31 @@ def hvp(objective: Objective, at: ParamVector, v: Gradient) -> Gradient:
 # ---------------------------------------------------------------------------
 
 def fd_grad(objective: Objective, at: ParamVector, epsilon: float = 1e-5) -> Gradient:
-    """Central-difference gradient, one coordinate at a time."""
+    """Central-difference gradient, one coordinate at a time.
+
+    Every evaluation reads one scratch vector: a copy of `at`'s values that
+    the objective sees through read-only views, built once. Each coordinate
+    is written in place to xi + epsilon, then xi - epsilon, and restored, so
+    an evaluation copies, scans and slices nothing. Both perturbed entries
+    are checked finite before they are written (NonFiniteValue, as
+    `with_values` raises); every other entry is `at`'s, checked when `at`
+    was built. The scratch never leaves `value`: the objective must keep
+    nothing of its Params between calls, as `rl.policy_objective`'s
+    objectives keep nothing. `at` itself is never written."""
     if epsilon <= 0:
         raise ValueError("epsilon must be > 0")
-    # One scratch copy, perturbed one coordinate at a time and restored;
-    # `with_values` copies it again for each evaluation.
     x = at.values.copy()
+    scratch = at._reading(x)
     g = np.zeros(at.size)
     for i in range(at.size):
-        xi = x[i]
-        x[i] = xi + epsilon
-        hi = value(objective, at.with_values(x))
-        x[i] = xi - epsilon
-        lo = value(objective, at.with_values(x))
+        xi = float(x[i])  # a Python float overflows to inf without a warning
+        up, down = xi + epsilon, xi - epsilon
+        if not (math.isfinite(up) and math.isfinite(down)):
+            raise NonFiniteValue("parameter vector contains NaN/Inf")
+        x[i] = up
+        hi = value(objective, scratch)
+        x[i] = down
+        lo = value(objective, scratch)
         x[i] = xi
         g[i] = (hi - lo) / (2.0 * epsilon)
     if not np.all(np.isfinite(g)):

@@ -597,7 +597,9 @@ def load_state(path, cfg: MetaConfig) -> MetaState:
     the config needs (policy; alpha_vec for the Meta-SGD family; critic for
     the actor-critic learner), or whose vectors are laid out for another
     architecture than the config's environment family, raises a
-    ValidationError naming the field."""
+    ValidationError naming the field. A critic is kept for the actor-critic
+    learner only: a policy-gradient run resumed from an actor-critic
+    checkpoint neither trains nor saves it."""
     vectors, meta = load_checkpoint(path)
     if meta.get("seed") != cfg.seed:
         raise ValidationError(
@@ -627,7 +629,7 @@ def load_state(path, cfg: MetaConfig) -> MetaState:
             )
     return MetaState(
         theta=vectors["policy"],
-        critic=vectors.get("critic"),
+        critic=vectors["critic"] if cfg.learner is Learner.AC else None,
         alpha_vec=vectors.get("alpha_vec"),
         epoch=int(meta["epoch"]),
     )

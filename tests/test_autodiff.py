@@ -21,7 +21,7 @@ from metarl import autodiff as ad
 from metarl import rl
 from metarl.envs import Family, Task, make_env
 from metarl.errors import NonFiniteValue
-from metarl.policy import PolicyNet, actor_arch, init_params
+from metarl.policy import PolicyNet, actor_arch, critic_arch, init_params
 from metarl.rng import Stream
 
 
@@ -66,6 +66,21 @@ def raw_bytes(*arrays) -> tuple:
 def single_segment(values) -> ad.ParamVector:
     arr = np.asarray(values, dtype=np.float64)
     return ad.ParamVector(arr, [ad.Segment("w", 0, arr.shape)])
+
+
+def fd_by_copies(obj, theta: ad.ParamVector, eps: float) -> np.ndarray:
+    """`fd_grad`'s central differences through two fresh copies of the
+    vector per coordinate, each validated by `with_values`."""
+    out = np.zeros(theta.size)
+    for i in range(theta.size):
+        hi = theta.values.copy()
+        hi[i] += eps
+        lo = theta.values.copy()
+        lo[i] -= eps
+        out[i] = (ad.value(obj, theta.with_values(hi)) - ad.value(obj, theta.with_values(lo))) / (
+            2.0 * eps
+        )
+    return out
 
 
 def quadratic_form(A: np.ndarray, x: ad.Node) -> ad.Node:
@@ -150,6 +165,56 @@ class TestFdOracle:
                 ad.value(obj, theta.with_values(hi)) - ad.value(obj, theta.with_values(lo))
             ) / (2.0 * eps)
         assert ad.fd_grad(obj, theta, epsilon=eps).values.tobytes() == expected.tobytes()
+
+    @pytest.mark.parametrize("which", ["gaussian_surrogate", "critic"])
+    def test_fd_grad_matches_per_coordinate_copies_off_the_audit(self, which):
+        """The same bits on the Gaussian head's surrogate (log_sigma read
+        twice, `reshape` and `exp`) and on the critic's objective."""
+        stream = Stream(4)
+        family = Family.INTERSECTION if which == "gaussian_surrogate" else Family.CARTPOLE
+        env = make_env(Task(family, 10.0))
+        env.horizon = 12
+        theta = init_params(actor_arch(env), stream.child(0))
+        batch = rl.sample_batch(env, PolicyNet(actor_arch(env), theta), 2, stream.child(1))
+        if which == "critic":
+            theta = init_params(critic_arch(env), stream.child(2))
+            obj = rl.critic_objective(batch, 0.99)
+        else:
+            obj = rl.policy_objective(batch, 0.99)
+        eps = 1e-5
+        got = ad.fd_grad(obj, theta, epsilon=eps).values
+        assert got.tobytes() == fd_by_copies(obj, theta, eps).tobytes()
+
+    @pytest.mark.parametrize("values", [[1.7e308, 0.5], [0.5, -1.7e308]])
+    def test_fd_grad_rejects_a_perturbation_that_overflows(self, values):
+        # xi + epsilon (or xi - epsilon) is inf: the perturbed vector is not
+        # a parameter vector, as `with_values` would have said.
+        theta = single_segment(values)
+        obj = lambda p: ad.nsum(p.seg("w") * 0.0)
+        with pytest.raises(NonFiniteValue) as scratch_err:
+            ad.fd_grad(obj, theta, epsilon=1e308)
+        with np.errstate(over="ignore"):
+            overflowed = theta.values + np.copysign(1e308, theta.values)
+        with pytest.raises(NonFiniteValue) as copy_err:
+            theta.with_values(overflowed)
+        assert str(scratch_err.value) == str(copy_err.value)
+
+    def test_fd_grad_leaves_the_point_as_it_was(self):
+        theta = single_segment([0.3, -0.7, 2.0])
+        before = theta.values.tobytes()
+        ad.fd_grad(lambda p: ad.nsum(ad.exp(p.seg("w"))), theta)
+        assert theta.values.tobytes() == before
+        assert not theta.values.flags.writeable
+        with pytest.raises(ValueError):
+            theta.values[0] = 1.0
+
+    def test_fd_grad_objective_cannot_write_its_parameters(self):
+        def obj(p):
+            p.seg("w").val[0] = 5.0
+            return ad.nsum(p.seg("w"))
+
+        with pytest.raises(ValueError, match="read-only"):
+            ad.fd_grad(obj, single_segment([1.0, 2.0]))
 
     def test_fd_hvp_on_quadratic(self):
         A = np.array([[2.0, 1.0], [1.0, 3.0]])
@@ -279,6 +344,24 @@ class TestGrad:
         theta = single_segment([1.0, 2.0])
         with pytest.raises(ValueError):
             ad.grad(lambda p: p.seg("w") * p.seg("w"), theta)
+
+    def test_unread_segments_give_positive_zeros(self):
+        """`Params` builds a leaf for every segment; the slices of segments
+        the objective never reads stay +0.0 in `grad` and `hvp`, and a
+        segment read twice is read through one leaf."""
+        env = make_env(Task(Family.INTERSECTION, 10.0))
+        theta = init_params(actor_arch(env), Stream(5))
+        v = theta.with_values(Stream(6).generator().normal(size=theta.size))
+        p = ad.Params(theta, v)
+        assert p.seg("log_sigma") is p.seg("log_sigma")
+        obj = lambda p: ad.nsum(ad.exp(p.seg("b0") * 0.5))
+        for out in (ad.grad(obj, theta), ad.hvp(obj, theta, v)):
+            for s in theta.segments:
+                part = out.values[s.offset : s.offset + s.size]
+                if s.name == "b0":
+                    assert np.all(part != 0.0)
+                else:
+                    assert part.tobytes() == bytes(8 * s.size)
 
     def test_leaf_shares_the_read_only_values(self):
         """Each segment leaf takes the vectors' read-only values as they are:

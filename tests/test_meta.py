@@ -23,7 +23,7 @@ from metarl import meta, rl
 from metarl.autodiff import ParamVector, Segment
 from metarl.envs import Family, medium_task
 from metarl.errors import EmptyTaskSet, EpochDiverged, NonFiniteValue, ValidationError
-from metarl.policy import load_checkpoint
+from metarl.policy import load_checkpoint, save_checkpoint
 from metarl.rng import Stream
 from metarl.runlog import load_runlog
 
@@ -712,6 +712,28 @@ class TestTrain:
         v_full, _ = load_checkpoint(tmp_path / "full" / "full.ckpt")
         v_tail, _ = load_checkpoint(tmp_path / "tail" / "tail.ckpt")
         np.testing.assert_array_equal(v_full["policy"].values, v_tail["policy"].values)
+
+    def test_policy_gradient_resume_drops_the_checkpoints_critic(self, tmp_path):
+        # A policy-gradient run resumed from an actor-critic checkpoint
+        # neither trains nor saves the checkpoint's critic: its run log is
+        # the one a policy-only checkpoint gives, and its checkpoint holds
+        # the policy alone.
+        meta.train(self._run_cfg(tmp_path, "ac", epochs=2, learner=meta.Learner.AC))
+        ac_ckpt = tmp_path / "ac" / "ac.ckpt"
+        vectors, ckpt_meta = load_checkpoint(ac_ckpt)
+        assert set(vectors) == {"policy", "critic"}
+        policy_only = tmp_path / "policy_only.ckpt"
+        save_checkpoint(policy_only, {"policy": vectors["policy"]}, ckpt_meta)
+
+        rc = self._run_cfg(tmp_path, "pg", epochs=3)
+        assert meta.load_state(ac_ckpt, rc.meta).critic is None
+        out = tmp_path / "pg"
+        meta.train(rc, resume_from=policy_only)
+        want = (out / "pg.runlog").read_bytes()
+        meta.train(rc, resume_from=ac_ckpt)
+        assert (out / "pg.runlog").read_bytes() == want
+        written, _ = load_checkpoint(out / "pg.ckpt")
+        assert set(written) == {"policy"}
 
     def test_early_exit_from_the_epoch_loop_keeps_trains_rows(self, tmp_path):
         # train iterates iter_epochs; a caller may leave the loop early.
