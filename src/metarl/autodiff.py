@@ -56,10 +56,9 @@ a float64 array becomes a constant as it is, and an objective evaluated many
 times builds its constants once. A node that no parameter leaf reaches
 (`needs` false) is a constant: no vjp gives it an adjoint, so the backward
 pass computes no product only a constant would read. What a `value` call
-pays beyond numpy is then the `Params` and its leaves, one `Node` and one
-vjp closure per operation, and the scalar check: on the audit's 25-row
-cartpole graph about 45 µs a call against about 31 µs for the same numpy
-operations alone, with the same bits (see the README's performance notes).
+then pays beyond numpy is the `Params` with its leaves, one `Node` and one
+vjp closure per operation, and the scalar check (measured in the README's
+performance section).
 
 Release rule: the backward pass frees each node's adjoint, value, tangent
 and vjp once its vjp has run: all that add to that adjoint or read those
@@ -76,12 +75,10 @@ layers, an `hvp`'s forward graph ends holding four (rows x 64) arrays, the
 hidden outputs and their tangents, and its backward pass at most seven.
 
 Finite differences exist only as test oracles (`fd_grad`, `fd_hvp`) and in
-the `audit` CLI; they are never a production gradient path. `fd_grad` makes
-one `value` call per perturbation, all of them on one private scratch
-vector: a copy of the point, read through read-only views built once and
-written one coordinate at a time in place. So an evaluation copies, scans
-and slices no parameter vector; only the two perturbed entries are checked
-finite, since every other entry is the validated point's.
+the `audit` CLI; they are never a production gradient path. `fd_grad`
+makes every `value` call on one private scratch vector, written in place
+one coordinate at a time, so an evaluation copies, scans and slices no
+parameter vector.
 
 Importing this module (so importing metarl) sets glibc's malloc mmap and
 trim thresholds for the whole process; see `_keep_graph_memory_mapped`. A
@@ -718,8 +715,7 @@ class Params:
         """The leaves' adjoints (`part` "v") or adjoint tangents ("d") as one
         flat vector: zeros, then each leaf's added into its segment's slice.
         These are the bits of summing the segments' adjoints zero-padded to
-        full length, so a -0.0 becomes +0.0; a leaf the objective never read
-        has no adjoint and leaves its slice +0.0."""
+        full length, so a -0.0 becomes +0.0."""
         out = np.zeros(self._pv.size)
         for name, node in self._leaves.items():
             x = None if node.adj is None else getattr(node.adj, part)
