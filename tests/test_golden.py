@@ -2,10 +2,11 @@
 
 Two kinds of record are pinned:
 
-- the `.runlog` of four tiny training runs (3 epochs, horizon 12, two tasks
+- the `.runlog` of five tiny training runs (3 epochs, horizon 12, two tasks
   of two trajectories): MAML with the policy-gradient learner on cartpole,
-  directed Meta-SGD, Reptile, and the actor-critic learner on intersection
-  (Gaussian head plus critic);
+  directed Meta-SGD, directed FOMAML (the first-order meta-gradient),
+  Reptile, and the actor-critic learner on intersection (Gaussian head plus
+  critic);
 - the value, gradient and Hessian-vector-product bytes of one composite
   objective that reaches every graph primitive, including the broadcast
   forms of add/sub/mul; its vector products are broadcast products summed
@@ -45,6 +46,7 @@ TINY = [
 RUNS = {
     "maml-pg-cartpole": ["--env", "cartpole", "--algorithm", "maml", "--learner", "pg"],
     "directed-metasgd-cartpole": ["--env", "cartpole", "--algorithm", "directed-metasgd"],
+    "directed-fomaml-cartpole": ["--env", "cartpole", "--algorithm", "directed-fomaml"],
     "reptile-cartpole": ["--env", "cartpole", "--algorithm", "reptile"],
     "maml-ac-intersection": ["--env", "intersection", "--algorithm", "maml", "--learner", "ac"],
 }
@@ -52,6 +54,7 @@ RUNS = {
 RUNLOG_SHA256 = {
     "maml-pg-cartpole": "475ca30c72cc0e127186fab9375aeae37859d758ace71900d68ccac778095554",
     "directed-metasgd-cartpole": "715e3fee47a1fdb86c640b7591e479ae18c3c5223bd2d01882cfc47ef0bd86d3",
+    "directed-fomaml-cartpole": "e633cea29f1f75f62adf8fb859c58d4d7350a246b8ba753500f240e3a0fd7511",
     "reptile-cartpole": "e65ad87d93a9247fdbf0beef2b41c408f763a7d75217ca9719b77ca0f7365d03",
     "maml-ac-intersection": "b0a0d66b68878c98c6dd79a4ca8d4697baf4aacb4cf055b9cf98c1703430997b",
 }
