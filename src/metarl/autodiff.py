@@ -109,7 +109,6 @@ __all__ = [
     "Params",
     "value",
     "grad",
-    "grad_and_value",
     "hvp",
     "fd_grad",
     "fd_hvp",
@@ -772,20 +771,16 @@ def value(objective: Objective, at: ParamVector) -> float:
     return _scalar_value(objective(Params(at)))
 
 
-def grad_and_value(objective: Objective, at: ParamVector) -> tuple[Gradient, float]:
-    """Reverse-mode gradient and the objective's value at `at`."""
+def grad(objective: Objective, at: ParamVector) -> Gradient:
+    """Reverse-mode gradient of the objective at `at`."""
     p = Params(at)
     root = objective(p)
-    val = _scalar_value(root)
+    _scalar_value(root)
     _backward(root, dual=False)
     g = p._flat("v")
     if not np.all(np.isfinite(g)):
         raise NonFiniteValue("gradient contains NaN/Inf")
-    return at.with_values(g), val
-
-
-def grad(objective: Objective, at: ParamVector) -> Gradient:
-    return grad_and_value(objective, at)[0]
+    return at.with_values(g)
 
 
 def hvp(objective: Objective, at: ParamVector, v: Gradient) -> Gradient:
@@ -805,6 +800,11 @@ def hvp(objective: Objective, at: ParamVector, v: Gradient) -> Gradient:
 # Finite-difference oracles (tests and `audit` only)
 # ---------------------------------------------------------------------------
 
+def _check_epsilon(epsilon: float) -> None:
+    if not (math.isfinite(epsilon) and epsilon > 0):
+        raise ValueError(f"epsilon must be finite and > 0, got {epsilon}")
+
+
 def fd_grad(objective: Objective, at: ParamVector, epsilon: float = 1e-5) -> Gradient:
     """Central-difference gradient, one coordinate at a time.
 
@@ -817,8 +817,7 @@ def fd_grad(objective: Objective, at: ParamVector, epsilon: float = 1e-5) -> Gra
     was built. The scratch never leaves `value`: the objective must keep
     nothing of its Params between calls, as `rl.policy_objective`'s
     objectives keep nothing. `at` itself is never written."""
-    if epsilon <= 0:
-        raise ValueError("epsilon must be > 0")
+    _check_epsilon(epsilon)
     x = at.values.copy()
     scratch = at._reading(x)
     g = np.zeros(at.size)
@@ -842,8 +841,7 @@ def fd_hvp(
     objective: Objective, at: ParamVector, v: Gradient, epsilon: float = 1e-4
 ) -> Gradient:
     """Central difference of gradients along v: (g(at+eps*v) - g(at-eps*v)) / 2eps."""
-    if epsilon <= 0:
-        raise ValueError("epsilon must be > 0")
+    _check_epsilon(epsilon)
     hi = grad(objective, at.with_values(at.values + epsilon * v.values))
     lo = grad(objective, at.with_values(at.values - epsilon * v.values))
     return at.with_values((hi.values - lo.values) / (2.0 * epsilon))

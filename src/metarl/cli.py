@@ -84,10 +84,7 @@ def _cmd_eval(args) -> int:
     cfg = rc.meta
     check_range("--episodes x horizon", args.episodes * cfg.horizon, 1, MAX_ROLLOUT_ROWS)
     state = meta.load_state(args.ckpt, cfg)
-    alpha = state.alpha_vec if state.alpha_vec is not None else cfg.alpha
-    ret = meta.evaluate_policy(
-        state.theta, state.critic, alpha, cfg, Stream(cfg.seed).child(3), args.episodes
-    )
+    ret = meta.evaluate_policy(state, cfg, Stream(cfg.seed).child(3), args.episodes)
     print(
         f"mean post-adaptation return over {cfg.m_tasks} tasks x {args.episodes} episodes: {ret:.4f}"
     )

@@ -5,17 +5,23 @@ Implements four base algorithms and their task-directed variants:
 * maml — exact bilevel meta-gradient: per task, one inner ascent step on a
   pre-adaptation batch, then the outer gradient on a post-adaptation batch
   corrected by a Hessian-vector product through the inner surrogate.
-* fomaml — the same with the Hessian term dropped; both are `meta_gradient`,
-  which takes `second_order`.
+* fomaml — the same with the Hessian term dropped.
 * reptile — per task, several plain adaptation steps; the meta-update moves
   the initialization toward the average adapted parameters.
-* metasgd — maml plus a learned per-parameter inner step-size vector,
-  updated from the elementwise product of inner and outer gradients.
+* metasgd — maml with a learned per-parameter inner step-size vector in
+  place of alpha, updated from the elementwise product of inner and outer
+  gradients.
 * directed-{maml,fomaml,metasgd} — before the base epoch body, one
   first-order ascent step of size delta on the distribution's medium task
   (the task at the mean parameter). The prestep adds exactly one gradient
   evaluation and K rollouts per epoch and never any second-order work;
   delta must stay below the outer step size beta.
+
+maml, fomaml and metasgd share one routine, `meta_gradient`, which varies
+only in `second_order` and in its step size (a float, or the rate vector,
+for which it also returns the rate gradient). Every ascent step is
+`inner_adapt`: each task's inner step, Reptile's steps, the prestep (step
+delta) and evaluation's adaptation.
 
 The outer update adds the plain sum of per-task terms (no 1/M averaging), so
 beta effectively scales with M; reptile is the exception, averaging by
@@ -91,7 +97,6 @@ __all__ = [
     "inner_adapt",
     "meta_gradient",
     "reptile_step",
-    "metasgd_step",
     "evaluate_policy",
     "load_state",
     "train_epoch",
@@ -383,10 +388,13 @@ def _scaled(alpha: "float | ParamVector", g: ParamVector) -> ParamVector:
 
 def inner_adapt(
     theta: ParamVector, objective: Callable[[Params], ad.Node], alpha: "float | ParamVector"
-) -> ParamVector:
-    """One ascent step: theta + alpha * grad (elementwise when alpha is a
-    per-parameter vector)."""
-    return theta + _scaled(alpha, ad.grad(objective, theta))
+) -> "tuple[ParamVector, Gradient]":
+    """One ascent step, the only one written here: returns theta + alpha *
+    grad (elementwise when alpha is a per-parameter vector) and grad. Each
+    task's inner step, Reptile's steps, the directed prestep (alpha = delta)
+    and evaluation's adaptation take it."""
+    g = ad.grad(objective, theta)
+    return theta + _scaled(alpha, g), g
 
 
 def _check_tasks(tasks) -> list:
@@ -396,44 +404,36 @@ def _check_tasks(tasks) -> list:
     return tasks
 
 
-def _per_task_terms(
+def meta_gradient(
     theta: ParamVector,
     tasks,
     alpha: "float | ParamVector",
     rng: Stream,
     problem: MetaProblem,
-    second_order: bool,
-):
-    """Shared maml/fomaml/metasgd loop. Yields (g_inner, g_outer, term) per
-    task, where term = g_outer [+ hvp(inner, theta, alpha*g_outer)]."""
+    second_order: bool = True,
+) -> "tuple[Gradient, Gradient | None]":
+    """Sum over tasks of (I + alpha*H_inner) @ g_outer, the exact bilevel
+    meta-gradient with one inner step of size alpha (MAML; one
+    Hessian-vector product per task). With second_order off, the Hessian
+    term is dropped (FOMAML): the sum of post-adaptation gradients. When
+    alpha is a per-parameter vector (Meta-SGD), the second value is the sum
+    of g_inner * g_outer, the outer objective's gradient in alpha;
+    otherwise it is None."""
+    total = np.zeros(theta.size)
+    rate_total = np.zeros(theta.size) if isinstance(alpha, ParamVector) else None
     for i, task in enumerate(_check_tasks(tasks)):
         inner = problem.task_objective(task, theta, rng.child(i, 0))
-        g_in = ad.grad(inner, theta)
-        theta_i = theta + _scaled(alpha, g_in)
+        theta_i, g_in = inner_adapt(theta, inner, alpha)
         outer = problem.task_objective(task, theta_i, rng.child(i, 1))
         g_out = ad.grad(outer, theta_i)
         term = g_out
         if second_order:
             term = term + ad.hvp(inner, theta, _scaled(alpha, g_out))
-        yield g_in, g_out, term
-
-
-def meta_gradient(
-    theta: ParamVector,
-    tasks,
-    cfg: MetaConfig,
-    rng: Stream,
-    problem: MetaProblem,
-    second_order: bool = True,
-) -> Gradient:
-    """Sum over tasks of (I + alpha*H_inner) @ g_outer, the exact bilevel
-    meta-gradient with one inner step (MAML; one Hessian-vector product per
-    task). With second_order off, the Hessian term is dropped (FOMAML): the
-    sum of post-adaptation gradients."""
-    total = np.zeros(theta.size)
-    for _, _, term in _per_task_terms(theta, tasks, cfg.alpha, rng, problem, second_order):
         total = total + term.values
-    return theta.with_values(total)
+        if rate_total is not None:
+            rate_total = rate_total + g_in.values * g_out.values
+    rate_grad = None if rate_total is None else theta.with_values(rate_total)
+    return theta.with_values(total), rate_grad
 
 
 def reptile_step(
@@ -451,65 +451,32 @@ def reptile_step(
     for i, task in enumerate(tasks):
         cur = theta
         for s in range(n_inner):
-            obj = problem.task_objective(task, cur, rng.child(i, s))
-            cur = cur + cfg.alpha * ad.grad(obj, cur)
+            cur, _ = inner_adapt(cur, problem.task_objective(task, cur, rng.child(i, s)), cfg.alpha)
         delta_sum = delta_sum + (cur.values - theta.values)
     return theta.with_values(theta.values + cfg.beta * (delta_sum / len(tasks)))
-
-
-def metasgd_step(
-    theta: ParamVector, avec: ParamVector, tasks, cfg: MetaConfig, rng: Stream, problem: MetaProblem
-) -> "tuple[ParamVector, ParamVector]":
-    """MAML-style update with a learned per-parameter inner rate vector;
-    returns the new (theta, alpha_vec). theta gets the exact second-order
-    term through alpha_vec, alpha_vec moves along the outer objective's
-    elementwise gradient g_inner * g_outer and is clamped positive."""
-    total_theta = np.zeros(theta.size)
-    total_alpha = np.zeros(theta.size)
-    for g_in, g_out, term in _per_task_terms(theta, tasks, avec, rng, problem, second_order=True):
-        total_theta = total_theta + term.values
-        total_alpha = total_alpha + g_in.values * g_out.values
-    new_theta = theta.with_values(theta.values + cfg.beta * total_theta)
-    new_avec = avec.with_values(
-        np.maximum(avec.values + cfg.beta * total_alpha, ALPHA_VEC_FLOOR)
-    )
-    return new_theta, new_avec
-
-
-def _prestep(
-    theta: ParamVector, cfg: MetaConfig, rng: Stream, problem: MetaProblem
-) -> "tuple[ParamVector, float]":
-    """Task-directed pre-adaptation: one first-order ascent step of size
-    delta on the medium task of cfg's distribution (K trajectories under
-    the current policy on the rollout problem). Adds exactly one gradient
-    evaluation; returns the new parameters and the prestep gradient norm."""
-    med = medium_task(cfg.dist)
-    obj = problem.task_objective(med, theta, rng)
-    g = ad.grad(obj, theta)
-    return theta + cfg.delta * g, g.norm()
 
 
 # ---------------------------------------------------------------------------
 # Training loop
 # ---------------------------------------------------------------------------
 
-def evaluate_policy(
-    theta: ParamVector,
-    critic: ParamVector | None,
-    alpha: "float | ParamVector",
-    cfg: MetaConfig,
-    rng: Stream,
-    eval_episodes: int,
-) -> float:
+def _inner_rate(state: MetaState, cfg: MetaConfig) -> "float | ParamVector":
+    """The inner step size a state trains and evaluates with: its learned
+    rate vector (the Meta-SGD family), otherwise cfg.alpha."""
+    return state.alpha_vec if state.alpha_vec is not None else cfg.alpha
+
+
+def evaluate_policy(state: MetaState, cfg: MetaConfig, rng: Stream, eval_episodes: int) -> float:
     """Post-adaptation performance: M fresh tasks; per task, one inner step
     from a K-trajectory batch, then eval_episodes rollouts of the adapted
-    policy. Critic is read, never written."""
-    problem = RLProblem(cfg, critic=critic)
+    policy. The state's critic is read, never written."""
+    problem = RLProblem(cfg, critic=state.critic)
+    alpha = _inner_rate(state, cfg)
     tasks = sample_tasks(cfg.dist, cfg.m_tasks, rng.child(0))
     totals: list[float] = []
     for i, task in enumerate(tasks):
-        obj = problem.objective(problem.sample(task, theta, rng.child(1, i, 0)))
-        adapted = inner_adapt(theta, obj, alpha)
+        obj = problem.objective(problem.sample(task, state.theta, rng.child(1, i, 0)))
+        adapted, _ = inner_adapt(state.theta, obj, alpha)
         policy = PolicyNet(problem.actor_arch, adapted)
         batch = rl.sample_batch(problem.env_for(task), policy, eval_episodes, rng.child(1, i, 1))
         totals.extend(t.total_return for t in batch.trajectories)
@@ -533,35 +500,32 @@ def train_epoch(
         avec = state.alpha_vec
         prestep_norm: float | None = None
         if cfg.algorithm.directed:
-            theta, prestep_norm = _prestep(theta, cfg, ep.child(0), problem)
+            medium = problem.task_objective(medium_task(cfg.dist), theta, ep.child(0))
+            theta, g = inner_adapt(theta, medium, cfg.delta)
+            prestep_norm = g.norm()
         tasks = sample_tasks(cfg.dist, cfg.m_tasks, ep.child(1))
-        base = cfg.algorithm.base
-        if base in (Algorithm.MAML, Algorithm.FOMAML):
-            mg = meta_gradient(
-                theta, tasks, cfg, ep.child(2), problem, second_order=base is Algorithm.MAML
-            )
-            new_theta = theta + cfg.beta * mg
-            outer_norm = mg.norm()
-        elif base is Algorithm.REPTILE:
+        if cfg.algorithm.base is Algorithm.REPTILE:
             new_theta = reptile_step(theta, tasks, cfg, ep.child(2), problem)
             outer_norm = float(np.linalg.norm(new_theta.values - theta.values)) / cfg.beta
-        elif base is Algorithm.METASGD:
-            new_theta, avec = metasgd_step(theta, avec, tasks, cfg, ep.child(2), problem)
-            outer_norm = float(np.linalg.norm(new_theta.values - theta.values)) / cfg.beta
-        else:  # pragma: no cover - enum is exhaustive
-            raise ValueError(f"unhandled algorithm {cfg.algorithm}")
+        else:
+            second_order = cfg.algorithm.base is not Algorithm.FOMAML
+            mg, rate_grad = meta_gradient(
+                theta, tasks, _inner_rate(state, cfg), ep.child(2), problem, second_order
+            )
+            new_theta = theta + cfg.beta * mg
+            if rate_grad is None:
+                outer_norm = mg.norm()
+            else:
+                avec = avec.with_values(
+                    np.maximum(avec.values + cfg.beta * rate_grad.values, ALPHA_VEC_FLOOR)
+                )
+                outer_norm = float(np.linalg.norm(new_theta.values - theta.values)) / cfg.beta
         t_train = time.perf_counter()
+        new_state = MetaState(theta=new_theta, critic=problem.critic, alpha_vec=avec, epoch=state.epoch + 1)
         eval_ret: float | None = None
         eval_sec: float | None = None
         if evaluate:
-            eval_ret = evaluate_policy(
-                new_theta,
-                problem.critic,
-                avec if avec is not None else cfg.alpha,
-                cfg,
-                ep.child(3),
-                eval_episodes,
-            )
+            eval_ret = evaluate_policy(new_state, cfg, ep.child(3), eval_episodes)
             eval_sec = max(time.perf_counter() - t_train, 1e-9)
     except NonFiniteValue as e:
         raise EpochDiverged(state.epoch, e) from e
@@ -573,7 +537,6 @@ def train_epoch(
         prestep_grad_norm=prestep_norm,
         eval_seconds=eval_sec,
     )
-    new_state = MetaState(theta=new_theta, critic=problem.critic, alpha_vec=avec, epoch=state.epoch + 1)
     return new_state, metrics
 
 
@@ -598,8 +561,9 @@ def load_state(path, cfg: MetaConfig) -> MetaState:
     the actor-critic learner), or whose vectors are laid out for another
     architecture than the config's environment family, raises a
     ValidationError naming the field. A critic is kept for the actor-critic
-    learner only: a policy-gradient run resumed from an actor-critic
-    checkpoint neither trains nor saves it."""
+    learner only, and alpha_vec for the Meta-SGD family only: a run resumed
+    from a checkpoint that carries either for another config neither trains,
+    evaluates with, nor saves it."""
     vectors, meta = load_checkpoint(path)
     if meta.get("seed") != cfg.seed:
         raise ValidationError(
@@ -630,7 +594,7 @@ def load_state(path, cfg: MetaConfig) -> MetaState:
     return MetaState(
         theta=vectors["policy"],
         critic=vectors["critic"] if cfg.learner is Learner.AC else None,
-        alpha_vec=vectors.get("alpha_vec"),
+        alpha_vec=vectors["alpha_vec"] if cfg.algorithm.base is Algorithm.METASGD else None,
         epoch=int(meta["epoch"]),
     )
 

@@ -69,16 +69,16 @@ class Counts:
 def count_calls() -> Iterator[Counts]:
     """Count the gradients, Hessian-vector products, objective values and
     rollouts made inside the block by wrapping the module globals the library
-    calls through: `autodiff.grad_and_value` (which `grad` and `fd_hvp`
-    reach), `autodiff.hvp`, `autodiff.value` (which `fd_grad` reaches), and
+    calls through: `autodiff.grad` (which `fd_hvp` reaches),
+    `autodiff.hvp`, `autodiff.value` (which `fd_grad` reaches), and
     `rl.sample_batch` (each call adds one batch and its trajectory count).
     The originals are back in place on exit, also when the block raises."""
     counts = Counts()
-    grad_and_value, hvp, value, sample_batch = ad.grad_and_value, ad.hvp, ad.value, rl.sample_batch
+    grad, hvp, value, sample_batch = ad.grad, ad.hvp, ad.value, rl.sample_batch
 
-    def counted_grad_and_value(*args, **kwargs):
+    def counted_grad(*args, **kwargs):
         counts.grad_calls += 1
-        return grad_and_value(*args, **kwargs)
+        return grad(*args, **kwargs)
 
     def counted_hvp(*args, **kwargs):
         counts.hvp_calls += 1
@@ -94,13 +94,11 @@ def count_calls() -> Iterator[Counts]:
         counts.rollouts += batch.k
         return batch
 
-    ad.grad_and_value, ad.hvp, ad.value, rl.sample_batch = (
-        counted_grad_and_value, counted_hvp, counted_value, counted_sample_batch
-    )
+    ad.grad, ad.hvp, ad.value, rl.sample_batch = counted_grad, counted_hvp, counted_value, counted_sample_batch
     try:
         yield counts
     finally:
-        ad.grad_and_value, ad.hvp, ad.value, rl.sample_batch = grad_and_value, hvp, value, sample_batch
+        ad.grad, ad.hvp, ad.value, rl.sample_batch = grad, hvp, value, sample_batch
 
 
 def traced_peak_mib(call) -> float:

@@ -325,8 +325,8 @@ def test_criterion_02_bilevel_quadratic_closed_form():
     cfg = replace(bench_config("maml", 0, label="quad").meta, alpha=alpha, m_tasks=3)
     problem = _QuadraticProblem()
 
-    g_maml = meta.meta_gradient(theta, tasks, cfg, Stream(0), problem=problem)
-    g_fo = meta.meta_gradient(theta, tasks, cfg, Stream(0), problem=problem, second_order=False)
+    g_maml, _ = meta.meta_gradient(theta, tasks, cfg.alpha, Stream(0), problem=problem)
+    g_fo, _ = meta.meta_gradient(theta, tasks, cfg.alpha, Stream(0), problem=problem, second_order=False)
 
     closed = np.zeros(dim)
     hvp_terms = np.zeros(dim)
@@ -450,7 +450,7 @@ def adapted_collision_counts(rc: RunConfig, theta, phi: float, episodes: int = 1
     task = Task(Family.INTERSECTION, float(phi))
     root = Stream(cfg.seed)
     objective = problem.objective(problem.sample(task, theta, root.child(9, int(phi), 0)))
-    adapted = meta.inner_adapt(theta, objective, cfg.alpha)
+    adapted, _ = meta.inner_adapt(theta, objective, cfg.alpha)
     env = make_env(task)
     env.horizon = cfg.horizon
     batch = rl.sample_batch(env, PolicyNet(problem.actor_arch, adapted), episodes, root.child(9, int(phi), 1))
@@ -545,8 +545,9 @@ def test_criterion_09_module_invariants(tmp_path):
     net = make_policy(env, Stream(99))
     batch = rl.sample_batch(env, net, 5, Stream(98))
     shuffled = rl.TrajectoryBatch(tuple(reversed(batch.trajectories)), batch.task)
-    ga, va = ad.grad_and_value(rl.policy_objective(batch, 0.99), net.params)
-    gb, vb = ad.grad_and_value(rl.policy_objective(shuffled, 0.99), net.params)
+    obj_a, obj_b = rl.policy_objective(batch, 0.99), rl.policy_objective(shuffled, 0.99)
+    ga, va = ad.grad(obj_a, net.params), ad.value(obj_a, net.params)
+    gb, vb = ad.grad(obj_b, net.params), ad.value(obj_b, net.params)
     assert np.float64(va).tobytes() == np.float64(vb).tobytes()
     assert ga.values.tobytes() == gb.values.tobytes()
 

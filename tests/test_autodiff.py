@@ -140,10 +140,11 @@ class TestFdOracle:
     def test_epsilon_must_be_positive(self):
         theta = single_segment([1.0])
         obj = lambda p: ad.nsum(p.seg("w"))
-        with pytest.raises(ValueError):
-            ad.fd_grad(obj, theta, epsilon=0.0)
-        with pytest.raises(ValueError):
-            ad.fd_hvp(obj, theta, theta, epsilon=-1.0)
+        for epsilon in (0.0, -1.0, float("nan"), float("inf")):
+            with pytest.raises(ValueError, match="epsilon"):
+                ad.fd_grad(obj, theta, epsilon=epsilon)
+            with pytest.raises(ValueError, match="epsilon"):
+                ad.fd_hvp(obj, theta, theta, epsilon=epsilon)
 
     def test_fd_grad_matches_per_coordinate_copies(self):
         """The scratch-buffer fd_grad gives the bits of the recipe that
@@ -296,7 +297,7 @@ class TestGrad:
     def test_quadratic_identity(self):
         theta = single_segment([3.0, 4.0])
         obj = lambda p: ad.nsum(p.seg("w") * p.seg("w")) * 0.5
-        g, val = ad.grad_and_value(obj, theta)
+        g, val = ad.grad(obj, theta), ad.value(obj, theta)
         assert np.array_equal(g.values, [3.0, 4.0])
         assert val == pytest.approx(12.5)
 
@@ -438,12 +439,12 @@ class TestGrad:
         assert shared[0] == shared[1]
 
     def test_counts_gradient_calls(self, surrogate, net_theta):
-        # `grad` reaches `grad_and_value` through the module, so the test
-        # counter sees both under grad_calls.
+        # A value is not a gradient: the counter keeps them apart.
         with count_calls() as c:
             ad.grad(surrogate, net_theta)
-            ad.grad_and_value(surrogate, net_theta)
-        assert (c.grad_calls, c.hvp_calls, c.rollouts) == (2, 0, 0)
+            ad.grad(surrogate, net_theta)
+            ad.value(surrogate, net_theta)
+        assert (c.grad_calls, c.hvp_calls, c.rollouts, c.value_calls) == (2, 0, 0, 1)
 
 
 # ---------------------------------------------------------------------------
@@ -520,7 +521,7 @@ class TestHvp:
 @pytest.mark.parametrize("raises", [False, True])
 def test_count_calls_restores_the_wrapped_functions(raises):
     def wrapped():
-        return ad.grad_and_value, ad.hvp, ad.value, rl.sample_batch
+        return ad.grad, ad.hvp, ad.value, rl.sample_batch
 
     originals = wrapped()
     with contextlib.suppress(RuntimeError):

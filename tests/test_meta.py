@@ -19,7 +19,7 @@ import pytest
 
 from _helpers import add, count_calls
 from metarl import autodiff as ad
-from metarl import meta, rl
+from metarl import cli, meta, rl
 from metarl.autodiff import ParamVector, Segment
 from metarl.envs import Family, medium_task
 from metarl.errors import EmptyTaskSet, EpochDiverged, NonFiniteValue, ValidationError
@@ -51,18 +51,6 @@ class QuadraticProblem:
 
     def task_objective(self, task, theta, rng):
         return self._objective(task)
-
-
-class _SpyProblem:
-    """Delegating wrapper that records which tasks the caller asked for."""
-
-    def __init__(self, inner):
-        self.inner = inner
-        self.tasks = []
-
-    def task_objective(self, task, theta, rng):
-        self.tasks.append(task)
-        return self.inner.task_objective(task, theta, rng)
 
 
 def quad_grad(task: QuadTask, x: np.ndarray) -> np.ndarray:
@@ -181,18 +169,20 @@ class TestInnerAdapt:
     def test_scalar_step_closed_form(self):
         prob = QuadraticProblem()
         obj = prob.task_objective(TASKS[1], THETA0, S)
-        out = meta.inner_adapt(THETA0, obj, 0.1)
+        out, g = meta.inner_adapt(THETA0, obj, 0.1)
         np.testing.assert_allclose(
             out.values, THETA0.values + 0.1 * quad_grad(TASKS[1], THETA0.values), atol=1e-12
         )
+        np.testing.assert_array_equal(g.values, ad.grad(obj, THETA0).values)
 
     def test_vector_step_is_elementwise(self):
         prob = QuadraticProblem()
         obj = prob.task_objective(TASKS[1], THETA0, S)
         avec = theta_vec([0.2, 0.01])
-        out = meta.inner_adapt(THETA0, obj, avec)
+        out, g_step = meta.inner_adapt(THETA0, obj, avec)
         g = quad_grad(TASKS[1], THETA0.values)
         np.testing.assert_allclose(out.values, THETA0.values + avec.values * g, atol=1e-12)
+        np.testing.assert_allclose(g_step.values, g, atol=1e-12)
 
     def test_raw_batch_matches_explicit_objective(self):
         # A sampled batch reaches inner_adapt through RLProblem.objective.
@@ -200,7 +190,7 @@ class TestInnerAdapt:
         theta = meta.init_state(cfg).theta
         prob = meta.RLProblem(cfg)
         batch = prob.sample(medium_task(cfg.dist), theta, S.child(9))
-        out = meta.inner_adapt(theta, prob.objective(batch), cfg.alpha)
+        out, _ = meta.inner_adapt(theta, prob.objective(batch), cfg.alpha)
         g = ad.grad(rl.policy_objective(batch, cfg.gamma), theta)
         np.testing.assert_array_equal(out.values, (theta + cfg.alpha * g).values)
 
@@ -213,7 +203,8 @@ class TestInnerAdapt:
         batch = meta.RLProblem(pg).sample(medium_task(pg.dist), state.theta, S.child(9))
 
         def bytes_of(cfg, critic):
-            g, v = ad.grad_and_value(meta.RLProblem(cfg, critic).objective(batch), state.theta)
+            obj = meta.RLProblem(cfg, critic).objective(batch)
+            g, v = ad.grad(obj, state.theta), ad.value(obj, state.theta)
             return np.float64(v).tobytes(), g.values.tobytes()
 
         assert bytes_of(pg, state.critic) == bytes_of(pg, None)
@@ -229,14 +220,15 @@ class TestInnerAdapt:
 class TestMetaGradients:
     def test_matches_closed_form(self):
         cfg = quad_cfg(alpha=0.1)
-        mg = meta.meta_gradient(THETA0, TASKS, cfg, S, QuadraticProblem())
+        mg, rate_grad = meta.meta_gradient(THETA0, TASKS, cfg.alpha, S, QuadraticProblem())
         np.testing.assert_allclose(mg.values, maml_closed_form(THETA0, TASKS, 0.1), atol=1e-10)
+        assert rate_grad is None  # a scalar step size has no rate gradient
 
     def test_first_order_variant_drops_exactly_the_curvature_term(self):
         cfg = quad_cfg(alpha=0.1)
         prob = QuadraticProblem()
-        full = meta.meta_gradient(THETA0, TASKS, cfg, S, prob)
-        first = meta.meta_gradient(THETA0, TASKS, cfg, S, prob, second_order=False)
+        full, _ = meta.meta_gradient(THETA0, TASKS, cfg.alpha, S, prob)
+        first, _ = meta.meta_gradient(THETA0, TASKS, cfg.alpha, S, prob, second_order=False)
         correction = np.zeros(THETA0.size)
         for t in TASKS:
             inner = prob.task_objective(t, THETA0, S)
@@ -248,19 +240,21 @@ class TestMetaGradients:
     def test_variants_agree_bitwise_when_curvature_vanishes(self):
         linear = [QuadTask(np.zeros((2, 2)), np.array([0.5, 1.5]))]
         cfg = quad_cfg()
-        full = meta.meta_gradient(THETA0, linear, cfg, S, QuadraticProblem())
-        first = meta.meta_gradient(THETA0, linear, cfg, S, QuadraticProblem(), second_order=False)
+        full, _ = meta.meta_gradient(THETA0, linear, cfg.alpha, S, QuadraticProblem())
+        first, _ = meta.meta_gradient(
+            THETA0, linear, cfg.alpha, S, QuadraticProblem(), second_order=False
+        )
         np.testing.assert_array_equal(full.values, first.values)
 
     def test_call_counts(self):
         cfg = quad_cfg()
         prob = QuadraticProblem()
         with count_calls() as c:
-            meta.meta_gradient(THETA0, TASKS, cfg, S, prob)
+            meta.meta_gradient(THETA0, TASKS, cfg.alpha, S, prob)
         assert c.hvp_calls == len(TASKS)
         assert c.grad_calls == 2 * len(TASKS)
         with count_calls() as c:
-            meta.meta_gradient(THETA0, TASKS, cfg, S, prob, second_order=False)
+            meta.meta_gradient(THETA0, TASKS, cfg.alpha, S, prob, second_order=False)
         assert c.hvp_calls == 0
         assert c.grad_calls == 2 * len(TASKS)
 
@@ -269,11 +263,11 @@ class TestMetaGradients:
         prob = QuadraticProblem()
         for second_order in (True, False):
             with pytest.raises(EmptyTaskSet):
-                meta.meta_gradient(THETA0, [], cfg, S, prob, second_order=second_order)
+                meta.meta_gradient(THETA0, [], cfg.alpha, S, prob, second_order=second_order)
         with pytest.raises(EmptyTaskSet):
             meta.reptile_step(THETA0, [], cfg, S, prob)
         with pytest.raises(EmptyTaskSet):
-            meta.metasgd_step(THETA0, theta_vec([0.1, 0.1]), [], cfg, S, prob)
+            meta.meta_gradient(THETA0, [], theta_vec([0.1, 0.1]), S, prob)
 
 
 # ---------------------------------------------------------------------------
@@ -324,27 +318,28 @@ class TestMetaSGD:
     def test_constant_rate_vector_replicates_scalar_update_bitwise(self):
         cfg = quad_cfg(alpha=0.1, beta=0.05)
         prob = QuadraticProblem()
-        theta, _ = meta.metasgd_step(THETA0, constant_rates(cfg), TASKS, cfg, S, prob)
-        mg = meta.meta_gradient(THETA0, TASKS, cfg, S, prob)
+        mg_rates, _ = meta.meta_gradient(THETA0, TASKS, constant_rates(cfg), S, prob)
+        mg, _ = meta.meta_gradient(THETA0, TASKS, cfg.alpha, S, prob)
+        theta = THETA0 + cfg.beta * mg_rates
         np.testing.assert_array_equal(theta.values, (THETA0 + cfg.beta * mg).values)
 
     def test_constant_rate_vector_replicates_scalar_update_on_rollouts(self):
         cfg = rl_cfg(algorithm=meta.Algorithm.METASGD)
         state = meta.init_state(cfg)
         tasks = [medium_task(cfg.dist)] * 2
-        theta, _ = meta.metasgd_step(
-            state.theta, state.alpha_vec, tasks, cfg, S.child(3), meta.RLProblem(cfg)
+        mg_rates, _ = meta.meta_gradient(
+            state.theta, tasks, state.alpha_vec, S.child(3), meta.RLProblem(cfg)
         )
-        mg = meta.meta_gradient(state.theta, tasks, cfg, S.child(3), meta.RLProblem(cfg))
+        mg, _ = meta.meta_gradient(state.theta, tasks, cfg.alpha, S.child(3), meta.RLProblem(cfg))
+        theta = state.theta + cfg.beta * mg_rates
         np.testing.assert_array_equal(theta.values, (state.theta + cfg.beta * mg).values)
 
     def test_rate_gradient_matches_fd_of_adapted_objective(self):
         # d/da_j of sum_i J_i(theta + a (.) g_i) equals the g_in*g_out update
-        cfg = quad_cfg(alpha=0.1, beta=0.5)
         prob = QuadraticProblem()
         avec = theta_vec([0.1, 0.1])
-        _, stepped = meta.metasgd_step(THETA0, avec, TASKS, cfg, S, prob)
-        update = (stepped.values - avec.values) / cfg.beta
+        _, rate_grad = meta.meta_gradient(THETA0, TASKS, avec, S, prob)
+        update = rate_grad.values
 
         def adapted_value(a: np.ndarray) -> float:
             total = 0.0
@@ -363,15 +358,18 @@ class TestMetaSGD:
             fd[j] = (adapted_value(hi) - adapted_value(lo)) / (2 * eps)
         np.testing.assert_allclose(update, fd, atol=1e-6)
 
-    def test_rate_vector_is_clamped_positive(self):
-        # alpha 1.5 overshoots the optimum, so inner and outer gradients
-        # oppose and the rate update is strongly negative
-        cfg = quad_cfg(alpha=1.5, beta=10.0)
-        theta = theta_vec([1.0, 1.0])
-        avec = theta.with_values(np.array([1.5, 1.5]))
-        task = QuadTask(np.eye(2), np.zeros(2))
-        _, stepped = meta.metasgd_step(theta, avec, [task], cfg, S, QuadraticProblem())
-        np.testing.assert_array_equal(stepped.values, [meta.ALPHA_VEC_FLOOR] * 2)
+    def test_rate_vector_is_clamped_positive(self, monkeypatch):
+        # A strongly negative rate gradient would step every rate below zero.
+        def meta_gradient(theta, tasks, alpha, rng, problem, second_order=True):
+            assert isinstance(alpha, ParamVector) and second_order
+            zeros = theta.with_values(np.zeros(theta.size))
+            return zeros, theta.with_values(np.full(theta.size, -1e3))
+
+        monkeypatch.setattr(meta, "meta_gradient", meta_gradient)
+        cfg = rl_cfg(algorithm=meta.Algorithm.METASGD)
+        state, _ = meta.train_epoch(meta.init_state(cfg), cfg, evaluate=False)
+        stepped = state.alpha_vec
+        np.testing.assert_array_equal(stepped.values, [meta.ALPHA_VEC_FLOOR] * stepped.size)
         assert np.all(stepped.values > 0)
 
 
@@ -390,40 +388,74 @@ class _FixedQuadratic(QuadraticProblem):
         return super()._objective(self.task)
 
 
-class TestDirectedPrestep:
-    """meta._prestep, the step train_epoch takes first for directed
-    algorithms (test_zero_prestep_matches_base_algorithm_bitwise and the
-    cost-structure tests run it through train_epoch)."""
+def prestep_epoch(cfg, monkeypatch):
+    """Train one epoch of a directed config; return the tasks it asked its
+    problem for, in order, and the epoch's metrics."""
+    tasks, make = [], meta.RLProblem
 
-    def test_closed_form_step_toward_medium_task(self):
+    def spy(cfg, critic=None):
+        problem = make(cfg, critic)
+        ask = problem.task_objective
+
+        def task_objective(task, theta, rng):
+            tasks.append(task)
+            return ask(task, theta, rng)
+
+        problem.task_objective = task_objective
+        return problem
+
+    monkeypatch.setattr(meta, "RLProblem", spy)
+    _, metrics = meta.train_epoch(meta.init_state(cfg), cfg, evaluate=False)
+    return tasks, metrics
+
+
+def prestep(cfg, theta, rng):
+    """The prestep as train_epoch takes it: inner_adapt with step delta on
+    the medium task's objective."""
+    obj = meta.RLProblem(cfg).task_objective(medium_task(cfg.dist), theta, rng)
+    return meta.inner_adapt(theta, obj, cfg.delta)
+
+
+class TestDirectedPrestep:
+    """The step train_epoch takes first for directed algorithms
+    (test_zero_prestep_matches_base_algorithm_bitwise and the cost-structure
+    tests run it through train_epoch)."""
+
+    def test_closed_form_step_toward_medium_task(self, monkeypatch):
         cfg = quad_cfg(algorithm=meta.Algorithm.DIRECTED_MAML, delta=0.03, beta=0.05)
-        prob = _SpyProblem(_FixedQuadratic(TASKS[0]))
-        out, norm = meta._prestep(THETA0, cfg, S, prob)
-        assert prob.tasks == [medium_task(cfg.dist)]
-        obj = prob.inner.task_objective(medium_task(cfg.dist), THETA0, S)
+        prob = _FixedQuadratic(TASKS[0])
+        obj = prob.task_objective(medium_task(cfg.dist), THETA0, S)
+        out, g_step = meta.inner_adapt(THETA0, obj, cfg.delta)
         g = ad.grad(obj, THETA0)
         np.testing.assert_array_equal(out.values, THETA0.values + cfg.delta * g.values)
-        assert norm == g.norm()
+        assert g_step.norm() == g.norm()
+        # train_epoch asks for the medium task first and logs that step's
+        # gradient norm.
+        directed = rl_cfg(algorithm=meta.Algorithm.DIRECTED_MAML, delta=0.001)
+        tasks, metrics = prestep_epoch(directed, monkeypatch)
+        assert tasks[:1] == [medium_task(directed.dist)]
+        theta = meta.init_state(directed).theta
+        _, g_med = prestep(directed, theta, Stream(directed.seed).child(2, 0, 0))
+        assert metrics.prestep_grad_norm == g_med.norm()
 
-    def test_uses_medium_task_of_the_given_distribution(self):
-        cfg = quad_cfg(
-            algorithm=meta.Algorithm.DIRECTED_MAML, delta=0.01, beta=0.05, phi_lo=8.0, phi_hi=12.0
+    def test_uses_medium_task_of_the_given_distribution(self, monkeypatch):
+        cfg = rl_cfg(
+            algorithm=meta.Algorithm.DIRECTED_MAML, delta=0.001, phi_lo=8.0, phi_hi=12.0
         )
-        prob = _SpyProblem(_FixedQuadratic(TASKS[0]))
-        meta._prestep(THETA0, cfg, S, prob)
-        assert prob.tasks[0].phi == pytest.approx(10.0)
+        tasks, _ = prestep_epoch(cfg, monkeypatch)
+        assert tasks[0].phi == pytest.approx(10.0)
 
     def test_zero_step_is_identity_bitwise(self):
         cfg = rl_cfg(algorithm=meta.Algorithm.DIRECTED_MAML, delta=0.0)
         theta = meta.init_state(cfg).theta
-        out, _ = meta._prestep(theta, cfg, S.child(4), meta.RLProblem(cfg))
+        out, _ = prestep(cfg, theta, S.child(4))
         np.testing.assert_array_equal(out.values, theta.values)
 
     def test_cost_is_one_gradient_and_k_rollouts(self):
         cfg = rl_cfg(algorithm=meta.Algorithm.DIRECTED_MAML, delta=0.001, k_trajs=3)
         theta = meta.init_state(cfg).theta
         with count_calls() as c:
-            meta._prestep(theta, cfg, S.child(4), meta.RLProblem(cfg))
+            prestep(cfg, theta, S.child(4))
         assert c.grad_calls == 1
         assert c.hvp_calls == 0
         assert c.rollouts == cfg.k_trajs
@@ -735,6 +767,40 @@ class TestTrain:
         written, _ = load_checkpoint(out / "pg.ckpt")
         assert set(written) == {"policy"}
 
+    def test_resume_outside_the_metasgd_family_drops_the_checkpoints_rates(self, tmp_path, capsys):
+        # A maml run resumed from a Meta-SGD checkpoint neither trains,
+        # evaluates with, nor saves the checkpoint's rate vector: its run log
+        # and its eval are the ones a policy-only checkpoint gives, and its
+        # checkpoint holds the policy alone.
+        meta.train(self._run_cfg(tmp_path, "msgd", epochs=2, algorithm=meta.Algorithm.DIRECTED_METASGD))
+        vectors, ckpt_meta = load_checkpoint(tmp_path / "msgd" / "msgd.ckpt")
+        assert set(vectors) == {"policy", "alpha_vec"}
+        # Rates far from alpha, so adapting with them shows in the returns.
+        rates = tmp_path / "rates.ckpt"
+        save_checkpoint(rates, {**vectors, "alpha_vec": 100.0 * vectors["alpha_vec"]}, ckpt_meta)
+        policy_only = tmp_path / "policy_only.ckpt"
+        save_checkpoint(policy_only, {"policy": vectors["policy"]}, ckpt_meta)
+
+        rc = self._run_cfg(tmp_path, "maml", epochs=3)
+        assert meta.load_state(rates, rc.meta).alpha_vec is None
+        out = tmp_path / "maml"
+        meta.train(rc, resume_from=policy_only)
+        want = (out / "maml.runlog").read_bytes()
+        meta.train(rc, resume_from=rates)
+        assert (out / "maml.runlog").read_bytes() == want
+        written, _ = load_checkpoint(out / "maml.ckpt")
+        assert set(written) == {"policy"}
+
+        cfg = rc.meta
+        flags = ["--algorithm", "maml", "--seed", str(cfg.seed), "--horizon", str(cfg.horizon),
+                 "--m_tasks", str(cfg.m_tasks), "--k_trajs", str(cfg.k_trajs), "--episodes", "4"]
+        printed = []
+        for ckpt in (rates, policy_only):
+            capsys.readouterr()
+            assert cli.main(["eval", "--ckpt", str(ckpt), *flags]) == 0
+            printed.append(capsys.readouterr().out)
+        assert printed[0] == printed[1]
+
     def test_early_exit_from_the_epoch_loop_keeps_trains_rows(self, tmp_path):
         # train iterates iter_epochs; a caller may leave the loop early.
         rc = self._run_cfg(tmp_path, "loop", epochs=3)
@@ -798,7 +864,7 @@ class TestPrestepAlignment:
             theta = meta.init_state(rl_cfg(seed=1000 + rep)).theta
             med = medium_task(cfg.dist)
             g_med = ad.grad(prob.task_objective(med, theta, root.child(0)), theta)
-            mg = meta.meta_gradient(theta, [med], cfg, root.child(1), prob, second_order=False)
+            mg, _ = meta.meta_gradient(theta, [med], cfg.alpha, root.child(1), prob, second_order=False)
             dots.append(float(np.dot(g_med.values, mg.values)))
         dots = np.asarray(dots)
         sem = dots.std(ddof=1) / np.sqrt(len(dots))

@@ -427,7 +427,7 @@ class TestValue:
             return ad.nmean(diff * diff)
 
         for _ in range(6000):
-            g, loss = ad.grad_and_value(mse, params)
+            g, loss = ad.grad(mse, params), ad.value(mse, params)
             params = params - 0.01 * g
             if loss < 0.05**2 / 4:
                 break

@@ -342,7 +342,7 @@ class TestReinforceObjective:
         batch = bandit_batch([0, 1, 0, 1], [0.0, 0.0, 0.0, 0.0])
         net = make_policy(CARTPOLE, Stream(16))
         obj = rl.policy_objective(batch, 0.99)
-        g, val = ad.grad_and_value(obj, net.params)
+        g, val = ad.grad(obj, net.params), ad.value(obj, net.params)
         assert val == 0.0
         assert np.array_equal(g.values, np.zeros(g.size))
 
@@ -374,8 +374,8 @@ class TestReinforceObjective:
         shuffled = TrajectoryBatch(tuple(reversed(batch.trajectories)), batch.task)
         obj_a = rl.policy_objective(batch, 0.99)
         obj_b = rl.policy_objective(shuffled, 0.99)
-        ga, va = ad.grad_and_value(obj_a, net.params)
-        gb, vb = ad.grad_and_value(obj_b, net.params)
+        ga, va = ad.grad(obj_a, net.params), ad.value(obj_a, net.params)
+        gb, vb = ad.grad(obj_b, net.params), ad.value(obj_b, net.params)
         assert np.float64(va).tobytes() == np.float64(vb).tobytes()
         assert ga.values.tobytes() == gb.values.tobytes()
 
@@ -418,9 +418,8 @@ def per_call_pg_objective(batch: TrajectoryBatch, gamma: float):
 
 
 def objective_bytes(obj, theta: ad.ParamVector, v: ad.ParamVector):
-    """Value, gradient and HVP bytes; `value` must agree with grad's value."""
-    g, val = ad.grad_and_value(obj, theta)
-    assert ad.value(obj, theta) == val
+    """Value, gradient and HVP bytes."""
+    val, g = ad.value(obj, theta), ad.grad(obj, theta)
     return np.float64(val).tobytes(), g.values.tobytes(), ad.hvp(obj, theta, v).values.tobytes()
 
 
@@ -481,7 +480,7 @@ class TestActorCriticObjective:
         c_arch = pol.critic_arch(CARTPOLE)
         critic_pv = zero_params(c_arch, b2=(5.0,))  # V == G == 5 everywhere
         pol_obj = rl.policy_objective(batch, 0.99, critic_pv)
-        g, val = ad.grad_and_value(pol_obj, net.params)
+        g, val = ad.grad(pol_obj, net.params), ad.value(pol_obj, net.params)
         assert val == 0.0
         assert np.array_equal(g.values, np.zeros(g.size))
 
@@ -489,8 +488,9 @@ class TestActorCriticObjective:
         net = make_policy(CARTPOLE, Stream(26))
         batch = rl.sample_batch(CARTPOLE, net, 3, Stream(27))
         ac_obj = rl.policy_objective(batch, 0.99, zero_critic())
-        g_ac, v_ac = ad.grad_and_value(ac_obj, net.params)
-        g_pg, v_pg = ad.grad_and_value(raw_return_objective(batch, 0.99), net.params)
+        pg_obj = raw_return_objective(batch, 0.99)
+        g_ac, v_ac = ad.grad(ac_obj, net.params), ad.value(ac_obj, net.params)
+        g_pg, v_pg = ad.grad(pg_obj, net.params), ad.value(pg_obj, net.params)
         assert np.float64(v_ac).tobytes() == np.float64(v_pg).tobytes()
         assert g_ac.values.tobytes() == g_pg.values.tobytes()
 
@@ -530,6 +530,6 @@ class TestEvalReturn:
 
     def test_needs_positive_episodes(self):
         cfg = meta.MetaConfig(m_tasks=1, k_trajs=1, horizon=5)
-        theta = meta.init_state(cfg).theta
+        state = meta.init_state(cfg)
         with pytest.raises(ValueError):
-            meta.evaluate_policy(theta, None, cfg.alpha, cfg, Stream(38), 0)
+            meta.evaluate_policy(state, cfg, Stream(38), 0)
