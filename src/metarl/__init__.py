@@ -1,8 +1,6 @@
 """Meta-reinforcement-learning library: task-directed pre-adaptation and
 first/second-order meta-gradient baselines on small control environments."""
 
-from __future__ import annotations
-
 import os
 import sys
 import warnings
@@ -19,67 +17,4 @@ if _unset and "numpy" in sys.modules:
 
 __version__ = "0.1.0"
 
-from .errors import (
-    EmptyTaskSet,
-    EpochDiverged,
-    InvalidAction,
-    MetaRLError,
-    NonFiniteValue,
-    ParseError,
-    UnknownFamily,
-    ValidationError,
-)
-from .rng import Stream
-
-__all__ = [
-    "__version__",
-    "Stream",
-    "MetaRLError",
-    "NonFiniteValue",
-    "InvalidAction",
-    "UnknownFamily",
-    "EmptyTaskSet",
-    "EpochDiverged",
-    "ParseError",
-    "ValidationError",
-    "Algorithm",
-    "Learner",
-    "MetaConfig",
-    "RunConfig",
-    "MetaState",
-    "init_state",
-    "train",
-    "train_epoch",
-    "evaluate_policy",
-    "Family",
-    "Task",
-    "TaskDistribution",
-    "make_env",
-    "medium_task",
-    "sample_tasks",
-    "load_config",
-    "summarize",
-    "emit_plot",
-    "audit_oracles",
-    "load_runlog",
-    "save_runlog",
-    "RunLog",
-    "EpochMetrics",
-    "ema_smooth",
-    "detect_convergence",
-]
-
-from .envs import Family, Task, TaskDistribution, make_env, medium_task, sample_tasks
-from .harness import audit_oracles, emit_plot, load_config, summarize
-from .meta import (
-    Algorithm,
-    Learner,
-    MetaConfig,
-    MetaState,
-    RunConfig,
-    evaluate_policy,
-    init_state,
-    train,
-    train_epoch,
-)
-from .runlog import EpochMetrics, RunLog, detect_convergence, ema_smooth, load_runlog, save_runlog
+__all__ = ["__version__"]

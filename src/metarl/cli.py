@@ -79,26 +79,19 @@ def _cmd_train(args) -> int:
 
 
 def _cmd_eval(args) -> int:
-    check_range("--episodes", args.episodes, 1, MAX_TRAJECTORIES)
     rc = _config_from(args)
     cfg = rc.meta
-    check_range("--episodes x horizon", args.episodes * cfg.horizon, 1, MAX_ROLLOUT_ROWS)
     state = meta.load_state(args.ckpt, cfg)
-    ret = meta.evaluate_policy(state, cfg, Stream(cfg.seed).child(3), args.episodes)
-    print(
-        f"mean post-adaptation return over {cfg.m_tasks} tasks x {args.episodes} episodes: {ret:.4f}"
-    )
+    episodes = rc.eval_episodes
+    ret = meta.evaluate_policy(state, cfg, Stream(cfg.seed).child(3), episodes)
+    print(f"mean post-adaptation return over {cfg.m_tasks} tasks x {episodes} episodes: {ret:.4f}")
     return 0
-
-
-def _load_logs(paths) -> list:
-    return [load_runlog(p) for p in paths]
 
 
 def _cmd_compare(args) -> int:
     check_range("--window", args.window, 1)
     _check_factor("--factor", args.factor)
-    runs = _load_logs(args.logs)
+    runs = [load_runlog(p) for p in args.logs]
     tau = args.tau if args.tau is not None else _auto_tau(runs, args.factor)
     report = harness.summarize(runs, tau, args.window, args.factor)
     text = report.render()
@@ -111,7 +104,7 @@ def _cmd_compare(args) -> int:
 
 def _cmd_plot(args) -> int:
     _check_factor("--factor", args.factor)
-    runs = _load_logs(args.logs)
+    runs = [load_runlog(p) for p in args.logs]
     svg, dat = harness.emit_plot(runs, args.factor, args.out)
     print(f"wrote {svg} and {dat}")
     return 0
@@ -187,9 +180,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_eval = sub.add_parser("eval", help="evaluate a checkpoint (adapt, then measure)")
     p_eval.add_argument("--ckpt", required=True, help="checkpoint file")
-    p_eval.add_argument("--episodes", type=int, default=meta.RunConfig.eval_episodes,
-                        help=f"episodes per task, 1..{MAX_TRAJECTORIES}, "
-                             f"at most {MAX_ROLLOUT_ROWS} rows with the horizon")
     _add_config_flags(p_eval)
     p_eval.set_defaults(fn=_cmd_eval)
 

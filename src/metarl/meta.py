@@ -114,10 +114,10 @@ ALPHA_VEC_FLOOR = 1e-6
 CHECKPOINT_INTERVAL = 50
 REPTILE_INNER_STEPS = 3
 # Upper bounds on the config keys that size memory. Trajectories per batch
-# (`k_trajs`, `eval_episodes`, and the CLI's `eval --episodes` and `audit
-# --k_trajs`) each size a (horizon, trajectories) rollout buffer and one
-# random stream per trajectory; `m_tasks` multiplies the batches of an
-# epoch; the horizon bound admits the 500-step episodes of CartPole-v1.
+# (`k_trajs`, `eval_episodes`, and the CLI's `audit --k_trajs`) each size a
+# (horizon, trajectories) rollout buffer and one random stream per
+# trajectory; `m_tasks` multiplies the batches of an epoch; the horizon bound
+# admits the 500-step episodes of CartPole-v1.
 # Their product, trajectories x horizon, is bounded too: it is the row count
 # of one batch, which sizes the rollout buffer and the graphs of the batch's
 # objective (one `hvp` on 2,000 rows peaks at 7.0 MiB of numpy memory).

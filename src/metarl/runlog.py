@@ -3,9 +3,14 @@
 A run produces two files. `<label>.runlog` holds only deterministic content
 (header, one key-value record per epoch, footer), so two runs of the same
 config and seed can be diffed byte for byte. Wall-clock numbers go to the
-`<label>.timing` sidecar. Floats are rendered with 17 significant digits,
-enough to round-trip IEEE-754 doubles exactly; records are JSON objects, one
-per line.
+`<label>.timing` sidecar. Records are JSON objects, one per line, and every
+value is written by its type: floats with 17 significant digits, enough to
+round-trip IEEE-754 doubles exactly, everything else as JSON.
+
+Epoch records follow `EpochMetrics`: the wall-clock fields go to `.timing`
+after `epoch`, every other field to `.runlog` in field order, and the loader
+checks each value against its field's annotation. A new field needs no edit
+to the serializer or the loader.
 
 The sidecar's first record names the numeric platform the run was written
 on (Python, numpy, BLAS and its thread variables, CPU architecture, SIMD
@@ -28,11 +33,13 @@ from __future__ import annotations
 import json
 import os
 import platform
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from pathlib import Path
+from typing import get_args, get_type_hints
 
 import numpy as np
 
+from . import _BLAS_THREAD_VARS
 from .errors import ParseError
 
 __all__ = [
@@ -98,66 +105,38 @@ class RunLog:
             raise ValueError("rows must be strictly increasing in epoch")
 
 
-def _record(pairs: "list[tuple[str, str]]") -> str:
-    body = ", ".join(f'"{k}": {v}' for k, v in pairs)
+_WALL_CLOCK = ("wall_seconds", "eval_seconds")  # the EpochMetrics fields kept out of the .runlog
+_RUNLOG_FIELDS = tuple(f.name for f in fields(EpochMetrics) if f.name not in _WALL_CLOCK)
+_TIMING_FIELDS = ("epoch", *_WALL_CLOCK)
+# The value types each field admits, read from its annotation: a field
+# annotated `float | None` admits (float, NoneType).
+_EPOCH_KINDS, _LOG_KINDS = (
+    {name: get_args(hint) or (hint,) for name, hint in get_type_hints(cls).items()}
+    for cls in (EpochMetrics, RunLog)
+)
+
+
+def _record(kind: str, /, **values) -> str:
+    """One record line, `"record": kind` first, each value formatted by its
+    type: a float by `fmt_float`, anything else (None, int, str, list, dict)
+    as JSON."""
+    body = ", ".join(
+        f'"{k}": {fmt_float(v) if isinstance(v, float) else json.dumps(v)}'
+        for k, v in {"record": kind, **values}.items()
+    )
     return "{" + body + "}"
-
-
-def _qs(s: str) -> str:
-    return json.dumps(s)
 
 
 def serialize_runlog(log: RunLog) -> "tuple[str, str]":
     """Returns (runlog text, timing text)."""
-    lines = [
-        _record(
-            [
-                ("record", _qs("header")),
-                ("fingerprint", _qs(log.fingerprint)),
-                ("version", _qs(log.version)),
-                ("label", _qs(log.label)),
-            ]
-        )
-    ]
+    lines = [_record("header", fingerprint=log.fingerprint, version=log.version, label=log.label)]
+    timing_lines = []
     for r in log.rows:
-        lines.append(
-            _record(
-                [
-                    ("record", _qs("epoch")),
-                    ("epoch", str(r.epoch)),
-                    ("eval_return", fmt_float(r.eval_return)),
-                    ("grad_norm_outer", fmt_float(r.grad_norm_outer)),
-                    ("prestep_grad_norm", fmt_float(r.prestep_grad_norm)),
-                ]
-            )
-        )
-    lines.append(
-        _record(
-            [
-                ("record", _qs("footer")),
-                ("total_epochs", str(len(log.rows))),
-                (
-                    "convergence_epoch",
-                    "null" if log.convergence_epoch is None else str(log.convergence_epoch),
-                ),
-                ("diverged", "null" if log.diverged is None else _qs(log.diverged)),
-            ]
-        )
-    )
-    timing_lines = [
-        _record(
-            [
-                ("record", _qs("epoch")),
-                ("epoch", str(r.epoch)),
-                ("wall_seconds", fmt_float(r.wall_seconds)),
-                ("eval_seconds", fmt_float(r.eval_seconds)),
-            ]
-        )
-        for r in log.rows
-    ]
-    timing_lines.append(
-        _record([("record", _qs("footer")), ("total_wall_seconds", fmt_float(log.total_wall_seconds))])
-    )
+        lines.append(_record("epoch", **{name: getattr(r, name) for name in _RUNLOG_FIELDS}))
+        timing_lines.append(_record("epoch", **{name: getattr(r, name) for name in _TIMING_FIELDS}))
+    lines.append(_record("footer", total_epochs=len(log.rows),
+                         convergence_epoch=log.convergence_epoch, diverged=log.diverged))
+    timing_lines.append(_record("footer", total_wall_seconds=log.total_wall_seconds))
     return "\n".join(lines) + "\n", "\n".join(timing_lines) + "\n"
 
 
@@ -189,14 +168,10 @@ def _platform_record() -> "dict[str, object]":
     except (TypeError, KeyError):  # numpy before 1.26 has no dict form
         blas, simd = None, None
     return {
-        "record": "platform",
         "python": platform.python_version(),
         "numpy": np.__version__,
         "blas": blas,
-        "blas_threads": {
-            var: os.environ.get(var)
-            for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
-        },
+        "blas_threads": {var: os.environ.get(var) for var in _BLAS_THREAD_VARS},
         "cpu": platform.machine(),
         "simd": simd,
     }
@@ -209,64 +184,73 @@ def save_runlog(out_dir, log: RunLog) -> Path:
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     run_text, timing_text = serialize_runlog(log)
-    write_atomic(out / f"{log.label}.timing", json.dumps(_platform_record()) + "\n" + timing_text)
+    platform_line = _record("platform", **_platform_record())
+    write_atomic(out / f"{log.label}.timing", platform_line + "\n" + timing_text)
     run_path = out / f"{log.label}.runlog"
     write_atomic(run_path, run_text)
     return run_path
 
 
-def load_runlog(path) -> RunLog:
-    """Parse a .runlog plus its .timing sidecar back into a RunLog."""
-    path = Path(path)
+def _read_records(path: Path, what: str) -> "list[dict]":
+    """The JSON object on each line of one file, blank lines and platform
+    records skipped."""
     try:
         records = [json.loads(line) for line in path.read_text().splitlines() if line.strip()]
-    except (OSError, json.JSONDecodeError) as e:
-        raise ParseError(f"cannot read run log {path}: {e}") from None
-    if not records or records[0].get("record") != "header":
-        raise ParseError(f"{path}: missing header record")
-    if records[-1].get("record") != "footer":
-        raise ParseError(f"{path}: missing footer record")
-    header, footer = records[0], records[-1]
+    except (OSError, ValueError) as e:  # ValueError: bad UTF-8 or bad JSON
+        raise ParseError(f"cannot read {what} {path}: {e}") from None
+    if not all(isinstance(r, dict) for r in records):
+        raise ParseError(f"{path}: a line is not a JSON object")
+    records = [r for r in records if r.get("record") != "platform"]
+    if not records:
+        raise ParseError(f"{path}: no records")
+    return records
 
+
+def _values(path: Path, record: dict, kind: str, kinds, names) -> "dict[str, object]":
+    """The values of fields `names` in `record`, which must be a `kind`
+    record, each checked against its entry in `kinds`. An integer stands for
+    a float, since `fmt_float` writes 2.0 as 2; a bool is never a number."""
+    if record.get("record") != kind:
+        raise ParseError(f"{path}: expected a {kind} record, got {record.get('record')!r}")
+    values = {}
+    for name in names:
+        if name not in record:
+            raise ParseError(f"{path}: {kind} record has no field {name!r}")
+        value = record[name]
+        if type(value) is int and float in kinds[name]:
+            value = float(value)
+        if type(value) not in kinds[name]:
+            allowed = " or ".join("null" if k is type(None) else k.__name__ for k in kinds[name])
+            raise ParseError(f"{path}: field {name!r} must be {allowed}, got {value!r}")
+        values[name] = value
+    return values
+
+
+def load_runlog(path) -> RunLog:
+    """Parse a .runlog plus its .timing sidecar back into a RunLog. A missing
+    record or field, or a value of the wrong type, is a ParseError naming the
+    file."""
+    path = Path(path)
     timing_path = path.with_suffix(".timing")
-    try:
-        t_records = [
-            json.loads(line) for line in timing_path.read_text().splitlines() if line.strip()
-        ]
-    except (OSError, json.JSONDecodeError) as e:
-        raise ParseError(f"cannot read timing sidecar {timing_path}: {e}") from None
-    walls = {r["epoch"]: r for r in t_records if r.get("record") == "epoch"}
-    t_footer = t_records[-1] if t_records else {}
-
+    records = _read_records(path, "run log")
+    timing = _read_records(timing_path, "timing sidecar")
+    header = _values(path, records[0], "header", _LOG_KINDS, ("fingerprint", "version", "label"))
+    footer = _values(path, records[-1], "footer", _LOG_KINDS, ("convergence_epoch", "diverged"))
+    total = _values(timing_path, timing[-1], "footer", _LOG_KINDS, ("total_wall_seconds",))
+    walls = {}
+    for r in timing[:-1]:
+        values = _values(timing_path, r, "epoch", _EPOCH_KINDS, _TIMING_FIELDS)
+        walls[values["epoch"]] = values
     rows = []
     for r in records[1:-1]:
-        if r.get("record") != "epoch":
-            raise ParseError(f"{path}: unexpected record {r.get('record')!r}")
-        epoch = int(r["epoch"])
-        if epoch not in walls:
-            raise ParseError(f"{timing_path}: missing wall time for epoch {epoch}")
-        timing = walls[epoch]
-        eval_s = timing.get("eval_seconds")
-        rows.append(
-            EpochMetrics(
-                epoch=epoch,
-                eval_return=r["eval_return"],
-                wall_seconds=float(timing["wall_seconds"]),
-                grad_norm_outer=float(r["grad_norm_outer"]),
-                prestep_grad_norm=r["prestep_grad_norm"],
-                eval_seconds=None if eval_s is None else float(eval_s),
-            )
-        )
-    conv = footer.get("convergence_epoch")
-    return RunLog(
-        fingerprint=header["fingerprint"],
-        version=header["version"],
-        label=header["label"],
-        rows=tuple(rows),
-        total_wall_seconds=float(t_footer.get("total_wall_seconds", 0.0) or 0.0),
-        convergence_epoch=None if conv is None else int(conv),
-        diverged=footer.get("diverged"),
-    )
+        values = _values(path, r, "epoch", _EPOCH_KINDS, _RUNLOG_FIELDS)
+        if values["epoch"] not in walls:
+            raise ParseError(f"{timing_path}: missing wall time for epoch {values['epoch']}")
+        rows.append({**walls[values["epoch"]], **values})
+    try:
+        return RunLog(**header, **footer, **total, rows=tuple(EpochMetrics(**row) for row in rows))
+    except ValueError as e:  # an epoch or wall time out of range, or epochs out of order
+        raise ParseError(f"{path}: {e}") from None
 
 
 # ---------------------------------------------------------------------------

@@ -119,12 +119,23 @@ class TestEval:
         rc = cli.main(
             [
                 "eval", "--ckpt", str(tmp_path / "t.ckpt"),
-                *TINY, "--out_dir", str(tmp_path), "--label", "t", "--episodes", "2",
+                *TINY, "--out_dir", str(tmp_path), "--label", "t", "--eval_episodes", "2",
             ]
         )
         assert rc == 0
         out = capsys.readouterr().out
         assert "mean post-adaptation return over 2 tasks x 2 episodes:" in out
+
+    def test_eval_reads_eval_episodes_from_the_config_file(self, tmp_path, capsys):
+        train_tiny(tmp_path, "t")
+        cfg = tmp_path / "eval.cfg"
+        cfg.write_text(
+            "env = cartpole\nhorizon = 12\nepochs = 3\nm_tasks = 2\nk_trajs = 2\n"
+            "alpha = 0.001\nbeta = 0.01\ndelta = 0.0005\nseed = 7\neval_episodes = 3\n"
+        )
+        capsys.readouterr()
+        assert cli.main(["eval", "--ckpt", str(tmp_path / "t.ckpt"), "--config", str(cfg)]) == 0
+        assert "over 2 tasks x 3 episodes:" in capsys.readouterr().out
 
     def test_eval_is_deterministic(self, tmp_path, capsys):
         train_tiny(tmp_path, "t")
@@ -266,6 +277,16 @@ class TestCompareAndPlot:
         assert rc == 1
         assert "error:" in capsys.readouterr().err
 
+    def test_compare_malformed_log_is_one_error_line(self, tmp_path, capsys):
+        train_tiny(tmp_path, "t")
+        path = tmp_path / "t.runlog"
+        path.write_text(path.read_text().replace('"grad_norm_outer": ', '"gradient": ', 1))
+        capsys.readouterr()
+        assert cli.main(["compare", str(path), "--out", str(tmp_path)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and err.count("\n") == 1
+        assert "grad_norm_outer" in err and str(path) in err
+
 
 class TestAudit:
     def test_small_audit_exits_zero(self, capsys):
@@ -294,8 +315,8 @@ class TestInputErrors:
             (["compare", "absent.runlog", "--factor", "nan"], "--factor"),
             (["plot", "absent.runlog", "--factor", "-1"], "--factor"),
             (["plot", "absent.runlog", "--factor", "1"], "--factor"),
-            (["eval", "--ckpt", "absent.ckpt", "--episodes", "0"], "--episodes"),
-            (["eval", "--ckpt", "absent.ckpt", "--episodes", str(10**9)], "--episodes"),
+            (["eval", "--ckpt", "absent.ckpt", "--eval_episodes", "0"], "eval_episodes"),
+            (["eval", "--ckpt", "absent.ckpt", "--eval_episodes", str(10**9)], "eval_episodes"),
             (["audit", "--k_trajs", str(10**9)], "--k_trajs"),
             (["audit", "--k_trajs", str(cli.MAX_TRAJECTORIES + 1)], "--k_trajs"),
             # Config values are checked by the config, which names the key.
@@ -314,7 +335,7 @@ class TestInputErrors:
             # x horizon, at the default horizons (audit's is 15).
             (["train", "--k_trajs", str(OVER_ROWS), "--epochs", "1"], "k_trajs x horizon"),
             (["train", "--eval_episodes", str(OVER_ROWS), "--epochs", "1"], "eval_episodes x horizon"),
-            (["eval", "--ckpt", "absent.ckpt", "--episodes", str(OVER_ROWS)], "--episodes x horizon"),
+            (["eval", "--ckpt", "absent.ckpt", "--eval_episodes", str(OVER_ROWS)], "eval_episodes x horizon"),
             (["audit", "--k_trajs", str(meta.MAX_ROLLOUT_ROWS // 15 + 1)], "--k_trajs x --horizon"),
         ],
     )
@@ -369,7 +390,7 @@ class TestInputErrors:
             "eval", "--ckpt", str(tmp_path / "t.ckpt"),
             *TINY, "--out_dir", str(tmp_path), "--label", "t",
             # The trajectory bound, at the horizon that fills the row bound.
-            "--episodes", str(cli.MAX_TRAJECTORIES),
+            "--eval_episodes", str(cli.MAX_TRAJECTORIES),
             "--horizon", str(meta.MAX_ROLLOUT_ROWS // cli.MAX_TRAJECTORIES),
         ]
         capsys.readouterr()

@@ -4,9 +4,11 @@ in the library or the benchmark.
 A deletion that leaves its name in `__all__` breaks
 `from metarl.<module> import *`; the first test catches it for every module.
 A public name that only tests reach is code kept alive for its tests; the
-second test catches it with an AST scan of `src/metarl` and `perfbench/`.
-Inside its own module a name is used only from module-level code or from a
-def or class that has a caller itself, so a helper of dead code is dead too.
+second test catches it with an AST scan of `src/metarl` and `perfbench/`,
+the package's own `__all__` included, so a re-export from the package that
+nothing imports that way is caught too. Inside its own module a name is used
+only when read by module-level code or by a def or class that has a caller
+itself, so a helper of dead code is dead too; assigning a name is no use.
 """
 
 import ast
@@ -59,7 +61,7 @@ def _metarl_module(node: ast.ImportFrom, own: "str | None") -> "str | None":
 def references(tree: ast.Module, own: "str | None", called=frozenset()) -> "set[tuple[str, str]]":
     """(module, name) pairs a file's tree refers to: `from .mod import name`,
     `mod.name` through any alias of a metarl module, and, inside metarl
-    module `own`, the bare names used by module-level code or by a top-level
+    module `own`, the bare names read by module-level code or by a top-level
     def or class whose (own, name) is in `called`. The package's own
     re-exports and string constants (`__all__`, docstrings) are not
     references."""
@@ -73,8 +75,8 @@ def references(tree: ast.Module, own: "str | None", called=frozenset()) -> "set[
             for alias in node.names:
                 if source == "" and alias.name in SUBMODULES:
                     aliases[alias.asname or alias.name] = alias.name
-                elif source:
-                    refs.add((source, alias.name))
+                else:
+                    refs.add((source or "__init__", alias.name))
         elif isinstance(node, ast.Import):
             for alias in node.names:
                 package, _, module = alias.name.partition(".")
@@ -88,7 +90,10 @@ def references(tree: ast.Module, own: "str | None", called=frozenset()) -> "set[
         for top in tree.body:
             defined = getattr(top, "name", None)  # a def or class; None for module-level code
             if defined is None or (own, defined) in called:
-                refs.update((own, n.id) for n in ast.walk(top) if isinstance(n, ast.Name))
+                refs.update(
+                    (own, n.id) for n in ast.walk(top)
+                    if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)
+                )
     return refs
 
 
@@ -112,13 +117,13 @@ def exported(tree: ast.Module) -> "list[str]":
 
 
 def unused_public_names(files) -> "list[tuple[str, str]]":
-    """(module, name) for each name a submodule's `__all__` lists that no
-    file refers to."""
+    """(module, name) for each name a metarl module's `__all__` lists that
+    no file refers to; the package itself is module "__init__"."""
     refs = all_references(files)
     return [
         (own, name)
         for tree, own in files
-        if own not in (None, "__init__")
+        if own is not None
         for name in exported(tree)
         if (own, name) not in refs
     ]
@@ -148,6 +153,20 @@ def test_a_name_used_only_by_an_uncalled_def_is_reported():
     assert {("synthetic", "entry"), ("synthetic", "helper")} <= refs
     assert ("synthetic", "orphan_helper") not in refs
     assert unused_public_names([(SYNTHETIC, "synthetic")]) == [("synthetic", "orphan_helper")]
+
+
+PACKAGE_REEXPORT = ast.parse("""
+from .meta import train
+
+__version__ = "0.1.0"
+__all__ = ["__version__", "train"]
+""")
+
+
+def test_a_package_name_nothing_imports_from_the_package_is_reported():
+    caller = ast.parse("from . import __version__\n")
+    files = [(PACKAGE_REEXPORT, "__init__"), (caller, "meta")]
+    assert unused_public_names(files) == [("__init__", "train")]
 
 
 def test_every_public_name_has_a_library_caller():

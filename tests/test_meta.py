@@ -793,7 +793,7 @@ class TestTrain:
 
         cfg = rc.meta
         flags = ["--algorithm", "maml", "--seed", str(cfg.seed), "--horizon", str(cfg.horizon),
-                 "--m_tasks", str(cfg.m_tasks), "--k_trajs", str(cfg.k_trajs), "--episodes", "4"]
+                 "--m_tasks", str(cfg.m_tasks), "--k_trajs", str(cfg.k_trajs), "--eval_episodes", "4"]
         printed = []
         for ckpt in (rates, policy_only):
             capsys.readouterr()

@@ -11,6 +11,7 @@ import json
 import os
 import platform
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -34,6 +35,22 @@ from metarl.runlog import (
     smoothed_returns,
     write_atomic,
 )
+
+
+ACCEPT_CACHE = Path(__file__).resolve().parent / ".accept_cache"
+MISSING = object()
+
+
+def rewrite_record(path, kind, field, value):
+    """Set `field` of the first `kind` record in `path` to `value`, or delete
+    it when `value` is MISSING."""
+    records = [json.loads(line) for line in path.read_text().splitlines()]
+    record = next(r for r in records if r["record"] == kind)
+    if value is MISSING:
+        del record[field]
+    else:
+        record[field] = value
+    path.write_text("".join(json.dumps(r) + "\n" for r in records))
 
 
 def row(epoch, ret=100.0, wall=0.25, outer=1.5, prestep=None, eval_s=0.0625):
@@ -195,6 +212,60 @@ class TestRoundTrip:
         p.write_text("not json\n")
         with pytest.raises(ParseError):
             load_runlog(p)
+
+    @pytest.mark.parametrize(
+        "suffix, kind, field, value",
+        [
+            (".runlog", "epoch", "grad_norm_outer", MISSING),
+            (".runlog", "epoch", "epoch", "zero"),
+            (".runlog", "header", "fingerprint", MISSING),
+            (".runlog", "epoch", "eval_return", "abc"),
+            (".runlog", "epoch", "grad_norm_outer", True),
+            (".runlog", "epoch", "grad_norm_outer", None),
+            (".runlog", "footer", "convergence_epoch", 1.5),
+            (".runlog", "footer", "diverged", MISSING),
+            (".timing", "epoch", "wall_seconds", "0.25"),
+            (".timing", "footer", "total_wall_seconds", MISSING),
+        ],
+    )
+    def test_load_rejects_a_missing_or_mistyped_field(self, tmp_path, suffix, kind, field, value):
+        path = save_runlog(tmp_path, sample_log())
+        rewrite_record(path.with_suffix(suffix), kind, field, value)
+        with pytest.raises(ParseError) as err:
+            load_runlog(path)
+        assert str(path.with_suffix(suffix)) in str(err.value)
+        assert repr(field) in str(err.value)
+
+    @pytest.mark.parametrize(
+        "suffix, kind, field, value",
+        [(".timing", "epoch", "wall_seconds", 0.0), (".runlog", "epoch", "epoch", 2)],
+    )
+    def test_load_rejects_values_the_records_forbid(self, tmp_path, suffix, kind, field, value):
+        # A zero wall time, and epochs out of order (0 rewritten as 2).
+        path = save_runlog(tmp_path, sample_log())
+        rewrite_record(path.with_suffix(suffix), kind, field, value)
+        with pytest.raises(ParseError) as err:
+            load_runlog(path)
+        assert str(path) in str(err.value)
+
+    def test_load_rejects_a_line_that_is_not_a_record(self, tmp_path):
+        path = save_runlog(tmp_path, sample_log())
+        path.write_text(path.read_text() + "[1, 2]\n")
+        with pytest.raises(ParseError):
+            load_runlog(path)
+
+
+@pytest.mark.parametrize("path", sorted(ACCEPT_CACHE.glob("*.runlog")), ids=lambda p: p.name)
+def test_cached_runs_reserialize_byte_for_byte(path):
+    """Every cached run, written by an earlier serializer, reads back and
+    writes out as the same bytes; the cached sidecars may lack the platform
+    line, which the loader skips and the serializer does not write."""
+    run_text, timing_text = serialize_runlog(load_runlog(path))
+    timing = path.with_suffix(".timing").read_bytes().splitlines(keepends=True)
+    assert run_text.encode() == path.read_bytes()
+    assert timing_text.encode() == b"".join(
+        line for line in timing if not line.startswith(b'{"record": "platform"')
+    )
 
 
 class TestSmoothing:
