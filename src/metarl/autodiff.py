@@ -290,11 +290,8 @@ class ParamVector:
         self._check_combinable(other)
         return self.with_values(self.values - other.values)
 
-    def scale(self, c: float) -> "ParamVector":
-        return self.with_values(self.values * float(c))
-
     def __mul__(self, c: float) -> "ParamVector":
-        return self.scale(c)
+        return self.with_values(self.values * float(c))
 
     __rmul__ = __mul__
 
@@ -800,35 +797,31 @@ def hvp(objective: Objective, at: ParamVector, v: Gradient) -> Gradient:
 # Finite-difference oracles (tests and `audit` only)
 # ---------------------------------------------------------------------------
 
-def _check_epsilon(epsilon: float) -> None:
-    if not (math.isfinite(epsilon) and epsilon > 0):
-        raise ValueError(f"epsilon must be finite and > 0, got {epsilon}")
+FD_GRAD_EPSILON = 1e-5  # fd_grad's step along each coordinate
+FD_HVP_EPSILON = 1e-4  # fd_hvp's step along v
 
 
-def fd_grad(objective: Objective, at: ParamVector, epsilon: float = 1e-5) -> Gradient:
-    """Central-difference gradient, one coordinate at a time.
+def fd_grad(objective: Objective, at: ParamVector) -> Gradient:
+    """Central-difference gradient, one coordinate at a time, with step
+    FD_GRAD_EPSILON.
 
     Every evaluation reads one scratch vector: a copy of `at`'s values that
     the objective sees through read-only views, built once. Each coordinate
     is written in place to xi + epsilon, then xi - epsilon, and restored, so
-    an evaluation copies, scans and slices nothing. Both perturbed entries
-    are checked finite before they are written (NonFiniteValue, as
-    `with_values` raises); every other entry is `at`'s, checked when `at`
-    was built. The scratch never leaves `value`: the objective must keep
-    nothing of its Params between calls, as `rl.policy_objective`'s
+    an evaluation copies, scans and slices nothing. Every entry is finite:
+    `at`'s were checked when it was built, and a finite double moved by
+    1e-5 stays finite. The scratch never leaves `value`: the objective must
+    keep nothing of its Params between calls, as `rl.policy_objective`'s
     objectives keep nothing. `at` itself is never written."""
-    _check_epsilon(epsilon)
+    epsilon = FD_GRAD_EPSILON
     x = at.values.copy()
     scratch = at._reading(x)
     g = np.zeros(at.size)
     for i in range(at.size):
-        xi = float(x[i])  # a Python float overflows to inf without a warning
-        up, down = xi + epsilon, xi - epsilon
-        if not (math.isfinite(up) and math.isfinite(down)):
-            raise NonFiniteValue("parameter vector contains NaN/Inf")
-        x[i] = up
+        xi = float(x[i])
+        x[i] = xi + epsilon
         hi = value(objective, scratch)
-        x[i] = down
+        x[i] = xi - epsilon
         lo = value(objective, scratch)
         x[i] = xi
         g[i] = (hi - lo) / (2.0 * epsilon)
@@ -837,11 +830,10 @@ def fd_grad(objective: Objective, at: ParamVector, epsilon: float = 1e-5) -> Gra
     return at.with_values(g)
 
 
-def fd_hvp(
-    objective: Objective, at: ParamVector, v: Gradient, epsilon: float = 1e-4
-) -> Gradient:
-    """Central difference of gradients along v: (g(at+eps*v) - g(at-eps*v)) / 2eps."""
-    _check_epsilon(epsilon)
+def fd_hvp(objective: Objective, at: ParamVector, v: Gradient) -> Gradient:
+    """Central difference of gradients along v, with eps = FD_HVP_EPSILON:
+    (g(at+eps*v) - g(at-eps*v)) / 2eps."""
+    epsilon = FD_HVP_EPSILON
     hi = grad(objective, at.with_values(at.values + epsilon * v.values))
     lo = grad(objective, at.with_values(at.values - epsilon * v.values))
     return at.with_values((hi.values - lo.values) / (2.0 * epsilon))

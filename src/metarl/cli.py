@@ -18,16 +18,14 @@ from pathlib import Path
 import numpy as np
 
 from . import harness, meta
-from .envs import CARTPOLE_HORIZON
-from .errors import MetaRLError, ValidationError
-from .meta import CONFIG_KEYS, MAX_ROLLOUT_ROWS, MAX_TRAJECTORIES, check_range
+from .errors import MetaRLError
+from .meta import CONFIG_KEYS, check_range
 from .rng import Stream
-from .runlog import EMA_FACTOR, load_runlog, smoothed_returns, write_atomic
+from .runlog import load_runlog, smoothed_returns, write_atomic
 
 
-def _add_config_flags(p: argparse.ArgumentParser, with_config_file: bool = True) -> None:
-    if with_config_file:
-        p.add_argument("--config", default=None, help="config file (key=value lines)")
+def _add_config_flags(p: argparse.ArgumentParser) -> None:
+    p.add_argument("--config", default=None, help="config file (key=value lines)")
     for key in CONFIG_KEYS:
         p.add_argument(f"--{key}", default=None, metavar="V", help=f"override {key}")
 
@@ -42,11 +40,6 @@ def _config_from(args: argparse.Namespace) -> meta.RunConfig:
     return harness.build_run_config(_overrides(args))
 
 
-def _check_factor(flag: str, value: float) -> None:
-    if not 0.0 <= value < 1.0:
-        raise ValidationError(f"{flag}: smoothing factor must lie in [0, 1), got {value}")
-
-
 def _parse_tau(value: str) -> "float | None":
     """A number, or 'auto' for 80% of the best smoothed return in the set."""
     if value.strip().lower() == "auto":
@@ -54,8 +47,8 @@ def _parse_tau(value: str) -> "float | None":
     return float(value)
 
 
-def _auto_tau(runs, factor: float) -> float:
-    curves = [smoothed_returns(log.rows, factor)[2] for log in runs]
+def _auto_tau(runs) -> float:
+    curves = [smoothed_returns(log.rows)[2] for log in runs]
     best = max((float(c.max()) for c in curves if c.size), default=-np.inf)
     if not np.isfinite(best):
         raise MetaRLError("cannot derive a threshold: no evaluated epochs in any run")
@@ -90,10 +83,9 @@ def _cmd_eval(args) -> int:
 
 def _cmd_compare(args) -> int:
     check_range("--window", args.window, 1)
-    _check_factor("--factor", args.factor)
     runs = [load_runlog(p) for p in args.logs]
-    tau = args.tau if args.tau is not None else _auto_tau(runs, args.factor)
-    report = harness.summarize(runs, tau, args.window, args.factor)
+    tau = args.tau if args.tau is not None else _auto_tau(runs)
+    report = harness.summarize(runs, tau, args.window)
     text = report.render()
     out = Path(args.out) / "compare.txt"
     out.parent.mkdir(parents=True, exist_ok=True)
@@ -103,20 +95,15 @@ def _cmd_compare(args) -> int:
     return 0
 
 def _cmd_plot(args) -> int:
-    _check_factor("--factor", args.factor)
     runs = [load_runlog(p) for p in args.logs]
-    svg, dat = harness.emit_plot(runs, args.factor, args.out)
+    svg, dat = harness.emit_plot(runs, args.out)
     print(f"wrote {svg} and {dat}")
     return 0
 
 
 def _cmd_audit(args) -> int:
     check_range("--seeds", args.seeds, 1)
-    check_range("--k_trajs", args.k_trajs, 1, MAX_TRAJECTORIES)
-    # The audit runs on cartpole; the horizon also sizes the rollout buffers.
-    check_range("--horizon", args.horizon, 1, CARTPOLE_HORIZON)
-    check_range("--k_trajs x --horizon", args.k_trajs * args.horizon, 1, MAX_ROLLOUT_ROWS)
-    result = harness.audit_oracles(n_seeds=args.seeds, k=args.k_trajs, horizon=args.horizon)
+    result = harness.audit_oracles(n_seeds=args.seeds)
     print(result.render(), end="")
     return 0 if result.passed else 1
 
@@ -189,23 +176,16 @@ def build_parser() -> argparse.ArgumentParser:
                        help="convergence threshold, or 'auto' for 80%% of the best smoothed return")
     p_cmp.add_argument("--window", type=int, default=meta.RunConfig.conv_window,
                        help="consecutive epochs above threshold")
-    p_cmp.add_argument("--factor", type=float, default=EMA_FACTOR, help="smoothing factor")
     p_cmp.add_argument("--out", default=".", help="directory for compare.txt")
     p_cmp.set_defaults(fn=_cmd_compare)
 
     p_plot = sub.add_parser("plot", help="plot smoothed curves from run logs")
     p_plot.add_argument("logs", nargs="+", help="run log files")
-    p_plot.add_argument("--factor", type=float, default=EMA_FACTOR, help="smoothing factor")
     p_plot.add_argument("--out", default="curves.svg", help="output SVG path (.dat written beside)")
     p_plot.set_defaults(fn=_cmd_plot)
 
     p_audit = sub.add_parser("audit", help="check gradients against finite differences")
     p_audit.add_argument("--seeds", type=int, default=5, help="number of independent policies")
-    p_audit.add_argument("--k_trajs", type=int, default=2,
-                         help=f"trajectories per frozen batch, 1..{MAX_TRAJECTORIES}, "
-                              f"at most {MAX_ROLLOUT_ROWS} rows with --horizon")
-    p_audit.add_argument("--horizon", type=int, default=15,
-                         help=f"rollout horizon, 1..{CARTPOLE_HORIZON}")
     p_audit.set_defaults(fn=_cmd_audit)
 
     p_sweep = sub.add_parser("sweep", help="run one config across several seeds")

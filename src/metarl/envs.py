@@ -26,7 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvalidAction, UnknownFamily
+from .errors import InvalidAction
 from .rng import Stream
 
 __all__ = [
@@ -64,16 +64,6 @@ CROSS_REWARD = 50.0
 class Family(enum.Enum):
     CARTPOLE = "cartpole"
     INTERSECTION = "intersection"
-
-    @staticmethod
-    def parse(name: "str | Family") -> "Family":
-        if isinstance(name, Family):
-            return name
-        key = str(name).strip().lower()
-        for fam in Family:
-            if fam.value == key:
-                return fam
-        raise UnknownFamily(f"unknown environment family {name!r}")
 
 
 @dataclass(frozen=True)
@@ -242,5 +232,5 @@ _ENV_CLASSES = {Family.CARTPOLE: CartPoleEnv, Family.INTERSECTION: IntersectionE
 
 
 def make_env(task: Task) -> Environment:
-    """The environment of the task's family (UnknownFamily for an unknown name)."""
-    return _ENV_CLASSES[Family.parse(task.family)](task)
+    """The environment of the task's family."""
+    return _ENV_CLASSES[task.family](task)

@@ -19,10 +19,6 @@ class InvalidAction(MetaRLError):
     """An action outside the environment's action spec reached step()."""
 
 
-class UnknownFamily(MetaRLError):
-    """Task family name not recognized by the environment registry."""
-
-
 class EmptyTaskSet(MetaRLError):
     """An operation requiring at least one task received none."""
 

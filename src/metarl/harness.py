@@ -24,11 +24,11 @@ import numpy as np
 from . import autodiff as ad
 from . import rl
 from .envs import Family, Task, make_env
-from .errors import ParseError, UnknownFamily, ValidationError
+from .errors import ParseError, ValidationError
 from .meta import CONFIG_KEYS, MetaConfig, RunConfig
 from .policy import PolicyNet, actor_arch, init_params
 from .rng import Stream
-from .runlog import EMA_FACTOR, RunLog, convergence_epoch, fmt_float, smoothed_returns, write_atomic
+from .runlog import RunLog, convergence_epoch, fmt_float, smoothed_returns, write_atomic
 
 __all__ = [
     "load_config",
@@ -47,6 +47,7 @@ __all__ = [
 
 GRAD_TOL = 1e-4
 HVP_TOL = 1e-3
+AUDIT_GAMMA = 0.99  # the discount of the audited surrogate
 
 
 def parse_config_text(text: str, source: str = "<config>") -> "dict[str, str]":
@@ -69,12 +70,15 @@ def parse_config_text(text: str, source: str = "<config>") -> "dict[str, str]":
 
 
 def _convert(key: str, kind: type, val: str):
-    """`val` as a value of `kind`, the type of the key's field default."""
+    """`val` as a value of `kind`, the type of the key's field default. An
+    enum member is named by its value, in any case, with `_` for `-` and
+    surrounding blanks ignored."""
     if issubclass(kind, enum.Enum):
-        try:
-            return kind.parse(val)
-        except UnknownFamily as e:
-            raise ValidationError(f"{key}: {e}") from None
+        name = val.strip().lower().replace("_", "-")
+        for member in kind:
+            if member.value == name:
+                return member
+        raise ValidationError(f"{key}: unknown value {val!r}")
     if kind is str:
         return val
     try:
@@ -102,8 +106,8 @@ def load_config(path, overrides: "dict[str, str] | None" = None) -> RunConfig:
     """Config file plus command-line overrides (overrides win)."""
     path = Path(path)
     try:
-        text = path.read_text()
-    except OSError as e:
+        text = path.read_text(encoding="utf-8")
+    except (OSError, UnicodeDecodeError) as e:
         raise ParseError(f"cannot read config {path}: {e}") from None
     values = parse_config_text(text, source=str(path))
     values.update(overrides or {})
@@ -198,7 +202,7 @@ def _mean_std(xs: "list[float]") -> "tuple[float, float]":
     return float(arr.mean()), float(arr.std())
 
 
-def summarize(runs: "list[RunLog]", tau: float, w: int, factor: float = EMA_FACTOR) -> ComparisonReport:
+def summarize(runs: "list[RunLog]", tau: float, w: int) -> ComparisonReport:
     """Aggregate runs per algorithm label (seed suffixes stripped): per-epoch
     training seconds, per-evaluation seconds, convergence epoch, and training
     seconds until convergence. Runs that never converge are counted and
@@ -219,7 +223,7 @@ def summarize(runs: "list[RunLog]", tau: float, w: int, factor: float = EMA_FACT
         conv_secs: "list[float]" = []
         missing = 0
         for log in members:
-            conv = convergence_epoch(log.rows, tau, w, factor)
+            conv = convergence_epoch(log.rows, tau, w)
             if conv is None:
                 missing += 1
                 continue
@@ -297,12 +301,11 @@ def audit_oracles(
     n_seeds: int = 20,
     k: int = 2,
     horizon: int = 15,
-    gamma: float = 0.99,
     phi: float = 10.0,
 ) -> AuditResult:
     """Check the gradient and Hessian-vector-product paths against central
     finite differences on the policy surrogate over frozen rollout batches,
-    one independent policy and batch per seed."""
+    one independent policy and batch per seed, discounted at AUDIT_GAMMA."""
     if n_seeds < 1:
         raise ValidationError("n_seeds: must be >= 1")
     grad_errors: "list[float]" = []
@@ -314,7 +317,7 @@ def audit_oracles(
         arch = actor_arch(env)
         theta = init_params(arch, stream.child(0))
         batch = rl.sample_batch(env, PolicyNet(arch, theta), k, stream.child(1))
-        obj = rl.policy_objective(batch, gamma)
+        obj = rl.policy_objective(batch, AUDIT_GAMMA)
         g = ad.grad(obj, theta)
         grad_errors.append(ad.rel_err(g, ad.fd_grad(obj, theta)))
         v_raw = stream.child(2).generator().standard_normal(theta.size)
@@ -353,7 +356,7 @@ def _svg_coord(x: float) -> str:
     return format(x, ".2f")
 
 
-def emit_plot(runs: "list[RunLog]", factor: float, out_path) -> "tuple[Path, Path]":
+def emit_plot(runs: "list[RunLog]", out_path) -> "tuple[Path, Path]":
     """One EMA-smoothed eval-return polyline per run, legend by label, to a
     standalone SVG plus a columnar .dat file of the plotted points. A label
     shared by several runs names them `label`, `label#2`, ... in input order,
@@ -364,7 +367,7 @@ def emit_plot(runs: "list[RunLog]", factor: float, out_path) -> "tuple[Path, Pat
     series: "list[tuple[str, list[int], list[float], np.ndarray]]" = []
     seen: "dict[str, int]" = {}
     for log in runs:
-        xs, raw, ys = smoothed_returns(log.rows, factor)
+        xs, raw, ys = smoothed_returns(log.rows)
         if not xs:
             raise ValidationError(f"runs: {log.label} has no evaluated epochs to plot")
         seen[log.label] = n = seen.get(log.label, 0) + 1

@@ -114,10 +114,10 @@ ALPHA_VEC_FLOOR = 1e-6
 CHECKPOINT_INTERVAL = 50
 REPTILE_INNER_STEPS = 3
 # Upper bounds on the config keys that size memory. Trajectories per batch
-# (`k_trajs`, `eval_episodes`, and the CLI's `audit --k_trajs`) each size a
-# (horizon, trajectories) rollout buffer and one random stream per
-# trajectory; `m_tasks` multiplies the batches of an epoch; the horizon bound
-# admits the 500-step episodes of CartPole-v1.
+# (`k_trajs`, `eval_episodes`) each size a (horizon, trajectories) rollout
+# buffer and one random stream per trajectory; `m_tasks` multiplies the
+# batches of an epoch; the horizon bound admits the 500-step episodes of
+# CartPole-v1.
 # Their product, trajectories x horizon, is bounded too: it is the row count
 # of one batch, which sizes the rollout buffer and the graphs of the batch's
 # objective (one `hvp` on 2,000 rows peaks at 7.0 MiB of numpy memory).
@@ -144,16 +144,6 @@ class Algorithm(enum.Enum):
     DIRECTED_FOMAML = "directed-fomaml"
     DIRECTED_METASGD = "directed-metasgd"
 
-    @staticmethod
-    def parse(name: "str | Algorithm") -> "Algorithm":
-        if isinstance(name, Algorithm):
-            return name
-        key = str(name).strip().lower().replace("_", "-")
-        for algo in Algorithm:
-            if algo.value == key:
-                return algo
-        raise ValidationError(f"algorithm: unknown value {name!r}")
-
     @property
     def directed(self) -> bool:
         return self.value.startswith("directed-")
@@ -168,16 +158,6 @@ class Algorithm(enum.Enum):
 class Learner(enum.Enum):
     PG = "pg"
     AC = "ac"
-
-    @staticmethod
-    def parse(name: "str | Learner") -> "Learner":
-        if isinstance(name, Learner):
-            return name
-        key = str(name).strip().lower()
-        for lrn in Learner:
-            if lrn.value == key:
-                return lrn
-        raise ValidationError(f"learner: unknown value {name!r}")
 
 
 @dataclass(frozen=True)
@@ -442,15 +422,14 @@ def reptile_step(
     cfg: MetaConfig,
     rng: Stream,
     problem: MetaProblem,
-    n_inner: int = REPTILE_INNER_STEPS,
 ) -> ParamVector:
-    """theta + beta * mean_i(theta'_i - theta) after n_inner plain adaptation
-    steps per task, each on a freshly sampled batch."""
+    """theta + beta * mean_i(theta'_i - theta) after REPTILE_INNER_STEPS plain
+    adaptation steps per task, each on a freshly sampled batch."""
     tasks = _check_tasks(tasks)
     delta_sum = np.zeros(theta.size)
     for i, task in enumerate(tasks):
         cur = theta
-        for s in range(n_inner):
+        for s in range(REPTILE_INNER_STEPS):
             cur, _ = inner_adapt(cur, problem.task_objective(task, cur, rng.child(i, s)), cfg.alpha)
         delta_sum = delta_sum + (cur.values - theta.values)
     return theta.with_values(theta.values + cfg.beta * (delta_sum / len(tasks)))

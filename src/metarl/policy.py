@@ -283,29 +283,27 @@ class _Reader:
         self.buf = buf
         self.pos = 0
 
-    def take(self, fmt: str):
-        size = struct.calcsize(fmt)
-        if self.pos + size > len(self.buf):
+    def take_bytes(self, n: int) -> bytes:
+        """The next n bytes: the one bounds check of the reader."""
+        if self.pos + n > len(self.buf):
             raise ParseError("checkpoint truncated")
-        vals = struct.unpack_from(fmt, self.buf, self.pos)
-        self.pos += size
-        return vals
+        out = self.buf[self.pos : self.pos + n]
+        self.pos += n
+        return out
+
+    def take(self, fmt: str):
+        return struct.unpack(fmt, self.take_bytes(struct.calcsize(fmt)))
 
     def take_str(self) -> str:
         (n,) = self.take("<I")
-        if self.pos + n > len(self.buf):
-            raise ParseError("checkpoint truncated")
-        s = self.buf[self.pos : self.pos + n].decode("utf-8")
-        self.pos += n
-        return s
+        raw = self.take_bytes(n)
+        try:
+            return raw.decode("utf-8")
+        except UnicodeDecodeError:
+            raise ParseError(f"checkpoint string at byte {self.pos - n} is not UTF-8") from None
 
     def take_f64(self, count: int) -> np.ndarray:
-        size = 8 * count
-        if self.pos + size > len(self.buf):
-            raise ParseError("checkpoint truncated")
-        arr = np.frombuffer(self.buf, dtype="<f8", count=count, offset=self.pos)
-        self.pos += size
-        return arr.astype(np.float64)
+        return np.frombuffer(self.take_bytes(8 * count), dtype="<f8").astype(np.float64)
 
 
 def save_checkpoint(
@@ -335,8 +333,7 @@ def save_checkpoint(
 def load_checkpoint(path) -> "tuple[dict[str, ParamVector], dict[str, int]]":
     with open(path, "rb") as fh:
         rd = _Reader(fh.read())
-    magic = rd.buf[:4]
-    rd.pos = 4
+    magic = rd.take_bytes(4)
     if magic != _MAGIC:
         raise ParseError(f"not a parameter checkpoint (magic {magic!r})")
     (version,) = rd.take("<I")
@@ -365,7 +362,10 @@ def load_checkpoint(path) -> "tuple[dict[str, ParamVector], dict[str, int]]":
         values = rd.take_f64(int(size))
         if name in vectors:
             raise ParseError(f"checkpoint repeats vector {name!r}")
-        vectors[name] = ParamVector(values, segs)
+        try:
+            vectors[name] = ParamVector(values, segs)
+        except ValueError as e:  # a segment table that does not lay out the values
+            raise ParseError(f"checkpoint vector {name!r}: {e}") from None
     if rd.pos != len(rd.buf):
         raise ParseError(f"checkpoint has {len(rd.buf) - rd.pos} bytes after its last vector")
     return vectors, meta

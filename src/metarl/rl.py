@@ -144,14 +144,13 @@ def sample_batch(env: Environment, policy: PolicyNet, k: int, rng: Stream) -> Tr
     return TrajectoryBatch(tuple(_run_rollouts(env, policy, streams)), env.task)
 
 
-def discounted_returns(traj: "Trajectory | np.ndarray", gamma: float) -> np.ndarray:
+def discounted_returns(rewards: np.ndarray, gamma: float) -> np.ndarray:
     """G_t = sum_{k>=t} gamma^(k-t) r_k by backward recursion, in float64.
     The recursion runs on Python floats, which make the same IEEE-754 double
     operations in the same order as numpy float64 scalars, for less
     interpreter work."""
     if not 0.0 < gamma <= 1.0:
         raise ValueError("gamma must lie in (0, 1]")
-    rewards = traj.rewards if isinstance(traj, Trajectory) else traj
     vals = np.asarray(rewards, dtype=np.float64).tolist()
     gamma = float(gamma)
     acc = 0.0
@@ -175,7 +174,7 @@ def _pooled(batch: TrajectoryBatch, gamma: float):
     trajs = sorted(batch.trajectories, key=_traj_sort_key)
     states = np.vstack([t.states for t in trajs])
     targets = np.concatenate([t.raws for t in trajs])
-    returns = np.concatenate([discounted_returns(t, gamma) for t in trajs])
+    returns = np.concatenate([discounted_returns(t.rewards, gamma) for t in trajs])
     return states, targets, returns
 
 

@@ -34,6 +34,7 @@ import json
 import os
 import platform
 from dataclasses import dataclass, fields
+from itertools import zip_longest
 from pathlib import Path
 from typing import get_args, get_type_hints
 
@@ -114,6 +115,7 @@ _EPOCH_KINDS, _LOG_KINDS = (
     {name: get_args(hint) or (hint,) for name, hint in get_type_hints(cls).items()}
     for cls in (EpochMetrics, RunLog)
 )
+_FOOTER_KINDS = {**_LOG_KINDS, "total_epochs": (int,)}
 
 
 def _record(kind: str, /, **values) -> str:
@@ -228,25 +230,26 @@ def _values(path: Path, record: dict, kind: str, kinds, names) -> "dict[str, obj
 
 def load_runlog(path) -> RunLog:
     """Parse a .runlog plus its .timing sidecar back into a RunLog. A missing
-    record or field, or a value of the wrong type, is a ParseError naming the
-    file."""
+    record or field, a value of the wrong type, a footer whose total_epochs
+    is not the number of epoch records, or a sidecar whose epochs are not
+    the run log's, is a ParseError naming the file."""
     path = Path(path)
     timing_path = path.with_suffix(".timing")
     records = _read_records(path, "run log")
     timing = _read_records(timing_path, "timing sidecar")
     header = _values(path, records[0], "header", _LOG_KINDS, ("fingerprint", "version", "label"))
-    footer = _values(path, records[-1], "footer", _LOG_KINDS, ("convergence_epoch", "diverged"))
+    footer = _values(path, records[-1], "footer", _FOOTER_KINDS, ("total_epochs", "convergence_epoch", "diverged"))
     total = _values(timing_path, timing[-1], "footer", _LOG_KINDS, ("total_wall_seconds",))
-    walls = {}
-    for r in timing[:-1]:
-        values = _values(timing_path, r, "epoch", _EPOCH_KINDS, _TIMING_FIELDS)
-        walls[values["epoch"]] = values
-    rows = []
-    for r in records[1:-1]:
-        values = _values(path, r, "epoch", _EPOCH_KINDS, _RUNLOG_FIELDS)
-        if values["epoch"] not in walls:
-            raise ParseError(f"{timing_path}: missing wall time for epoch {values['epoch']}")
-        rows.append({**walls[values["epoch"]], **values})
+    walls = [_values(timing_path, r, "epoch", _EPOCH_KINDS, _TIMING_FIELDS) for r in timing[:-1]]
+    logged = [_values(path, r, "epoch", _EPOCH_KINDS, _RUNLOG_FIELDS) for r in records[1:-1]]
+    total_epochs = footer.pop("total_epochs")
+    if total_epochs != len(logged):
+        raise ParseError(f"{path}: footer says {total_epochs} epochs, the log holds {len(logged)}")
+    timed, epochs = [w["epoch"] for w in walls], [r["epoch"] for r in logged]
+    if timed != epochs:
+        i, (t, e) = next((i, pair) for i, pair in enumerate(zip_longest(timed, epochs)) if pair[0] != pair[1])
+        raise ParseError(f"{timing_path}: epoch record {i} is for epoch {t}, in {path} for epoch {e}")
+    rows = [{**w, **r} for w, r in zip(walls, logged)]
     try:
         return RunLog(**header, **footer, **total, rows=tuple(EpochMetrics(**row) for row in rows))
     except ValueError as e:  # an epoch or wall time out of range, or epochs out of order
@@ -284,20 +287,20 @@ def detect_convergence(smoothed, tau: float, w: int) -> int | None:
     return None
 
 
-def smoothed_returns(rows, factor: float = EMA_FACTOR) -> "tuple[list[int], list[float], np.ndarray]":
+def smoothed_returns(rows) -> "tuple[list[int], list[float], np.ndarray]":
     """The evaluated epochs among `rows` (epochs whose eval_return is set),
-    their raw eval returns, and those returns EMA-smoothed."""
+    their raw eval returns, and those returns smoothed with EMA_FACTOR."""
     evaled = [r for r in rows if r.eval_return is not None]
     raw = [r.eval_return for r in evaled]
-    return [r.epoch for r in evaled], raw, ema_smooth(raw, factor)
+    return [r.epoch for r in evaled], raw, ema_smooth(raw, EMA_FACTOR)
 
 
-def convergence_epoch(rows, tau: float, w: int, factor: float = EMA_FACTOR) -> int | None:
+def convergence_epoch(rows, tau: float, w: int) -> int | None:
     """The convergence rule: the smoothed eval return is >= tau for w
     consecutive evaluated epochs (the window is counted in evaluated epochs,
     skipped ones do not break it). Returns the epoch that opens the first
     such window, or None. The verdict depends only on the rows up to that
     window, so a run may stop as soon as it is not None."""
-    epochs, _, smoothed = smoothed_returns(rows, factor)
+    epochs, _, smoothed = smoothed_returns(rows)
     idx = detect_convergence(smoothed, tau, w)
     return None if idx is None else epochs[idx]

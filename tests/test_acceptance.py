@@ -3,13 +3,18 @@
 Criteria 4-7 train real meta-RL runs: 40 runs, which add up to about 25
 minutes on one CPU core of the machine that recorded them (roughly half an
 hour from scratch). Their runs are therefore cached under tests/.accept_cache
-(override with METARL_ACCEPT_CACHE), keyed by run label. A cache entry is a
-hit only when every artefact its caller reads is there (the final
-checkpoint too, for criterion 7), its config fingerprint matches, and its
-first REPLAY_EPOCHS epochs, retrained here, reproduce the cached rows bit for
-bit. Anything else is a miss: the run is retrained through exactly the same
-code path and its entry rewritten. Delete the cache directory to force full
-regeneration.
+(override with METARL_ACCEPT_CACHE), keyed by run label. An entry is the
+run's .runlog and .timing, plus its final checkpoint for criterion 7. It is
+a hit only when every artefact its caller reads is there, its config
+fingerprint matches, a run that must not stop early (criteria 5 and 7)
+holds every epoch or ends in a divergence, and its first REPLAY_EPOCHS
+epochs, retrained here, reproduce the cached rows bit for bit. Anything else
+is a miss: the run is retrained through exactly the same code path and its
+entry rewritten. Delete the cache directory to force full regeneration.
+
+The cache holds no work counts. Criterion 5 counts the gradients,
+Hessian-vector products and rollouts of each of its configs' first epoch
+as this code runs it, so its cost-structure verdict is never a replay.
 
 Replay is byte-identical only on one numeric platform, and the BLAS thread
 count is part of it: OpenBLAS splits matrix products across threads in a way
@@ -23,11 +28,10 @@ evaluation return >= tau for `window` consecutive evaluated epochs, reported
 as the first epoch of that window.
 """
 
-import json
 import os
 import time
 import warnings
-from dataclasses import asdict, replace
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -94,7 +98,7 @@ def bench_config(
     conv_window=WINDOW,
 ) -> RunConfig:
     mc = MetaConfig(
-        algorithm=Algorithm.parse(algorithm),
+        algorithm=Algorithm(algorithm),
         learner=Learner.PG,
         env=env,
         phi_lo=5.0,
@@ -125,22 +129,22 @@ REPLAY_FIELDS = ("eval_return", "grad_norm_outer", "prestep_grad_norm")
 _replayed: "set[str]" = set()  # labels whose entry replayed, or was trained, this session
 
 
-def _cache_entry(rc: RunConfig, stop_early: bool, checkpoint: bool) -> "tuple[RunLog, Counts] | None":
-    """The cached log and counters for rc, or None when an artefact the
-    caller reads is missing or the entry was recorded for another config."""
-    fp = fingerprint(rc)
-    needed = [CACHE_DIR / f"{rc.label}{ext}" for ext in (".runlog", ".timing", ".counts.json")]
+def _cache_entry(rc: RunConfig, stop_early: bool, checkpoint: bool) -> "RunLog | None":
+    """The cached log for rc, or None when an artefact the caller reads is
+    missing, the entry was recorded for another config, or, for a run that
+    must not stop early, the log ends before its last epoch without
+    diverging."""
+    needed = [CACHE_DIR / f"{rc.label}{ext}" for ext in (".runlog", ".timing")]
     if checkpoint:
         needed.append(CACHE_DIR / f"{rc.label}.ckpt")
     if not all(path.exists() for path in needed):
         return None
-    rec = json.loads((CACHE_DIR / f"{rc.label}.counts.json").read_text())
-    if rec.get("fingerprint") != fp or rec.get("stop_early") != stop_early:
-        return None
     log = load_runlog(CACHE_DIR / f"{rc.label}.runlog")
-    if log.fingerprint != fp:
+    if log.fingerprint != fingerprint(rc):
         return None
-    return log, Counts(**rec["counters"])
+    if not stop_early and len(log.rows) < rc.meta.epochs and log.diverged is None:
+        return None
+    return log
 
 
 def replay_mismatch(rc: RunConfig, log: RunLog) -> "str | None":
@@ -161,24 +165,22 @@ def replay_mismatch(rc: RunConfig, log: RunLog) -> "str | None":
     return None
 
 
-def cached_run(
-    rc: RunConfig, stop_early: bool = True, checkpoint: bool = False
-) -> "tuple[RunLog, Counts]":
+def cached_run(rc: RunConfig, stop_early: bool = True, checkpoint: bool = False) -> RunLog:
     """Train rc through the production loop (meta.iter_epochs), leaving it
     once the convergence rule fires when stop_early is set (the rule's
     verdict is prefix-determined, so later epochs cannot change it).
-    Results (log, timing sidecar, final checkpoint, and the gradients,
-    Hessian-vector products and rollouts counted by count_calls) are cached
-    by label. A hit needs the log, its sidecar and the counts, plus the
-    final checkpoint when checkpoint is set, all recorded for rc's
-    fingerprint, and a bit-exact replay of the first REPLAY_EPOCHS epochs;
-    a miss retrains rc and rewrites its entry."""
+    Results (log, timing sidecar and final checkpoint) are cached by label.
+    A hit needs the log and its sidecar, plus the final checkpoint when
+    checkpoint is set, recorded for rc's fingerprint; a run that must not
+    stop early needs every epoch, or a divergence; and the first
+    REPLAY_EPOCHS epochs must replay bit for bit. A miss retrains rc and
+    rewrites its entry."""
     CACHE_DIR.mkdir(parents=True, exist_ok=True)
     hit = _cache_entry(rc, stop_early, checkpoint)
     if hit is not None:
         if rc.label in _replayed:
             return hit
-        mismatch = replay_mismatch(rc, hit[0])
+        mismatch = replay_mismatch(rc, hit)
         if mismatch is None:
             _replayed.add(rc.label)
             return hit
@@ -188,15 +190,14 @@ def cached_run(
     t0 = time.perf_counter()
     rows = []
     diverged = None
-    with count_calls() as counts:
-        try:
-            for state, m in meta.iter_epochs(rc, state):
-                rows.append(m)
-                if stop_early and m.eval_return is not None:
-                    if convergence_epoch(rows, rc.conv_tau, rc.conv_window) is not None:
-                        break
-        except EpochDiverged as err:
-            diverged = f"epoch {err.epoch}: {err.cause}"
+    try:
+        for state, m in meta.iter_epochs(rc, state):
+            rows.append(m)
+            if stop_early and m.eval_return is not None:
+                if convergence_epoch(rows, rc.conv_tau, rc.conv_window) is not None:
+                    break
+    except EpochDiverged as err:
+        diverged = f"epoch {err.epoch}: {err.cause}"
     total = max(time.perf_counter() - t0, 1e-9)
     log = RunLog(
         fingerprint=fingerprint(rc),
@@ -209,12 +210,16 @@ def cached_run(
     )
     save_runlog(CACHE_DIR, log)
     meta._save_state(replace(rc, out_dir=str(CACHE_DIR)), state)
-    (CACHE_DIR / f"{rc.label}.counts.json").write_text(
-        json.dumps({"fingerprint": log.fingerprint, "stop_early": stop_early, "counters": asdict(counts)})
-        + "\n"
-    )
     _replayed.add(rc.label)
-    return log, counts
+    return log
+
+
+def first_epoch_counts(rc: RunConfig) -> Counts:
+    """The gradients, Hessian-vector products and rollouts of rc's first
+    epoch, its evaluation included, counted as this code runs it."""
+    with count_calls() as counts:
+        next(meta.iter_epochs(rc, meta.init_state(rc.meta)))
+    return counts
 
 
 def conv_le(directed: "int | None", base: "int | None") -> bool:
@@ -359,8 +364,8 @@ def test_criterion_03_empirical_medium_converges_to_interval_mean():
 
 def test_criterion_04_directed_maml_convergence_ordering():
     maml_cfgs, directed_cfgs = c4_configs()
-    maml_logs = [cached_run(rc)[0] for rc in maml_cfgs]
-    directed_logs = [cached_run(rc)[0] for rc in directed_cfgs]
+    maml_logs = [cached_run(rc) for rc in maml_cfgs]
+    directed_logs = [cached_run(rc) for rc in directed_cfgs]
 
     reached = sum(1 for log in directed_logs if max_smoothed(log) >= TAU)
     assert reached >= 4, f"directed reached tau on {reached}/5 seeds"
@@ -384,10 +389,11 @@ def test_criterion_04_directed_maml_convergence_ordering():
 # --- criterion 5 ------------------------------------------------------------
 
 def test_criterion_05_cost_structure_and_report():
-    runs = {algo: [cached_run(rc, stop_early=False) for rc in arm] for algo, arm in c5_configs().items()}
+    arms = c5_configs()
+    runs = {algo: [cached_run(rc, stop_early=False) for rc in arm] for algo, arm in arms.items()}
 
     def mean_epoch_seconds(algo):
-        walls = [r.wall_seconds for log, _ in runs[algo] for r in log.rows]
+        walls = [r.wall_seconds for log in runs[algo] for r in log.rows]
         assert len(walls) == 3 * 50
         return float(np.mean(walls))
 
@@ -395,14 +401,19 @@ def test_criterion_05_cost_structure_and_report():
     assert t_fo < t_maml, f"fomaml {t_fo:.4f}s !< maml {t_maml:.4f}s"
     assert t_maml <= t_dir, f"maml {t_maml:.4f}s !<= directed {t_dir:.4f}s"
 
-    for (_, c_maml), (_, c_dir), (_, c_fo) in zip(runs["maml"], runs["directed-maml"], runs["fomaml"]):
+    # Work per epoch, counted on each config's first epoch as run here.
+    counts = {algo: [first_epoch_counts(rc) for rc in arm] for algo, arm in arms.items()}
+    for rc, c_maml, c_dir, c_fo in zip(
+        arms["directed-maml"], counts["maml"], counts["directed-maml"], counts["fomaml"]
+    ):
         assert c_fo.hvp_calls == 0
         assert c_dir.hvp_calls == c_maml.hvp_calls
-        assert c_dir.grad_calls == c_maml.grad_calls + 50  # one prestep gradient per epoch
+        assert c_dir.grad_calls == c_maml.grad_calls + 1  # one prestep gradient
+        assert c_dir.rollouts == c_maml.rollouts + rc.meta.k_trajs  # the prestep's batch
 
     # Report format and the speedup identity, on the convergence runs.
     maml_cfgs, directed_cfgs = c4_configs()
-    logs = [cached_run(rc)[0] for rc in maml_cfgs + directed_cfgs]
+    logs = [cached_run(rc) for rc in maml_cfgs + directed_cfgs]
     report = summarize(logs, TAU, WINDOW)
     assert report.speedups, "no converged groups to compare"
     ratios = {(a, b): r for a, b, r in report.speedups}
@@ -414,7 +425,8 @@ def test_criterion_05_cost_structure_and_report():
     speed = ratios[("c4-maml", "c4-dmaml")]
     print(
         f"criterion 5 (cost structure): PASS - epoch s fomaml {t_fo:.3f} < maml {t_maml:.3f} "
-        f"<= directed {t_dir:.3f}; hvp counts equal, +1 prestep grad/epoch; "
+        f"<= directed {t_dir:.3f}; per epoch fomaml 0 hvp, hvp counts equal, directed +1 grad "
+        f"and +{arms['maml'][0].meta.k_trajs} rollouts; "
         f"to-convergence speedup maml/directed {speed:.2f}x, reciprocal identity <= 1e-9"
     )
 
@@ -422,7 +434,7 @@ def test_criterion_05_cost_structure_and_report():
 # --- criterion 6 ------------------------------------------------------------
 
 def test_criterion_06_directed_variants_at_published_step_size():
-    arms = {algo: [cached_run(rc)[0] for rc in cfgs] for algo, cfgs in c6_configs().items()}
+    arms = {algo: [cached_run(rc) for rc in cfgs] for algo, cfgs in c6_configs().items()}
     verdicts = {}
     for base, directed in (("fomaml", "directed-fomaml"), ("metasgd", "directed-metasgd")):
         pairs = [

@@ -18,7 +18,6 @@ import pytest
 
 import metarl
 from metarl import cli, meta, rl
-from metarl.envs import CARTPOLE_HORIZON
 from metarl.errors import MetaRLError
 from metarl.policy import load_checkpoint, save_checkpoint
 
@@ -290,7 +289,7 @@ class TestCompareAndPlot:
 
 class TestAudit:
     def test_small_audit_exits_zero(self, capsys):
-        rc = cli.main(["audit", "--seeds", "1", "--k_trajs", "1", "--horizon", "6"])
+        rc = cli.main(["audit", "--seeds", "1"])
         assert rc == 0
         out = capsys.readouterr().out
         assert "seed 0" in out
@@ -301,43 +300,33 @@ class TestInputErrors:
     """Bad flag values end as one `error: <flag>: ...` line and exit 1,
     before any rollout, file read or allocation they would size."""
 
+    # Each case keeps a fixed number in its id, so removing a case renames
+    # no other.
     @pytest.mark.parametrize(
         "argv, flag",
-        [
-            (["audit", "--k_trajs", "0"], "--k_trajs"),
-            (["audit", "--seeds", "0"], "--seeds"),
-            (["audit", "--horizon", "0"], "--horizon"),
-            (["audit", "--horizon", "-3"], "--horizon"),
-            (["audit", "--horizon", "201"], "--horizon"),
-            (["audit", "--horizon", str(10**9)], "--horizon"),
-            (["compare", "absent.runlog", "--window", "0"], "--window"),
-            (["compare", "absent.runlog", "--factor", "1.5"], "--factor"),
-            (["compare", "absent.runlog", "--factor", "nan"], "--factor"),
-            (["plot", "absent.runlog", "--factor", "-1"], "--factor"),
-            (["plot", "absent.runlog", "--factor", "1"], "--factor"),
-            (["eval", "--ckpt", "absent.ckpt", "--eval_episodes", "0"], "eval_episodes"),
-            (["eval", "--ckpt", "absent.ckpt", "--eval_episodes", str(10**9)], "eval_episodes"),
-            (["audit", "--k_trajs", str(10**9)], "--k_trajs"),
-            (["audit", "--k_trajs", str(cli.MAX_TRAJECTORIES + 1)], "--k_trajs"),
+        [pytest.param(argv, flag, id=f"argv{n}-{flag}") for n, argv, flag in [
+            (1, ["audit", "--seeds", "0"], "--seeds"),
+            (6, ["compare", "absent.runlog", "--window", "0"], "--window"),
+            (11, ["eval", "--ckpt", "absent.ckpt", "--eval_episodes", "0"], "eval_episodes"),
+            (12, ["eval", "--ckpt", "absent.ckpt", "--eval_episodes", str(10**9)], "eval_episodes"),
             # Config values are checked by the config, which names the key.
-            (["train", "--phi_hi", "inf", "--epochs", "1"], "phi_hi"),
-            (["train", "--label", "../x", "--epochs", "1"], "label"),
-            (["train", "--label", "..", "--epochs", "1"], "label"),
-            (["train", "--label", "a\x01b", "--epochs", "1"], "label"),
-            (["train", "--label", "del\x7f", "--epochs", "1"], "label"),
+            (15, ["train", "--phi_hi", "inf", "--epochs", "1"], "phi_hi"),
+            (16, ["train", "--label", "../x", "--epochs", "1"], "label"),
+            (17, ["train", "--label", "..", "--epochs", "1"], "label"),
+            (18, ["train", "--label", "a\x01b", "--epochs", "1"], "label"),
+            (19, ["train", "--label", "del\x7f", "--epochs", "1"], "label"),
             # One above each bound on a config key that sizes memory.
-            (["train", "--horizon", str(meta.MAX_HORIZON + 1), "--epochs", "1"], "horizon"),
-            (["train", "--k_trajs", str(meta.MAX_TRAJECTORIES + 1), "--epochs", "1"], "k_trajs"),
-            (["train", "--m_tasks", str(meta.MAX_TASKS + 1), "--epochs", "1"], "m_tasks"),
-            (["train", "--eval_episodes", str(meta.MAX_TRAJECTORIES + 1), "--epochs", "1"], "eval_episodes"),
-            (["eval", "--ckpt", "absent.ckpt", "--horizon", str(meta.MAX_HORIZON + 1)], "horizon"),
+            (20, ["train", "--horizon", str(meta.MAX_HORIZON + 1), "--epochs", "1"], "horizon"),
+            (21, ["train", "--k_trajs", str(meta.MAX_TRAJECTORIES + 1), "--epochs", "1"], "k_trajs"),
+            (22, ["train", "--m_tasks", str(meta.MAX_TASKS + 1), "--epochs", "1"], "m_tasks"),
+            (23, ["train", "--eval_episodes", str(meta.MAX_TRAJECTORIES + 1), "--epochs", "1"], "eval_episodes"),
+            (24, ["eval", "--ckpt", "absent.ckpt", "--horizon", str(meta.MAX_HORIZON + 1)], "horizon"),
             # One trajectory above the bound on a batch's rows, trajectories
-            # x horizon, at the default horizons (audit's is 15).
-            (["train", "--k_trajs", str(OVER_ROWS), "--epochs", "1"], "k_trajs x horizon"),
-            (["train", "--eval_episodes", str(OVER_ROWS), "--epochs", "1"], "eval_episodes x horizon"),
-            (["eval", "--ckpt", "absent.ckpt", "--eval_episodes", str(OVER_ROWS)], "eval_episodes x horizon"),
-            (["audit", "--k_trajs", str(meta.MAX_ROLLOUT_ROWS // 15 + 1)], "--k_trajs x --horizon"),
-        ],
+            # x horizon, at the default horizon.
+            (25, ["train", "--k_trajs", str(OVER_ROWS), "--epochs", "1"], "k_trajs x horizon"),
+            (26, ["train", "--eval_episodes", str(OVER_ROWS), "--epochs", "1"], "eval_episodes x horizon"),
+            (27, ["eval", "--ckpt", "absent.ckpt", "--eval_episodes", str(OVER_ROWS)], "eval_episodes x horizon"),
+        ]],
     )
     def test_rejected_with_the_flag_named(self, argv, flag, monkeypatch, capsys):
         def no_rollouts(*args, **kwargs):
@@ -350,32 +339,14 @@ class TestInputErrors:
         assert err.count("\n") == 1
         assert "Traceback" not in err
 
-    def test_audit_accepts_the_full_cartpole_horizon(self, monkeypatch, capsys):
-        reached = []
-
-        def stop(env, *args, **kwargs):
-            reached.append(env.horizon)
-            raise MetaRLError("stopped before rolling out")
-
-        monkeypatch.setattr(rl, "sample_batch", stop)
-        assert cli.main(["audit", "--seeds", "1", "--horizon", str(CARTPOLE_HORIZON)]) == 1
-        assert reached == [CARTPOLE_HORIZON]
-        assert capsys.readouterr().err == "error: stopped before rolling out\n"
-
-    def test_audit_accepts_the_trajectory_bound(self, monkeypatch, capsys):
-        reached = []
-
-        def stop(env, policy, k, *args, **kwargs):
-            reached.append(k)
-            raise MetaRLError("stopped before rolling out")
-
-        monkeypatch.setattr(rl, "sample_batch", stop)
-        # The trajectory bound, at the horizon that fills the row bound.
-        horizon = meta.MAX_ROLLOUT_ROWS // cli.MAX_TRAJECTORIES
-        argv = ["audit", "--seeds", "1", "--k_trajs", str(cli.MAX_TRAJECTORIES), "--horizon", str(horizon)]
-        assert cli.main(argv) == 1
-        assert reached == [cli.MAX_TRAJECTORIES]
-        assert capsys.readouterr().err == "error: stopped before rolling out\n"
+    def test_config_file_that_is_not_utf8_is_one_error_line(self, tmp_path, capsys):
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_bytes(b"epochs=1\nlabel=caf\xff\n")
+        assert cli.main(["train", "--config", str(cfg), "--out_dir", str(tmp_path)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert str(cfg) in err
+        assert not list(tmp_path.glob("*.runlog"))
 
     def test_eval_accepts_the_trajectory_bound(self, tmp_path, monkeypatch, capsys):
         assert train_tiny(tmp_path, "t") == 0
@@ -390,8 +361,8 @@ class TestInputErrors:
             "eval", "--ckpt", str(tmp_path / "t.ckpt"),
             *TINY, "--out_dir", str(tmp_path), "--label", "t",
             # The trajectory bound, at the horizon that fills the row bound.
-            "--eval_episodes", str(cli.MAX_TRAJECTORIES),
-            "--horizon", str(meta.MAX_ROLLOUT_ROWS // cli.MAX_TRAJECTORIES),
+            "--eval_episodes", str(meta.MAX_TRAJECTORIES),
+            "--horizon", str(meta.MAX_ROLLOUT_ROWS // meta.MAX_TRAJECTORIES),
         ]
         capsys.readouterr()
         assert cli.main(argv) == 1

@@ -18,7 +18,8 @@ from metarl.envs import (
     medium_task,
     sample_tasks,
 )
-from metarl.errors import EmptyTaskSet, InvalidAction, UnknownFamily
+from metarl.errors import EmptyTaskSet, InvalidAction, ValidationError
+from metarl.harness import build_run_config
 from metarl.rng import Stream
 
 
@@ -84,16 +85,17 @@ class TestTaskDistribution:
             TaskDistribution(Family.CARTPOLE, 8.0, 5.0)
 
     def test_family_parse(self):
-        assert Family.parse("CartPole") is Family.CARTPOLE
-        assert Family.parse(" intersection ") is Family.INTERSECTION
-        with pytest.raises(UnknownFamily):
-            Family.parse("lunarlander")
+        def family(name):
+            return build_run_config({"env": name}).meta.env
+
+        assert family("CartPole") is Family.CARTPOLE
+        assert family(" intersection ") is Family.INTERSECTION
+        with pytest.raises(ValidationError, match="env"):
+            family("lunarlander")
 
     def test_make_env_dispatches_on_family(self):
         assert isinstance(make_env(Task(Family.CARTPOLE, 9.0)), envs.CartPoleEnv)
-        assert isinstance(make_env(Task("Intersection", 9.0)), envs.IntersectionEnv)
-        with pytest.raises(UnknownFamily):
-            make_env(Task("lunarlander", 9.0))
+        assert isinstance(make_env(Task(Family.INTERSECTION, 9.0)), envs.IntersectionEnv)
 
 
 class TestCartPole:

@@ -32,7 +32,7 @@ from metarl.harness import (
     summarize,
 )
 from metarl.meta import Algorithm, Learner, fingerprint
-from metarl.runlog import EpochMetrics, RunLog, convergence_epoch
+from metarl.runlog import EMA_FACTOR, EpochMetrics, RunLog, convergence_epoch
 
 
 def row(epoch, ret=100.0, wall=0.25, eval_s=0.0625):
@@ -120,7 +120,7 @@ class TestBuildRunConfig:
             ("alpha", "fast", "alpha: expected a real number"),
             ("algorithm", "sgd", "algorithm: unknown"),
             ("learner", "q", "learner: unknown"),
-            ("env", "mujoco", "env: unknown environment family"),
+            ("env", "mujoco", "env: unknown value"),
             ("alpha", "inf", "^alpha: must be finite$"),
             ("beta", "inf", "^beta: must be finite$"),
             ("beta", "nan", "^beta: must be finite$"),
@@ -176,6 +176,13 @@ class TestLoadConfig:
         with pytest.raises(ParseError, match="cannot read config"):
             load_config(tmp_path / "absent.cfg")
 
+    def test_file_that_is_not_utf8_is_parse_error(self, tmp_path):
+        p = tmp_path / "run.cfg"
+        p.write_bytes(b"epochs = 12\nlabel = caf\xff\n")
+        with pytest.raises(ParseError, match="cannot read config") as err:
+            load_config(p)
+        assert str(p) in str(err.value)
+
     def test_same_file_same_fingerprint(self, tmp_path):
         p = tmp_path / "run.cfg"
         p.write_text("alpha = 0.002\nseed = 5\n")
@@ -225,13 +232,14 @@ class TestRunConvergenceEpoch:
 
     def test_maps_to_evaluated_epoch_numbers(self):
         # Evaluated every 3 epochs; returns ramp so the rule fires at the
-        # second evaluated row, whose epoch number is 3 (not index 1).
+        # second evaluated row, whose epoch number is 3 (not index 1): the
+        # smoothed returns of epochs 0, 3, 6 are 0, 20 and 38.
         rows = []
         for e in range(9):
             ret = 200.0 if e >= 3 else 0.0
             rows.append(row(e, ret=ret if e % 3 == 0 else None))
         log = make_log("r", rows)
-        assert convergence_epoch(log.rows, tau=100.0, w=2, factor=0.0) == 3
+        assert convergence_epoch(log.rows, tau=15.0, w=2) == 3
 
     def test_no_evaluations_is_none(self):
         log = make_log("r", [row(0, ret=None), row(1, ret=None)])
@@ -258,16 +266,16 @@ class TestSummarize:
         assert g.missing_convergence == 0
 
     def test_speedup_matches_hand_ratio(self):
-        # Returns cross tau only on the final epoch, so the whole run counts:
-        # 1404 s vs 792 s to convergence gives a 1.77x speedup either way
-        # you read the table.
+        # The smoothed return crosses tau only on the final epoch (0 before
+        # it, 20 on it), so the whole run counts: 1404 s vs 792 s to
+        # convergence gives a 1.77x speedup either way you read the table.
         def ramp(label, n, wall):
             rows = [row(e, ret=200.0 if e == n - 1 else 0.0, wall=wall) for e in range(n)]
             return make_log(label, rows)
 
         slow = ramp("maml-s1", 108, 13.0)
         fast = ramp("directed-maml-s1", 66, 12.0)
-        rep = summarize([slow, fast], tau=100.0, w=1, factor=0.0)
+        rep = summarize([slow, fast], tau=15.0, w=1)
         by = {g.label: g for g in rep.groups}
         assert by["maml"].seconds_to_convergence_mean == pytest.approx(1404.0)
         assert by["directed-maml"].seconds_to_convergence_mean == pytest.approx(792.0)
@@ -374,7 +382,7 @@ class TestSummarize:
 class TestEmitPlot:
     def test_single_run_structure(self, tmp_path):
         log = flat_log("demo", 10, ret=150.0)
-        svg_path, dat_path = emit_plot([log], 0.9, tmp_path / "curves.svg")
+        svg_path, dat_path = emit_plot([log], tmp_path / "curves.svg")
         svg = svg_path.read_text()
         assert svg.count("<polyline") == 1
         pts = svg.split('points="')[1].split('"')[0]
@@ -387,14 +395,14 @@ class TestEmitPlot:
     def test_reemit_is_byte_identical(self, tmp_path):
         rows = [row(e, ret=float(17 * e % 191)) for e in range(25)]
         log = make_log("jagged", rows)
-        p1, d1 = emit_plot([log], 0.9, tmp_path / "a" / "c.svg")
-        p2, d2 = emit_plot([log], 0.9, tmp_path / "b" / "c.svg")
+        p1, d1 = emit_plot([log], tmp_path / "a" / "c.svg")
+        p2, d2 = emit_plot([log], tmp_path / "b" / "c.svg")
         assert p1.read_bytes() == p2.read_bytes()
         assert d1.read_bytes() == d2.read_bytes()
 
     def test_multi_run_legend_and_lines(self, tmp_path):
         logs = [flat_log(f"alg{i}", 5, ret=50.0 * (i + 1)) for i in range(3)]
-        svg_path, dat_path = emit_plot(logs, 0.9, tmp_path / "c.svg")
+        svg_path, dat_path = emit_plot(logs, tmp_path / "c.svg")
         svg = svg_path.read_text()
         assert svg.count("<polyline") == 3
         for log in logs:
@@ -407,14 +415,14 @@ class TestEmitPlot:
         # .dat row pairs a run's smoothed value with that run's raw return.
         first = make_log("run", [row(e, ret=10.0 * (e + 1)) for e in range(4)])
         second = make_log("run", [row(e, ret=-3.0 * (e + 1)) for e in range(0, 8, 2)])
-        _, dat_path = emit_plot([first, second], 0.5, tmp_path / "c.svg")
+        _, dat_path = emit_plot([first, second], tmp_path / "c.svg")
         dat = [ln.split() for ln in dat_path.read_text().splitlines()[1:]]
         assert len(dat) == 8
         for log, part in ((first, dat[:4]), (second, dat[4:])):
             raw = [r.eval_return for r in log.rows]
             smoothed = [raw[0]]
             for x in raw[1:]:
-                smoothed.append(0.5 * smoothed[-1] + 0.5 * x)
+                smoothed.append(EMA_FACTOR * smoothed[-1] + (1.0 - EMA_FACTOR) * x)
             assert [int(p[1]) for p in part] == [r.epoch for r in log.rows]
             np.testing.assert_array_equal([float(p[2]) for p in part], raw)
             np.testing.assert_array_equal([float(p[3]) for p in part], smoothed)
@@ -422,7 +430,7 @@ class TestEmitPlot:
     def test_same_label_runs_get_distinct_series_names(self, tmp_path):
         labels = ["run", "other", "run", "run"]
         logs = [flat_log(label, 3, ret=10.0 * (i + 1)) for i, label in enumerate(labels)]
-        svg_path, dat_path = emit_plot(logs, 0.9, tmp_path / "c.svg")
+        svg_path, dat_path = emit_plot(logs, tmp_path / "c.svg")
         svg = svg_path.read_text()
         names = ["run", "other", "run#2", "run#3"]
         legend = [part.split("</text>")[0] for part in svg.split('font-family="monospace">')[1:]]
@@ -432,7 +440,7 @@ class TestEmitPlot:
 
     @pytest.mark.parametrize("label", ["a<b & c", "two words", 'say "hi"', "it's", "tab\tand\nnewline"])
     def test_any_label_gives_well_formed_svg_and_four_field_rows(self, tmp_path, label):
-        svg_path, dat_path = emit_plot([flat_log(label, 3, ret=10.0)], 0.9, tmp_path / "c.svg")
+        svg_path, dat_path = emit_plot([flat_log(label, 3, ret=10.0)], tmp_path / "c.svg")
         legend = minidom.parse(str(svg_path)).getElementsByTagName("text")[-1]
         assert legend.firstChild.data == label
         lines = dat_path.read_text().splitlines()[1:]
@@ -453,30 +461,30 @@ class TestEmitPlot:
     )
     def test_control_characters_of_a_logged_label_give_well_formed_svg(self, tmp_path, label, shown):
         # A run log written elsewhere may hold a label the config now rejects.
-        svg_path, _ = emit_plot([flat_log(label, 3, ret=10.0)], 0.9, tmp_path / "c.svg")
+        svg_path, _ = emit_plot([flat_log(label, 3, ret=10.0)], tmp_path / "c.svg")
         legend = minidom.parse(str(svg_path)).getElementsByTagName("text")[-1]
         assert legend.firstChild.data == shown
 
     def test_plain_labels_keep_their_bytes(self, tmp_path):
         label = "c6-directed-fomaml_s1.v2+x"
-        svg_path, dat_path = emit_plot([flat_log(label, 2, ret=10.0)], 0.9, tmp_path / "c.svg")
+        svg_path, dat_path = emit_plot([flat_log(label, 2, ret=10.0)], tmp_path / "c.svg")
         assert f">{label}</text>" in svg_path.read_text()
         assert [ln.split()[0] for ln in dat_path.read_text().splitlines()[1:]] == [label, label]
 
     def test_skipped_epochs_are_dropped_from_points(self, tmp_path):
         rows = [row(e, ret=100.0 if e % 2 == 0 else None) for e in range(10)]
         log = make_log("sparse", rows)
-        svg_path, dat_path = emit_plot([log], 0.9, tmp_path / "c.svg")
+        svg_path, dat_path = emit_plot([log], tmp_path / "c.svg")
         pts = svg_path.read_text().split('points="')[1].split('"')[0]
         assert len(pts.split()) == 5
         assert len(dat_path.read_text().splitlines()) == 1 + 5
 
     def test_empty_and_unevaluated_rejected(self, tmp_path):
         with pytest.raises(ValidationError, match="runs"):
-            emit_plot([], 0.9, tmp_path / "c.svg")
+            emit_plot([], tmp_path / "c.svg")
         log = make_log("mute", [row(0, ret=None)])
         with pytest.raises(ValidationError, match="mute has no evaluated epochs"):
-            emit_plot([log], 0.9, tmp_path / "c.svg")
+            emit_plot([log], tmp_path / "c.svg")
 
 
 class TestAuditOracles:

@@ -23,6 +23,7 @@ from metarl import cli, meta, rl
 from metarl.autodiff import ParamVector, Segment
 from metarl.envs import Family, medium_task
 from metarl.errors import EmptyTaskSet, EpochDiverged, NonFiniteValue, ValidationError
+from metarl.harness import build_run_config
 from metarl.policy import load_checkpoint, save_checkpoint
 from metarl.rng import Stream
 from metarl.runlog import load_runlog
@@ -278,7 +279,7 @@ class TestReptile:
     def test_matches_hand_unrolled_loop(self):
         cfg = quad_cfg(alpha=0.05, beta=0.3)
         prob = QuadraticProblem()
-        out = meta.reptile_step(THETA0, TASKS, cfg, S, prob, n_inner=3)
+        out = meta.reptile_step(THETA0, TASKS, cfg, S, prob)
 
         delta_sum = np.zeros(THETA0.size)
         for t in TASKS:
@@ -289,21 +290,12 @@ class TestReptile:
         expected = THETA0.values + cfg.beta * (delta_sum / len(TASKS))
         np.testing.assert_array_equal(out.values, expected)
 
-    def test_single_task_single_step_collapses_to_scaled_gradient_step(self):
-        cfg = quad_cfg(alpha=0.05, beta=0.3)
-        prob = QuadraticProblem()
-        out = meta.reptile_step(THETA0, TASKS[:1], cfg, S, prob, n_inner=1)
-        g = ad.grad(prob.task_objective(TASKS[0], THETA0, S), THETA0)
-        adapted = THETA0 + cfg.alpha * g
-        expected = THETA0.values + cfg.beta * ((adapted.values - THETA0.values) / 1.0)
-        np.testing.assert_array_equal(out.values, expected)
-
     def test_makes_no_curvature_calls(self):
         cfg = quad_cfg()
         with count_calls() as c:
-            meta.reptile_step(THETA0, TASKS, cfg, S, QuadraticProblem(), n_inner=2)
+            meta.reptile_step(THETA0, TASKS, cfg, S, QuadraticProblem())
         assert c.hvp_calls == 0
-        assert c.grad_calls == 2 * len(TASKS)
+        assert c.grad_calls == 3 * len(TASKS)
 
 
 # ---------------------------------------------------------------------------
@@ -542,21 +534,26 @@ class TestValidation:
         assert [f.name for f in fields(meta.MetaState)] == ["theta", "critic", "alpha_vec", "epoch"]
 
     def test_algorithm_parse(self):
-        assert meta.Algorithm.parse("directed_maml") is meta.Algorithm.DIRECTED_MAML
-        assert meta.Algorithm.parse("MAML") is meta.Algorithm.MAML
-        assert meta.Algorithm.parse(meta.Algorithm.REPTILE) is meta.Algorithm.REPTILE
+        def algorithm(name):
+            return build_run_config({"algorithm": name}).meta.algorithm
+
+        assert algorithm("directed_maml") is meta.Algorithm.DIRECTED_MAML
+        assert algorithm("MAML") is meta.Algorithm.MAML
         with pytest.raises(ValidationError, match="algorithm"):
-            meta.Algorithm.parse("sgd")
+            algorithm("sgd")
         assert meta.Algorithm.DIRECTED_FOMAML.base is meta.Algorithm.FOMAML
         assert meta.Algorithm.DIRECTED_FOMAML.directed
         assert not meta.Algorithm.FOMAML.directed
         assert meta.Algorithm.FOMAML.base is meta.Algorithm.FOMAML
 
     def test_learner_parse(self):
-        assert meta.Learner.parse("pg") is meta.Learner.PG
-        assert meta.Learner.parse("AC") is meta.Learner.AC
+        def learner(name):
+            return build_run_config({"learner": name}).meta.learner
+
+        assert learner("pg") is meta.Learner.PG
+        assert learner("AC") is meta.Learner.AC
         with pytest.raises(ValidationError, match="learner"):
-            meta.Learner.parse("q")
+            learner("q")
 
 
 # ---------------------------------------------------------------------------

@@ -5,6 +5,8 @@ and finite differences, and the checkpoint container."""
 
 from __future__ import annotations
 
+import struct
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -12,7 +14,7 @@ from hypothesis import strategies as st
 
 from metarl import autodiff as ad
 from metarl import policy as pol
-from metarl.autodiff import Params
+from metarl.autodiff import ParamVector, Params, Segment
 from metarl.envs import Family, Task, make_env
 from metarl.errors import NonFiniteValue, ParseError
 from metarl.rng import Stream
@@ -363,7 +365,7 @@ class TestLogprob:
             return ad.nmean(pol.logprob_graph(net.arch, p, states, actions))
 
         g = ad.grad(obj, net.params)
-        g_fd = ad.fd_grad(obj, net.params, epsilon=1e-5)
+        g_fd = ad.fd_grad(obj, net.params)
         assert ad.rel_err(g, g_fd) <= 1e-4
 
     def test_grad_matches_fd_gaussian(self):
@@ -376,7 +378,7 @@ class TestLogprob:
             return ad.nmean(pol.logprob_graph(net.arch, p, states, raws))
 
         g = ad.grad(obj, net.params)
-        g_fd = ad.fd_grad(obj, net.params, epsilon=1e-5)
+        g_fd = ad.fd_grad(obj, net.params)
         assert ad.rel_err(g, g_fd) <= 1e-4
 
     def test_gaussian_mean_gradient_zero_at_sample(self):
@@ -477,6 +479,26 @@ class TestCheckpoint:
         assert data.count(written.encode()) == 1
         path.write_bytes(data.replace(written.encode(), repeated.encode()))
         with pytest.raises(ParseError, match=f"repeats .*'{repeated}'"):
+            pol.load_checkpoint(path)
+
+    def test_string_that_is_not_utf8_rejected(self, tmp_path):
+        path = tmp_path / "t.ckpt"
+        pol.save_checkpoint(path, {"policy": ParamVector(np.arange(3.0), [Segment("w", 0, (3,))])})
+        name = struct.pack("<I", 1) + b"w"
+        data = path.read_bytes()
+        assert data.count(name) == 1
+        path.write_bytes(data.replace(name, struct.pack("<I", 1) + b"\xff"))
+        with pytest.raises(ParseError, match="not UTF-8"):
+            pol.load_checkpoint(path)
+
+    def test_segment_table_that_does_not_cover_its_vector_rejected(self, tmp_path):
+        path = tmp_path / "t.ckpt"
+        pol.save_checkpoint(path, {"policy": ParamVector(np.arange(3.0), [Segment("w", 0, (3,))])})
+        shape = struct.pack("<QIQ", 0, 1, 3)  # offset 0, one dimension, of 3
+        data = path.read_bytes()
+        assert data.count(shape) == 1
+        path.write_bytes(data.replace(shape, struct.pack("<QIQ", 0, 1, 2)))
+        with pytest.raises(ParseError, match="vector 'policy': segments cover 2 values, vector has 3"):
             pol.load_checkpoint(path)
 
     def test_truncation_rejected(self, tmp_path):

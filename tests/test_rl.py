@@ -274,8 +274,6 @@ class TestDiscountedReturns:
             # rewards spanning six decades, so the sums round in many places
             rewards = gen.normal(size=n) * 10.0 ** gen.uniform(-3.0, 3.0, size=n)
             want = numpy_scalar_returns(rewards, gamma).tobytes()
-            traj = Trajectory(np.zeros((n, 4)), np.zeros(n, np.int64), rewards, np.zeros(n, np.int64))
-            assert discounted_returns(traj, gamma).tobytes() == want
             assert discounted_returns(rewards, gamma).tobytes() == want
 
     def test_closed_form_gamma_099(self):
@@ -365,7 +363,7 @@ class TestReinforceObjective:
         batch = rl.sample_batch(CARTPOLE, net, 2, Stream(19))
         obj = rl.policy_objective(batch, 0.99)
         g = ad.grad(obj, net.params)
-        g_fd = ad.fd_grad(obj, net.params, epsilon=1e-5)
+        g_fd = ad.fd_grad(obj, net.params)
         assert ad.rel_err(g, g_fd) <= 1e-4
 
     def test_bit_invariant_to_trajectory_order(self):
@@ -500,7 +498,7 @@ class TestActorCriticObjective:
         batch = rl.sample_batch(CARTPOLE, net, 2, Stream(30))
         critic_obj = rl.critic_objective(batch, 0.99)
         g = ad.grad(critic_obj, critic)
-        g_fd = ad.fd_grad(critic_obj, critic, epsilon=1e-5)
+        g_fd = ad.fd_grad(critic_obj, critic)
         assert ad.rel_err(g, g_fd) <= 1e-4
 
 

@@ -238,15 +238,32 @@ class TestRoundTrip:
 
     @pytest.mark.parametrize(
         "suffix, kind, field, value",
-        [(".timing", "epoch", "wall_seconds", 0.0), (".runlog", "epoch", "epoch", 2)],
+        [
+            (".timing", "epoch", "wall_seconds", 0.0),
+            (".runlog", "epoch", "epoch", 2),
+            (".runlog", "footer", "total_epochs", 7),
+            (".timing", "epoch", "epoch", 3),
+        ],
     )
     def test_load_rejects_values_the_records_forbid(self, tmp_path, suffix, kind, field, value):
-        # A zero wall time, and epochs out of order (0 rewritten as 2).
+        # A zero wall time; epochs out of order (0 rewritten as 2); a footer
+        # that counts 7 epochs over 3 records; a sidecar whose first epoch
+        # record is for epoch 3, where the log has epoch 0.
         path = save_runlog(tmp_path, sample_log())
         rewrite_record(path.with_suffix(suffix), kind, field, value)
         with pytest.raises(ParseError) as err:
             load_runlog(path)
         assert str(path) in str(err.value)
+
+    def test_load_rejects_a_timing_epoch_the_log_does_not_hold(self, tmp_path):
+        path = save_runlog(tmp_path, sample_log())
+        timing = path.with_suffix(".timing")
+        lines = timing.read_text().splitlines()
+        extra = '{"record": "epoch", "epoch": 3, "wall_seconds": 0.25, "eval_seconds": null}'
+        timing.write_text("\n".join([*lines[:-1], extra, lines[-1]]) + "\n")
+        with pytest.raises(ParseError, match="epoch record 3 is for epoch 3") as err:
+            load_runlog(path)
+        assert str(timing) in str(err.value)
 
     def test_load_rejects_a_line_that_is_not_a_record(self, tmp_path):
         path = save_runlog(tmp_path, sample_log())
@@ -346,7 +363,7 @@ class TestConvergenceEpoch:
 
     def test_smoothed_returns_skips_unevaluated_epochs(self):
         rows = [row(0, ret=0.0), row(1, ret=None), row(2, ret=10.0)]
-        epochs, raw, smoothed = smoothed_returns(rows, 0.9)
+        epochs, raw, smoothed = smoothed_returns(rows)
         assert epochs == [0, 2]
         assert raw == [0.0, 10.0]
         np.testing.assert_allclose(smoothed, [0.0, 1.0], atol=1e-15)
@@ -395,7 +412,7 @@ def _save_all(out):
     log = sample_log(label="run")
     save_runlog(out, log)
     save_checkpoint(out / "run.ckpt", {"policy": ParamVector(np.arange(3.0), [Segment("w", 0, (3,))])})
-    harness.emit_plot([log], 0.5, out / "curves.svg")
+    harness.emit_plot([log], out / "curves.svg")
     argv = ["compare", str(out / "run.runlog"), "--tau", "1", "--window", "1", "--out", str(out)]
     assert cli.main(argv) == 0
 
@@ -431,7 +448,7 @@ class TestAtomicWrites:
         with pytest.raises(OSError):
             save_checkpoint(tmp_path / "run.ckpt", {})
         with pytest.raises(OSError):
-            harness.emit_plot([log], 0.5, tmp_path / "curves.svg")
+            harness.emit_plot([log], tmp_path / "curves.svg")
         argv = ["compare", str(tmp_path / "run.runlog"), "--tau", "1", "--window", "1"]
         assert cli.main([*argv, "--out", str(tmp_path)]) == 1
         assert "No space left on device" in capsys.readouterr().err
