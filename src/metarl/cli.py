@@ -114,6 +114,8 @@ def _sweep_worker(rc: meta.RunConfig) -> "tuple[str, int | None, str | None]":
 
 
 def _cmd_sweep(args) -> int:
+    if args.seed is not None:
+        raise MetaRLError(f"--seed: sweep takes its seeds from --seeds, got --seed {args.seed}")
     base = _config_from(args)
     try:
         seeds = [int(s) for s in args.seeds.split(",") if s.strip()]

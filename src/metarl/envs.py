@@ -5,16 +5,17 @@ Two families, each indexed by one real parameter phi:
 * cartpole — classic cart-pole balancing with gravity = phi (m/s^2). Cart mass
   1.0 kg, pole mass 0.1 kg, half-length 0.5 m, force +-10 N, dt 0.02 s, Euler
   integration, reward +1 per step, termination on |pole angle| > 12 degrees or
-  |cart position| > 2.4 m, horizon 200.
+  |cart position| > 2.4 m.
 * intersection — two vehicles approaching a perpendicular crossing. State is
   (dx, dy), each vehicle's signed distance to the conflict point. Vehicle 1
   moves along x at the commanded speed a in [0, 15] m/s; Vehicle 2 along y at
-  fixed speed phi. dt 0.1 s, horizon 100. Reward is a/15 per step; a step that
-  puts both vehicles inside the 2 m conflict zone yields exactly -100 and
-  terminates; a step reaching dx >= +5 m yields exactly +50 and terminates.
-  Transitions are deterministic.
+  fixed speed phi. dt 0.1 s. Reward is a/15 per step; a step that puts both
+  vehicles inside the 2 m conflict zone yields exactly -100 and terminates; a
+  step reaching dx >= +5 m yields exactly +50 and terminates. Transitions are
+  deterministic.
 
-Environments are immutable descriptions; episode state lives in the caller.
+Environments are immutable descriptions without a time limit (the rollout
+truncates episodes at its horizon); episode state lives in the caller.
 Stepping is pure and elementwise, so stepping a batch of states produces the
 same bits per row as stepping each row alone (no batch-size-dependent math).
 """
@@ -48,12 +49,10 @@ POLE_MASS = 0.1
 HALF_LENGTH = 0.5
 FORCE_MAG = 10.0
 CARTPOLE_DT = 0.02
-CARTPOLE_HORIZON = 200
 ANGLE_LIMIT = 12.0 * np.pi / 180.0
 X_LIMIT = 2.4
 
 INTERSECTION_DT = 0.1
-INTERSECTION_HORIZON = 100
 SPEED_MAX = 15.0
 CONFLICT_RADIUS = 2.0
 CROSS_LINE = 5.0
@@ -145,15 +144,13 @@ def cartpole_euler(states: np.ndarray, forces: np.ndarray, gravity: float) -> np
 
 class Environment:
     """Immutable family-specific rules: reset distribution, transition,
-    reward, termination. Horizon truncation is the rollout loop's job."""
+    reward, termination, and the class attributes `state_dim` and
+    `action_spec`. Horizon truncation is the rollout loop's job."""
 
-    __slots__ = ("task", "horizon", "state_dim", "action_spec")
+    __slots__ = ("task",)
 
-    def __init__(self, task: Task, horizon: int, state_dim: int, action_spec: ActionSpec):
+    def __init__(self, task: Task):
         self.task = task
-        self.horizon = horizon
-        self.state_dim = state_dim
-        self.action_spec = action_spec
 
     def reset(self, rng: np.random.Generator) -> np.ndarray:
         """A start state drawn from `rng`, the episode's own generator."""
@@ -167,14 +164,8 @@ class Environment:
 
 class CartPoleEnv(Environment):
     __slots__ = ()
-
-    def __init__(self, task: Task):
-        super().__init__(
-            task,
-            horizon=CARTPOLE_HORIZON,
-            state_dim=4,
-            action_spec=ActionSpec("discrete", n=2),
-        )
+    state_dim = 4
+    action_spec = ActionSpec("discrete", n=2)
 
     def reset(self, rng: np.random.Generator) -> np.ndarray:
         return rng.uniform(-0.05, 0.05, size=4)
@@ -195,14 +186,8 @@ class CartPoleEnv(Environment):
 
 class IntersectionEnv(Environment):
     __slots__ = ()
-
-    def __init__(self, task: Task):
-        super().__init__(
-            task,
-            horizon=INTERSECTION_HORIZON,
-            state_dim=2,
-            action_spec=ActionSpec("box", low=0.0, high=SPEED_MAX),
-        )
+    state_dim = 2
+    action_spec = ActionSpec("box", low=0.0, high=SPEED_MAX)
 
     def reset(self, rng: np.random.Generator) -> np.ndarray:
         jitter = rng.uniform(0.0, 10.0)

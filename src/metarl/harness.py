@@ -313,10 +313,9 @@ def audit_oracles(
     for s in range(n_seeds):
         stream = Stream(s)
         env = make_env(Task(Family.CARTPOLE, phi))
-        env.horizon = horizon
         arch = actor_arch(env)
         theta = init_params(arch, stream.child(0))
-        batch = rl.sample_batch(env, PolicyNet(arch, theta), k, stream.child(1))
+        batch = rl.sample_batch(env, PolicyNet(arch, theta), k, stream.child(1), horizon)
         obj = rl.policy_objective(batch, AUDIT_GAMMA)
         g = ad.grad(obj, theta)
         grad_errors.append(ad.rel_err(g, ad.fd_grad(obj, theta)))

@@ -65,7 +65,6 @@ from . import autodiff as ad
 from . import rl
 from .autodiff import Gradient, ParamVector, Params
 from .envs import (
-    Environment,
     Family,
     Task,
     TaskDistribution,
@@ -302,8 +301,8 @@ class MetaProblem(Protocol):
 
 
 class RLProblem:
-    """Rollout-backed objectives: sampling K trajectories under the given
-    parameters, then the learner's surrogate over the frozen batch.
+    """Rollout-backed objectives: `sample` builds every rollout, at the
+    config's horizon; `objective` is the learner's surrogate over a batch.
 
     `objective(batch)` reads the critic under the actor-critic learner only:
     a policy-gradient config may carry one (from an actor-critic checkpoint,
@@ -318,27 +317,17 @@ class RLProblem:
         self.critic = critic
         if cfg.learner is Learner.AC and critic is None:
             raise ValueError("actor-critic learner needs a critic parameter vector")
-        self._arch_env = self.env_for(medium_task(cfg.dist))
+        self.actor_arch = actor_arch(make_env(medium_task(cfg.dist)))
 
-    def env_for(self, task: Task) -> Environment:
-        env = make_env(task)
-        env.horizon = self.cfg.horizon
-        return env
-
-    @property
-    def actor_arch(self):
-        return actor_arch(self._arch_env)
-
-    def sample(self, task: Task, theta: ParamVector, rng: Stream) -> rl.TrajectoryBatch:
-        policy = PolicyNet(self.actor_arch, theta)
-        return rl.sample_batch(self.env_for(task), policy, self.cfg.k_trajs, rng)
+    def sample(self, task: Task, theta: ParamVector, rng: Stream, k: int) -> rl.TrajectoryBatch:
+        return rl.sample_batch(make_env(task), PolicyNet(self.actor_arch, theta), k, rng, self.cfg.horizon)
 
     def objective(self, batch: rl.TrajectoryBatch) -> Callable[[Params], ad.Node]:
         critic = self.critic if self.cfg.learner is Learner.AC else None
         return rl.policy_objective(batch, self.cfg.gamma, critic)
 
     def task_objective(self, task, theta, rng):
-        batch = self.sample(task, theta, rng)
+        batch = self.sample(task, theta, rng, self.cfg.k_trajs)
         obj = self.objective(batch)
         if self.cfg.learner is Learner.AC:
             g = ad.grad(rl.critic_objective(batch, self.cfg.gamma), self.critic)
@@ -454,10 +443,9 @@ def evaluate_policy(state: MetaState, cfg: MetaConfig, rng: Stream, eval_episode
     tasks = sample_tasks(cfg.dist, cfg.m_tasks, rng.child(0))
     totals: list[float] = []
     for i, task in enumerate(tasks):
-        obj = problem.objective(problem.sample(task, state.theta, rng.child(1, i, 0)))
+        obj = problem.objective(problem.sample(task, state.theta, rng.child(1, i, 0), cfg.k_trajs))
         adapted, _ = inner_adapt(state.theta, obj, alpha)
-        policy = PolicyNet(problem.actor_arch, adapted)
-        batch = rl.sample_batch(problem.env_for(task), policy, eval_episodes, rng.child(1, i, 1))
+        batch = problem.sample(task, adapted, rng.child(1, i, 1), eval_episodes)
         totals.extend(t.total_return for t in batch.trajectories)
     return float(np.mean(totals))
 

@@ -331,41 +331,45 @@ def save_checkpoint(
 
 
 def load_checkpoint(path) -> "tuple[dict[str, ParamVector], dict[str, int]]":
+    """Named vectors and integer metadata of a checkpoint; a ParseError names the file."""
     with open(path, "rb") as fh:
         rd = _Reader(fh.read())
-    magic = rd.take_bytes(4)
-    if magic != _MAGIC:
-        raise ParseError(f"not a parameter checkpoint (magic {magic!r})")
-    (version,) = rd.take("<I")
-    if version != _VERSION:
-        raise ParseError(f"unsupported checkpoint version {version}")
-    (n_meta,) = rd.take("<I")
-    meta: dict[str, int] = {}
-    for _ in range(n_meta):
-        key = rd.take_str()
-        (val,) = rd.take("<q")
-        if key in meta:
-            raise ParseError(f"checkpoint repeats metadata key {key!r}")
-        meta[key] = val
-    (n_vecs,) = rd.take("<I")
-    vectors: dict[str, ParamVector] = {}
-    for _ in range(n_vecs):
-        name = rd.take_str()
-        (n_segs,) = rd.take("<I")
-        segs = []
-        for _ in range(n_segs):
-            seg_name = rd.take_str()
-            offset, ndim = rd.take("<QI")
-            shape = rd.take(f"<{ndim}Q") if ndim else ()
-            segs.append(Segment(seg_name, int(offset), tuple(int(d) for d in shape)))
-        (size,) = rd.take("<Q")
-        values = rd.take_f64(int(size))
-        if name in vectors:
-            raise ParseError(f"checkpoint repeats vector {name!r}")
-        try:
-            vectors[name] = ParamVector(values, segs)
-        except ValueError as e:  # a segment table that does not lay out the values
-            raise ParseError(f"checkpoint vector {name!r}: {e}") from None
-    if rd.pos != len(rd.buf):
-        raise ParseError(f"checkpoint has {len(rd.buf) - rd.pos} bytes after its last vector")
+    try:
+        magic = rd.take_bytes(4)
+        if magic != _MAGIC:
+            raise ParseError(f"not a parameter checkpoint (magic {magic!r})")
+        (version,) = rd.take("<I")
+        if version != _VERSION:
+            raise ParseError(f"unsupported checkpoint version {version}")
+        (n_meta,) = rd.take("<I")
+        meta: dict[str, int] = {}
+        for _ in range(n_meta):
+            key = rd.take_str()
+            (val,) = rd.take("<q")
+            if key in meta:
+                raise ParseError(f"checkpoint repeats metadata key {key!r}")
+            meta[key] = val
+        (n_vecs,) = rd.take("<I")
+        vectors: dict[str, ParamVector] = {}
+        for _ in range(n_vecs):
+            name = rd.take_str()
+            (n_segs,) = rd.take("<I")
+            segs = []
+            for _ in range(n_segs):
+                seg_name = rd.take_str()
+                offset, ndim = rd.take("<QI")
+                shape = rd.take(f"<{ndim}Q") if ndim else ()
+                segs.append(Segment(seg_name, int(offset), tuple(int(d) for d in shape)))
+            (size,) = rd.take("<Q")
+            values = rd.take_f64(int(size))
+            if name in vectors:
+                raise ParseError(f"checkpoint repeats vector {name!r}")
+            try:
+                vectors[name] = ParamVector(values, segs)
+            except ValueError as e:  # a segment table that does not lay out the values
+                raise ParseError(f"checkpoint vector {name!r}: {e}") from None
+        if rd.pos != len(rd.buf):
+            raise ParseError(f"checkpoint has {len(rd.buf) - rd.pos} bytes after its last vector")
+    except ParseError as e:
+        raise ParseError(f"{path}: {e}") from None
     return vectors, meta

@@ -94,15 +94,17 @@ class TrajectoryBatch:
         return len(self.trajectories)
 
 
-def _run_rollouts(env: Environment, policy: PolicyNet, streams: "list[Stream]") -> "list[Trajectory]":
+def _run_rollouts(
+    env: Environment, policy: PolicyNet, streams: "list[Stream]", horizon: int
+) -> "list[Trajectory]":
     """Lockstep rollouts, one per stream: each episode resets from its own
     generator, which then draws the episode's variates up to the horizon;
     all active episodes step together until done or horizon. Steps are
     recorded into (horizon, k, ...) buffers, written whole while no episode
     has ended. A horizon below 1 raises ValueError."""
-    k, horizon = len(streams), env.horizon
+    k = len(streams)
     if horizon < 1:
-        raise ValueError(f"env.horizon must be >= 1, got {horizon}")
+        raise ValueError(f"horizon must be >= 1, got {horizon}")
     variates = np.empty((horizon, k))
     starts = []
     for j, stream in enumerate(streams):
@@ -133,15 +135,15 @@ def _run_rollouts(env: Environment, policy: PolicyNet, streams: "list[Stream]") 
     return [Trajectory(*(buf[:n, j].copy() for buf in bufs)) for j, n in enumerate(lengths)]
 
 
-def sample_batch(env: Environment, policy: PolicyNet, k: int, rng: Stream) -> TrajectoryBatch:
-    """k rollouts on child streams rng.child(0..k-1); execution order cannot
-    affect the result."""
+def sample_batch(env: Environment, policy: PolicyNet, k: int, rng: Stream, horizon: int) -> TrajectoryBatch:
+    """k rollouts on child streams rng.child(0..k-1), each truncated at
+    `horizon` steps; execution order cannot affect the result."""
     if k < 1:
         raise ValueError("need at least one trajectory")
     if not isinstance(rng, Stream):
         raise TypeError("rollouts derive per-trajectory generators; pass a Stream")
     streams = [rng.child(j) for j in range(k)]
-    return TrajectoryBatch(tuple(_run_rollouts(env, policy, streams)), env.task)
+    return TrajectoryBatch(tuple(_run_rollouts(env, policy, streams, horizon)), env.task)
 
 
 def discounted_returns(rewards: np.ndarray, gamma: float) -> np.ndarray:

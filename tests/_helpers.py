@@ -119,10 +119,11 @@ def traced_peak_mib(call) -> float:
             tracemalloc.stop()
 
 
-def rollout(env: Environment, policy: pol.PolicyNet, stream: Stream) -> rl.Trajectory:
+def rollout(env: Environment, policy: pol.PolicyNet, stream: Stream, horizon: int) -> rl.Trajectory:
     """One episode alone through the lockstep engine, on the generator of
-    `stream`: the solo reference a batch's rows are compared against."""
-    return rl._run_rollouts(env, policy, [stream])[0]
+    `stream`, truncated at `horizon` steps: the solo reference a batch's
+    rows are compared against."""
+    return rl._run_rollouts(env, policy, [stream], horizon)[0]
 
 
 def empirical_medium(tasks: "list[Task]") -> Task:

@@ -28,6 +28,7 @@ evaluation return >= tau for `window` consecutive evaluated epochs, reported
 as the first epoch of that window.
 """
 
+import json
 import os
 import time
 import warnings
@@ -54,13 +55,13 @@ from metarl.envs import (
 from metarl.errors import EpochDiverged, ValidationError
 from metarl.harness import GRAD_TOL, HVP_TOL, audit_oracles, summarize
 from metarl.meta import Algorithm, Learner, MetaConfig, RunConfig, fingerprint
-from metarl.policy import PolicyNet, load_checkpoint, save_checkpoint
+from metarl.policy import load_checkpoint, save_checkpoint
 from metarl.rng import Stream
 from metarl.runlog import (
+    _RUNLOG_FIELDS,
     RunLog,
     convergence_epoch,
     ema_smooth,
-    fmt_float,
     load_runlog,
     save_runlog,
     smoothed_returns,
@@ -125,7 +126,6 @@ def bench_config(
 
 
 REPLAY_EPOCHS = 3
-REPLAY_FIELDS = ("eval_return", "grad_norm_outer", "prestep_grad_norm")
 _replayed: "set[str]" = set()  # labels whose entry replayed, or was trained, this session
 
 
@@ -148,16 +148,17 @@ def _cache_entry(rc: RunConfig, stop_early: bool, checkpoint: bool) -> "RunLog |
 
 
 def replay_mismatch(rc: RunConfig, log: RunLog) -> "str | None":
-    """Retrain rc's first REPLAY_EPOCHS epochs and compare their
-    deterministic fields with log's rows bit for bit. Returns the first
-    difference, naming label, epoch, field and both values, or None."""
+    """Retrain rc's first REPLAY_EPOCHS epochs and compare every field the
+    .runlog records with log's rows, bit for bit (each float by its repr,
+    which round-trips exactly). Returns the first difference, naming label,
+    epoch, field and both values, or None."""
     epochs = meta.iter_epochs(rc, meta.init_state(rc.meta))
     try:
         # zip reads the cached row first, so no epoch past the last one
         # compared is trained.
         for cached, (_, m) in zip(log.rows[:REPLAY_EPOCHS], epochs):
-            for field in REPLAY_FIELDS:
-                want, got = fmt_float(getattr(cached, field)), fmt_float(getattr(m, field))
+            for field in _RUNLOG_FIELDS:
+                want, got = (json.dumps(getattr(row, field)) for row in (cached, m))
                 if got != want:
                     return f"{rc.label}: epoch {m.epoch} {field} replays as {got}, the cache holds {want}"
     except EpochDiverged as err:
@@ -461,11 +462,9 @@ def adapted_collision_counts(rc: RunConfig, theta, phi: float, episodes: int = 1
     problem = meta.RLProblem(cfg)
     task = Task(Family.INTERSECTION, float(phi))
     root = Stream(cfg.seed)
-    objective = problem.objective(problem.sample(task, theta, root.child(9, int(phi), 0)))
+    objective = problem.objective(problem.sample(task, theta, root.child(9, int(phi), 0), cfg.k_trajs))
     adapted, _ = meta.inner_adapt(theta, objective, cfg.alpha)
-    env = make_env(task)
-    env.horizon = cfg.horizon
-    batch = rl.sample_batch(env, PolicyNet(problem.actor_arch, adapted), episodes, root.child(9, int(phi), 1))
+    batch = problem.sample(task, adapted, root.child(9, int(phi), 1), episodes)
     collisions = sum(1 for t in batch.trajectories if t.rewards.min() <= COLLISION_REWARD + 1e-9)
     mean_ret = float(np.mean([t.total_return for t in batch.trajectories]))
     return collisions, mean_ret
@@ -553,9 +552,8 @@ def test_criterion_09_module_invariants(tmp_path):
     # Permutation invariance: objective value and gradient are bit-equal
     # after shuffling trajectories in a batch.
     env = make_env(Task(Family.CARTPOLE, 10.0))
-    env.horizon = 15
     net = make_policy(env, Stream(99))
-    batch = rl.sample_batch(env, net, 5, Stream(98))
+    batch = rl.sample_batch(env, net, 5, Stream(98), 15)
     shuffled = rl.TrajectoryBatch(tuple(reversed(batch.trajectories)), batch.task)
     obj_a, obj_b = rl.policy_objective(batch, 0.99), rl.policy_objective(shuffled, 0.99)
     ga, va = ad.grad(obj_a, net.params), ad.value(obj_a, net.params)

@@ -142,10 +142,9 @@ class TestFdOracle:
         """The scratch-buffer fd_grad gives the bits of the recipe that
         copied the vector twice per coordinate, on the audit's objective."""
         env = make_env(Task(Family.CARTPOLE, 10.0))
-        env.horizon = 15
         stream = Stream(3)
         theta = init_params(actor_arch(env), stream.child(0))
-        batch = rl.sample_batch(env, PolicyNet(actor_arch(env), theta), 2, stream.child(1))
+        batch = rl.sample_batch(env, PolicyNet(actor_arch(env), theta), 2, stream.child(1), 15)
         obj = rl.policy_objective(batch, 0.99)
         eps = ad.FD_GRAD_EPSILON
         expected = np.zeros(theta.size)
@@ -166,9 +165,8 @@ class TestFdOracle:
         stream = Stream(4)
         family = Family.INTERSECTION if which == "gaussian_surrogate" else Family.CARTPOLE
         env = make_env(Task(family, 10.0))
-        env.horizon = 12
         theta = init_params(actor_arch(env), stream.child(0))
-        batch = rl.sample_batch(env, PolicyNet(actor_arch(env), theta), 2, stream.child(1))
+        batch = rl.sample_batch(env, PolicyNet(actor_arch(env), theta), 2, stream.child(1), 12)
         if which == "critic":
             theta = init_params(critic_arch(env), stream.child(2))
             obj = rl.critic_objective(batch, 0.99)
@@ -378,9 +376,8 @@ class TestGrad:
         the segment leaves' adjoints, laid out by segment, are the gradient
         and the Hessian-vector product."""
         env = make_env(Task(Family.CARTPOLE, 9.0))
-        env.horizon = 15
         theta = init_params(actor_arch(env), Stream(3).child(0))
-        batch = rl.sample_batch(env, PolicyNet(actor_arch(env), theta), 2, Stream(3).child(1))
+        batch = rl.sample_batch(env, PolicyNet(actor_arch(env), theta), 2, Stream(3).child(1), 15)
         obj = rl.policy_objective(batch, 0.99)
         roots = []
 

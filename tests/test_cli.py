@@ -35,6 +35,8 @@ TINY = [
     "--conv_window", "2",
     "--seed", "7",
 ]
+# Sweep takes its seeds from --seeds, so it is given TINY without --seed.
+SWEEP = TINY[:-2]
 # One trajectory more than a batch at the default horizon may hold.
 OVER_ROWS = meta.MAX_ROLLOUT_ROWS // meta.MetaConfig.horizon + 1
 
@@ -161,6 +163,16 @@ class TestEval:
         rc = cli.main(["eval", "--ckpt", str(tmp_path / "absent.ckpt"), *TINY])
         assert rc == 1
         assert "error:" in capsys.readouterr().err
+
+    def test_truncated_checkpoint_error_names_the_file(self, tmp_path, capsys):
+        train_tiny(tmp_path, "t")
+        data = (tmp_path / "t.ckpt").read_bytes()
+        half = tmp_path / "half.ckpt"
+        half.write_bytes(data[: len(data) // 2])
+        capsys.readouterr()
+        assert cli.main(["eval", "--ckpt", str(half), *TINY]) == 1
+        err = capsys.readouterr().err
+        assert err == f"error: {half}: checkpoint truncated\n"
 
 
 class TestResumeErrors:
@@ -326,6 +338,8 @@ class TestInputErrors:
             (25, ["train", "--k_trajs", str(OVER_ROWS), "--epochs", "1"], "k_trajs x horizon"),
             (26, ["train", "--eval_episodes", str(OVER_ROWS), "--epochs", "1"], "eval_episodes x horizon"),
             (27, ["eval", "--ckpt", "absent.ckpt", "--eval_episodes", str(OVER_ROWS)], "eval_episodes x horizon"),
+            # Sweep takes its seeds from --seeds only.
+            (28, ["sweep", "--seed", "3", "--seeds", "1"], "--seed"),
         ]],
     )
     def test_rejected_with_the_flag_named(self, argv, flag, monkeypatch, capsys):
@@ -373,7 +387,7 @@ class TestInputErrors:
 class TestSweep:
     def test_serial_sweep_labels_by_seed(self, tmp_path, capsys):
         rc = cli.main(
-            ["sweep", *TINY, "--out_dir", str(tmp_path), "--label", "alg", "--seeds", "1,2"]
+            ["sweep", *SWEEP, "--out_dir", str(tmp_path), "--label", "alg", "--seeds", "1,2"]
         )
         assert rc == 0
         assert (tmp_path / "alg-s1.runlog").exists()
@@ -384,7 +398,7 @@ class TestSweep:
 
     def test_parallel_sweep_matches_serial_bytes(self, tmp_path):
         out = tmp_path / "runs"
-        argv = ["sweep", *TINY, "--out_dir", str(out), "--label", "a", "--seeds", "1,2"]
+        argv = ["sweep", *SWEEP, "--out_dir", str(out), "--label", "a", "--seeds", "1,2"]
         assert cli.main(argv) == 0
         serial = {name: (out / name).read_bytes() for name in ("a-s1.runlog", "a-s2.runlog")}
         assert cli.main([*argv, "--parallel", "2"]) == 0
@@ -392,12 +406,12 @@ class TestSweep:
             assert (out / name).read_bytes() == data
 
     def test_bad_seed_list_errors(self, capsys):
-        rc = cli.main(["sweep", *TINY, "--seeds", "1,x"])
+        rc = cli.main(["sweep", *SWEEP, "--seeds", "1,x"])
         assert rc == 1
         assert "--seeds expects" in capsys.readouterr().err
 
     def test_empty_seed_list_errors(self, capsys):
-        rc = cli.main(["sweep", *TINY, "--seeds", ","])
+        rc = cli.main(["sweep", *SWEEP, "--seeds", ","])
         assert rc == 1
         assert "at least one seed" in capsys.readouterr().err
 
@@ -415,7 +429,7 @@ class TestSweep:
         monkeypatch.setattr(cli, "ProcessPoolExecutor", no_pool)
         monkeypatch.setattr(cli.os, "cpu_count", lambda: 64)
         for extra in ([], ["--parallel", "2"]):
-            rc = cli.main(["sweep", *TINY, "--seeds", seeds, *extra])
+            rc = cli.main(["sweep", *SWEEP, "--seeds", seeds, *extra])
             assert rc == 1
             assert capsys.readouterr().err.startswith(f"error: --seeds repeats seed {repeated}:")
 
@@ -439,7 +453,7 @@ class TestSweep:
 
         monkeypatch.setattr(cli, "ProcessPoolExecutor", no_pool)
         monkeypatch.setattr(cli.os, "cpu_count", lambda: cpus)
-        rc = cli.main(["sweep", *TINY, "--seeds", "1,2", "--parallel", parallel])
+        rc = cli.main(["sweep", *SWEEP, "--seeds", "1,2", "--parallel", parallel])
         assert rc == 1
         err = capsys.readouterr().err
         assert err.startswith(f"error: --parallel must lie in 1..{limit} ")
@@ -460,7 +474,7 @@ class TestParser:
 
     def test_sweep_requires_seeds(self):
         with pytest.raises(SystemExit) as exc:
-            cli.main(["sweep", *TINY])
+            cli.main(["sweep", *SWEEP])
         assert exc.value.code == 2
 
     def test_every_config_key_has_a_flag(self):

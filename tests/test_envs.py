@@ -124,7 +124,7 @@ class TestCartPole:
         env = make_env(Task(Family.CARTPOLE, 10.0))
         state = env.reset(Stream(2).generator())
         total = 0.0
-        for _ in range(env.horizon):
+        for _ in range(200):
             action = 1 if state[2] + 0.5 * state[3] > 0 else 0
             state, reward, done = step_one(env, state, action)
             total += reward
@@ -137,7 +137,7 @@ class TestCartPole:
         for _ in range(20):
             state = env.reset(gen)
             total, done, steps = 0.0, False, 0
-            while not done and steps < env.horizon:
+            while not done and steps < 200:
                 state, reward, done = step_one(env, state, int(gen.integers(0, 2)))
                 total += reward
                 steps += 1
@@ -296,3 +296,18 @@ class TestBatchScalarAgreement:
         keep = np.array([0, 3, 4, 8])
         sub, _, _ = env.step_batch(states[keep], actions[keep])
         assert sub.tobytes() == full[keep].tobytes()
+
+
+class TestNoHorizon:
+    """The horizon is an argument of the rollout: an environment carries
+    none, and neither it nor the family's shape can be set on one."""
+
+    @pytest.mark.parametrize("family", list(Family))
+    def test_environment_has_no_horizon(self, family):
+        env = make_env(Task(family, 10.0))
+        state_dim = env.state_dim
+        assert not hasattr(env, "horizon")
+        for name in ("horizon", "state_dim"):
+            with pytest.raises(AttributeError):
+                setattr(env, name, 7)
+        assert not hasattr(env, "horizon") and env.state_dim == state_dim

@@ -190,7 +190,7 @@ class TestInnerAdapt:
         cfg = rl_cfg()
         theta = meta.init_state(cfg).theta
         prob = meta.RLProblem(cfg)
-        batch = prob.sample(medium_task(cfg.dist), theta, S.child(9))
+        batch = prob.sample(medium_task(cfg.dist), theta, S.child(9), cfg.k_trajs)
         out, _ = meta.inner_adapt(theta, prob.objective(batch), cfg.alpha)
         g = ad.grad(rl.policy_objective(batch, cfg.gamma), theta)
         np.testing.assert_array_equal(out.values, (theta + cfg.alpha * g).values)
@@ -201,7 +201,7 @@ class TestInnerAdapt:
         # must still standardize returns, not subtract the critic's values.
         pg = rl_cfg()
         state = meta.init_state(rl_cfg(learner=meta.Learner.AC))
-        batch = meta.RLProblem(pg).sample(medium_task(pg.dist), state.theta, S.child(9))
+        batch = meta.RLProblem(pg).sample(medium_task(pg.dist), state.theta, S.child(9), pg.k_trajs)
 
         def bytes_of(cfg, critic):
             obj = meta.RLProblem(cfg, critic).objective(batch)
@@ -606,6 +606,20 @@ class _ExplodingProblem:
 
 
 class TestTrainEpoch:
+    def test_evaluation_rolls_out_at_the_config_horizon(self, monkeypatch):
+        cfg = rl_cfg(env=Family.INTERSECTION, horizon=7)
+        horizons = []
+        sample_batch = rl.sample_batch
+
+        def recording(env, policy, k, rng, horizon):
+            horizons.append(horizon)
+            return sample_batch(env, policy, k, rng, horizon)
+
+        monkeypatch.setattr(rl, "sample_batch", recording)
+        meta.evaluate_policy(meta.init_state(cfg), cfg, S.child(5), 3)
+        # Per task, the adaptation batch and the evaluation episodes.
+        assert horizons == [7] * (2 * cfg.m_tasks)
+
     def test_rerun_is_bit_identical(self):
         cfg = rl_cfg(algorithm=meta.Algorithm.DIRECTED_MAML, delta=0.001)
         outs = []

@@ -5,6 +5,7 @@ and finite differences, and the checkpoint container."""
 
 from __future__ import annotations
 
+import re
 import struct
 
 import numpy as np
@@ -437,6 +438,12 @@ class TestValue:
         assert np.all(np.abs(preds - targets) < 0.05)
 
 
+def rejected(path, message: str):
+    """Expect load_checkpoint to raise a ParseError that names the file,
+    then matches the regex `message`."""
+    return pytest.raises(ParseError, match=re.escape(f"{path}: ") + message)
+
+
 class TestCheckpoint:
     def test_roundtrip_bits_and_meta(self, tmp_path):
         net = make_policy(CARTPOLE, Stream(22))
@@ -452,7 +459,16 @@ class TestCheckpoint:
     def test_bad_magic_rejected(self, tmp_path):
         path = tmp_path / "bad.ckpt"
         path.write_bytes(b"XXXX" + b"\x00" * 64)
-        with pytest.raises(ParseError):
+        with rejected(path, "not a parameter checkpoint"):
+            pol.load_checkpoint(path)
+
+    def test_other_version_rejected(self, tmp_path):
+        net = make_policy(CARTPOLE, Stream(24))
+        path = tmp_path / "t.ckpt"
+        pol.save_checkpoint(path, {"policy": net.params})
+        data = path.read_bytes()
+        path.write_bytes(data[:4] + struct.pack("<I", 2) + data[8:])
+        with rejected(path, "unsupported checkpoint version 2"):
             pol.load_checkpoint(path)
 
     def test_trailing_bytes_rejected(self, tmp_path):
@@ -460,7 +476,7 @@ class TestCheckpoint:
         path = tmp_path / "t.ckpt"
         pol.save_checkpoint(path, {"policy": net.params}, {"epoch": 1})
         path.write_bytes(path.read_bytes() + bytes(120))
-        with pytest.raises(ParseError, match="120 bytes after its last vector"):
+        with rejected(path, "checkpoint has 120 bytes after its last vector"):
             pol.load_checkpoint(path)
 
     @pytest.mark.parametrize(
@@ -478,7 +494,7 @@ class TestCheckpoint:
         data = path.read_bytes()
         assert data.count(written.encode()) == 1
         path.write_bytes(data.replace(written.encode(), repeated.encode()))
-        with pytest.raises(ParseError, match=f"repeats .*'{repeated}'"):
+        with rejected(path, f"checkpoint repeats .*'{repeated}'"):
             pol.load_checkpoint(path)
 
     def test_string_that_is_not_utf8_rejected(self, tmp_path):
@@ -488,7 +504,7 @@ class TestCheckpoint:
         data = path.read_bytes()
         assert data.count(name) == 1
         path.write_bytes(data.replace(name, struct.pack("<I", 1) + b"\xff"))
-        with pytest.raises(ParseError, match="not UTF-8"):
+        with rejected(path, "checkpoint string at byte .* is not UTF-8"):
             pol.load_checkpoint(path)
 
     def test_segment_table_that_does_not_cover_its_vector_rejected(self, tmp_path):
@@ -498,7 +514,7 @@ class TestCheckpoint:
         data = path.read_bytes()
         assert data.count(shape) == 1
         path.write_bytes(data.replace(shape, struct.pack("<QIQ", 0, 1, 2)))
-        with pytest.raises(ParseError, match="vector 'policy': segments cover 2 values, vector has 3"):
+        with rejected(path, "checkpoint vector 'policy': segments cover 2 values, vector has 3"):
             pol.load_checkpoint(path)
 
     def test_truncation_rejected(self, tmp_path):
@@ -507,5 +523,5 @@ class TestCheckpoint:
         pol.save_checkpoint(path, {"policy": net.params})
         data = path.read_bytes()
         path.write_bytes(data[: len(data) - 100])
-        with pytest.raises(ParseError):
+        with rejected(path, "checkpoint truncated"):
             pol.load_checkpoint(path)

@@ -24,6 +24,8 @@ from _helpers import balancer_policy, make_policy, rollout, zero_params
 CARTPOLE = make_env(Task(Family.CARTPOLE, 10.0))
 INTERSECTION = make_env(Task(Family.INTERSECTION, 10.0))
 FIELDS = ("states", "actions", "rewards", "raws")  # Trajectory field order
+# The horizon each family's rollouts here are truncated at.
+H_CARTPOLE, H_INTERSECTION = 200, 100
 
 
 def bandit_batch(actions, rewards) -> TrajectoryBatch:
@@ -43,49 +45,49 @@ def bandit_batch(actions, rewards) -> TrajectoryBatch:
 class TestRollout:
     def test_bit_identical_given_same_stream(self):
         net = make_policy(INTERSECTION, Stream(1))
-        a = rollout(INTERSECTION, net, Stream(2))
-        b = rollout(INTERSECTION, net, Stream(2))
+        a = rollout(INTERSECTION, net, Stream(2), H_INTERSECTION)
+        b = rollout(INTERSECTION, net, Stream(2), H_INTERSECTION)
         for field in FIELDS:
             assert getattr(a, field).tobytes() == getattr(b, field).tobytes()
 
     def test_cartpole_reward_equals_length(self):
         net = make_policy(CARTPOLE, Stream(3))
         for seed in range(5):
-            traj = rollout(CARTPOLE, net, Stream(10 + seed))
+            traj = rollout(CARTPOLE, net, Stream(10 + seed), H_CARTPOLE)
             assert traj.length <= 200
             assert traj.total_return == traj.length
 
     def test_horizon_truncation(self):
-        traj = rollout(CARTPOLE, balancer_policy(CARTPOLE), Stream(4))
+        traj = rollout(CARTPOLE, balancer_policy(CARTPOLE), Stream(4), H_CARTPOLE)
         assert traj.length == 200
 
 
 class TestSampleBatch:
     def test_batch_size(self):
         net = make_policy(CARTPOLE, Stream(5))
-        batch = rl.sample_batch(CARTPOLE, net, 10, Stream(6))
+        batch = rl.sample_batch(CARTPOLE, net, 10, Stream(6), H_CARTPOLE)
         assert batch.k == 10
 
     def test_lockstep_matches_serial_rollouts_cartpole(self):
         net = make_policy(CARTPOLE, Stream(7))
-        batch = rl.sample_batch(CARTPOLE, net, 6, Stream(8))
+        batch = rl.sample_batch(CARTPOLE, net, 6, Stream(8), H_CARTPOLE)
         for j, traj in enumerate(batch.trajectories):
-            solo = rollout(CARTPOLE, net, Stream(8).child(j))
+            solo = rollout(CARTPOLE, net, Stream(8).child(j), H_CARTPOLE)
             for field in FIELDS:
                 assert getattr(traj, field).tobytes() == getattr(solo, field).tobytes()
 
     def test_lockstep_matches_serial_rollouts_intersection(self):
         net = make_policy(INTERSECTION, Stream(9))
-        batch = rl.sample_batch(INTERSECTION, net, 5, Stream(10))
+        batch = rl.sample_batch(INTERSECTION, net, 5, Stream(10), H_INTERSECTION)
         for j, traj in enumerate(batch.trajectories):
-            solo = rollout(INTERSECTION, net, Stream(10).child(j))
+            solo = rollout(INTERSECTION, net, Stream(10).child(j), H_INTERSECTION)
             for field in FIELDS:
                 assert getattr(traj, field).tobytes() == getattr(solo, field).tobytes()
 
     def test_deterministic_across_runs(self):
         net = make_policy(CARTPOLE, Stream(11))
-        a = rl.sample_batch(CARTPOLE, net, 4, Stream(12))
-        b = rl.sample_batch(CARTPOLE, net, 4, Stream(12))
+        a = rl.sample_batch(CARTPOLE, net, 4, Stream(12), H_CARTPOLE)
+        b = rl.sample_batch(CARTPOLE, net, 4, Stream(12), H_CARTPOLE)
         for ta, tb in zip(a.trajectories, b.trajectories):
             assert ta.states.tobytes() == tb.states.tobytes()
 
@@ -97,9 +99,9 @@ class TestSampleBatch:
     def test_validation(self):
         net = make_policy(CARTPOLE, Stream(14))
         with pytest.raises(ValueError):
-            rl.sample_batch(CARTPOLE, net, 0, Stream(1))
+            rl.sample_batch(CARTPOLE, net, 0, Stream(1), H_CARTPOLE)
         with pytest.raises(TypeError):
-            rl.sample_batch(CARTPOLE, net, 2, np.random.default_rng(0))
+            rl.sample_batch(CARTPOLE, net, 2, np.random.default_rng(0), H_CARTPOLE)
 
     def test_rollout_and_eval_take_only_a_stream(self):
         # Variates are drawn a horizon at a time, so a generator shared by
@@ -107,17 +109,15 @@ class TestSampleBatch:
         # and evaluation roll out through sample_batch, the one public entry.
         net = make_policy(CARTPOLE, Stream(14))
         with pytest.raises(TypeError):
-            rl.sample_batch(CARTPOLE, net, 2, np.random.default_rng(0))
+            rl.sample_batch(CARTPOLE, net, 2, np.random.default_rng(0), H_CARTPOLE)
 
     @pytest.mark.parametrize("horizon", [0, -1])
     def test_horizon_below_one_rejected(self, horizon):
-        env = make_env(Task(Family.CARTPOLE, 10.0))
-        env.horizon = horizon
-        net = make_policy(env, Stream(15))
-        with pytest.raises(ValueError, match="horizon"):
-            rl.sample_batch(env, net, 2, Stream(16))
-        with pytest.raises(ValueError, match="horizon"):
-            rollout(env, net, Stream(17))
+        net = make_policy(CARTPOLE, Stream(15))
+        with pytest.raises(ValueError, match=f"horizon must be >= 1, got {horizon}"):
+            rl.sample_batch(CARTPOLE, net, 2, Stream(16), horizon)
+        with pytest.raises(ValueError, match=f"horizon must be >= 1, got {horizon}"):
+            rollout(CARTPOLE, net, Stream(17), horizon)
 
 
 def stepwise_act(net, states, gens):
@@ -139,15 +139,16 @@ def stepwise_act(net, states, gens):
     return np.clip(raws, head.low, head.high), raws
 
 
-def stepwise_rollouts(env, net, k, rng):
+def stepwise_rollouts(env, net, k, rng, horizon):
     """Reference engine: each step draws one variate per active row from
-    that row's generator, and appends every field row by row."""
+    that row's generator, and appends every field row by row, for at most
+    `horizon` steps."""
     gens = [rng.child(j).generator() for j in range(k)]
     states = np.stack([env.reset(g) for g in gens])
     rec = [tuple([] for _ in FIELDS) for _ in range(k)]
     active = list(range(k))
     t = 0
-    while active and t < env.horizon:
+    while active and t < horizon:
         cur = states[np.asarray(active)]
         acts, raws = stepwise_act(net, cur, [gens[j] for j in active])
         nxt, rews, dones = env.step_batch(cur, acts)
@@ -183,9 +184,9 @@ class TestEngineMatchesStepwiseLoop:
     Each case asserts the endings it is meant to cover."""
 
     @staticmethod
-    def assert_same(env, net, k, rng):
-        got = rl.sample_batch(env, net, k, rng).trajectories
-        want = stepwise_rollouts(env, net, k, rng)
+    def assert_same(env, net, k, rng, horizon):
+        got = rl.sample_batch(env, net, k, rng, horizon).trajectories
+        want = stepwise_rollouts(env, net, k, rng, horizon)
         assert len(got) == len(want) == k
         for g, w in zip(got, want):
             for field in FIELDS:
@@ -197,34 +198,34 @@ class TestEngineMatchesStepwiseLoop:
 
     def test_cartpole_early_terminations_and_truncations(self):
         env, net = mixed_cartpole()
-        lengths = [t.length for t in self.assert_same(env, net, 8, Stream(41))]
+        lengths = [t.length for t in self.assert_same(env, net, 8, Stream(41), H_CARTPOLE)]
         assert 200 in lengths and min(lengths) < 200
 
     def test_cartpole_all_terminate_early(self):
         net = make_policy(CARTPOLE, Stream(3))
-        lengths = [t.length for t in self.assert_same(CARTPOLE, net, 8, Stream(42))]
+        lengths = [t.length for t in self.assert_same(CARTPOLE, net, 8, Stream(42), H_CARTPOLE)]
         assert max(lengths) < 200
 
     def test_cartpole_all_truncated(self):
-        lengths = [t.length for t in self.assert_same(CARTPOLE, balancer_policy(CARTPOLE), 4, Stream(43))]
+        lengths = [t.length for t in self.assert_same(CARTPOLE, balancer_policy(CARTPOLE), 4, Stream(43), H_CARTPOLE)]
         assert lengths == [200] * 4
 
     def test_intersection_collisions_and_crossings(self):
         env, net = crash_or_cross()
-        last = [t.rewards[-1] for t in self.assert_same(env, net, 8, Stream(40))]
+        last = [t.rewards[-1] for t in self.assert_same(env, net, 8, Stream(40), H_INTERSECTION)]
         assert -100.0 in last and 50.0 in last
 
     def test_intersection_crossings_and_truncations(self):
         env, net = cross_or_stall()
-        trajs = self.assert_same(env, net, 12, Stream(40))
-        assert any(t.length == env.horizon and t.rewards[-1] != 50.0 for t in trajs)
+        trajs = self.assert_same(env, net, 12, Stream(40), H_INTERSECTION)
+        assert any(t.length == H_INTERSECTION and t.rewards[-1] != 50.0 for t in trajs)
         assert any(t.rewards[-1] == 50.0 for t in trajs)
 
     @settings(deadline=None, max_examples=10)
     @given(st.integers(min_value=0, max_value=2**31 - 1), st.integers(min_value=1, max_value=7))
     def test_random_policies(self, seed, k):
-        for env in (CARTPOLE, INTERSECTION):
-            self.assert_same(env, make_policy(env, Stream(seed)), k, Stream(seed).child(1))
+        for env, horizon in ((CARTPOLE, H_CARTPOLE), (INTERSECTION, H_INTERSECTION)):
+            self.assert_same(env, make_policy(env, Stream(seed)), k, Stream(seed).child(1), horizon)
 
 
 class TestPredrawnVariates:
@@ -360,7 +361,7 @@ class TestReinforceObjective:
 
     def test_grad_matches_fd_on_frozen_batch(self):
         net = make_policy(CARTPOLE, Stream(18))
-        batch = rl.sample_batch(CARTPOLE, net, 2, Stream(19))
+        batch = rl.sample_batch(CARTPOLE, net, 2, Stream(19), H_CARTPOLE)
         obj = rl.policy_objective(batch, 0.99)
         g = ad.grad(obj, net.params)
         g_fd = ad.fd_grad(obj, net.params)
@@ -368,7 +369,7 @@ class TestReinforceObjective:
 
     def test_bit_invariant_to_trajectory_order(self):
         net = make_policy(CARTPOLE, Stream(20))
-        batch = rl.sample_batch(CARTPOLE, net, 5, Stream(21))
+        batch = rl.sample_batch(CARTPOLE, net, 5, Stream(21), H_CARTPOLE)
         shuffled = TrajectoryBatch(tuple(reversed(batch.trajectories)), batch.task)
         obj_a = rl.policy_objective(batch, 0.99)
         obj_b = rl.policy_objective(shuffled, 0.99)
@@ -444,14 +445,14 @@ class TestHoistedObjective:
         return first
 
     def test_sampled_batch(self, net, direction):
-        batch = rl.sample_batch(CARTPOLE, net, 3, Stream(42))
+        batch = rl.sample_batch(CARTPOLE, net, 3, Stream(42), H_CARTPOLE)
         _, grad, _ = self.assert_matches_recipe(batch, self.GAMMA, net, direction)
         assert np.frombuffer(grad, dtype=np.float64).any()
 
     def test_constant_return_batch(self, net, direction):
         # Reward only on the last step and gamma = 1: every G_t equals 3.0, so
         # the returns have no spread and stay unstandardized.
-        sampled = rl.sample_batch(CARTPOLE, net, 3, Stream(43))
+        sampled = rl.sample_batch(CARTPOLE, net, 3, Stream(43), H_CARTPOLE)
         trajs = []
         for t in sampled.trajectories:
             rewards = np.zeros(t.length)
@@ -464,7 +465,7 @@ class TestHoistedObjective:
         assert np.frombuffer(grad, dtype=np.float64).any()
 
     def test_reversed_batch(self, net, direction):
-        batch = rl.sample_batch(CARTPOLE, net, 4, Stream(44))
+        batch = rl.sample_batch(CARTPOLE, net, 4, Stream(44), H_CARTPOLE)
         reversed_batch = TrajectoryBatch(batch.trajectories[::-1], batch.task)
         assert self.assert_matches_recipe(reversed_batch, self.GAMMA, net, direction) == (
             objective_bytes(rl.policy_objective(batch, self.GAMMA), net.params, direction)
@@ -484,7 +485,7 @@ class TestActorCriticObjective:
 
     def test_zero_critic_reduces_to_unstandardized_reinforce(self):
         net = make_policy(CARTPOLE, Stream(26))
-        batch = rl.sample_batch(CARTPOLE, net, 3, Stream(27))
+        batch = rl.sample_batch(CARTPOLE, net, 3, Stream(27), H_CARTPOLE)
         ac_obj = rl.policy_objective(batch, 0.99, zero_critic())
         pg_obj = raw_return_objective(batch, 0.99)
         g_ac, v_ac = ad.grad(ac_obj, net.params), ad.value(ac_obj, net.params)
@@ -495,33 +496,33 @@ class TestActorCriticObjective:
     def test_critic_grad_matches_fd(self):
         net = make_policy(CARTPOLE, Stream(28))
         critic = pol.init_params(pol.critic_arch(CARTPOLE), Stream(29))
-        batch = rl.sample_batch(CARTPOLE, net, 2, Stream(30))
+        batch = rl.sample_batch(CARTPOLE, net, 2, Stream(30), H_CARTPOLE)
         critic_obj = rl.critic_objective(batch, 0.99)
         g = ad.grad(critic_obj, critic)
         g_fd = ad.fd_grad(critic_obj, critic)
         assert ad.rel_err(g, g_fd) <= 1e-4
 
 
-def episode_returns(env, policy, n: int, rng: Stream) -> np.ndarray:
-    """Undiscounted return of each of n episodes, totalled as evaluation
-    totals them."""
-    return np.array([t.total_return for t in rl.sample_batch(env, policy, n, rng).trajectories])
+def episode_returns(env, policy, n: int, rng: Stream, horizon: int) -> np.ndarray:
+    """Undiscounted return of each of n episodes of at most `horizon` steps,
+    totalled as evaluation totals them."""
+    return np.array([t.total_return for t in rl.sample_batch(env, policy, n, rng, horizon).trajectories])
 
 
 class TestEvalReturn:
     def test_balancer_reaches_max(self):
-        totals = episode_returns(CARTPOLE, balancer_policy(CARTPOLE), 8, Stream(31))
+        totals = episode_returns(CARTPOLE, balancer_policy(CARTPOLE), 8, Stream(31), H_CARTPOLE)
         np.testing.assert_array_equal(totals, np.full(8, 200.0))
 
     def test_deterministic(self):
         net = make_policy(CARTPOLE, Stream(32))
-        a = episode_returns(CARTPOLE, net, 16, Stream(33))
-        b = episode_returns(CARTPOLE, net, 16, Stream(33))
+        a = episode_returns(CARTPOLE, net, 16, Stream(33), H_CARTPOLE)
+        b = episode_returns(CARTPOLE, net, 16, Stream(33), H_CARTPOLE)
         assert a.tobytes() == b.tobytes()
 
     def test_standard_error_small_at_1000_episodes(self):
         noisy = balancer_policy(CARTPOLE, sharpness=2e5)
-        totals = episode_returns(CARTPOLE, noisy, 1000, Stream(36))
+        totals = episode_returns(CARTPOLE, noisy, 1000, Stream(36), H_CARTPOLE)
         mean = float(np.mean(totals))
         sem = float(np.std(totals, ddof=1) / np.sqrt(len(totals)))
         assert sem < 0.02 * mean
