@@ -18,7 +18,7 @@ from pathlib import Path
 import numpy as np
 
 from . import harness, meta
-from .errors import MetaRLError
+from .errors import MetaRLError, ValidationError
 from .meta import CONFIG_KEYS, check_range
 from .rng import Stream
 from .runlog import load_runlog, smoothed_returns, write_atomic
@@ -83,6 +83,8 @@ def _cmd_eval(args) -> int:
 
 def _cmd_compare(args) -> int:
     check_range("--window", args.window, 1)
+    if args.tau is not None and not np.isfinite(args.tau):
+        raise ValidationError(f"--tau: must be finite, got {args.tau}")
     runs = [load_runlog(p) for p in args.logs]
     tau = args.tau if args.tau is not None else _auto_tau(runs)
     report = harness.summarize(runs, tau, args.window)

@@ -14,8 +14,9 @@ Two families, each indexed by one real parameter phi:
   step reaching dx >= +5 m yields exactly +50 and terminates. Transitions are
   deterministic.
 
-Environments are immutable descriptions without a time limit (the rollout
-truncates episodes at its horizon); episode state lives in the caller.
+Environments are immutable descriptions (assigning an attribute of an instance
+raises AttributeError) without a time limit (the rollout truncates episodes at
+its horizon); episode state lives in the caller.
 Stepping is pure and elementwise, so stepping a batch of states produces the
 same bits per row as stepping each row alone (no batch-size-dependent math).
 """
@@ -34,7 +35,8 @@ __all__ = [
     "Family",
     "Task",
     "TaskDistribution",
-    "ActionSpec",
+    "Discrete",
+    "Box",
     "Environment",
     "CartPoleEnv",
     "IntersectionEnv",
@@ -94,13 +96,18 @@ class TaskDistribution:
 
 
 @dataclass(frozen=True)
-class ActionSpec:
-    """Discrete index set {0..n-1} or a continuous interval [low, high]."""
+class Discrete:
+    """The action indices {0, ..., n-1}."""
 
-    kind: str  # "discrete" | "box"
-    n: int = 0
-    low: float = 0.0
-    high: float = 0.0
+    n: int
+
+
+@dataclass(frozen=True)
+class Box:
+    """The continuous actions in [low, high]."""
+
+    low: float
+    high: float
 
 
 def medium_task(dist: TaskDistribution) -> Task:
@@ -145,12 +152,15 @@ def cartpole_euler(states: np.ndarray, forces: np.ndarray, gravity: float) -> np
 class Environment:
     """Immutable family-specific rules: reset distribution, transition,
     reward, termination, and the class attributes `state_dim` and
-    `action_spec`. Horizon truncation is the rollout loop's job."""
+    `action_spec`, the action set the policy takes as its head."""
 
     __slots__ = ("task",)
 
     def __init__(self, task: Task):
-        self.task = task
+        object.__setattr__(self, "task", task)
+
+    def __setattr__(self, name, value):  # immutability guard
+        raise AttributeError(f"{type(self).__name__} is immutable")
 
     def reset(self, rng: np.random.Generator) -> np.ndarray:
         """A start state drawn from `rng`, the episode's own generator."""
@@ -165,7 +175,7 @@ class Environment:
 class CartPoleEnv(Environment):
     __slots__ = ()
     state_dim = 4
-    action_spec = ActionSpec("discrete", n=2)
+    action_spec = Discrete(2)
 
     def reset(self, rng: np.random.Generator) -> np.ndarray:
         return rng.uniform(-0.05, 0.05, size=4)
@@ -187,7 +197,7 @@ class CartPoleEnv(Environment):
 class IntersectionEnv(Environment):
     __slots__ = ()
     state_dim = 2
-    action_spec = ActionSpec("box", low=0.0, high=SPEED_MAX)
+    action_spec = Box(0.0, SPEED_MAX)
 
     def reset(self, rng: np.random.Generator) -> np.ndarray:
         jitter = rng.uniform(0.0, 10.0)

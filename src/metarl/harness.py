@@ -51,8 +51,10 @@ AUDIT_GAMMA = 0.99  # the discount of the audited surrogate
 
 
 def parse_config_text(text: str, source: str = "<config>") -> "dict[str, str]":
-    """key=value lines into a dict; '#' starts a comment; blank lines skipped."""
+    """key=value lines into a dict; '#' starts a comment; blank lines skipped.
+    A key set on two lines is a ParseError."""
     values: dict[str, str] = {}
+    set_on: dict[str, int] = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -65,6 +67,9 @@ def parse_config_text(text: str, source: str = "<config>") -> "dict[str, str]":
             raise ValidationError(f"{key}: unknown configuration key ({source}:{lineno})")
         if not val:
             raise ParseError(f"{source}:{lineno}: empty value for {key}")
+        if key in set_on:
+            raise ParseError(f"{source}:{lineno}: {key} already set on line {set_on[key]}")
+        set_on[key] = lineno
         values[key] = val
     return values
 

@@ -523,14 +523,14 @@ def _save_state(run_cfg: RunConfig, state: MetaState) -> Path:
 def load_state(path, cfg: MetaConfig) -> MetaState:
     """Rebuild a MetaState from a checkpoint; the stream tree is re-derived
     from the seed, so resumed runs replay exactly the draws the uninterrupted
-    run would have made. A checkpoint without its epoch, or without a vector
-    the config needs (policy; alpha_vec for the Meta-SGD family; critic for
-    the actor-critic learner), or whose vectors are laid out for another
-    architecture than the config's environment family, raises a
-    ValidationError naming the field. A critic is kept for the actor-critic
-    learner only, and alpha_vec for the Meta-SGD family only: a run resumed
-    from a checkpoint that carries either for another config neither trains,
-    evaluates with, nor saves it."""
+    run would have made. A checkpoint without its epoch or with a negative
+    one, or without a vector the config needs (policy; alpha_vec for the
+    Meta-SGD family; critic for the actor-critic learner), or whose vectors
+    are laid out for another architecture than the config's environment
+    family, raises a ValidationError naming the field. A critic is kept for
+    the actor-critic learner only, and alpha_vec for the Meta-SGD family
+    only: a run resumed from a checkpoint that carries either for another
+    config neither trains, evaluates with, nor saves it."""
     vectors, meta = load_checkpoint(path)
     if meta.get("seed") != cfg.seed:
         raise ValidationError(
@@ -538,6 +538,8 @@ def load_state(path, cfg: MetaConfig) -> MetaState:
         )
     if "epoch" not in meta:
         raise ValidationError(f"epoch: checkpoint {path} has no epoch metadata")
+    if meta["epoch"] < 0:
+        raise ValidationError(f"epoch: checkpoint {path} has epoch {meta['epoch']}, below 0")
     needed = {"policy": "every run"}
     if cfg.algorithm.base is Algorithm.METASGD:
         needed["alpha_vec"] = f"algorithm {cfg.algorithm.value}"
@@ -585,9 +587,16 @@ def train(
 ) -> RunLog:
     """Run all epochs, checkpointing every 50, then persist and return the
     RunLog (with the convergence epoch under the EMA-threshold rule). On
-    divergence the partial log is still written, with the cause recorded."""
+    divergence the partial log is still written, with the cause recorded.
+    A checkpoint already at the configured epoch count is refused with a
+    ValidationError before anything is written."""
     cfg = run_cfg.meta
     state = load_state(resume_from, cfg) if resume_from is not None else init_state(cfg)
+    if state.epoch >= cfg.epochs:
+        raise ValidationError(
+            f"epochs: checkpoint {resume_from} is at epoch {state.epoch}, "
+            f"not below epochs = {cfg.epochs}; nothing is left to train"
+        )
     rows: list[EpochMetrics] = []
     diverged: str | None = None
     t_start = time.perf_counter()

@@ -31,14 +31,12 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import ParamVector, Params, Segment
-from .envs import Environment
+from .envs import Box, Discrete, Environment
 from .errors import NonFiniteValue, ParseError
 from .rng import Stream
 from .runlog import write_atomic
 
 __all__ = [
-    "CategoricalHead",
-    "GaussianHead",
     "Arch",
     "PolicyNet",
     "actor_arch",
@@ -59,27 +57,16 @@ HALF_LOG_2PI = 0.5 * float(np.log(2.0 * np.pi))
 
 
 @dataclass(frozen=True)
-class CategoricalHead:
-    n: int
-
-
-@dataclass(frozen=True)
-class GaussianHead:
-    low: float
-    high: float
-
-
-@dataclass(frozen=True)
 class Arch:
-    """Layer plan. head None means a scalar regression output (critic)."""
+    """Layer plan; head is the action set (Discrete or Box), None for a critic."""
 
     input_dim: int
     hidden: tuple[int, ...]
-    head: "CategoricalHead | GaussianHead | None"
+    head: "Discrete | Box | None"
 
     @property
     def out_dim(self) -> int:
-        if isinstance(self.head, CategoricalHead):
+        if isinstance(self.head, Discrete):
             return self.head.n
         return 1
 
@@ -96,7 +83,7 @@ class Arch:
             off += a * b
             segs.append(Segment(f"b{i}", off, (b,)))
             off += b
-        if isinstance(self.head, GaussianHead):
+        if isinstance(self.head, Box):
             segs.append(Segment("log_sigma", off, (1,)))
         return tuple(segs)
 
@@ -113,12 +100,7 @@ class PolicyNet:
 
 
 def actor_arch(env: Environment) -> Arch:
-    spec = env.action_spec
-    if spec.kind == "discrete":
-        head: CategoricalHead | GaussianHead = CategoricalHead(spec.n)
-    else:
-        head = GaussianHead(spec.low, spec.high)
-    return Arch(env.state_dim, HIDDEN, head)
+    return Arch(env.state_dim, HIDDEN, env.action_spec)
 
 
 def critic_arch(env: Environment) -> Arch:
@@ -135,7 +117,7 @@ def init_params(arch: Arch, rng: Stream) -> ParamVector:
         bound = np.sqrt(3.0 / a)
         chunks.append(gen.uniform(-bound, bound, size=(a, b)).ravel())
         chunks.append(np.zeros(b))
-    if isinstance(arch.head, GaussianHead):
+    if isinstance(arch.head, Box):
         chunks.append(np.array([LOG_SIGMA_INIT]))
     return ParamVector(np.concatenate(chunks), arch.segments())
 
@@ -181,9 +163,9 @@ def draw_variates(arch: Arch, gen: np.random.Generator, n: int) -> np.ndarray:
     """The variates of n successive actions: uniforms on [0, 1) for a
     categorical head, standard normals for a Gaussian head. For PCG64 one
     call of size n gives the same bits as n calls of size one."""
-    if isinstance(arch.head, CategoricalHead):
+    if isinstance(arch.head, Discrete):
         return gen.random(n)
-    if isinstance(arch.head, GaussianHead):
+    if isinstance(arch.head, Box):
         return gen.standard_normal(n)
     raise ValueError("critic networks have no action head")
 
@@ -204,7 +186,7 @@ def act_batch(
         raise ValueError(f"need one variate per state row: {n} rows, variates of shape {u.shape}")
     out = forward_inference(net.arch, net.params, states)
     head = net.arch.head
-    if isinstance(head, CategoricalHead):
+    if isinstance(head, Discrete):
         # out is this call's own array: the logit shift, the probabilities
         # and their running sum cum are each formed in its buffer
         out -= np.maximum.reduce(out, axis=1, keepdims=True)
@@ -216,9 +198,8 @@ def act_batch(
         # that rounds to just below 1.
         acts = np.add.reduce(cum <= u[:, None], axis=1, dtype=np.int64)
         np.minimum(acts, head.n - 1, out=acts)
-        raws = acts
-        actions: np.ndarray = acts
-    elif isinstance(head, GaussianHead):
+        actions = raws = acts
+    elif isinstance(head, Box):
         mean = out[:, 0]
         logsig = net.params.segment("log_sigma")
         # logprob_graph scales by exp(-log_sigma), which overflows where
@@ -248,9 +229,9 @@ def logprob_graph(
     samples."""
     out = _forward_graph(arch, p, states)
     head = arch.head
-    if isinstance(head, CategoricalHead):
+    if isinstance(head, Discrete):
         return ad.log_softmax_pick(out, actions)
-    if isinstance(head, GaussianHead):
+    if isinstance(head, Box):
         n = out.val.shape[0]
         mean = ad.reshape(out, (n,))
         raw = np.asarray(actions, dtype=np.float64)

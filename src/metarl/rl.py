@@ -52,19 +52,18 @@ ADV_STD_EPS = 1e-8
 
 @dataclass(frozen=True)
 class Trajectory:
-    """One episode. `raws` are the differentiation targets: pre-clip samples
-    for Gaussian heads, the action indices themselves for categorical. No
-    behaviour log-probability is kept: the objectives recompute log pi(a|s)
-    from states and raws."""
+    """One episode, as the objectives read it. `raws` are the
+    differentiation targets: pre-clip samples for Gaussian heads, the action
+    indices for categorical. Neither the clipped actions nor a behaviour
+    log-probability is kept: objectives recompute log pi(a|s) from raws."""
 
     states: np.ndarray  # (T, d)
-    actions: np.ndarray  # (T,)
     rewards: np.ndarray  # (T,)
     raws: np.ndarray  # (T,)
 
     def __post_init__(self):
         n = len(self.states)
-        if not (len(self.actions) == len(self.rewards) == len(self.raws) == n):
+        if not (len(self.rewards) == len(self.raws) == n):
             raise ValueError("trajectory fields have mismatched lengths")
         if n == 0:
             raise ValueError("empty trajectory")
@@ -119,7 +118,7 @@ def _run_rollouts(
         at = t if len(rows) == k else (t, rows)  # step t of each live row
         acts, raws = act_batch(policy, cur, variates[at])
         nxt, rews, dones = env.step_batch(cur, acts)
-        fields = (cur, acts, rews, raws)  # Trajectory field order
+        fields = (cur, rews, raws)  # Trajectory field order
         if not bufs:
             bufs = [np.empty((horizon, k) + f.shape[1:], dtype=f.dtype) for f in fields]
         for buf, f in zip(bufs, fields):

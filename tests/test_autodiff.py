@@ -689,15 +689,13 @@ def _long_cartpole_objective():
     theta = init_params(actor_arch(env), Stream(0).child(0))
     gen = Stream(1).generator()
     horizon = 200
-    trajs = tuple(
-        rl.Trajectory(
-            gen.normal(size=(horizon, 4)),
-            gen.integers(0, 2, size=horizon),
-            np.ones(horizon),
-            gen.integers(0, 2, size=horizon),
-        )
-        for _ in range(10)
-    )
+
+    def trajectory():
+        states = gen.normal(size=(horizon, 4))
+        gen.integers(0, 2, size=horizon)  # discarded, so the raws keep their bits
+        return rl.Trajectory(states, np.ones(horizon), gen.integers(0, 2, size=horizon))
+
+    trajs = tuple(trajectory() for _ in range(10))
     obj = rl.policy_objective(rl.TrajectoryBatch(trajs, env.task), 0.99)
     v = theta.with_values(np.full(theta.size, 1.0 / np.sqrt(theta.size)))
     return obj, theta, v

@@ -183,11 +183,12 @@ class TestResumeErrors:
         argv = ["train", *TINY, *extra, "--out_dir", str(tmp_path / "resumed"), "--label", "r"]
         return cli.main([*argv, "--resume", str(ckpt)])
 
-    def rewritten(self, tmp_path, drop_vector=None, drop_meta=None):
+    def rewritten(self, tmp_path, drop_vector=None, drop_meta=None, set_meta=()):
         train_tiny(tmp_path, "t")
         vectors, meta = load_checkpoint(tmp_path / "t.ckpt")
         vectors.pop(drop_vector, None)
         meta.pop(drop_meta, None)
+        meta.update(set_meta)
         path = tmp_path / "edited.ckpt"
         save_checkpoint(path, vectors, meta)
         return path
@@ -211,6 +212,29 @@ class TestResumeErrors:
         capsys.readouterr()
         assert self.resume(tmp_path, ckpt) == 1
         self.assert_clean_error(capsys, "epoch")
+
+    def test_negative_epoch_metadata(self, tmp_path, capsys):
+        ckpt = self.rewritten(tmp_path, set_meta={"epoch": -1})
+        capsys.readouterr()
+        assert self.resume(tmp_path, ckpt) == 1
+        err = capsys.readouterr().err
+        self.assert_clean_error_text(err, "epoch")
+        assert err == f"error: epoch: checkpoint {ckpt} has epoch -1, below 0\n"
+
+    def test_finished_run_is_refused_and_its_log_kept(self, tmp_path, capsys):
+        """Resuming a run from its final checkpoint has no epoch left to
+        train; it is refused before the run's log and timing are rewritten."""
+        assert train_tiny(tmp_path, "t") == 0
+        ckpt = tmp_path / "t.ckpt"
+        kept = {p.name: p.read_bytes() for p in (tmp_path / "t.runlog", tmp_path / "t.timing", ckpt)}
+        capsys.readouterr()
+        assert train_tiny(tmp_path, "t", ["--resume", str(ckpt)]) == 1
+        err = capsys.readouterr().err
+        assert err == (
+            f"error: epochs: checkpoint {ckpt} is at epoch 3, not below epochs = 3; "
+            "nothing is left to train\n"
+        )
+        assert {name: (tmp_path / name).read_bytes() for name in kept} == kept
 
     @pytest.mark.parametrize("algorithm", ["metasgd", "directed-metasgd"])
     def test_metasgd_family_needs_alpha_vec(self, tmp_path, capsys, algorithm):
@@ -340,6 +364,10 @@ class TestInputErrors:
             (27, ["eval", "--ckpt", "absent.ckpt", "--eval_episodes", str(OVER_ROWS)], "eval_episodes x horizon"),
             # Sweep takes its seeds from --seeds only.
             (28, ["sweep", "--seed", "3", "--seeds", "1"], "--seed"),
+            # A threshold no smoothed return can be compared against.
+            (29, ["compare", "absent.runlog", "--tau", "nan"], "--tau"),
+            (30, ["compare", "absent.runlog", "--tau", "inf"], "--tau"),
+            (31, ["compare", "absent.runlog", "--tau=-inf"], "--tau"),
         ]],
     )
     def test_rejected_with_the_flag_named(self, argv, flag, monkeypatch, capsys):

@@ -11,6 +11,8 @@ from hypothesis import strategies as st
 from _helpers import empirical_medium
 from metarl import envs
 from metarl.envs import (
+    Box,
+    Discrete,
     Family,
     Task,
     TaskDistribution,
@@ -20,6 +22,7 @@ from metarl.envs import (
 )
 from metarl.errors import EmptyTaskSet, InvalidAction, ValidationError
 from metarl.harness import build_run_config
+from metarl.policy import actor_arch
 from metarl.rng import Stream
 
 
@@ -300,14 +303,26 @@ class TestBatchScalarAgreement:
 
 class TestNoHorizon:
     """The horizon is an argument of the rollout: an environment carries
-    none, and neither it nor the family's shape can be set on one."""
+    none, and no attribute of one can be set: not the horizon, its task, or
+    the family's shape and action set."""
 
     @pytest.mark.parametrize("family", list(Family))
     def test_environment_has_no_horizon(self, family):
         env = make_env(Task(family, 10.0))
-        state_dim = env.state_dim
+        task, state_dim, action_spec = env.task, env.state_dim, env.action_spec
+        other = Task(next(f for f in Family if f is not family), 3.0)
         assert not hasattr(env, "horizon")
-        for name in ("horizon", "state_dim"):
-            with pytest.raises(AttributeError):
-                setattr(env, name, 7)
+        for name, value in (("horizon", 7), ("state_dim", 7), ("task", other), ("action_spec", 7)):
+            with pytest.raises(AttributeError, match=f"^{type(env).__name__} is immutable$"):
+                setattr(env, name, value)
         assert not hasattr(env, "horizon") and env.state_dim == state_dim
+        assert env.task is task and env.action_spec == action_spec
+
+    @pytest.mark.parametrize(
+        "family, action_set",
+        [(Family.CARTPOLE, Discrete(2)), (Family.INTERSECTION, Box(0.0, envs.SPEED_MAX))],
+    )
+    def test_action_set_is_the_policy_head(self, family, action_set):
+        env = make_env(Task(family, 10.0))
+        assert env.action_spec == action_set
+        assert actor_arch(env).head == env.action_spec

@@ -85,6 +85,10 @@ class TestParseConfigText:
         with pytest.raises(ParseError, match="empty value for beta"):
             parse_config_text("beta =   # nothing here")
 
+    def test_repeated_key_is_parse_error_naming_both_lines(self):
+        with pytest.raises(ParseError, match=r"^myfile\.cfg:3: seed already set on line 1$"):
+            parse_config_text("seed = 1\nalpha = 0.1\nseed = 2\n", source="myfile.cfg")
+
     def test_unknown_key_names_the_key(self):
         with pytest.raises(ValidationError, match="learning_rate: unknown configuration key"):
             parse_config_text("learning_rate = 0.1")

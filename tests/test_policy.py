@@ -16,7 +16,7 @@ from hypothesis import strategies as st
 from metarl import autodiff as ad
 from metarl import policy as pol
 from metarl.autodiff import ParamVector, Params, Segment
-from metarl.envs import Family, Task, make_env
+from metarl.envs import Discrete, Family, Task, make_env
 from metarl.errors import NonFiniteValue, ParseError
 from metarl.rng import Stream
 
@@ -56,7 +56,7 @@ def numpy_logprob(net: pol.PolicyNet, states: np.ndarray, raws: np.ndarray) -> n
     """log pi(raw | state) per row from forward_inference: a log-softmax for
     a categorical head, a Gaussian log-density for a Gaussian head."""
     out = pol.forward_inference(net.arch, net.params, states)
-    if isinstance(net.arch.head, pol.CategoricalHead):
+    if isinstance(net.arch.head, Discrete):
         logits = out - out.max(axis=1, keepdims=True)
         log_softmax = logits - np.log(np.exp(logits).sum(axis=1, keepdims=True))
         return log_softmax[np.arange(len(raws)), raws]
@@ -253,7 +253,7 @@ def searchsorted_pick(cum: np.ndarray, u: np.ndarray) -> np.ndarray:
 
 
 def categorical_net(n: int, **overrides) -> pol.PolicyNet:
-    arch = pol.Arch(4, pol.HIDDEN, pol.CategoricalHead(n))
+    arch = pol.Arch(4, pol.HIDDEN, Discrete(n))
     return pol.PolicyNet(arch, zero_params(arch, **overrides))
 
 
@@ -261,7 +261,7 @@ class TestCategoricalPick:
     @settings(deadline=None, max_examples=30)
     @given(st.integers(min_value=0, max_value=2**31 - 1), st.integers(min_value=2, max_value=6))
     def test_matches_searchsorted_on_and_around_boundaries(self, seed, n):
-        arch = pol.Arch(4, pol.HIDDEN, pol.CategoricalHead(n))
+        arch = pol.Arch(4, pol.HIDDEN, Discrete(n))
         net = pol.PolicyNet(arch, pol.init_params(arch, Stream(seed)))
         gen = Stream(seed).child(1).generator()
         states = gen.uniform(-2.0, 2.0, size=(4, 4))

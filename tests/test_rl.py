@@ -15,7 +15,7 @@ from metarl import meta
 from metarl import policy as pol
 from metarl import rl
 from metarl.autodiff import Params
-from metarl.envs import Family, Task, make_env
+from metarl.envs import Discrete, Family, Task, make_env
 from metarl.rl import Trajectory, TrajectoryBatch, discounted_returns
 from metarl.rng import Stream
 
@@ -23,7 +23,7 @@ from _helpers import balancer_policy, make_policy, rollout, zero_params
 
 CARTPOLE = make_env(Task(Family.CARTPOLE, 10.0))
 INTERSECTION = make_env(Task(Family.INTERSECTION, 10.0))
-FIELDS = ("states", "actions", "rewards", "raws")  # Trajectory field order
+FIELDS = ("states", "rewards", "raws")  # Trajectory field order
 # The horizon each family's rollouts here are truncated at.
 H_CARTPOLE, H_INTERSECTION = 200, 100
 
@@ -33,7 +33,6 @@ def bandit_batch(actions, rewards) -> TrajectoryBatch:
     trajs = [
         Trajectory(
             states=np.zeros((1, 4)),
-            actions=np.array([a], dtype=np.int64),
             rewards=np.array([float(r)]),
             raws=np.array([a], dtype=np.int64),
         )
@@ -125,7 +124,7 @@ def stepwise_act(net, states, gens):
     categorical action with searchsorted."""
     out = pol.forward_inference(net.arch, net.params, states)
     n = len(states)
-    if isinstance(net.arch.head, pol.CategoricalHead):
+    if isinstance(net.arch.head, Discrete):
         shift = out - np.max(out, axis=1, keepdims=True)
         lse = np.log(np.sum(np.exp(shift), axis=1))
         cum = np.cumsum(np.exp(shift - lse[:, None]), axis=1)
@@ -153,7 +152,7 @@ def stepwise_rollouts(env, net, k, rng, horizon):
         acts, raws = stepwise_act(net, cur, [gens[j] for j in active])
         nxt, rews, dones = env.step_batch(cur, acts)
         for m, j in enumerate(active):
-            for field, val in zip(rec[j], (cur[m], acts[m], rews[m], raws[m])):
+            for field, val in zip(rec[j], (cur[m], rews[m], raws[m])):
                 field.append(val)
         states[np.asarray(active)] = nxt
         active = [j for m, j in enumerate(active) if not dones[m]]
@@ -457,7 +456,7 @@ class TestHoistedObjective:
         for t in sampled.trajectories:
             rewards = np.zeros(t.length)
             rewards[-1] = 3.0
-            trajs.append(Trajectory(t.states, t.actions, rewards, t.raws))
+            trajs.append(Trajectory(t.states, rewards, t.raws))
         batch = TrajectoryBatch(tuple(trajs), sampled.task)
         returns = rl._pooled(batch, 1.0)[2]
         assert float(np.std(returns)) < rl.ADV_STD_FLOOR and np.all(returns == 3.0)
