@@ -10,7 +10,12 @@ Two kinds of record are pinned:
 - the value, gradient and Hessian-vector-product bytes of one composite
   objective that reaches every graph primitive, including the broadcast
   forms of add/sub/mul; its vector products are broadcast products summed
-  along an axis, and its fractional power is exp(p * log(x)).
+  along an axis, and its fractional power is exp(p * log(x));
+- the value, gradient and Hessian-vector-product bytes of the policy
+  surrogate (`rl.policy_objective`) on one audit batch per head, categorical
+  (cartpole) and Gaussian (intersection), and of its finite-difference
+  oracles `fd_grad` and `fd_hvp`. The tier-1 audit holds the oracles only to
+  a relative error; these digests hold their bits.
 
 The digests were recorded with BLAS pinned to one thread (tests/conftest.py).
 They hold on one numeric platform; a platform change regenerates them in a
@@ -26,7 +31,10 @@ import pytest
 
 from _helpers import add, gather_rows, log, row_max_const, tanh
 from metarl import autodiff as ad
-from metarl import cli
+from metarl import cli, rl
+from metarl.envs import Family, Task, make_env
+from metarl.harness import AUDIT_GAMMA
+from metarl.policy import PolicyNet, actor_arch, init_params
 from metarl.rng import Stream
 
 TINY = [
@@ -156,3 +164,58 @@ def test_composite_objective_matches_finite_differences():
     obj = composite_objective(states, actions, adv)
     assert ad.rel_err(ad.grad(obj, theta), ad.fd_grad(obj, theta)) < 1e-7
     assert ad.rel_err(ad.hvp(obj, theta, tangent), ad.fd_hvp(obj, theta, tangent)) < 1e-6
+
+
+# ---------------------------------------------------------------------------
+# The audited policy surrogate and its finite-difference oracles
+# ---------------------------------------------------------------------------
+
+AUDIT_TASKS = {
+    "cartpole": Task(Family.CARTPOLE, 10.0),
+    "intersection": Task(Family.INTERSECTION, 10.0),
+}
+
+SURROGATE_SHA256 = {
+    "cartpole": {
+        "value": "59d5b160186f25044dc4de5a079c1703ded968712ea177d8bcd291b34e18f7c2",
+        "grad": "761a5f3eef793977b7570e1126474249b4135b92dd3d789a2bffa5cdee698d5d",
+        "hvp": "491ae091c295a4da24891aaa5a0b35c37395a6d6507e8b5d1c547014c31ace14",
+        "fd_grad": "051687e6386918f292e999e0e42f8c6421013b57e4325b3d8d31dc978c911851",
+        "fd_hvp": "8a2d9e5f9327791799a2a8a35eca11a70c6d4179d812748346641f1598df1bbb",
+    },
+    "intersection": {
+        "value": "2d583839e077d99a2ddc5f681afaea5e4c5ad49909f4d409464285481f60c6e0",
+        "grad": "59b23891688ebcb0f9314a102d02d2d6befa87e1dad6c21a1f61a83e627afb91",
+        "hvp": "868b84b804f063ec6c0c9a55a0982d5386e06535b70d58cdf13adf943cacdaf8",
+        "fd_grad": "d6b428bf345cf7b643d6bd4b1e69d7f1953c24dd44fa3728d7177329c10c9b6d",
+        "fd_hvp": "98b540eaa84e76f6ebd3aa5d9b8734e7f82c2bbf55df0c58fee808d0edaaf7de",
+    },
+}
+
+
+def surrogate_inputs(task: Task):
+    """The surrogate of one batch (k=2, horizon 15), its policy and a unit
+    direction, drawn as `harness.audit_oracles` draws them for seed 0."""
+    stream = Stream(0)
+    env = make_env(task)
+    arch = actor_arch(env)
+    theta = init_params(arch, stream.child(0))
+    batch = rl.sample_batch(env, PolicyNet(arch, theta), 2, stream.child(1), 15)
+    v_raw = stream.child(2).generator().standard_normal(theta.size)
+    return rl.policy_objective(batch, AUDIT_GAMMA), theta, theta.with_values(v_raw / np.linalg.norm(v_raw))
+
+
+def surrogate_digests(task: Task) -> "dict[str, str]":
+    obj, theta, v = surrogate_inputs(task)
+    return {
+        "value": _sha(np.float64(ad.value(obj, theta)).tobytes()),
+        "grad": _sha(ad.grad(obj, theta).values.tobytes()),
+        "hvp": _sha(ad.hvp(obj, theta, v).values.tobytes()),
+        "fd_grad": _sha(ad.fd_grad(obj, theta).values.tobytes()),
+        "fd_hvp": _sha(ad.fd_hvp(obj, theta, v).values.tobytes()),
+    }
+
+
+@pytest.mark.parametrize("family", sorted(AUDIT_TASKS))
+def test_policy_surrogate_bytes(family):
+    assert surrogate_digests(AUDIT_TASKS[family]) == SURROGATE_SHA256[family]
