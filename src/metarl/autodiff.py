@@ -1,36 +1,43 @@
 """Reverse-mode autodiff over flat parameter vectors, with exact Hessian-vector products.
 
 Scope is deliberately small: dense float64 parameter vectors, a few
-primitive operations (affine maps, products, exp, sums/means, reshapes), two
-fused nodes for a policy's layers and head, and scalar objectives. The
-computation graph is rebuilt on every evaluation; nothing persists between
-calls, so there is no stale-tape state to manage and graphs can safely cross
-threads.
+primitive operations (affine maps, products, exp, sums/means, reshapes),
+three fused nodes for a policy's layers, head and surrogate sum, and scalar
+objectives. The operation nodes are rebuilt on every evaluation; what
+persists between calls is `value`'s segment leaves, which never hold an
+adjoint, so there is no stale-tape state to manage and graphs can safely
+cross threads.
 
 Parameters enter a graph one segment at a time: `Params` builds one leaf
 per segment, whose value (and tangent) is the ParamVector's cached read-only
 view (`ParamVector.segment`), the one rollouts read, and `Params.seg(name)`
-looks it up. `grad` and `hvp` lay the leaves' adjoints out as one flat
-vector: zeros, with each leaf's adjoint added into its segment's slice. A
-leaf has no vjp and its slice is its own, so neither its id nor the order
-the leaves were made in moves a bit, and a leaf no node reads leaves +0.0.
+looks it up. `grad` and `hvp` build fresh leaves on every call. `value`
+runs no backward pass; it builds a vector's leaves on its first call and
+the vector keeps them beside its views. `grad` and `hvp` lay the leaves'
+adjoints out as one flat vector: zeros, with each leaf's adjoint added into
+its segment's slice. A leaf has no vjp and its slice is its own, so neither
+its id nor the order the leaves were made in moves a bit, and a leaf no
+node reads leaves +0.0.
 
 `affine(h, w, b)` records a network layer's h @ w + b as one node: np.matmul
 then the bias add, with no node, tangent or adjoint kept for the product in
 between. Its vjp takes the product rule from `_mm`. Other products are
 spelled with broadcast `mul` and `nsum`.
 
-Fused nodes record a policy's log-probability graph with few nodes.
-`tanh_affine(h, w, b)` is a hidden layer, tanh(h @ w + b), with the tanh
-taken in place on the fresh product. `log_softmax_pick(logits, idx)` is the
-categorical head, log softmax(logits)[i, idx[i]]. Each fused vjp runs the
-`_D` operations of the primitives it stands for in the backward pass's
-order, through the private rules (`_tanh_adjoint`, `_affine_adjoints`,
-`_spread`, `_scatter_rows`). Those primitives (`tanh`, `log`, `gather_rows`,
-`row_max_const`) live in `tests/_helpers.py`, built on the same rules, as
-the bitwise reference the tests compare the fused nodes against. So does
-`add`: no library objective sums two nodes, and a node's operators are
-`-`, `*` and negation, with the node on the left.
+Fused nodes record a policy's surrogate with few nodes. `tanh_affine(h, w,
+b)` is a hidden layer, tanh(h @ w + b), with the tanh taken in place on the
+fresh product. `log_softmax_pick(logits, idx)` is the categorical head,
+log softmax(logits)[i, idx[i]]. `weighted_sum(a, w, c)` is the surrogate's
+tail, nsum(a * w) * c for a constant array w and number c. Each fused vjp
+runs the `_D` operations of the primitives it stands for in the backward
+pass's order, through the private rules (`_tanh_adjoint`,
+`_affine_adjoints`, `_spread`, `_scatter_rows`). `weighted_sum` stands for
+`mul` and `nsum`, primitives of this module; the others (`tanh`, `log`,
+`gather_rows`, `row_max_const`) live in `tests/_helpers.py`, built on the
+same rules. Both are the bitwise references the tests compare the fused
+nodes against. `tests/_helpers.py` also holds `add`: no library objective
+sums two nodes, and a node's operators are `-`, `*` and negation, with the
+node on the left.
 
 Hessian-vector products use forward-over-reverse: every node carries an
 optional tangent alongside its value, and the backward pass propagates
@@ -56,9 +63,10 @@ a float64 array becomes a constant as it is, and an objective evaluated many
 times builds its constants once. A node that no parameter leaf reaches
 (`needs` false) is a constant: no vjp gives it an adjoint, so the backward
 pass computes no product only a constant would read. What a `value` call
-then pays beyond numpy is the `Params` with its leaves, one `Node` and one
-vjp closure per operation, and the scalar check (measured in the README's
-performance section).
+then pays beyond numpy is a `Params` over the leaves its vector keeps, one
+`Node` and one vjp closure per operation (5 on the audit's categorical
+surrogate), and the scalar check (measured in the README's performance
+section).
 
 Release rule: the backward pass frees each node's adjoint, value, tangent
 and vjp once its vjp has run: all that add to that adjoint or read those
@@ -121,6 +129,7 @@ __all__ = [
     "nsum",
     "nmean",
     "log_softmax_pick",
+    "weighted_sum",
     "reshape",
     "const",
 ]
@@ -208,7 +217,7 @@ class ParamVector:
     scratch (`_reading`), which it writes through a buffer it alone holds.
     """
 
-    __slots__ = ("values", "segments", "_index", "_views")
+    __slots__ = ("values", "segments", "_index", "_views", "_leaves")
 
     def __init__(self, values: np.ndarray, segments: Sequence[Segment]):
         arr = _checked_values(values)
@@ -232,8 +241,12 @@ class ParamVector:
         object.__setattr__(self, "segments", segs)
         object.__setattr__(self, "_index", index)
         object.__setattr__(self, "_views", None)
+        object.__setattr__(self, "_leaves", None)
 
     def __setattr__(self, name, value):  # immutability guard
+        raise AttributeError("ParamVector is immutable")
+
+    def __delattr__(self, name):
         raise AttributeError("ParamVector is immutable")
 
     @property
@@ -253,6 +266,17 @@ class ParamVector:
             views = {name: self.values[sl].reshape(shape) for name, (sl, shape) in self._index.items()}
             object.__setattr__(self, "_views", views)
         return views
+
+    def _value_leaves(self) -> "dict[str, Node]":
+        """`value`'s segment leaves, one per segment view, built on first use
+        and kept. `value` runs no backward pass, so no kept leaf ever holds
+        an adjoint. The leaves reference the views, never this vector, so
+        keeping them makes no reference cycle."""
+        leaves = self._leaves
+        if leaves is None:
+            leaves = {name: Node(view, needs=True) for name, view in self._segment_views().items()}
+            object.__setattr__(self, "_leaves", leaves)
+        return leaves
 
     def layout_equal(self, other: "ParamVector") -> bool:
         return self.segments == other.segments
@@ -668,6 +692,27 @@ def log_softmax_pick(logits, idx) -> Node:
     return Node(val, dot, (a,), vjp, a.needs)
 
 
+def weighted_sum(a, weights, scale: float) -> Node:
+    """One node for the scalar nsum(a * weights) * scale, with `weights` a
+    constant array and `scale` a constant number: the bits of
+    `mul` -> `nsum` -> `mul`, without a node for the product or the sum.
+
+    The vjp runs the composed rules in the backward pass's order: the
+    scale's product rule, `nsum`'s, then the weights' product rule, summed
+    down to a's shape as `mul`'s rule sums a broadcast operand."""
+    a = _as_node(a)
+    w = np.asarray(weights, dtype=np.float64)
+    c = np.float64(scale)
+    val = np.add.reduce(a.val * w, axis=None) * c
+    dot = None if a.dot is None else np.add.reduce(a.dot * w, axis=None) * c
+
+    def vjp(g: _D, acc):
+        spread = _spread(g * _D(c), None, np.broadcast_shapes(a.val.shape, w.shape))
+        acc(a, (spread * _D(w)).unbroadcast(a.val.shape))
+
+    return Node(val, dot, (a,), vjp, a.needs)
+
+
 def reshape(a, shape) -> Node:
     a = _as_node(a)
 
@@ -693,8 +738,9 @@ class Params:
     An objective receives one of these and reads its parameters segment by
     segment: `seg(name)` is a leaf node whose value (and tangent) is the
     vector's cached read-only view of that segment. The leaves, one per
-    segment, are built here; an objective that reads a segment twice gets
-    the same leaf. `_flat` lays the leaves' adjoints out as one flat vector."""
+    segment, are built here (`value` reuses the ones its vector keeps, see
+    `_evaluating`); an objective that reads a segment twice gets the same
+    leaf. `_flat` lays the leaves' adjoints out as one flat vector."""
 
     def __init__(self, pv: ParamVector, tangent: "ParamVector | None" = None):
         self._pv = pv
@@ -703,6 +749,14 @@ class Params:
             name: Node(view, None if dots is None else dots[name], needs=True)
             for name, view in pv._segment_views().items()
         }
+
+    @classmethod
+    def _evaluating(cls, pv: ParamVector) -> "Params":
+        """`value`'s view of pv: the leaves pv keeps, no tangent."""
+        p = cls.__new__(cls)
+        p._pv = pv
+        p._leaves = pv._value_leaves()
+        return p
 
     def seg(self, name: str) -> Node:
         return self._leaves[name]
@@ -764,8 +818,9 @@ def _backward(root: Node, dual: bool) -> None:
 
 
 def value(objective: Objective, at: ParamVector) -> float:
-    """Evaluate an objective without differentiating it."""
-    return _scalar_value(objective(Params(at)))
+    """Evaluate an objective without differentiating it, on the segment
+    leaves `at` keeps (`ParamVector._value_leaves`)."""
+    return _scalar_value(objective(Params._evaluating(at)))
 
 
 def grad(objective: Objective, at: ParamVector) -> Gradient:
@@ -808,7 +863,8 @@ def fd_grad(objective: Objective, at: ParamVector) -> Gradient:
     Every evaluation reads one scratch vector: a copy of `at`'s values that
     the objective sees through read-only views, built once. Each coordinate
     is written in place to xi + epsilon, then xi - epsilon, and restored, so
-    an evaluation copies, scans and slices nothing. Every entry is finite:
+    an evaluation copies, scans and slices nothing, and the first `value`
+    builds the segment leaves the others reuse. Every entry is finite:
     `at`'s were checked when it was built, and a finite double moved by
     1e-5 stays finite. The scratch never leaves `value`: the objective must
     keep nothing of its Params between calls, as `rl.policy_objective`'s

@@ -14,9 +14,9 @@ Two families, each indexed by one real parameter phi:
   step reaching dx >= +5 m yields exactly +50 and terminates. Transitions are
   deterministic.
 
-Environments are immutable descriptions (assigning an attribute of an instance
-raises AttributeError) without a time limit (the rollout truncates episodes at
-its horizon); episode state lives in the caller.
+Environments are immutable descriptions (assigning or deleting an attribute
+of an instance raises AttributeError) without a time limit (the rollout
+truncates episodes at its horizon); episode state lives in the caller.
 Stepping is pure and elementwise, so stepping a batch of states produces the
 same bits per row as stepping each row alone (no batch-size-dependent math).
 """
@@ -160,6 +160,9 @@ class Environment:
         object.__setattr__(self, "task", task)
 
     def __setattr__(self, name, value):  # immutability guard
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+    def __delattr__(self, name):
         raise AttributeError(f"{type(self).__name__} is immutable")
 
     def reset(self, rng: np.random.Generator) -> np.ndarray:

@@ -234,6 +234,14 @@ class TestParamVector:
         with pytest.raises(AttributeError):
             pv.values = np.zeros(2)
 
+    def test_attributes_cannot_be_deleted(self):
+        pv = single_segment([1.0, 2.0])
+        values = pv.values
+        for name in ("values", "segments"):
+            with pytest.raises(AttributeError, match="^ParamVector is immutable$"):
+                delattr(pv, name)
+        assert pv.values is values and pv.segment("w").tobytes() == values.tobytes()
+
     def test_combinable_requires_same_layout(self):
         a = single_segment([1.0, 2.0])
         b = ad.ParamVector(
@@ -369,10 +377,11 @@ class TestGrad:
 
     def test_constants_get_no_adjoint(self):
         """Only nodes a parameter reaches take part in the backward pass: on
-        a policy objective, the states, the advantages and 1/K are
-        constants (the row-max shift lives inside the categorical head's
-        node), built once per objective and shared by its graphs; after
-        `grad` and `hvp` no node but a parameter leaf holds an adjoint, and
+        a policy objective, the states are the one constant node (the
+        row-max shift lives inside the categorical head's node, the
+        advantages and 1/K inside the `weighted_sum` node), built once per
+        objective and shared by its graphs; after `grad` and `hvp` no node
+        but a parameter leaf holds an adjoint, and
         the segment leaves' adjoints, laid out by segment, are the gradient
         and the Hessian-vector product."""
         env = make_env(Task(Family.CARTPOLE, 9.0))
@@ -397,7 +406,8 @@ class TestGrad:
                     stack.extend(n.parents)
             constants = [n for n in nodes.values() if not n.needs]
             leaves = [n for n in nodes.values() if n.needs and not n.parents]
-            assert len(constants) >= 3  # states, advantages, 1/K
+            [states] = constants
+            assert states.val.shape == (sum(t.length for t in batch.trajectories), env.state_dim)
             # Constants never get an adjoint; every other node's was freed.
             assert all(n.adj is None for n in nodes.values() if n not in leaves)
             # Each leaf is one segment's view; together they cover theta.
@@ -675,6 +685,108 @@ class TestLogSoftmaxPick:
             theta,
             v,
         )
+
+
+class TestWeightedSum:
+    @settings(max_examples=40, deadline=None)
+    @given(
+        rows=st.integers(1, 40),
+        cols=st.integers(1, 5),
+        shapes=st.sampled_from(["vector", "matrix", "weights broadcast", "operand broadcast"]),
+        k=st.integers(1, 20),
+        seed=st.integers(0, 2**16),
+    )
+    def test_matches_the_mul_nsum_mul_composition_bitwise(self, rows, cols, shapes, k, seed):
+        """The node's value and tangent, and the value, gradient and
+        Hessian-vector product of a readout curved in it, equal those of
+        nsum(a * weights) * scale byte for byte: on vectors (the policy
+        surrogate's form), on matrices, and with either operand broadcast
+        over the other."""
+        gen = Stream(seed).generator()
+        a_shape, w_shape = {
+            "vector": ((rows,), (rows,)),
+            "matrix": ((rows, cols), (rows, cols)),
+            "weights broadcast": ((rows, cols), (cols,)),
+            "operand broadcast": ((cols,), (rows, cols)),
+        }[shapes]
+        theta = params_of({"z": gen.normal(size=a_shape)})
+        v = theta.with_values(gen.normal(size=theta.size))
+        weights, scale = gen.normal(size=w_shape), 1.0 / k
+
+        def fused(p):
+            return ad.weighted_sum(ad.exp(p.seg("z")), weights, scale)
+
+        def composed(p):
+            return ad.nsum(ad.exp(p.seg("z")) * weights) * scale
+
+        for tangent in (None, v):
+            got, want = fused(ad.Params(theta, tangent)), composed(ad.Params(theta, tangent))
+            assert raw_bytes(got.val, got.dot) == raw_bytes(want.val, want.dot)
+
+        def readout(total):
+            return lambda p: total(p) * total(p)
+
+        assert_same_bits(readout(fused), readout(composed), theta, v)
+
+
+# ---------------------------------------------------------------------------
+# The nodes an evaluation builds
+# ---------------------------------------------------------------------------
+
+def _nodes_built(call) -> int:
+    """How many graph nodes `call()` makes."""
+    before = next(ad._NODE_IDS)
+    call()
+    return next(ad._NODE_IDS) - before - 1
+
+
+class TestNodeBudget:
+    @pytest.fixture(scope="class")
+    def audit(self):
+        """The audit's objective for seed 0 and its policy."""
+        env = make_env(Task(Family.CARTPOLE, 10.0))
+        stream = Stream(0)
+        theta = init_params(actor_arch(env), stream.child(0))
+        batch = rl.sample_batch(env, PolicyNet(actor_arch(env), theta), 2, stream.child(1), 15)
+        return rl.policy_objective(batch, 0.99), theta
+
+    def test_an_audit_evaluation_builds_five_nodes(self, audit):
+        """Two hidden layers, the output layer, the categorical head and the
+        weighted sum; the six segment leaves are built by a vector's first
+        `value` only, so `fd_grad`'s 2 x 4,610 evaluations on its one scratch
+        vector build them once."""
+        obj, theta = audit
+        x = theta.with_values(theta.values)
+        assert _nodes_built(lambda: ad.value(obj, x)) == 6 + 5
+        assert _nodes_built(lambda: ad.value(obj, x)) == 5
+        assert _nodes_built(lambda: ad.fd_grad(obj, theta)) == 6 + 5 * 2 * theta.size
+
+    def test_a_second_value_builds_no_leaf(self, audit):
+        obj, theta = audit
+        x = theta.with_values(theta.values)
+        seen = []
+
+        def recorded(p):
+            seen.append([p.seg(s.name) for s in x.segments])
+            return obj(p)
+
+        first, second = ad.value(recorded, x), ad.value(recorded, x)
+        assert first.hex() == second.hex()
+        assert all(a is b for a, b in zip(*seen))
+        assert all(leaf.adj is None for leaf in seen[0])
+
+    def test_grad_and_hvp_after_value_match_a_fresh_vector(self, audit):
+        """`grad` and `hvp` build their own leaves: on a vector `value` has
+        kept leaves for, they give the bytes of a copy it never saw, and
+        leave the kept leaves without an adjoint."""
+        obj, theta = audit
+        x, fresh = theta.with_values(theta.values), theta.with_values(theta.values)
+        v = theta.with_values(Stream(0).child(2).generator().standard_normal(theta.size))
+        ad.value(obj, x)
+        assert ad.grad(obj, x).values.tobytes() == ad.grad(obj, fresh).values.tobytes()
+        assert ad.hvp(obj, x, v).values.tobytes() == ad.hvp(obj, fresh, v).values.tobytes()
+        assert ad.value(obj, x).hex() == ad.value(obj, fresh).hex()
+        assert all(leaf.adj is None for leaf in x._value_leaves().values())
 
 
 # ---------------------------------------------------------------------------

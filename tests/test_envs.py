@@ -303,8 +303,8 @@ class TestBatchScalarAgreement:
 
 class TestNoHorizon:
     """The horizon is an argument of the rollout: an environment carries
-    none, and no attribute of one can be set: not the horizon, its task, or
-    the family's shape and action set."""
+    none, and no attribute of one can be set or deleted: not the horizon,
+    its task, or the family's shape and action set."""
 
     @pytest.mark.parametrize("family", list(Family))
     def test_environment_has_no_horizon(self, family):
@@ -317,6 +317,15 @@ class TestNoHorizon:
                 setattr(env, name, value)
         assert not hasattr(env, "horizon") and env.state_dim == state_dim
         assert env.task is task and env.action_spec == action_spec
+
+    @pytest.mark.parametrize("family", list(Family))
+    def test_task_cannot_be_deleted(self, family):
+        env = make_env(Task(family, 10.0))
+        task = env.task
+        with pytest.raises(AttributeError, match=f"^{type(env).__name__} is immutable$"):
+            del env.task
+        assert env.task is task
+        env.step_batch(np.stack([env.reset(Stream(0).generator())]), np.zeros(1, dtype=np.int64))
 
     @pytest.mark.parametrize(
         "family, action_set",
