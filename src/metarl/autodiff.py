@@ -3,10 +3,11 @@
 Scope is deliberately small: dense float64 parameter vectors, a few
 primitive operations (affine maps, products, exp, sums/means, reshapes),
 three fused nodes for a policy's layers, head and surrogate sum, and scalar
-objectives. The operation nodes are rebuilt on every evaluation; what
-persists between calls is `value`'s segment leaves, which never hold an
-adjoint, so there is no stale-tape state to manage and graphs can safely
-cross threads.
+objectives. The operation nodes are rebuilt on every evaluation, with one
+exception below; what persists between calls is `value`'s segment leaves
+and `fd_grad`'s per-segment layer memo, which serve `value` alone and so
+never hold an adjoint. There is no stale-tape state to manage and graphs can
+safely cross threads.
 
 Parameters enter a graph one segment at a time: `Params` builds one leaf
 per segment, whose value (and tangent) is the ParamVector's cached read-only
@@ -86,7 +87,13 @@ Finite differences exist only as test oracles (`fd_grad`, `fd_hvp`) and in
 the `audit` CLI; they are never a production gradient path. `fd_grad`
 makes every `value` call on one private scratch vector, written in place
 one coordinate at a time, so an evaluation copies, scans and slices no
-parameter vector.
+parameter vector. The scratch alone keeps a layer memo (`_LayerMemo`):
+moving a weight of layer L leaves every layer before L bit for bit
+unchanged, so while one segment moves, `Params.layer` hands later
+evaluations the layers that segment cannot reach, as the first evaluation
+built them. The memo is emptied at each segment's first coordinate and
+holds at most one node per layer. Every other graph (`grad`, `hvp`, `value`
+on any other vector) builds each layer anew.
 
 Importing this module (so importing metarl) sets glibc's malloc mmap and
 trim thresholds for the whole process; see `_keep_graph_memory_mapped`. A
@@ -214,10 +221,11 @@ class ParamVector:
     only when their layouts are identical. The layout's index, segment name
     -> (slice, shape), is built once and shared by every vector `with_values`
     derives. The one vector whose values change is `fd_grad`'s private
-    scratch (`_reading`), which it writes through a buffer it alone holds.
+    scratch (`_reading`), which it writes through a buffer it alone holds,
+    and which alone keeps a layer memo (`_layers`) beside its leaves.
     """
 
-    __slots__ = ("values", "segments", "_index", "_views", "_leaves")
+    __slots__ = ("values", "segments", "_index", "_views", "_leaves", "_layers")
 
     def __init__(self, values: np.ndarray, segments: Sequence[Segment]):
         arr = _checked_values(values)
@@ -242,6 +250,7 @@ class ParamVector:
         object.__setattr__(self, "_index", index)
         object.__setattr__(self, "_views", None)
         object.__setattr__(self, "_leaves", None)
+        object.__setattr__(self, "_layers", None)
 
     def __setattr__(self, name, value):  # immutability guard
         raise AttributeError("ParamVector is immutable")
@@ -293,11 +302,14 @@ class ParamVector:
 
     def _reading(self, buf: np.ndarray) -> "ParamVector":
         """A vector in this layout whose values are a read-only view of
-        `buf`, a writable float64 array of this size, not a copy of it. The
-        caller owns `buf` and answers for its entries being finite; no check
-        runs. `fd_grad` builds its scratch this way."""
+        `buf`, a writable float64 array of this size, not a copy of it, with
+        an empty layer memo. The caller owns `buf` and answers for its
+        entries being finite, and names each segment it writes to the memo
+        before writing it; no check runs. `fd_grad` builds its scratch this
+        way."""
         out = object.__new__(ParamVector)
         out._init(buf.view(), self.segments, self._index)
+        object.__setattr__(out, "_layers", _LayerMemo())
         return out
 
     def _check_combinable(self, other: "ParamVector") -> None:
@@ -740,10 +752,12 @@ class Params:
     vector's cached read-only view of that segment. The leaves, one per
     segment, are built here (`value` reuses the ones its vector keeps, see
     `_evaluating`); an objective that reads a segment twice gets the same
-    leaf. `_flat` lays the leaves' adjoints out as one flat vector."""
+    leaf. A network layer over two segments is built by `layer`. `_flat`
+    lays the leaves' adjoints out as one flat vector."""
 
     def __init__(self, pv: ParamVector, tangent: "ParamVector | None" = None):
         self._pv = pv
+        self._layers = None
         dots = None if tangent is None else tangent._segment_views()
         self._leaves = {
             name: Node(view, None if dots is None else dots[name], needs=True)
@@ -752,14 +766,27 @@ class Params:
 
     @classmethod
     def _evaluating(cls, pv: ParamVector) -> "Params":
-        """`value`'s view of pv: the leaves pv keeps, no tangent."""
+        """`value`'s view of pv: the leaves pv keeps and its layer memo (only
+        `fd_grad`'s scratch has one), no tangent."""
         p = cls.__new__(cls)
         p._pv = pv
+        p._layers = pv._layers
         p._leaves = pv._value_leaves()
         return p
 
     def seg(self, name: str) -> Node:
         return self._leaves[name]
+
+    def layer(self, fn: "Callable[[Node, Node, Node], Node]", h: Node, w: str, b: str) -> Node:
+        """The layer node fn(h, seg(w), seg(b)), for `fn` `affine` or
+        `tanh_affine`. On `fd_grad`'s scratch vector the node may be one an
+        earlier evaluation built and the memo kept (`_LayerMemo`), which
+        holds the bits a rebuild would give; everywhere else (every `grad`,
+        every `hvp`, `value` on any other vector) it is built here."""
+        memo = self._layers
+        if memo is None:
+            return fn(h, self._leaves[w], self._leaves[b])
+        return memo.layer(fn, h, w, b, self._leaves)
 
     def _flat(self, part: str) -> np.ndarray:
         """The leaves' adjoints (`part` "v") or adjoint tangents ("d") as one
@@ -772,6 +799,39 @@ class Params:
             if x is not None:
                 out[self._pv._index[name][0]] += np.reshape(x, -1)
         return out
+
+
+class _LayerMemo:
+    """`fd_grad`'s layers that the segment it is moving cannot reach.
+
+    `fd_grad` names the segment it is about to move (`move`), which empties
+    the memo. A layer is kept, one entry per layer, when neither its weight
+    nor its bias is the moving segment and its input is a constant or a kept
+    layer: until the next `move`, every value it reads is the one it read
+    when built, since `fd_grad` restores each coordinate exactly. A later
+    request for that layer, with the same `fn` and the same input node, gets
+    the kept node. Kept nodes serve `value` only, which runs no backward
+    pass, so none ever holds an adjoint or loses its value."""
+
+    __slots__ = ("moving", "kept")
+
+    def __init__(self):
+        self.moving: "str | None" = None
+        self.kept: "dict[tuple[str, str], tuple[Callable, Node, Node]]" = {}
+
+    def move(self, name: str) -> None:
+        self.moving = name
+        self.kept.clear()
+
+    def layer(self, fn, h: Node, w: str, b: str, leaves: "dict[str, Node]") -> Node:
+        key = (w, b)
+        entry = self.kept.get(key)
+        if entry is not None and entry[0] is fn and entry[1] is h:
+            return entry[2]
+        node = fn(h, leaves[w], leaves[b])
+        if self.moving not in key and (not h.needs or any(h is e[2] for e in self.kept.values())):
+            self.kept[key] = (fn, h, node)
+        return node
 
 
 def _scalar_value(root: Node) -> float:
@@ -819,7 +879,8 @@ def _backward(root: Node, dual: bool) -> None:
 
 def value(objective: Objective, at: ParamVector) -> float:
     """Evaluate an objective without differentiating it, on the segment
-    leaves `at` keeps (`ParamVector._value_leaves`)."""
+    leaves `at` keeps (`ParamVector._value_leaves`) and, on `fd_grad`'s
+    scratch alone, with its layer memo."""
     return _scalar_value(objective(Params._evaluating(at)))
 
 
@@ -868,19 +929,28 @@ def fd_grad(objective: Objective, at: ParamVector) -> Gradient:
     `at`'s were checked when it was built, and a finite double moved by
     1e-5 stays finite. The scratch never leaves `value`: the objective must
     keep nothing of its Params between calls, as `rl.policy_objective`'s
-    objectives keep nothing. `at` itself is never written."""
+    objectives keep nothing. `at` itself is never written.
+
+    The coordinates move segment by segment, and the scratch's layer memo
+    (`_LayerMemo`) is told each segment before its first coordinate, so an
+    evaluation that moves layer L's weight or bias reuses the layers before
+    L: on the audit's categorical surrogate it builds 4 nodes for W1/b1 and
+    3 for W2/b2 instead of 5, with the same bits."""
     epsilon = FD_GRAD_EPSILON
     x = at.values.copy()
     scratch = at._reading(x)
+    memo = scratch._layers
     g = np.zeros(at.size)
-    for i in range(at.size):
-        xi = float(x[i])
-        x[i] = xi + epsilon
-        hi = value(objective, scratch)
-        x[i] = xi - epsilon
-        lo = value(objective, scratch)
-        x[i] = xi
-        g[i] = (hi - lo) / (2.0 * epsilon)
+    for seg in at.segments:
+        memo.move(seg.name)
+        for i in range(seg.offset, seg.offset + seg.size):
+            xi = float(x[i])
+            x[i] = xi + epsilon
+            hi = value(objective, scratch)
+            x[i] = xi - epsilon
+            lo = value(objective, scratch)
+            x[i] = xi
+            g[i] = (hi - lo) / (2.0 * epsilon)
     if not np.all(np.isfinite(g)):
         raise NonFiniteValue("finite-difference gradient contains NaN/Inf")
     return at.with_values(g)

@@ -146,13 +146,14 @@ def forward_inference(arch: Arch, params: ParamVector, states: np.ndarray) -> np
 
 def _forward_graph(arch: Arch, p: Params, states: "np.ndarray | ad.Node") -> ad.Node:
     """Head outputs as a graph: one `tanh_affine` node per hidden layer, one
-    `affine` node for the output layer. `states` is an array or a constant
-    node holding one."""
+    `affine` node for the output layer, each built by `Params.layer`.
+    `states` is an array or a constant node holding one; only a constant
+    node the caller reuses lets `fd_grad` reuse layers across evaluations."""
     h = states if isinstance(states, ad.Node) else ad.const(np.asarray(states, dtype=np.float64))
     *hidden, (w_out, b_out) = arch.layer_names
     for w, b in hidden:
-        h = ad.tanh_affine(h, p.seg(w), p.seg(b))
-    return ad.affine(h, p.seg(w_out), p.seg(b_out))
+        h = p.layer(ad.tanh_affine, h, w, b)
+    return p.layer(ad.affine, h, w_out, b_out)
 
 
 # ---------------------------------------------------------------------------

@@ -31,6 +31,7 @@ threshold read the same smoothed curve through `smoothed_returns`.
 from __future__ import annotations
 
 import json
+import math
 import os
 import platform
 from dataclasses import dataclass, fields
@@ -193,12 +194,27 @@ def save_runlog(out_dir, log: RunLog) -> Path:
     return run_path
 
 
+def _finite_float(literal: str) -> float:
+    """A JSON float literal, or one of the constants NaN, Infinity and
+    -Infinity that `json` also reads, as `float` reads it, refused when it
+    is not finite (`1e400` overflows to inf). The writer never writes one."""
+    x = float(literal)
+    if not math.isfinite(x):
+        raise ValueError(f"number {literal} is not finite")
+    return x
+
+
 def _read_records(path: Path, what: str) -> "list[dict]":
     """The JSON object on each line of one file, blank lines and platform
-    records skipped."""
+    records skipped. A non-finite number (NaN, Infinity, -Infinity, or a
+    literal past the double range) is a ParseError."""
     try:
-        records = [json.loads(line) for line in path.read_text().splitlines() if line.strip()]
-    except (OSError, ValueError) as e:  # ValueError: bad UTF-8 or bad JSON
+        records = [
+            json.loads(line, parse_float=_finite_float, parse_constant=_finite_float)
+            for line in path.read_text().splitlines()
+            if line.strip()
+        ]
+    except (OSError, ValueError) as e:  # ValueError: bad UTF-8, bad JSON or a non-finite number
         raise ParseError(f"cannot read {what} {path}: {e}") from None
     if not all(isinstance(r, dict) for r in records):
         raise ParseError(f"{path}: a line is not a JSON object")
@@ -211,7 +227,8 @@ def _read_records(path: Path, what: str) -> "list[dict]":
 def _values(path: Path, record: dict, kind: str, kinds, names) -> "dict[str, object]":
     """The values of fields `names` in `record`, which must be a `kind`
     record, each checked against its entry in `kinds`. An integer stands for
-    a float, since `fmt_float` writes 2.0 as 2; a bool is never a number."""
+    a float, since `fmt_float` writes 2.0 as 2, if it is within the double
+    range; a bool is never a number."""
     if record.get("record") != kind:
         raise ParseError(f"{path}: expected a {kind} record, got {record.get('record')!r}")
     values = {}
@@ -220,7 +237,10 @@ def _values(path: Path, record: dict, kind: str, kinds, names) -> "dict[str, obj
             raise ParseError(f"{path}: {kind} record has no field {name!r}")
         value = record[name]
         if type(value) is int and float in kinds[name]:
-            value = float(value)
+            try:
+                value = float(value)
+            except OverflowError:
+                raise ParseError(f"{path}: field {name!r} is past the double range") from None
         if type(value) not in kinds[name]:
             allowed = " or ".join("null" if k is type(None) else k.__name__ for k in kinds[name])
             raise ParseError(f"{path}: field {name!r} must be {allowed}, got {value!r}")

@@ -19,9 +19,9 @@ from hypothesis import strategies as st
 from _helpers import add, count_calls, gather_rows, log, row_max_const, tanh, traced_peak_mib
 from metarl import autodiff as ad
 from metarl import rl
-from metarl.envs import Family, Task, make_env
+from metarl.envs import Discrete, Family, Task, make_env
 from metarl.errors import NonFiniteValue
-from metarl.policy import PolicyNet, actor_arch, critic_arch, init_params
+from metarl.policy import Arch, PolicyNet, actor_arch, critic_arch, init_params
 from metarl.rng import Stream
 
 
@@ -82,6 +82,18 @@ def fd_by_copies(obj, theta: ad.ParamVector) -> np.ndarray:
             2.0 * eps
         )
     return out
+
+
+DEEP_ARCH = Arch(4, (8, 8, 8), Discrete(3))
+
+
+def deep_categorical(stream: Stream, rows: int = 12):
+    """The library's policy surrogate (`rl._surrogate`) over a categorical
+    policy with three hidden layers, on a drawn batch of `rows` rows, and
+    the policy's parameters."""
+    gen = stream.child(1).generator()
+    states, actions, adv = gen.normal(size=(rows, 4)), gen.integers(0, 3, size=rows), gen.normal(size=rows)
+    return rl._surrogate(DEEP_ARCH, states, actions, adv, 2), init_params(DEEP_ARCH, stream.child(0))
 
 
 def quadratic_form(A: np.ndarray, x: ad.Node) -> ad.Node:
@@ -158,22 +170,53 @@ class TestFdOracle:
             ) / (2.0 * eps)
         assert ad.fd_grad(obj, theta).values.tobytes() == expected.tobytes()
 
-    @pytest.mark.parametrize("which", ["gaussian_surrogate", "critic"])
+    @pytest.mark.parametrize("which", ["gaussian_surrogate", "critic", "deep_categorical"])
     def test_fd_grad_matches_per_coordinate_copies_off_the_audit(self, which):
         """The same bits on the Gaussian head's surrogate (log_sigma read
-        twice, `reshape` and `exp`) and on the critic's objective."""
+        twice, `reshape` and `exp`; while log_sigma moves, every layer is
+        kept), on the critic's objective (a fresh states constant per call,
+        so no layer is kept) and on a categorical policy with three hidden
+        layers (kept layers reach three deep)."""
         stream = Stream(4)
-        family = Family.INTERSECTION if which == "gaussian_surrogate" else Family.CARTPOLE
-        env = make_env(Task(family, 10.0))
-        theta = init_params(actor_arch(env), stream.child(0))
-        batch = rl.sample_batch(env, PolicyNet(actor_arch(env), theta), 2, stream.child(1), 12)
-        if which == "critic":
-            theta = init_params(critic_arch(env), stream.child(2))
-            obj = rl.critic_objective(batch, 0.99)
+        if which == "deep_categorical":
+            obj, theta = deep_categorical(stream)
         else:
-            obj = rl.policy_objective(batch, 0.99)
+            family = Family.INTERSECTION if which == "gaussian_surrogate" else Family.CARTPOLE
+            env = make_env(Task(family, 10.0))
+            theta = init_params(actor_arch(env), stream.child(0))
+            batch = rl.sample_batch(env, PolicyNet(actor_arch(env), theta), 2, stream.child(1), 12)
+            if which == "critic":
+                theta = init_params(critic_arch(env), stream.child(2))
+                obj = rl.critic_objective(batch, 0.99)
+            else:
+                obj = rl.policy_objective(batch, 0.99)
         got = ad.fd_grad(obj, theta).values
         assert got.tobytes() == fd_by_copies(obj, theta).tobytes()
+
+    @pytest.mark.parametrize(
+        "which", ["segments_out_of_layer_order", "one_layer_two_inputs", "input_is_a_segment"]
+    )
+    def test_fd_grad_keeps_its_bits_where_a_kept_layer_would_be_stale(self, which):
+        """Objectives on which a layer `fd_grad` keeps would give wrong
+        values if the memo outlived the segment it was kept for, if it
+        answered a request for the layer on another input, or if it kept a
+        layer whose input is not a constant or a kept layer: the deep policy
+        over a layout whose output layer comes first, the sum of its
+        surrogate on two batches through the same layers, and a layer whose
+        input is a segment leaf."""
+        obj, theta = deep_categorical(Stream(5))
+        if which == "segments_out_of_layer_order":
+            theta = params_of({s.name: theta.segment(s.name) for s in reversed(theta.segments)})
+        elif which == "one_layer_two_inputs":
+            other, _ = deep_categorical(Stream(6))
+            first = obj
+            obj = lambda p: add(first(p), other(p))
+        else:
+            gen = Stream(5).generator()
+            shapes = {"x": (3, 4), "w": (4, 2), "b": (2,)}
+            theta = params_of({name: gen.normal(size=shape) for name, shape in shapes.items()})
+            obj = lambda p: ad.nsum(p.layer(ad.tanh_affine, p.seg("x"), "w", "b"))
+        assert ad.fd_grad(obj, theta).values.tobytes() == fd_by_copies(obj, theta).tobytes()
 
     def test_fd_grad_leaves_the_point_as_it_was(self):
         theta = single_segment([0.3, -0.7, 2.0])
@@ -740,6 +783,19 @@ def _nodes_built(call) -> int:
     return next(ad._NODE_IDS) - before - 1
 
 
+def _fd_grad_budget(theta: ad.ParamVector, per_evaluation: int) -> int:
+    """The nodes `fd_grad` builds on a policy surrogate over `theta`, whose
+    segments are W0, b0, W1, b1, ..., when one `value` there builds
+    `per_evaluation` nodes: the leaves, once; then, while a segment of layer
+    L moves, each evaluation builds every node but the L layers before it,
+    which the memo keeps from the segment's first evaluation on."""
+    total = len(theta.segments)
+    for s in theta.segments:
+        kept = int(s.name[1:])
+        total += 2 * s.size * (per_evaluation - kept) + kept
+    return total
+
+
 class TestNodeBudget:
     @pytest.fixture(scope="class")
     def audit(self):
@@ -754,12 +810,46 @@ class TestNodeBudget:
         """Two hidden layers, the output layer, the categorical head and the
         weighted sum; the six segment leaves are built by a vector's first
         `value` only, so `fd_grad`'s 2 x 4,610 evaluations on its one scratch
-        vector build them once."""
+        vector build them once. There, an evaluation that moves W1 or b1
+        gets the first hidden layer kept and builds 4 nodes, one that moves
+        W2 or b2 gets both and builds 3: 37,272 nodes in all."""
         obj, theta = audit
         x = theta.with_values(theta.values)
         assert _nodes_built(lambda: ad.value(obj, x)) == 6 + 5
         assert _nodes_built(lambda: ad.value(obj, x)) == 5
-        assert _nodes_built(lambda: ad.fd_grad(obj, theta)) == 6 + 5 * 2 * theta.size
+        assert _nodes_built(lambda: ad.fd_grad(obj, theta)) == _fd_grad_budget(theta, 5)
+
+    def test_kept_layers_reach_every_layer_before_the_moving_one(self):
+        """On three hidden layers an evaluation that moves the output layer
+        builds the head, the sum and that layer alone."""
+        obj, theta = deep_categorical(Stream(4))
+        assert _nodes_built(lambda: ad.value(obj, theta)) == len(theta.segments) + 6
+        assert _nodes_built(lambda: ad.fd_grad(obj, theta)) == _fd_grad_budget(theta, 6)
+
+    def test_the_layer_memo_is_fd_grads_alone_and_bounded(self, audit):
+        """Only `fd_grad`'s scratch vector keeps layers, at most the two
+        hidden ones here (two 25 x 64 arrays), all in one memo: `value` on
+        an ordinary vector builds every node on every call, and `value`,
+        `grad` and `hvp` at the point give the same bytes before and after
+        an `fd_grad` from it."""
+        obj, theta = audit
+        x = theta.with_values(theta.values)
+        v = theta.with_values(Stream(0).child(2).generator().standard_normal(theta.size))
+        before = ad.value(obj, x).hex(), ad.grad(obj, x).values.tobytes(), ad.hvp(obj, x, v).values.tobytes()
+        memos = []
+
+        def recorded(p):
+            out = obj(p)
+            memos.append((p._layers, len(p._layers.kept)))
+            return out
+
+        ad.fd_grad(recorded, x)
+        assert len(memos) == 2 * theta.size and all(m is memos[0][0] for m, _ in memos)
+        assert max(n for _, n in memos) == 2
+        assert x._layers is None
+        assert [_nodes_built(lambda: ad.value(obj, x)) for _ in range(3)] == [5, 5, 5]
+        after = ad.value(obj, x).hex(), ad.grad(obj, x).values.tobytes(), ad.hvp(obj, x, v).values.tobytes()
+        assert after == before
 
     def test_a_second_value_builds_no_leaf(self, audit):
         obj, theta = audit

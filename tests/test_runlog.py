@@ -271,6 +271,28 @@ class TestRoundTrip:
         with pytest.raises(ParseError):
             load_runlog(path)
 
+    @pytest.mark.parametrize(
+        "literal",
+        ["NaN", "Infinity", "-Infinity", "1e400", "-1e400", pytest.param("1" + "0" * 400, id="1e400-as-int")],
+    )
+    @pytest.mark.parametrize("suffix, field", [(".runlog", "eval_return"), (".timing", "wall_seconds")])
+    def test_load_rejects_a_number_that_is_not_finite(self, tmp_path, suffix, field, literal):
+        """A cached run with two values edited to a number the writer never
+        writes: `json` alone reads each as nan, inf or an int past the
+        double range."""
+        for src in (ACCEPT_CACHE / "c4-maml-s1.runlog", ACCEPT_CACHE / "c4-maml-s1.timing"):
+            (tmp_path / src.name).write_bytes(src.read_bytes())
+        path = tmp_path / "c4-maml-s1.runlog"
+        edited = path.with_suffix(suffix)
+        lines = edited.read_text().splitlines(keepends=True)
+        for i in (2, 3):
+            head, sep, tail = lines[i].partition(f'"{field}": ')
+            lines[i] = head + sep + literal + tail[tail.index(","):]
+        edited.write_text("".join(lines))
+        with pytest.raises(ParseError) as err:
+            load_runlog(path)
+        assert str(edited) in str(err.value)
+
 
 @pytest.mark.parametrize("path", sorted(ACCEPT_CACHE.glob("*.runlog")), ids=lambda p: p.name)
 def test_cached_runs_reserialize_byte_for_byte(path):
