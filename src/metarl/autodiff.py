@@ -810,8 +810,9 @@ class _LayerMemo:
     layer: until the next `move`, every value it reads is the one it read
     when built, since `fd_grad` restores each coordinate exactly. A later
     request for that layer, with the same `fn` and the same input node, gets
-    the kept node. Kept nodes serve `value` only, which runs no backward
-    pass, so none ever holds an adjoint or loses its value."""
+    the kept node; an objective never writes a constant it reuses. Kept
+    nodes serve `value` only, which runs no backward pass, so none ever
+    holds an adjoint or loses its value."""
 
     __slots__ = ("moving", "kept")
 
