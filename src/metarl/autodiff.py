@@ -3,22 +3,18 @@
 Scope is deliberately small: dense float64 parameter vectors, a few
 primitive operations (affine maps, products, exp, sums/means, reshapes),
 three fused nodes for a policy's layers, head and surrogate sum, and scalar
-objectives. The operation nodes are rebuilt on every evaluation, with one
-exception below; what persists between calls is `value`'s segment leaves
-and `fd_grad`'s per-segment layer memo, which serve `value` alone and so
-never hold an adjoint. There is no stale-tape state to manage and graphs can
-safely cross threads.
+objectives. Every call builds its graph anew and nothing persists between
+calls: there is no stale-tape state to manage and graphs can safely cross
+threads. Only the evaluations inside one `fd_grad` call share state, below.
 
 Parameters enter a graph one segment at a time: `Params` builds one leaf
 per segment, whose value (and tangent) is the ParamVector's cached read-only
 view (`ParamVector.segment`), the one rollouts read, and `Params.seg(name)`
-looks it up. `grad` and `hvp` build fresh leaves on every call. `value`
-runs no backward pass; it builds a vector's leaves on its first call and
-the vector keeps them beside its views. `grad` and `hvp` lay the leaves'
-adjoints out as one flat vector: zeros, with each leaf's adjoint added into
-its segment's slice. A leaf has no vjp and its slice is its own, so neither
-its id nor the order the leaves were made in moves a bit, and a leaf no
-node reads leaves +0.0.
+looks it up. `value` on a vector, `grad` and `hvp` build fresh leaves on
+every call. `grad` and `hvp` lay the leaves' adjoints out as one flat
+vector: zeros, with each leaf's adjoint added into its segment's slice. A
+leaf has no vjp and its slice is its own, so neither its id nor the order
+the leaves were made in moves a bit, and a leaf no node reads leaves +0.0.
 
 `affine(h, w, b)` records a network layer's h @ w + b as one node: np.matmul
 then the bias add, with no node, tangent or adjoint kept for the product in
@@ -63,11 +59,11 @@ leaf is the view its ParamVector already keeps, and `seg` is a dict lookup;
 a float64 array becomes a constant as it is, and an objective evaluated many
 times builds its constants once. A node that no parameter leaf reaches
 (`needs` false) is a constant: no vjp gives it an adjoint, so the backward
-pass computes no product only a constant would read. What a `value` call
-then pays beyond numpy is a `Params` over the leaves its vector keeps, one
-`Node` and one vjp closure per operation (5 on the audit's categorical
-surrogate), and the scalar check (measured in the README's performance
-section).
+pass computes no product only a constant would read. What an evaluation
+inside `fd_grad` then pays beyond numpy is one `Node` and one vjp closure
+per operation it builds (at most 5 on the audit's categorical surrogate)
+and the scalar check; a `value` call on a vector adds a `Params` and its
+leaves (measured in the README's performance section).
 
 Release rule: the backward pass frees each node's adjoint, value, tangent
 and vjp once its vjp has run: all that add to that adjoint or read those
@@ -85,15 +81,15 @@ hidden outputs and their tangents, and its backward pass at most seven.
 
 Finite differences exist only as test oracles (`fd_grad`, `fd_hvp`) and in
 the `audit` CLI; they are never a production gradient path. `fd_grad`
-makes every `value` call on one private scratch vector, written in place
-one coordinate at a time, so an evaluation copies, scans and slices no
-parameter vector. The scratch alone keeps a layer memo (`_LayerMemo`):
-moving a weight of layer L leaves every layer before L bit for bit
-unchanged, so while one segment moves, `Params.layer` hands later
-evaluations the layers that segment cannot reach, as the first evaluation
-built them. The memo is emptied at each segment's first coordinate and
-holds at most one node per layer. Every other graph (`grad`, `hvp`, `value`
-on any other vector) builds each layer anew.
+makes every `value` call on one `Params` over a private scratch vector,
+written in place one coordinate at a time, so an evaluation copies, scans
+and slices no parameter vector and builds no leaf. In that `Params` only
+the moving segment's leaf has `needs` set, so a layer node without `needs`
+is one the perturbation cannot reach, bit for bit unchanged while that
+segment moves: `Params.layer` keeps it, at most one node per layer, and
+hands it to later evaluations. The kept layers are dropped at each
+segment's first coordinate. Every other graph (`grad`, `hvp`, `value` on a
+vector) builds each layer anew.
 
 Importing this module (so importing metarl) sets glibc's malloc mmap and
 trim thresholds for the whole process; see `_keep_graph_memory_mapped`. A
@@ -221,11 +217,10 @@ class ParamVector:
     only when their layouts are identical. The layout's index, segment name
     -> (slice, shape), is built once and shared by every vector `with_values`
     derives. The one vector whose values change is `fd_grad`'s private
-    scratch (`_reading`), which it writes through a buffer it alone holds,
-    and which alone keeps a layer memo (`_layers`) beside its leaves.
+    scratch (`_reading`), which it writes through a buffer it alone holds.
     """
 
-    __slots__ = ("values", "segments", "_index", "_views", "_leaves", "_layers")
+    __slots__ = ("values", "segments", "_index", "_views")
 
     def __init__(self, values: np.ndarray, segments: Sequence[Segment]):
         arr = _checked_values(values)
@@ -249,8 +244,6 @@ class ParamVector:
         object.__setattr__(self, "segments", segs)
         object.__setattr__(self, "_index", index)
         object.__setattr__(self, "_views", None)
-        object.__setattr__(self, "_leaves", None)
-        object.__setattr__(self, "_layers", None)
 
     def __setattr__(self, name, value):  # immutability guard
         raise AttributeError("ParamVector is immutable")
@@ -276,17 +269,6 @@ class ParamVector:
             object.__setattr__(self, "_views", views)
         return views
 
-    def _value_leaves(self) -> "dict[str, Node]":
-        """`value`'s segment leaves, one per segment view, built on first use
-        and kept. `value` runs no backward pass, so no kept leaf ever holds
-        an adjoint. The leaves reference the views, never this vector, so
-        keeping them makes no reference cycle."""
-        leaves = self._leaves
-        if leaves is None:
-            leaves = {name: Node(view, needs=True) for name, view in self._segment_views().items()}
-            object.__setattr__(self, "_leaves", leaves)
-        return leaves
-
     def layout_equal(self, other: "ParamVector") -> bool:
         return self.segments == other.segments
 
@@ -302,14 +284,11 @@ class ParamVector:
 
     def _reading(self, buf: np.ndarray) -> "ParamVector":
         """A vector in this layout whose values are a read-only view of
-        `buf`, a writable float64 array of this size, not a copy of it, with
-        an empty layer memo. The caller owns `buf` and answers for its
-        entries being finite, and names each segment it writes to the memo
-        before writing it; no check runs. `fd_grad` builds its scratch this
-        way."""
+        `buf`, a writable float64 array of this size, not a copy of it. The
+        caller owns `buf` and answers for its entries being finite; no check
+        runs. `fd_grad` builds its scratch this way."""
         out = object.__new__(ParamVector)
         out._init(buf.view(), self.segments, self._index)
-        object.__setattr__(out, "_layers", _LayerMemo())
         return out
 
     def _check_combinable(self, other: "ParamVector") -> None:
@@ -750,43 +729,44 @@ class Params:
     An objective receives one of these and reads its parameters segment by
     segment: `seg(name)` is a leaf node whose value (and tangent) is the
     vector's cached read-only view of that segment. The leaves, one per
-    segment, are built here (`value` reuses the ones its vector keeps, see
-    `_evaluating`); an objective that reads a segment twice gets the same
-    leaf. A network layer over two segments is built by `layer`. `_flat`
-    lays the leaves' adjoints out as one flat vector."""
+    segment, are built here; an objective that reads a segment twice gets
+    the same leaf. A network layer over two segments is built by `layer`;
+    only `fd_grad`'s Params keeps layers (`_layers`, a dict), every other
+    has `_layers` None. `_flat` lays the leaves' adjoints out as one flat
+    vector."""
 
     def __init__(self, pv: ParamVector, tangent: "ParamVector | None" = None):
         self._pv = pv
-        self._layers = None
+        self._layers: "dict[tuple[str, str], tuple[Callable, Node, Node]] | None" = None
         dots = None if tangent is None else tangent._segment_views()
         self._leaves = {
             name: Node(view, None if dots is None else dots[name], needs=True)
             for name, view in pv._segment_views().items()
         }
 
-    @classmethod
-    def _evaluating(cls, pv: ParamVector) -> "Params":
-        """`value`'s view of pv: the leaves pv keeps and its layer memo (only
-        `fd_grad`'s scratch has one), no tangent."""
-        p = cls.__new__(cls)
-        p._pv = pv
-        p._layers = pv._layers
-        p._leaves = pv._value_leaves()
-        return p
-
     def seg(self, name: str) -> Node:
         return self._leaves[name]
 
     def layer(self, fn: "Callable[[Node, Node, Node], Node]", h: Node, w: str, b: str) -> Node:
         """The layer node fn(h, seg(w), seg(b)), for `fn` `affine` or
-        `tanh_affine`. On `fd_grad`'s scratch vector the node may be one an
-        earlier evaluation built and the memo kept (`_LayerMemo`), which
-        holds the bits a rebuild would give; everywhere else (every `grad`,
-        every `hvp`, `value` on any other vector) it is built here."""
-        memo = self._layers
-        if memo is None:
-            return fn(h, self._leaves[w], self._leaves[b])
-        return memo.layer(fn, h, w, b, self._leaves)
+        `tanh_affine`. Every `grad`, every `hvp` and `value` on a vector
+        build it here. In `fd_grad`'s Params, a node without `needs` is one
+        the moving segment cannot reach, so it is kept, one entry per
+        (weight, bias) pair, and a later request with the same `fn` and the
+        same input node gets it: until `fd_grad` moves the next segment,
+        every value it reads is the one it read when built, as `fd_grad`
+        restores each coordinate exactly and an objective never writes a
+        constant it reuses. Kept nodes serve `value` only, which runs no
+        backward pass, so none ever holds an adjoint or loses its value."""
+        kept, key = self._layers, (w, b)
+        if kept is not None:
+            entry = kept.get(key)
+            if entry is not None and entry[0] is fn and entry[1] is h:
+                return entry[2]
+        node = fn(h, self._leaves[w], self._leaves[b])
+        if kept is not None and not node.needs:
+            kept[key] = (fn, h, node)
+        return node
 
     def _flat(self, part: str) -> np.ndarray:
         """The leaves' adjoints (`part` "v") or adjoint tangents ("d") as one
@@ -799,40 +779,6 @@ class Params:
             if x is not None:
                 out[self._pv._index[name][0]] += np.reshape(x, -1)
         return out
-
-
-class _LayerMemo:
-    """`fd_grad`'s layers that the segment it is moving cannot reach.
-
-    `fd_grad` names the segment it is about to move (`move`), which empties
-    the memo. A layer is kept, one entry per layer, when neither its weight
-    nor its bias is the moving segment and its input is a constant or a kept
-    layer: until the next `move`, every value it reads is the one it read
-    when built, since `fd_grad` restores each coordinate exactly. A later
-    request for that layer, with the same `fn` and the same input node, gets
-    the kept node; an objective never writes a constant it reuses. Kept
-    nodes serve `value` only, which runs no backward pass, so none ever
-    holds an adjoint or loses its value."""
-
-    __slots__ = ("moving", "kept")
-
-    def __init__(self):
-        self.moving: "str | None" = None
-        self.kept: "dict[tuple[str, str], tuple[Callable, Node, Node]]" = {}
-
-    def move(self, name: str) -> None:
-        self.moving = name
-        self.kept.clear()
-
-    def layer(self, fn, h: Node, w: str, b: str, leaves: "dict[str, Node]") -> Node:
-        key = (w, b)
-        entry = self.kept.get(key)
-        if entry is not None and entry[0] is fn and entry[1] is h:
-            return entry[2]
-        node = fn(h, leaves[w], leaves[b])
-        if self.moving not in key and (not h.needs or any(h is e[2] for e in self.kept.values())):
-            self.kept[key] = (fn, h, node)
-        return node
 
 
 def _scalar_value(root: Node) -> float:
@@ -878,11 +824,12 @@ def _backward(root: Node, dual: bool) -> None:
         n.adj = n.val = n.dot = n.vjp = None
 
 
-def value(objective: Objective, at: ParamVector) -> float:
-    """Evaluate an objective without differentiating it, on the segment
-    leaves `at` keeps (`ParamVector._value_leaves`) and, on `fd_grad`'s
-    scratch alone, with its layer memo."""
-    return _scalar_value(objective(Params._evaluating(at)))
+def value(objective: Objective, at: "ParamVector | Params") -> float:
+    """Evaluate an objective without differentiating it: on `Params(at)` for
+    a vector `at`, and on `at` itself for a Params (`fd_grad` passes its
+    own, with the leaves and layers its evaluations share)."""
+    p = at if isinstance(at, Params) else Params(at)
+    return _scalar_value(objective(p))
 
 
 def grad(objective: Objective, at: ParamVector) -> Gradient:
@@ -922,36 +869,45 @@ def fd_grad(objective: Objective, at: ParamVector) -> Gradient:
     """Central-difference gradient, one coordinate at a time, with step
     FD_GRAD_EPSILON.
 
-    Every evaluation reads one scratch vector: a copy of `at`'s values that
-    the objective sees through read-only views, built once. Each coordinate
-    is written in place to xi + epsilon, then xi - epsilon, and restored, so
-    an evaluation copies, scans and slices nothing, and the first `value`
-    builds the segment leaves the others reuse. Every entry is finite:
-    `at`'s were checked when it was built, and a finite double moved by
-    1e-5 stays finite. The scratch never leaves `value`: the objective must
-    keep nothing of its Params between calls, as `rl.policy_objective`'s
-    objectives keep nothing. `at` itself is never written.
+    Every evaluation is a `value` call on one Params, built here over one
+    scratch vector: a copy of `at`'s values that the objective sees through
+    read-only views. Each coordinate is written in place to xi + epsilon,
+    then xi - epsilon, and restored, so an evaluation copies, scans and
+    slices nothing, and the segment leaves are built once. Every entry is
+    finite: `at`'s were checked when it was built, and a finite double
+    moved by 1e-5 stays finite. The Params never leaves `value`: the
+    objective must keep nothing of it between calls, as
+    `rl.policy_objective`'s objectives keep nothing. `at` itself is never
+    written.
 
-    The coordinates move segment by segment, and the scratch's layer memo
-    (`_LayerMemo`) is told each segment before its first coordinate, so an
-    evaluation that moves layer L's weight or bias reuses the layers before
-    L: on the audit's categorical surrogate it builds 4 nodes for W1/b1 and
-    3 for W2/b2 instead of 5, with the same bits."""
+    The coordinates move segment by segment. Only the moving segment's leaf
+    has `needs` set, from its first coordinate to its last, and the kept
+    layers are dropped at its first, so `Params.layer` hands an evaluation
+    the layers that segment cannot reach: on the audit's categorical
+    surrogate one that moves layer L's weight or bias reuses the layers
+    before L and builds 4 nodes for W1/b1 and 3 for W2/b2 instead of 5, with
+    the same bits. No backward pass runs on this Params, so `needs` changes
+    no value."""
     epsilon = FD_GRAD_EPSILON
     x = at.values.copy()
-    scratch = at._reading(x)
-    memo = scratch._layers
+    p = Params(at._reading(x))
+    p._layers = kept = {}
+    for leaf in p._leaves.values():
+        leaf.needs = False
     g = np.zeros(at.size)
     for seg in at.segments:
-        memo.move(seg.name)
+        moving = p._leaves[seg.name]
+        moving.needs = True
+        kept.clear()
         for i in range(seg.offset, seg.offset + seg.size):
             xi = float(x[i])
             x[i] = xi + epsilon
-            hi = value(objective, scratch)
+            hi = value(objective, p)
             x[i] = xi - epsilon
-            lo = value(objective, scratch)
+            lo = value(objective, p)
             x[i] = xi
             g[i] = (hi - lo) / (2.0 * epsilon)
+        moving.needs = False
     if not np.all(np.isfinite(g)):
         raise NonFiniteValue("finite-difference gradient contains NaN/Inf")
     return at.with_values(g)

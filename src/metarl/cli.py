@@ -55,9 +55,31 @@ def _auto_tau(runs) -> float:
     return 0.8 * best
 
 
+def _epoch_reporter(rc: meta.RunConfig):
+    """A `meta.train` progress callback that prints one stderr line per
+    evaluated epoch: the label, the epoch, its eval return, the smoothed
+    return (as `smoothed_returns` computes it, over this call's epochs)
+    against conv_tau, and the outer gradient norm."""
+    evaluated = []
+
+    def report(m) -> None:
+        if m.eval_return is None:
+            return
+        evaluated.append(m)
+        smoothed = float(smoothed_returns(evaluated)[2][-1])
+        above = ">=" if smoothed >= rc.conv_tau else "<"
+        print(
+            f"{rc.label}: epoch {m.epoch}: eval return {m.eval_return:.2f}, smoothed "
+            f"{smoothed:.2f} {above} conv_tau {rc.conv_tau:g}, outer grad norm {m.grad_norm_outer:.4g}",
+            file=sys.stderr,
+        )
+
+    return report
+
+
 def _cmd_train(args) -> int:
     rc = _config_from(args)
-    log = meta.train(rc, resume_from=args.resume)
+    log = meta.train(rc, resume_from=args.resume, progress=_epoch_reporter(rc))
     final = next((r.eval_return for r in reversed(log.rows) if r.eval_return is not None), None)
     msg = (
         f"{rc.label}: {len(log.rows)} epochs, convergence epoch "
@@ -111,7 +133,7 @@ def _cmd_audit(args) -> int:
 
 
 def _sweep_worker(rc: meta.RunConfig) -> "tuple[str, int | None, str | None]":
-    log = meta.train(rc)
+    log = meta.train(rc, progress=_epoch_reporter(rc))
     return rc.label, log.convergence_epoch, log.diverged
 
 

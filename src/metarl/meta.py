@@ -527,7 +527,8 @@ def load_state(path, cfg: MetaConfig) -> MetaState:
     one, or without a vector the config needs (policy; alpha_vec for the
     Meta-SGD family; critic for the actor-critic learner), or whose vectors
     are laid out for another architecture than the config's environment
-    family, raises a ValidationError naming the field. A critic is kept for
+    family, or whose alpha_vec has an entry <= 0 under the Meta-SGD family,
+    raises a ValidationError naming the field. A critic is kept for
     the actor-critic learner only, and alpha_vec for the Meta-SGD family
     only: a run resumed from a checkpoint that carries either for another
     config neither trains, evaluates with, nor saves it."""
@@ -560,6 +561,12 @@ def load_state(path, cfg: MetaConfig) -> MetaState:
                 f"{name}: checkpoint {path} is laid out for another architecture than env "
                 f"{cfg.env.value} needs ({pv.size} parameters, expected {sum(s.size for s in want)})"
             )
+    avec = vectors["alpha_vec"] if cfg.algorithm.base is Algorithm.METASGD else None
+    if avec is not None and not np.all(avec.values > 0):
+        raise ValidationError(
+            f"alpha_vec: checkpoint {path} has a step size of {float(np.min(avec.values))!r}; "
+            "every entry must be above 0"
+        )
     return MetaState(
         theta=vectors["policy"],
         critic=vectors["critic"] if cfg.learner is Learner.AC else None,

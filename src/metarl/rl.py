@@ -196,9 +196,10 @@ def _surrogate(
     nsum(lp * adv) * (1/k). The states become a constant node here, once;
     the advantages and 1/k enter the sum as plain constants. So each call
     builds only the log-prob graph and the sum: on the audit's categorical
-    policy, with the leaves `value` keeps, 5 nodes per evaluation. Inside
-    `fd_grad` an evaluation gets the layers before the moving segment kept,
-    since their input is this one states node, and builds 3 to 5."""
+    policy, 5 nodes over the segment leaves. Inside `fd_grad`, whose
+    evaluations share the leaves, an evaluation gets the layers before the
+    moving segment kept, since their input is this one states node and no
+    moving leaf reaches them, and builds 3 to 5."""
     states_c, scale = ad.const(states), 1.0 / k
 
     def obj(p: Params) -> ad.Node:

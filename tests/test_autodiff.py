@@ -788,7 +788,7 @@ def _fd_grad_budget(theta: ad.ParamVector, per_evaluation: int) -> int:
     segments are W0, b0, W1, b1, ..., when one `value` there builds
     `per_evaluation` nodes: the leaves, once; then, while a segment of layer
     L moves, each evaluation builds every node but the L layers before it,
-    which the memo keeps from the segment's first evaluation on."""
+    which `fd_grad` keeps from the segment's first evaluation on."""
     total = len(theta.segments)
     for s in theta.segments:
         kept = int(s.name[1:])
@@ -808,15 +808,16 @@ class TestNodeBudget:
 
     def test_an_audit_evaluation_builds_five_nodes(self, audit):
         """Two hidden layers, the output layer, the categorical head and the
-        weighted sum; the six segment leaves are built by a vector's first
-        `value` only, so `fd_grad`'s 2 x 4,610 evaluations on its one scratch
-        vector build them once. There, an evaluation that moves W1 or b1
-        gets the first hidden layer kept and builds 4 nodes, one that moves
-        W2 or b2 gets both and builds 3: 37,272 nodes in all."""
+        weighted sum, over the six segment leaves: `value` on a vector
+        builds all of them on every call, while `fd_grad`'s 2 x 4,610
+        evaluations on its one Params build the leaves once. There, an
+        evaluation that moves W1 or b1 gets the first hidden layer kept and
+        builds 4 nodes, one that moves W2 or b2 gets both and builds 3:
+        37,272 nodes in all."""
         obj, theta = audit
         x = theta.with_values(theta.values)
         assert _nodes_built(lambda: ad.value(obj, x)) == 6 + 5
-        assert _nodes_built(lambda: ad.value(obj, x)) == 5
+        assert _nodes_built(lambda: ad.value(obj, x)) == 6 + 5
         assert _nodes_built(lambda: ad.fd_grad(obj, theta)) == _fd_grad_budget(theta, 5)
 
     def test_kept_layers_reach_every_layer_before_the_moving_one(self):
@@ -826,49 +827,56 @@ class TestNodeBudget:
         assert _nodes_built(lambda: ad.value(obj, theta)) == len(theta.segments) + 6
         assert _nodes_built(lambda: ad.fd_grad(obj, theta)) == _fd_grad_budget(theta, 6)
 
+    def test_a_layer_on_a_leaf_that_is_not_moving_is_kept(self):
+        """A hidden layer whose input is the segment leaf x, under an output
+        layer over segments of its own: while v or c moves, no moving leaf
+        reaches the hidden layer, so `fd_grad` keeps it from the segment's
+        first evaluation on, and each later evaluation builds the output
+        layer and the sum alone. The bits are those of fresh copies."""
+        gen = Stream(5).generator()
+        shapes = {"x": (3, 4), "w": (4, 2), "b": (2,), "v": (2, 1), "c": (1,)}
+        theta = params_of({name: gen.normal(size=shape) for name, shape in shapes.items()})
+
+        def obj(p):
+            hidden = p.layer(ad.tanh_affine, p.seg("x"), "w", "b")
+            return ad.nsum(p.layer(ad.affine, hidden, "v", "c"))
+
+        size = {s.name: s.size for s in theta.segments}
+        budget = len(size) + sum(2 * size[n] * 3 for n in "xwb") + sum(2 * size[n] * 2 + 1 for n in "vc")
+        assert _nodes_built(lambda: ad.value(obj, theta)) == len(size) + 3
+        assert _nodes_built(lambda: ad.fd_grad(obj, theta)) == budget
+        assert ad.fd_grad(obj, theta).values.tobytes() == fd_by_copies(obj, theta).tobytes()
+
     def test_the_layer_memo_is_fd_grads_alone_and_bounded(self, audit):
-        """Only `fd_grad`'s scratch vector keeps layers, at most the two
-        hidden ones here (two 25 x 64 arrays), all in one memo: `value` on
-        an ordinary vector builds every node on every call, and `value`,
-        `grad` and `hvp` at the point give the same bytes before and after
-        an `fd_grad` from it."""
+        """Only `fd_grad`'s Params keeps layers, its layer memo: at most the
+        two hidden ones here (two 25 x 64 arrays), all in one dict. A Params
+        over a vector keeps none, `value` on a vector builds every node on
+        every call, and `value`, `grad` and `hvp` at the point give the same
+        bytes before and after an `fd_grad` from it."""
         obj, theta = audit
         x = theta.with_values(theta.values)
         v = theta.with_values(Stream(0).child(2).generator().standard_normal(theta.size))
         before = ad.value(obj, x).hex(), ad.grad(obj, x).values.tobytes(), ad.hvp(obj, x, v).values.tobytes()
-        memos = []
+        kept = []
 
         def recorded(p):
             out = obj(p)
-            memos.append((p._layers, len(p._layers.kept)))
+            kept.append((p._layers, None if p._layers is None else len(p._layers)))
             return out
 
         ad.fd_grad(recorded, x)
-        assert len(memos) == 2 * theta.size and all(m is memos[0][0] for m, _ in memos)
-        assert max(n for _, n in memos) == 2
-        assert x._layers is None
-        assert [_nodes_built(lambda: ad.value(obj, x)) for _ in range(3)] == [5, 5, 5]
+        assert len(kept) == 2 * theta.size and all(k is kept[0][0] for k, _ in kept)
+        assert isinstance(kept[0][0], dict) and max(n for _, n in kept) == 2
+        kept.clear()
+        ad.value(recorded, x), ad.grad(recorded, x), ad.hvp(recorded, x, v)
+        assert kept == [(None, None)] * 3
+        assert [_nodes_built(lambda: ad.value(obj, x)) for _ in range(3)] == [6 + 5] * 3
         after = ad.value(obj, x).hex(), ad.grad(obj, x).values.tobytes(), ad.hvp(obj, x, v).values.tobytes()
         assert after == before
 
-    def test_a_second_value_builds_no_leaf(self, audit):
-        obj, theta = audit
-        x = theta.with_values(theta.values)
-        seen = []
-
-        def recorded(p):
-            seen.append([p.seg(s.name) for s in x.segments])
-            return obj(p)
-
-        first, second = ad.value(recorded, x), ad.value(recorded, x)
-        assert first.hex() == second.hex()
-        assert all(a is b for a, b in zip(*seen))
-        assert all(leaf.adj is None for leaf in seen[0])
-
     def test_grad_and_hvp_after_value_match_a_fresh_vector(self, audit):
-        """`grad` and `hvp` build their own leaves: on a vector `value` has
-        kept leaves for, they give the bytes of a copy it never saw, and
-        leave the kept leaves without an adjoint."""
+        """`value`, `grad` and `hvp` keep nothing on a vector: after a
+        `value` on it, they give the bytes of a copy it never saw."""
         obj, theta = audit
         x, fresh = theta.with_values(theta.values), theta.with_values(theta.values)
         v = theta.with_values(Stream(0).child(2).generator().standard_normal(theta.size))
@@ -876,7 +884,6 @@ class TestNodeBudget:
         assert ad.grad(obj, x).values.tobytes() == ad.grad(obj, fresh).values.tobytes()
         assert ad.hvp(obj, x, v).values.tobytes() == ad.hvp(obj, fresh, v).values.tobytes()
         assert ad.value(obj, x).hex() == ad.value(obj, fresh).hex()
-        assert all(leaf.adj is None for leaf in x._value_leaves().values())
 
 
 # ---------------------------------------------------------------------------

@@ -20,6 +20,7 @@ import metarl
 from metarl import cli, meta, rl
 from metarl.errors import MetaRLError
 from metarl.policy import load_checkpoint, save_checkpoint
+from metarl.runlog import load_runlog, smoothed_returns
 
 TINY = [
     "--env", "cartpole",
@@ -243,6 +244,28 @@ class TestResumeErrors:
         assert self.resume(tmp_path, tmp_path / "t.ckpt", ["--algorithm", algorithm]) == 1
         self.assert_clean_error(capsys, "alpha_vec")
 
+    @pytest.mark.parametrize("command", ["eval", "resume"])
+    @pytest.mark.parametrize("step", [0.0, -0.001])
+    def test_metasgd_step_size_not_above_zero(self, tmp_path, capsys, command, step):
+        """A Meta-SGD checkpoint whose alpha_vec has an entry <= 0 is refused
+        by one error line naming the file and alpha_vec, not a traceback."""
+        metasgd = ["--algorithm", "metasgd"]
+        assert train_tiny(tmp_path, "t", metasgd) == 0
+        vectors, saved = load_checkpoint(tmp_path / "t.ckpt")
+        steps = vectors["alpha_vec"].values.copy()
+        steps[3] = step
+        vectors["alpha_vec"] = vectors["alpha_vec"].with_values(steps)
+        ckpt = tmp_path / "edited.ckpt"
+        save_checkpoint(ckpt, vectors, saved)
+        capsys.readouterr()
+        if command == "eval":
+            assert cli.main(["eval", "--ckpt", str(ckpt), *TINY, *metasgd]) == 1
+        else:
+            assert self.resume(tmp_path, ckpt, [*metasgd, "--epochs", "4"]) == 1
+        err = capsys.readouterr().err
+        self.assert_clean_error_text(err, "alpha_vec")
+        assert err == f"error: alpha_vec: checkpoint {ckpt} has a step size of {step!r}; every entry must be above 0\n"
+
     def test_actor_critic_needs_critic(self, tmp_path, capsys):
         train_tiny(tmp_path, "t")  # pg learner: no critic in its checkpoint
         capsys.readouterr()
@@ -269,6 +292,40 @@ class TestResumeErrors:
         ckpt = self.rewritten(tmp_path)
         assert self.resume(tmp_path, ckpt, ["--epochs", "4"]) == 0
         assert "r: 1 epochs" in capsys.readouterr().out
+
+
+class TestEpochReport:
+    """`train` and each `sweep` run print one stderr line per evaluated
+    epoch; stdout and the run log are those of a run without the report."""
+
+    @staticmethod
+    def expected(label, runlog):
+        rows = {r.epoch: r for r in load_runlog(runlog).rows}
+        epochs, raw, smoothed = smoothed_returns(rows.values())
+        return [
+            f"{label}: epoch {e}: eval return {r:.2f}, smoothed {s:.2f} {'>=' if s >= 5.0 else '<'} "
+            f"conv_tau 5, outer grad norm {rows[e].grad_norm_outer:.4g}"
+            for e, r, s in zip(epochs, raw, smoothed)
+        ]
+
+    def test_train_reports_each_evaluated_epoch(self, tmp_path, capsys, monkeypatch):
+        assert train_tiny(tmp_path, "t", ["--eval_every", "2"]) == 0
+        reported, runlog = capsys.readouterr(), (tmp_path / "t.runlog").read_bytes()
+        lines = self.expected("t", tmp_path / "t.runlog")
+        assert [line.split(":")[1] for line in lines] == [" epoch 0", " epoch 2"]
+        assert reported.err.splitlines() == lines
+        monkeypatch.setattr(cli, "_epoch_reporter", lambda rc: None)
+        assert train_tiny(tmp_path, "t", ["--eval_every", "2"]) == 0
+        assert capsys.readouterr() == (reported.out, "")
+        assert (tmp_path / "t.runlog").read_bytes() == runlog
+
+    def test_each_sweep_run_reports_its_epochs(self, tmp_path, capsys):
+        argv = ["sweep", *SWEEP, "--out_dir", str(tmp_path), "--label", "alg", "--seeds", "1,2"]
+        assert cli.main(argv) == 0
+        err = capsys.readouterr().err.splitlines()
+        assert err == [*self.expected("alg-s1", tmp_path / "alg-s1.runlog"),
+                       *self.expected("alg-s2", tmp_path / "alg-s2.runlog")]
+        assert len(err) == 6
 
 
 class TestCompareAndPlot:

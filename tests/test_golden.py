@@ -15,7 +15,11 @@ Two kinds of record are pinned:
   surrogate (`rl.policy_objective`) on one audit batch per head, categorical
   (cartpole) and Gaussian (intersection), and of its finite-difference
   oracles `fd_grad` and `fd_hvp`. The tier-1 audit holds the oracles only to
-  a relative error; these digests hold their bits.
+  a relative error; these digests hold their bits;
+- the value, gradient and Hessian-vector-product bytes of the policy
+  surrogate on a batch of more than 256 rows: ten 200-step cartpole
+  rollouts of the converged policy `perfbench/fixtures` holds, the size of
+  batch a long training run differentiates.
 
 The digests were recorded with BLAS pinned to one thread (tests/conftest.py).
 They hold on one numeric platform; a platform change regenerates them in a
@@ -25,6 +29,7 @@ change that says so.
 from __future__ import annotations
 
 import hashlib
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -219,3 +224,44 @@ def surrogate_digests(task: Task) -> "dict[str, str]":
 @pytest.mark.parametrize("family", sorted(AUDIT_TASKS))
 def test_policy_surrogate_bytes(family):
     assert surrogate_digests(AUDIT_TASKS[family]) == SURROGATE_SHA256[family]
+
+
+# ---------------------------------------------------------------------------
+# A batch of more than 256 rows
+# ---------------------------------------------------------------------------
+
+FIXTURE = Path(__file__).resolve().parent.parent / "perfbench" / "fixtures" / "cartpole-converged.f64"
+
+LONG_BATCH_SHA256 = {
+    "value": "aa736c407d2c179bbc058f0db926fc71a280b6484b50c4169d561926dae16a99",
+    "grad": "ce37471cf9dfa8661e105cfcc9672a556a0c7a6f2bac0bb7b4209074907926bc",
+    "hvp": "952e5fb2f06b3d923418af9a7735276da8a00d20e2bdb10d0858507b610ad15d",
+}
+
+
+def long_batch_inputs():
+    """The surrogate of ten rollouts of at most 200 steps at gravity 10 from
+    the converged cartpole policy in the benchmark's fixture (read, after
+    its sha256 is checked against the file beside it), the policy, and a
+    unit direction."""
+    data = FIXTURE.read_bytes()
+    assert _sha(data) == FIXTURE.with_name(FIXTURE.name + ".sha256").read_text().split()[0]
+    env = make_env(Task(Family.CARTPOLE, 10.0))
+    arch = actor_arch(env)
+    stream = Stream(0)
+    theta = init_params(arch, stream.child(0)).with_values(np.frombuffer(data, dtype="<f8"))
+    batch = rl.sample_batch(env, PolicyNet(arch, theta), 10, stream.child(1), 200)
+    v_raw = stream.child(2).generator().standard_normal(theta.size)
+    v = theta.with_values(v_raw / np.linalg.norm(v_raw))
+    return rl.policy_objective(batch, AUDIT_GAMMA), theta, v, batch
+
+
+def test_long_batch_surrogate_bytes():
+    obj, theta, v, batch = long_batch_inputs()
+    assert [len(t.rewards) for t in batch.trajectories] == [200] * 10  # 2,000 rows
+    digests = {
+        "value": _sha(np.float64(ad.value(obj, theta)).tobytes()),
+        "grad": _sha(ad.grad(obj, theta).values.tobytes()),
+        "hvp": _sha(ad.hvp(obj, theta, v).values.tobytes()),
+    }
+    assert digests == LONG_BATCH_SHA256
