@@ -561,12 +561,12 @@ def load_state(path, cfg: MetaConfig) -> MetaState:
                 f"{name}: checkpoint {path} is laid out for another architecture than env "
                 f"{cfg.env.value} needs ({pv.size} parameters, expected {sum(s.size for s in want)})"
             )
-    avec = vectors["alpha_vec"] if cfg.algorithm.base is Algorithm.METASGD else None
-    if avec is not None and not np.all(avec.values > 0):
-        raise ValidationError(
-            f"alpha_vec: checkpoint {path} has a step size of {float(np.min(avec.values))!r}; "
-            "every entry must be above 0"
-        )
+    if cfg.algorithm.base is Algorithm.METASGD:
+        lowest = float(np.min(vectors["alpha_vec"].values))
+        if lowest <= 0:
+            raise ValidationError(
+                f"alpha_vec: checkpoint {path} has a step size of {lowest!r}; every entry must be above 0"
+            )
     return MetaState(
         theta=vectors["policy"],
         critic=vectors["critic"] if cfg.learner is Learner.AC else None,
