@@ -19,7 +19,7 @@ the leaves were made in moves a bit, and a leaf no node reads leaves +0.0.
 `affine(h, w, b)` records a network layer's h @ w + b as one node: np.matmul
 then the bias add, with no node, tangent or adjoint kept for the product in
 between. Its vjp takes the product rule from `_mm`. Other products are
-spelled with broadcast `mul` and `nsum`.
+spelled with broadcast `mul` and a sum: `nsum` sums every element.
 
 Fused nodes record a policy's surrogate with few nodes. `tanh_affine(h, w,
 b)` is a hidden layer, tanh(h @ w + b), with the tanh taken in place on the
@@ -30,11 +30,11 @@ runs the `_D` operations of the primitives it stands for in the backward
 pass's order, through the private rules (`_tanh_adjoint`,
 `_affine_adjoints`, `_spread`, `_scatter_rows`). `weighted_sum` stands for
 `mul` and `nsum`, primitives of this module; the others (`tanh`, `log`,
-`gather_rows`, `row_max_const`) live in `tests/_helpers.py`, built on the
-same rules. Both are the bitwise references the tests compare the fused
-nodes against. `tests/_helpers.py` also holds `add`: no library objective
-sums two nodes, and a node's operators are `-`, `*` and negation, with the
-node on the left.
+`gather_rows`, `row_max_const` and the row sum `nsum_axis`) live in
+`tests/_helpers.py`, built on the same rules. Both are the bitwise
+references the tests compare the fused nodes against. `tests/_helpers.py`
+also holds `add`: no library objective sums two nodes, and a node's
+operators are `-`, `*` and negation, with the node on the left.
 
 Hessian-vector products use forward-over-reverse: every node carries an
 optional tangent alongside its value, and the backward pass propagates
@@ -619,20 +619,19 @@ def _spread(g: _D, axis: "int | None", shape: "tuple[int, ...]") -> _D:
     return g.apply_linear(expand)
 
 
-def nsum(a, axis: int | None = None) -> Node:
+def nsum(a) -> Node:
     a = _as_node(a)
 
     def vjp(g: _D, acc):
-        acc(a, _spread(g, axis, a.val.shape))
+        acc(a, _spread(g, None, a.val.shape))
 
-    dot = None if a.dot is None else np.add.reduce(a.dot, axis=axis)
-    return Node(np.add.reduce(a.val, axis=axis), dot, (a,), vjp, a.needs)
+    dot = None if a.dot is None else np.add.reduce(a.dot, axis=None)
+    return Node(np.add.reduce(a.val, axis=None), dot, (a,), vjp, a.needs)
 
 
-def nmean(a, axis: int | None = None) -> Node:
+def nmean(a) -> Node:
     a = _as_node(a)
-    n = a.val.size if axis is None else a.val.shape[axis]
-    return mul(nsum(a, axis=axis), 1.0 / float(n))
+    return mul(nsum(a), 1.0 / float(a.val.size))
 
 
 def _scatter_rows(g: _D, rows: np.ndarray, idx: np.ndarray, n_cols: int) -> _D:
@@ -651,12 +650,12 @@ def log_softmax_pick(logits, idx) -> Node:
     """One node for the categorical log-probability
     out[i] = log softmax(logits[i])[idx[i]]: the bits of
     shift = logits - row_max_const(logits), then
-    gather_rows(shift, idx) - log(nsum(exp(shift), axis=1)), without a node
+    gather_rows(shift, idx) - log(nsum_axis(exp(shift), 1)), without a node
     for any step between. The row max is a constant shift (value and all
     derivatives stay exact).
 
     The vjp runs the composed rules in the backward pass's order: the final
-    subtraction's, the gather's, `log`'s, `nsum`'s and `exp`'s, then sums
+    subtraction's, the gather's, `log`'s, the row sum's and `exp`'s, then sums
     the two paths into the shift as the backward pass sums contributions;
     the shift's own rule passes that sum to the logits unchanged. The
     (rows x columns) arrays the rules read are kept from the forward."""
@@ -922,9 +921,8 @@ def fd_hvp(objective: Objective, at: ParamVector, v: Gradient) -> Gradient:
     return at.with_values((hi.values - lo.values) / (2.0 * epsilon))
 
 
-def rel_err(a: np.ndarray | ParamVector, b: np.ndarray | ParamVector) -> float:
+def rel_err(a: ParamVector, b: ParamVector) -> float:
     """Max absolute difference, scaled by the larger vector's max magnitude."""
-    av = a.values if isinstance(a, ParamVector) else np.asarray(a)
-    bv = b.values if isinstance(b, ParamVector) else np.asarray(b)
+    av, bv = a.values, b.values
     scale = max(float(np.max(np.abs(av), initial=0.0)), float(np.max(np.abs(bv), initial=0.0)), 1e-12)
     return float(np.max(np.abs(av - bv), initial=0.0)) / scale

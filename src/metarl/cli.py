@@ -41,7 +41,8 @@ def _config_from(args: argparse.Namespace) -> meta.RunConfig:
 
 
 def _parse_tau(value: str) -> "float | None":
-    """A number, or 'auto' for 80% of the best smoothed return in the set."""
+    """A number, or 'auto' for 80% of the best smoothed return in the set,
+    which must be above 0."""
     if value.strip().lower() == "auto":
         return None
     return float(value)
@@ -52,6 +53,8 @@ def _auto_tau(runs) -> float:
     best = max((float(c.max()) for c in curves if c.size), default=-np.inf)
     if not np.isfinite(best):
         raise MetaRLError("cannot derive a threshold: no evaluated epochs in any run")
+    if best <= 0:  # 80% of it is then at or above the best itself
+        raise MetaRLError(f"--tau auto: best smoothed return {best:g} is not above 0; pass a numeric --tau")
     return 0.8 * best
 
 

@@ -303,7 +303,7 @@ class AuditResult:
 
 
 def audit_oracles(
-    n_seeds: int = 20,
+    n_seeds: int,
     k: int = 2,
     horizon: int = 15,
     phi: float = 10.0,

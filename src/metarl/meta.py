@@ -37,9 +37,10 @@ the benchmark do.
 
 The field defaults of MetaConfig and RunConfig are the one table of
 defaults; CONFIG_KEYS and the canonical fingerprint text are derived from
-those fields. `iter_epochs` is the one training loop: `train` iterates it
-to write checkpoints and the run log, and any caller may leave it early.
-Convergence is judged by runlog.convergence_epoch.
+those fields. `iter_epochs` is the one training loop and `record_run` the
+one run writer, which checkpoints and logs the loop's epochs or any prefix
+of them (`train` passes the whole loop). Convergence is judged by
+runlog.convergence_epoch.
 
 Randomness is organized as a key-derived stream tree rooted at the config
 seed: policy init, critic init, then per epoch a subtree covering the
@@ -100,6 +101,7 @@ __all__ = [
     "load_state",
     "train_epoch",
     "iter_epochs",
+    "record_run",
     "train",
     "canonical_text",
     "fingerprint",
@@ -587,16 +589,50 @@ def iter_epochs(run_cfg: RunConfig, state: MetaState):
         yield state, metrics
 
 
+def record_run(
+    run_cfg: RunConfig,
+    epochs,
+    progress: "Callable[[EpochMetrics], None] | None" = None,
+) -> RunLog:
+    """Record the (state, metrics) pairs of `epochs`, what `iter_epochs`
+    yields or any prefix of it: each row is appended and passed to
+    `progress`, and its state checkpointed every CHECKPOINT_INTERVAL epochs
+    and at the configured last epoch. On divergence the partial log is kept,
+    with the cause. Then persist and return the RunLog."""
+    rows: list[EpochMetrics] = []
+    diverged: str | None = None
+    t_start = time.perf_counter()
+    try:
+        for state, metrics in epochs:
+            rows.append(metrics)
+            if progress is not None:
+                progress(metrics)
+            e = metrics.epoch
+            if (e + 1) % CHECKPOINT_INTERVAL == 0 or e == run_cfg.meta.epochs - 1:
+                _save_state(run_cfg, state)
+    except EpochDiverged as err:
+        diverged = f"epoch {err.epoch}: {err.cause}"
+    log = RunLog(
+        fingerprint=fingerprint(run_cfg),
+        version=__version__,
+        label=run_cfg.label,
+        rows=tuple(rows),
+        total_wall_seconds=max(time.perf_counter() - t_start, 1e-9),
+        convergence_epoch=convergence_epoch(rows, run_cfg.conv_tau, run_cfg.conv_window),
+        diverged=diverged,
+    )
+    save_runlog(run_cfg.out_dir, log)
+    return log
+
+
 def train(
     run_cfg: RunConfig,
     resume_from=None,
     progress: "Callable[[EpochMetrics], None] | None" = None,
 ) -> RunLog:
-    """Run all epochs, checkpointing every 50, then persist and return the
-    RunLog (with the convergence epoch under the EMA-threshold rule). On
-    divergence the partial log is still written, with the cause recorded.
-    A checkpoint already at the configured epoch count is refused with a
-    ValidationError before anything is written."""
+    """Run all epochs from a fresh state or the checkpoint `resume_from`
+    through `record_run`. A checkpoint already at the configured epoch
+    count is refused with a ValidationError before anything is written."""
     cfg = run_cfg.meta
     state = load_state(resume_from, cfg) if resume_from is not None else init_state(cfg)
     if state.epoch >= cfg.epochs:
@@ -604,28 +640,4 @@ def train(
             f"epochs: checkpoint {resume_from} is at epoch {state.epoch}, "
             f"not below epochs = {cfg.epochs}; nothing is left to train"
         )
-    rows: list[EpochMetrics] = []
-    diverged: str | None = None
-    t_start = time.perf_counter()
-    try:
-        for state, metrics in iter_epochs(run_cfg, state):
-            rows.append(metrics)
-            if progress is not None:
-                progress(metrics)
-            e = metrics.epoch
-            if (e + 1) % CHECKPOINT_INTERVAL == 0 or e == cfg.epochs - 1:
-                _save_state(run_cfg, state)
-    except EpochDiverged as err:
-        diverged = f"epoch {err.epoch}: {err.cause}"
-    total_wall = max(time.perf_counter() - t_start, 1e-9)
-    log = RunLog(
-        fingerprint=fingerprint(run_cfg),
-        version=__version__,
-        label=run_cfg.label,
-        rows=tuple(rows),
-        total_wall_seconds=total_wall,
-        convergence_epoch=convergence_epoch(rows, run_cfg.conv_tau, run_cfg.conv_window),
-        diverged=diverged,
-    )
-    save_runlog(run_cfg.out_dir, log)
-    return log
+    return record_run(run_cfg, iter_epochs(run_cfg, state), progress)

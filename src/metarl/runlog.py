@@ -22,10 +22,12 @@ existed still load.
 Every file the library writes goes through `write_atomic`, so an
 interrupted write leaves the previous file, never a partial one.
 
-The convergence rule lives here, once: `convergence_epoch` over a run's
-epoch rows, smoothing with `EMA_FACTOR`. Training, the comparison report and
-the acceptance tests all call it; plots and the `compare --tau auto`
-threshold read the same smoothed curve through `smoothed_returns`.
+The convergence rule lives here, once, in two functions over a run's
+epoch rows: `smoothed_returns`, the EMA of the evaluated returns at the
+fixed `EMA_FACTOR`, and `convergence_epoch`, the first window of that curve
+at or above a threshold. Training, the comparison report and the acceptance
+tests judge convergence with the second; plots, the training progress line
+and the `compare --tau auto` threshold read the curve of the first.
 """
 
 from __future__ import annotations
@@ -51,8 +53,6 @@ __all__ = [
     "save_runlog",
     "load_runlog",
     "write_atomic",
-    "ema_smooth",
-    "detect_convergence",
     "smoothed_returns",
     "convergence_epoch",
     "EMA_FACTOR",
@@ -280,47 +280,32 @@ def load_runlog(path) -> RunLog:
 # Curve analysis
 # ---------------------------------------------------------------------------
 
-def ema_smooth(series, factor: float) -> np.ndarray:
-    """s_0 = x_0; s_t = factor*s_(t-1) + (1-factor)*x_t."""
-    if not 0.0 <= factor < 1.0:
-        raise ValueError("smoothing factor must lie in [0, 1)")
-    x = np.asarray(series, dtype=np.float64)
-    out = np.empty_like(x)
-    if len(x) == 0:
-        return out
-    out[0] = x[0]
-    for t in range(1, len(x)):
-        out[t] = factor * out[t - 1] + (1.0 - factor) * x[t]
-    return out
-
-
-def detect_convergence(smoothed, tau: float, w: int) -> int | None:
-    """First index e with smoothed[e .. e+w) all >= tau (the window must fit
-    entirely inside the series); None if that never happens."""
-    if w < 1:
-        raise ValueError("window must be >= 1")
-    x = np.asarray(smoothed, dtype=np.float64)
-    ok = x >= tau
-    for e in range(0, len(x) - w + 1):
-        if np.all(ok[e : e + w]):
-            return e
-    return None
-
-
 def smoothed_returns(rows) -> "tuple[list[int], list[float], np.ndarray]":
     """The evaluated epochs among `rows` (epochs whose eval_return is set),
-    their raw eval returns, and those returns smoothed with EMA_FACTOR."""
+    their raw eval returns, and those returns smoothed with EMA_FACTOR:
+    s_0 = x_0; s_t = factor*s_(t-1) + (1-factor)*x_t."""
     evaled = [r for r in rows if r.eval_return is not None]
     raw = [r.eval_return for r in evaled]
-    return [r.epoch for r in evaled], raw, ema_smooth(raw, EMA_FACTOR)
+    factor, x = EMA_FACTOR, np.asarray(raw, dtype=np.float64)
+    out = x.copy()
+    for t in range(1, len(x)):
+        out[t] = factor * out[t - 1] + (1.0 - factor) * x[t]
+    return [r.epoch for r in evaled], raw, out
 
 
 def convergence_epoch(rows, tau: float, w: int) -> int | None:
     """The convergence rule: the smoothed eval return is >= tau for w
     consecutive evaluated epochs (the window is counted in evaluated epochs,
-    skipped ones do not break it). Returns the epoch that opens the first
-    such window, or None. The verdict depends only on the rows up to that
-    window, so a run may stop as soon as it is not None."""
+    skipped ones do not break it, and it must fit inside the rows). Returns
+    the epoch that opens the first such window, or None. The verdict
+    depends only on the rows up to that window, so a run may stop as soon
+    as it is not None."""
+    if w < 1:
+        raise ValueError("window must be >= 1")
     epochs, _, smoothed = smoothed_returns(rows)
-    idx = detect_convergence(smoothed, tau, w)
-    return None if idx is None else epochs[idx]
+    run = 0
+    for i, s in enumerate(smoothed):
+        run = run + 1 if s >= tau else 0
+        if run == w:
+            return epochs[i - w + 1]
+    return None

@@ -2,7 +2,8 @@
 a call counter, a traced-memory probe, and the references the library's
 fast paths are checked against: a solo-episode rollout, the empirical
 medium task, and the graph primitives the fused nodes replace. Also `add`,
-the sum of two nodes, which only tests' objectives need."""
+the sum of two nodes, which only tests' objectives need, and
+`until_converged`, the prefix of a run the acceptance cache records."""
 
 from __future__ import annotations
 
@@ -19,6 +20,7 @@ from metarl import rl
 from metarl.envs import Environment, Task
 from metarl.errors import EmptyTaskSet
 from metarl.rng import Stream
+from metarl.runlog import convergence_epoch
 
 
 def zero_params(arch: pol.Arch, **overrides) -> ad.ParamVector:
@@ -202,7 +204,32 @@ def gather_rows(a, idx) -> ad.Node:
     return ad.Node(a.val[rows, idx], dot, (a,), vjp, a.needs)
 
 
+def nsum_axis(a, axis: int) -> ad.Node:
+    """The sum along one axis, as `ad.nsum` sums every element: the row sum
+    `ad.log_softmax_pick` replaces, and the reductions of the golden
+    composite and the quadratic forms."""
+    a = ad._as_node(a)
+
+    def vjp(g: ad._D, acc):
+        acc(a, ad._spread(g, axis, a.val.shape))
+
+    dot = None if a.dot is None else np.add.reduce(a.dot, axis=axis)
+    return ad.Node(np.add.reduce(a.val, axis=axis), dot, (a,), vjp, a.needs)
+
+
 def row_max_const(a) -> ad.Node:
     """Row maxima, detached from the graph (constant shift for stable
     log-softmax; value and all derivatives of the composition stay exact)."""
     return ad.Node(np.maximum.reduce(ad._as_node(a).val, axis=1, keepdims=True))
+
+
+def until_converged(rc, epochs):
+    """The (state, metrics) pairs of `epochs` up to and including the first
+    epoch whose rows satisfy rc's convergence rule; all of them when the
+    run never converges. The acceptance cache records this prefix."""
+    rows = []
+    for state, m in epochs:
+        yield state, m
+        rows.append(m)
+        if m.eval_return is not None and convergence_epoch(rows, rc.conv_tau, rc.conv_window) is not None:
+            return

@@ -10,7 +10,8 @@ fingerprint matches, a run that must not stop early (criteria 5 and 7)
 holds every epoch or ends in a divergence, and its first REPLAY_EPOCHS
 epochs, retrained here, reproduce the cached rows bit for bit. Anything else
 is a miss: the run is retrained through exactly the same code path and its
-entry rewritten. Delete the cache directory to force full regeneration.
+entry rewritten by the writer `metarl train` uses. Delete the cache
+directory to force full regeneration.
 
 The cache holds no work counts. Criterion 5 counts the gradients,
 Hessian-vector products and rollouts of each of its configs' first epoch
@@ -30,6 +31,7 @@ as the first epoch of that window.
 
 import json
 import os
+import tempfile
 import time
 import warnings
 from dataclasses import replace
@@ -38,8 +40,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-import metarl
-from _helpers import Counts, count_calls, empirical_medium, make_policy
+from _helpers import Counts, count_calls, empirical_medium, make_policy, nsum_axis, until_converged
 from metarl import autodiff as ad
 from metarl import cli, meta, rl
 from metarl import policy as pol
@@ -57,15 +58,7 @@ from metarl.harness import GRAD_TOL, HVP_TOL, audit_oracles, summarize
 from metarl.meta import Algorithm, Learner, MetaConfig, RunConfig, fingerprint
 from metarl.policy import load_checkpoint, save_checkpoint
 from metarl.rng import Stream
-from metarl.runlog import (
-    _RUNLOG_FIELDS,
-    RunLog,
-    convergence_epoch,
-    ema_smooth,
-    load_runlog,
-    save_runlog,
-    smoothed_returns,
-)
+from metarl.runlog import _RUNLOG_FIELDS, EpochMetrics, RunLog, load_runlog, smoothed_returns
 
 CACHE_DIR = Path(os.environ.get("METARL_ACCEPT_CACHE", str(Path(__file__).resolve().parent / ".accept_cache")))
 
@@ -167,13 +160,15 @@ def replay_mismatch(rc: RunConfig, log: RunLog) -> "str | None":
 
 
 def cached_run(rc: RunConfig, stop_early: bool = True, checkpoint: bool = False) -> RunLog:
-    """Train rc through the production loop (meta.iter_epochs), leaving it
-    once the convergence rule fires when stop_early is set (the rule's
-    verdict is prefix-determined, so later epochs cannot change it).
-    Results (log, timing sidecar and final checkpoint) are cached by label.
-    A hit needs the log and its sidecar, plus the final checkpoint when
-    checkpoint is set, recorded for rc's fingerprint; a run that must not
-    stop early needs every epoch, or a divergence; and the first
+    """Train rc through the production loop (meta.iter_epochs) and write it
+    with the production writer (meta.record_run, as `metarl train` does).
+    With stop_early set the loop is left once the convergence rule fires
+    (the rule's verdict is prefix-determined, so later epochs cannot change
+    it). Results (log, timing sidecar, and the checkpoint record_run
+    writes: the final one for a run that trains every epoch) are cached by
+    label. A hit needs the log and its sidecar, plus the final checkpoint
+    when checkpoint is set, recorded for rc's fingerprint; a run that must
+    not stop early needs every epoch, or a divergence; and the first
     REPLAY_EPOCHS epochs must replay bit for bit. A miss retrains rc and
     rewrites its entry."""
     CACHE_DIR.mkdir(parents=True, exist_ok=True)
@@ -187,30 +182,24 @@ def cached_run(rc: RunConfig, stop_early: bool = True, checkpoint: bool = False)
             return hit
         warnings.warn(f"cache miss, retraining: {mismatch}", stacklevel=2)
 
-    state = meta.init_state(rc.meta)
-    t0 = time.perf_counter()
-    rows = []
-    diverged = None
-    try:
-        for state, m in meta.iter_epochs(rc, state):
-            rows.append(m)
-            if stop_early and m.eval_return is not None:
-                if convergence_epoch(rows, rc.conv_tau, rc.conv_window) is not None:
-                    break
-    except EpochDiverged as err:
-        diverged = f"epoch {err.epoch}: {err.cause}"
-    total = max(time.perf_counter() - t0, 1e-9)
-    log = RunLog(
-        fingerprint=fingerprint(rc),
-        version=metarl.__version__,
-        label=rc.label,
-        rows=tuple(rows),
-        total_wall_seconds=total,
-        convergence_epoch=convergence_epoch(rows, rc.conv_tau, rc.conv_window),
-        diverged=diverged,
-    )
-    save_runlog(CACHE_DIR, log)
-    meta._save_state(replace(rc, out_dir=str(CACHE_DIR)), state)
+    epochs = meta.iter_epochs(rc, meta.init_state(rc.meta))
+    # The fingerprint covers out_dir, so the run is written under its own
+    # out_dir in a scratch directory inside the cache, then moved in (the
+    # sidecar before its log). A run that stops before its first checkpoint
+    # leaves no stale one behind.
+    with tempfile.TemporaryDirectory(dir=CACHE_DIR) as scratch:
+        cwd = os.getcwd()
+        os.chdir(scratch)
+        try:
+            log = meta.record_run(rc, until_converged(rc, epochs) if stop_early else epochs)
+        finally:
+            os.chdir(cwd)
+        written = Path(scratch) / rc.out_dir
+        for name in (f"{rc.label}{ext}" for ext in (".ckpt", ".timing", ".runlog")):
+            if (written / name).exists():
+                os.replace(written / name, CACHE_DIR / name)
+            else:
+                (CACHE_DIR / name).unlink(missing_ok=True)
     _replayed.add(rc.label)
     return log
 
@@ -313,7 +302,7 @@ class _QuadraticProblem:
 
         def obj(p):
             x = p.seg("theta")
-            ax = ad.nsum(ad.const(A) * ad.reshape(x, (1, A.shape[0])), axis=1)
+            ax = nsum_axis(ad.const(A) * ad.reshape(x, (1, A.shape[0])), 1)
             return ad.const(-0.5) * ad.nsum(x * ax)
 
         return obj
@@ -532,12 +521,12 @@ def test_criterion_09_module_invariants(tmp_path):
     gen = np.random.default_rng(909)
 
     # EMA bounds: each smoothed value stays within the prefix min/max.
-    for factor in (0.0, 0.5, 0.9, 0.99):
-        xs = gen.uniform(-50.0, 250.0, size=200)
-        s = ema_smooth(xs, factor)
-        lo = np.minimum.accumulate(xs)
-        hi = np.maximum.accumulate(xs)
-        assert np.all(s >= lo - 1e-9) and np.all(s <= hi + 1e-9)
+    xs = gen.uniform(-50.0, 250.0, size=200)
+    rows = [EpochMetrics(e, float(x), wall_seconds=1.0, grad_norm_outer=0.0) for e, x in enumerate(xs)]
+    s = smoothed_returns(rows)[2]
+    lo = np.minimum.accumulate(xs)
+    hi = np.maximum.accumulate(xs)
+    assert np.all(s >= lo - 1e-9) and np.all(s <= hi + 1e-9)
 
     # Return recursion: G_t = r_t + gamma * G_{t+1}.
     rewards = gen.normal(size=53)

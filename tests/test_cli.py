@@ -20,7 +20,7 @@ import metarl
 from metarl import cli, meta, rl
 from metarl.errors import MetaRLError
 from metarl.policy import load_checkpoint, save_checkpoint
-from metarl.runlog import load_runlog, smoothed_returns
+from metarl.runlog import EpochMetrics, RunLog, load_runlog, save_runlog, smoothed_returns
 
 TINY = [
     "--env", "cartpole",
@@ -354,6 +354,20 @@ class TestCompareAndPlot:
         )
         assert rc == 0
         assert "convergence rule" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("best", [-50.0, 0.0])
+    def test_compare_auto_tau_refuses_a_best_not_above_zero(self, tmp_path, capsys, best):
+        # 80% of a best of -50 is -40, which no run reaches; 80% of 0 is 0,
+        # which a run flat at 0 "reaches" at its first epoch.
+        rows = tuple(EpochMetrics(e, best, wall_seconds=1.0, grad_norm_outer=0.0) for e in range(5))
+        log = RunLog(fingerprint="0" * 16, version="0", label="flat", rows=rows, total_wall_seconds=5.0)
+        path = save_runlog(tmp_path, log)
+        rc = cli.main(["compare", str(path), "--tau", "auto", "--window", "2", "--out", str(tmp_path)])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: --tau auto: ") and err.count("\n") == 1
+        assert f"best smoothed return {best:g} is not above 0" in err and "numeric --tau" in err
+        assert not (tmp_path / "compare.txt").exists()
 
     def test_plot_writes_svg_and_dat(self, two_logs, tmp_path, capsys):
         out = tmp_path / "fig" / "curves.svg"

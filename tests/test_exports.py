@@ -196,9 +196,7 @@ def test_every_public_name_has_a_library_caller():
 
 # (module, function, parameter) -> why the default stays settable with no
 # library or benchmark call setting it
-UNSET_DEFAULTS: "dict[tuple[str, str, str], str]" = {
-    ("autodiff", "nmean", "axis"): "the golden composite in tests/test_golden.py pins the axis form of nmean",
-}
+UNSET_DEFAULTS: "dict[tuple[str, str, str], str]" = {}
 
 
 def passed_parameters(tree: ast.Module, own: "str | None", signatures) -> "set[tuple[str, str, str]]":

@@ -34,7 +34,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from _helpers import add, gather_rows, log, row_max_const, tanh
+from _helpers import add, gather_rows, log, nsum_axis, row_max_const, tanh
 from metarl import autodiff as ad
 from metarl import cli, rl
 from metarl.envs import Family, Task, make_env
@@ -128,16 +128,16 @@ def composite_objective(states, actions, adv):
         he = tanh(ad.affine(x, W, -b))  # the bias negated
         logits = ad.exp(h * s) - he  # (5,4) * (1,)
         shift = logits - row_max_const(logits)  # (5,4) - (5,1)
-        lse = log(ad.nsum(ad.exp(shift), axis=1))
+        lse = log(nsum_axis(ad.exp(shift), 1))
         lp = gather_rows(shift, actions) - lse
-        mv = ad.nsum(h * u, axis=1)  # h @ u: (5,4) * (4,)
-        vm = ad.nsum(ad.reshape(c, (3, 1)) * W, axis=0)  # c @ W: (3,1) * (3,4)
-        vv = ad.nsum(u * vm, axis=0)  # u @ vm
+        mv = nsum_axis(h * u, 1)  # h @ u: (5,4) * (4,)
+        vm = nsum_axis(ad.reshape(c, (3, 1)) * W, 0)  # c @ W: (3,1) * (3,4)
+        vv = nsum_axis(u * vm, 0)  # u @ vm
         flat = ad.reshape(h, (20,))
         soft = ad.exp(ad.mul(log(add(flat * flat, 1.0)), 1.5))  # (flat^2 + 1) ** 1.5
         terms = add(ad.nmean(lp * ad.const(adv)), ad.mul(ad.nsum(mv * lp), 0.1))
         terms = add(terms, vv * 0.01) - ad.nmean(soft)
-        terms = add(terms, ad.nmean(ad.nmean(h * he, axis=0)))
+        terms = add(terms, ad.nmean(ad.mul(nsum_axis(h * he, 0), 1.0 / 5)))  # column means
         terms = add(terms, ad.nsum(ad.sub(1.0, log(add(mv * mv, 2.0)))))
         ridge = ad.nsum(-(W * W))  # -|theta|^2, one segment at a time
         for leaf in (b, u, c, s):

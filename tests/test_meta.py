@@ -12,12 +12,12 @@ counts, stream determinism, divergence wrapping, checkpoint resume.
 """
 
 from collections import namedtuple
-from dataclasses import fields
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
 
-from _helpers import add, count_calls
+from _helpers import add, count_calls, nsum_axis, until_converged
 from metarl import autodiff as ad
 from metarl import cli, meta, rl
 from metarl.autodiff import ParamVector, Segment
@@ -45,7 +45,7 @@ class QuadraticProblem:
 
         def obj(p):
             x = p.seg("theta")
-            ax = ad.nsum(ad.const(A) * ad.reshape(x, (1, A.shape[0])), axis=1)
+            ax = nsum_axis(ad.const(A) * ad.reshape(x, (1, A.shape[0])), 1)
             return add(ad.const(-0.5) * ad.nsum(x * ax), ad.nsum(ad.const(b) * x))
 
         return obj
@@ -738,6 +738,26 @@ class TestTrain:
         vectors, ckpt_meta = load_checkpoint(tmp_path / "short" / "short.ckpt")
         assert ckpt_meta["epoch"] == rc.meta.epochs
         assert vectors["policy"].size > 0
+
+    def test_a_run_stopped_at_convergence_records_the_full_runs_prefix(self, tmp_path):
+        # The acceptance cache's path: record_run over the loop, left right
+        # after the epoch whose rows first satisfy the convergence rule.
+        full_rc, stop_rc = (
+            replace(self._run_cfg(tmp_path, label, epochs=8), conv_tau=16.5, conv_window=2)
+            for label in ("full", "stop")
+        )
+        full = meta.train(full_rc)
+        epochs = meta.iter_epochs(stop_rc, meta.init_state(stop_rc.meta))
+        stopped = meta.record_run(stop_rc, until_converged(stop_rc, epochs))
+        assert full.convergence_epoch == 3  # smoothed 15.5, 15.95, 16.33, 16.7, 17.03, ...
+        assert stopped.convergence_epoch == full.convergence_epoch
+        n = full.convergence_epoch + stop_rc.conv_window  # every epoch is evaluated
+        assert len(stopped.rows) == n < len(full.rows)
+        full_lines, stop_lines = (
+            (tmp_path / label / f"{label}.runlog").read_text().splitlines() for label in ("full", "stop")
+        )
+        assert stop_lines[1:-1] == full_lines[1 : 1 + n]
+        assert load_runlog(tmp_path / "stop" / "stop.runlog").convergence_epoch == 3
 
     def test_resume_replays_the_uninterrupted_tail(self, tmp_path):
         full_rc = self._run_cfg(tmp_path, "full", epochs=4)

@@ -23,11 +23,10 @@ from metarl.autodiff import ParamVector, Segment
 from metarl.errors import ParseError
 from metarl.policy import load_checkpoint, save_checkpoint
 from metarl.runlog import (
+    EMA_FACTOR,
     EpochMetrics,
     RunLog,
     convergence_epoch,
-    detect_convergence,
-    ema_smooth,
     fmt_float,
     load_runlog,
     save_runlog,
@@ -307,62 +306,69 @@ def test_cached_runs_reserialize_byte_for_byte(path):
     )
 
 
+def curve(xs):
+    """One evaluated row per value, epochs 0, 1, ..."""
+    return [row(e, ret=float(x)) for e, x in enumerate(xs)]
+
+
 class TestSmoothing:
     def test_hand_computed_two_points(self):
-        np.testing.assert_allclose(ema_smooth([0.0, 10.0], 0.9), [0.0, 1.0], atol=1e-15)
+        np.testing.assert_allclose(smoothed_returns(curve([0.0, 10.0]))[2], [0.0, 1.0], atol=1e-15)
 
     def test_constant_series_is_fixed_point(self):
-        np.testing.assert_allclose(ema_smooth([5.0] * 8, 0.9), [5.0] * 8, atol=1e-12)
-
-    def test_factor_zero_is_identity(self):
-        x = [3.0, -1.0, 4.0, -1.5]
-        np.testing.assert_array_equal(ema_smooth(x, 0.0), x)
+        np.testing.assert_allclose(smoothed_returns(curve([5.0] * 8))[2], [5.0] * 8, atol=1e-12)
 
     def test_empty_series(self):
-        assert ema_smooth([], 0.9).size == 0
+        epochs, raw, smoothed = smoothed_returns([])
+        assert epochs == [] and raw == [] and smoothed.size == 0
 
-    @pytest.mark.parametrize("factor", [-0.1, 1.0, 1.5])
-    def test_factor_validation(self, factor):
-        with pytest.raises(ValueError):
-            ema_smooth([1.0], factor)
+    def test_factor_is_the_module_constant(self):
+        x = [3.0, -1.0, 4.0]
+        s1 = EMA_FACTOR * 3.0 + (1.0 - EMA_FACTOR) * -1.0
+        want = [3.0, s1, EMA_FACTOR * s1 + (1.0 - EMA_FACTOR) * 4.0]
+        assert smoothed_returns(curve(x))[2].tolist() == want
 
-    @given(
-        xs=st.lists(st.floats(-1e6, 1e6), min_size=1, max_size=40),
-        factor=st.floats(0.0, 0.99),
-    )
+    @given(xs=st.lists(st.floats(-1e6, 1e6), min_size=1, max_size=40))
     @settings(max_examples=60, deadline=None)
-    def test_stays_inside_series_envelope(self, xs, factor):
-        s = ema_smooth(xs, factor)
+    def test_stays_inside_series_envelope(self, xs):
+        s = smoothed_returns(curve(xs))[2]
         assert np.all(s >= min(xs) - 1e-9)
         assert np.all(s <= max(xs) + 1e-9)
 
 
 class TestConvergence:
     def test_all_above_threshold(self):
-        assert detect_convergence([200.0] * 25, 175.0, 20) == 0
+        assert convergence_epoch(curve([200.0] * 25), 175.0, 20) == 0
 
     def test_never_converges(self):
-        assert detect_convergence([100.0] * 25, 175.0, 20) is None
+        assert convergence_epoch(curve([100.0] * 25), 175.0, 20) is None
 
     def test_ramp_crossing(self):
-        x = np.arange(200, dtype=float)
-        assert detect_convergence(x, 150.0, 20) == 150
+        # Smoothing x_t = t gives s_t = t - 9 * (1 - 0.9**t), which first
+        # reaches 150 at t = 159.
+        assert convergence_epoch(curve(range(200)), 150.0, 20) == 159
 
     def test_window_must_fit(self):
-        x = [0.0] * 10 + [200.0] * 5
-        assert detect_convergence(x, 175.0, 10) is None
-        assert detect_convergence(x, 175.0, 5) == 10
+        # The step smooths to 100, 190, 271, 343.9, 409.51: four epochs at
+        # or above 175, from epoch 11.
+        x = [0.0] * 10 + [1000.0] * 5
+        assert convergence_epoch(curve(x), 175.0, 5) is None
+        assert convergence_epoch(curve(x), 175.0, 4) == 11
 
     def test_dip_resets_the_window(self):
-        x = [200.0] * 5 + [0.0] + [200.0] * 6
-        assert detect_convergence(x, 175.0, 6) == 6
+        # The dip smooths to 80 at epoch 5 and 92 at 6; from 7 on the curve
+        # is above 100 again.
+        x = [200.0] * 5 + [-1000.0] + [200.0] * 7
+        assert convergence_epoch(curve(x), 100.0, 6) == 7
 
     def test_window_one_is_first_crossing(self):
-        assert detect_convergence([1.0, 2.0, 3.0], 2.5, 1) == 2
+        rows = [row(0, ret=0.0), row(1, ret=None), row(2, ret=100.0), row(3, ret=100.0)]
+        # Smoothed: 0, 10, 19 at the evaluated epochs 0, 2, 3.
+        assert convergence_epoch(rows, 15.0, 1) == 3
 
     def test_window_validation(self):
         with pytest.raises(ValueError):
-            detect_convergence([1.0], 0.5, 0)
+            convergence_epoch(curve([1.0]), 0.5, 0)
 
     @given(
         xs=st.lists(st.floats(0, 300), min_size=1, max_size=30),
@@ -373,10 +379,22 @@ class TestConvergence:
     @settings(max_examples=60, deadline=None)
     def test_monotone_in_threshold(self, xs, tau1, tau2, w):
         lo, hi = sorted((tau1, tau2))
-        e_lo = detect_convergence(xs, lo, w)
-        e_hi = detect_convergence(xs, hi, w)
+        e_lo = convergence_epoch(curve(xs), lo, w)
+        e_hi = convergence_epoch(curve(xs), hi, w)
         if e_hi is not None:
             assert e_lo is not None and e_lo <= e_hi
+
+    @given(
+        rets=st.lists(st.one_of(st.none(), st.floats(0, 300)), max_size=30),
+        tau=st.floats(0, 300),
+        w=st.integers(1, 5),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_first_window_of_a_scan(self, rets, tau, w):
+        rows = [row(e, ret=r) for e, r in enumerate(rets)]
+        epochs, _, s = smoothed_returns(rows)
+        starts = [epochs[i] for i in range(len(s) - w + 1) if np.all(s[i : i + w] >= tau)]
+        assert convergence_epoch(rows, tau, w) == (starts[0] if starts else None)
 
 
 class TestConvergenceEpoch:
