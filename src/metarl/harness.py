@@ -275,8 +275,6 @@ def summarize(runs: "list[RunLog]", tau: float, w: int) -> ComparisonReport:
 class AuditResult:
     grad_errors: "tuple[float, ...]"
     hvp_errors: "tuple[float, ...]"
-    grad_tol: float
-    hvp_tol: float
 
     @property
     def max_grad_error(self) -> float:
@@ -288,7 +286,7 @@ class AuditResult:
 
     @property
     def passed(self) -> bool:
-        return self.max_grad_error <= self.grad_tol and self.max_hvp_error <= self.hvp_tol
+        return self.max_grad_error <= GRAD_TOL and self.max_hvp_error <= HVP_TOL
 
     def render(self) -> str:
         lines = ["autodiff audit: policy-gradient surrogate on frozen rollout batches"]
@@ -296,8 +294,8 @@ class AuditResult:
             lines.append(f"  seed {i}: grad rel err {ge:.3e}  hvp rel err {he:.3e}")
         verdict = "OK" if self.passed else "FAIL"
         lines.append(
-            f"max grad rel err {self.max_grad_error:.3e} (tol {self.grad_tol:g}), "
-            f"max hvp rel err {self.max_hvp_error:.3e} (tol {self.hvp_tol:g}): {verdict}"
+            f"max grad rel err {self.max_grad_error:.3e} (tol {GRAD_TOL:g}), "
+            f"max hvp rel err {self.max_hvp_error:.3e} (tol {HVP_TOL:g}): {verdict}"
         )
         return "\n".join(lines) + "\n"
 
@@ -328,12 +326,7 @@ def audit_oracles(
         v = theta.with_values(v_raw / np.linalg.norm(v_raw))
         hv = ad.hvp(obj, theta, v)
         hvp_errors.append(ad.rel_err(hv, ad.fd_hvp(obj, theta, v)))
-    return AuditResult(
-        grad_errors=tuple(grad_errors),
-        hvp_errors=tuple(hvp_errors),
-        grad_tol=GRAD_TOL,
-        hvp_tol=HVP_TOL,
-    )
+    return AuditResult(grad_errors=tuple(grad_errors), hvp_errors=tuple(hvp_errors))
 
 
 # ---------------------------------------------------------------------------

@@ -75,6 +75,7 @@ from .envs import (
 )
 from .errors import EmptyTaskSet, EpochDiverged, NonFiniteValue, ValidationError
 from .policy import (
+    Arch,
     PolicyNet,
     actor_arch,
     critic_arch,
@@ -126,6 +127,10 @@ MAX_TRAJECTORIES = 10_000
 MAX_TASKS = 1_000
 MAX_HORIZON = 1_000
 MAX_ROLLOUT_ROWS = 100_000
+# A checkpoint stores the seed as a signed 64-bit integer. A run's longest
+# file name, `.<label>.timing.<pid>.tmp`, fits 255 bytes for a 7-digit pid.
+MAX_SEED = 2**63 - 1
+MAX_LABEL_BYTES = 235
 
 
 def check_range(field: str, value: int, lo: int, hi: "int | None" = None) -> None:
@@ -201,10 +206,11 @@ class MetaConfig:
         check_range("horizon", self.horizon, 1, MAX_HORIZON)
         check_range("k_trajs x horizon", self.k_trajs * self.horizon, 1, MAX_ROLLOUT_ROWS)
         check_range("epochs", self.epochs, 1)
-        if self.seed < 0:
-            raise ValidationError("seed: must be >= 0")
+        check_range("seed", self.seed, 0, MAX_SEED)
         if not self.phi_lo < self.phi_hi:
             raise ValidationError("phi_lo: parameter interval is empty (need phi_lo < phi_hi)")
+        if not np.isfinite(self.phi_hi - self.phi_lo):
+            raise ValidationError("phi_hi: phi_hi - phi_lo must be finite, the width of the task interval")
         if self.algorithm.directed and not self.delta < self.beta:
             raise ValidationError(
                 f"delta: directed prestep size must be smaller than beta "
@@ -240,10 +246,15 @@ class RunConfig:
         # not "", "." or "..", and no path separator or C0 control or DEL.
         if self.label in ("", ".", "..") or any(c in "/\\\x7f" or c < " " for c in self.label):
             raise ValidationError(f"label: must be a plain file name, got {self.label!r}")
+        if (size := len(self.label.encode("utf-8", "surrogatepass"))) > MAX_LABEL_BYTES:
+            raise ValidationError(f"label: must be at most {MAX_LABEL_BYTES} bytes in UTF-8, got {size}")
 
 
 @dataclass(frozen=True)
 class MetaState:
+    """A run after `epoch` epochs: the policy `theta`, plus the critic and
+    `alpha_vec` where the config holds them (`_state_vectors`), else None."""
+
     theta: ParamVector
     critic: ParamVector | None
     alpha_vec: ParamVector | None
@@ -304,34 +315,28 @@ class MetaProblem(Protocol):
 
 class RLProblem:
     """Rollout-backed objectives: `sample` builds every rollout, at the
-    config's horizon; `objective` is the learner's surrogate over a batch.
-
-    `objective(batch)` reads the critic under the actor-critic learner only:
-    a policy-gradient config may carry one (from an actor-critic checkpoint,
-    say) and ignores it. For the actor-critic learner `task_objective` then
-    fits the critic: one descent step on the batch it sampled, taken after
-    the surrogate has captured the pre-update critic values. Evaluation
-    calls `objective(sample(...))` and so leaves the critic as it was.
-    """
+    config's horizon; `objective` is the policy surrogate over a batch,
+    baselined by the critic the problem holds, if any. With a critic,
+    `task_objective` also fits it: one descent step on the batch it sampled,
+    taken after the surrogate has captured the pre-update critic values.
+    Evaluation calls `objective(sample(...))` and so leaves the critic as it
+    was. A state's critic is the one its config holds (`_state_vectors`)."""
 
     def __init__(self, cfg: MetaConfig, critic: ParamVector | None = None):
         self.cfg = cfg
         self.critic = critic
-        if cfg.learner is Learner.AC and critic is None:
-            raise ValueError("actor-critic learner needs a critic parameter vector")
         self.actor_arch = actor_arch(make_env(medium_task(cfg.dist)))
 
     def sample(self, task: Task, theta: ParamVector, rng: Stream, k: int) -> rl.TrajectoryBatch:
         return rl.sample_batch(make_env(task), PolicyNet(self.actor_arch, theta), k, rng, self.cfg.horizon)
 
     def objective(self, batch: rl.TrajectoryBatch) -> Callable[[Params], ad.Node]:
-        critic = self.critic if self.cfg.learner is Learner.AC else None
-        return rl.policy_objective(batch, self.cfg.gamma, critic)
+        return rl.policy_objective(batch, self.cfg.gamma, self.critic)
 
     def task_objective(self, task, theta, rng):
         batch = self.sample(task, theta, rng, self.cfg.k_trajs)
         obj = self.objective(batch)
-        if self.cfg.learner is Learner.AC:
+        if self.critic is not None:
             g = ad.grad(rl.critic_objective(batch, self.cfg.gamma), self.critic)
             self.critic = self.critic - self.cfg.alpha * g
         return obj
@@ -341,14 +346,27 @@ class RLProblem:
 # Algorithm steps
 # ---------------------------------------------------------------------------
 
-def init_state(cfg: MetaConfig) -> MetaState:
-    root = Stream(cfg.seed)
+def _state_vectors(cfg: MetaConfig) -> "dict[str, tuple[Arch, str | None]]":
+    """The one place the config decides what a run state holds. For each
+    checkpoint vector: its architecture under the config's environment, and
+    what needs it under `cfg`, or None when cfg's state does not hold it."""
     env = make_env(medium_task(cfg.dist))
-    theta = init_params(actor_arch(env), root.child(0))
-    critic = init_params(critic_arch(env), root.child(1)) if cfg.learner is Learner.AC else None
-    alpha_vec = None
-    if cfg.algorithm.base is Algorithm.METASGD:
-        alpha_vec = theta.with_values(np.full(theta.size, cfg.alpha))
+    metasgd, ac = cfg.algorithm.base is Algorithm.METASGD, cfg.learner is Learner.AC
+    return {
+        "policy": (actor_arch(env), "every run"),
+        "alpha_vec": (actor_arch(env), f"algorithm {cfg.algorithm.value}" if metasgd else None),
+        "critic": (critic_arch(env), f"learner {cfg.learner.value}" if ac else None),
+    }
+
+
+def init_state(cfg: MetaConfig) -> MetaState:
+    """Epoch 0 of a run: the vectors `cfg` holds, the policy drawn from
+    stream child(0), the critic from child(1), alpha_vec filled with alpha."""
+    root = Stream(cfg.seed)
+    held = {name: arch for name, (arch, who) in _state_vectors(cfg).items() if who is not None}
+    theta = init_params(held["policy"], root.child(0))
+    critic = init_params(held["critic"], root.child(1)) if "critic" in held else None
+    alpha_vec = theta.with_values(np.full(theta.size, cfg.alpha)) if "alpha_vec" in held else None
     return MetaState(theta=theta, critic=critic, alpha_vec=alpha_vec, epoch=0)
 
 
@@ -512,11 +530,8 @@ def train_epoch(
 def _save_state(run_cfg: RunConfig, state: MetaState) -> Path:
     out = Path(run_cfg.out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    vectors = {"policy": state.theta}
-    if state.critic is not None:
-        vectors["critic"] = state.critic
-    if state.alpha_vec is not None:
-        vectors["alpha_vec"] = state.alpha_vec
+    held = {"policy": state.theta, "critic": state.critic, "alpha_vec": state.alpha_vec}
+    vectors = {name: pv for name, pv in held.items() if pv is not None}
     path = out / f"{run_cfg.label}.ckpt"
     save_checkpoint(path, vectors, {"epoch": state.epoch, "seed": run_cfg.meta.seed})
     return path
@@ -525,15 +540,11 @@ def _save_state(run_cfg: RunConfig, state: MetaState) -> Path:
 def load_state(path, cfg: MetaConfig) -> MetaState:
     """Rebuild a MetaState from a checkpoint; the stream tree is re-derived
     from the seed, so resumed runs replay exactly the draws the uninterrupted
-    run would have made. A checkpoint without its epoch or with a negative
-    one, or without a vector the config needs (policy; alpha_vec for the
-    Meta-SGD family; critic for the actor-critic learner), or whose vectors
-    are laid out for another architecture than the config's environment
-    family, or whose alpha_vec has an entry <= 0 under the Meta-SGD family,
-    raises a ValidationError naming the field. A critic is kept for
-    the actor-critic learner only, and alpha_vec for the Meta-SGD family
-    only: a run resumed from a checkpoint that carries either for another
-    config neither trains, evaluates with, nor saves it."""
+    run would have made. A checkpoint of another seed, without its epoch or
+    with a negative one, without a vector `cfg` holds, with any vector laid
+    out unlike `_state_vectors`, or whose kept alpha_vec has an entry <= 0
+    raises a ValidationError naming the field. A vector `cfg` does not hold
+    is dropped: the run neither trains, evaluates with, nor saves it."""
     vectors, meta = load_checkpoint(path)
     if meta.get("seed") != cfg.seed:
         raise ValidationError(
@@ -543,38 +554,24 @@ def load_state(path, cfg: MetaConfig) -> MetaState:
         raise ValidationError(f"epoch: checkpoint {path} has no epoch metadata")
     if meta["epoch"] < 0:
         raise ValidationError(f"epoch: checkpoint {path} has epoch {meta['epoch']}, below 0")
-    needed = {"policy": "every run"}
-    if cfg.algorithm.base is Algorithm.METASGD:
-        needed["alpha_vec"] = f"algorithm {cfg.algorithm.value}"
-    if cfg.learner is Learner.AC:
-        needed["critic"] = f"learner {cfg.learner.value}"
-    for name, who in needed.items():
-        if name not in vectors:
-            raise ValidationError(
-                f"{name}: checkpoint {path} has no {name} vector, which {who} needs"
-            )
-    env = make_env(medium_task(cfg.dist))
-    actor = actor_arch(env).segments()
-    layouts = {"policy": actor, "alpha_vec": actor, "critic": critic_arch(env).segments()}
-    for name, pv in vectors.items():
-        want = layouts.get(name, pv.segments)
-        if pv.segments != want:
+    table = _state_vectors(cfg)
+    for name, (arch, who) in table.items():
+        pv, want = vectors.get(name), arch.segments()
+        if pv is None and who is not None:
+            raise ValidationError(f"{name}: checkpoint {path} has no {name} vector, which {who} needs")
+        if pv is not None and pv.segments != want:
             raise ValidationError(
                 f"{name}: checkpoint {path} is laid out for another architecture than env "
                 f"{cfg.env.value} needs ({pv.size} parameters, expected {sum(s.size for s in want)})"
             )
-    if cfg.algorithm.base is Algorithm.METASGD:
-        lowest = float(np.min(vectors["alpha_vec"].values))
+    held = {name: vectors[name] for name, (_, who) in table.items() if who is not None}
+    if "alpha_vec" in held:
+        lowest = float(np.min(held["alpha_vec"].values))
         if lowest <= 0:
             raise ValidationError(
                 f"alpha_vec: checkpoint {path} has a step size of {lowest!r}; every entry must be above 0"
             )
-    return MetaState(
-        theta=vectors["policy"],
-        critic=vectors["critic"] if cfg.learner is Learner.AC else None,
-        alpha_vec=vectors["alpha_vec"] if cfg.algorithm.base is Algorithm.METASGD else None,
-        epoch=int(meta["epoch"]),
-    )
+    return MetaState(held["policy"], held.get("critic"), held.get("alpha_vec"), int(meta["epoch"]))
 
 
 def iter_epochs(run_cfg: RunConfig, state: MetaState):

@@ -280,8 +280,8 @@ def test_criterion_01_autodiff_audit_20_seeds_under_2_minutes():
     t0 = time.perf_counter()
     result = audit_oracles(n_seeds=20)
     elapsed = time.perf_counter() - t0
-    assert result.grad_tol == 1e-4 and GRAD_TOL == 1e-4
-    assert result.hvp_tol == 1e-3 and HVP_TOL == 1e-3
+    assert GRAD_TOL == 1e-4
+    assert HVP_TOL == 1e-3
     assert result.max_grad_error <= 1e-4, f"grad rel err {result.max_grad_error:.3e}"
     assert result.max_hvp_error <= 1e-3, f"hvp rel err {result.max_hvp_error:.3e}"
     assert result.passed

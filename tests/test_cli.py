@@ -452,6 +452,26 @@ class TestInputErrors:
         assert err.count("\n") == 1
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize(
+        "extra, key",
+        [
+            pytest.param(["--seed", str(2**63)], "seed", id="seed-past-the-checkpoints-int64"),
+            pytest.param(["--label", "a" * 250], "label", id="label-too-long-for-its-file-names"),
+            pytest.param(["--phi_lo=-1e308", "--phi_hi=1e308"], "phi_hi", id="task-interval-wider-than-a-double"),
+        ],
+    )
+    def test_values_that_fail_after_training_began_are_refused_first(self, tmp_path, capsys, extra, key):
+        # Each value once passed the config's checks and failed only at the
+        # first checkpoint, file write or task draw, after training began.
+        out = tmp_path / "out"
+        argv = ["train", "--horizon", "5", "--k_trajs", "1", "--m_tasks", "1", "--eval_episodes", "1",
+                "--epochs", "1", "--out_dir", str(out), *extra]
+        assert cli.main(argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {key}: ") and err.count("\n") == 1
+        assert ": epoch " not in err
+        assert not list(out.glob("*"))
+
     def test_config_file_that_is_not_utf8_is_one_error_line(self, tmp_path, capsys):
         cfg = tmp_path / "bad.cfg"
         cfg.write_bytes(b"epochs=1\nlabel=caf\xff\n")

@@ -22,6 +22,8 @@ from _helpers import count_calls
 from metarl.envs import Family
 from metarl.errors import ParseError, ValidationError
 from metarl.harness import (
+    GRAD_TOL,
+    HVP_TOL,
     AuditResult,
     audit_oracles,
     build_run_config,
@@ -142,11 +144,33 @@ class TestBuildRunConfig:
             ("label", "tab\tand\nnewline", "^label: must be a plain file name"),
             ("label", "esc\x1b", "^label: must be a plain file name"),
             ("label", "del\x7f", "^label: must be a plain file name"),
+            # Values that would pass and fail only once training has begun:
+            # a seed the checkpoint's signed 64-bit field cannot hold, a
+            # label too long for the names of the run's files, and a task
+            # interval wider than a double holds (the first task draw).
+            ("seed", str(2**63), "^seed: must lie in 0..9223372036854775807, got 9223372036854775808$"),
+            ("seed", "-1", "^seed: must lie in 0..9223372036854775807, got -1$"),
+            pytest.param(
+                "label", "a" * 236, "^label: must be at most 235 bytes in UTF-8, got 236$", id="label-236-bytes"
+            ),
+            pytest.param(
+                "label", "\u00e9" * 118, "^label: must be at most 235 bytes in UTF-8, got 236$",
+                id="label-118-two-byte-characters",
+            ),
+            pytest.param(
+                "phi_hi", {"phi_lo": "-1e308", "phi_hi": "1e308"}, "^phi_hi: phi_hi - phi_lo must be finite",
+                id="phi_hi-interval-width-overflows",
+            ),
         ],
     )
     def test_conversion_errors_name_the_key(self, key, val, msg):
+        # A row's value is the key's, or a dict of several keys' values.
         with pytest.raises(ValidationError, match=msg):
-            build_run_config({key: val})
+            build_run_config(val if isinstance(val, dict) else {key: val})
+
+    def test_label_and_seed_at_their_bounds_are_accepted(self):
+        cfg = build_run_config({"label": "a" * 235, "seed": str(2**63 - 1)})
+        assert len(cfg.label) == 235 and cfg.meta.seed == 2**63 - 1
 
     def test_semantic_errors_surface_from_config(self):
         with pytest.raises(ValidationError, match="delta"):
@@ -504,19 +528,17 @@ class TestAuditOracles:
         res = audit_oracles(n_seeds=2, k=1, horizon=6)
         assert len(res.grad_errors) == 2
         assert res.passed
-        assert res.max_grad_error <= res.grad_tol
-        assert res.max_hvp_error <= res.hvp_tol
+        assert res.max_grad_error <= GRAD_TOL
+        assert res.max_hvp_error <= HVP_TOL
 
     def test_render_lists_every_seed_and_verdict(self):
-        res = AuditResult(
-            grad_errors=(1e-6, 3e-6), hvp_errors=(1e-5, 2e-5), grad_tol=1e-4, hvp_tol=1e-3
-        )
+        res = AuditResult(grad_errors=(1e-6, 3e-6), hvp_errors=(1e-5, 2e-5))
         text = res.render()
         assert "seed 0" in text and "seed 1" in text
         assert text.strip().endswith("OK")
 
     def test_failed_audit_renders_fail(self):
-        res = AuditResult(grad_errors=(1e-2,), hvp_errors=(1e-5,), grad_tol=1e-4, hvp_tol=1e-3)
+        res = AuditResult(grad_errors=(1e-2,), hvp_errors=(1e-5,))
         assert not res.passed
         assert res.render().strip().endswith("FAIL")
 
