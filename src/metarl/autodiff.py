@@ -54,16 +54,17 @@ forward would have captured. The categorical head's node keeps the
 Forward cost rule: a node costs its numpy operations plus a few attribute
 reads, so the fewer nodes a graph has, the less it pays beyond numpy.
 Reductions call the ufunc (`np.add.reduce`, `np.maximum.reduce`), not the
-`np.sum`/`np.max` wrappers; shapes come from array attributes; a segment
-leaf is the view its ParamVector already keeps, and `seg` is a dict lookup;
-a float64 array becomes a constant as it is, and an objective evaluated many
-times builds its constants once. A node that no parameter leaf reaches
-(`needs` false) is a constant: no vjp gives it an adjoint, so the backward
-pass computes no product only a constant would read. What an evaluation
-inside `fd_grad` then pays beyond numpy is one `Node` and one vjp closure
-per operation it builds (at most 5 on the audit's categorical surrogate)
-and the scalar check; a `value` call on a vector adds a `Params` and its
-leaves (measured in the README's performance section).
+`np.sum`/`np.max` wrappers, and a reduction across a few columns is a column
+fold (`_fold_columns`); shapes come from array attributes; a segment leaf is
+the view its ParamVector already keeps, and `seg` is a dict lookup; a
+float64 array becomes a constant as it is, and an objective evaluated many
+times builds its constants and its `Picks` once. A node that no parameter
+leaf reaches (`needs` false) is a constant: no vjp gives it an adjoint, so
+the backward pass computes no product only a constant would read. What an
+evaluation inside `fd_grad` then pays beyond numpy is one `Node` and one
+vjp closure per operation it builds (at most 5 on the audit's categorical
+surrogate) and the scalar check; a `value` call on a vector adds a `Params`
+and its leaves (measured in the README's performance section).
 
 Release rule: the backward pass frees each node's adjoint, value, tangent
 and vjp once its vjp has run: all that add to that adjoint or read those
@@ -132,6 +133,7 @@ __all__ = [
     "nsum",
     "nmean",
     "log_softmax_pick",
+    "Picks",
     "weighted_sum",
     "reshape",
     "const",
@@ -634,25 +636,60 @@ def nmean(a) -> Node:
     return mul(nsum(a), 1.0 / float(a.val.size))
 
 
-def _scatter_rows(g: _D, rows: np.ndarray, idx: np.ndarray, n_cols: int) -> _D:
-    """The rule of a row gather out[i] = a[i, idx[i]]: row i's adjoint
-    placed in column idx[i] of zeros."""
+def _scatter_rows(g: _D, flat: np.ndarray, shape: "tuple[int, int]") -> _D:
+    """The rule of a row gather out[i] = a[i, idx[i]], with
+    flat[i] = i * shape[1] + idx[i]: row i's adjoint placed in column idx[i]
+    of zeros of `shape`."""
 
     def scatter(x):
-        z = np.zeros((idx.size, n_cols))
-        z[rows, idx] = x
+        z = np.zeros(shape)
+        z.put(flat, x)
         return z
 
     return g.apply_linear(scatter)
 
 
-def log_softmax_pick(logits, idx) -> Node:
+def _fold_columns(ufunc, x: np.ndarray) -> np.ndarray:
+    """ufunc.reduce(x, axis=1) of a 2-D x as a left fold, one elementwise
+    call per further column. Below 8 columns that is numpy's order, so the
+    bits match but for one sign: np.add.reduce starts from +0.0, so a row of
+    -0.0 sums to +0.0 there and to -0.0 here; a caller adds +0.0 where that
+    can happen."""
+    n = x.shape[1]
+    if not 2 <= n < 8:
+        return ufunc.reduce(x, axis=1)
+    acc = ufunc(x[:, 0], x[:, 1])
+    for j in range(2, n):
+        ufunc(acc, x[:, j], out=acc)
+    return acc
+
+
+class Picks:
+    """Column idx[i] of each row i of a (rows x n_cols) array, prepared once
+    per objective for `log_softmax_pick`: `flat` holds the positions
+    i * n_cols + idx[i], which its forward `take`s and its vjp `put`s. An
+    index outside 0..n_cols-1 raises ValueError here."""
+
+    __slots__ = ("shape", "flat")
+
+    def __init__(self, idx, n_cols: int):
+        idx = np.asarray(idx, dtype=np.int64)
+        if idx.ndim != 1:
+            raise ValueError(f"picks must be a 1-D index array, got shape {idx.shape}")
+        if idx.size and not (0 <= int(idx.min()) and int(idx.max()) < n_cols):
+            raise ValueError(f"pick indices must lie in 0..{n_cols - 1}")
+        self.shape = (idx.size, n_cols)
+        self.flat = np.arange(idx.size) * n_cols + idx
+
+
+def log_softmax_pick(logits, idx: "Picks | np.ndarray") -> Node:
     """One node for the categorical log-probability
     out[i] = log softmax(logits[i])[idx[i]]: the bits of
     shift = logits - row_max_const(logits), then
     gather_rows(shift, idx) - log(nsum_axis(exp(shift), 1)), without a node
     for any step between. The row max is a constant shift (value and all
-    derivatives stay exact).
+    derivatives stay exact). `idx` is `Picks` for the logits' shape, or an
+    index array prepared here. The row max and sums are `_fold_columns`.
 
     The vjp runs the composed rules in the backward pass's order: the final
     subtraction's, the gather's, `log`'s, the row sum's and `exp`'s, then sums
@@ -660,22 +697,24 @@ def log_softmax_pick(logits, idx) -> Node:
     the shift's own rule passes that sum to the logits unchanged. The
     (rows x columns) arrays the rules read are kept from the forward."""
     a = _as_node(logits)
-    idx = np.asarray(idx, dtype=np.int64)
-    rows = np.arange(idx.size)
-    sv = a.val - np.maximum.reduce(a.val, axis=1, keepdims=True)
+    pick = idx if isinstance(idx, Picks) else Picks(idx, a.val.shape[1])
+    if pick.shape != a.val.shape:
+        raise ValueError(f"picks for shape {pick.shape} applied to logits of shape {a.val.shape}")
+    sv = a.val - _fold_columns(np.maximum, a.val)[:, None]
     sd = a.dot
     ev = np.exp(sv)
     ed = None if sd is None else ev * sd
-    zv = np.add.reduce(ev, axis=1)
-    zd = None if ed is None else np.add.reduce(ed, axis=1)
+    zv = _fold_columns(np.add, ev)
+    # the tangent terms of a row may all be -0.0; + 0.0 gives the reduction's sign
+    zd = None if ed is None else _fold_columns(np.add, ed) + 0.0
     lv = np.log(zv)
     ld = None if zd is None else zd / zv
-    val = sv[rows, idx] - lv
-    dot = _dsub(None if sd is None else sd[rows, idx], ld)
+    val = sv.take(pick.flat) - lv
+    dot = _dsub(None if sd is None else sd.take(pick.flat), ld)
 
     def vjp(g: _D, acc):
         log_adj = -g
-        picked = _scatter_rows(g, rows, idx, ev.shape[1])
+        picked = _scatter_rows(g, pick.flat, pick.shape)
         through_exp = _spread(log_adj / _D(zv, zd), 1, ev.shape) * _D(ev, ed)
         acc(a, picked + through_exp)
 
@@ -783,7 +822,7 @@ class Params:
 def _scalar_value(root: Node) -> float:
     if root.val.size != 1:
         raise ValueError("objective must evaluate to a scalar")
-    v = float(root.val.reshape(()))
+    v = root.val.item()
     if not math.isfinite(v):
         raise NonFiniteValue(f"objective evaluated to {v}")
     return v

@@ -30,7 +30,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import autodiff as ad
-from .autodiff import ParamVector, Params, Segment
+from .autodiff import ParamVector, Params, Segment, _fold_columns
 from .envs import Box, Discrete, Environment
 from .errors import NonFiniteValue, ParseError
 from .rng import Stream
@@ -189,16 +189,16 @@ def act_batch(
     head = net.arch.head
     if isinstance(head, Discrete):
         # out is this call's own array: the logit shift, the probabilities
-        # and their running sum cum are each formed in its buffer
-        out -= np.maximum.reduce(out, axis=1, keepdims=True)
+        # and their running sum cum are each formed in its buffer; the row
+        # max and the row sum are column folds, as in log_softmax_pick
+        out -= _fold_columns(np.maximum, out)[:, None]
         finite = np.logical_and.reduce(np.isfinite(out), axis=None)
-        out -= np.log(np.add.reduce(np.exp(out), axis=1, keepdims=True))
+        out -= np.log(_fold_columns(np.add, np.exp(out)))[:, None]
         cum = np.add.accumulate(np.exp(out, out=out), axis=1, out=out)
-        # cum is non-decreasing, so counting its entries <= u is
-        # searchsorted(cum, u, side="right"); the clamp catches a last entry
-        # that rounds to just below 1.
-        acts = np.add.reduce(cum <= u[:, None], axis=1, dtype=np.int64)
-        np.minimum(acts, head.n - 1, out=acts)
+        # a running sum of non-negative terms never decreases, so the count
+        # of its first n-1 entries <= u is searchsorted(cum, u, side="right")
+        # capped at n-1, whatever the last entry rounds to
+        acts = np.add.reduce(cum[:, :-1] <= u[:, None], axis=1, dtype=np.int64)
         actions = raws = acts
     elif isinstance(head, Box):
         mean = out[:, 0]
@@ -222,12 +222,13 @@ def act_batch(
 # ---------------------------------------------------------------------------
 
 def logprob_graph(
-    arch: Arch, p: Params, states: "np.ndarray | ad.Node", actions: np.ndarray
+    arch: Arch, p: Params, states: "np.ndarray | ad.Node", actions: "np.ndarray | ad.Picks"
 ) -> ad.Node:
     """(n,) log pi(a_j | s_j) as a graph over p. `states` is an array or a
     constant node holding one, which an objective evaluated many times
-    builds once. For Gaussian heads `actions` must be the raw pre-clip
-    samples."""
+    builds once. For categorical heads `actions` are the action indices, or
+    `ad.Picks` of them, which such an objective prepares once; for Gaussian
+    heads they must be the raw pre-clip samples."""
     out = _forward_graph(arch, p, states)
     head = arch.head
     if isinstance(head, Discrete):

@@ -24,7 +24,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Params
-from .envs import Environment, Task, make_env
+from .envs import Discrete, Environment, Task, make_env
 from .policy import (
     PolicyNet,
     act_batch,
@@ -193,14 +193,18 @@ def _surrogate(
 ) -> "Callable[[Params], ad.Node]":
     """(1/k) sum_t log pi(a_t|s_t) * adv_t over pooled rows, as one
     `weighted_sum` node over the log-prob graph: the bits of
-    nsum(lp * adv) * (1/k). The states become a constant node here, once;
-    the advantages and 1/k enter the sum as plain constants. So each call
-    builds only the log-prob graph and the sum: on the audit's categorical
-    policy, 5 nodes over the segment leaves. Inside `fd_grad`, whose
-    evaluations share the leaves, an evaluation gets the layers before the
-    moving segment kept, since their input is this one states node and no
-    moving leaf reaches them, and builds 3 to 5."""
+    nsum(lp * adv) * (1/k). The states become a constant node here, once,
+    and a categorical head's action indices become `ad.Picks`, once, which
+    refuses an index outside the action set; the advantages and 1/k enter
+    the sum as plain constants. So each call builds only the log-prob graph
+    and the sum: on the audit's categorical policy, 5 nodes over the segment
+    leaves. Inside `fd_grad`, whose evaluations share the leaves, an
+    evaluation gets the layers before the moving segment kept, since their
+    input is this one states node and no moving leaf reaches them, and
+    builds 3 to 5."""
     states_c, scale = ad.const(states), 1.0 / k
+    if isinstance(arch.head, Discrete):
+        targets = ad.Picks(targets, arch.head.n)
 
     def obj(p: Params) -> ad.Node:
         return ad.weighted_sum(logprob_graph(arch, p, states_c, targets), adv, scale)

@@ -198,7 +198,7 @@ def gather_rows(a, idx) -> ad.Node:
     rows = np.arange(idx.size)
 
     def vjp(g: ad._D, acc):
-        acc(a, ad._scatter_rows(g, rows, idx, a.val.shape[1]))
+        acc(a, ad._scatter_rows(g, rows * a.val.shape[1] + idx, a.val.shape))
 
     dot = None if a.dot is None else a.dot[rows, idx]
     return ad.Node(a.val[rows, idx], dot, (a,), vjp, a.needs)

@@ -295,6 +295,21 @@ class TestParamVector:
         with pytest.raises(ValueError):
             a.hadamard(b)
 
+    def test_rejects_values_that_are_not_a_vector(self):
+        with pytest.raises(ValueError, match="1-D"):
+            ad.ParamVector(np.zeros((2, 2)), [ad.Segment("w", 0, (2, 2))])
+
+    def test_with_values_checks_the_size(self):
+        pv = single_segment([1.0, 2.0])
+        with pytest.raises(ValueError, match="segments cover 2 values, vector has 3"):
+            pv.with_values(np.zeros(3))
+
+    def test_combines_only_with_a_vector(self):
+        pv = single_segment([1.0, 2.0])
+        for combine in (lambda: pv + np.ones(2), lambda: pv - 1.0, lambda: pv.hadamard([1.0, 1.0])):
+            with pytest.raises(TypeError, match="expected a ParamVector"):
+                combine()
+
     def test_arithmetic(self):
         a = single_segment([1.0, 2.0])
         b = single_segment([10.0, -4.0])
@@ -365,6 +380,15 @@ class TestGrad:
         theta = single_segment([1.0])
         obj = lambda p: ad.nsum(p.seg("w") * ad.const(np.nan))
         with pytest.raises(NonFiniteValue):
+            ad.grad(obj, theta)
+
+    def test_nonfinite_gradient_of_a_finite_value_raises(self):
+        """w * 1e308 - w * -1e308 is finite at w = 1e-300, but the two paths'
+        adjoints, 1e308 each, sum to inf."""
+        theta = single_segment([1e-300])
+        obj = lambda p: ad.nsum(p.seg("w") * 1e308 - p.seg("w") * -1e308)
+        assert ad.value(obj, theta) == 2e8
+        with np.errstate(over="ignore"), pytest.raises(NonFiniteValue, match="gradient contains NaN/Inf"):
             ad.grad(obj, theta)
 
     def test_scalar_root_required(self):
@@ -494,6 +518,14 @@ class TestHvp:
         v = theta.with_values(np.array([1.0, 1.0, -2.0]))
         hv = ad.hvp(obj, theta, v)
         assert np.array_equal(hv.values, np.zeros(3))
+
+    def test_nonfinite_product_of_a_finite_value_raises(self):
+        """exp(w) at w = 1 is finite, but its Hessian-vector product along
+        v = 1e308, e * 1e308, is not."""
+        theta = single_segment([1.0])
+        v = theta.with_values(np.array([1e308]))
+        with np.errstate(over="ignore"), pytest.raises(NonFiniteValue, match="Hessian-vector product"):
+            ad.hvp(lambda p: ad.nsum(ad.exp(p.seg("w"))), theta, v)
 
     def test_surrogate_matches_fd_hvp(self, surrogate, net_theta):
         gen = Stream(123).child(2).generator()
@@ -684,21 +716,60 @@ class TestTanhAffine:
         assert raw_bytes(g.v, g.d) == g_before
 
 
+class TestColumnFold:
+    @settings(max_examples=60, deadline=None)
+    @given(
+        rows=st.integers(1, 2000),
+        cols=st.integers(1, 7),
+        values=st.sampled_from(["drawn", "exponentials", "special"]),
+        seed=st.integers(0, 2**16),
+    )
+    def test_equals_the_ufunc_reduction_bytewise(self, rows, cols, values, seed):
+        """The fold's row max is np.maximum.reduce's, byte for byte, and its
+        row sum is np.add.reduce's once +0.0 is added; a sum of
+        exponentials needs no +0.0. Tried on drawn values of mixed sign and
+        magnitude, on their exponentials, and on values among which signed
+        zeros, infinities, NaNs and subnormals are frequent."""
+        gen = Stream(seed).generator()
+        x = gen.normal(size=(rows, cols)) * 10.0 ** gen.integers(-8, 9, size=(rows, cols))
+        if values == "exponentials":
+            x = np.exp(x / 1e6)
+        elif values == "special":
+            special = np.array([0.0, -0.0, np.inf, -np.inf, np.nan, 5e-324, -5e-324, 1e308, -1e308])
+            mask = gen.random((rows, cols)) < 0.5
+            x[mask] = gen.choice(special, size=int(mask.sum()))
+        with np.errstate(invalid="ignore", over="ignore"):
+            assert ad._fold_columns(np.maximum, x).tobytes() == np.maximum.reduce(x, axis=1).tobytes()
+            total = np.add.reduce(x, axis=1).tobytes()
+            assert (ad._fold_columns(np.add, x) + 0.0).tobytes() == total
+            if values == "exponentials":
+                assert ad._fold_columns(np.add, x).tobytes() == total
+
+    @pytest.mark.parametrize("cols", range(2, 8))
+    def test_a_row_of_negative_zeros_is_the_one_sign_apart(self, cols):
+        x = np.full((3, cols), -0.0)
+        assert np.signbit(ad._fold_columns(np.add, x)).all()
+        assert not np.signbit(np.add.reduce(x, axis=1)).any()
+        assert not np.signbit(ad._fold_columns(np.add, x) + 0.0).any()
+
+
 class TestLogSoftmaxPick:
     @settings(max_examples=40, deadline=None)
     @given(
-        rows=st.integers(1, 40),
-        cols=st.integers(2, 5),
+        rows=st.one_of(st.integers(1, 40), st.just(2000)),
+        cols=st.integers(2, 7),
         logits=st.sampled_from(["drawn", "tied", "700 apart"]),
         seed=st.integers(0, 2**16),
     )
     def test_matches_the_log_softmax_composition_bitwise(self, rows, cols, logits, seed):
         """The node's value and tangent, and the value, gradient and
         Hessian-vector product of a readout curved in the log-probabilities,
-        equal those of the primitives it replaces byte for byte: on drawn
-        logits, on rows whose logits are all tied, and on rows with one
-        logit 700 above the others (whose exponentials are then about
-        1e-304)."""
+        equal those of the primitives it replaces byte for byte, on `Picks`
+        and on the index array alike: on drawn logits, on rows whose logits
+        are all tied, and on rows with one logit 700 above the others (whose
+        exponentials are then about 1e-304), for 2 to 7 actions and up to a
+        2,000-row batch. The first row's tangent is all -0.0, the one case
+        where a column fold and np.add.reduce differ (`_fold_columns`)."""
         gen = Stream(seed).generator()
         z = gen.normal(size=(rows, cols))
         if logits == "tied":
@@ -708,26 +779,50 @@ class TestLogSoftmaxPick:
         idx = gen.integers(0, cols, size=rows)
         weights = ad.const(gen.normal(size=rows))
         theta = params_of({"z": z})
-        v = theta.with_values(gen.normal(size=theta.size))
+        v = theta.with_values(np.concatenate([np.full(cols, -0.0), gen.normal(size=theta.size - cols)]))
 
         def composed_lp(out):
             shift = out - row_max_const(out)
             lse = log(nsum_axis(ad.exp(shift), 1))
             return gather_rows(shift, idx) - lse
 
-        def readout(lp):
-            return add(ad.nsum(lp * weights), ad.nsum(lp * lp))
+        forms = [
+            composed_lp,
+            lambda out: ad.log_softmax_pick(out, ad.Picks(idx, cols)),
+            lambda out: ad.log_softmax_pick(out, idx),
+        ]
+
+        def readout(form):
+            def obj(p):
+                lp = form(p.seg("z"))
+                return add(ad.nsum(lp * weights), ad.nsum(lp * lp))
+
+            return obj
 
         for tangent in (None, v):
-            fused = ad.log_softmax_pick(ad.Params(theta, tangent).seg("z"), idx)
-            composed = composed_lp(ad.Params(theta, tangent).seg("z"))
-            assert raw_bytes(fused.val, fused.dot) == raw_bytes(composed.val, composed.dot)
-        assert_same_bits(
-            lambda p: readout(ad.log_softmax_pick(p.seg("z"), idx)),
-            lambda p: readout(composed_lp(p.seg("z"))),
-            theta,
-            v,
-        )
+            nodes = [form(ad.Params(theta, tangent).seg("z")) for form in forms]
+            assert len({raw_bytes(n.val, n.dot) for n in nodes}) == 1
+        for form in forms[1:]:
+            assert_same_bits(readout(form), readout(forms[0]), theta, v)
+
+    @pytest.mark.parametrize("bad", [-1, 3])
+    def test_an_index_outside_the_columns_is_refused_when_prepared(self, bad):
+        """-1 would wrap to the last column and 3 would raise only when
+        read; both are refused by `Picks`, and by the node before it
+        computes anything."""
+        idx = np.array([0, bad, 2])
+        with pytest.raises(ValueError, match=r"pick indices must lie in 0\.\.2"):
+            ad.Picks(idx, 3)
+        with pytest.raises(ValueError, match=r"pick indices must lie in 0\.\.2"):
+            ad.log_softmax_pick(ad.const(np.zeros((3, 3))), idx)
+
+    def test_picks_for_another_shape_are_refused(self):
+        picks = ad.Picks(np.array([0, 1, 1]), 2)
+        for shape in ((3, 3), (2, 2), (4, 2)):
+            with pytest.raises(ValueError, match="picks for shape"):
+                ad.log_softmax_pick(ad.const(np.zeros(shape)), picks)
+        with pytest.raises(ValueError, match="1-D"):
+            ad.Picks(np.zeros((2, 1), dtype=np.int64), 2)
 
 
 class TestWeightedSum:

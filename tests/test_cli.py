@@ -18,7 +18,7 @@ import pytest
 
 import metarl
 from metarl import cli, meta, rl
-from metarl.errors import MetaRLError
+from metarl.errors import MetaRLError, NonFiniteValue
 from metarl.policy import load_checkpoint, save_checkpoint
 from metarl.runlog import EpochMetrics, RunLog, load_runlog, save_runlog, smoothed_returns
 
@@ -292,6 +292,76 @@ class TestResumeErrors:
         ckpt = self.rewritten(tmp_path)
         assert self.resume(tmp_path, ckpt, ["--epochs", "4"]) == 0
         assert "r: 1 epochs" in capsys.readouterr().out
+
+
+class _ExplodingProblem:
+    """An RLProblem whose first objective is not finite, so a run diverges
+    in its first epoch."""
+
+    def __init__(self, cfg, critic=None):
+        self.critic = critic
+
+    def task_objective(self, task, theta, rng):
+        raise NonFiniteValue("synthetic non-finite objective")
+
+
+class TestDiverged:
+    CAUSE = "diverged (epoch 0: synthetic non-finite objective)"
+
+    def test_train_reports_divergence_and_exits_1(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setattr(meta, "RLProblem", _ExplodingProblem)
+        assert train_tiny(tmp_path, "t") == 1
+        out = capsys.readouterr().out.splitlines()
+        assert out == [
+            f"t: 0 epochs, convergence epoch none, final eval return n/a, {self.CAUSE}",
+            f"wrote {tmp_path / 't.runlog'}",
+        ]
+        assert load_runlog(tmp_path / "t.runlog").diverged == self.CAUSE[10:-1]
+
+    def test_sweep_reports_each_divergence_and_exits_1(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setattr(meta, "RLProblem", _ExplodingProblem)
+        argv = ["sweep", *SWEEP, "--out_dir", str(tmp_path), "--label", "alg", "--seeds", "1,2"]
+        assert cli.main(argv) == 1
+        assert capsys.readouterr().out.splitlines() == [
+            f"alg-s1: no convergence, {self.CAUSE}",
+            f"alg-s2: no convergence, {self.CAUSE}",
+            f"wrote 2 run logs to {tmp_path}",
+        ]
+
+
+class TestDamagedFiles:
+    def test_each_reading_command_fails_cleanly(self, tmp_path, capsys):
+        """compare, plot, eval, train --resume and train --config, each on a
+        truncated or byte-changed copy of a file a run wrote or of a config:
+        exit status 1, one `error:` line and no traceback, and nothing
+        written."""
+        assert train_tiny(tmp_path, "t") == 0
+        runlog, ckpt = (tmp_path / "t.runlog").read_bytes(), (tmp_path / "t.ckpt").read_bytes()
+        config = "".join(f"{key[2:]} = {val}\n" for key, val in zip(TINY[::2], TINY[1::2])).encode()
+        damaged, out = tmp_path / "damaged", tmp_path / "out"
+        damaged.mkdir()
+
+        def write(name, data):
+            (damaged / name).write_bytes(data)
+            return str(damaged / name)
+
+        def changed(data, at, byte):
+            return data[:at] + byte + data[at + 1 :]
+
+        commands = [
+            ["compare", write("cut.runlog", runlog[: len(runlog) // 2]), "--out", str(out)],
+            ["plot", write("changed.runlog", changed(runlog, 0, b"#")), "--out", str(out / "c.svg")],
+            ["eval", "--ckpt", write("cut.ckpt", ckpt[: len(ckpt) // 2]), *TINY],
+            ["train", *TINY, "--out_dir", str(out), "--resume", write("changed.ckpt", changed(ckpt, 0, b"X"))],
+            ["train", "--config", write("changed.cfg", changed(config, 0, b"X")), "--out_dir", str(out)],
+        ]
+        capsys.readouterr()
+        for argv in commands:
+            assert cli.main(argv) == 1, argv
+            err = capsys.readouterr().err
+            assert err.startswith("error: ") and err.count("\n") == 1, (argv, err)
+            assert str(damaged) in err and "Traceback" not in err
+        assert not out.exists()
 
 
 class TestEpochReport:

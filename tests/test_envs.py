@@ -87,6 +87,16 @@ class TestTaskDistribution:
         with pytest.raises(ValueError):
             TaskDistribution(Family.CARTPOLE, 8.0, 5.0)
 
+    @pytest.mark.parametrize("lo, hi", [(-np.inf, 5.0), (5.0, np.inf), (np.nan, 5.0), (5.0, np.nan)])
+    def test_nonfinite_bounds_rejected(self, lo, hi):
+        with pytest.raises(ValueError, match="parameter bounds must be finite"):
+            TaskDistribution(Family.CARTPOLE, lo, hi)
+
+    @pytest.mark.parametrize("phi", [np.inf, -np.inf, np.nan])
+    def test_nonfinite_task_parameter_rejected(self, phi):
+        with pytest.raises(ValueError, match="task parameter must be finite"):
+            Task(Family.CARTPOLE, phi)
+
     def test_family_parse(self):
         def family(name):
             return build_run_config({"env": name}).meta.env

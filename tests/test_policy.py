@@ -401,6 +401,13 @@ class TestLogprob:
 
 
 class TestValue:
+    def test_a_critic_has_no_action_head(self):
+        arch, params = make_critic(CARTPOLE, Stream(21))
+        with pytest.raises(ValueError, match="critic networks have no action head"):
+            pol.draw_variates(arch, Stream(22).generator(), 3)
+        with pytest.raises(ValueError, match="critic networks have no action head"):
+            pol.logprob_graph(arch, Params(params), np.zeros((3, 4)), np.zeros(3, dtype=np.int64))
+
     def test_zero_critic_outputs_zero(self):
         arch = pol.critic_arch(CARTPOLE)
         assert value_one(arch, zero_params(arch), np.array([0.1, -0.2, 0.03, 0.0])) == 0.0

@@ -332,6 +332,28 @@ def raw_return_objective(batch: TrajectoryBatch, gamma: float):
     return obj
 
 
+class TestTrajectoryGuards:
+    def test_trajectory_fields_are_checked(self):
+        one, two = np.zeros(1), np.zeros(2)
+        with pytest.raises(ValueError, match="mismatched lengths"):
+            Trajectory(states=np.zeros((2, 4)), rewards=two, raws=one)
+        with pytest.raises(ValueError, match="empty trajectory"):
+            Trajectory(states=np.zeros((0, 4)), rewards=np.zeros(0), raws=np.zeros(0))
+        with pytest.raises(ValueError, match="rewards must be finite"):
+            Trajectory(states=np.zeros((2, 4)), rewards=np.array([1.0, np.nan]), raws=two)
+
+    def test_a_batch_needs_a_trajectory(self):
+        with pytest.raises(ValueError, match="at least one trajectory"):
+            TrajectoryBatch((), CARTPOLE.task)
+
+    @pytest.mark.parametrize("bad", [-1, 2])
+    def test_an_action_outside_the_head_is_refused_when_the_objective_is_built(self, bad):
+        """Cart-pole has actions 0 and 1: -1 would read the last logit and 2
+        would fail only at the first evaluation."""
+        with pytest.raises(ValueError, match=r"pick indices must lie in 0\.\.1"):
+            rl.policy_objective(bandit_batch([0, bad, 1], [1.0, 2.0, 3.0]), 0.99)
+
+
 class TestReinforceObjective:
     """policy_objective without a critic: the standardized score-function
     surrogate."""

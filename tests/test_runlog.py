@@ -94,6 +94,9 @@ class TestFormatting:
             row(-1)
         with pytest.raises(ValueError):
             row(0, wall=0.0)
+        for eval_s in (0.0, -0.5):
+            with pytest.raises(ValueError, match="eval_seconds must be > 0"):
+                row(0, eval_s=eval_s)
 
     def test_rows_must_increase(self):
         with pytest.raises(ValueError):
