@@ -128,8 +128,10 @@ def cartpole_euler(states: np.ndarray, forces: np.ndarray, gravity: float) -> np
     """One Euler step of cart-pole dynamics for a batch of states (n, 4) under
     per-row applied forces (n,). Pure and elementwise; exposed separately so
     dynamics can be probed with forces outside the action set (e.g. zero
-    force for free-fall checks)."""
-    x_dot, th, th_dot = states[:, 1], states[:, 2], states[:, 3]
+    force for free-fall checks). The next state is formed in one new array:
+    the rates (x_dot, x_acc, th_dot, th_acc), the two velocities copied in by
+    one strided assignment, then scaled by dt and added to the state."""
+    th, th_dot = states[:, 2], states[:, 3]
     cos_th = np.cos(th)
     sin_th = np.sin(th)
     total_mass = CART_MASS + POLE_MASS
@@ -140,9 +142,8 @@ def cartpole_euler(states: np.ndarray, forces: np.ndarray, gravity: float) -> np
     )
     x_acc = temp - polemass_length * th_acc * cos_th / total_mass
     out = np.empty_like(states)  # state + dt * (x_dot, x_acc, th_dot, th_acc)
-    out[:, 0] = x_dot
+    out[:, 0::2] = states[:, 1::2]
     out[:, 1] = x_acc
-    out[:, 2] = th_dot
     out[:, 3] = th_acc
     out *= CARTPOLE_DT
     out += states
@@ -175,6 +176,9 @@ class Environment:
         raise NotImplementedError
 
 
+_CARTPOLE_FORCES = np.array([-FORCE_MAG, FORCE_MAG])  # the force of action 0 and of action 1
+
+
 class CartPoleEnv(Environment):
     __slots__ = ()
     state_dim = 4
@@ -187,9 +191,9 @@ class CartPoleEnv(Environment):
         actions = np.asarray(actions)
         right = actions == 1
         ok = right | (actions == 0)
-        if not np.logical_and.reduce(ok):
-            raise InvalidAction(f"cartpole action must be 0 or 1, got {actions[~ok][0]!r}")
-        forces = np.where(right, FORCE_MAG, -FORCE_MAG)
+        if np.count_nonzero(ok) != ok.size:
+            raise InvalidAction(f"cartpole action must be 0 or 1, got {actions[~ok][0].item()!r}")
+        forces = _CARTPOLE_FORCES.take(right)
         nxt = cartpole_euler(np.asarray(states, dtype=np.float64), forces, self.task.phi)
         done = np.abs(nxt[:, 2]) > ANGLE_LIMIT
         done |= np.abs(nxt[:, 0]) > X_LIMIT
@@ -211,7 +215,7 @@ class IntersectionEnv(Environment):
         ok = np.isfinite(actions) & (actions >= 0.0) & (actions <= SPEED_MAX)
         if not np.all(ok):
             raise InvalidAction(
-                f"intersection speed command must lie in [0, {SPEED_MAX}], got {actions[~ok][0]!r}"
+                f"intersection speed command must lie in [0, {SPEED_MAX}], got {actions[~ok][0].item()!r}"
             )
         states = np.asarray(states, dtype=np.float64)
         nxt = np.empty_like(states)

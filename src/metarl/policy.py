@@ -6,12 +6,16 @@ actions use a Gaussian head with a state-independent learnable log-sigma
 segment, sampled then clipped into the action interval (log-density is of the
 pre-clip sample).
 
-Lockstep guarantee: `forward_inference` takes its affine maps with einsum,
-whose result for a row does not depend on the other rows of the batch. A row
-sampled in a lockstep batch therefore gets the same head outputs, action and
-raw sample as that row sampled alone or in any subset of the batch. The
-graphs (`logprob_graph`, `values_graph`) use np.matmul, which is faster on
-large batches but whose rows may differ from einsum's in the last bits.
+Lockstep guarantee: `forward_inference` takes its affine maps with einsum
+(its C routine, bound once at import), whose result for a row does not
+depend on the other rows of the batch, and every other call of a sampling
+step is elementwise: the categorical head folds a row's columns one call
+per column and picks its action from the running sums of the first n-1
+probabilities. A row sampled in a lockstep batch therefore gets the same
+head outputs, action and raw sample as that row sampled alone or in any
+subset of the batch. The graphs (`logprob_graph`, `values_graph`) use
+np.matmul, which is faster on large batches but whose rows may differ from
+einsum's in the last bits.
 Learners recompute log pi(a|s) through the graph on the frozen batch, so
 sampling keeps no log-probability.
 
@@ -28,6 +32,11 @@ import struct
 from dataclasses import dataclass
 
 import numpy as np
+
+try:
+    from numpy._core.multiarray import c_einsum as _c_einsum
+except ImportError:  # numpy < 2.0
+    from numpy.core.multiarray import c_einsum as _c_einsum
 
 from . import autodiff as ad
 from .autodiff import ParamVector, Params, Segment, _fold_columns
@@ -131,13 +140,15 @@ def forward_inference(arch: Arch, params: ParamVector, states: np.ndarray) -> np
 
     Uses einsum for the affine maps: per-row results are independent of the
     batch, which the lockstep rollout relies on. Mirrors `_forward_graph` op
-    for op, with einsum where the graph takes np.matmul.
+    for op, with einsum where the graph takes np.matmul. einsum is called as
+    its C routine, which `np.einsum` forwards to unchanged when it is not
+    asked to optimize, so the bits are np.einsum's without its Python layer.
     """
     h = np.asarray(states, dtype=np.float64)
     last = len(arch.layer_names) - 1
     for i, (w, b) in enumerate(arch.layer_names):
         # einsum returns a fresh array, so the bias and tanh go in place
-        h = np.einsum("ij,jk->ik", h, params.segment(w))
+        h = _c_einsum("ij,jk->ik", h, params.segment(w))
         h += params.segment(b)
         if i < last:
             np.tanh(h, out=h)
@@ -188,17 +199,22 @@ def act_batch(
     out = forward_inference(net.arch, net.params, states)
     head = net.arch.head
     if isinstance(head, Discrete):
-        # out is this call's own array: the logit shift, the probabilities
-        # and their running sum cum are each formed in its buffer; the row
-        # max and the row sum are column folds, as in log_softmax_pick
+        # out is this call's own array, so the logit shift is formed in its
+        # buffer; the row max and the row sum are column folds, as in
+        # log_softmax_pick
         out -= _fold_columns(np.maximum, out)[:, None]
-        finite = np.logical_and.reduce(np.isfinite(out), axis=None)
-        out -= np.log(_fold_columns(np.add, np.exp(out)))[:, None]
-        cum = np.add.accumulate(np.exp(out, out=out), axis=1, out=out)
-        # a running sum of non-negative terms never decreases, so the count
-        # of its first n-1 entries <= u is searchsorted(cum, u, side="right")
-        # capped at n-1, whatever the last entry rounds to
-        acts = np.add.reduce(cum[:, :-1] <= u[:, None], axis=1, dtype=np.int64)
+        finite = np.count_nonzero(np.isfinite(out)) == out.size
+        lse = np.log(_fold_columns(np.add, np.exp(out)))
+        # the action is the count of the first n-1 running sums of the
+        # probabilities exp(out[:, j] - lse) that are <= u, which is
+        # searchsorted(running sums, u, side="right") capped at n-1: a
+        # running sum of non-negative terms never decreases, and the last
+        # one, whatever it rounds to, is never compared
+        c = np.exp(out[:, 0] - lse)
+        acts = (c <= u).astype(np.int64)
+        for j in range(1, out.shape[1] - 1):
+            c = c + np.exp(out[:, j] - lse)
+            acts += c <= u
         actions = raws = acts
     elif isinstance(head, Box):
         mean = out[:, 0]

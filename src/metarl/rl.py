@@ -7,9 +7,10 @@ for the whole horizon in one call, so serial, parallel, and lockstep
 execution all produce identical bits. Rollouts therefore take a `Stream`,
 never a generator: a generator reused across episodes would hand each
 episode different variates. The lockstep loop steps every still-active
-episode of a batch together; the policy's einsum forward and the
-environments' elementwise stepping guarantee each row matches a solo rollout
-bit for bit.
+episode of a batch together. Each call of a step computes a row from that
+row alone: the policy's forward is einsum's C routine, its categorical pick
+folds the action columns one elementwise call at a time, and environments
+step elementwise. So each row matches a solo rollout bit for bit.
 
 Objectives canonicalize trajectory order (sorting by content) before pooling,
 making the surrogate bit-invariant to the order trajectories arrive in.
@@ -123,7 +124,7 @@ def _run_rollouts(
             bufs = [np.empty((horizon, k) + f.shape[1:], dtype=f.dtype) for f in fields]
         for buf, f in zip(bufs, fields):
             buf[at] = f
-        if np.logical_or.reduce(dones):
+        if np.count_nonzero(dones):
             lengths[rows[dones]] = t + 1
             live = ~dones
             rows, cur = rows[live], nxt[live]

@@ -1,7 +1,9 @@
 """Shared test fixtures: hand-built parameter vectors, reference policies,
 a call counter, a traced-memory probe, and the references the library's
 fast paths are checked against: a solo-episode rollout, the empirical
-medium task, and the graph primitives the fused nodes replace. Also `add`,
+medium task, the graph primitives the fused nodes replace, and the rollout
+step's compositions (einsum forward, categorical pick, cart-pole step) that
+its per-call trims replace. Also `add`,
 the sum of two nodes, which only tests' objectives need, and
 `until_converged`, the prefix of a run the acceptance cache records."""
 
@@ -15,10 +17,11 @@ from typing import Iterator
 import numpy as np
 
 from metarl import autodiff as ad
+from metarl import envs
 from metarl import policy as pol
 from metarl import rl
 from metarl.envs import Environment, Task
-from metarl.errors import EmptyTaskSet
+from metarl.errors import EmptyTaskSet, InvalidAction, NonFiniteValue
 from metarl.rng import Stream
 from metarl.runlog import convergence_epoch
 
@@ -221,6 +224,85 @@ def row_max_const(a) -> ad.Node:
     """Row maxima, detached from the graph (constant shift for stable
     log-softmax; value and all derivatives of the composition stay exact)."""
     return ad.Node(np.maximum.reduce(ad._as_node(a).val, axis=1, keepdims=True))
+
+
+# ---------------------------------------------------------------------------
+# The rollout step as composed before its per-call trims: the bitwise
+# references for `policy.forward_inference`, the categorical pick of
+# `policy.act_batch`, `envs.cartpole_euler` and `CartPoleEnv.step_batch`.
+# ---------------------------------------------------------------------------
+
+def reference_forward(arch: pol.Arch, params: ad.ParamVector, states) -> np.ndarray:
+    """Head outputs through `np.einsum("ij,jk->ik")`, the bias and tanh of
+    each layer applied after it."""
+    h = np.asarray(states, dtype=np.float64)
+    last = len(arch.layer_names) - 1
+    for i, (w, b) in enumerate(arch.layer_names):
+        h = np.einsum("ij,jk->ik", h, params.segment(w))
+        h += params.segment(b)
+        if i < last:
+            np.tanh(h, out=h)
+    return h
+
+
+def reference_running_sums(logits: np.ndarray) -> "tuple[np.ndarray, bool]":
+    """(running sums of the action probabilities, whether every logit shift
+    is finite) of a (rows x n) logits array, each step full width: the shift
+    by the row max, the log-sum-exp subtracted from every column, the
+    probabilities and `np.add.accumulate` along the row."""
+    out = np.array(logits, dtype=np.float64)
+    out -= ad._fold_columns(np.maximum, out)[:, None]
+    finite = bool(np.logical_and.reduce(np.isfinite(out), axis=None))
+    out -= np.log(ad._fold_columns(np.add, np.exp(out)))[:, None]
+    return np.add.accumulate(np.exp(out, out=out), axis=1, out=out), finite
+
+
+def reference_categorical_act(logits: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """The int64 count, per row, of the first n-1 running sums <= u, summed
+    by `np.add.reduce`; NonFiniteValue when a logit shift is not finite."""
+    cum, finite = reference_running_sums(logits)
+    acts = np.add.reduce(cum[:, :-1] <= u[:, None], axis=1, dtype=np.int64)
+    if not finite:
+        raise NonFiniteValue("sampled action distribution is not finite")
+    return acts
+
+
+def reference_cartpole_euler(states: np.ndarray, forces: np.ndarray, gravity: float) -> np.ndarray:
+    """One Euler step of cart-pole dynamics, each rate written into its own
+    column of the next state."""
+    x_dot, th, th_dot = states[:, 1], states[:, 2], states[:, 3]
+    cos_th = np.cos(th)
+    sin_th = np.sin(th)
+    total_mass = envs.CART_MASS + envs.POLE_MASS
+    polemass_length = envs.POLE_MASS * envs.HALF_LENGTH
+    temp = (forces + polemass_length * th_dot * th_dot * sin_th) / total_mass
+    th_acc = (gravity * sin_th - cos_th * temp) / (
+        envs.HALF_LENGTH * (4.0 / 3.0 - envs.POLE_MASS * cos_th * cos_th / total_mass)
+    )
+    x_acc = temp - polemass_length * th_acc * cos_th / total_mass
+    out = np.empty_like(states)
+    out[:, 0] = x_dot
+    out[:, 1] = x_acc
+    out[:, 2] = th_dot
+    out[:, 3] = th_acc
+    out *= envs.CARTPOLE_DT
+    out += states
+    return out
+
+
+def reference_cartpole_step(env: Environment, states, actions):
+    """`CartPoleEnv.step_batch` with its actions checked by
+    `np.logical_and.reduce` and its forces taken by `np.where`."""
+    actions = np.asarray(actions)
+    right = actions == 1
+    ok = right | (actions == 0)
+    if not np.logical_and.reduce(ok):
+        raise InvalidAction(f"cartpole action must be 0 or 1, got {actions[~ok][0].item()!r}")
+    forces = np.where(right, envs.FORCE_MAG, -envs.FORCE_MAG)
+    nxt = reference_cartpole_euler(np.asarray(states, dtype=np.float64), forces, env.task.phi)
+    done = np.abs(nxt[:, 2]) > envs.ANGLE_LIMIT
+    done |= np.abs(nxt[:, 0]) > envs.X_LIMIT
+    return nxt, np.ones(len(nxt)), done
 
 
 def until_converged(rc, epochs):

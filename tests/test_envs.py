@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from _helpers import empirical_medium
+from _helpers import empirical_medium, reference_cartpole_euler, reference_cartpole_step
 from metarl import envs
 from metarl.envs import (
     Box,
@@ -173,6 +173,21 @@ class TestCartPole:
         with pytest.raises(InvalidAction):
             step_one(env, state, 0.5)
 
+    @pytest.mark.parametrize(
+        "family, actions, shown",
+        [
+            (Family.CARTPOLE, [0, 2], "2"),
+            (Family.CARTPOLE, [1.0, np.nan], "nan"),
+            (Family.INTERSECTION, [1.0, np.nan], "nan"),
+            (Family.INTERSECTION, [15.5, 1.0], "15.5"),
+        ],
+        ids=["cartpole-2", "cartpole-nan", "intersection-nan", "intersection-15.5"],
+    )
+    def test_invalid_action_message_shows_the_plain_value(self, family, actions, shown):
+        env = make_env(Task(family, 10.0))
+        with pytest.raises(InvalidAction, match=rf", got {shown}$"):
+            env.step_batch(np.zeros((2, env.state_dim)), np.array(actions))
+
     def test_step_batch_validates_like_isin(self):
         # The batched check must reject and accept exactly what
         # np.isin(actions, (0, 1)) does, one bad row among good ones included.
@@ -309,6 +324,68 @@ class TestBatchScalarAgreement:
         keep = np.array([0, 3, 4, 8])
         sub, _, _ = env.step_batch(states[keep], actions[keep])
         assert sub.tobytes() == full[keep].tobytes()
+
+
+def edge_states(gen: np.random.Generator, rows: int) -> np.ndarray:
+    """Cart-pole states around the termination limits: each entry is drawn
+    within (or just past) its limit, and about a third of the entries are
+    replaced by a signed zero, a limit, or a limit's neighbouring float."""
+    limits = np.array([envs.X_LIMIT, 2.0, envs.ANGLE_LIMIT, 2.0])
+    states = gen.uniform(-1.05, 1.05, size=(rows, 4)) * limits
+    specials = []
+    for lim in limits:
+        edge = np.array([lim, np.nextafter(lim, 0.0), np.nextafter(lim, np.inf)])
+        specials.append(np.concatenate([[0.0, -0.0], edge, -edge]))
+    for col, values in enumerate(specials):
+        pick = gen.random(rows) < 0.35
+        states[pick, col] = gen.choice(values, size=int(pick.sum()))
+    return states
+
+
+class TestCartPoleMatchesReference:
+    """`cartpole_euler` and `CartPoleEnv.step_batch` give the bits of the
+    composition they replaced: each rate in its own column and the forces
+    by np.where. The lockstep engine tests run the same step on both sides,
+    so they cannot see a change of these bits."""
+
+    @settings(max_examples=40, derandomize=True, database=None, deadline=None)
+    @given(
+        st.integers(min_value=0, max_value=2**31 - 1),
+        st.integers(min_value=1, max_value=2000),
+        st.floats(min_value=5.0, max_value=15.0),
+    )
+    def test_step_and_euler_bitwise(self, seed, rows, gravity):
+        gen = np.random.default_rng(seed)
+        states = edge_states(gen, rows)
+        env = make_env(Task(Family.CARTPOLE, gravity))
+        for actions in (gen.integers(0, 2, size=rows), gen.integers(0, 2, size=rows).astype(np.float64)):
+            got = env.step_batch(states, actions)
+            want = reference_cartpole_step(env, states, actions)
+            for g, w in zip(got, want):
+                assert g.dtype == w.dtype and g.shape == w.shape
+                assert g.tobytes() == w.tobytes()
+        forces = gen.choice([0.0, -0.0, 10.0, -10.0, 3.7], size=rows)
+        got = envs.cartpole_euler(states, forces, gravity)
+        assert got.tobytes() == reference_cartpole_euler(states, forces, gravity).tobytes()
+
+    @pytest.mark.parametrize("bad", [2, -1, 0.5])
+    def test_invalid_actions_refused_as_before(self, bad):
+        env = make_env(Task(Family.CARTPOLE, 9.8))
+        states, actions = np.zeros((3, 4)), np.array([0, bad, 1])
+        with pytest.raises(InvalidAction) as got:
+            env.step_batch(states, actions)
+        with pytest.raises(InvalidAction) as want:
+            reference_cartpole_step(env, states, actions)
+        assert str(got.value) == str(want.value) == f"cartpole action must be 0 or 1, got {bad!r}"
+
+    def test_float_one_accepted(self):
+        env = make_env(Task(Family.CARTPOLE, 9.8))
+        states = edge_states(np.random.default_rng(5), 6)
+        actions = np.array([1.0, 0.0, 1.0, 1.0, 0.0, 1.0])
+        got = env.step_batch(states, actions)
+        for want in (reference_cartpole_step(env, states, actions), env.step_batch(states, actions.astype(np.int64))):
+            for g, w in zip(got, want):
+                assert g.tobytes() == w.tobytes()
 
 
 class TestNoHorizon:

@@ -7,6 +7,7 @@ from __future__ import annotations
 
 import re
 import struct
+import warnings
 
 import numpy as np
 import pytest
@@ -16,11 +17,17 @@ from hypothesis import strategies as st
 from metarl import autodiff as ad
 from metarl import policy as pol
 from metarl.autodiff import ParamVector, Params, Segment
-from metarl.envs import Discrete, Family, Task, make_env
-from metarl.errors import NonFiniteValue, ParseError
+from metarl.envs import Box, Discrete, Family, Task, make_env
+from metarl.errors import MetaRLError, NonFiniteValue, ParseError
 from metarl.rng import Stream
 
-from _helpers import make_policy, zero_params
+from _helpers import (
+    make_policy,
+    reference_categorical_act,
+    reference_forward,
+    reference_running_sums,
+    zero_params,
+)
 
 CARTPOLE = make_env(Task(Family.CARTPOLE, 10.0))
 INTERSECTION = make_env(Task(Family.INTERSECTION, 10.0))
@@ -209,6 +216,41 @@ class TestForwardInference:
         sub = pol.forward_inference(arch, params, states[self.KEEP])
         assert sub.tobytes() == full[self.KEEP].tobytes()
 
+    # output widths 1 (critic, Gaussian head), 2, 3 and 64: the narrow ones
+    # are where another einsum product path gives other bits
+    WIDTHS = {
+        "critic": pol.Arch(4, pol.HIDDEN, None),
+        "gaussian": pol.Arch(2, pol.HIDDEN, Box(0.0, 15.0)),
+        "categorical-2": pol.Arch(4, pol.HIDDEN, Discrete(2)),
+        "categorical-3": pol.Arch(4, pol.HIDDEN, Discrete(3)),
+        "categorical-64": pol.Arch(4, pol.HIDDEN, Discrete(64)),
+    }
+
+    @settings(max_examples=30, derandomize=True, database=None, deadline=None)
+    @given(
+        st.sampled_from(sorted(WIDTHS)),
+        st.integers(min_value=1, max_value=2000),
+        st.integers(min_value=0, max_value=2**31 - 1),
+    )
+    def test_matches_the_np_einsum_composition_bitwise(self, name, rows, seed):
+        arch = self.WIDTHS[name]
+        params = pol.init_params(arch, Stream(seed))
+        states = Stream(seed).child(1).generator().normal(size=(rows, arch.input_dim))
+        got = pol.forward_inference(arch, params, states)
+        want = reference_forward(arch, params, states)
+        assert got.shape == want.shape == (rows, arch.out_dim)
+        assert got.tobytes() == want.tobytes()
+
+    def test_binds_the_routine_np_einsum_forwards_to(self):
+        # numpy 2 keeps numpy.core as a deprecated alias of numpy._core, so
+        # this one name resolves the routine on either import path
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", DeprecationWarning)
+            from numpy.core import multiarray
+
+            routine = multiarray.c_einsum
+        assert pol._c_einsum is routine
+
 
 class TestOwnBuffers:
     """forward_inference and act_batch work in place only on arrays they
@@ -305,6 +347,65 @@ class TestCategoricalPick:
         for bad in (np.zeros(2), np.zeros(4), np.zeros((3, 1))):
             with pytest.raises(ValueError):
                 pol.act_batch(net, np.zeros((3, 4)), bad)
+
+    @settings(max_examples=25, derandomize=True, database=None, deadline=None)
+    @given(
+        st.integers(min_value=0, max_value=2**31 - 1),
+        st.integers(min_value=1, max_value=2000),
+        st.integers(min_value=2, max_value=7),
+        st.sampled_from([0.0, 1.0, 50.0]),
+    )
+    def test_matches_the_full_width_composition_bitwise(self, seed, rows, n, spread):
+        # every state is tried with a variate on each running sum, one ulp
+        # below and above it, and one uniform; spread 0 makes every row's
+        # logits equal, a large spread saturates the tanh layers
+        arch = pol.Arch(4, pol.HIDDEN, Discrete(n))
+        net = pol.PolicyNet(arch, pol.init_params(arch, Stream(seed)))
+        gen = Stream(seed).child(1).generator()
+        states = gen.normal(scale=spread, size=(rows, 4))
+        cum, finite = reference_running_sums(pol.forward_inference(arch, net.params, states))
+        assert finite
+        u = np.concatenate(
+            [cum, np.nextafter(cum, -np.inf), np.nextafter(cum, np.inf), gen.random((rows, 1))], axis=1
+        )
+        tiled = np.repeat(states, u.shape[1], axis=0)
+        u = u.ravel()
+        actions, raws = pol.act_batch(net, tiled, u)
+        want = reference_categorical_act(pol.forward_inference(arch, net.params, tiled), u)
+        assert actions.dtype == want.dtype == np.int64
+        assert actions.tobytes() == want.tobytes()
+        assert raws is actions
+
+    @pytest.mark.parametrize("logit", [np.nan, np.inf, -np.inf], ids=["nan", "plus-inf", "minus-inf"])
+    def test_nonfinite_logits_refused_as_before(self, logit):
+        # the same exception and the same numpy warnings (an infinite logit
+        # makes inf - inf in the shift) as the full-width composition; a
+        # parameter vector is finite, so a nan logit comes from nan states
+        # and an infinite one from saturated hidden units times +-1e308
+        if np.isnan(logit):
+            net, states = categorical_net(2), np.full((3, 4), np.nan)
+        else:
+            w2 = np.zeros((64, 2))
+            w2[:, 0] = np.copysign(1e308, logit)
+            net, states = categorical_net(2, b1=np.full(64, 30.0), W2=w2), np.zeros((3, 4))
+        logits = pol.forward_inference(net.arch, net.params, states)
+        assert np.array_equal(logits[:, 0], np.full(3, logit), equal_nan=True)
+        u = np.array([0.1, 0.5, 0.9])
+
+        def outcome(act):
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always")
+                try:
+                    act()
+                    raised = None
+                except MetaRLError as e:
+                    raised = (type(e), str(e))
+            return raised, [(w.category, str(w.message)) for w in caught]
+
+        got = outcome(lambda: pol.act_batch(net, states, u))
+        want = outcome(lambda: reference_categorical_act(pol.forward_inference(net.arch, net.params, states), u))
+        assert got == want
+        assert got[0][0] is NonFiniteValue
 
 
 class TestLogprob:

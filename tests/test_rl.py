@@ -19,7 +19,7 @@ from metarl.envs import Discrete, Family, Task, make_env
 from metarl.rl import Trajectory, TrajectoryBatch, discounted_returns
 from metarl.rng import Stream
 
-from _helpers import balancer_policy, make_policy, rollout, zero_params
+from _helpers import balancer_policy, make_policy, reference_cartpole_step, rollout, zero_params
 
 CARTPOLE = make_env(Task(Family.CARTPOLE, 10.0))
 INTERSECTION = make_env(Task(Family.INTERSECTION, 10.0))
@@ -138,10 +138,12 @@ def stepwise_act(net, states, gens):
     return np.clip(raws, head.low, head.high), raws
 
 
-def stepwise_rollouts(env, net, k, rng, horizon):
+def stepwise_rollouts(env, net, k, rng, horizon, step=None):
     """Reference engine: each step draws one variate per active row from
     that row's generator, and appends every field row by row, for at most
-    `horizon` steps."""
+    `horizon` steps. `step(states, actions)` steps the active rows
+    (env.step_batch when None)."""
+    step = step or env.step_batch
     gens = [rng.child(j).generator() for j in range(k)]
     states = np.stack([env.reset(g) for g in gens])
     rec = [tuple([] for _ in FIELDS) for _ in range(k)]
@@ -150,7 +152,7 @@ def stepwise_rollouts(env, net, k, rng, horizon):
     while active and t < horizon:
         cur = states[np.asarray(active)]
         acts, raws = stepwise_act(net, cur, [gens[j] for j in active])
-        nxt, rews, dones = env.step_batch(cur, acts)
+        nxt, rews, dones = step(cur, acts)
         for m, j in enumerate(active):
             for field, val in zip(rec[j], (cur[m], rews[m], raws[m])):
                 field.append(val)
@@ -183,9 +185,9 @@ class TestEngineMatchesStepwiseLoop:
     Each case asserts the endings it is meant to cover."""
 
     @staticmethod
-    def assert_same(env, net, k, rng, horizon):
+    def assert_same(env, net, k, rng, horizon, step=None):
         got = rl.sample_batch(env, net, k, rng, horizon).trajectories
-        want = stepwise_rollouts(env, net, k, rng, horizon)
+        want = stepwise_rollouts(env, net, k, rng, horizon, step)
         assert len(got) == len(want) == k
         for g, w in zip(got, want):
             for field in FIELDS:
@@ -208,6 +210,20 @@ class TestEngineMatchesStepwiseLoop:
     def test_cartpole_all_truncated(self):
         lengths = [t.length for t in self.assert_same(CARTPOLE, balancer_policy(CARTPOLE), 4, Stream(43), H_CARTPOLE)]
         assert lengths == [200] * 4
+
+    @pytest.mark.parametrize("case", ["mixed", "all-early", "all-truncated"])
+    def test_cartpole_against_the_reference_step(self, case):
+        # the reference loop steps by the composition the cart-pole step
+        # replaced, so a change of the step's bits shows here
+        env, net = {
+            "mixed": mixed_cartpole(),
+            "all-early": (CARTPOLE, make_policy(CARTPOLE, Stream(3))),
+            "all-truncated": (CARTPOLE, balancer_policy(CARTPOLE)),
+        }[case]
+        trajs = self.assert_same(env, net, 6, Stream(44), H_CARTPOLE, lambda s, a: reference_cartpole_step(env, s, a))
+        lengths = {t.length for t in trajs}
+        assert {"mixed": 200 in lengths and min(lengths) < 200, "all-early": max(lengths) < 200,
+                "all-truncated": lengths == {200}}[case]
 
     def test_intersection_collisions_and_crossings(self):
         env, net = crash_or_cross()
