@@ -659,6 +659,8 @@ def _fold_columns(ufunc, x: np.ndarray) -> np.ndarray:
     if not 2 <= n < 8:
         return ufunc.reduce(x, axis=1)
     acc = ufunc(x[:, 0], x[:, 1])
+    if n == 2:
+        return acc
     for j in range(2, n):
         ufunc(acc, x[:, j], out=acc)
     return acc

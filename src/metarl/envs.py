@@ -27,6 +27,7 @@ import enum
 from dataclasses import dataclass
 
 import numpy as np
+from numpy._core.multiarray import count_nonzero as _count_nonzero
 
 from .errors import InvalidAction
 from .rng import Stream
@@ -124,27 +125,52 @@ def sample_tasks(dist: TaskDistribution, m: int, rng: Stream) -> "list[Task]":
     return [Task(dist.family, float(p)) for p in phis]
 
 
+_TOTAL_MASS = CART_MASS + POLE_MASS
+_POLEMASS_LENGTH = POLE_MASS * HALF_LENGTH
+
+
 def cartpole_euler(states: np.ndarray, forces: np.ndarray, gravity: float) -> np.ndarray:
     """One Euler step of cart-pole dynamics for a batch of states (n, 4) under
-    per-row applied forces (n,). Pure and elementwise; exposed separately so
-    dynamics can be probed with forces outside the action set (e.g. zero
-    force for free-fall checks). The next state is formed in one new array:
-    the rates (x_dot, x_acc, th_dot, th_acc), the two velocities copied in by
-    one strided assignment, then scaled by dt and added to the state."""
+    per-row finite applied forces (n,). Pure and elementwise; exposed
+    separately so dynamics can be probed with forces outside the action set
+    (e.g. zero force for free-fall checks).
+
+    The next state state + dt * (x_dot, x_acc, th_dot, th_acc) is formed in
+    one new array: th_acc and x_acc are computed in place in its columns 3
+    and 1, the two velocities copied into columns 0 and 2 by one strided
+    assignment, then the whole array is scaled by dt and added to the state.
+    Every operation is the ufunc of the textbook expression on the same
+    operands in the same order, except that an in-place product or sum may
+    take its operands swapped where the other one is a constant or the
+    force: IEEE-754 + and x are commutative, so the bits are the same."""
     th, th_dot = states[:, 2], states[:, 3]
     cos_th = np.cos(th)
     sin_th = np.sin(th)
-    total_mass = CART_MASS + POLE_MASS
-    polemass_length = POLE_MASS * HALF_LENGTH
-    temp = (forces + polemass_length * th_dot * th_dot * sin_th) / total_mass
-    th_acc = (gravity * sin_th - cos_th * temp) / (
-        HALF_LENGTH * (4.0 / 3.0 - POLE_MASS * cos_th * cos_th / total_mass)
-    )
-    x_acc = temp - polemass_length * th_acc * cos_th / total_mass
-    out = np.empty_like(states)  # state + dt * (x_dot, x_acc, th_dot, th_acc)
+    out = np.empty_like(states)
+    th_acc, x_acc = out[:, 3], out[:, 1]
+    # temp = (forces + polemass_length * th_dot * th_dot * sin_th) / total_mass
+    temp = th_dot * _POLEMASS_LENGTH
+    temp *= th_dot
+    temp *= sin_th
+    temp += forces
+    temp /= _TOTAL_MASS
+    # th_acc = (gravity * sin_th - cos_th * temp)
+    #          / (half_length * (4/3 - pole_mass * cos_th * cos_th / total_mass))
+    np.multiply(gravity, sin_th, th_acc)
+    np.multiply(cos_th, temp, x_acc)
+    th_acc -= x_acc
+    den = np.multiply(cos_th, POLE_MASS, sin_th)  # sin_th is spent
+    den *= cos_th
+    den /= _TOTAL_MASS
+    np.subtract(4.0 / 3.0, den, den)
+    den *= HALF_LENGTH
+    th_acc /= den
+    # x_acc = temp - polemass_length * th_acc * cos_th / total_mass
+    np.multiply(th_acc, _POLEMASS_LENGTH, x_acc)
+    x_acc *= cos_th
+    x_acc /= _TOTAL_MASS
+    np.subtract(temp, x_acc, x_acc)
     out[:, 0::2] = states[:, 1::2]
-    out[:, 1] = x_acc
-    out[:, 3] = th_acc
     out *= CARTPOLE_DT
     out += states
     return out
@@ -190,14 +216,16 @@ class CartPoleEnv(Environment):
     def step_batch(self, states, actions):
         actions = np.asarray(actions)
         right = actions == 1
-        ok = right | (actions == 0)
-        if np.count_nonzero(ok) != ok.size:
+        ok = actions == 0
+        ok |= right
+        if _count_nonzero(ok) != ok.size:
             raise InvalidAction(f"cartpole action must be 0 or 1, got {actions[~ok][0].item()!r}")
         forces = _CARTPOLE_FORCES.take(right)
         nxt = cartpole_euler(np.asarray(states, dtype=np.float64), forces, self.task.phi)
         done = np.abs(nxt[:, 2]) > ANGLE_LIMIT
         done |= np.abs(nxt[:, 0]) > X_LIMIT
-        rewards = np.ones(len(nxt))
+        rewards = np.empty(len(nxt))
+        rewards.fill(1.0)
         return nxt, rewards, done
 
 
@@ -212,20 +240,24 @@ class IntersectionEnv(Environment):
 
     def step_batch(self, states, actions):
         actions = np.asarray(actions, dtype=np.float64)
-        ok = np.isfinite(actions) & (actions >= 0.0) & (actions <= SPEED_MAX)
-        if not np.all(ok):
+        # nan fails both comparisons and an infinity one of them
+        ok = actions >= 0.0
+        ok &= actions <= SPEED_MAX
+        if _count_nonzero(ok) != ok.size:
             raise InvalidAction(
                 f"intersection speed command must lie in [0, {SPEED_MAX}], got {actions[~ok][0].item()!r}"
             )
         states = np.asarray(states, dtype=np.float64)
         nxt = np.empty_like(states)
-        nxt[:, 0] = states[:, 0] + INTERSECTION_DT * actions
-        nxt[:, 1] = states[:, 1] + INTERSECTION_DT * self.task.phi
-        collided = (np.abs(nxt[:, 0]) < CONFLICT_RADIUS) & (np.abs(nxt[:, 1]) < CONFLICT_RADIUS)
-        crossed = nxt[:, 0] >= CROSS_LINE
+        x = np.multiply(INTERSECTION_DT, actions, nxt[:, 0])
+        np.add(states[:, 0], x, x)
+        np.add(states[:, 1], INTERSECTION_DT * self.task.phi, nxt[:, 1])
+        inside = np.abs(nxt) < CONFLICT_RADIUS
+        collided = inside[:, 0] & inside[:, 1]
+        crossed = x >= CROSS_LINE
         rewards = actions / SPEED_MAX
-        rewards = np.where(crossed, CROSS_REWARD, rewards)
-        rewards = np.where(collided, COLLISION_REWARD, rewards)  # collision dominates
+        rewards[crossed] = CROSS_REWARD
+        rewards[collided] = COLLISION_REWARD  # collision dominates
         done = collided | crossed
         return nxt, rewards, done
 

@@ -7,9 +7,10 @@ segment, sampled then clipped into the action interval (log-density is of the
 pre-clip sample).
 
 Lockstep guarantee: `forward_inference` takes its affine maps with einsum
-(its C routine, bound once at import), whose result for a row does not
-depend on the other rows of the batch, and every other call of a sampling
-step is elementwise: the categorical head folds a row's columns one call
+(its C routine, bound once at import, as is `count_nonzero`'s, which counts
+the sampling step's finite values), whose result for a row does not depend
+on the other rows of the batch, and every other call of a sampling step is
+elementwise: the categorical head folds a row's columns one call
 per column and picks its action from the running sums of the first n-1
 probabilities. A row sampled in a lockstep batch therefore gets the same
 head outputs, action and raw sample as that row sampled alone or in any
@@ -33,10 +34,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-try:
-    from numpy._core.multiarray import c_einsum as _c_einsum
-except ImportError:  # numpy < 2.0
-    from numpy.core.multiarray import c_einsum as _c_einsum
+from numpy._core.multiarray import c_einsum as _c_einsum
+from numpy._core.multiarray import count_nonzero as _count_nonzero
 
 from . import autodiff as ad
 from .autodiff import ParamVector, Params, Segment, _fold_columns
@@ -63,6 +62,8 @@ __all__ = [
 HIDDEN = (64, 64)
 LOG_SIGMA_INIT = float(np.log(2.0))
 HALF_LOG_2PI = 0.5 * float(np.log(2.0 * np.pi))
+# the largest float64 x for which np.exp(x) is finite
+_EXP_ARG_MAX = float(np.log(np.finfo(np.float64).max))
 
 
 @dataclass(frozen=True)
@@ -143,15 +144,18 @@ def forward_inference(arch: Arch, params: ParamVector, states: np.ndarray) -> np
     for op, with einsum where the graph takes np.matmul. einsum is called as
     its C routine, which `np.einsum` forwards to unchanged when it is not
     asked to optimize, so the bits are np.einsum's without its Python layer.
+    The layers read the vector's segment views, fetched once per call.
     """
+    views = params._segment_views()
+    *hidden, (w_out, b_out) = arch.layer_names
     h = np.asarray(states, dtype=np.float64)
-    last = len(arch.layer_names) - 1
-    for i, (w, b) in enumerate(arch.layer_names):
+    for w, b in hidden:
         # einsum returns a fresh array, so the bias and tanh go in place
-        h = _c_einsum("ij,jk->ik", h, params.segment(w))
-        h += params.segment(b)
-        if i < last:
-            np.tanh(h, out=h)
+        h = _c_einsum("ij,jk->ik", h, views[w])
+        h += views[b]
+        np.tanh(h, out=h)
+    h = _c_einsum("ij,jk->ik", h, views[w_out])
+    h += views[b_out]
     return h
 
 
@@ -203,7 +207,7 @@ def act_batch(
         # buffer; the row max and the row sum are column folds, as in
         # log_softmax_pick
         out -= _fold_columns(np.maximum, out)[:, None]
-        finite = np.count_nonzero(np.isfinite(out)) == out.size
+        finite = _count_nonzero(np.isfinite(out)) == out.size
         lse = np.log(_fold_columns(np.add, np.exp(out)))
         # the action is the count of the first n-1 running sums of the
         # probabilities exp(out[:, j] - lse) that are <= u, which is
@@ -217,14 +221,15 @@ def act_batch(
             acts += c <= u
         actions = raws = acts
     elif isinstance(head, Box):
-        mean = out[:, 0]
         logsig = net.params.segment("log_sigma")
-        # logprob_graph scales by exp(-log_sigma), which overflows where
-        # sigma underflows; an overflow is reported as NonFiniteValue below
+        # raws = mean + sigma * u, formed in the mean's column of out;
+        # an overflow is reported as NonFiniteValue below
+        raws = out[:, 0]
         with np.errstate(over="ignore"):
-            sigma = np.exp(logsig)[0]
-            raws = mean + sigma * u
-            finite = np.isfinite(raws).all() and np.isfinite(np.exp(-logsig)).all()
+            raws += np.exp(logsig)[0] * u
+        # logprob_graph scales by exp(-log_sigma), which is finite exactly
+        # where -log_sigma is at most _EXP_ARG_MAX
+        finite = _count_nonzero(np.isfinite(raws)) == n and -logsig[0] <= _EXP_ARG_MAX
         actions = np.clip(raws, head.low, head.high)
     else:
         raise ValueError("critic networks have no action head")

@@ -22,6 +22,7 @@ from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
+from numpy._core.multiarray import count_nonzero as _count_nonzero
 
 from . import autodiff as ad
 from .autodiff import Params
@@ -99,9 +100,12 @@ def _run_rollouts(
 ) -> "list[Trajectory]":
     """Lockstep rollouts, one per stream: each episode resets from its own
     generator, which then draws the episode's variates up to the horizon;
-    all active episodes step together until done or horizon. Steps are
-    recorded into (horizon, k, ...) buffers, written whole while no episode
-    has ended. A horizon below 1 raises ValueError."""
+    all active episodes step together until done or horizon, in one
+    `env.step_batch(states, actions)` call per step on the live rows only,
+    so those calls' rows add up to the trajectories' lengths. Steps are
+    recorded into three (horizon, k, ...) buffers, one per Trajectory
+    field, written whole while no episode has ended. A horizon below 1
+    raises ValueError."""
     k = len(streams)
     if horizon < 1:
         raise ValueError(f"horizon must be >= 1, got {horizon}")
@@ -114,17 +118,18 @@ def _run_rollouts(
     cur = np.stack(starts)
     rows = np.arange(k)  # trajectory of each row of cur
     lengths = np.full(k, horizon)
-    bufs: "list[np.ndarray]" = []
+    states_buf = np.empty((horizon,) + cur.shape, dtype=cur.dtype)
     for t in range(horizon):
         at = t if len(rows) == k else (t, rows)  # step t of each live row
         acts, raws = act_batch(policy, cur, variates[at])
         nxt, rews, dones = env.step_batch(cur, acts)
-        fields = (cur, rews, raws)  # Trajectory field order
-        if not bufs:
-            bufs = [np.empty((horizon, k) + f.shape[1:], dtype=f.dtype) for f in fields]
-        for buf, f in zip(bufs, fields):
-            buf[at] = f
-        if np.count_nonzero(dones):
+        if not t:  # the first step shows the dtypes of rewards and raws
+            rews_buf = np.empty((horizon, k), dtype=rews.dtype)
+            raws_buf = np.empty((horizon, k), dtype=raws.dtype)
+        states_buf[at] = cur
+        rews_buf[at] = rews
+        raws_buf[at] = raws
+        if _count_nonzero(dones):
             lengths[rows[dones]] = t + 1
             live = ~dones
             rows, cur = rows[live], nxt[live]
@@ -132,7 +137,10 @@ def _run_rollouts(
                 break
         else:
             cur = nxt
-    return [Trajectory(*(buf[:n, j].copy() for buf in bufs)) for j, n in enumerate(lengths)]
+    return [
+        Trajectory(states_buf[:n, j].copy(), rews_buf[:n, j].copy(), raws_buf[:n, j].copy())
+        for j, n in enumerate(lengths)
+    ]
 
 
 def sample_batch(env: Environment, policy: PolicyNet, k: int, rng: Stream, horizon: int) -> TrajectoryBatch:

@@ -164,19 +164,15 @@ def write_atomic(path, data: "str | bytes") -> None:
 def _platform_record() -> "dict[str, object]":
     """The numeric platform of this process: what `.runlog` bytes depend on
     besides the code, the config and the seed."""
-    try:
-        deps = np.show_config(mode="dicts")
-        blas_dep = deps["Build Dependencies"]["blas"]
-        blas, simd = f"{blas_dep['name']} {blas_dep['version']}", deps["SIMD Extensions"]["found"]
-    except (TypeError, KeyError):  # numpy before 1.26 has no dict form
-        blas, simd = None, None
+    deps = np.show_config(mode="dicts")
+    blas = deps["Build Dependencies"]["blas"]
     return {
         "python": platform.python_version(),
         "numpy": np.__version__,
-        "blas": blas,
+        "blas": f"{blas['name']} {blas['version']}",
         "blas_threads": {var: os.environ.get(var) for var in _BLAS_THREAD_VARS},
         "cpu": platform.machine(),
-        "simd": simd,
+        "simd": deps["SIMD Extensions"]["found"],
     }
 
 

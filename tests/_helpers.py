@@ -2,8 +2,8 @@
 a call counter, a traced-memory probe, and the references the library's
 fast paths are checked against: a solo-episode rollout, the empirical
 medium task, the graph primitives the fused nodes replace, and the rollout
-step's compositions (einsum forward, categorical pick, cart-pole step) that
-its per-call trims replace. Also `add`,
+step's compositions (einsum forward, categorical and Gaussian heads, both
+families' steps) that its per-call trims replace. Also `add`,
 the sum of two nodes, which only tests' objectives need, and
 `until_converged`, the prefix of a run the acceptance cache records."""
 
@@ -228,8 +228,9 @@ def row_max_const(a) -> ad.Node:
 
 # ---------------------------------------------------------------------------
 # The rollout step as composed before its per-call trims: the bitwise
-# references for `policy.forward_inference`, the categorical pick of
-# `policy.act_batch`, `envs.cartpole_euler` and `CartPoleEnv.step_batch`.
+# references for `policy.forward_inference`, both heads of
+# `policy.act_batch`, `envs.cartpole_euler` and the two families'
+# `step_batch`.
 # ---------------------------------------------------------------------------
 
 def reference_forward(arch: pol.Arch, params: ad.ParamVector, states) -> np.ndarray:
@@ -303,6 +304,43 @@ def reference_cartpole_step(env: Environment, states, actions):
     done = np.abs(nxt[:, 2]) > envs.ANGLE_LIMIT
     done |= np.abs(nxt[:, 0]) > envs.X_LIMIT
     return nxt, np.ones(len(nxt)), done
+
+
+def reference_gaussian_act(net: pol.PolicyNet, states, u: np.ndarray):
+    """`act_batch`'s Gaussian head with sigma and the inverse scale
+    exp(-log_sigma) each taken by np.exp and their finiteness tested by
+    `.all()`: (clipped actions, raw samples), or NonFiniteValue."""
+    head = net.arch.head
+    mean = reference_forward(net.arch, net.params, states)[:, 0]
+    logsig = net.params.segment("log_sigma")
+    with np.errstate(over="ignore"):
+        sigma = np.exp(logsig)[0]
+        raws = mean + sigma * u
+        finite = np.isfinite(raws).all() and np.isfinite(np.exp(-logsig)).all()
+    if not finite:
+        raise NonFiniteValue("sampled action distribution is not finite")
+    return np.clip(raws, head.low, head.high), raws
+
+
+def reference_intersection_step(env: Environment, states, actions):
+    """`IntersectionEnv.step_batch` with its actions checked by `np.all`
+    over `np.isfinite` and both bounds, and its rewards set by `np.where`."""
+    actions = np.asarray(actions, dtype=np.float64)
+    ok = np.isfinite(actions) & (actions >= 0.0) & (actions <= envs.SPEED_MAX)
+    if not np.all(ok):
+        raise InvalidAction(
+            f"intersection speed command must lie in [0, {envs.SPEED_MAX}], got {actions[~ok][0].item()!r}"
+        )
+    states = np.asarray(states, dtype=np.float64)
+    nxt = np.empty_like(states)
+    nxt[:, 0] = states[:, 0] + envs.INTERSECTION_DT * actions
+    nxt[:, 1] = states[:, 1] + envs.INTERSECTION_DT * env.task.phi
+    collided = (np.abs(nxt[:, 0]) < envs.CONFLICT_RADIUS) & (np.abs(nxt[:, 1]) < envs.CONFLICT_RADIUS)
+    crossed = nxt[:, 0] >= envs.CROSS_LINE
+    rewards = actions / envs.SPEED_MAX
+    rewards = np.where(crossed, envs.CROSS_REWARD, rewards)
+    rewards = np.where(collided, envs.COLLISION_REWARD, rewards)
+    return nxt, rewards, collided | crossed
 
 
 def until_converged(rc, epochs):

@@ -8,7 +8,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from _helpers import empirical_medium, reference_cartpole_euler, reference_cartpole_step
+from _helpers import (
+    empirical_medium,
+    reference_cartpole_euler,
+    reference_cartpole_step,
+    reference_intersection_step,
+)
 from metarl import envs
 from metarl.envs import (
     Box,
@@ -377,6 +382,49 @@ class TestCartPoleMatchesReference:
         with pytest.raises(InvalidAction) as want:
             reference_cartpole_step(env, states, actions)
         assert str(got.value) == str(want.value) == f"cartpole action must be 0 or 1, got {bad!r}"
+
+
+class TestIntersectionMatchesReference:
+    """`IntersectionEnv.step_batch` gives the bits, and the refusals, of the
+    composition it replaced: actions checked by `np.all` over `np.isfinite`
+    and both bounds, rewards set by two `np.where`. Positions sit on and
+    next to the conflict zone's edges and the crossing line, where a zero
+    speed leaves them, so every ending and its boundary is stepped."""
+
+    @settings(max_examples=40, derandomize=True, database=None, deadline=None)
+    @given(
+        st.integers(min_value=0, max_value=2**31 - 1),
+        st.integers(min_value=1, max_value=2000),
+        st.sampled_from([0.0, 5.0, 10.0, 15.0]),
+    )
+    def test_step_bitwise(self, seed, rows, phi):
+        gen = np.random.default_rng(seed)
+        states = gen.uniform(-8.0, 8.0, size=(rows, 2))
+        edges = [envs.CONFLICT_RADIUS, -envs.CONFLICT_RADIUS, envs.CROSS_LINE, 0.0, -0.0]
+        edges += [np.nextafter(e, d) for e in edges[:3] for d in (-np.inf, np.inf)]
+        pick = gen.random((rows, 2)) < 0.35
+        states[pick] = gen.choice(edges, size=int(pick.sum()))
+        actions = gen.uniform(0.0, envs.SPEED_MAX, size=rows)
+        pick = gen.random(rows) < 0.35
+        actions[pick] = gen.choice([0.0, -0.0, envs.SPEED_MAX], size=int(pick.sum()))
+        env = make_env(Task(Family.INTERSECTION, phi))
+        got = env.step_batch(states, actions)
+        want = reference_intersection_step(env, states, actions)
+        for g, w in zip(got, want):
+            assert g.dtype == w.dtype and g.shape == w.shape
+            assert g.tobytes() == w.tobytes()
+
+    @pytest.mark.parametrize(
+        "bad", [np.nan, np.inf, -np.inf, -1.0, 15.5, np.nextafter(envs.SPEED_MAX, np.inf), -5e-324]
+    )
+    def test_invalid_actions_refused_as_before(self, bad):
+        env = make_env(Task(Family.INTERSECTION, 10.0))
+        states, actions = np.zeros((3, 2)), np.array([0.0, bad, 15.0])
+        with pytest.raises(InvalidAction) as got:
+            env.step_batch(states, actions)
+        with pytest.raises(InvalidAction) as want:
+            reference_intersection_step(env, states, actions)
+        assert str(got.value) == str(want.value)
 
 
 class TestNoHorizon:

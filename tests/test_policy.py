@@ -11,10 +11,12 @@ import warnings
 
 import numpy as np
 import pytest
+from numpy._core import multiarray
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from metarl import autodiff as ad
+from metarl import envs, rl
 from metarl import policy as pol
 from metarl.autodiff import ParamVector, Params, Segment
 from metarl.envs import Box, Discrete, Family, Task, make_env
@@ -25,6 +27,7 @@ from _helpers import (
     make_policy,
     reference_categorical_act,
     reference_forward,
+    reference_gaussian_act,
     reference_running_sums,
     zero_params,
 )
@@ -242,14 +245,11 @@ class TestForwardInference:
         assert got.tobytes() == want.tobytes()
 
     def test_binds_the_routine_np_einsum_forwards_to(self):
-        # numpy 2 keeps numpy.core as a deprecated alias of numpy._core, so
-        # this one name resolves the routine on either import path
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", DeprecationWarning)
-            from numpy.core import multiarray
+        assert pol._c_einsum is multiarray.c_einsum
 
-            routine = multiarray.c_einsum
-        assert pol._c_einsum is routine
+    def test_binds_the_routine_np_count_nonzero_forwards_to(self):
+        # np.count_nonzero without an axis returns this routine's count
+        assert pol._count_nonzero is envs._count_nonzero is rl._count_nonzero is multiarray.count_nonzero
 
 
 class TestOwnBuffers:
@@ -391,21 +391,69 @@ class TestCategoricalPick:
         logits = pol.forward_inference(net.arch, net.params, states)
         assert np.array_equal(logits[:, 0], np.full(3, logit), equal_nan=True)
         u = np.array([0.1, 0.5, 0.9])
-
-        def outcome(act):
-            with warnings.catch_warnings(record=True) as caught:
-                warnings.simplefilter("always")
-                try:
-                    act()
-                    raised = None
-                except MetaRLError as e:
-                    raised = (type(e), str(e))
-            return raised, [(w.category, str(w.message)) for w in caught]
-
-        got = outcome(lambda: pol.act_batch(net, states, u))
-        want = outcome(lambda: reference_categorical_act(pol.forward_inference(net.arch, net.params, states), u))
-        assert got == want
+        got = act_outcome(lambda: pol.act_batch(net, states, u))
+        want = act_outcome(lambda: reference_categorical_act(pol.forward_inference(net.arch, net.params, states), u))
+        assert got[:2] == want[:2]
         assert got[0][0] is NonFiniteValue
+
+
+def act_outcome(act):
+    """(exception type and message or None, numpy warnings, result) of
+    act(), with every warning recorded."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        try:
+            result, raised = act(), None
+        except MetaRLError as e:
+            result, raised = None, (type(e), str(e))
+    return raised, [(w.category, str(w.message)) for w in caught], result
+
+
+class TestGaussianHead:
+    """`act_batch`'s Gaussian head gives the bits, the exception and the
+    numpy warnings of the composition it replaced, which took exp(log_sigma)
+    for sigma and exp(-log_sigma) for the finiteness check and tested both
+    by `.all()`. log_sigma runs over ordinary values and the edges where
+    sigma or the inverse scale overflows."""
+
+    LOG_SIGMAS = (
+        pol.LOG_SIGMA_INIT, 0.0, -5.0, 5.0, 800.0, -800.0,
+        pol._EXP_ARG_MAX, np.nextafter(pol._EXP_ARG_MAX, np.inf), np.nextafter(pol._EXP_ARG_MAX, -np.inf),
+        -pol._EXP_ARG_MAX, np.nextafter(-pol._EXP_ARG_MAX, np.inf), np.nextafter(-pol._EXP_ARG_MAX, -np.inf),
+    )
+
+    def test_threshold_is_where_exp_overflows(self):
+        edge = np.array([pol._EXP_ARG_MAX])
+        with np.errstate(over="ignore"):
+            assert np.isfinite(np.exp(edge)).all()
+            assert not np.isfinite(np.exp(np.nextafter(edge, np.inf))).any()
+
+    @settings(max_examples=40, derandomize=True, database=None, deadline=None)
+    @given(
+        st.integers(min_value=0, max_value=2**31 - 1),
+        st.integers(min_value=1, max_value=2000),
+        st.sampled_from(LOG_SIGMAS),
+        st.sampled_from([0.0, 1.0, 50.0]),
+    )
+    def test_matches_the_two_exp_composition_bitwise(self, seed, rows, log_sigma, spread):
+        # a spread of 50 saturates the tanh layers; some variates are
+        # signed zeros or near the double range, so sigma * u overflows
+        # and inf * 0 is nan where sigma overflows
+        arch = pol.actor_arch(INTERSECTION)
+        params = pol.init_params(arch, Stream(seed))
+        net = pol.PolicyNet(arch, zero_params(arch, **{**params._segment_views(), "log_sigma": (log_sigma,)}))
+        gen = Stream(seed).child(1).generator()
+        states = gen.normal(scale=spread, size=(rows, 2))
+        u = gen.standard_normal(rows)
+        pick = gen.random(rows) < 0.2
+        u[pick] = gen.choice([0.0, -0.0, 1e308, -1e308], size=int(pick.sum()))
+        got = act_outcome(lambda: pol.act_batch(net, states, u))
+        want = act_outcome(lambda: reference_gaussian_act(net, states, u))
+        assert got[:2] == want[:2]
+        if got[0] is None:
+            for g, w in zip(got[2], want[2]):
+                assert g.dtype == w.dtype == np.float64
+                assert g.tobytes() == w.tobytes()
 
 
 class TestLogprob:

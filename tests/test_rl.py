@@ -243,6 +243,50 @@ class TestEngineMatchesStepwiseLoop:
             self.assert_same(env, make_policy(env, Stream(seed)), k, Stream(seed).child(1), horizon)
 
 
+def stalled_intersection():
+    """A policy whose speed command clips to 0: vehicle 1 never reaches the
+    conflict zone, so every episode runs to the horizon."""
+    env = make_env(Task(Family.INTERSECTION, 10.0))
+    arch = pol.actor_arch(env)
+    return env, pol.PolicyNet(arch, zero_params(arch, b2=(-50.0,), log_sigma=(0.0,)))
+
+
+class TestEnvStepCount:
+    """The engine steps every live row through `env.step_batch` once per
+    step, as one positional call on the class method: the per-call rows are
+    the episodes still running at that step. So the rows add up to the
+    trajectories' lengths and the calls to the longest one, which is what a
+    count of env steps taken by wrapping that method reads."""
+
+    CASES = {
+        "cartpole-all-live": lambda: (CARTPOLE, balancer_policy(CARTPOLE), 4, H_CARTPOLE),
+        "cartpole-mixed": lambda: (*mixed_cartpole(), 8, H_CARTPOLE),
+        "cartpole-all-early": lambda: (CARTPOLE, make_policy(CARTPOLE, Stream(3)), 8, H_CARTPOLE),
+        "intersection-all-live": lambda: (*stalled_intersection(), 5, H_INTERSECTION),
+        "intersection-mixed": lambda: (*cross_or_stall(), 12, H_INTERSECTION),
+        "intersection-all-early": lambda: (*crash_or_cross(), 8, H_INTERSECTION),
+    }
+
+    @pytest.mark.parametrize("case", sorted(CASES))
+    def test_one_call_per_step_over_the_live_rows(self, case, monkeypatch):
+        env, net, k, horizon = self.CASES[case]()
+        cls = type(env)
+        step_batch = cls.__dict__["step_batch"]
+        rows = []
+
+        def counting(env, states, actions, /):
+            rows.append(len(states))
+            return step_batch(env, states, actions)
+
+        monkeypatch.setattr(cls, "step_batch", counting)
+        lengths = np.array([t.length for t in rl.sample_batch(env, net, k, Stream(40), horizon).trajectories])
+        kind = case.split("-", 1)[1]
+        assert {"all-live": min(lengths) == horizon, "all-early": max(lengths) < horizon,
+                "mixed": min(lengths) < max(lengths) == horizon}[kind]
+        assert rows == [int(np.count_nonzero(lengths > t)) for t in range(max(lengths))]
+        assert sum(rows) == lengths.sum() and len(rows) == max(lengths)
+
+
 class TestPredrawnVariates:
     """A trajectory draws its variates for the whole horizon in one call;
     for PCG64 that yields the same bits as one draw per step."""
